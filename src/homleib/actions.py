@@ -50,15 +50,15 @@ class HomAction:
         zero = f.zero()
         out = [zero] * self.target.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             for j, mj in enumerate(m):
-                if mj == zero:
+                if not mj:
                     continue
                 coeff = f.mul(xi, mj)
                 val = self.left[i][j]
                 for k in range(self.target.dim):
-                    if val[k] != zero:
+                    if val[k]:
                         out[k] = f.add(out[k], f.mul(coeff, val[k]))
         return tuple(out)
 
@@ -67,15 +67,15 @@ class HomAction:
         zero = f.zero()
         out = [zero] * self.target.dim
         for j, mj in enumerate(m):
-            if mj == zero:
+            if not mj:
                 continue
             for i, xi in enumerate(x):
-                if xi == zero:
+                if not xi:
                     continue
                 coeff = f.mul(mj, xi)
                 val = self.right[j][i]
                 for k in range(self.target.dim):
-                    if val[k] != zero:
+                    if val[k]:
                         out[k] = f.add(out[k], f.mul(coeff, val[k]))
         return tuple(out)
 

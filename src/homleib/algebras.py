@@ -90,15 +90,15 @@ class HomLeibnizAlgebra:
         zero = f.zero()
         out = [zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 coeff = f.mul(xi, yj)
                 cij = self.c[i][j]
                 for k in range(self.dim):
-                    if cij[k] != zero:
+                    if cij[k]:
                         out[k] = f.add(out[k], f.mul(coeff, cij[k]))
         return tuple(out)
 
@@ -385,10 +385,10 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
         out = [f.zero()] * k
         for idx, (row, p) in enumerate(zip(basis, space.pivots())):
             c = w[p]
-            if c != f.zero():
+            if c:
                 out[idx] = c
                 for jj in range(space.ambient_dim):
-                    if row[jj] != f.zero():
+                    if row[jj]:
                         w[jj] = f.sub(w[jj], f.mul(c, row[jj]))
         if not vec_is_zero(f, tuple(w)):
             raise StructureError("subspace is not closed under bracket and twist")

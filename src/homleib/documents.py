@@ -120,7 +120,7 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
         raise SemanticError(f"{where}.kind: must be one of {', '.join(ALGEBRA_KINDS)}")
     dim = node["dim"]
     basis = node["basis"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError(f"{where}.dim: must be a nonnegative integer")
     if not isinstance(basis, list) or len(basis) != dim or \
             any(not isinstance(b, str) for b in basis):
@@ -234,7 +234,7 @@ def serialize_algebra(alg, kind: str | None = None) -> dict:
     for i in range(alg.dim):
         for j in range(alg.dim):
             v = table[i][j]
-            nz = {alg.labels[k]: field.to_str(v[k]) for k in range(alg.dim) if v[k] != field.zero()}
+            nz = {alg.labels[k]: field.to_str(v[k]) for k in range(alg.dim) if v[k]}
             if nz:
                 entries.append({"left": alg.labels[i], "right": alg.labels[j], "value": nz})
     return {

@@ -2,8 +2,11 @@
 
 Scalars are ``fractions.Fraction`` over Q and plain ints in ``range(p)`` over
 GF(p); every operation goes through the owning :class:`Field` so the rest of
-the library is field-agnostic.  Characteristic 2 is rejected because the
-polarization identity used for Lie-ization needs 2 to be invertible.
+the library is field-agnostic.  A scalar is zero exactly when it is falsy,
+so callers test ``if x:`` rather than comparing with ``zero()``.
+Characteristic 2 is rejected because the polarization identity used for
+Lie-ization needs 2 to be invertible, and p must lie below ``PRIME_BOUND``,
+where primality is decided exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +17,36 @@ from fractions import Fraction
 from .errors import SemanticError
 
 
+# Miller-Rabin over the first thirteen prime bases is exact for every n
+# below PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017); a larger
+# modulus is refused.  The bases up to 37 alone stop being exact at
+# 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -37,6 +62,8 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= PRIME_BOUND:
+                raise ValueError(f"prime modulus must be below {PRIME_BOUND}")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.p < 3:

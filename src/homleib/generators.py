@@ -26,7 +26,7 @@ def _scalars(field: Field, rng: random.Random, lo=-3, hi=3):
 def _nonzero(field: Field, rng: random.Random):
     while True:
         v = _scalars(field, rng)
-        if v != field.zero():
+        if v:
             return v
 
 

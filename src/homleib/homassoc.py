@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphaIdentityFails, InternalInconsistency, StructureError
+from .errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency, StructureError
 from .actions import HomAction, MutualActions
 from .algebras import (
     AlgebraHom,
@@ -61,6 +61,8 @@ class HomAssociativeAlgebra:
                     raise StructureError("product values must be coordinate vectors")
         if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
             raise StructureError("twist matrix must be dim x dim")
+        if self.twist.field != self.field:
+            raise FieldMismatch("twist matrix over the wrong field")
 
     @staticmethod
     def from_products(field: Field, dim: int, products: dict, twist=None, labels=None) -> "HomAssociativeAlgebra":
@@ -83,15 +85,15 @@ class HomAssociativeAlgebra:
         zero = f.zero()
         out = [zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 c = f.mul(xi, yj)
                 pij = self.p[i][j]
                 for k in range(self.dim):
-                    if pij[k] != zero:
+                    if pij[k]:
                         out[k] = f.add(out[k], f.mul(c, pij[k]))
         return tuple(out)
 
@@ -164,10 +166,10 @@ def hochschild_boundary(A: HomAssociativeAlgebra) -> LinearMap:
     def tens(u, v):
         out = [f.zero()] * (n * n)
         for i, ui in enumerate(u):
-            if ui == f.zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj != f.zero():
+                if vj:
                     out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
         return tuple(out)
 
@@ -215,10 +217,10 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     def tens(u, v):
         out = [f.zero()] * (n * n)
         for i, ui in enumerate(u):
-            if ui == f.zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj != f.zero():
+                if vj:
                     out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
         return tuple(out)
 
@@ -227,7 +229,7 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
         for i in range(n):
             for j in range(n):
                 c = x[i * n + j]
-                if c != f.zero():
+                if c:
                     out = vec_add(f, out, tuple(f.mul(c, w) for w in lb.c[i][j]))
         return out
 
@@ -241,16 +243,13 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
             twist_cols.append(tens(ti, A.apply_twist(A.unit(j))))
     twist_amb = LinearMap.from_columns(f, n * n, twist_cols)
 
-    gens = [tuple(f.one() if g == h else f.zero() for h in range(n * n)) for g in range(n * n)]
+    # the bracket factors through fold_commutator, so an evaluation that
+    # kills a relation also kills every bracket with it
     for r in pres.relations.basis.entries:
         if not pres.relations.contains(twist_amb.apply(r)):
             raise InternalInconsistency("twist does not preserve the boundary image")
         if not vec_is_zero(f, fold_commutator(r)):
             raise InternalInconsistency("evaluation does not kill the boundary image")
-        for g in gens:
-            if not pres.relations.contains(amb_bracket(r, g)) or \
-               not pres.relations.contains(amb_bracket(g, r)):
-                raise InternalInconsistency("bracket does not preserve the boundary image")
 
     reps = [pres.lift_unit(k) for k in range(pres.dim)]
     table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
@@ -278,10 +277,10 @@ def cyclic_identity_holds(h: HochschildModule) -> bool:
     def tens(u, v):
         out = [f.zero()] * (n * n)
         for i, ui in enumerate(u):
-            if ui == f.zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj != f.zero():
+                if vj:
                     out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
         return tuple(out)
 
@@ -418,10 +417,10 @@ def milnor_relations(A: HomAssociativeAlgebra) -> Subspace:
     def tens(u, v):
         out = [f.zero()] * (n * n)
         for i, ui in enumerate(u):
-            if ui == f.zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj != f.zero():
+                if vj:
                     out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
         return tuple(out)
 
@@ -478,10 +477,10 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     def tens(u, v):
         out = [f.zero()] * (n * n)
         for i, ui in enumerate(u):
-            if ui == f.zero():
+            if not ui:
                 continue
             for j, vj in enumerate(v):
-                if vj != f.zero():
+                if vj:
                     out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
         return tuple(out)
 
@@ -502,7 +501,7 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
             for cols, key in ((left_cols, lambda g: (a, g)), (right_cols, lambda g: (g, a))):
                 acc = vec_zero(f, n * n)
                 for g in range(n * n):
-                    if r[g] != f.zero():
+                    if r[g]:
                         acc = vec_add(f, acc, tuple(f.mul(r[g], t) for t in cols[key(g)]))
                 if not pres.relations.contains(acc):
                     raise InternalInconsistency("action does not descend to the quotient")
@@ -525,7 +524,7 @@ def _combine(f, pres, cols, a, k, left_side):
     rep_vec = pres.lift_unit(k)
     acc = None
     for g in range(len(rep_vec)):
-        if rep_vec[g] != f.zero():
+        if rep_vec[g]:
             key = (a, g) if left_side else (g, a)
             term = tuple(f.mul(rep_vec[g], t) for t in cols[key])
             acc = term if acc is None else vec_add(f, acc, term)
@@ -726,10 +725,10 @@ def _coords_in(f, space: Subspace, v) -> tuple:
     w = list(v)
     for idx, (row, p) in enumerate(zip(space.basis.entries, space.pivots())):
         c = w[p]
-        if c != f.zero():
+        if c:
             out[idx] = c
             for jj in range(space.ambient_dim):
-                if row[jj] != f.zero():
+                if row[jj]:
                     w[jj] = f.sub(w[jj], f.mul(c, row[jj]))
     if not vec_is_zero(f, tuple(w)):
         raise InternalInconsistency("vector does not lie in the expected subspace")
@@ -768,7 +767,7 @@ def _fold_into_c(h: HochschildModule, incl_c: AlgebraHom, amb) -> tuple:
     for i in range(n):
         for j in range(n):
             c = amb[i * n + j]
-            if c != f.zero():
+            if c:
                 out = vec_add(f, out, tuple(f.mul(c, w) for w in h.commutator_algebra.c[i][j]))
     return _coords_via(incl_c, out)
 
@@ -778,7 +777,7 @@ def _expand_kernel(f, mapping: LinearMap, basis_space: Subspace, ambient: int) -
     for w in mapping.kernel().basis.entries:
         vec = vec_zero(f, ambient)
         for coeff, bas in zip(w, basis_space.basis.entries):
-            if coeff != f.zero():
+            if coeff:
                 vec = vec_add(f, vec, tuple(f.mul(coeff, b) for b in bas))
         vecs.append(vec)
     return Subspace.span(f, ambient, vecs)

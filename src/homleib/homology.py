@@ -54,15 +54,15 @@ class CoRepresentation:
         zero = f.zero()
         out = [zero] * self.space_dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             for j, mj in enumerate(m):
-                if mj == zero:
+                if not mj:
                     continue
                 c = f.mul(xi, mj)
                 val = self.left[i][j]
                 for k in range(self.space_dim):
-                    if val[k] != zero:
+                    if val[k]:
                         out[k] = f.add(out[k], f.mul(c, val[k]))
         return tuple(out)
 
@@ -71,15 +71,15 @@ class CoRepresentation:
         zero = f.zero()
         out = [zero] * self.space_dim
         for j, mj in enumerate(m):
-            if mj == zero:
+            if not mj:
                 continue
             for i, xi in enumerate(x):
-                if xi == zero:
+                if not xi:
                     continue
                 c = f.mul(mj, xi)
                 val = self.right[j][i]
                 for k in range(self.space_dim):
-                    if val[k] != zero:
+                    if val[k]:
                         out[k] = f.add(out[k], f.mul(c, val[k]))
         return tuple(out)
 
@@ -183,21 +183,21 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
             coeff = None
             ok = True
             for v, idx in zip(slots, combo):
-                if v[idx] == zero:
+                if not v[idx]:
                     ok = False
                     break
                 coeff = v[idx] if coeff is None else f.mul(coeff, v[idx])
             if not ok:
                 continue
             for hm, hv in enumerate(head):
-                if hv == zero:
+                if not hv:
                     continue
                 total = hv if coeff is None else f.mul(hv, coeff)
                 if not sign_positive:
                     total = f.neg(total)
                 key = _index(dl, hm, combo)
                 cur = f.add(out.get(key, zero), total)
-                if cur == zero:
+                if not cur:
                     out.pop(key, None)
                 else:
                     out[key] = cur
@@ -263,7 +263,7 @@ def squared_boundary_is_zero(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) 
             for idx, coeff in image.items():
                 for k, v in lower_col(idx).items():
                     cur = f.add(acc.get(k, zero), f.mul(coeff, v))
-                    if cur == zero:
+                    if not cur:
                         acc.pop(k, None)
                     else:
                         acc[k] = cur
@@ -326,10 +326,10 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
         for b in der.basis.entries:
             vec = [f.zero()] * (M.space_dim * L.dim)
             for i, ui in enumerate(u):
-                if ui == f.zero():
+                if not ui:
                     continue
                 for j, bj in enumerate(b):
-                    if bj != f.zero():
+                    if bj:
                         vec[i * L.dim + j] = f.mul(ui, bj)
             vecs.append(tuple(vec))
     rel = Subspace.span(f, M.space_dim * L.dim, vecs)

@@ -34,8 +34,7 @@ def vec_scale(field: Field, c, v):
 
 
 def vec_is_zero(field: Field, v) -> bool:
-    z = field.zero()
-    return all(a == z for a in v)
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,11 @@ class Matrix:
         f = self.field
         out = [f.zero()] * self.rows
         for j, c in enumerate(v):
-            if c == f.zero():
+            if not c:
                 continue
             for i in range(self.rows):
                 e = self.entries[i][j]
-                if e != f.zero():
+                if e:
                     out[i] = f.add(out[i], f.mul(e, c))
         return tuple(out)
 
@@ -102,7 +101,7 @@ class Matrix:
             for c in ot:
                 acc = f.zero()
                 for a, b in zip(r, c):
-                    if a != f.zero() and b != f.zero():
+                    if a and b:
                         acc = f.add(acc, f.mul(a, b))
                 row.append(acc)
             out.append(tuple(row))
@@ -121,8 +120,7 @@ class Matrix:
                                tuple(vec_scale(f, f.neg(f.one()), r) for r in other.entries)))
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(e == z for r in self.entries for e in r)
+        return not any(any(r) for r in self.entries)
 
 
 @dataclass(frozen=True)
@@ -135,14 +133,14 @@ class RrefResult:
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     f = m.field
-    zero, one = f.zero(), f.one()
+    one = f.one()
     rows = [list(r) for r in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
         pivot_row = None
         for i in range(r, m.rows):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -153,7 +151,7 @@ def rref(m: Matrix) -> RrefResult:
             inv = f.inv(pv)
             rows[r] = [f.mul(inv, x) for x in rows[r]]
         for i in range(m.rows):
-            if i != r and rows[i][c] != zero:
+            if i != r and rows[i][c]:
                 coef = rows[i][c]
                 rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -169,8 +167,9 @@ class RrefAccumulator:
 
     Rows are kept fully reduced against each other at all times, stored
     sparsely as {column: value}.  ``add`` reduces the incoming vector and
-    reports whether it enlarged the span.  The result is identical to one
-    shot ``rref`` of all inserted vectors.
+    reports whether it enlarged the span; it takes a dense vector, or with
+    ``sparse`` the (column, value) pairs of its nonzero coordinates.  The
+    result is identical to one shot ``rref`` of all inserted vectors.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -189,41 +188,40 @@ class RrefAccumulator:
             if c not in self.rows:
                 continue
             coef = sv.get(c, zero)
-            if coef == zero:
+            if not coef:
                 continue
             for cc, val in self.rows[c].items():
                 nv = f.sub(sv.get(cc, zero), f.mul(coef, val))
-                if nv == zero:
+                if not nv:
                     sv.pop(cc, None)
                 else:
                     sv[cc] = nv
         return sv
 
     def reduce_vector(self, v) -> dict:
-        zero = self.field.zero()
-        sv = {i: x for i, x in enumerate(v) if x != zero}
+        sv = {i: x for i, x in enumerate(v) if x}
         return self._reduce(sv)
 
     def contains(self, v) -> bool:
         return not self.reduce_vector(v)
 
-    def add(self, v) -> bool:
+    def add(self, v, sparse: bool = False) -> bool:
         f = self.field
         zero = f.zero()
-        sv = self.reduce_vector(v)
+        sv = self._reduce(dict(v)) if sparse else self.reduce_vector(v)
         if not sv:
             return False
         pivot = min(sv)
         inv = f.inv(sv[pivot])
         sv = {c: f.mul(inv, x) for c, x in sv.items()}
         # back-substitute the new pivot into existing rows
-        for pc, row in self.rows.items():
+        for row in self.rows.values():
             coef = row.get(pivot)
             if coef is None:
                 continue
             for cc, val in sv.items():
                 nv = f.sub(row.get(cc, zero), f.mul(coef, val))
-                if nv == zero:
+                if not nv:
                     row.pop(cc, None)
                 else:
                     row[cc] = nv
@@ -252,12 +250,10 @@ class Subspace:
     _sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        f = self.basis.field
-        zero = f.zero()
         pivots = []
         sparse = []
         for r in self.basis.entries:
-            support = tuple((j, x) for j, x in enumerate(r) if x != zero)
+            support = tuple((j, x) for j, x in enumerate(r) if x)
             sparse.append(support)
             pivots.append(support[0][0] if support else -1)
         object.__setattr__(self, "_pivots", tuple(pivots))
@@ -294,11 +290,10 @@ class Subspace:
     def reduce(self, v) -> tuple:
         """Canonical representative of v modulo this subspace (zeros at pivots)."""
         f = self.field
-        zero = f.zero()
         w = list(v)
         for support, p in zip(self._sparse_rows, self._pivots):
             c = w[p]
-            if c != zero:
+            if c:
                 for j, x in support:
                     w[j] = f.sub(w[j], f.mul(c, x))
         return tuple(w)
@@ -331,7 +326,7 @@ class Subspace:
         for w in ker:
             v = [f.zero()] * self.ambient_dim
             for i in range(h):
-                if w[i] != f.zero():
+                if w[i]:
                     for j in range(self.ambient_dim):
                         v[j] = f.add(v[j], f.mul(w[i], self.basis.entries[i][j]))
             vecs.append(tuple(v))

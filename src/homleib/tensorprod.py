@@ -14,8 +14,14 @@ The bracket of two generators factors through the two evaluation maps
 
 as [x, y] = eval_m(x) * eval_n(y), always landing in the first block.
 Well-definedness of the bracket and of the induced twist on the quotient
-is certified, never assumed; a failure aborts loudly since it would
-contradict the construction.
+is certified, never assumed.  The twist is checked by membership of each
+twisted relation basis row.  For the bracket, a row r that both evaluation
+maps kill brackets to zero with every generator on either side, so two
+matrix-vector products certify it; on compatible actions the evaluations
+kill every relation (the crossed-module property of the tensor product).
+A row they do not kill falls back to the full check: its bracket with
+every generator, on both sides, must lie in the relation span.  A failure
+aborts loudly since it would contradict the construction.
 """
 
 from __future__ import annotations
@@ -93,10 +99,10 @@ def _tens_mn(M, N, u, v) -> tuple:
     dm, dn = M.dim, N.dim
     out = [zero] * (2 * dm * dn)
     for i, ui in enumerate(u):
-        if ui == zero:
+        if not ui:
             continue
         for j, vj in enumerate(v):
-            if vj != zero:
+            if vj:
                 out[i * dn + j] = f.add(out[i * dn + j], f.mul(ui, vj))
     return tuple(out)
 
@@ -108,10 +114,10 @@ def _tens_nm(M, N, v, u) -> tuple:
     base = dm * dn
     out = [zero] * (2 * dm * dn)
     for j, vj in enumerate(v):
-        if vj == zero:
+        if not vj:
             continue
         for i, ui in enumerate(u):
-            if ui != zero:
+            if ui:
                 out[base + j * dm + i] = f.add(out[base + j * dm + i], f.mul(vj, ui))
     return tuple(out)
 
@@ -148,8 +154,16 @@ def _eval_maps(ma: MutualActions):
     return eval_m, eval_n
 
 
+def _sparse(v) -> tuple:
+    """The nonzero coordinates of a dense vector as (index, value) pairs."""
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
 def relation_vectors(ma: MutualActions):
     """Yield the spanning relation instances over basis tuples.
+
+    Each instance is a sparse row: the sorted (column, value) pairs of its
+    nonzero ambient coordinates, empty for an instance that vanishes.
 
     Families, with m, m' in M and n, n' in N (all basis vectors):
       r1  t(m) * [n,n']  - m.n * t(n')   + m.n' * t(n)              (block mn)
@@ -167,82 +181,85 @@ def relation_vectors(ma: MutualActions):
     """
     M, N = ma.m_side, ma.n_side
     f = M.field
+    zero = f.zero()
     dm, dn = M.dim, N.dim
+    base = dm * dn
 
-    def t_m(i):
-        return M.apply_twist(M.unit(i))
+    def grid(rows):
+        return [[_sparse(v) for v in row] for row in rows]
 
-    def t_n(j):
-        return N.apply_twist(N.unit(j))
+    tm = [_sparse(M.apply_twist(M.unit(i))) for i in range(dm)]
+    tn = [_sparse(N.apply_twist(N.unit(j))) for j in range(dn)]
+    cm, cn = grid(M.c), grid(N.c)
+    mn_left, mn_right = grid(ma.mn.left), grid(ma.mn.right)
+    nm_left, nm_right = grid(ma.nm.left), grid(ma.nm.right)
 
-    tm = [t_m(i) for i in range(dm)]
-    tn = [t_n(j) for j in range(dn)]
-    mn, nm = ma.mn, ma.nm
+    # a pure tensor as (offset, stride, first leg, second leg): u (x) v sits
+    # at offset + a * stride + b for the coordinates u_a, v_b
+    def mn(u, v):
+        return 0, dn, u, v
+
+    def nm(v, u):
+        return base, dm, v, u
+
+    def row(plus, minus):
+        out = {}
+        for op, terms in ((f.add, plus), (f.sub, minus)):
+            for off, stride, u, v in terms:
+                for a, ua in u:
+                    for b, vb in v:
+                        c = off + a * stride + b
+                        out[c] = op(out.get(c, zero), f.mul(ua, vb))
+        return tuple(sorted((c, x) for c, x in out.items() if x))
 
     for i in range(dm):
         for j in range(dn):
             for j2 in range(dn):
                 # r1: t(m) * [n, n'] = m.n * t(n') - m.n' * t(n)
-                v = _tens_mn(M, N, tm[i], N.c[j][j2])
-                v = vec_sub(f, v, _tens_mn(M, N, nm.right[i][j], tn[j2]))
-                v = vec_add(f, v, _tens_mn(M, N, nm.right[i][j2], tn[j]))
-                yield v
+                yield row((mn(tm[i], cn[j][j2]), mn(nm_right[i][j2], tn[j])),
+                          (mn(nm_right[i][j], tn[j2]),))
                 # r4: [n, n'] * t(m) = n.m * t(n') - t(n) * m.n'
-                v = _tens_nm(M, N, N.c[j][j2], tm[i])
-                v = vec_sub(f, v, _tens_mn(M, N, nm.left[j][i], tn[j2]))
-                v = vec_add(f, v, _tens_nm(M, N, tn[j], nm.right[i][j2]))
-                yield v
+                yield row((nm(cn[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])),
+                          (mn(nm_left[j][i], tn[j2]),))
     for j in range(dn):
         for i in range(dm):
             for i2 in range(dm):
                 # r2: t(n) * [m, m'] = n.m * t(m') - n.m' * t(m)
-                v = _tens_nm(M, N, tn[j], M.c[i][i2])
-                v = vec_sub(f, v, _tens_nm(M, N, mn.right[j][i], tm[i2]))
-                v = vec_add(f, v, _tens_nm(M, N, mn.right[j][i2], tm[i]))
-                yield v
+                yield row((nm(tn[j], cm[i][i2]), nm(mn_right[j][i2], tm[i])),
+                          (nm(mn_right[j][i], tm[i2]),))
                 # r3: [m, m'] * t(n) = m.n * t(m') - t(m) * n.m'
-                v = _tens_mn(M, N, M.c[i][i2], tn[j])
-                v = vec_sub(f, v, _tens_nm(M, N, mn.left[i][j], tm[i2]))
-                v = vec_add(f, v, _tens_mn(M, N, tm[i], mn.right[j][i2]))
-                yield v
+                yield row((mn(cm[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])),
+                          (nm(mn_left[i][j], tm[i2]),))
     for i in range(dm):
         for i2 in range(dm):
             for j in range(dn):
                 # r5: t(m) * (m'.n) = - t(m) * (n.m')
-                v = _tens_mn(M, N, tm[i], mn.left[i2][j])
-                v = vec_add(f, v, _tens_mn(M, N, tm[i], mn.right[j][i2]))
-                yield v
+                yield row((mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])), ())
     for j in range(dn):
         for j2 in range(dn):
             for i in range(dm):
                 # r6: t(n) * (n'.m) = - t(n) * (m.n')
-                v = _tens_nm(M, N, tn[j], nm.left[j2][i])
-                v = vec_add(f, v, _tens_nm(M, N, tn[j], nm.right[i][j2]))
-                yield v
+                yield row((nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])), ())
     for i in range(dm):
         for j in range(dn):
+            mdown = nm_right[i][j]   # m acted by n, in M
+            mup = mn_left[i][j]      # m acting on n, in N
+            ndown = mn_right[j][i]   # n acted by m, in N
+            nup = nm_left[j][i]      # n acting on m, in M
             for i2 in range(dm):
                 for j2 in range(dn):
-                    mdown = nm.right[i][j]   # m acted by n, in M
-                    mup = mn.left[i][j]      # m acting on n, in N
-                    ndown = mn.right[j][i]   # n acted by m, in N
-                    nup = nm.left[j][i]      # n acting on m, in M
-                    m2down = nm.right[i2][j2]
-                    m2up = mn.left[i2][j2]
-                    n2down = mn.right[j2][i2]
-                    n2up = nm.left[j2][i2]
+                    m2down = nm_right[i2][j2]
+                    m2up = mn_left[i2][j2]
+                    n2down = mn_right[j2][i2]
+                    n2up = nm_left[j2][i2]
                     # r7: (m<n) * (m'>n') = (m>n) * (m'<n')
-                    v = vec_sub(f, _tens_mn(M, N, mdown, m2up), _tens_nm(M, N, mup, m2down))
-                    yield v
+                    yield row((mn(mdown, m2up),), (nm(mup, m2down),))
                     # r8: (m<n) * (n'<m') = (m>n) * (n'>m')
-                    v = vec_sub(f, _tens_mn(M, N, mdown, n2down), _tens_nm(M, N, mup, n2up))
-                    yield v
+                    yield row((mn(mdown, n2down),), (nm(mup, n2up),))
                     # r9: (n>m) * (m'>n') = (n<m) * (m'<n')
-                    v = vec_sub(f, _tens_mn(M, N, nup, m2up), _tens_nm(M, N, ndown, m2down))
-                    yield v
+                    yield row((mn(nup, m2up),), (nm(ndown, m2down),))
                     # r10: (n>m) * (n'<m') = (n<m) * (n'>m')
-                    v = vec_sub(f, _tens_mn(M, N, nup, n2down), _tens_nm(M, N, ndown, n2up))
-                    yield v
+                    yield row((mn(nup, n2down),), (nm(ndown, n2up),))
 
 
 def build_tensor(ma: MutualActions, check: bool = True) -> TensorProduct:
@@ -252,18 +269,15 @@ def build_tensor(ma: MutualActions, check: bool = True) -> TensorProduct:
         v = comp.violations[0]
         raise IncompatibleActions(f"compatibility {v.law} fails at {v.witness}", witness=v.witness)
     M, N = ma.m_side, ma.n_side
-    f = M.field
     ambient = 2 * M.dim * N.dim
-    acc = RrefAccumulator(f, ambient)
-    for v in relation_vectors(ma):
-        if not vec_is_zero(f, v):
-            acc.add(v)
+    acc = RrefAccumulator(M.field, ambient)
+    for row in relation_vectors(ma):
+        if row:
+            acc.add(row, sparse=True)
     pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
     eval_m, eval_n = _eval_maps(ma)
     twist_amb = _ambient_twist(M, N)
-
-    t = _assemble(ma, pres, eval_m, eval_n, twist_amb, check)
-    return t
+    return _assemble(ma, pres, eval_m, eval_n, twist_amb, check)
 
 
 def _assemble(ma, pres, eval_m, eval_n, twist_amb, check) -> TensorProduct:
@@ -275,11 +289,15 @@ def _assemble(ma, pres, eval_m, eval_n, twist_amb, check) -> TensorProduct:
         return _tens_mn(M, N, eval_m.apply(x), eval_n.apply(y))
 
     if check:
-        gens = [tuple(f.one() if k == g else f.zero() for k in range(ambient)) for g in range(ambient)]
         for r in pres.relations.basis.entries:
             if not pres.relations.contains(twist_amb.apply(r)):
                 raise InternalInconsistency("induced twist does not preserve the relations", witness=(r,))
-            for g in gens:
+            # [r, g] = eval_m(r) * eval_n(g) and [g, r] = eval_m(g) * eval_n(r)
+            # both vanish for every g once the two evaluations kill r
+            if vec_is_zero(f, eval_m.apply(r)) and vec_is_zero(f, eval_n.apply(r)):
+                continue
+            for k in range(ambient):
+                g = _unit_vec(f, ambient, k)
                 if not pres.relations.contains(amb_bracket(r, g)) or \
                    not pres.relations.contains(amb_bracket(g, r)):
                     raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
@@ -405,7 +423,7 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
             for cols, key in ((left_cols, lambda g: (a, g)), (right_cols, lambda g: (g, a))):
                 acc = zero_q
                 for g in range(ambient):
-                    if r[g] != f.zero():
+                    if r[g]:
                         acc = vec_add(f, acc, tuple(f.mul(r[g], x) for x in cols[key(g)]))
                 if not vec_is_zero(f, acc):
                     raise InternalInconsistency(
@@ -417,7 +435,7 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
             rep_vec = pres.lift_unit(k)
             acc = vec_zero(f, T.dim)
             for g in range(ambient):
-                if rep_vec[g] != f.zero():
+                if rep_vec[g]:
                     acc = vec_add(f, acc, tuple(f.mul(rep_vec[g], x) for x in left_cols[(a, g)]))
             row.append(acc)
         left.append(tuple(row))
@@ -428,7 +446,7 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
         for a in range(actor.dim):
             acc = vec_zero(f, T.dim)
             for g in range(ambient):
-                if rep_vec[g] != f.zero():
+                if rep_vec[g]:
                     acc = vec_add(f, acc, tuple(f.mul(rep_vec[g], x) for x in right_cols[(g, a)]))
             row.append(acc)
         right.append(tuple(row))

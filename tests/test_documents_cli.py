@@ -116,6 +116,14 @@ class TestParsing:
         with pytest.raises(SemanticError):
             parse_algebra_document(doc)
 
+    def test_bool_dimension_rejected(self, tmp_path, capsys):
+        doc = dict(E1_DOC, dim=True, basis=["e1"], bracket=[], alpha=[["1"]])
+        with pytest.raises(ParseError):
+            parse_algebra_document(doc)
+        path = write(tmp_path, "bool.alg", doc)
+        assert main(["validate", path]) == 2
+        assert "dim" in capsys.readouterr().err
+
     def test_duplicate_labels(self):
         with pytest.raises(SemanticError):
             parse_algebra_document(dict(E1_DOC, basis=["e1", "e1"]))

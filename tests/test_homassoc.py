@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from homleib.errors import AlphaIdentityFails, InternalInconsistency
+from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
 from homleib.linalg import Matrix, vec_is_zero
 from homleib.algebras import derived_subspace
@@ -108,6 +108,11 @@ class TestValidate:
         rep = validate_homassoc(bad)
         assert not rep.valid
         assert ("x", "x") in {v.witness for v in rep.violations}
+
+    def test_twist_over_wrong_field_rejected(self, dual_numbers):
+        with pytest.raises(FieldMismatch):
+            HomAssociativeAlgebra(QQ, 2, dual_numbers.p, Matrix.identity(Field(5), 2),
+                                  dual_numbers.labels)
 
     def test_twisted_instances_validate(self, twisted_dual, mixed):
         assert validate_homassoc(twisted_dual).valid

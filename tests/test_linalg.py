@@ -11,6 +11,7 @@ from homleib.linalg import (
     LinearMap,
     Matrix,
     QuotientSpace,
+    RrefAccumulator,
     Subspace,
     induced_map,
     kernel,
@@ -80,6 +81,17 @@ class TestRref:
     def test_rank_nullity(self, m):
         f = LinearMap(m.cols, m.rows, m)
         assert f.rank() + f.kernel().dim == m.cols
+
+    @given(matrices())
+    def test_accumulator_sparse_rows_match_dense(self, m):
+        dense = RrefAccumulator(m.field, m.cols)
+        sparse = RrefAccumulator(m.field, m.cols)
+        for r in m.entries:
+            row = tuple((c, x) for c, x in enumerate(r) if x)
+            assert sparse.add(row, sparse=True) == dense.add(r)
+        res = rref(m)
+        assert sparse.basis_matrix() == dense.basis_matrix() == \
+            Matrix(m.field, res.rank, m.cols, res.reduced.entries[:res.rank])
 
 
 class TestKernel:

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from homleib.errors import IncompatibleActions, NotEquivariant
+from homleib.errors import BracketNotWellDefined, IncompatibleActions, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Matrix, Subspace
+from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -20,7 +20,8 @@ from homleib.algebras import (
     subalgebra,
 )
 from homleib.actions import HomAction, MutualActions, self_action
-from homleib.generators import random_ideal_pair, random_trivial_pair
+from homleib.generators import heisenberg, random_ideal_pair, random_trivial_pair, sl2 as make_sl2
+from homleib import tensorprod
 from homleib.tensorprod import (
     build_tensor,
     commutator_map,
@@ -28,6 +29,7 @@ from homleib.tensorprod import (
     ideal_sequence_certificate,
     induced_tensor_map,
     outer_action,
+    relation_vectors,
     right_exactness_certificate,
     tensor_identity_battery,
 )
@@ -162,6 +164,86 @@ class TestBuild:
         ma = MutualActions(self_action(sl2), HomAction.trivial(sl2, sl2))
         with pytest.raises(IncompatibleActions):
             build_tensor(ma)
+
+
+# Relation RREF bases of two adjoint tensor squares as computed by the dense
+# relation generator the sparse one replaced: one {column: value} dict per
+# basis row, identical over Q and GF(1000003) with -1 read in the field.
+HEIS_RELATIONS = [
+    {2: 1, 15: 1}, {5: 1, 16: 1}, {6: 1, 15: -1}, {7: 1, 16: -1}, {8: 1},
+    {11: 1, 15: 1}, {14: 1, 16: 1}, {17: 1}]
+SL2_AB1_RELATIONS = [
+    {0: 1}, {1: 1, 20: 1}, {2: 1, 24: 1}, {3: 1}, {4: 1, 20: -1}, {5: 1},
+    {6: 1, 25: 1}, {7: 1}, {8: 1, 24: -1}, {9: 1, 25: -1}, {10: 1}, {11: 1},
+    {12: 1}, {13: 1}, {14: 1}, {16: 1}, {17: 1, 20: 1}, {18: 1, 24: 1},
+    {19: 1}, {21: 1}, {22: 1, 25: 1}, {23: 1}, {26: 1}, {27: 1}, {28: 1},
+    {29: 1}, {30: 1}]
+
+
+def _sl2_plus_abelian(f):
+    return direct_sum(make_sl2(f), HomLeibnizAlgebra.abelian(f, 1))
+
+
+class TestRelations:
+    @pytest.mark.parametrize("p", [None, 1000003])
+    @pytest.mark.parametrize("make, generated, nonzero, basis", [
+        (heisenberg, 486, 60, HEIS_RELATIONS),
+        (_sl2_plus_abelian, 1408, 300, SL2_AB1_RELATIONS),
+    ])
+    def test_relation_span_pinned(self, p, make, generated, nonzero, basis):
+        f = Field(p)
+        ma = MutualActions.adjoint(make(f))
+        rows = list(relation_vectors(ma))
+        assert len(rows) == generated
+        assert sum(1 for r in rows if r) == nonzero
+        t = build_tensor(ma)
+        expected = tuple(tuple(f.from_int(d.get(c, 0)) for c in range(t.ambient_dim))
+                         for d in basis)
+        assert t.presentation.relations.basis.entries == expected
+
+    def test_rows_are_sorted_and_nonzero(self, sl2_twisted):
+        for row in relation_vectors(MutualActions.adjoint(sl2_twisted)):
+            cols = [c for c, _ in row]
+            assert cols == sorted(set(cols))
+            assert all(x for _, x in row)
+
+
+def _square_parts(L):
+    ma = MutualActions.adjoint(L)
+    eval_m, eval_n = tensorprod._eval_maps(ma)
+    return ma, eval_m, eval_n, tensorprod._ambient_twist(L, L)
+
+
+class TestDescentCertificate:
+    """Relations the evaluation maps do not kill go through the full sweep."""
+
+    def test_unkilled_relation_fails_the_sweep(self, sl2):
+        ma, eval_m, eval_n, twist = _square_parts(sl2)
+        ambient = 2 * sl2.dim * sl2.dim
+        # e*f evaluates to h in both factors; its span is twist-stable (the
+        # twist is the identity) but not closed under the bracket
+        row = tensorprod._unit_vec(QQ, ambient, 1)
+        assert any(eval_m.apply(row)) and any(eval_n.apply(row))
+        pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
+        with pytest.raises(BracketNotWellDefined) as info:
+            tensorprod._assemble(ma, pres, eval_m, eval_n, twist, True)
+        assert info.value.witness == (row,)
+
+    def test_sweep_runs_only_on_unkilled_rows(self, sl2, monkeypatch):
+        ma, eval_m, eval_n, twist = _square_parts(sl2)
+        ambient = 2 * sl2.dim * sl2.dim
+        pres = QuotientSpace(ambient, Subspace.full(QQ, ambient))
+        unkilled = sum(1 for r in pres.relations.basis.entries
+                       if any(eval_m.apply(r)) or any(eval_n.apply(r)))
+        assert 0 < unkilled < ambient
+        calls = []
+        contains = Subspace.contains
+        monkeypatch.setattr(Subspace, "contains",
+                            lambda self, v: calls.append(v) or contains(self, v))
+        t = tensorprod._assemble(ma, pres, eval_m, eval_n, twist, True)
+        assert t.algebra.dim == 0
+        # one twist test per row, two bracket tests per generator per unkilled row
+        assert len(calls) == ambient + 2 * ambient * unkilled
 
 
 class TestFactorMaps:
