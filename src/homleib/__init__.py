@@ -15,7 +15,6 @@ from .linalg import (
     RrefResult,
     Subspace,
     induced_map,
-    kernel,
     quotient,
     rref,
 )
@@ -31,7 +30,6 @@ from .algebras import (
     predicates,
     quotient_algebra,
     subalgebra,
-    validate_algebra,
     yau_twist,
 )
 from .actions import (
@@ -39,11 +37,9 @@ from .actions import (
     MutualActions,
     SemidirectProduct,
     bracket_action,
-    check_compatible,
     ideal_pair_actions,
     self_action,
     semidirect,
-    validate_action,
 )
 from .tensorprod import (
     TensorProduct,
@@ -65,7 +61,6 @@ from .homology import (
     homology_dim,
     squared_boundary_is_zero,
     trivial_corep,
-    validate_corep,
 )
 from .extensions import (
     Extension,
@@ -85,7 +80,6 @@ from .homassoc import (
     milnor_relations,
     sequence_check,
     to_leibniz,
-    validate_homassoc,
     yau_twist_assoc,
 )
 

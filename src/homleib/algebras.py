@@ -31,7 +31,9 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    contract,
     induced_map,
+    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -86,28 +88,19 @@ class HomLeibnizAlgebra:
         return HomLeibnizAlgebra.from_brackets(field, dim, {}, twist, labels)
 
     def bracket(self, x, y) -> tuple:
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = f.mul(xi, yj)
-                cij = self.c[i][j]
-                for k in range(self.dim):
-                    if cij[k]:
-                        out[k] = f.add(out[k], f.mul(coeff, cij[k]))
-        return tuple(out)
+        return contract(self.field, self.c, x, y, self.dim)
+
+    def bracket_map(self) -> LinearMap:
+        """The bracket as a linear map on the row-major tensor square:
+        e_i (x) e_j goes to c[i][j]."""
+        return LinearMap.from_columns(self.field, self.dim,
+                                      [v for row in self.c for v in row])
 
     def apply_twist(self, x) -> tuple:
         return self.twist.apply(x)
 
     def unit(self, i) -> tuple:
-        f = self.field
-        return tuple(f.one() if k == i else f.zero() for k in range(self.dim))
+        return unit_vec(self.field, self.dim, i)
 
     def basis_vectors(self) -> list:
         return [self.unit(i) for i in range(self.dim)]
@@ -234,10 +227,6 @@ class IdealHandle:
         raise NotAnIdeal("bracket escapes the subspace", witness=w)
 
 
-def validate_algebra(candidate: HomLeibnizAlgebra) -> ValidationReport:
-    return candidate.validate()
-
-
 def commutator(h: IdealHandle, k: IdealHandle) -> Subspace:
     """Span of all brackets [h, k] and [k, h] over bases of the two subspaces."""
     if h.parent != k.parent:
@@ -325,17 +314,29 @@ def squares_ideal(L: HomLeibnizAlgebra) -> Subspace:
     vectors on both sides and under the twist until the dimension stabilizes.
     """
     f = L.field
-    acc = RrefAccumulator(f, L.dim)
+
+    def seeds():
+        for i in range(L.dim):
+            yield L.c[i][i]
+            for j in range(i + 1, L.dim):
+                yield vec_add(f, L.c[i][j], L.c[j][i])
+
+    return ideal_closure(L, seeds())
+
+
+def ideal_closure(L: HomLeibnizAlgebra, seeds) -> Subspace:
+    """Smallest twist-stable two-sided ideal containing the seed vectors:
+    each new vector is bracketed with every basis vector on both sides and
+    twisted until nothing enlarges the span.  The basis is canonical RREF."""
+    acc = RrefAccumulator(L.field, L.dim)
     queue = []
 
     def push(v):
         if acc.add(v):
             queue.append(v)
 
-    for i in range(L.dim):
-        push(L.c[i][i])
-        for j in range(i + 1, L.dim):
-            push(vec_add(f, L.c[i][j], L.c[j][i]))
+    for v in seeds:
+        push(v)
     while queue:
         v = queue.pop()
         push(L.apply_twist(v))
@@ -380,19 +381,10 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
     k = len(basis)
 
     def coords(v):
-        # solve against the basis rows; RREF makes this a direct read-off
-        w = list(v)
-        out = [f.zero()] * k
-        for idx, (row, p) in enumerate(zip(basis, space.pivots())):
-            c = w[p]
-            if c:
-                out[idx] = c
-                for jj in range(space.ambient_dim):
-                    if row[jj]:
-                        w[jj] = f.sub(w[jj], f.mul(c, row[jj]))
-        if not vec_is_zero(f, tuple(w)):
+        q = space.coordinates(v)
+        if q is None:
             raise StructureError("subspace is not closed under bracket and twist")
-        return tuple(out)
+        return q
 
     table = tuple(tuple(coords(L.bracket(a, b)) for b in basis) for a in basis)
     twist_cols = [coords(L.apply_twist(a)) for a in basis]

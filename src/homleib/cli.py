@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import MathFailure, UsageError
-from .actions import MutualActions, semidirect, validate_action
+from .actions import MutualActions, semidirect
 from .algebras import (
     HomLeibnizAlgebra,
     IdealHandle,
@@ -26,7 +26,6 @@ from .algebras import (
     derived_subspace,
     lieization,
     predicates,
-    validate_algebra,
     yau_twist,
 )
 from .documents import (
@@ -47,7 +46,6 @@ from .homassoc import (
     hochschild_module,
     sequence_check,
     to_leibniz,
-    validate_homassoc,
 )
 from .homology import (
     adjoint_corep,
@@ -84,13 +82,9 @@ def _require(report, what: str):
 
 def cmd_validate(args) -> dict:
     doc = parse_document(Path(args.file))
-    if isinstance(doc, ActionDocument):
-        rep = validate_action(doc.build())
-        out = {"document": "action", "report": rep.to_dict()}
-    else:
-        alg = doc.build()
-        rep = validate_homassoc(alg) if doc.kind == "hom-associative" else validate_algebra(alg)
-        out = {"document": doc.kind, "report": rep.to_dict()}
+    rep = doc.build().validate()
+    kind = "action" if isinstance(doc, ActionDocument) else doc.kind
+    out = {"document": kind, "report": rep.to_dict()}
     if args.field_check:
         out["field"] = doc.field.describe() if isinstance(doc, AlgebraDocument) \
             else doc.actor.field.describe()

@@ -40,10 +40,12 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    _expand_kernel,
     induced_map,
+    outer,
+    unit_vec,
     vec_add,
     vec_is_zero,
-    vec_zero,
 )
 from .report import ExactnessReport
 from .tensorprod import (
@@ -201,23 +203,12 @@ def _presented_alpha_uce(L, A, incl, t):
 
     def a_coords(v):
         q = incl.map.preimage(v)
-        if q is None or incl.map.apply(q) != tuple(v):
+        if q is None:
             raise InternalInconsistency("value escapes the twist image subalgebra")
         return q
 
     k = A.dim
     ambient = k * k
-
-    def tens(u, v):
-        out = [f.zero()] * ambient
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * k + j] = f.add(out[i * k + j], f.mul(ui, vj))
-        return tuple(out)
-
     acc = RrefAccumulator(f, ambient)
     for i in range(L.dim):
         e1 = L.unit(i)
@@ -229,25 +220,21 @@ def _presented_alpha_uce(L, A, incl, t):
                 t1 = a_coords(L.apply_twist(e1))
                 t2 = a_coords(L.apply_twist(L.unit(j)))
                 t3 = a_coords(L.apply_twist(L.unit(l)))
-                v = tuple(f.neg(x) for x in tens(b12, t3))
-                v = vec_add(f, v, tens(b13, t2))
-                v = vec_add(f, v, tens(t1, b23))
+                v = tuple(f.neg(x) for x in outer(f, b12, t3, ambient))
+                v = vec_add(f, v, outer(f, b13, t2, ambient))
+                v = vec_add(f, v, outer(f, t1, b23, ambient))
                 if not vec_is_zero(f, v):
                     acc.add(v)
     pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
+    fold = A.bracket_map()
 
     def amb_bracket(x, y):
         # factors through bracketing the two tensor legs
-        bx = _fold_bracket(A, x, k)
-        by = _fold_bracket(A, y, k)
-        return tens(bx, by)
+        return outer(f, fold.apply(x), fold.apply(y), ambient)
 
-    twist_cols = []
-    for i in range(k):
-        ta = A.apply_twist(A.unit(i))
-        for j in range(k):
-            twist_cols.append(tens(ta, A.apply_twist(A.unit(j))))
-    twist_amb = LinearMap.from_columns(f, ambient, twist_cols)
+    tw = [A.apply_twist(A.unit(i)) for i in range(k)]
+    twist_amb = LinearMap.from_columns(f, ambient,
+                                       [outer(f, u, v, ambient) for u in tw for v in tw])
 
     for r in pres.relations.basis.entries:
         if not pres.relations.contains(twist_amb.apply(r)):
@@ -255,10 +242,10 @@ def _presented_alpha_uce(L, A, incl, t):
         # folding the bracket over a relation instance gives the Hom-Leibniz
         # identity, so a valid algebra's fold kills r and with it every
         # bracket against r; a row it does not kill gets the full sweep
-        if vec_is_zero(f, _fold_bracket(A, r, k)):
+        if vec_is_zero(f, fold.apply(r)):
             continue
         for g in range(ambient):
-            e = tuple(f.one() if g == h else f.zero() for h in range(ambient))
+            e = unit_vec(f, ambient, g)
             if not pres.relations.contains(amb_bracket(r, e)) or \
                not pres.relations.contains(amb_bracket(e, r)):
                 raise InternalInconsistency("presentation bracket does not preserve relations")
@@ -273,15 +260,10 @@ def _presented_alpha_uce(L, A, incl, t):
         raise InternalInconsistency("presented algebra fails validation",
                                     witness=rep.violations[0].witness)
 
-    # generator comparison: a*b in either block of the tensor square -> a (x) b
-    cols = []
-    for i in range(k):
-        for j in range(k):
-            cols.append(tens(A.unit(i), A.unit(j)))
-    for j in range(k):
-        for i in range(k):
-            cols.append(tens(A.unit(j), A.unit(i)))
-    comp_amb = LinearMap.from_columns(f, ambient, cols)
+    # generator comparison: a*b in either block of the tensor square -> a (x) b;
+    # both blocks are row-major in (first leg, second leg), like the plain space
+    units = [unit_vec(f, ambient, g) for g in range(ambient)]
+    comp_amb = LinearMap.from_columns(f, ambient, units + units)
     for r in t.presentation.relations.basis.entries:
         if not pres.relations.contains(comp_amb.apply(r)):
             raise InternalInconsistency("comparison map does not preserve relations")
@@ -294,19 +276,6 @@ def _presented_alpha_uce(L, A, incl, t):
     if not (comp.map.is_injective() and comp.map.is_surjective()):
         raise InternalInconsistency("comparison map is not bijective")
     return presented, comp
-
-
-def _fold_bracket(A, x, k):
-    """Apply the bilinear bracket to a tensor-space vector leg by leg:
-    sum of x_{ij} [e_i, e_j]."""
-    f = A.field
-    out = vec_zero(f, k)
-    for i in range(k):
-        for j in range(k):
-            c = x[i * k + j]
-            if c:
-                out = vec_add(f, out, tuple(f.mul(c, w) for w in A.c[i][j]))
-    return out
 
 
 def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessReport:
@@ -392,9 +361,8 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
         if x is None:
             ok_lift = False
             break
-        w = psi_ll.map.apply(x)
-        q = incl.map.preimage(w)
-        if q is None or incl.map.apply(q) != tuple(w):
+        q = incl.map.preimage(psi_ll.map.apply(x))
+        if q is None:
             ok_lift = False
             break
         delta_cols.append(coker_q.project(q))
@@ -402,14 +370,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     if ok_lift:
         delta = LinearMap.from_columns(f, coker_q.dim, delta_cols)
         im2_in_k3 = Subspace.span(f, data.t_qq.algebra.dim, t2_cols)
-        ker_delta_vecs = []
-        for w in delta.kernel().basis.entries:
-            vec = vec_zero(f, data.t_qq.algebra.dim)
-            for coeff, bas in zip(w, k3.basis.entries):
-                if coeff:
-                    vec = vec_add(f, vec, tuple(f.mul(coeff, b) for b in bas))
-            ker_delta_vecs.append(vec)
-        ker_delta = Subspace.span(f, data.t_qq.algebra.dim, ker_delta_vecs)
+        ker_delta = _expand_kernel(delta, k3)
         rep.check("exact at the second homology of the quotient", im2_in_k3 == ker_delta)
         rep.check("connecting map onto the ideal cokernel", delta.rank() == coker_q.dim)
     return rep

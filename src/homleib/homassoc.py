@@ -23,6 +23,7 @@ from .algebras import (
     IdealHandle,
     commutator,
     derived_subspace,
+    ideal_closure,
     subalgebra,
 )
 from .fields import Field
@@ -32,7 +33,11 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    _expand_kernel,
+    contract,
     induced_map,
+    outer,
+    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -77,25 +82,10 @@ class HomAssociativeAlgebra:
         return HomAssociativeAlgebra(field, dim, tuple(tuple(r) for r in table), tw, labels)
 
     def unit(self, i) -> tuple:
-        f = self.field
-        return tuple(f.one() if k == i else f.zero() for k in range(self.dim))
+        return unit_vec(self.field, self.dim, i)
 
     def product(self, x, y) -> tuple:
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = f.mul(xi, yj)
-                pij = self.p[i][j]
-                for k in range(self.dim):
-                    if pij[k]:
-                        out[k] = f.add(out[k], f.mul(c, pij[k]))
-        return tuple(out)
+        return contract(self.field, self.p, x, y, self.dim)
 
     def commutator_vec(self, x, y) -> tuple:
         f = self.field
@@ -132,10 +122,6 @@ class HomAssociativeAlgebra:
         return self
 
 
-def validate_homassoc(candidate: HomAssociativeAlgebra) -> ValidationReport:
-    return candidate.validate()
-
-
 def yau_twist_assoc(A: HomAssociativeAlgebra, endo: Matrix) -> HomAssociativeAlgebra:
     """Twist an associative algebra (identity twist) along an algebra
     endomorphism: the new product is endo applied to the old product."""
@@ -161,28 +147,23 @@ def hochschild_boundary(A: HomAssociativeAlgebra) -> LinearMap:
     """The degree-three boundary A (x) A (x) A -> A (x) A, columns over basis
     triples in row-major order."""
     f = A.field
+    size = A.dim * A.dim
+    shapes = _boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, size))
+    return LinearMap.from_columns(f, size, shapes)
+
+
+def _boundary_shapes(A: HomAssociativeAlgebra, table, tens):
+    """p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b) over basis triples
+    (a, b, c) in row-major order, for the bilinear map p with values
+    table[i][j] on basis pairs and the pure-tensor embedding ``tens``."""
+    f = A.field
     n = A.dim
-
-    def tens(u, v):
-        out = [f.zero()] * (n * n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
-        return tuple(out)
-
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    cols = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                v = tens(A.p[a][b], tw[c])
-                v = vec_sub(f, v, tens(tw[a], A.p[b][c]))
-                v = vec_add(f, v, tens(A.p[c][a], tw[b]))
-                cols.append(v)
-    return LinearMap.from_columns(f, n * n, cols)
+                v = vec_sub(f, tens(table[a][b], tw[c]), tens(tw[a], table[b][c]))
+                yield vec_add(f, v, tens(table[c][a], tw[b]))
 
 
 @dataclass(frozen=True)
@@ -210,45 +191,24 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     on the quotient is certified."""
     f = A.field
     n = A.dim
+    size = n * n
     lb = to_leibniz(A)
     b3 = hochschild_boundary(A)
-    pres = QuotientSpace(n * n, b3.image())
-
-    def tens(u, v):
-        out = [f.zero()] * (n * n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
-        return tuple(out)
-
-    def fold_commutator(x):
-        out = vec_zero(f, n)
-        for i in range(n):
-            for j in range(n):
-                c = x[i * n + j]
-                if c:
-                    out = vec_add(f, out, tuple(f.mul(c, w) for w in lb.c[i][j]))
-        return out
+    pres = QuotientSpace(size, b3.image())
+    fold = lb.bracket_map()
 
     def amb_bracket(x, y):
-        return tens(fold_commutator(x), fold_commutator(y))
+        return outer(f, fold.apply(x), fold.apply(y), size)
 
-    twist_cols = []
-    for i in range(n):
-        ti = A.apply_twist(A.unit(i))
-        for j in range(n):
-            twist_cols.append(tens(ti, A.apply_twist(A.unit(j))))
-    twist_amb = LinearMap.from_columns(f, n * n, twist_cols)
+    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
+    twist_amb = LinearMap.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
 
-    # the bracket factors through fold_commutator, so an evaluation that
+    # the bracket factors through the commutator fold, so an evaluation that
     # kills a relation also kills every bracket with it
     for r in pres.relations.basis.entries:
         if not pres.relations.contains(twist_amb.apply(r)):
             raise InternalInconsistency("twist does not preserve the boundary image")
-        if not vec_is_zero(f, fold_commutator(r)):
+        if not vec_is_zero(f, fold.apply(r)):
             raise InternalInconsistency("evaluation does not kill the boundary image")
 
     reps = [pres.lift_unit(k) for k in range(pres.dim)]
@@ -260,7 +220,7 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     if not valg.valid:
         raise InternalInconsistency("quotient bracket fails validation",
                                     witness=valg.violations[0].witness)
-    phi = LinearMap.from_columns(f, n, [fold_commutator(r) for r in reps])
+    phi = LinearMap.from_columns(f, n, [fold.apply(r) for r in reps])
     comm_space = derived_subspace(lb)
     if phi.image() != comm_space:
         raise InternalInconsistency("evaluation image differs from the commutator subspace")
@@ -272,29 +232,9 @@ def cyclic_identity_holds(h: HochschildModule) -> bool:
     image, for all basis triples."""
     A = h.parent
     f = A.field
-    n = A.dim
-
-    def tens(u, v):
-        out = [f.zero()] * (n * n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
-        return tuple(out)
-
-    lb = h.commutator_algebra
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = tens(lb.c[a][b], tw[c])
-                v = vec_sub(f, v, tens(tw[a], lb.c[b][c]))
-                v = vec_add(f, v, tens(lb.c[c][a], tw[b]))
-                if not h.presentation.relations.contains(v):
-                    return False
-    return True
+    size = A.dim * A.dim
+    shapes = _boundary_shapes(A, h.commutator_algebra.c, lambda u, v: outer(f, u, v, size))
+    return all(h.presentation.relations.contains(v) for v in shapes)
 
 
 def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
@@ -317,34 +257,10 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     t = build_tensor(MutualActions.adjoint(lb))
     T = t.algebra
 
-    # ideal generated by the boundary shapes inside the tensor square
-    acc = RrefAccumulator(f, T.dim)
-    queue = []
-
-    def push(v):
-        if acc.add(v):
-            queue.append(v)
-
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = t.embed_mn(A.p[a][b], tw[c])
-                v = vec_sub(f, v, t.embed_mn(tw[a], A.p[b][c]))
-                v = vec_add(f, v, t.embed_mn(A.p[c][a], tw[b]))
-                push(t.presentation.project(v))
-                w = t.embed_nm(A.p[a][b], tw[c])
-                w = vec_sub(f, w, t.embed_nm(tw[a], A.p[b][c]))
-                w = vec_add(f, w, t.embed_nm(A.p[c][a], tw[b]))
-                push(t.presentation.project(w))
-    while queue:
-        v = queue.pop()
-        push(T.apply_twist(v))
-        for j in range(T.dim):
-            e = T.unit(j)
-            push(T.bracket(v, e))
-            push(T.bracket(e, v))
-    ideal = Subspace(T.dim, acc.basis_matrix())
+    # ideal generated by the boundary shapes, through both generator blocks,
+    # inside the tensor square
+    shapes = zip(_boundary_shapes(A, A.p, t.embed_mn), _boundary_shapes(A, A.p, t.embed_nm))
+    ideal = ideal_closure(T, (t.presentation.project(v) for pair in shapes for v in pair))
 
     from .algebras import quotient_algebra
 
@@ -353,15 +269,10 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
         raise InternalInconsistency(
             "tensor-square quotient has a different dimension than the boundary quotient")
 
-    # generator comparison: both tensor blocks evaluate to plain tensor classes
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(h.presentation.project(_plain_tensor(f, n, i, j)))
-    for j in range(n):
-        for i in range(n):
-            cols.append(h.presentation.project(_plain_tensor(f, n, j, i)))
-    amb = LinearMap.from_columns(f, h.algebra.dim, cols)
+    # generator comparison: both tensor blocks evaluate to plain tensor
+    # classes, and both are row-major in (first leg, second leg) like A (x) A
+    units = [h.presentation.project(unit_vec(f, n * n, g)) for g in range(n * n)]
+    amb = LinearMap.from_columns(f, h.algebra.dim, units + units)
     for r in t.presentation.relations.basis.entries:
         if not vec_is_zero(f, amb.apply(r)):
             raise InternalInconsistency("comparison does not kill the tensor relations")
@@ -378,12 +289,6 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     if not (iso.map.is_injective() and iso.map.is_surjective()):
         raise InternalInconsistency("comparison map is not bijective")
     return iso
-
-
-def _plain_tensor(f, n, i, j):
-    out = [f.zero()] * (n * n)
-    out[i * n + j] = f.one()
-    return tuple(out)
 
 
 def alpha_identity_witness(A: HomAssociativeAlgebra):
@@ -413,23 +318,12 @@ def milnor_relations(A: HomAssociativeAlgebra) -> Subspace:
     acc = RrefAccumulator(f, n * n)
     for v in b3.image().basis.entries:
         acc.add(v)
-
-    def tens(u, v):
-        out = [f.zero()] * (n * n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
-        return tuple(out)
-
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                acc.add(tens(tw[a], lb.c[b][c]))
-                acc.add(tens(lb.c[a][b], tw[c]))
+                acc.add(outer(f, tw[a], lb.c[b][c], n * n))
+                acc.add(outer(f, lb.c[a][b], tw[c], n * n))
     return Subspace(n * n, acc.basis_matrix())
 
 
@@ -472,64 +366,35 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     lb = h.commutator_algebra
     f = A.field
     n = A.dim
+    size = n * n
     pres = h.presentation
 
-    def tens(u, v):
-        out = [f.zero()] * (n * n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(ui, vj))
-        return tuple(out)
-
+    # for each actor basis vector a, both actions as maps on A (x) A
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    left_cols = {}
-    right_cols = {}
+    left_maps, right_maps = [], []
     for a in range(n):
-        for x in range(n):
-            for y in range(n):
-                g = x * n + y
-                v = vec_sub(f, tens(lb.c[a][x], tw[y]), tens(lb.c[a][y], tw[x]))
-                left_cols[(a, g)] = v
-                w = vec_add(f, tens(lb.c[x][a], tw[y]), tens(tw[x], lb.c[y][a]))
-                right_cols[(g, a)] = w
+        left_maps.append(LinearMap.from_columns(f, size, [
+            vec_sub(f, outer(f, lb.c[a][x], tw[y], size), outer(f, lb.c[a][y], tw[x], size))
+            for x in range(n) for y in range(n)]))
+        right_maps.append(LinearMap.from_columns(f, size, [
+            vec_add(f, outer(f, lb.c[x][a], tw[y], size), outer(f, tw[x], lb.c[y][a], size))
+            for x in range(n) for y in range(n)]))
 
     for r in pres.relations.basis.entries:
         for a in range(n):
-            for cols, key in ((left_cols, lambda g: (a, g)), (right_cols, lambda g: (g, a))):
-                acc = vec_zero(f, n * n)
-                for g in range(n * n):
-                    if r[g]:
-                        acc = vec_add(f, acc, tuple(f.mul(r[g], t) for t in cols[key(g)]))
-                if not pres.relations.contains(acc):
+            for amap in (left_maps[a], right_maps[a]):
+                if not pres.relations.contains(amap.apply(r)):
                     raise InternalInconsistency("action does not descend to the quotient")
 
-    left = tuple(
-        tuple(_combine(f, pres, left_cols, a, k, True) for k in range(h.algebra.dim))
-        for a in range(n))
-    right = tuple(
-        tuple(_combine(f, pres, right_cols, a, k, False) for a in range(n))
-        for k in range(h.algebra.dim))
+    reps = [pres.lift_unit(k) for k in range(h.algebra.dim)]
+    left = tuple(tuple(pres.project(amap.apply(rv)) for rv in reps) for amap in left_maps)
+    right = tuple(tuple(pres.project(amap.apply(rv)) for amap in right_maps) for rv in reps)
     action = HomAction(lb, h.algebra, left, right)
     rep = action.validate()
     if not rep.valid:
         v = rep.violations[0]
         raise InternalInconsistency(f"quotient action identity {v.law}) fails at {v.witness}")
     return action
-
-
-def _combine(f, pres, cols, a, k, left_side):
-    rep_vec = pres.lift_unit(k)
-    acc = None
-    for g in range(len(rep_vec)):
-        if rep_vec[g]:
-            key = (a, g) if left_side else (g, a)
-            term = tuple(f.mul(rep_vec[g], t) for t in cols[key])
-            acc = term if acc is None else vec_add(f, acc, term)
-    out = acc if acc is not None else vec_zero(f, pres.ambient_dim)
-    return pres.project(out)
 
 
 def action_of_quotient(h: HochschildModule) -> HomAction:
@@ -604,10 +469,10 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     hdim = H_space.dim
     h_twist_cols = []
     for v in H_space.basis.entries:
-        w = h.algebra.apply_twist(v)
-        if not H_space.contains(w):
+        q = H_space.coordinates(h.algebra.apply_twist(v))
+        if q is None:
             raise InternalInconsistency("twist does not preserve the first homology")
-        h_twist_cols.append(_coords_in(f, H_space, w))
+        h_twist_cols.append(q)
     H_alg = HomLeibnizAlgebra(
         f, hdim,
         tuple(tuple(vec_zero(f, hdim) for _ in range(hdim)) for _ in range(hdim)),
@@ -621,7 +486,16 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     incl_h = AlgebraHom(H_alg, h.algebra,
                         LinearMap.from_columns(f, h.algebra.dim, list(H_space.basis.entries)))
     rep.check("homology includes as a homomorphism", incl_h.is_homomorphism())
-    phi_hom = AlgebraHom(h.algebra, C_sub, _into_sub(f, incl_c, h.phi))
+
+    def in_c(v, message):
+        q = incl_c.map.preimage(v)
+        if q is None:
+            raise InternalInconsistency(message)
+        return q
+
+    phi_cols = [in_c(h.phi.column(j), "evaluation leaves the commutator subalgebra")
+                for j in range(h.phi.domain_dim)]
+    phi_hom = AlgebraHom(h.algebra, C_sub, LinearMap.from_columns(f, C_sub.dim, phi_cols))
     rep.check("evaluation is a homomorphism onto the commutator subalgebra",
               phi_hom.is_homomorphism())
     id_a = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
@@ -641,7 +515,7 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     # cokernel identifications
     im_col_q_ambient = Subspace.span(
         f, n * n,
-        [_lift_through(h, t_aq.eval_n.column(g)) for g in range(t_aq.ambient_dim)])
+        [h.presentation.lift(t_aq.eval_n.column(g)) for g in range(t_aq.ambient_dim)])
     milnor = milnor_relations(A)
     extra = im_col_q_ambient.add(h.presentation.relations)
     rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
@@ -650,7 +524,8 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     two_sided = commutator(IdealHandle(lb, h.commutator_space),
                            IdealHandle(lb, Subspace.full(f, lb.dim)))
     two_sided_in_c = Subspace.span(
-        f, C_sub.dim, [_coords_via(incl_c, v) for v in two_sided.basis.entries])
+        f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
+                       for v in two_sided.basis.entries])
     rep.check("right cokernel matches the commutator quotient", im_col_c == two_sided_in_c)
     coker_c = QuotientSpace(C_sub.dim, im_col_c)
     rep.dims["commutator modulo inner"] = coker_c.dim
@@ -680,37 +555,39 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
         if x is None:
             ok_lift = False
             break
-        w = col_q.map.apply(x)
-        if not H_space.contains(w):
+        q = H_space.coordinates(col_q.map.apply(x))
+        if q is None:
             ok_lift = False
             break
-        delta_cols.append(_coords_in(f, H_space, w))
+        delta_cols.append(q)
     rep.check("connecting lifts exist", ok_lift)
     if not ok_lift:
         return rep
     delta = LinearMap.from_columns(f, hdim, delta_cols)
     im_k = Subspace.span(f, t_ac.algebra.dim, im_k_cols)
-    ker_delta = _expand_kernel(f, delta, k_c, t_ac.algebra.dim)
+    ker_delta = _expand_kernel(delta, k_c)
     rep.check("exact at the commutator-tensor kernel", im_k == ker_delta)
 
     # map from the homology into the Milnor quotient
     milnor_q = QuotientSpace(n * n, milnor)
-    to_milnor_cols = [milnor_q.project(_lift_through(h, v)) for v in H_space.basis.entries]
+    to_milnor_cols = [milnor_q.project(h.presentation.lift(v)) for v in H_space.basis.entries]
     to_milnor = LinearMap.from_columns(f, milnor_q.dim, to_milnor_cols)
     im_delta = delta.image()
     ker_to_milnor = to_milnor.kernel()
     rep.check("exact at the first homology", im_delta == ker_to_milnor)
 
-    # map from the Milnor quotient onto the commutator cokernel; the Milnor
-    # relations must evaluate into the inner commutators for it to descend
+    # map from the Milnor quotient onto the commutator cokernel, through the
+    # commutator fold; the Milnor relations must evaluate into the inner
+    # commutators for it to descend
+    fold = lb.bracket_map()
+
+    def fold_into_c(amb):
+        return in_c(fold.apply(amb), "vector does not lie in the subalgebra")
+
     rep.check("commutator map descends to the Milnor quotient",
-              all(im_col_c.contains(_fold_into_c(h, incl_c, r))
-                  for r in milnor.basis.entries))
-    to_coker_cols = []
-    for k in range(milnor_q.dim):
-        amb = milnor_q.lift_unit(k)
-        val = _fold_into_c(h, incl_c, amb)
-        to_coker_cols.append(coker_c.project(val))
+              all(im_col_c.contains(fold_into_c(r)) for r in milnor.basis.entries))
+    to_coker_cols = [coker_c.project(fold_into_c(milnor_q.lift_unit(k)))
+                     for k in range(milnor_q.dim)]
     to_coker = LinearMap.from_columns(f, coker_c.dim, to_coker_cols)
     # exactness at the Milnor term
     im_to_m = to_milnor.image()
@@ -718,66 +595,3 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.check("exact at the Milnor-type homology", im_to_m == ker_to_c)
     rep.check("onto the commutator cokernel", to_coker.rank() == coker_c.dim)
     return rep
-
-
-def _coords_in(f, space: Subspace, v) -> tuple:
-    out = [f.zero()] * space.dim
-    w = list(v)
-    for idx, (row, p) in enumerate(zip(space.basis.entries, space.pivots())):
-        c = w[p]
-        if c:
-            out[idx] = c
-            for jj in range(space.ambient_dim):
-                if row[jj]:
-                    w[jj] = f.sub(w[jj], f.mul(c, row[jj]))
-    if not vec_is_zero(f, tuple(w)):
-        raise InternalInconsistency("vector does not lie in the expected subspace")
-    return tuple(out)
-
-
-def _into_sub(f, incl: AlgebraHom, phi: LinearMap) -> LinearMap:
-    cols = []
-    for j in range(phi.domain_dim):
-        v = phi.column(j)
-        q = incl.map.preimage(v)
-        if q is None or incl.map.apply(q) != tuple(v):
-            raise InternalInconsistency("evaluation leaves the commutator subalgebra")
-        cols.append(q)
-    return LinearMap.from_columns(f, incl.source.dim, cols)
-
-
-def _coords_via(incl: AlgebraHom, v) -> tuple:
-    q = incl.map.preimage(v)
-    if q is None or incl.map.apply(q) != tuple(v):
-        raise InternalInconsistency("vector does not lie in the subalgebra")
-    return q
-
-
-def _lift_through(h: HochschildModule, q_coords) -> tuple:
-    return h.presentation.lift(q_coords)
-
-
-def _fold_into_c(h: HochschildModule, incl_c: AlgebraHom, amb) -> tuple:
-    """Evaluate an ambient tensor vector through the commutator and read the
-    result in commutator-subalgebra coordinates."""
-    A = h.parent
-    f = A.field
-    n = A.dim
-    out = vec_zero(f, n)
-    for i in range(n):
-        for j in range(n):
-            c = amb[i * n + j]
-            if c:
-                out = vec_add(f, out, tuple(f.mul(c, w) for w in h.commutator_algebra.c[i][j]))
-    return _coords_via(incl_c, out)
-
-
-def _expand_kernel(f, mapping: LinearMap, basis_space: Subspace, ambient: int) -> Subspace:
-    vecs = []
-    for w in mapping.kernel().basis.entries:
-        vec = vec_zero(f, ambient)
-        for coeff, bas in zip(w, basis_space.basis.entries):
-            if coeff:
-                vec = vec_add(f, vec, tuple(f.mul(coeff, b) for b in bas))
-        vecs.append(vec)
-    return Subspace.span(f, ambient, vecs)

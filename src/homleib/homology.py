@@ -16,7 +16,18 @@ from itertools import product as iter_product
 
 from .errors import StructureError
 from .algebras import HomLeibnizAlgebra
-from .linalg import LinearMap, Matrix, RrefAccumulator, Subspace, vec_is_zero, vec_zero
+from .linalg import (
+    LinearMap,
+    Matrix,
+    RrefAccumulator,
+    Subspace,
+    contract,
+    outer,
+    unit_vec,
+    vec_is_zero,
+    vec_sub,
+    vec_zero,
+)
 from .report import ValidationReport
 
 
@@ -50,38 +61,10 @@ class CoRepresentation:
         return self.algebra.field
 
     def act_left(self, x, m) -> tuple:
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.space_dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, mj in enumerate(m):
-                if not mj:
-                    continue
-                c = f.mul(xi, mj)
-                val = self.left[i][j]
-                for k in range(self.space_dim):
-                    if val[k]:
-                        out[k] = f.add(out[k], f.mul(c, val[k]))
-        return tuple(out)
+        return contract(self.field, self.left, x, m, self.space_dim)
 
     def act_right(self, m, x) -> tuple:
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.space_dim
-        for j, mj in enumerate(m):
-            if not mj:
-                continue
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                c = f.mul(mj, xi)
-                val = self.right[j][i]
-                for k in range(self.space_dim):
-                    if val[k]:
-                        out[k] = f.add(out[k], f.mul(c, val[k]))
-        return tuple(out)
+        return contract(self.field, self.right, m, x, self.space_dim)
 
     def apply_twist(self, m) -> tuple:
         return self.twist.apply(m)
@@ -92,7 +75,7 @@ class CoRepresentation:
         rep = ValidationReport(subject="hom-co-representation",
                                axiom_status={k: True for k in "abcde"})
         tl = [L.apply_twist(L.unit(i)) for i in range(L.dim)]
-        tm = [self.apply_twist(_unit(f, self.space_dim, i)) for i in range(self.space_dim)]
+        tm = [self.apply_twist(unit_vec(f, self.space_dim, i)) for i in range(self.space_dim)]
         lbl, lbm = L.labels, tuple(f"m{i+1}" for i in range(self.space_dim))
         for x in range(L.dim):
             for m in range(self.space_dim):
@@ -106,14 +89,14 @@ class CoRepresentation:
                     bxy = L.c[x][y]
                     # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
                     lhs = self.act_left(bxy, tm[m])
-                    rhs = _sub(f, self.act_left(tl[x], self.left[y][m]),
-                               self.act_left(tl[y], self.left[x][m]))
+                    rhs = vec_sub(f, self.act_left(tl[x], self.left[y][m]),
+                                  self.act_left(tl[y], self.left[x][m]))
                     if lhs != rhs:
                         rep.record("a", (lbl[x], lbl[y], lbm[m]))
                     # b) t_M(m).[x,y] = (y.m).t(x) - t(y).(m.x)
                     lhs = self.act_right(tm[m], bxy)
-                    rhs = _sub(f, self.act_right(self.left[y][m], tl[x]),
-                               self.act_left(tl[y], self.right[m][x]))
+                    rhs = vec_sub(f, self.act_right(self.left[y][m], tl[x]),
+                                  self.act_left(tl[y], self.right[m][x]))
                     if lhs != rhs:
                         rep.record("b", (lbm[m], lbl[x], lbl[y]))
                     # c) (m.x).t(y) = - t(y).(m.x)
@@ -122,18 +105,6 @@ class CoRepresentation:
                     if lhs != rhs:
                         rep.record("c", (lbm[m], lbl[x], lbl[y]))
         return rep
-
-
-def _unit(field, n, i):
-    return tuple(field.one() if k == i else field.zero() for k in range(n))
-
-
-def _sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def validate_corep(c: CoRepresentation) -> ValidationReport:
-    return c.validate()
 
 
 def trivial_corep(L: HomLeibnizAlgebra, space_dim: int = 1, twist: Matrix | None = None) -> CoRepresentation:
@@ -174,21 +145,18 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
     f = L.field
     zero = f.zero()
     dl = L.dim
-    tw = [L.apply_twist(L.unit(i)) for i in range(dl)]
+    tw = [L.twist.col(i) for i in range(dl)]  # t(e_i), read off without arithmetic
     out: dict[int, object] = {}
 
     def scatter(sign_positive: bool, head, slots):
-        # head is a coefficient vector, slots are algebra coordinate vectors
-        for combo in iter_product(*[range(dl)] * len(slots)):
+        # head is a coefficient vector, slots are algebra coordinate vectors;
+        # only combinations of nonzero slot coordinates contribute
+        nonzero = [[(idx, x) for idx, x in enumerate(v) if x] for v in slots]
+        for picks in iter_product(*nonzero):
             coeff = None
-            ok = True
-            for v, idx in zip(slots, combo):
-                if not v[idx]:
-                    ok = False
-                    break
-                coeff = v[idx] if coeff is None else f.mul(coeff, v[idx])
-            if not ok:
-                continue
+            for _, x in picks:
+                coeff = x if coeff is None else f.mul(coeff, x)
+            combo = tuple(idx for idx, _ in picks)
             for hm, hv in enumerate(head):
                 if not hv:
                     continue
@@ -202,7 +170,6 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
                 else:
                     out[key] = cur
 
-    m_vec = _unit(f, M.space_dim, m_idx)
     # head family: m acted by x_1 on the right, the rest twisted
     scatter(True, M.right[m_idx][xs[0]], [tw[x] for x in xs[1:]])
     # left-action family, i = 2..n with sign (-1)^i
@@ -211,7 +178,7 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
         slots = [tw[x] for k, x in enumerate(xs) if k != i - 1]
         scatter(i % 2 == 0, head, slots)
     # bracket insertion family over pairs i < j, sign (-1)^(j+1)
-    tm = M.apply_twist(m_vec)
+    tm = M.twist.col(m_idx)
     for j in range(2, n + 1):
         for i in range(1, j):
             slots = []
@@ -321,16 +288,7 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
         raise StructureError("closed form requires trivial operations")
     der = derived_subspace(L)
     tm_image = LinearMap(M.space_dim, M.space_dim, M.twist).image()
-    vecs = []
-    for u in tm_image.basis.entries:
-        for b in der.basis.entries:
-            vec = [f.zero()] * (M.space_dim * L.dim)
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                for j, bj in enumerate(b):
-                    if bj:
-                        vec[i * L.dim + j] = f.mul(ui, bj)
-            vecs.append(tuple(vec))
-    rel = Subspace.span(f, M.space_dim * L.dim, vecs)
-    return M.space_dim * L.dim - rel.dim
+    size = M.space_dim * L.dim
+    rel = Subspace.span(f, size, [outer(f, u, b, size) for u in tm_image.basis.entries
+                                  for b in der.basis.entries])
+    return size - rel.dim

@@ -7,6 +7,19 @@ tuples of scalars, matrices are tuples of row tuples.  Subspace bases are
 kept in canonical reduced row echelon form with pivots in increasing column
 order, so equal subspaces compare equal as data and every reported basis is
 deterministic.
+
+Every structure in the library is a bilinear map on coordinate spaces, and
+one small vector-kernel layer serves them all:
+
+* ``contract`` evaluates a bilinear map from its table of values on basis
+  pairs (brackets, actions, products);
+* ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
+  at an offset when the ambient space has several blocks;
+* ``unit_vec`` is a basis vector;
+* ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
+  and ``LinearMap.preimage`` solves exactly and rechecks the solution; both
+  return None for a vector outside the subspace or image, and each caller
+  raises its own error.
 """
 
 from __future__ import annotations
@@ -37,6 +50,45 @@ def vec_is_zero(field: Field, v) -> bool:
     return not any(v)
 
 
+def unit_vec(field: Field, n: int, i: int) -> tuple:
+    v = [field.zero()] * n
+    v[i] = field.one()
+    return tuple(v)
+
+
+def contract(field: Field, table, x, y, dim: int) -> tuple:
+    """The bilinear map with values table[i][j] (length-dim vectors) on basis
+    pairs, evaluated at (x, y): the sum of x_i y_j table[i][j]."""
+    out = [field.zero()] * dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            coeff = field.mul(xi, yj)
+            for k, t in enumerate(row[j]):
+                if t:
+                    out[k] = field.add(out[k], field.mul(coeff, t))
+    return tuple(out)
+
+
+def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:
+    """The pure tensor u (x) v in a coordinate space of the given size:
+    u_i v_j sits at offset + i * len(v) + j, every other coordinate is zero."""
+    out = [field.zero()] * size
+    stride = len(v)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        base = offset + i * stride
+        for j, vj in enumerate(v):
+            if vj:
+                out[base + j] = field.mul(ui, vj)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Matrix:
     field: Field
@@ -60,8 +112,7 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return Matrix(field, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return Matrix(field, n, n, tuple(unit_vec(field, n, i) for i in range(n)))
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -287,19 +338,30 @@ class Subspace:
     def pivots(self) -> tuple:
         return self._pivots
 
-    def reduce(self, v) -> tuple:
-        """Canonical representative of v modulo this subspace (zeros at pivots)."""
+    def _eliminate(self, v):
+        """(c, w) with v = sum of c_k basis_k + w and w zero at every pivot."""
         f = self.field
         w = list(v)
+        coords = []
         for support, p in zip(self._sparse_rows, self._pivots):
             c = w[p]
+            coords.append(c)
             if c:
                 for j, x in support:
                     w[j] = f.sub(w[j], f.mul(c, x))
-        return tuple(w)
+        return coords, w
+
+    def reduce(self, v) -> tuple:
+        """Canonical representative of v modulo this subspace (zeros at pivots)."""
+        return tuple(self._eliminate(v)[1])
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self._eliminate(v)[1])
+
+    def coordinates(self, v) -> tuple | None:
+        """Coordinates of v in the basis rows, or None when v lies outside."""
+        coords, w = self._eliminate(v)
+        return None if any(w) else tuple(coords)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.entries)
@@ -321,16 +383,9 @@ class Subspace:
         # a.H + b.K = 0, so a.H lies in both row spaces
         cols = list(self.basis.entries) + list(other.basis.entries)
         mat = Matrix(f, self.ambient_dim, h + k, tuple(zip(*cols)))
-        ker = kernel_basis(mat)
-        vecs = []
-        for w in ker:
-            v = [f.zero()] * self.ambient_dim
-            for i in range(h):
-                if w[i]:
-                    for j in range(self.ambient_dim):
-                        v[j] = f.add(v[j], f.mul(w[i], self.basis.entries[i][j]))
-            vecs.append(tuple(v))
-        return Subspace.span(f, self.ambient_dim, vecs)
+        combine = LinearMap.from_columns(f, self.ambient_dim, self.basis.entries)
+        return Subspace.span(f, self.ambient_dim,
+                             [combine.apply(w[:h]) for w in kernel_basis(mat)])
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -433,7 +488,9 @@ class LinearMap:
         return self.matrix.is_zero()
 
     def preimage(self, v) -> tuple | None:
-        return solve(self.matrix, v)
+        """One exact solution of self.x = v, rechecked, or None off the image."""
+        x = solve(self.matrix, v)
+        return x if x is not None and self.apply(x) == tuple(v) else None
 
     def section(self) -> "LinearMap":
         """A right inverse on the image: columns solve self.x = e_k.
@@ -443,16 +500,20 @@ class LinearMap:
         f = self.field
         cols = []
         for k in range(self.codomain_dim):
-            e = tuple(f.one() if i == k else f.zero() for i in range(self.codomain_dim))
-            x = solve(self.matrix, e)
+            x = solve(self.matrix, unit_vec(f, self.codomain_dim, k))
             if x is None:
                 raise NotWellDefined(f"no preimage for coordinate {k}; map is not surjective")
             cols.append(x)
         return LinearMap.from_columns(f, self.domain_dim, cols)
 
 
-def kernel(f: LinearMap) -> Subspace:
-    return f.kernel()
+def _expand_kernel(mapping: LinearMap, space: Subspace) -> Subspace:
+    """The kernel of a map defined on coordinates in the basis of ``space``,
+    as a subspace of the ambient space of ``space``."""
+    f = space.field
+    combine = LinearMap.from_columns(f, space.ambient_dim, space.basis.entries)
+    return Subspace.span(f, space.ambient_dim,
+                         [combine.apply(w) for w in mapping.kernel().basis.entries])
 
 
 @dataclass(frozen=True)
@@ -497,15 +558,11 @@ class QuotientSpace:
         return tuple(v)
 
     def lift_unit(self, k) -> tuple:
-        f = self.field
-        v = [f.zero()] * self.ambient_dim
-        v[self.coset_basis[k]] = f.one()
-        return tuple(v)
+        return unit_vec(self.field, self.ambient_dim, self.coset_basis[k])
 
     def projection_map(self) -> LinearMap:
         f = self.field
-        cols = [self.project(tuple(f.one() if i == j else f.zero() for i in range(self.ambient_dim)))
-                for j in range(self.ambient_dim)]
+        cols = [self.project(unit_vec(f, self.ambient_dim, j)) for j in range(self.ambient_dim)]
         return LinearMap.from_columns(f, self.dim, cols)
 
     def section_map(self) -> LinearMap:

@@ -36,10 +36,11 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    outer,
+    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
-    vec_zero,
 )
 from .report import ExactnessReport
 
@@ -71,10 +72,10 @@ class TensorProduct:
         return self.m_side.dim * self.n_side.dim + j * self.m_side.dim + i
 
     def embed_mn(self, u, v) -> tuple:
-        return _tens_mn(self.m_side, self.n_side, u, v)
+        return outer(self.m_side.field, u, v, self.ambient_dim)
 
     def embed_nm(self, v, u) -> tuple:
-        return _tens_nm(self.m_side, self.n_side, v, u)
+        return outer(self.m_side.field, v, u, self.ambient_dim, self.m_side.dim * self.n_side.dim)
 
     def ambient_bracket(self, x, y) -> tuple:
         return self.embed_mn(self.eval_m.apply(x), self.eval_n.apply(y))
@@ -93,47 +94,18 @@ def _generator_labels(M, N) -> tuple:
     return tuple(out)
 
 
-def _tens_mn(M, N, u, v) -> tuple:
-    f = M.field
-    zero = f.zero()
-    dm, dn = M.dim, N.dim
-    out = [zero] * (2 * dm * dn)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if vj:
-                out[i * dn + j] = f.add(out[i * dn + j], f.mul(ui, vj))
-    return tuple(out)
-
-
-def _tens_nm(M, N, v, u) -> tuple:
-    f = M.field
-    zero = f.zero()
-    dm, dn = M.dim, N.dim
-    base = dm * dn
-    out = [zero] * (2 * dm * dn)
-    for j, vj in enumerate(v):
-        if not vj:
-            continue
-        for i, ui in enumerate(u):
-            if ui:
-                out[base + j * dm + i] = f.add(out[base + j * dm + i], f.mul(vj, ui))
-    return tuple(out)
+def _ambient_map(f, fm, gn, base) -> LinearMap:
+    """The map of ambient generators m*n -> fm[m]*gn[n] and n*m -> gn[n]*fm[m]
+    into an ambient space whose second block starts at ``base``."""
+    cols = [outer(f, u, v, 2 * base) for u in fm for v in gn]
+    cols += [outer(f, v, u, 2 * base, base) for v in gn for u in fm]
+    return LinearMap.from_columns(f, 2 * base, cols)
 
 
 def _ambient_twist(M, N) -> LinearMap:
-    f = M.field
-    cols = []
-    for i in range(M.dim):
-        tm = M.apply_twist(M.unit(i))
-        for j in range(N.dim):
-            cols.append(_tens_mn(M, N, tm, N.apply_twist(N.unit(j))))
-    for j in range(N.dim):
-        tn = N.apply_twist(N.unit(j))
-        for i in range(M.dim):
-            cols.append(_tens_nm(M, N, tn, M.apply_twist(M.unit(i))))
-    return LinearMap.from_columns(f, 2 * M.dim * N.dim, cols)
+    tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
+    tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
+    return _ambient_map(M.field, tm, tn, M.dim * N.dim)
 
 
 def _eval_maps(ma: MutualActions):
@@ -286,7 +258,7 @@ def _assemble(ma, pres, eval_m, eval_n, twist_amb, check) -> TensorProduct:
     ambient = pres.ambient_dim
 
     def amb_bracket(x, y):
-        return _tens_mn(M, N, eval_m.apply(x), eval_n.apply(y))
+        return outer(f, eval_m.apply(x), eval_n.apply(y), ambient)
 
     if check:
         for r in pres.relations.basis.entries:
@@ -297,7 +269,7 @@ def _assemble(ma, pres, eval_m, eval_n, twist_amb, check) -> TensorProduct:
             if vec_is_zero(f, eval_m.apply(r)) and vec_is_zero(f, eval_n.apply(r)):
                 continue
             for k in range(ambient):
-                g = _unit_vec(f, ambient, k)
+                g = unit_vec(f, ambient, k)
                 if not pres.relations.contains(amb_bracket(r, g)) or \
                    not pres.relations.contains(amb_bracket(g, r)):
                     raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
@@ -363,93 +335,55 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     f = M.field
     pres = t.presentation
     mn, nm = t.actions.mn, t.actions.nm
-    dm, dn = M.dim, N.dim
-
-    def project(v):
-        return pres.project(v)
-
-    left_cols = {}
-    right_cols = {}
+    T = t.algebra
     if side == "m":
         actor = M
-        for a in range(dm):
-            for i in range(dm):
-                for j in range(dn):
-                    tmn_i, tnn_j = M.apply_twist(M.unit(i)), N.apply_twist(N.unit(j))
-                    br = M.c[a][i]
-                    an = mn.left[a][j]        # a acting on n, in N
-                    g = i * dn + j
-                    left_cols[(a, g)] = project(vec_sub(
-                        f, _tens_mn(M, N, br, tnn_j), _tens_nm(M, N, an, tmn_i)))
-                    g2 = dm * dn + j * dm + i
-                    left_cols[(a, g2)] = project(vec_sub(
-                        f, _tens_nm(M, N, an, tmn_i), _tens_mn(M, N, br, tnn_j)))
-                    bra = M.c[i][a]
-                    na = mn.right[j][a]       # n acted by a, in N
-                    right_cols[(g, a)] = project(vec_add(
-                        f, _tens_mn(M, N, bra, tnn_j), _tens_mn(M, N, tmn_i, na)))
-                    right_cols[(g2, a)] = project(vec_add(
-                        f, _tens_nm(M, N, na, tmn_i), _tens_nm(M, N, tnn_j, bra)))
+
+        def values(a, i, j):
+            # a on m, a on n (in N), m acted by a, n acted by a (in N)
+            return M.c[a][i], mn.left[a][j], M.c[i][a], mn.right[j][a]
     elif side == "n":
         actor = N
-        for a in range(dn):
-            for i in range(dm):
-                for j in range(dn):
-                    tmn_i, tnn_j = M.apply_twist(M.unit(i)), N.apply_twist(N.unit(j))
-                    br = N.c[a][j]
-                    am = nm.left[a][i]        # a acting on m, in M
-                    g = i * dn + j
-                    left_cols[(a, g)] = project(vec_sub(
-                        f, _tens_mn(M, N, am, tnn_j), _tens_nm(M, N, br, tmn_i)))
-                    g2 = dm * dn + j * dm + i
-                    left_cols[(a, g2)] = project(vec_sub(
-                        f, _tens_nm(M, N, br, tmn_i), _tens_mn(M, N, am, tnn_j)))
-                    bra = N.c[j][a]
-                    ma_v = nm.right[i][a]     # m acted by a, in M
-                    right_cols[(g, a)] = project(vec_add(
-                        f, _tens_mn(M, N, ma_v, tnn_j), _tens_mn(M, N, tmn_i, bra)))
-                    right_cols[(g2, a)] = project(vec_add(
-                        f, _tens_nm(M, N, bra, tmn_i), _tens_nm(M, N, tnn_j, ma_v)))
+
+        def values(a, i, j):
+            # a on m (in M), a on n, m acted by a (in M), n acted by a
+            return nm.left[a][i], N.c[a][j], nm.right[i][a], N.c[j][a]
     else:
         raise ValueError("side must be 'm' or 'n'")
+    tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
+    tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
+
+    # for each actor basis vector, both actions as maps from the ambient
+    # generators into quotient coordinates
+    left_maps, right_maps = [], []
+    for a in range(actor.dim):
+        left_cols = [None] * t.ambient_dim
+        right_cols = [None] * t.ambient_dim
+        for i in range(M.dim):
+            for j in range(N.dim):
+                am, an, ma, na = values(a, i, j)
+                g, g2 = t.idx_mn(i, j), t.idx_nm(j, i)
+                x, y = t.embed_mn(am, tn[j]), t.embed_nm(an, tm[i])
+                left_cols[g] = pres.project(vec_sub(f, x, y))
+                left_cols[g2] = pres.project(vec_sub(f, y, x))
+                right_cols[g] = pres.project(
+                    vec_add(f, t.embed_mn(ma, tn[j]), t.embed_mn(tm[i], na)))
+                right_cols[g2] = pres.project(
+                    vec_add(f, t.embed_nm(na, tm[i]), t.embed_nm(tn[j], ma)))
+        left_maps.append(LinearMap.from_columns(f, T.dim, left_cols))
+        right_maps.append(LinearMap.from_columns(f, T.dim, right_cols))
 
     # the formulas are linear in the ambient generator; they must kill the
     # relation subspace for the quotient action to be meaningful
-    T = t.algebra
-    ambient = 2 * dm * dn
-    zero_q = vec_zero(f, T.dim)
     for r in pres.relations.basis.entries:
         for a in range(actor.dim):
-            for cols, key in ((left_cols, lambda g: (a, g)), (right_cols, lambda g: (g, a))):
-                acc = zero_q
-                for g in range(ambient):
-                    if r[g]:
-                        acc = vec_add(f, acc, tuple(f.mul(r[g], x) for x in cols[key(g)]))
-                if not vec_is_zero(f, acc):
+            for amap in (left_maps[a], right_maps[a]):
+                if not vec_is_zero(f, amap.apply(r)):
                     raise InternalInconsistency(
                         "outer action does not descend to the quotient", witness=(side, r))
-    left = []
-    for a in range(actor.dim):
-        row = []
-        for k in range(T.dim):
-            rep_vec = pres.lift_unit(k)
-            acc = vec_zero(f, T.dim)
-            for g in range(ambient):
-                if rep_vec[g]:
-                    acc = vec_add(f, acc, tuple(f.mul(rep_vec[g], x) for x in left_cols[(a, g)]))
-            row.append(acc)
-        left.append(tuple(row))
-    right = []
-    for k in range(T.dim):
-        rep_vec = pres.lift_unit(k)
-        row = []
-        for a in range(actor.dim):
-            acc = vec_zero(f, T.dim)
-            for g in range(ambient):
-                if rep_vec[g]:
-                    acc = vec_add(f, acc, tuple(f.mul(rep_vec[g], x) for x in right_cols[(g, a)]))
-            row.append(acc)
-        right.append(tuple(row))
+    reps = [pres.lift_unit(k) for k in range(T.dim)]
+    left = [tuple(amap.apply(rep_vec) for rep_vec in reps) for amap in left_maps]
+    right = [tuple(amap.apply(rep_vec) for amap in right_maps) for rep_vec in reps]
     action = HomAction(actor, T, tuple(left), tuple(right))
     rep = action.validate()
     if not rep.valid:
@@ -509,7 +443,7 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
         ker = hom.map.kernel()
         ok = True
         for g in range(t.ambient_dim):
-            v = hom.map.apply(t.presentation.project(_unit_vec(f, t.ambient_dim, g)))
+            v = hom.map.apply(t.presentation.project(unit_vec(f, t.ambient_dim, g)))
             for k in ker.basis.entries:
                 if not vec_is_zero(f, act.act_left(v, k)) or \
                    not vec_is_zero(f, act.act_right(k, v)):
@@ -533,12 +467,12 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     twist_t = T.twist_map()
     ok_left = ok_right = True
     for g1 in range(t.ambient_dim):
-        cls1 = t.presentation.project(_unit_vec(f, t.ambient_dim, g1))
+        cls1 = t.presentation.project(unit_vec(f, t.ambient_dim, g1))
         tw1 = twist_t.apply(cls1)
         vm = into_m.map.apply(cls1)
         vn = into_n.map.apply(cls1)
         for g2 in range(t.ambient_dim):
-            cls2 = t.presentation.project(_unit_vec(f, t.ambient_dim, g2))
+            cls2 = t.presentation.project(unit_vec(f, t.ambient_dim, g2))
             br = T.bracket(tw1, cls2)
             if act_m.act_left(vm, cls2) != br or act_n.act_left(vn, cls2) != br:
                 ok_left = False
@@ -548,10 +482,6 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     rep.check("acting through factor values is the twisted bracket, left", ok_left)
     rep.check("acting through factor values is the twisted bracket, right", ok_right)
     return rep
-
-
-def _unit_vec(f, n, i):
-    return tuple(f.one() if k == i else f.zero() for k in range(n))
 
 
 def right_exactness_certificate(f_hom: AlgebraHom, g_hom: AlgebraHom,
@@ -654,18 +584,9 @@ def induced_tensor_map(f_hom: AlgebraHom, g_hom: AlgebraHom,
     if wit is not None:
         raise NotEquivariant(f"maps do not preserve the actions at {wit}", witness=wit)
     M, N = t_src.m_side, t_src.n_side
-    Md, Nd = t_dst.m_side, t_dst.n_side
-    f = M.field
-    cols = []
-    for i in range(M.dim):
-        fm = f_hom.apply(M.unit(i))
-        for j in range(N.dim):
-            cols.append(_tens_mn(Md, Nd, fm, g_hom.apply(N.unit(j))))
-    for j in range(N.dim):
-        gn = g_hom.apply(N.unit(j))
-        for i in range(M.dim):
-            cols.append(_tens_nm(Md, Nd, gn, f_hom.apply(M.unit(i))))
-    amb = LinearMap.from_columns(f, 2 * Md.dim * Nd.dim, cols)
+    fm = [f_hom.apply(M.unit(i)) for i in range(M.dim)]
+    gn = [g_hom.apply(N.unit(j)) for j in range(N.dim)]
+    amb = _ambient_map(M.field, fm, gn, t_dst.m_side.dim * t_dst.n_side.dim)
     for r in t_src.presentation.relations.basis.entries:
         if not t_dst.presentation.relations.contains(amb.apply(r)):
             raise InternalInconsistency("induced map does not preserve the relations", witness=(r,))

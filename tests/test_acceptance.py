@@ -20,7 +20,6 @@ from homleib.algebras import (
     derived_subspace,
     direct_sum,
     predicates,
-    validate_algebra,
 )
 from homleib.actions import MutualActions
 from homleib.extensions import (
@@ -87,12 +86,12 @@ def sl2_twisted(sl2):
 
 def test_criterion_01_axiom_gate(nonlie2):
     start = time.monotonic()
-    rep = validate_algebra(nonlie2)
+    rep = nonlie2.validate()
     ok = rep.valid and rep.flags["hom_lie"] is False
     perturbed = HomLeibnizAlgebra.from_brackets(
         QQ, 2, {(1, 1): {0: 1}, (0, 1): {0: 1}},
         Matrix.from_rows(QQ, [[1, 1], [0, 1]]))
-    bad = validate_algebra(perturbed)
+    bad = perturbed.validate()
     ok = ok and not bad.valid and len(bad.violations) > 0 and bad.violations[0].witness
     elapsed = time.monotonic() - start
     announce(1, ok and elapsed < 1.0, elapsed)

@@ -16,7 +16,6 @@ from homleib.actions import (
     reconstructed_action,
     self_action,
     semidirect,
-    validate_action,
 )
 from homleib.generators import random_algebra, sl2 as make_sl2
 
@@ -32,7 +31,7 @@ def perturb_left(action, x, m, vec):
 
 class TestValidateAction:
     def test_trivial_action_is_valid_and_trivial(self, sl2, nonlie2):
-        rep = validate_action(HomAction.trivial(sl2, nonlie2))
+        rep = HomAction.trivial(sl2, nonlie2).validate()
         assert rep.valid
         assert rep.flags["trivial"] is True
 
@@ -41,20 +40,20 @@ class TestValidateAction:
         ideal = Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])
         sub, incl = subalgebra(nonlie2, ideal)
         act = bracket_action(nonlie2, (nonlie2, id_l), (sub, incl))
-        rep = validate_action(act)
+        rep = act.validate()
         assert rep.valid
         # brackets against the derived line vanish here, so the action is trivial
         assert rep.flags["trivial"] is True
 
     def test_self_action_is_valid(self, nonlie2, sl2):
         for alg in (nonlie2, sl2):
-            assert validate_action(self_action(alg)).valid
+            assert self_action(alg).validate().valid
 
     def test_perturbed_self_action_fails_with_witness(self, nonlie2):
         # replacing the value of e2 acting on e2 by e2 breaks identity g):
         # t_M(e2.e2) = t(e2) = e1 + e2 but t(e2) acting on t(e2) expands to e2
         bad = perturb_left(self_action(nonlie2), 1, 1, (QQ.zero(), QQ.one()))
-        rep = validate_action(bad)
+        rep = bad.validate()
         assert not rep.valid
         assert rep.axiom_status["g"] is False
         assert ("e2", "e2") in {v.witness for v in rep.violations}
@@ -73,7 +72,7 @@ class TestValidateAction:
         left = tuple(tuple(vec_zero(QQ, 1) for _ in range(1)) for _ in range(2))
         right = (((QQ.one(),), vec_zero(QQ, 1)),)
         cand = HomAction(nonlie2, quot, left, right)
-        rep = validate_action(cand)
+        rep = cand.validate()
         assert not rep.valid
         assert rep.axiom_status["a"] is False
         for axiom in "def":
@@ -157,7 +156,7 @@ class TestSemidirect:
             act = self_action(alg)
             sd = semidirect(act)
             back = reconstructed_action(sd)
-            assert validate_action(back).valid
+            assert back.validate().valid
             expected_left = tuple(
                 tuple(act.act_left(alg.apply_twist(alg.unit(x)), alg.unit(m))
                       for m in range(alg.dim))

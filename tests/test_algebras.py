@@ -19,7 +19,6 @@ from homleib.algebras import (
     predicates,
     quotient_algebra,
     subalgebra,
-    validate_algebra,
     yau_twist,
 )
 from homleib.generators import random_algebra
@@ -33,12 +32,12 @@ def span(field, dim, rows):
 
 class TestValidate:
     def test_nonlie_example_validates(self, nonlie2):
-        rep = validate_algebra(nonlie2)
+        rep = nonlie2.validate()
         assert rep.valid
         assert rep.flags["hom_lie"] is False
 
     def test_abelian_any_twist(self, abelian3):
-        rep = validate_algebra(abelian3)
+        rep = abelian3.validate()
         assert rep.valid
         assert rep.flags["abelian"] is True
 
@@ -48,7 +47,7 @@ class TestValidate:
         bad = HomLeibnizAlgebra.from_brackets(
             field, 2, {(1, 1): {0: 1}, (0, 1): {0: 1}},
             Matrix.from_rows(field, [[1, 1], [0, 1]]))
-        rep = validate_algebra(bad)
+        rep = bad.validate()
         assert not rep.valid
         laws = {v.law for v in rep.violations}
         assert laws <= {"multiplicativity", "hom-leibniz identity"}
@@ -131,7 +130,7 @@ class TestQuotient:
             if not handle.is_ideal():
                 continue
             quot, proj = quotient_algebra(alg, handle)
-            assert validate_algebra(quot).valid
+            assert quot.validate().valid
             assert proj.is_homomorphism()
             seen += 1
 
@@ -194,7 +193,7 @@ class TestYauTwist:
         assert twisted.twist == endo
 
     def test_diagonal_automorphism_of_sl2(self, sl2_twisted):
-        rep = validate_algebra(sl2_twisted)
+        rep = sl2_twisted.validate()
         assert rep.valid
         p = predicates(sl2_twisted)
         assert p.perfect and p.alpha_perfect
@@ -214,5 +213,5 @@ class TestSubalgebraDirectSum:
     def test_direct_sum_validates(self, sl2, nonlie2):
         s = direct_sum(sl2, nonlie2)
         assert s.dim == 5
-        assert validate_algebra(s).valid
+        assert s.validate().valid
         assert derived_subspace(s).dim == 4

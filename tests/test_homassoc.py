@@ -21,7 +21,6 @@ from homleib.homassoc import (
     milnor_relations,
     sequence_check,
     to_leibniz,
-    validate_homassoc,
     yau_twist_assoc,
 )
 
@@ -91,12 +90,12 @@ def mixed(upper_triangular, twisted_dual):
 
 class TestValidate:
     def test_dual_numbers(self, dual_numbers):
-        rep = validate_homassoc(dual_numbers)
+        rep = dual_numbers.validate()
         assert rep.valid
         assert rep.flags["commutative"] is True
 
     def test_upper_triangular(self, upper_triangular):
-        rep = validate_homassoc(upper_triangular)
+        rep = upper_triangular.validate()
         assert rep.valid
         assert rep.flags["commutative"] is False
 
@@ -105,7 +104,7 @@ class TestValidate:
         bad = HomAssociativeAlgebra(QQ, 2, dual_numbers.p,
                                     Matrix.from_rows(QQ, [[1, 1], [0, 0]]),
                                     dual_numbers.labels)
-        rep = validate_homassoc(bad)
+        rep = bad.validate()
         assert not rep.valid
         assert ("x", "x") in {v.witness for v in rep.violations}
 
@@ -115,8 +114,8 @@ class TestValidate:
                                   dual_numbers.labels)
 
     def test_twisted_instances_validate(self, twisted_dual, mixed):
-        assert validate_homassoc(twisted_dual).valid
-        assert validate_homassoc(mixed).valid
+        assert twisted_dual.validate().valid
+        assert mixed.validate().valid
 
 
 class TestCommutatorAlgebra:

@@ -20,7 +20,6 @@ from homleib.homology import (
     homology_dim,
     squared_boundary_is_zero,
     trivial_corep,
-    validate_corep,
 )
 
 QQ = Field()
@@ -72,11 +71,11 @@ def oracle_trivial_homology(alg, degree):
 class TestCoRepresentations:
     def test_trivial_corep_valid(self, nonlie2, abelian3):
         for alg in (nonlie2, abelian3):
-            assert validate_corep(trivial_corep(alg, 2)).valid
+            assert trivial_corep(alg, 2).validate().valid
 
     def test_adjoint_corep_valid(self, nonlie2, sl2, sl2_twisted):
         for alg in (nonlie2, sl2, sl2_twisted):
-            assert validate_corep(adjoint_corep(alg)).valid
+            assert adjoint_corep(alg).validate().valid
 
     def test_sign_flip_on_sl2_fails_identity_c(self, sl2):
         # dropping the sign of the left operation flips the right side of c),
@@ -87,7 +86,7 @@ class TestCoRepresentations:
                                    tuple(tuple(tuple(QQ.neg(x) for x in v) for v in row)
                                          for row in adj.left),
                                    adj.right)
-        rep = validate_corep(flipped)
+        rep = flipped.validate()
         assert not rep.valid
         assert rep.axiom_status["c"] is False
         assert rep.violations[0].witness
@@ -99,7 +98,7 @@ class TestCoRepresentations:
         left[1][1] = (QQ.zero(), QQ.one())
         bad = CoRepresentation(nonlie2, 2, adj.twist,
                                tuple(tuple(r) for r in left), adj.right)
-        rep = validate_corep(bad)
+        rep = bad.validate()
         assert not rep.valid
         assert rep.axiom_status["d"] is False
 

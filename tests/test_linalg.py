@@ -1,26 +1,37 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from homleib.actions import MutualActions
+from homleib.algebras import HomLeibnizAlgebra, direct_sum
 from homleib.errors import DimensionError, FieldMismatch, NotWellDefined
 from homleib.fields import Field
+from homleib.generators import sl2
 from homleib.linalg import (
     LinearMap,
     Matrix,
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    contract,
     induced_map,
-    kernel,
+    outer,
     quotient,
     rref,
+    unit_vec,
+    vec_add,
+    vec_scale,
+    vec_zero,
 )
+from homleib.tensorprod import build_tensor
 
 QQ = Field()
 F5 = Field(5)
+GFP = Field(1000003)
 
 
 def mat(field, rows):
@@ -97,14 +108,14 @@ class TestRref:
 class TestKernel:
     def test_zero_map_full_kernel(self):
         f = LinearMap.zero(QQ, 3, 3)
-        assert kernel(f).dim == 3
+        assert f.kernel().dim == 3
 
     def test_identity_zero_kernel(self):
-        assert kernel(LinearMap.identity(QQ, 4)).dim == 0
+        assert LinearMap.identity(QQ, 4).kernel().dim == 0
 
     def test_one_equation(self):
         f = LinearMap(2, 1, mat(QQ, [[1, 1]]))
-        ker = kernel(f)
+        ker = f.kernel()
         assert ker.basis.entries == ((Fraction(1), Fraction(-1)),)
 
     @given(matrices())
@@ -201,3 +212,66 @@ class TestSubspace:
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatch):
             Matrix.identity(QQ, 2).mul(Matrix.identity(F5, 2))
+
+
+def _random_vec(field, rng, n):
+    return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(n))
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestKernelLayer:
+    def test_contract_is_the_bilinear_sum(self, f):
+        rng = random.Random(3)
+        table = [[_random_vec(f, rng, 3) for _ in range(4)] for _ in range(2)]
+        for _ in range(20):
+            x, y = _random_vec(f, rng, 2), _random_vec(f, rng, 4)
+            expected = vec_zero(f, 3)
+            for i in range(2):
+                for j in range(4):
+                    expected = vec_add(f, expected, vec_scale(f, f.mul(x[i], y[j]), table[i][j]))
+            assert contract(f, table, x, y, 3) == expected
+
+    def test_outer_lands_on_tensor_generators(self, f):
+        L = direct_sum(sl2(f), HomLeibnizAlgebra.abelian(f, 1))
+        t = build_tensor(MutualActions.adjoint(L))
+        size, offset = t.ambient_dim, L.dim * L.dim
+        for i in range(L.dim):
+            for j in range(L.dim):
+                assert outer(f, L.unit(i), L.unit(j), size) == unit_vec(f, size, t.idx_mn(i, j))
+                assert outer(f, L.unit(j), L.unit(i), size, offset) == \
+                    unit_vec(f, size, t.idx_nm(j, i))
+        rng = random.Random(5)
+        u, v = _random_vec(f, rng, L.dim), _random_vec(f, rng, L.dim)
+        mn, nm = outer(f, u, v, size), outer(f, v, u, size, offset)
+        for i in range(L.dim):
+            for j in range(L.dim):
+                assert mn[t.idx_mn(i, j)] == f.mul(u[i], v[j])
+                assert nm[t.idx_nm(j, i)] == f.mul(v[j], u[i])
+        assert not any(mn[offset:]) and not any(nm[:offset])
+
+    def test_coordinates_round_trip(self, f):
+        rng = random.Random(11)
+        rows = [_random_vec(f, rng, 6) for _ in range(3)]
+        rows.append(vec_add(f, rows[0], rows[2]))
+        space = Subspace.span(f, 6, rows)
+        assert space.dim == 3
+        vectors = rows + [vec_zero(f, 6)]
+        vectors += [tuple(LinearMap.from_columns(f, 6, space.basis.entries).apply(
+            _random_vec(f, rng, 3))) for _ in range(20)]
+        for v in vectors:
+            c = space.coordinates(v)
+            assert c is not None
+            combo = vec_zero(f, 6)
+            for ck, b in zip(c, space.basis.entries):
+                combo = vec_add(f, combo, vec_scale(f, ck, b))
+            assert combo == v
+        free = next(k for k in range(6) if k not in space.pivots())
+        outside = vec_add(f, rows[1], unit_vec(f, 6, free))
+        assert space.coordinates(outside) is None
+
+    def test_preimage_outside_the_image_is_none(self, f):
+        m = LinearMap(3, 3, mat(f, [[1, 2, 0], [0, 0, 1], [1, 2, 1]]))
+        assert m.rank() == 2
+        inside = m.apply((f.from_int(2), f.from_int(-1), f.from_int(3)))
+        assert m.apply(m.preimage(inside)) == inside
+        assert m.preimage(unit_vec(f, 3, 2)) is None

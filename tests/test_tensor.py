@@ -8,7 +8,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace
+from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -222,7 +222,7 @@ class TestDescentCertificate:
         ambient = 2 * sl2.dim * sl2.dim
         # e*f evaluates to h in both factors; its span is twist-stable (the
         # twist is the identity) but not closed under the bracket
-        row = tensorprod._unit_vec(QQ, ambient, 1)
+        row = unit_vec(QQ, ambient, 1)
         assert any(eval_m.apply(row)) and any(eval_n.apply(row))
         pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
         with pytest.raises(BracketNotWellDefined) as info:
