@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BracketNotWellDefined,
     DimensionError,
     FieldMismatch,
+    InternalInconsistency,
     NotAlphaStable,
     NotAnIdeal,
     NotEndomorphism,
@@ -33,6 +35,7 @@ from .linalg import (
     Subspace,
     contract,
     induced_map,
+    outer,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -272,6 +275,45 @@ def quotient_algebra(L: HomLeibnizAlgebra, ideal: IdealHandle):
     quot = HomLeibnizAlgebra(L.field, q.dim, table, twist.matrix, labels)
     proj = AlgebraHom(L, quot, q.projection_map())
     return quot, proj
+
+
+def certified_quotient(pres: QuotientSpace, left: LinearMap, right: LinearMap,
+                       twist_amb: LinearMap, labels) -> HomLeibnizAlgebra:
+    """The algebra on ``pres`` whose bracket factors as the pure tensor
+    [x, y] = left(x) (x) right(y) in the row-major ambient space, with the
+    twist ``induced_map`` certifies from ``twist_amb``, and the quotient
+    generators named by ``labels``.
+
+    A relation row that ``left`` and ``right`` both kill brackets to zero
+    with every generator; any other row r must bracket into the relations
+    with every generator on both sides (``BracketNotWellDefined``, witness
+    (r,)).  The projected algebra is then validated.
+    """
+    f = pres.field
+    ambient = pres.ambient_dim
+    relations = pres.relations
+
+    def amb_bracket(x, y):
+        return outer(f, left.apply(x), right.apply(y), ambient)
+
+    twist = induced_map(twist_amb, pres, pres)
+    for r in relations.basis.entries:
+        if vec_is_zero(f, left.apply(r)) and vec_is_zero(f, right.apply(r)):
+            continue
+        for k in range(ambient):
+            g = unit_vec(f, ambient, k)
+            if not relations.contains(amb_bracket(r, g)) or \
+               not relations.contains(amb_bracket(g, r)):
+                raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
+    reps = [pres.lift_unit(k) for k in range(pres.dim)]
+    table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
+    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, tuple(labels))
+    rep = algebra.validate()
+    if not rep.valid:
+        v = rep.violations[0]
+        raise InternalInconsistency(
+            f"presented algebra fails {v.law} at {v.witness}", witness=v.witness)
+    return algebra
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ from .homassoc import (
 )
 from .homology import (
     adjoint_corep,
+    boundary_rank,
+    chain_dim,
     coinvariants_dim,
     homology_dim,
     squared_boundary_is_zero,
@@ -189,7 +191,13 @@ def cmd_tensor(args) -> dict:
     }
 
 
+def _nonnegative(value: int, flag: str):
+    if value < 0:
+        raise UsageError(f"{flag} must be at least 0, got {value}")
+
+
 def cmd_homology(args) -> dict:
+    _nonnegative(args.max_n, "--max-n")
     doc = _load_algebra(args.file)
     alg = doc.build()
     _require(alg.validate(), "algebra")
@@ -198,9 +206,10 @@ def cmd_homology(args) -> dict:
     else:
         corep = adjoint_corep(alg)
     _require(corep.validate(), "coefficients")
-    dims = {}
-    for n in range(args.max_n + 1):
-        dims[f"hl{n}"] = homology_dim(alg, corep, n)
+    # dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank computed once
+    ranks = [boundary_rank(alg, corep, n) for n in range(args.max_n + 2)]
+    dims = {f"hl{n}": chain_dim(alg, corep, n) - ranks[n] - ranks[n + 1]
+            for n in range(args.max_n + 1)}
     complex_ok = all(squared_boundary_is_zero(alg, corep, n)
                      for n in range(2, args.max_n + 2))
     out = {
@@ -307,6 +316,8 @@ def cmd_sequence_check(args) -> dict:
 
 
 def cmd_check_all(args) -> dict:
+    _nonnegative(args.max_n, "--max-n")
+    _nonnegative(args.random_instances, "--random-instances")
     doc = parse_document(Path(args.file))
     if not isinstance(doc, AlgebraDocument):
         raise UsageError("check-all expects an algebra document")

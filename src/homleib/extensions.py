@@ -29,6 +29,7 @@ from .algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     IdealHandle,
+    certified_quotient,
     commutator,
     predicates,
     subalgebra,
@@ -41,6 +42,7 @@ from .linalg import (
     RrefAccumulator,
     Subspace,
     _expand_kernel,
+    connecting_map,
     induced_map,
     outer,
     unit_vec,
@@ -226,49 +228,21 @@ def _presented_alpha_uce(L, A, incl, t):
                 if not vec_is_zero(f, v):
                     acc.add(v)
     pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
+    # the bracket factors through folding both legs; folding a relation
+    # instance gives the Hom-Leibniz identity, so a valid algebra's fold
+    # kills every relation
     fold = A.bracket_map()
-
-    def amb_bracket(x, y):
-        # factors through bracketing the two tensor legs
-        return outer(f, fold.apply(x), fold.apply(y), ambient)
-
     tw = [A.apply_twist(A.unit(i)) for i in range(k)]
     twist_amb = LinearMap.from_columns(f, ambient,
                                        [outer(f, u, v, ambient) for u in tw for v in tw])
-
-    for r in pres.relations.basis.entries:
-        if not pres.relations.contains(twist_amb.apply(r)):
-            raise InternalInconsistency("presentation twist does not preserve relations")
-        # folding the bracket over a relation instance gives the Hom-Leibniz
-        # identity, so a valid algebra's fold kills r and with it every
-        # bracket against r; a row it does not kill gets the full sweep
-        if vec_is_zero(f, fold.apply(r)):
-            continue
-        for g in range(ambient):
-            e = unit_vec(f, ambient, g)
-            if not pres.relations.contains(amb_bracket(r, e)) or \
-               not pres.relations.contains(amb_bracket(e, r)):
-                raise InternalInconsistency("presentation bracket does not preserve relations")
-
-    reps = [pres.lift_unit(idx) for idx in range(pres.dim)]
-    table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
-    twist = induced_map(twist_amb, pres, pres)
-    labels = tuple(f"u{i + 1}" for i in range(pres.dim))
-    presented = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, labels)
-    rep = presented.validate()
-    if not rep.valid:
-        raise InternalInconsistency("presented algebra fails validation",
-                                    witness=rep.violations[0].witness)
+    labels = [f"u{i + 1}" for i in range(pres.dim)]
+    presented = certified_quotient(pres, fold, fold, twist_amb, labels)
 
     # generator comparison: a*b in either block of the tensor square -> a (x) b;
     # both blocks are row-major in (first leg, second leg), like the plain space
     units = [unit_vec(f, ambient, g) for g in range(ambient)]
     comp_amb = LinearMap.from_columns(f, ambient, units + units)
-    for r in t.presentation.relations.basis.entries:
-        if not pres.relations.contains(comp_amb.apply(r)):
-            raise InternalInconsistency("comparison map does not preserve relations")
-    comp = AlgebraHom(t.algebra, presented,
-                      pres.projection_map().compose(comp_amb).compose(t.presentation.section_map()))
+    comp = AlgebraHom(t.algebra, presented, induced_map(comp_amb, t.presentation, pres))
     crep = comp.validate()
     if not crep.valid:
         raise InternalInconsistency("comparison map is not a homomorphism",
@@ -354,21 +328,13 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     rep.check("column image equals the two-sided commutator", im_psi == two_sided)
 
     # connecting map: lift along the projection row, evaluate, read in the cokernel
-    delta_cols = []
-    ok_lift = True
-    for v in k3.basis.entries:
-        x = data.tau.map.preimage(v)
-        if x is None:
-            ok_lift = False
-            break
-        q = incl.map.preimage(psi_ll.map.apply(x))
-        if q is None:
-            ok_lift = False
-            break
-        delta_cols.append(coker_q.project(q))
-    rep.check("connecting map lifts exist", ok_lift)
-    if ok_lift:
-        delta = LinearMap.from_columns(f, coker_q.dim, delta_cols)
+    def read(v):
+        q = incl.map.preimage(v)
+        return None if q is None else coker_q.project(q)
+
+    delta = connecting_map(k3, data.tau.map, psi_ll.map, read, coker_q.dim)
+    rep.check("connecting map lifts exist", delta is not None)
+    if delta is not None:
         im2_in_k3 = Subspace.span(f, data.t_qq.algebra.dim, t2_cols)
         ker_delta = _expand_kernel(delta, k3)
         rep.check("exact at the second homology of the quotient", im2_in_k3 == ker_delta)

@@ -21,6 +21,7 @@ from .algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     IdealHandle,
+    certified_quotient,
     commutator,
     derived_subspace,
     ideal_closure,
@@ -34,6 +35,7 @@ from .linalg import (
     RrefAccumulator,
     Subspace,
     _expand_kernel,
+    connecting_map,
     contract,
     induced_map,
     outer,
@@ -196,31 +198,16 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     b3 = hochschild_boundary(A)
     pres = QuotientSpace(size, b3.image())
     fold = lb.bracket_map()
-
-    def amb_bracket(x, y):
-        return outer(f, fold.apply(x), fold.apply(y), size)
-
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    twist_amb = LinearMap.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
-
-    # the bracket factors through the commutator fold, so an evaluation that
-    # kills a relation also kills every bracket with it
+    # phi is the fold on classes, so the fold must kill the boundary image;
+    # the bracket factors through it on both legs
     for r in pres.relations.basis.entries:
-        if not pres.relations.contains(twist_amb.apply(r)):
-            raise InternalInconsistency("twist does not preserve the boundary image")
         if not vec_is_zero(f, fold.apply(r)):
             raise InternalInconsistency("evaluation does not kill the boundary image")
-
-    reps = [pres.lift_unit(k) for k in range(pres.dim)]
-    table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
-    twist = induced_map(twist_amb, pres, pres)
-    labels = tuple(f"{A.labels[g // n]}#{A.labels[g % n]}" for g in pres.coset_basis)
-    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, labels)
-    valg = algebra.validate()
-    if not valg.valid:
-        raise InternalInconsistency("quotient bracket fails validation",
-                                    witness=valg.violations[0].witness)
-    phi = LinearMap.from_columns(f, n, [fold.apply(r) for r in reps])
+    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
+    twist_amb = LinearMap.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
+    labels = [f"{A.labels[g // n]}#{A.labels[g % n]}" for g in pres.coset_basis]
+    algebra = certified_quotient(pres, fold, fold, twist_amb, labels)
+    phi = LinearMap.from_columns(f, n, [fold.apply(pres.lift_unit(k)) for k in range(pres.dim)])
     comm_space = derived_subspace(lb)
     if phi.image() != comm_space:
         raise InternalInconsistency("evaluation image differs from the commutator subspace")
@@ -271,12 +258,9 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
 
     # generator comparison: both tensor blocks evaluate to plain tensor
     # classes, and both are row-major in (first leg, second leg) like A (x) A
-    units = [h.presentation.project(unit_vec(f, n * n, g)) for g in range(n * n)]
-    amb = LinearMap.from_columns(f, h.algebra.dim, units + units)
-    for r in t.presentation.relations.basis.entries:
-        if not vec_is_zero(f, amb.apply(r)):
-            raise InternalInconsistency("comparison does not kill the tensor relations")
-    on_square = amb.compose(t.presentation.section_map())
+    units = [unit_vec(f, n * n, g) for g in range(n * n)]
+    on_square = induced_map(LinearMap.from_columns(f, n * n, units + units),
+                            t.presentation, h.presentation)
     for v in ideal.basis.entries:
         if not vec_is_zero(f, on_square.apply(v)):
             raise InternalInconsistency("comparison does not kill the boundary ideal")
@@ -393,7 +377,7 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     rep = action.validate()
     if not rep.valid:
         v = rep.violations[0]
-        raise InternalInconsistency(f"quotient action identity {v.law}) fails at {v.witness}")
+        raise InternalInconsistency(f"quotient action identity {v.law} fails at {v.witness}")
     return action
 
 
@@ -548,22 +532,10 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.check("kernels map onward", all(k_c.contains(c) for c in im_k_cols))
 
     # connecting map into the homology
-    delta_cols = []
-    ok_lift = True
-    for v in k_c.basis.entries:
-        x = big_g.map.preimage(v)
-        if x is None:
-            ok_lift = False
-            break
-        q = H_space.coordinates(col_q.map.apply(x))
-        if q is None:
-            ok_lift = False
-            break
-        delta_cols.append(q)
-    rep.check("connecting lifts exist", ok_lift)
-    if not ok_lift:
+    delta = connecting_map(k_c, big_g.map, col_q.map, H_space.coordinates, hdim)
+    rep.check("connecting lifts exist", delta is not None)
+    if delta is None:
         return rep
-    delta = LinearMap.from_columns(f, hdim, delta_cols)
     im_k = Subspace.span(f, t_ac.algebra.dim, im_k_cols)
     ker_delta = _expand_kernel(delta, k_c)
     rep.check("exact at the commutator-tensor kernel", im_k == ker_delta)

@@ -206,6 +206,18 @@ def boundary_matrix(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> Linear
     return LinearMap.from_columns(f, rows_dim, cols)
 
 
+def boundary_rank(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
+    """Rank of the degree-n boundary, eliminating its sparse columns without
+    building the dense matrix; 0 in degree 0, where there is no boundary."""
+    if n == 0:
+        return 0
+    acc = RrefAccumulator(L.field, chain_dim(L, M, n - 1))
+    for m_idx in range(M.space_dim):
+        for xs in iter_product(*[range(L.dim)] * n):
+            acc.add(boundary_column(L, M, n, m_idx, xs), sparse=True)
+    return acc.rank
+
+
 def squared_boundary_is_zero(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> bool:
     """Sparse check that the degree-n boundary followed by degree n-1 vanishes."""
     f = L.field
@@ -248,7 +260,9 @@ class HomologyResult:
 
 def homology(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> HomologyResult:
     """Dimension of cycles modulo boundaries in degree n, with canonical
-    representatives (degree 0 is the cokernel of the first boundary)."""
+    representatives (degree 0 is the cokernel of the first boundary).  When
+    only the dimension is needed, chain_dim(n) - rank d_n - rank d_(n+1)
+    from ``boundary_rank`` gives it without the dense boundaries."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     f = L.field

@@ -9,7 +9,8 @@ order, so equal subspaces compare equal as data and every reported basis is
 deterministic.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
-one small vector-kernel layer serves them all:
+one small vector-kernel layer serves them all, with the maps between
+presentations:
 
 * ``contract`` evaluates a bilinear map from its table of values on basis
   pairs (brackets, actions, products);
@@ -19,7 +20,12 @@ one small vector-kernel layer serves them all:
 * ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
   and ``LinearMap.preimage`` solves exactly and rechecks the solution; both
   return None for a vector outside the subspace or image, and each caller
-  raises its own error.
+  raises its own error;
+* ``induced_map`` is the map of quotients induced by an ambient map: it
+  certifies that relations land in relations, then projects one image per
+  quotient generator, with no dense matrix product;
+* ``connecting_map`` is the snake map of an exactness certificate: lift
+  along a row map, push down a column map, read in the target.
 """
 
 from __future__ import annotations
@@ -507,6 +513,22 @@ class LinearMap:
         return LinearMap.from_columns(f, self.domain_dim, cols)
 
 
+def connecting_map(kernel: Subspace, row: LinearMap, column: LinearMap, read,
+                   target_dim: int) -> LinearMap | None:
+    """The connecting map on ``kernel``: each basis vector is lifted through
+    ``row.preimage``, sent along ``column`` and read off by ``read`` (a
+    function returning target coordinates or None).  None when some lift or
+    read fails."""
+    cols = []
+    for v in kernel.basis.entries:
+        x = row.preimage(v)
+        q = None if x is None else read(column.apply(x))
+        if q is None:
+            return None
+        cols.append(q)
+    return LinearMap.from_columns(kernel.field, target_dim, cols)
+
+
 def _expand_kernel(mapping: LinearMap, space: Subspace) -> Subspace:
     """The kernel of a map defined on coordinates in the basis of ``space``,
     as a subspace of the ambient space of ``space``."""
@@ -575,7 +597,9 @@ def quotient(field: Field, ambient_dim: int, relations) -> QuotientSpace:
 
 
 def induced_map(f: LinearMap, src: QuotientSpace, dst: QuotientSpace) -> LinearMap:
-    """The map on quotient coordinates, provided f carries relations into relations."""
+    """The map on quotient coordinates, provided f carries relations into
+    relations: column k is the class of f applied to the k-th coset
+    representative of ``src``."""
     if f.domain_dim != src.ambient_dim or f.codomain_dim != dst.ambient_dim:
         raise DimensionError("map does not connect the two ambient spaces")
     for r in src.relations.basis.entries:

@@ -13,29 +13,29 @@ The bracket of two generators factors through the two evaluation maps
     eval_n(m*n) = m acting on n,  eval_n(n*m) = n acted by m    (into N)
 
 as [x, y] = eval_m(x) * eval_n(y), always landing in the first block.
-Well-definedness of the bracket and of the induced twist on the quotient
-is certified, never assumed.  The twist is checked by membership of each
-twisted relation basis row.  For the bracket, a row r that both evaluation
-maps kill brackets to zero with every generator on either side, so two
-matrix-vector products certify it; on compatible actions the evaluations
-kill every relation (the crossed-module property of the tensor product).
-A row they do not kill falls back to the full check: its bracket with
-every generator, on both sides, must lie in the relation span.  A failure
-aborts loudly since it would contradict the construction.
+The quotient algebra comes from ``algebras.certified_quotient`` with the
+two evaluation maps as the bracket factors, so descent of the bracket and
+of the induced twist is certified, never assumed.  On compatible actions
+the evaluations kill every relation (the crossed-module property of the
+tensor product), and two mat-vecs per relation basis row certify the
+bracket; a row they do not kill falls back to the full check.  A failure
+aborts loudly since it would contradict the construction.  Maps between
+tensor products are ``linalg.induced_map`` of the ambient map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BracketNotWellDefined, IncompatibleActions, InternalInconsistency, NotEquivariant
+from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions
-from .algebras import AlgebraHom, HomLeibnizAlgebra
+from .algebras import AlgebraHom, HomLeibnizAlgebra, certified_quotient
 from .linalg import (
     LinearMap,
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    induced_map,
     outer,
     unit_vec,
     vec_add,
@@ -234,7 +234,7 @@ def relation_vectors(ma: MutualActions):
                     yield row((mn(nup, n2down),), (nm(ndown, n2up),))
 
 
-def build_tensor(ma: MutualActions, check: bool = True) -> TensorProduct:
+def build_tensor(ma: MutualActions) -> TensorProduct:
     """Construct the tensor product algebra of compatibly acting algebras."""
     comp = ma.check_compatible()
     if not comp.valid:
@@ -248,46 +248,9 @@ def build_tensor(ma: MutualActions, check: bool = True) -> TensorProduct:
             acc.add(row, sparse=True)
     pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
     eval_m, eval_n = _eval_maps(ma)
-    twist_amb = _ambient_twist(M, N)
-    return _assemble(ma, pres, eval_m, eval_n, twist_amb, check)
-
-
-def _assemble(ma, pres, eval_m, eval_n, twist_amb, check) -> TensorProduct:
-    M, N = ma.m_side, ma.n_side
-    f = M.field
-    ambient = pres.ambient_dim
-
-    def amb_bracket(x, y):
-        return outer(f, eval_m.apply(x), eval_n.apply(y), ambient)
-
-    if check:
-        for r in pres.relations.basis.entries:
-            if not pres.relations.contains(twist_amb.apply(r)):
-                raise InternalInconsistency("induced twist does not preserve the relations", witness=(r,))
-            # [r, g] = eval_m(r) * eval_n(g) and [g, r] = eval_m(g) * eval_n(r)
-            # both vanish for every g once the two evaluations kill r
-            if vec_is_zero(f, eval_m.apply(r)) and vec_is_zero(f, eval_n.apply(r)):
-                continue
-            for k in range(ambient):
-                g = unit_vec(f, ambient, k)
-                if not pres.relations.contains(amb_bracket(r, g)) or \
-                   not pres.relations.contains(amb_bracket(g, r)):
-                    raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
-
-    reps = [pres.lift_unit(k) for k in range(pres.dim)]
-    table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
-    twist_cols = [pres.project(twist_amb.apply(r)) for r in reps]
-    twist = LinearMap.from_columns(f, pres.dim, twist_cols).matrix
-
     all_labels = _generator_labels(M, N)
-    labels = tuple(all_labels[c] for c in pres.coset_basis)
-    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist, labels)
-    if check:
-        rep = algebra.validate()
-        if not rep.valid:
-            v = rep.violations[0]
-            raise InternalInconsistency(
-                f"tensor product fails {v.law} at {v.witness}", witness=v.witness)
+    labels = [all_labels[c] for c in pres.coset_basis]
+    algebra = certified_quotient(pres, eval_m, eval_n, _ambient_twist(M, N), labels)
     return TensorProduct(ma, pres, algebra, eval_m, eval_n)
 
 
@@ -389,7 +352,7 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     if not rep.valid:
         v = rep.violations[0]
         raise InternalInconsistency(
-            f"outer action identity {v.law}) fails at {v.witness}", witness=v.witness)
+            f"outer action identity {v.law} fails at {v.witness}", witness=v.witness)
     return action
 
 
@@ -587,12 +550,8 @@ def induced_tensor_map(f_hom: AlgebraHom, g_hom: AlgebraHom,
     fm = [f_hom.apply(M.unit(i)) for i in range(M.dim)]
     gn = [g_hom.apply(N.unit(j)) for j in range(N.dim)]
     amb = _ambient_map(M.field, fm, gn, t_dst.m_side.dim * t_dst.n_side.dim)
-    for r in t_src.presentation.relations.basis.entries:
-        if not t_dst.presentation.relations.contains(amb.apply(r)):
-            raise InternalInconsistency("induced map does not preserve the relations", witness=(r,))
-    sec = t_src.presentation.section_map()
-    proj = t_dst.presentation.projection_map()
-    hom = AlgebraHom(t_src.algebra, t_dst.algebra, proj.compose(amb).compose(sec))
+    hom = AlgebraHom(t_src.algebra, t_dst.algebra,
+                     induced_map(amb, t_src.presentation, t_dst.presentation))
     rep = hom.validate()
     if not rep.valid:
         raise InternalInconsistency("induced tensor map is not a homomorphism",

@@ -202,6 +202,17 @@ class TestCli:
         assert data["dims"] == {"hl0": 1, "hl1": 1, "hl2": 1}
         assert data["boundary_squares_to_zero"] is True
 
+    def test_negative_counts_exit_two(self, docs, capsys):
+        for argv in (("homology", docs["e1"], "--max-n", "-1"),
+                     ("check-all", docs["e1"], "--max-n", "-3"),
+                     ("check-all", docs["e1"], "--random-instances", "-2"),
+                     ("check-all", docs["e1"], "--max-n", "-3", "--random-instances", "-2")):
+            code = main([*argv, "--json"])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert "must be at least 0" in captured.err
+
     def test_uce_refuses_imperfect(self, docs, capsys):
         code, out = run_cli(capsys, "uce", docs["e1"], "--json")
         assert code == 1

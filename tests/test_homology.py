@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product as iter_product
 
+import pytest
 import sympy
 
 from homleib.fields import Field
@@ -14,9 +15,11 @@ from homleib.homology import (
     CoRepresentation,
     adjoint_corep,
     boundary_matrix,
+    boundary_rank,
     chain_dim,
     coinvariants_dim,
     degree_one_trivial_closed_form,
+    homology,
     homology_dim,
     squared_boundary_is_zero,
     trivial_corep,
@@ -222,3 +225,16 @@ class TestHomology:
         assert joined.dim == img.dim + res.dim
         cycles = boundary_matrix(nonlie2, triv, 2).kernel()
         assert all(cycles.contains(r) for r in res.representatives)
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_rank_formula_matches_homology(self, f):
+        # dim H_n = dim C_n - rank d_n - rank d_(n+1), from sparse ranks alone
+        rng = random.Random(17)
+        for _ in range(6):
+            L, M = random_corep(f, rng, max_dim=3)
+            ranks = [boundary_rank(L, M, n) for n in range(4)]
+            assert ranks[0] == 0
+            for n in range(1, 4):
+                assert ranks[n] == boundary_matrix(L, M, n).rank()
+            for n in range(3):
+                assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == homology(L, M, n).dim

@@ -17,6 +17,7 @@ from homleib.linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    connecting_map,
     contract,
     induced_map,
     outer,
@@ -275,3 +276,39 @@ class TestKernelLayer:
         inside = m.apply((f.from_int(2), f.from_int(-1), f.from_int(3)))
         assert m.apply(m.preimage(inside)) == inside
         assert m.preimage(unit_vec(f, 3, 2)) is None
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestConnectingMap:
+    """Row 3 -> 2 keeps the first two coordinates, so a lift of v is
+    (v1, v2, 0); the column sends it to (v1 + 2 v2, v2, 3 v1)."""
+
+    def parts(self, f, row_rows=((1, 0, 0), (0, 1, 0))):
+        row = LinearMap(3, 2, mat(f, row_rows))
+        column = LinearMap(3, 3, mat(f, [[1, 2, 0], [0, 1, 1], [3, 0, 5]]))
+        return row, column
+
+    def test_lifts_give_the_expected_columns(self, f):
+        row, column = self.parts(f)
+        delta = connecting_map(Subspace.full(f, 2), row, column, lambda w: w, 3)
+        assert delta.matrix == mat(f, [[1, 2], [0, 1], [3, 0]])
+        line = Subspace.span(f, 2, [(f.one(), f.one())])
+        delta = connecting_map(line, row, column, lambda w: w[:1], 1)
+        assert delta.matrix == mat(f, [[3]])
+
+    def test_row_not_onto_the_kernel_is_none(self, f):
+        row, column = self.parts(f, ((1, 0, 0), (0, 0, 0)))
+        assert connecting_map(Subspace.full(f, 2), row, column, lambda w: w, 3) is None
+
+    def test_failed_read_is_none(self, f):
+        row, column = self.parts(f)
+        # the first column (1, 0, 3) reads off, the second (2, 1, 0) does not
+        target = Subspace.span(f, 3, [(f.one(), f.zero(), f.from_int(3))])
+        assert connecting_map(Subspace.full(f, 2), row, column, target.coordinates, 1) is None
+        assert connecting_map(Subspace.full(f, 2), row, column, lambda w: None, 3) is None
+
+    def test_empty_kernel_gives_an_empty_map(self, f):
+        row, column = self.parts(f)
+        delta = connecting_map(Subspace.zero(f, 2), row, column, lambda w: w, 3)
+        assert (delta.domain_dim, delta.codomain_dim) == (0, 3)
+        assert (delta.matrix.rows, delta.matrix.cols) == (3, 0)

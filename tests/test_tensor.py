@@ -8,7 +8,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace, unit_vec
+from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace, outer, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -17,11 +17,13 @@ from homleib.algebras import (
     predicates,
     quotient_algebra,
     IdealHandle,
+    certified_quotient,
     subalgebra,
 )
 from homleib.actions import HomAction, MutualActions, self_action
 from homleib.generators import heisenberg, random_ideal_pair, random_trivial_pair, sl2 as make_sl2
 from homleib import tensorprod
+from homleib.homassoc import hochschild_module, to_leibniz
 from homleib.tensorprod import (
     build_tensor,
     commutator_map,
@@ -225,8 +227,9 @@ class TestDescentCertificate:
         row = unit_vec(QQ, ambient, 1)
         assert any(eval_m.apply(row)) and any(eval_n.apply(row))
         pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
+        labels = [f"g{c}" for c in pres.coset_basis]
         with pytest.raises(BracketNotWellDefined) as info:
-            tensorprod._assemble(ma, pres, eval_m, eval_n, twist, True)
+            certified_quotient(pres, eval_m, eval_n, twist, labels)
         assert info.value.witness == (row,)
 
     def test_sweep_runs_only_on_unkilled_rows(self, sl2, monkeypatch):
@@ -240,10 +243,35 @@ class TestDescentCertificate:
         contains = Subspace.contains
         monkeypatch.setattr(Subspace, "contains",
                             lambda self, v: calls.append(v) or contains(self, v))
-        t = tensorprod._assemble(ma, pres, eval_m, eval_n, twist, True)
-        assert t.algebra.dim == 0
+        algebra = certified_quotient(pres, eval_m, eval_n, twist, [])
+        assert algebra.dim == 0
         # one twist test per row, two bracket tests per generator per unkilled row
         assert len(calls) == ambient + 2 * ambient * unkilled
+
+    def test_fold_on_both_legs(self, upper_triangular, monkeypatch):
+        # left = right = the commutator algebra's bracket read on the tensor
+        # square, as for the boundary quotient and the twist-central presentation
+        A = upper_triangular
+        ambient = A.dim * A.dim
+        fold = to_leibniz(A).bracket_map()
+        tw = [A.apply_twist(A.unit(i)) for i in range(A.dim)]
+        twist = LinearMap.from_columns(QQ, ambient, [outer(QQ, u, v, ambient) for u in tw for v in tw])
+        h = hochschild_module(A)
+        calls = []
+        contains = Subspace.contains
+        monkeypatch.setattr(Subspace, "contains",
+                            lambda self, v: calls.append(v) or contains(self, v))
+        algebra = certified_quotient(h.presentation, fold, fold, twist, h.algebra.labels)
+        assert algebra == h.algebra
+        # the fold kills the boundary image: twist tests only, no sweep
+        assert len(calls) == h.presentation.relations.dim
+        # e11 (x) e12 folds to [e11, e12] = e12, so its span gets the sweep
+        row = unit_vec(QQ, ambient, 1)
+        assert any(fold.apply(row))
+        pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
+        with pytest.raises(BracketNotWellDefined) as info:
+            certified_quotient(pres, fold, fold, twist, [f"g{c}" for c in pres.coset_basis])
+        assert info.value.witness == (row,)
 
 
 class TestFactorMaps:
