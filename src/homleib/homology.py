@@ -261,8 +261,8 @@ class HomologyResult:
 def homology(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> HomologyResult:
     """Dimension of cycles modulo boundaries in degree n, with canonical
     representatives (degree 0 is the cokernel of the first boundary).  When
-    only the dimension is needed, chain_dim(n) - rank d_n - rank d_(n+1)
-    from ``boundary_rank`` gives it without the dense boundaries."""
+    only the dimension is needed, ``homology_dim`` gives it without the dense
+    boundaries."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     f = L.field
@@ -282,7 +282,11 @@ def homology(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> HomologyResul
 
 
 def homology_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
-    return homology(L, M, n).dim
+    """dim H_n = dim C_n - rank d_n - rank d_(n+1), from the sparse ranks;
+    ``homology`` is the reference path that also gives representatives."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return chain_dim(L, M, n) - boundary_rank(L, M, n) - boundary_rank(L, M, n + 1)
 
 
 def coinvariants_dim(M: CoRepresentation) -> int:

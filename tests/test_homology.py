@@ -238,3 +238,4 @@ class TestHomology:
                 assert ranks[n] == boundary_matrix(L, M, n).rank()
             for n in range(3):
                 assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == homology(L, M, n).dim
+                assert homology_dim(L, M, n) == homology(L, M, n).dim
