@@ -126,7 +126,7 @@ class HomAction:
         rep = self.validate()
         if not rep.valid:
             v = rep.violations[0]
-            raise InvalidAction(f"action identity {v.law}) fails at {v.witness}", witness=v.witness)
+            raise InvalidAction(f"action identity {v.law} fails at {v.witness}", witness=v.witness)
         return self
 
 
