@@ -320,14 +320,17 @@ def reconstructed_action(sd: SemidirectProduct) -> HomAction:
     return HomAction(L, M, left, right)
 
 
+def bracket_mutual(parent: HomLeibnizAlgebra, first, second) -> MutualActions:
+    """Two (algebra, inclusion) handles of one parent acting on each other by
+    brackets: ``first`` on ``second``, then ``second`` on ``first``."""
+    return MutualActions(bracket_action(parent, first, second),
+                         bracket_action(parent, second, first))
+
+
 def ideal_pair_actions(parent: HomLeibnizAlgebra, first: Subspace, second: Subspace) -> MutualActions:
     """Mutual bracket actions of two ideals of one parent algebra."""
     from .algebras import subalgebra
 
     IdealHandle(parent, first).require_ideal()
     IdealHandle(parent, second).require_ideal()
-    A, incl_a = subalgebra(parent, first, "h")
-    B, incl_b = subalgebra(parent, second, "k")
-    mn = bracket_action(parent, (A, incl_a), (B, incl_b))
-    nm = bracket_action(parent, (B, incl_b), (A, incl_a))
-    return MutualActions(mn, nm)
+    return bracket_mutual(parent, subalgebra(parent, first, "h"), subalgebra(parent, second, "k"))

@@ -38,16 +38,16 @@ from .algebras import (
 from .actions import MutualActions
 from .linalg import (
     LinearMap,
-    QuotientSpace,
-    RrefAccumulator,
     Subspace,
     _expand_kernel,
     connecting_map,
     induced_map,
     outer,
+    quotient,
     unit_vec,
     vec_add,
     vec_is_zero,
+    vec_sub,
 )
 from .report import ExactnessReport
 from .tensorprod import (
@@ -211,23 +211,13 @@ def _presented_alpha_uce(L, A, incl, t):
 
     k = A.dim
     ambient = k * k
-    acc = RrefAccumulator(f, ambient)
-    for i in range(L.dim):
-        e1 = L.unit(i)
-        for j in range(L.dim):
-            for l in range(L.dim):
-                b12 = a_coords(L.c[i][j])
-                b13 = a_coords(L.c[i][l])
-                b23 = a_coords(L.c[j][l])
-                t1 = a_coords(L.apply_twist(e1))
-                t2 = a_coords(L.apply_twist(L.unit(j)))
-                t3 = a_coords(L.apply_twist(L.unit(l)))
-                v = tuple(f.neg(x) for x in outer(f, b12, t3, ambient))
-                v = vec_add(f, v, outer(f, b13, t2, ambient))
-                v = vec_add(f, v, outer(f, t1, b23, ambient))
-                if not vec_is_zero(f, v):
-                    acc.add(v)
-    pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
+    idx = range(L.dim)
+    br = [[a_coords(L.c[i][j]) for j in idx] for i in idx]
+    tw = [a_coords(L.apply_twist(L.unit(i))) for i in idx]
+    pres = quotient(f, ambient, (
+        vec_add(f, vec_sub(f, outer(f, br[i][l], tw[j], ambient), outer(f, br[i][j], tw[l], ambient)),
+                outer(f, tw[i], br[j][l], ambient))
+        for i in idx for j in idx for l in idx))
     # the bracket factors through folding both legs; folding a relation
     # instance gives the Hom-Leibniz identity, so a valid algebra's fold
     # kills every relation
@@ -314,7 +304,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     in_m = [incl.map.preimage(v) for v in two_sided.basis.entries]
     if any(q is None for q in in_m):
         raise InternalInconsistency("commutator with the algebra leaves the ideal")
-    coker_q = QuotientSpace(M_sub.dim, Subspace.span(f, M_sub.dim, in_m))
+    coker_q = quotient(f, M_sub.dim, in_m)
     rep.dims["ideal modulo commutator"] = coker_q.dim
 
     # the big column's image equals that two-sided commutator: values of the

@@ -14,9 +14,10 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency, StructureError
-from .actions import HomAction, MutualActions
+from .actions import HomAction, MutualActions, bracket_mutual
 from .algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -32,7 +33,6 @@ from .linalg import (
     LinearMap,
     Matrix,
     QuotientSpace,
-    RrefAccumulator,
     Subspace,
     _expand_kernel,
     connecting_map,
@@ -299,16 +299,10 @@ def milnor_relations(A: HomAssociativeAlgebra) -> Subspace:
     n = A.dim
     lb = to_leibniz(A)
     b3 = hochschild_boundary(A)
-    acc = RrefAccumulator(f, n * n)
-    for v in b3.image().basis.entries:
-        acc.add(v)
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                acc.add(outer(f, tw[a], lb.c[b][c], n * n))
-                acc.add(outer(f, lb.c[a][b], tw[c], n * n))
-    return Subspace(n * n, acc.basis_matrix())
+    outers = (v for a in range(n) for b in range(n) for c in range(n)
+              for v in (outer(f, tw[a], lb.c[b][c], n * n), outer(f, lb.c[a][b], tw[c], n * n)))
+    return Subspace.span(f, n * n, chain(b3.image().basis.entries, outers))
 
 
 @dataclass(frozen=True)
@@ -439,13 +433,8 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
 
     # commutator subalgebra with its bracket actions
     C_sub, incl_c = subalgebra(lb, h.commutator_space, "c")
-    from .actions import bracket_action
-
     id_lb = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
-    mn_c = bracket_action(lb, (lb, id_lb), (C_sub, incl_c))
-    nm_c = bracket_action(lb, (C_sub, incl_c), (lb, id_lb))
-    ma_c = MutualActions(mn_c, nm_c)
-    t_ac = build_tensor(ma_c)
+    t_ac = build_tensor(bracket_mutual(lb, (lb, id_lb), (C_sub, incl_c)))
     rep.dims["tensor with commutator"] = t_ac.algebra.dim
 
     # first homology as an abelian algebra with restricted twist, trivial actions

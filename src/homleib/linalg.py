@@ -1,5 +1,5 @@
-"""Exact dense linear algebra: reduced row echelon form, kernels, images,
-subspace arithmetic, quotient spaces and induced maps.
+"""Exact linear algebra on one elimination engine: subspaces, kernels,
+images, preimages, quotient spaces and induced maps.
 
 Everything is immutable after construction and all arithmetic is exact;
 equality of values is field equality, never approximate.  Vectors are plain
@@ -7,6 +7,11 @@ tuples of scalars, matrices are tuples of row tuples.  Subspace bases are
 kept in canonical reduced row echelon form with pivots in increasing column
 order, so equal subspaces compare equal as data and every reported basis is
 deterministic.
+
+``RrefAccumulator`` is the one elimination engine, a sparse incremental
+RREF: it builds every span, and each ``LinearMap`` factors once through it
+(the RREF of [M | I]) for its rank, kernel, preimages and section.  ``rref``
+is the dense Gauss-Jordan reference the tests compare it against.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -18,9 +23,9 @@ presentations:
   at an offset when the ambient space has several blocks;
 * ``unit_vec`` is a basis vector;
 * ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
-  and ``LinearMap.preimage`` solves exactly and rechecks the solution; both
-  return None for a vector outside the subspace or image, and each caller
-  raises its own error;
+  and ``LinearMap.preimage`` reads a solution off the factor and rechecks
+  it; both return None for a vector outside the subspace or image, and each
+  caller raises its own error;
 * ``induced_map`` is the map of quotients induced by an ambient map: it
   certifies that relations land in relations, then projects one image per
   quotient generator, with no dense matrix product;
@@ -31,6 +36,7 @@ presentations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined
 from .fields import Field
@@ -165,6 +171,8 @@ class Matrix:
         return Matrix(f, self.rows, other.cols, tuple(out))
 
     def add(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field:
+            raise FieldMismatch("matrix sum across different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sum")
         f = self.field
@@ -172,9 +180,9 @@ class Matrix:
                       tuple(vec_add(f, r, s) for r, s in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return self.add(Matrix(f, other.rows, other.cols,
-                               tuple(vec_scale(f, f.neg(f.one()), r) for r in other.entries)))
+        g = other.field
+        return self.add(Matrix(g, other.rows, other.cols,
+                               tuple(vec_scale(g, g.neg(g.one()), r) for r in other.entries)))
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.entries)
@@ -188,7 +196,8 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, with rank and pivot columns."""
+    """Unique reduced row echelon form, with rank and pivot columns: the dense
+    Gauss-Jordan reference for ``RrefAccumulator`` and ``LinearMap``."""
     f = m.field
     one = f.one()
     rows = [list(r) for r in m.entries]
@@ -346,6 +355,8 @@ class Subspace:
 
     def _eliminate(self, v):
         """(c, w) with v = sum of c_k basis_k + w and w zero at every pivot."""
+        if len(v) != self.ambient_dim:
+            raise DimensionError(f"vector length {len(v)} in ambient dimension {self.ambient_dim}")
         f = self.field
         w = list(v)
         coords = []
@@ -382,46 +393,14 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("intersection in different ambient spaces")
         f = self.field
-        h, k = self.dim, other.dim
-        if h == 0 or k == 0:
-            return Subspace.zero(f, self.ambient_dim)
-        # columns are the stacked basis vectors; kernel elements (a, b) give
-        # a.H + b.K = 0, so a.H lies in both row spaces
-        cols = list(self.basis.entries) + list(other.basis.entries)
-        mat = Matrix(f, self.ambient_dim, h + k, tuple(zip(*cols)))
+        h = self.dim
+        # kernel elements (a, b) of the stacked bases give a.H + b.K = 0, so
+        # a.H lies in both row spaces
+        stacked = LinearMap.from_columns(f, self.ambient_dim,
+                                         self.basis.entries + other.basis.entries)
         combine = LinearMap.from_columns(f, self.ambient_dim, self.basis.entries)
         return Subspace.span(f, self.ambient_dim,
-                             [combine.apply(w[:h]) for w in kernel_basis(mat)])
-
-
-def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of the null space of ``m`` (solutions of m.x = 0)."""
-    f = m.field
-    res = rref(m)
-    pivot_set = set(res.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r, pc in enumerate(res.pivots):
-            v[pc] = f.neg(res.reduced.entries[r][fc])
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """One exact solution of m.x = b (free variables set to zero), or None."""
-    f = m.field
-    aug = Matrix(f, m.rows, m.cols + 1,
-                 tuple(r + (bb,) for r, bb in zip(m.entries, b)))
-    res = rref(aug)
-    x = [f.zero()] * m.cols
-    for r, pc in enumerate(res.pivots):
-        if pc == m.cols:
-            return None  # inconsistent system
-        x[pc] = res.reduced.entries[r][m.cols]
-    return tuple(x)
+                             [combine.apply(w[:h]) for w in stacked.kernel().basis.entries])
 
 
 @dataclass(frozen=True)
@@ -474,15 +453,45 @@ class LinearMap:
     def sub(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.domain_dim, self.codomain_dim, self.matrix.sub(other.matrix))
 
+    @cached_property
+    def _factor(self) -> dict:
+        """The RREF of [M | I], built once, as pivot column -> sparse row.
+
+        A row whose pivot lies in M is a row of the RREF of M, and its I block
+        holds the row operations that produced it; a row whose pivot lies in
+        the I block is an equation of the image."""
+        f = self.field
+        n = self.domain_dim
+        acc = RrefAccumulator(f, n + self.codomain_dim)
+        for i, r in enumerate(self.matrix.entries):
+            acc.add(tuple((j, x) for j, x in enumerate(r) if x) + ((n + i, f.one()),),
+                    sparse=True)
+        return acc.rows
+
     def rank(self) -> int:
-        return rref(self.matrix).rank
+        return sum(1 for p in self._factor if p < self.domain_dim)
 
     def image(self) -> Subspace:
         return Subspace.span(self.field, self.codomain_dim,
                              [self.matrix.col(j) for j in range(self.domain_dim)])
 
     def kernel(self) -> Subspace:
-        return Subspace.span(self.field, self.domain_dim, kernel_basis(self.matrix))
+        """Spanned by one solution per free column of M: 1 there, minus that
+        column of the RREF at the pivots."""
+        f = self.field
+        n = self.domain_dim
+        solved = [(p, row) for p, row in self._factor.items() if p < n]
+        basis = []
+        for c in range(n):
+            if c in self._factor:
+                continue
+            v = [f.zero()] * n
+            v[c] = f.one()
+            for p, row in solved:
+                if c in row:
+                    v[p] = f.neg(row[c])
+            basis.append(tuple(v))
+        return Subspace.span(f, n, basis)
 
     def is_surjective(self) -> bool:
         return self.rank() == self.codomain_dim
@@ -494,19 +503,34 @@ class LinearMap:
         return self.matrix.is_zero()
 
     def preimage(self, v) -> tuple | None:
-        """One exact solution of self.x = v, rechecked, or None off the image."""
-        x = solve(self.matrix, v)
-        return x if x is not None and self.apply(x) == tuple(v) else None
+        """The exact solution of self.x = v with free variables zero,
+        rechecked, or None off the image."""
+        if len(v) != self.codomain_dim:
+            raise DimensionError(f"vector length {len(v)} does not match {self.codomain_dim} rows")
+        f = self.field
+        n = self.domain_dim
+        x = [f.zero()] * n
+        for p, row in self._factor.items():
+            s = f.zero()
+            for c, e in row.items():
+                if c >= n and v[c - n]:
+                    s = f.add(s, f.mul(e, v[c - n]))
+            if p < n:
+                x[p] = s
+            elif s:
+                return None
+        x = tuple(x)
+        return x if self.apply(x) == tuple(v) else None
 
     def section(self) -> "LinearMap":
-        """A right inverse on the image: columns solve self.x = e_k.
+        """A right inverse on the image: columns are the preimages of e_k.
 
         Deterministic (free variables zero).  Raises if not surjective.
         """
         f = self.field
         cols = []
         for k in range(self.codomain_dim):
-            x = solve(self.matrix, unit_vec(f, self.codomain_dim, k))
+            x = self.preimage(unit_vec(f, self.codomain_dim, k))
             if x is None:
                 raise NotWellDefined(f"no preimage for coordinate {k}; map is not surjective")
             cols.append(x)
@@ -565,8 +589,6 @@ class QuotientSpace:
         return self.ambient_dim - self.relations.dim
 
     def project(self, v) -> tuple:
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector does not live in the ambient space")
         w = self.relations.reduce(v)
         return tuple(w[c] for c in self.coset_basis)
 

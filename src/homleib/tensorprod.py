@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
-from .actions import HomAction, MutualActions
+from .actions import HomAction, MutualActions, bracket_mutual
 from .algebras import AlgebraHom, HomLeibnizAlgebra, certified_quotient
 from .linalg import (
     LinearMap,
@@ -503,8 +503,8 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequen
     quot, proj = quotient_algebra(L, handle)
     id_l = AlgebraHom(L, L, LinearMap.identity(f, L.dim))
 
-    ma_ml = _bracket_mutual(L, M_sub, incl, L, id_l)
-    ma_lm = _bracket_mutual(L, L, id_l, M_sub, incl)
+    ma_ml = bracket_mutual(L, (M_sub, incl), (L, id_l))
+    ma_lm = bracket_mutual(L, (L, id_l), (M_sub, incl))
     ma_ll = MutualActions.adjoint(L)
     ma_qq = MutualActions.adjoint(quot)
     t_ml, t_lm = build_tensor(ma_ml), build_tensor(ma_lm)
@@ -528,15 +528,6 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequen
     rep.check("composite vanishes", tau.map.compose(sigma).is_zero())
     rep.check("exact at the tensor square", sigma.image() == tau.map.kernel())
     return IdealSequenceData(t_ml, t_lm, t_ll, t_qq, incl, proj, sigma, tau, rep)
-
-
-def _bracket_mutual(parent: HomLeibnizAlgebra, A, incl_a: AlgebraHom,
-                    B, incl_b: AlgebraHom) -> MutualActions:
-    from .actions import bracket_action
-
-    mn = bracket_action(parent, (A, incl_a), (B, incl_b))
-    nm = bracket_action(parent, (B, incl_b), (A, incl_a))
-    return MutualActions(mn, nm)
 
 
 def induced_tensor_map(f_hom: AlgebraHom, g_hom: AlgebraHom,

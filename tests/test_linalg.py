@@ -213,6 +213,10 @@ class TestSubspace:
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatch):
             Matrix.identity(QQ, 2).mul(Matrix.identity(F5, 2))
+        with pytest.raises(FieldMismatch):
+            Matrix.identity(QQ, 2).add(Matrix.identity(F5, 2))
+        with pytest.raises(FieldMismatch):
+            Matrix.identity(QQ, 2).sub(Matrix.identity(F5, 2))
 
 
 def _random_vec(field, rng, n):
@@ -312,3 +316,88 @@ class TestConnectingMap:
         delta = connecting_map(Subspace.zero(f, 2), row, column, lambda w: w, 3)
         assert (delta.domain_dim, delta.codomain_dim) == (0, 3)
         assert (delta.matrix.rows, delta.matrix.cols) == (3, 0)
+
+
+@st.composite
+def low_rank_matrices(draw, field, max_dim=5):
+    """A product of two small random matrices, so ranks below full are common."""
+    rows, inner, cols = (draw(st.integers(1, max_dim)) for _ in range(3))
+    entry = st.integers(-2, 2).map(field.from_int)
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    return Matrix.from_rows(field, grid(rows, inner)).mul(Matrix.from_rows(field, grid(inner, cols)))
+
+
+def _dense_solution(m, b):
+    """The solution of m.x = b with free variables zero, read off the dense
+    ``rref`` of [m | b], or None when the system is inconsistent."""
+    f = m.field
+    res = rref(Matrix(f, m.rows, m.cols + 1, tuple(r + (x,) for r, x in zip(m.entries, b))))
+    x = [f.zero()] * m.cols
+    for r, pc in enumerate(res.pivots):
+        if pc == m.cols:
+            return None
+        x[pc] = res.reduced.entries[r][m.cols]
+    return tuple(x)
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestEliminationEngine:
+    """Every rank, kernel, preimage and section of a ``LinearMap`` equals the
+    one read off the dense reference ``rref``."""
+
+    @given(st.data())
+    def test_matches_the_dense_reference(self, f, data):
+        m = data.draw(low_rank_matrices(f))
+        lm = LinearMap(m.cols, m.rows, m)
+        res = rref(m)
+        assert lm.rank() == res.rank
+        kernel = []
+        for c in range(m.cols):
+            if c in res.pivots:
+                continue
+            v = [f.zero()] * m.cols
+            v[c] = f.one()
+            for r, pc in enumerate(res.pivots):
+                v[pc] = f.neg(res.reduced.entries[r][c])
+            kernel.append(tuple(v))
+        assert lm.kernel() == Subspace.span(f, m.cols, kernel)
+        entry = st.integers(-3, 3).map(f.from_int)
+        x = tuple(data.draw(entry) for _ in range(m.cols))
+        b = tuple(data.draw(entry) for _ in range(m.rows))
+        for v in (m.apply(x), b):
+            assert lm.preimage(v) == _dense_solution(m, v)
+        units = [_dense_solution(m, unit_vec(f, m.rows, k)) for k in range(m.rows)]
+        if None in units:
+            with pytest.raises(NotWellDefined, match=f"coordinate {units.index(None)};"):
+                lm.section()
+        else:
+            assert lm.section() == LinearMap.from_columns(f, m.cols, units)
+
+    def test_factor_is_built_once(self, f, monkeypatch):
+        inserted = []
+        add = RrefAccumulator.add
+
+        def counting_add(acc, v, sparse=False):
+            inserted.append(v)
+            return add(acc, v, sparse)
+
+        monkeypatch.setattr(RrefAccumulator, "add", counting_add)
+        m = LinearMap(4, 3, mat(f, [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 3, 2]]))
+        v = m.apply((f.one(), f.from_int(2), f.zero(), f.from_int(-1)))
+        assert m.apply(m.preimage(v)) == v
+        assert len(inserted) == m.codomain_dim
+        m.preimage(unit_vec(f, 3, 1))
+        assert m.rank() == 3
+        assert m.compose(m.section()) == LinearMap.identity(f, 3)
+        assert len(inserted) == m.codomain_dim
+
+    def test_wrong_length_raises(self, f):
+        space = Subspace.span(f, 3, [unit_vec(f, 3, 0)])
+        m = LinearMap.identity(f, 3)
+        for v in (unit_vec(f, 2, 0), unit_vec(f, 4, 0)):
+            for call in (space.contains, space.coordinates, space.reduce, m.preimage):
+                with pytest.raises(DimensionError):
+                    call(v)
