@@ -57,6 +57,7 @@ from .homology import (
     trivial_corep,
 )
 from .linalg import Subspace
+from .report import render_witness
 from .tensorprod import build_tensor, factor_maps
 
 
@@ -501,7 +502,7 @@ def main(argv=None) -> int:
         return 1
     except MathFailure as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__,
-               "witness": str(exc.witness) if exc.witness is not None else None},
+               "witness": render_witness(exc.witness) if exc.witness is not None else None},
               args.json)
         return 1
     except UsageError as exc:

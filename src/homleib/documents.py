@@ -16,7 +16,8 @@ map basis labels to scalar strings "a" or "a/b".  The twist is a dense
 matrix whose column j holds the coordinates of the image of basis vector j
 (row i, column j = coefficient of basis i).  Hom-associative documents use
 "product" instead of "bracket"; plain "leibniz" documents may omit "alpha"
-(identity assumed) and serve as twisting input.
+(identity assumed) and serve as twisting input.  Each (left, right) pair is
+listed at most once.
 
 An action document:
 
@@ -27,7 +28,8 @@ An action document:
       "right": [{"target": "m", "actor": "x", "value": {"m": "-1"}}]
     }
 
-Relative paths resolve against the directory of the containing file.
+Each (actor, target) pair is listed at most once per side.  Relative paths
+resolve against the directory of the containing file.
 Parsing failures raise ParseError (bad JSON, wrong shapes) or SemanticError
 (unknown labels, bad scalars, unsupported field) with a location string.
 """
@@ -79,7 +81,7 @@ def parse_field(node, where: str) -> Field:
         return Field()
     if isinstance(node, dict) and set(node) == {"Fp"}:
         p = node["Fp"]
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise SemanticError(f"{where}: prime must be an integer")
         try:
             return Field(p)
@@ -135,12 +137,17 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
     if not isinstance(entries, list):
         raise ParseError(f"{where}.{table_key}: must be a list")
     table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
+    seen = {}
     for pos, entry in enumerate(entries):
         loc = f"{where}.{table_key}[{pos}]"
         if not isinstance(entry, dict) or not {"left", "right", "value"} <= set(entry):
             raise ParseError(f"{loc}: needs left, right and value")
         i = _label_index(basis, entry["left"], f"{loc}.left")
         j = _label_index(basis, entry["right"], f"{loc}.right")
+        first = seen.setdefault((i, j), pos)
+        if first != pos:
+            raise SemanticError(f"{loc}: duplicates the (left, right) pair of "
+                                f"{where}.{table_key}[{first}]")
         table[i][j] = _parse_value(field, basis, entry["value"], f"{loc}.value")
 
     if "alpha" in node:
@@ -188,12 +195,17 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     left = [[vec_zero(field, target.dim) for _ in range(target.dim)] for _ in range(actor.dim)]
     right = [[vec_zero(field, target.dim) for _ in range(actor.dim)] for _ in range(target.dim)]
     for side, grid in (("left", left), ("right", right)):
+        seen = {}
         for pos, entry in enumerate(node.get(side, [])):
             loc = f"{where}.{side}[{pos}]"
             if not isinstance(entry, dict) or not {"actor", "target", "value"} <= set(entry):
                 raise ParseError(f"{loc}: needs actor, target and value")
             x = _label_index(actor.basis, entry["actor"], f"{loc}.actor")
             m = _label_index(target.basis, entry["target"], f"{loc}.target")
+            first = seen.setdefault((x, m), pos)
+            if first != pos:
+                raise SemanticError(f"{loc}: duplicates the (actor, target) pair of "
+                                    f"{where}.{side}[{first}]")
             val = _parse_value(field, target.basis, entry["value"], f"{loc}.value")
             if side == "left":
                 grid[x][m] = val

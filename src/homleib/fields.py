@@ -1,9 +1,15 @@
 """Exact scalar arithmetic over the rationals or a prime field GF(p), p odd.
 
-Scalars are ``fractions.Fraction`` over Q and plain ints in ``range(p)`` over
-GF(p); every operation goes through the owning :class:`Field` so the rest of
-the library is field-agnostic.  A scalar is zero exactly when it is falsy,
-so callers test ``if x:`` rather than comparing with ``zero()``.
+Over Q a scalar is a plain ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not; over GF(p) it is an int in
+``range(p)``.  Every operation goes through the owning :class:`Field` so the
+rest of the library is field-agnostic.  Over Q the operations accept int and
+``Fraction`` operands in any mix and return the canonical form, so integral
+arithmetic never pays for ``Fraction``; an int and a ``Fraction`` of the same
+value compare, hash and print alike.  The one true division is
+:meth:`Field.div`, which divides ``Fraction(a)`` so that int / int never
+yields a float.  A scalar is zero exactly when it is falsy, so callers test
+``if x:`` rather than comparing with ``zero()``.
 Characteristic 2 is rejected because the polarization identity used for
 Lie-ization needs 2 to be invertible, and p must lie below ``PRIME_BOUND``,
 where primality is decided exactly.
@@ -50,8 +56,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+def _canon(x):
+    """The canonical form of a rational: an int when it is integral."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -74,31 +83,31 @@ class Field:
         return self.p is None
 
     def zero(self):
-        return _Q_ZERO if self.p is None else 0
+        return 0
 
     def one(self):
-        return _Q_ONE if self.p is None else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return int(n) if self.p is None else n % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _canon(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _canon(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _canon(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return _canon(-a) if self.p is None else (-a) % self.p
 
     def div(self, a, b):
         if self.p is None:
             if b == 0:
                 raise ZeroDivisionError("division by zero")
-            return a / b
+            return _canon(Fraction(a) / b)
         if b % self.p == 0:
             raise ZeroDivisionError("division by zero")
         return (a * pow(b, self.p - 2, self.p)) % self.p

@@ -9,6 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def render_witness(w) -> str:
+    """A witness as text: a tuple renders as a tuple of its rendered items, a
+    label as its repr, and a scalar as ``str``, the document notation
+    (``1/2``), whether it is an int or a ``Fraction``."""
+    if isinstance(w, tuple):
+        items = [render_witness(x) for x in w]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    if isinstance(w, str):
+        return repr(w)
+    return str(w)
+
+
 @dataclass
 class Violation:
     law: str

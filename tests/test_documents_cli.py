@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from homleib.documents import (
     parse_document,
     serialize_algebra,
 )
+from homleib.report import render_witness
 
 QQ = Field()
 
@@ -123,6 +126,41 @@ class TestParsing:
         path = write(tmp_path, "bool.alg", doc)
         assert main(["validate", path]) == 2
         assert "dim" in capsys.readouterr().err
+
+    def test_boolean_prime_rejected(self, tmp_path, capsys):
+        for p in (True, False):
+            with pytest.raises(SemanticError, match="prime must be an integer"):
+                parse_algebra_document(dict(E1_DOC, field={"Fp": p}))
+        path = write(tmp_path, "bool_prime.alg", dict(E1_DOC, field={"Fp": True}))
+        assert main(["validate", path]) == 2
+        assert "prime must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, table", [(SL2_DOC, "bracket"), (UT_DOC, "product")])
+    def test_duplicate_table_entry_rejected(self, doc, table, tmp_path, capsys):
+        # the repeated pair carries a different value: the last one used to win
+        entries = doc[table] + [dict(doc[table][1], value={doc["basis"][0]: "5"})]
+        dup = dict(doc, **{table: entries})
+        message = (f"algebra.{table}[{len(entries) - 1}]: duplicates the (left, right) "
+                   f"pair of algebra.{table}[1]")
+        with pytest.raises(SemanticError, match=re.escape(message)):
+            parse_algebra_document(dup)
+        path = write(tmp_path, "dup.alg", dup)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{table}[{len(entries) - 1}]" in err and f"{table}[1]" in err
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_duplicate_action_entry_rejected(self, side, docs, tmp_path, capsys):
+        entry = {"actor": "e2", "target": "e2", "value": {"e1": "1"}}
+        action = {"actor": "e1.alg", "target": "e1.alg",
+                  side: [entry, {"actor": "e1", "target": "e2", "value": {}},
+                         dict(entry, value={"e1": "-1"})]}
+        path = write(tmp_path, "dup.act", action)
+        with pytest.raises(SemanticError, match=rf"{side}\[2\]: .* of .*{side}\[0\]"):
+            parse_document(Path(path))
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{side}[2]" in err and f"{side}[0]" in err
 
     def test_duplicate_labels(self):
         with pytest.raises(SemanticError):
@@ -265,6 +303,34 @@ class TestCli:
         code, out = run_cli(capsys, "six-term", docs["sl2"], "--ideal", "zero", "--json")
         assert code == 0
         assert json.loads(out)["report"]["ok"] is True
+
+    def test_non_ideal_witness_same_over_both_fields(self, docs, tmp_path, capsys):
+        fp_path = write(tmp_path, "sl2_fp.alg", dict(SL2_DOC, field={"Fp": 1000003}))
+        witnesses = []
+        for path in (docs["sl2"], fp_path):
+            code, out = run_cli(capsys, "six-term", path, "--ideal", '[["1","0","0"]]', "--json")
+            assert code == 1
+            data = json.loads(out)
+            assert data["kind"] == "NotAnIdeal"
+            witnesses.append(data["witness"])
+        assert witnesses == ["('left', (1, 0, 0), 'f', (0, 0, 1))"] * 2
+
+    def test_fractional_witness_in_document_notation(self, tmp_path, capsys):
+        # [e, f] = h/2 still gives sl2; the escaping bracket is (0, 0, 1/2)
+        bracket = [dict(SL2_DOC["bracket"][0], value={"h": "1/2"}),
+                   dict(SL2_DOC["bracket"][1], value={"h": "-1/2"})] + SL2_DOC["bracket"][2:]
+        path = write(tmp_path, "sl2_half.alg", dict(SL2_DOC, bracket=bracket))
+        code, out = run_cli(capsys, "six-term", path, "--ideal", '[["1","0","0"]]', "--json")
+        assert code == 1
+        assert json.loads(out)["witness"] == "('left', (1, 0, 0), 'f', (0, 0, 1/2))"
+
+    def test_render_witness(self):
+        assert render_witness(("twist", (Fraction(1, 2), Fraction(4), 0), "e")) == \
+            "('twist', (1/2, 4, 0), 'e')"
+        # a one-item tuple keeps its comma, as str() gives it
+        assert render_witness((Fraction(-3, 4),)) == "(-3/4,)"
+        for w in (((1, 2),), ("m", 3), ()):
+            assert render_witness(w) == str(w)
 
     def test_hochschild_and_hh1(self, docs, capsys):
         code, out = run_cli(capsys, "hochschild", docs["ut"], "--json")

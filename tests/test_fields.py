@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import ast
 import json
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from homleib.cli import main
 from homleib.errors import SemanticError
 from homleib.documents import parse_field
 from homleib.fields import PRIME_BOUND, Field, _is_prime
+
+QQ = Field()
 
 
 def trial_division(n):
@@ -53,3 +59,79 @@ class TestPrimality:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert "below" in capsys.readouterr().err
+
+
+def q_operands():
+    """Rationals as a caller may hand them over: an int, an integral
+    ``Fraction`` or a proper one."""
+    small = st.integers(-50, 50)
+    return st.one_of(small, small.map(Fraction),
+                     st.builds(Fraction, small, st.integers(1, 12)))
+
+
+def assert_canonical(x, expected):
+    assert type(x) in (int, Fraction)  # never a float or a bool
+    assert x == expected
+    assert isinstance(x, int) == (Fraction(expected).denominator == 1)
+
+
+class TestRationalScalars:
+    @given(q_operands(), q_operands())
+    def test_ops_match_fraction_reference(self, a, b):
+        fa, fb = Fraction(a), Fraction(b)
+        assert_canonical(QQ.add(a, b), fa + fb)
+        assert_canonical(QQ.sub(a, b), fa - fb)
+        assert_canonical(QQ.mul(a, b), fa * fb)
+        assert_canonical(QQ.neg(a), -fa)
+        if fb:
+            assert_canonical(QQ.div(a, b), fa / fb)
+            assert_canonical(QQ.inv(b), 1 / fb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.div(a, b)
+
+    @given(st.integers(-50, 50), st.integers(-12, 12))
+    def test_parse_matches_fraction_reference(self, num, den):
+        assert_canonical(QQ.parse(str(num)), Fraction(num))
+        assert_canonical(QQ.parse(num), Fraction(num))
+        if den:
+            assert_canonical(QQ.parse(f"{num}/{den}"), Fraction(num, den))
+            assert QQ.to_str(QQ.parse(f"{num}/{den}")) == str(Fraction(num, den))
+
+    def test_canonical_forms(self):
+        assert_canonical(QQ.parse("6/3"), 2)
+        assert_canonical(QQ.div(1, 2), Fraction(1, 2))
+        assert_canonical(QQ.div(4, 2), 2)
+        assert_canonical(QQ.mul(Fraction(1, 2), 2), 1)
+        assert_canonical(QQ.from_int(True), 1)
+        assert_canonical(QQ.add(True, True), 2)
+        for x in (QQ.zero(), QQ.one(), QQ.from_int(-7)):
+            assert type(x) is int
+
+
+def _divisions(tree):
+    """(enclosing function, line) of every true division ``/`` in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_true_division_only_in_field_div_and_path_join():
+    # over Q an integral scalar is an int, so a stray int / int would turn
+    # it into a float; the only scalar division is Field.div
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    found = [f"{path.stem}:{scope}:{line}"
+             for path in sorted(src.glob("*.py"))
+             for scope, line in _divisions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert [site.rsplit(":", 1)[0] for site in found] == \
+        ["documents:_resolve", "fields:Field.div"], found
