@@ -52,14 +52,11 @@ from .tensorprod import (
     right_exactness_certificate,
 )
 from .homology import (
+    ChainComplex,
     CoRepresentation,
     adjoint_corep,
-    boundary_matrix,
     coinvariants_dim,
     degree_one_trivial_closed_form,
-    homology,
-    homology_dim,
-    squared_boundary_is_zero,
     trivial_corep,
 )
 from .extensions import (

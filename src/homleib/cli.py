@@ -47,15 +47,7 @@ from .homassoc import (
     sequence_check,
     to_leibniz,
 )
-from .homology import (
-    adjoint_corep,
-    boundary_rank,
-    chain_dim,
-    coinvariants_dim,
-    homology_dim,
-    squared_boundary_is_zero,
-    trivial_corep,
-)
+from .homology import ChainComplex, adjoint_corep, chain_dim, coinvariants_dim, trivial_corep
 from .linalg import Subspace
 from .report import render_witness
 from .tensorprod import build_tensor, factor_maps
@@ -207,12 +199,13 @@ def cmd_homology(args) -> dict:
     else:
         corep = adjoint_corep(alg)
     _require(corep.validate(), "coefficients")
-    # dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank computed once
-    ranks = [boundary_rank(alg, corep, n) for n in range(args.max_n + 2)]
+    # dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank computed once;
+    # the d^2 check reads the columns the ranks have built
+    cx = ChainComplex(alg, corep)
+    ranks = [cx.rank(n) for n in range(args.max_n + 2)]
     dims = {f"hl{n}": chain_dim(alg, corep, n) - ranks[n] - ranks[n + 1]
             for n in range(args.max_n + 1)}
-    complex_ok = all(squared_boundary_is_zero(alg, corep, n)
-                     for n in range(2, args.max_n + 2))
+    complex_ok = all(cx.squares_to_zero(n) for n in range(2, args.max_n + 2))
     out = {
         "coefficients": args.coeffs,
         "dims": dims,
@@ -352,25 +345,24 @@ def cmd_check_all(args) -> dict:
         note("derived ideal inside the algebra",
              full.space.contains_subspace(der))
         preds = predicates(alg)
-        corep = trivial_corep(alg)
+        cx = ChainComplex(alg, trivial_corep(alg))
         note("boundary squares to zero",
-             all(squared_boundary_is_zero(alg, corep, n) for n in range(2, args.max_n + 2)))
-        note("degree-zero closed form",
-             homology_dim(alg, corep, 0) == coinvariants_dim(corep))
+             all(cx.squares_to_zero(n) for n in range(2, args.max_n + 2)))
+        note("degree-zero closed form", cx.homology_dim(0) == coinvariants_dim(cx.coeffs))
         if preds.perfect:
             uce = universal_central_extension(alg)
             note("tensor square perfect", predicates(uce.extension.total).perfect)
             note("kernel matches second homology",
-                 uce.kernel_dim == homology_dim(alg, corep, 2))
+                 uce.kernel_dim == cx.homology_dim(2))
         else:
             t = build_tensor(MutualActions.adjoint(alg))
             note("tensor square well-defined", t.algebra.validate().valid)
         from .generators import random_corep
 
         for k in range(args.random_instances):
-            L, M = random_corep(alg.field, rng, max_dim=3)
+            rand = ChainComplex(*random_corep(alg.field, rng, max_dim=3))
             note(f"random co-representation {k} complex",
-                 all(squared_boundary_is_zero(L, M, n) for n in range(2, 4)))
+                 all(rand.squares_to_zero(n) for n in range(2, 4)))
     out = {"seed": args.seed, "checks": checks, "ok": all(c["ok"] for c in checks)}
     if not out["ok"]:
         raise ReportedFailure(out, "; ".join(c["name"] for c in checks if not c["ok"]))

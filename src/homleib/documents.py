@@ -195,8 +195,11 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     left = [[vec_zero(field, target.dim) for _ in range(target.dim)] for _ in range(actor.dim)]
     right = [[vec_zero(field, target.dim) for _ in range(actor.dim)] for _ in range(target.dim)]
     for side, grid in (("left", left), ("right", right)):
+        entries = node.get(side, [])
+        if not isinstance(entries, list):
+            raise ParseError(f"{where}.{side}: must be a list")
         seen = {}
-        for pos, entry in enumerate(node.get(side, [])):
+        for pos, entry in enumerate(entries):
             loc = f"{where}.{side}[{pos}]"
             if not isinstance(entry, dict) or not {"actor", "target", "value"} <= set(entry):
                 raise ParseError(f"{loc}: needs actor, target and value")

@@ -4,14 +4,16 @@ The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
 families: the head right-action term, the alternating left-action terms
 with sign (-1)^i, and the bracket-insertion terms with sign (-1)^(j+1)
-and the twisted coefficient in front.  The squared boundary vanishing is
-checked in tests, never assumed: it would fail loudly under any
+and the twisted coefficient in front.  ``ChainComplex`` builds each
+boundary column once, and the ``homology`` and ``check-all`` commands
+compute d^2 from the same cached columns that give the ranks: its vanishing
+is checked, never assumed, and the check would fail loudly under any
 sign-convention misreading.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
 from .errors import StructureError
@@ -190,67 +192,6 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
     return out
 
 
-def boundary_matrix(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> LinearMap:
-    """The exact degree-n boundary as a dense linear map."""
-    if n < 1:
-        raise ValueError("the boundary is defined for degree at least 1")
-    f = L.field
-    rows_dim = chain_dim(L, M, n - 1)
-    cols = []
-    for m_idx in range(M.space_dim):
-        for xs in iter_product(*[range(L.dim)] * n):
-            col = [f.zero()] * rows_dim
-            for k, v in boundary_column(L, M, n, m_idx, xs).items():
-                col[k] = v
-            cols.append(tuple(col))
-    return LinearMap.from_columns(f, rows_dim, cols)
-
-
-def boundary_rank(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
-    """Rank of the degree-n boundary, eliminating its sparse columns without
-    building the dense matrix; 0 in degree 0, where there is no boundary."""
-    if n == 0:
-        return 0
-    acc = RrefAccumulator(L.field, chain_dim(L, M, n - 1))
-    for m_idx in range(M.space_dim):
-        for xs in iter_product(*[range(L.dim)] * n):
-            acc.add(boundary_column(L, M, n, m_idx, xs), sparse=True)
-    return acc.rank
-
-
-def squared_boundary_is_zero(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> bool:
-    """Sparse check that the degree-n boundary followed by degree n-1 vanishes."""
-    f = L.field
-    zero = f.zero()
-    lower: dict[int, dict] = {}
-    dl = L.dim
-
-    def lower_col(idx):
-        if idx not in lower:
-            m_idx, rest = divmod(idx, dl ** (n - 1))
-            xs = []
-            for k in range(n - 1):
-                q, rest = divmod(rest, dl ** (n - 2 - k))
-                xs.append(q)
-            lower[idx] = boundary_column(L, M, n - 1, m_idx, tuple(xs))
-        return lower[idx]
-
-    for m_idx in range(M.space_dim):
-        for xs in iter_product(*[range(dl)] * n):
-            image = boundary_column(L, M, n, m_idx, xs)
-            acc: dict[int, object] = {}
-            for idx, coeff in image.items():
-                for k, v in lower_col(idx).items():
-                    cur = f.add(acc.get(k, zero), f.mul(coeff, v))
-                    if not cur:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = cur
-            if acc:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     degree: int
@@ -258,35 +199,98 @@ class HomologyResult:
     representatives: tuple  # chain-space coordinate vectors spanning a complement
 
 
-def homology(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> HomologyResult:
-    """Dimension of cycles modulo boundaries in degree n, with canonical
-    representatives (degree 0 is the cokernel of the first boundary).  When
-    only the dimension is needed, ``homology_dim`` gives it without the dense
-    boundaries."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    f = L.field
-    if n == 0:
-        cycles = Subspace.full(f, M.space_dim)
-    else:
-        cycles = boundary_matrix(L, M, n).kernel()
-    img = boundary_matrix(L, M, n + 1).image()
-    acc = RrefAccumulator(f, chain_dim(L, M, n))
-    for v in img.basis.entries:
-        acc.add(v)
-    reps = []
-    for v in cycles.basis.entries:
-        if acc.add(v):
-            reps.append(v)
-    return HomologyResult(n, cycles.dim - img.dim, tuple(reps))
+@dataclass(frozen=True)
+class ChainComplex:
+    """The chain complex of L with coefficients in M.  Each boundary column
+    is built once, the first time its degree is asked for; ranks, the
+    squared-boundary check, dense boundaries and homology all read the
+    cached columns."""
 
+    algebra: HomLeibnizAlgebra
+    coeffs: CoRepresentation
+    _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-def homology_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
-    """dim H_n = dim C_n - rank d_n - rank d_(n+1), from the sparse ranks;
-    ``homology`` is the reference path that also gives representatives."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return chain_dim(L, M, n) - boundary_rank(L, M, n) - boundary_rank(L, M, n + 1)
+    def columns(self, n: int) -> tuple:
+        """Sparse columns of the degree-n boundary, each a tuple of (row,
+        coefficient) pairs; position i holds the image of chain-basis vector i
+        (coefficient index outer, then x_1 ... x_n row-major)."""
+        if n < 1:
+            raise ValueError("the boundary is defined for degree at least 1")
+        cols = self._columns.get(n)
+        if cols is None:
+            L, M = self.algebra, self.coeffs
+            cols = tuple(tuple(boundary_column(L, M, n, m_idx, xs).items())
+                         for m_idx in range(M.space_dim)
+                         for xs in iter_product(*[range(L.dim)] * n))
+            self._columns[n] = cols  # only a finished tuple is ever stored
+        return cols
+
+    def rank(self, n: int) -> int:
+        """Rank of the degree-n boundary by sparse elimination of its
+        columns; 0 in degree 0, where there is no boundary."""
+        if n == 0:
+            return 0
+        acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
+        for col in self.columns(n):
+            acc.add(col, sparse=True)
+        return acc.rank
+
+    def squares_to_zero(self, n: int) -> bool:
+        """Whether the degree-n boundary followed by the degree n-1 one
+        vanishes, composed column by column."""
+        f = self.algebra.field
+        zero = f.zero()
+        lower = self.columns(n - 1)
+        for col in self.columns(n):
+            acc: dict[int, object] = {}
+            for idx, coeff in col:
+                for k, v in lower[idx]:
+                    cur = f.add(acc.get(k, zero), f.mul(coeff, v))
+                    if not cur:
+                        acc.pop(k, None)
+                    else:
+                        acc[k] = cur
+            if acc:
+                return False
+        return True
+
+    def matrix(self, n: int) -> LinearMap:
+        """The degree-n boundary as a dense linear map."""
+        cols = self.columns(n)
+        f = self.algebra.field
+        rows_dim = chain_dim(self.algebra, self.coeffs, n - 1)
+        dense = []
+        for col in cols:
+            v = [f.zero()] * rows_dim
+            for k, x in col:
+                v[k] = x
+            dense.append(tuple(v))
+        return LinearMap.from_columns(f, rows_dim, dense)
+
+    def homology(self, n: int) -> HomologyResult:
+        """Dimension of cycles modulo boundaries in degree n, with canonical
+        representatives (degree 0 is the cokernel of the first boundary),
+        from the dense boundaries.  When only the dimension is needed,
+        ``homology_dim`` gives it from the sparse ranks."""
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
+        f = self.algebra.field
+        cycles = Subspace.full(f, self.coeffs.space_dim) if n == 0 else self.matrix(n).kernel()
+        img = self.matrix(n + 1).image()
+        acc = RrefAccumulator(f, chain_dim(self.algebra, self.coeffs, n))
+        for v in img.basis.entries:
+            acc.add(v)
+        reps = []
+        for v in cycles.basis.entries:
+            if acc.add(v):
+                reps.append(v)
+        return HomologyResult(n, cycles.dim - img.dim, tuple(reps))
+
+    def homology_dim(self, n: int) -> int:
+        """dim H_n = dim C_n - rank d_n - rank d_(n+1)."""
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
+        return chain_dim(self.algebra, self.coeffs, n) - self.rank(n) - self.rank(n + 1)
 
 
 def coinvariants_dim(M: CoRepresentation) -> int:

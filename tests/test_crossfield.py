@@ -18,7 +18,7 @@ from homleib.algebras import direct_sum, yau_twist
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
-from homleib.homology import adjoint_corep, boundary_rank, trivial_corep
+from homleib.homology import ChainComplex, adjoint_corep, trivial_corep
 from homleib.linalg import Matrix
 
 QQ = Field()
@@ -61,8 +61,9 @@ def _outputs(path, capsys):
 def _ranks(alg, tensor_out):
     ranks = {key: tensor_out[1][key] for key in RANKS}
     for name, corep in (("trivial", trivial_corep(alg)), ("adjoint", adjoint_corep(alg))):
+        cx = ChainComplex(alg, corep)
         for n in range(4):
-            ranks[f"d{n} {name}"] = boundary_rank(alg, corep, n)
+            ranks[f"d{n} {name}"] = cx.rank(n)
     return ranks
 
 

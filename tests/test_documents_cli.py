@@ -162,6 +162,18 @@ class TestParsing:
         err = capsys.readouterr().err
         assert f"{side}[2]" in err and f"{side}[0]" in err
 
+    @pytest.mark.parametrize("value", [5, None])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_action_side_must_be_a_list(self, side, value, docs, tmp_path, capsys):
+        action = {"actor": "e1.alg", "target": "e1.alg", side: value}
+        path = write(tmp_path, "bad.act", action)
+        with pytest.raises(ParseError, match=rf"\.{side}: must be a list"):
+            parse_document(Path(path))
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert f"{side}: must be a list" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_duplicate_labels(self):
         with pytest.raises(SemanticError):
             parse_algebra_document(dict(E1_DOC, basis=["e1", "e1"]))

@@ -22,7 +22,7 @@ from homleib.extensions import (
     universal_alpha_central_extension,
     universal_central_extension,
 )
-from homleib.homology import homology_dim, trivial_corep
+from homleib.homology import ChainComplex, trivial_corep
 
 QQ = Field()
 
@@ -94,17 +94,17 @@ class TestUniversalCentral:
         assert uce.kernel_dim == 0
         assert classify_extension(uce.extension) is ExtensionKind.CENTRAL
         assert predicates(uce.extension.total).perfect
-        assert uce.kernel_dim == homology_dim(sl2, trivial_corep(sl2), 2)
+        assert uce.kernel_dim == ChainComplex(sl2, trivial_corep(sl2)).homology_dim(2)
 
     def test_twisted_sl2(self, sl2_twisted):
         uce = universal_central_extension(sl2_twisted)
-        assert uce.kernel_dim == homology_dim(sl2_twisted, trivial_corep(sl2_twisted), 2)
+        assert uce.kernel_dim == ChainComplex(sl2_twisted, trivial_corep(sl2_twisted)).homology_dim(2)
         assert predicates(uce.extension.total).perfect
 
     def test_direct_sum(self, sl2):
         both = direct_sum(sl2, sl2)
         uce = universal_central_extension(both)
-        assert uce.kernel_dim == homology_dim(both, trivial_corep(both), 2)
+        assert uce.kernel_dim == ChainComplex(both, trivial_corep(both)).homology_dim(2)
 
     def test_not_perfect_refused(self, nonlie2):
         with pytest.raises(NotPerfect):
@@ -117,7 +117,7 @@ class TestUniversalCentral:
             fp = Field(p)
             alg = make_sl2(fp)
             uce = universal_central_extension(alg)
-            assert uce.kernel_dim == homology_dim(alg, trivial_corep(alg), 2)
+            assert uce.kernel_dim == ChainComplex(alg, trivial_corep(alg)).homology_dim(2)
             assert classify_extension(uce.extension) is ExtensionKind.CENTRAL
 
 

@@ -109,8 +109,8 @@ class TestRationalScalars:
             assert type(x) is int
 
 
-def _divisions(tree):
-    """(enclosing function, line) of every true division ``/`` in a module."""
+def _sites(tree, hit):
+    """(enclosing function, line) of every node of a module matching ``hit``."""
     found = []
 
     def visit(node, scope):
@@ -118,7 +118,7 @@ def _divisions(tree):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            if hit(child):
                 found.append((scope, child.lineno))
             visit(child, inner)
 
@@ -126,12 +126,35 @@ def _divisions(tree):
     return found
 
 
+def _library_sites(hit):
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    return [f"{path.stem}:{scope}:{line}"
+            for path in sorted(src.glob("*.py"))
+            for scope, line in _sites(ast.parse(path.read_text(encoding="utf-8")), hit)]
+
+
+def _is_division(node):
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+
+
+def _calls_boundary_column(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "boundary_column"
+
+
 def test_true_division_only_in_field_div_and_path_join():
     # over Q an integral scalar is an int, so a stray int / int would turn
     # it into a float; the only scalar division is Field.div
-    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
-    found = [f"{path.stem}:{scope}:{line}"
-             for path in sorted(src.glob("*.py"))
-             for scope, line in _divisions(ast.parse(path.read_text(encoding="utf-8")))]
+    found = _library_sites(_is_division)
     assert [site.rsplit(":", 1)[0] for site in found] == \
         ["documents:_resolve", "fields:Field.div"], found
+
+
+def test_boundary_columns_built_only_by_the_chain_complex():
+    # every consumer of the boundary reads ChainComplex's cached columns, so
+    # no other code loops over the chain basis building them again
+    found = _library_sites(_calls_boundary_column)
+    assert [site.rsplit(":", 1)[0] for site in found] == ["homology:ChainComplex.columns"], found

@@ -1,27 +1,29 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 import sympy
 
+import homleib.homology
+from homleib import generators
+from homleib.cli import main
+from homleib.documents import serialize_algebra
 from homleib.fields import Field
 from homleib.linalg import Matrix
-from homleib.algebras import HomLeibnizAlgebra, derived_subspace
+from homleib.algebras import HomLeibnizAlgebra, derived_subspace, direct_sum
 from homleib.generators import random_corep
 from homleib.homology import (
+    ChainComplex,
     CoRepresentation,
     adjoint_corep,
-    boundary_matrix,
-    boundary_rank,
     chain_dim,
     coinvariants_dim,
     degree_one_trivial_closed_form,
-    homology,
-    homology_dim,
-    squared_boundary_is_zero,
     trivial_corep,
 )
 
@@ -109,14 +111,14 @@ class TestCoRepresentations:
 class TestBoundary:
     def test_degree_one_is_the_right_operation(self, nonlie2):
         adj = adjoint_corep(nonlie2)
-        bm = boundary_matrix(nonlie2, adj, 1)
+        bm = ChainComplex(nonlie2, adj).matrix(1)
         for m in range(2):
             for x in range(2):
                 assert bm.column(m * 2 + x) == adj.right[m][x]
 
     def test_trivial_coefficients_degree_two_is_bracket_insertion(self, sl2):
         triv = trivial_corep(sl2)
-        bm = boundary_matrix(sl2, triv, 2)
+        bm = ChainComplex(sl2, triv).matrix(2)
         for i in range(3):
             for j in range(3):
                 expected = tuple(QQ.neg(x) for x in sl2.c[i][j])
@@ -126,7 +128,7 @@ class TestBoundary:
         # independent expansion of the three families for coefficients equal
         # to the algebra itself with x.m = -[m, x] and m.x = [m, x]
         adj = adjoint_corep(nonlie2)
-        bm = boundary_matrix(nonlie2, adj, 2)
+        bm = ChainComplex(nonlie2, adj).matrix(2)
         alg = nonlie2
         for m in range(2):
             for x1 in range(2):
@@ -150,15 +152,69 @@ class TestBoundary:
                  (sl2_twisted, trivial_corep(sl2_twisted)),
                  (sl2, adjoint_corep(sl2))]
         for alg, corep in cases:
+            cx = ChainComplex(alg, corep)
             for n in range(2, 5):
-                assert squared_boundary_is_zero(alg, corep, n)
+                assert cx.squares_to_zero(n)
 
     def test_squares_to_zero_on_random_coreps(self):
         rng = random.Random(29)
         for _ in range(10):
-            alg, corep = random_corep(QQ, rng, max_dim=3)
+            cx = ChainComplex(*random_corep(QQ, rng, max_dim=3))
             for n in range(2, 5):
-                assert squared_boundary_is_zero(alg, corep, n)
+                assert cx.squares_to_zero(n)
+
+
+class TestChainComplex:
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("side, i, j, coord", [("right", 0, 1, 0), ("left", 1, 1, 2)])
+    def test_perturbed_adjoint_breaks_the_square(self, f, side, i, j, coord):
+        # one value of sl2's adjoint co-representation moved by one unit:
+        # the identities fail and the computed d^2 no longer vanishes
+        sl2 = generators.sl2(f)
+        adj = adjoint_corep(sl2)
+        grids = {"left": [list(r) for r in adj.left], "right": [list(r) for r in adj.right]}
+        v = list(grids[side][i][j])
+        v[coord] = f.add(v[coord], f.one())
+        grids[side][i][j] = tuple(v)
+        bad = CoRepresentation(sl2, 3, adj.twist, *(tuple(tuple(r) for r in grids[k])
+                                                    for k in ("left", "right")))
+        assert not bad.validate().valid
+        cx = ChainComplex(sl2, bad)
+        assert not cx.squares_to_zero(2)
+        assert not cx.squares_to_zero(3)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = Counter()
+        keep = []  # holds each co-representation so its id stays unique
+        build = homleib.homology.boundary_column
+
+        def counted(L, M, n, m_idx, xs):
+            keep.append(M)
+            builds[id(M), n, m_idx, xs] += 1
+            return build(L, M, n, m_idx, xs)
+
+        monkeypatch.setattr(homleib.homology, "boundary_column", counted)
+        return builds
+
+    def test_homology_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
+        alg = direct_sum(generators.sl2(QQ), HomLeibnizAlgebra.abelian(QQ, 2))
+        path = tmp_path / "sl2ab2.alg"
+        path.write_text(json.dumps(serialize_algebra(alg)), encoding="utf-8")
+        builds = self._count_builds(monkeypatch)
+        argv = ["homology", str(path), "--coeffs", "trivial", "--max-n", "3", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["boundary_squares_to_zero"] is True
+        assert sum(builds.values()) == 5 + 25 + 125 + 625
+        assert set(builds.values()) == {1}
+
+    def test_check_all_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "sl2.alg"
+        path.write_text(json.dumps(serialize_algebra(generators.sl2(QQ))), encoding="utf-8")
+        builds = self._count_builds(monkeypatch)
+        assert main(["check-all", str(path), "--seed", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert builds and set(builds.values()) == {1}
 
 
 def _tens(u, v):
@@ -174,26 +230,27 @@ class TestHomology:
         rng = random.Random(31)
         for _ in range(10):
             alg, corep = random_corep(QQ, rng, max_dim=3)
-            assert homology_dim(alg, corep, 0) == coinvariants_dim(corep)
+            assert ChainComplex(alg, corep).homology_dim(0) == coinvariants_dim(corep)
 
     def test_degree_one_closed_form_scalar_coefficients(self, nonlie2, sl2, heis3):
         for alg in (nonlie2, sl2, heis3):
             triv = trivial_corep(alg)
             expected = alg.dim - derived_subspace(alg).dim
-            assert homology_dim(alg, triv, 1) == expected
+            assert ChainComplex(alg, triv).homology_dim(1) == expected
             assert degree_one_trivial_closed_form(alg, triv) == expected
 
     def test_degree_one_closed_form_trivial_operations(self, nonlie2):
         twist = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
         corep = trivial_corep(nonlie2, 2, twist)
-        assert homology_dim(nonlie2, corep, 1) == degree_one_trivial_closed_form(nonlie2, corep)
+        assert ChainComplex(nonlie2, corep).homology_dim(1) == \
+            degree_one_trivial_closed_form(nonlie2, corep)
 
     def test_degree_two_values_against_oracle(self, nonlie2, sl2, sl2_twisted, heis3):
         # frozen values confirmed by the independent sympy oracle
         expected = {"nonlie2": 1, "sl2": 0, "sl2_twisted": 0, "heis3": 5}
         algs = {"nonlie2": nonlie2, "sl2": sl2, "sl2_twisted": sl2_twisted, "heis3": heis3}
         for name, alg in algs.items():
-            got = homology_dim(alg, trivial_corep(alg), 2)
+            got = ChainComplex(alg, trivial_corep(alg)).homology_dim(2)
             assert got == oracle_trivial_homology(alg, 2)
             assert got == expected[name]
 
@@ -206,24 +263,23 @@ class TestHomology:
         relabeled = HomLeibnizAlgebra(QQ, 3, table, Matrix.identity(QQ, 3), ("a", "b", "c"))
         assert relabeled.validate().valid
         for n in range(3):
-            assert homology_dim(relabeled, trivial_corep(relabeled), n) == \
-                homology_dim(sl2, trivial_corep(sl2), n)
+            assert ChainComplex(relabeled, trivial_corep(relabeled)).homology_dim(n) == \
+                ChainComplex(sl2, trivial_corep(sl2)).homology_dim(n)
 
     def test_chain_dims(self, sl2):
         triv = trivial_corep(sl2)
         assert [chain_dim(sl2, triv, n) for n in range(4)] == [1, 3, 9, 27]
 
     def test_representatives_complement_the_boundaries(self, nonlie2):
-        from homleib.homology import boundary_matrix, homology
         from homleib.linalg import Subspace
 
-        triv = trivial_corep(nonlie2)
-        res = homology(nonlie2, triv, 2)
+        cx = ChainComplex(nonlie2, trivial_corep(nonlie2))
+        res = cx.homology(2)
         assert len(res.representatives) == res.dim == 1
-        img = boundary_matrix(nonlie2, triv, 3).image()
+        img = cx.matrix(3).image()
         joined = Subspace.span(QQ, 4, list(img.basis.entries) + list(res.representatives))
         assert joined.dim == img.dim + res.dim
-        cycles = boundary_matrix(nonlie2, triv, 2).kernel()
+        cycles = cx.matrix(2).kernel()
         assert all(cycles.contains(r) for r in res.representatives)
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
@@ -232,10 +288,11 @@ class TestHomology:
         rng = random.Random(17)
         for _ in range(6):
             L, M = random_corep(f, rng, max_dim=3)
-            ranks = [boundary_rank(L, M, n) for n in range(4)]
+            cx = ChainComplex(L, M)
+            ranks = [cx.rank(n) for n in range(4)]
             assert ranks[0] == 0
             for n in range(1, 4):
-                assert ranks[n] == boundary_matrix(L, M, n).rank()
+                assert ranks[n] == cx.matrix(n).rank()
             for n in range(3):
-                assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == homology(L, M, n).dim
-                assert homology_dim(L, M, n) == homology(L, M, n).dim
+                assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == cx.homology(n).dim
+                assert cx.homology_dim(n) == cx.homology(n).dim
