@@ -2,25 +2,29 @@
 
 An action of (L, t_L) on (M, t_M) is a pair of bilinear maps, written here
 as ``left[x][m]`` for the value of x acting on m from the left and
-``right[m][x]`` for m acted on from the right.  Eight identities tie the
-actions to the brackets and twists of both algebras; every identity is
-multilinear, so checking on basis tuples is exhaustive.
+``right[m][x]`` for m acted on from the right, both also cached in the
+sparse form of ``linalg`` (``sparse_left``, ``sparse_right``).  Eight
+identities tie the actions to the brackets and twists of both algebras, and
+eight more make two actions compatible; every identity is multilinear, so
+``linalg.check_laws`` checks them on basis tuples, which is exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
-from .errors import InvalidAction, StructureError
+from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle
 from .linalg import (
     LinearMap,
     Subspace,
+    bilinear,
+    check_laws,
     contract,
+    linear,
+    sparse_table,
     vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
     vec_zero,
 )
 from .report import ValidationReport
@@ -39,11 +43,10 @@ class HomAction:
             raise StructureError("left action tensor must be actor x target")
         if len(self.right) != dm or any(len(r) != dl for r in self.right):
             raise StructureError("right action tensor must be target x actor")
-        for grid in (self.left, self.right):
-            for row in grid:
-                for v in row:
-                    if len(v) != dm:
-                        raise StructureError("action values must be target coordinate vectors")
+        if any(len(v) != dm for grid in (self.left, self.right) for row in grid for v in row):
+            raise StructureError("action values must be target coordinate vectors")
+        if self.target.field != self.actor.field:
+            raise FieldMismatch("target algebra over the wrong field")
 
     @staticmethod
     def trivial(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra) -> "HomAction":
@@ -53,16 +56,19 @@ class HomAction:
                          tuple(tuple(z for _ in range(dm)) for _ in range(dl)),
                          tuple(tuple(z for _ in range(dl)) for _ in range(dm)))
 
+    # both tables in the one sparse form, built once
+    sparse_left = cached_property(lambda self: sparse_table(self.left))
+    sparse_right = cached_property(lambda self: sparse_table(self.right))
+
     def act_left(self, x, m) -> tuple:
         """Value of the actor vector x on the target vector m from the left."""
-        return contract(self.target.field, self.left, x, m, self.target.dim)
+        return contract(self.target.field, self.sparse_left, x, m, self.target.dim)
 
     def act_right(self, m, x) -> tuple:
-        return contract(self.target.field, self.right, m, x, self.target.dim)
+        return contract(self.target.field, self.sparse_right, m, x, self.target.dim)
 
     def is_trivial(self) -> bool:
-        f = self.target.field
-        return all(vec_is_zero(f, v) for grid in (self.left, self.right) for row in grid for v in row)
+        return not any(v for t in (self.sparse_left, self.sparse_right) for row in t for v in row)
 
     def validate(self) -> ValidationReport:
         """Check the eight action identities on all basis tuples."""
@@ -70,63 +76,47 @@ class HomAction:
         f = M.field
         rep = ValidationReport(subject="hom-leibniz action",
                                axiom_status={k: True for k in "abcdefgh"})
-        tl = [L.apply_twist(L.unit(i)) for i in range(L.dim)]
-        tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
+        tl, tm, lc, mc = L.sparse_twist, M.sparse_twist, L.sparse_c, M.sparse_c
+        left, right = self.sparse_left, self.sparse_right
+        al, ar = partial(bilinear, f, left), partial(bilinear, f, right)
+        br = partial(bilinear, f, mc)
         lbl, lbm = L.labels, M.labels
-        for x in range(L.dim):
-            for m in range(M.dim):
-                # g) t_M(x.m) = t_L(x).t_M(m)
-                if M.apply_twist(self.left[x][m]) != self.act_left(tl[x], tm[m]):
-                    rep.record("g", (lbl[x], lbm[m]))
-                # h) t_M(m.x) = t_M(m).t_L(x)
-                if M.apply_twist(self.right[m][x]) != self.act_right(tm[m], tl[x]):
-                    rep.record("h", (lbm[m], lbl[x]))
-                for y in range(L.dim):
-                    bxy = L.c[x][y]
-                    # a) t_M(m).[x,y] = (m.x).t(y) - (m.y).t(x)
-                    lhs = self.act_right(tm[m], bxy)
-                    rhs = vec_sub(f, self.act_right(self.right[m][x], tl[y]),
-                                  self.act_right(self.right[m][y], tl[x]))
-                    if lhs != rhs:
-                        rep.record("a", (lbm[m], lbl[x], lbl[y]))
-                    # b) [x,y].t_M(m) = (x.m).t(y) - t(x).(m.y)
-                    lhs = self.act_left(bxy, tm[m])
-                    rhs = vec_sub(f, self.act_right(self.left[x][m], tl[y]),
-                                  self.act_left(tl[x], self.right[m][y]))
-                    if lhs != rhs:
-                        rep.record("b", (lbl[x], lbl[y], lbm[m]))
-                    # c) t(x).(y.m) = -t(x).(m.y)
-                    lhs = self.act_left(tl[x], self.left[y][m])
-                    rhs = vec_scale(f, f.neg(f.one()), self.act_left(tl[x], self.right[m][y]))
-                    if lhs != rhs:
-                        rep.record("c", (lbl[x], lbl[y], lbm[m]))
-                for m2 in range(M.dim):
-                    bmm = M.c[m][m2]
-                    # d) t(x).[m,m'] = [x.m, t_M(m')] - [x.m', t_M(m)]
-                    lhs = self.act_left(tl[x], bmm)
-                    rhs = vec_sub(f, M.bracket(self.left[x][m], tm[m2]),
-                                  M.bracket(self.left[x][m2], tm[m]))
-                    if lhs != rhs:
-                        rep.record("d", (lbl[x], lbm[m], lbm[m2]))
-                    # e) [m,m'].t(x) = [m.x, t_M(m')] + [t_M(m), m'.x]
-                    lhs = self.act_right(bmm, tl[x])
-                    rhs = vec_add(f, M.bracket(self.right[m][x], tm[m2]),
-                                  M.bracket(tm[m], self.right[m2][x]))
-                    if lhs != rhs:
-                        rep.record("e", (lbm[m], lbm[m2], lbl[x]))
-                    # f) [t_M(m), x.m'] = -[t_M(m), m'.x]
-                    lhs = M.bracket(tm[m], self.left[x][m2])
-                    rhs = vec_scale(f, f.neg(f.one()), M.bracket(tm[m], self.right[m2][x]))
-                    if lhs != rhs:
-                        rep.record("f", (lbm[m], lbl[x], lbm[m2]))
+
+        def at(x, m):
+            # g) t_M(x.m) = t_L(x).t_M(m)
+            yield "g", (lbl[x], lbm[m]), [linear(f, tm, left[x][m])], [al(tl[x], tm[m])]
+            # h) t_M(m.x) = t_M(m).t_L(x)
+            yield "h", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
+
+        def with_y(x, m, y):
+            # a) t_M(m).[x,y] = (m.x).t(y) - (m.y).t(x)
+            yield ("a", (lbm[m], lbl[x], lbl[y]),
+                   [ar(tm[m], lc[x][y]), ar(right[m][y], tl[x])], [ar(right[m][x], tl[y])])
+            # b) [x,y].t_M(m) = (x.m).t(y) - t(x).(m.y)
+            yield ("b", (lbl[x], lbl[y], lbm[m]),
+                   [al(lc[x][y], tm[m]), al(tl[x], right[m][y])], [ar(left[x][m], tl[y])])
+            # c) t(x).(y.m) = -t(x).(m.y)
+            yield ("c", (lbl[x], lbl[y], lbm[m]),
+                   [al(tl[x], left[y][m]), al(tl[x], right[m][y])], [])
+
+        def with_m2(x, m, m2):
+            # d) t(x).[m,m'] = [x.m, t_M(m')] - [x.m', t_M(m)]
+            yield ("d", (lbl[x], lbm[m], lbm[m2]),
+                   [al(tl[x], mc[m][m2]), br(left[x][m2], tm[m])], [br(left[x][m], tm[m2])])
+            # e) [m,m'].t(x) = [m.x, t_M(m')] + [t_M(m), m'.x]
+            yield ("e", (lbm[m], lbm[m2], lbl[x]),
+                   [ar(mc[m][m2], tl[x])], [br(right[m][x], tm[m2]), br(tm[m], right[m2][x])])
+            # f) [t_M(m), x.m'] = -[t_M(m), m'.x]
+            yield ("f", (lbm[m], lbl[x], lbm[m2]),
+                   [br(tm[m], left[x][m2]), br(tm[m], right[m2][x])], [])
+
+        check_laws(f, rep, (L.dim, M.dim), [((), at), ((L.dim,), with_y), ((M.dim,), with_m2)])
         rep.flags["trivial"] = self.is_trivial()
         return rep
 
     def require_valid(self) -> "HomAction":
-        rep = self.validate()
-        if not rep.valid:
-            v = rep.violations[0]
-            raise InvalidAction(f"action identity {v.law} fails at {v.witness}", witness=v.witness)
+        self.validate().require(lambda v: InvalidAction(
+            f"action identity {v.law} fails at {v.witness}", witness=v.witness))
         return self
 
 
@@ -159,9 +149,7 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
 
 def self_action(L: HomLeibnizAlgebra) -> HomAction:
     """The adjoint action of an algebra on itself."""
-    left = tuple(tuple(L.c[i][j] for j in range(L.dim)) for i in range(L.dim))
-    right = tuple(tuple(L.c[j][i] for i in range(L.dim)) for j in range(L.dim))
-    return HomAction(L, L, left, right)
+    return HomAction(L, L, L.c, L.c)
 
 
 @dataclass(frozen=True)
@@ -197,52 +185,42 @@ class MutualActions:
         return MutualActions(a, a)
 
     def check_compatible(self) -> ValidationReport:
-        """The eight compatibility identities between the two actions."""
+        """The eight compatibility identities between the two actions: c1-c4
+        in M, and c5-c8, the same four with M and N exchanged, in N."""
         M, N = self.m_side, self.n_side
-        f = M.field
         rep = ValidationReport(subject="mutual action compatibility",
                                axiom_status={f"c{i}": True for i in range(1, 9)})
-        lm, ln = M.labels, N.labels
-        for m in range(M.dim):
-            em = M.unit(m)
-            for n in range(N.dim):
-                en = N.unit(n)
-                m_up_n = self.nm.right[m][n]   # m acted by n from the right, in M
-                n_up_m = self.mn.right[n][m]   # n acted by m from the right, in N
-                l_m_n = self.mn.left[m][n]     # m acting on n from the left, in N
-                l_n_m = self.nm.left[n][m]     # n acting on m from the left, in M
-                for m2 in range(M.dim):
-                    em2 = M.unit(m2)
-                    # (m.n acting on m') = [m^n, m']
-                    if self.nm.act_left(l_m_n, em2) != M.bracket(m_up_n, em2):
-                        rep.record("c1", (lm[m], ln[n], lm[m2]))
-                    # (n^m acting on m') = [n.m, m']
-                    if self.nm.act_left(n_up_m, em2) != M.bracket(l_n_m, em2):
-                        rep.record("c2", (ln[n], lm[m], lm[m2]))
-                    # m.(m'.n) = [m, m'^n]
-                    if self.nm.act_right(em, self.mn.left[m2][n]) != M.bracket(em, self.nm.right[m2][n]):
-                        rep.record("c3", (lm[m], lm[m2], ln[n]))
-                    # m.(n^m') = [m, n.m']
-                    if self.nm.act_right(em, self.mn.right[n][m2]) != M.bracket(em, self.nm.left[n][m2]):
-                        rep.record("c4", (lm[m], ln[n], lm[m2]))
-                for n2 in range(N.dim):
-                    en2 = N.unit(n2)
-                    # (n.m acting on n') = [n^m, n']
-                    if self.mn.act_left(l_n_m, en2) != N.bracket(n_up_m, en2):
-                        rep.record("c5", (ln[n], lm[m], ln[n2]))
-                    # (m^n acting on n') = [m.n, n']
-                    if self.mn.act_left(m_up_n, en2) != N.bracket(l_m_n, en2):
-                        rep.record("c6", (lm[m], ln[n], ln[n2]))
-                    # n.(n'.m) = [n, n'^m]
-                    if self.mn.act_right(en, self.nm.left[n2][m]) != N.bracket(en, self.mn.right[n2][m]):
-                        rep.record("c7", (ln[n], ln[n2], lm[m]))
-                    # n.(m^n') = [n, m.n']
-                    if self.mn.act_right(en, self.nm.right[m][n2]) != N.bracket(en, self.mn.left[m][n2]):
-                        rep.record("c8", (ln[n], lm[m], ln[n2]))
+        in_m = _compatibility_laws(M, N, self.nm, self.mn, ("c1", "c2", "c3", "c4"))
+        in_n = _compatibility_laws(N, M, self.mn, self.nm, ("c5", "c6", "c7", "c8"))
+        check_laws(M.field, rep, (M.dim, N.dim),
+                   [((M.dim,), in_m), ((N.dim,), lambda m, n, n2: in_n(n, m, n2))])
         return rep
 
     def is_compatible(self) -> bool:
         return self.check_compatible().valid
+
+
+def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names):
+    """The four compatibility laws in A for the action ``on_a`` of B on A
+    and ``on_b`` of A on B, indexed (a, b, a') with a, a' in A and b in B;
+    x>y is x acting on y from the left, x<y is x acted by y from the right."""
+    f, la, lb = A.field, A.labels, B.labels
+    b_on_a, a_by_b = on_a.sparse_left, on_a.sparse_right   # in A
+    a_on_b, b_by_a = on_b.sparse_left, on_b.sparse_right   # in B
+    on, by, br = (partial(bilinear, f, t) for t in (b_on_a, a_by_b, A.sparse_c))
+    e = [((i, f.one()),) for i in range(A.dim)]   # the basis, sparse
+
+    def laws(a, b, a2):
+        # (a>b)>a' = [a<b, a']
+        yield names[0], (la[a], lb[b], la[a2]), [on(a_on_b[a][b], e[a2])], [br(a_by_b[a][b], e[a2])]
+        # (b<a)>a' = [b>a, a']
+        yield names[1], (lb[b], la[a], la[a2]), [on(b_by_a[b][a], e[a2])], [br(b_on_a[b][a], e[a2])]
+        # a<(a'>b) = [a, a'<b]
+        yield names[2], (la[a], la[a2], lb[b]), [by(e[a], a_on_b[a2][b])], [br(e[a], a_by_b[a2][b])]
+        # a<(b<a') = [a, b>a']
+        yield names[3], (la[a], lb[b], la[a2]), [by(e[a], b_by_a[b][a2])], [br(e[a], b_on_a[b][a2])]
+
+    return laws
 
 
 @dataclass(frozen=True)

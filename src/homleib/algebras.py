@@ -2,18 +2,22 @@
 
 An algebra is a coordinate space with a bilinear bracket, stored as the
 table c[i][j] = [e_i, e_j] (a coordinate vector), and a linear twist whose
-matrix columns are the images of the basis.  Validation checks the
-Hom-Leibniz identity
+matrix columns are the images of the basis.  Both are cached once in the
+sparse form of ``linalg`` (``sparse_c``, ``sparse_twist``), which brackets,
+validation, tensor relations and homology boundaries read.  Validation
+runs ``linalg.check_laws`` on the Hom-Leibniz identity
 
     [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
 
 and multiplicativity t[x, y] = [t(x), t(y)] on basis tuples, which suffices
-by multilinearity.  All values are immutable and all operations pure.
+by multilinearity; homomorphisms are validated the same way.  All values
+are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .errors import (
     BracketNotWellDefined,
@@ -33,13 +37,17 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    bilinear,
+    check_laws,
     contract,
     induced_map,
+    linear,
     outer,
+    sparse_columns,
+    sparse_table,
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_sub,
     vec_zero,
 )
 from .report import ValidationReport
@@ -62,10 +70,8 @@ class HomLeibnizAlgebra:
             raise StructureError("label count does not match dimension")
         if len(self.c) != self.dim or any(len(row) != self.dim for row in self.c):
             raise StructureError("structure table must be dim x dim")
-        for row in self.c:
-            for v in row:
-                if len(v) != self.dim:
-                    raise StructureError("bracket values must be coordinate vectors")
+        if any(len(v) != self.dim for row in self.c for v in row):
+            raise StructureError("bracket values must be coordinate vectors")
         if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
             raise StructureError("twist matrix must be dim x dim")
         if self.twist.field != self.field:
@@ -90,8 +96,12 @@ class HomLeibnizAlgebra:
     def abelian(field: Field, dim: int, twist=None, labels=None) -> "HomLeibnizAlgebra":
         return HomLeibnizAlgebra.from_brackets(field, dim, {}, twist, labels)
 
+    # the bracket table and twist columns in the one sparse form, built once
+    sparse_c = cached_property(lambda self: sparse_table(self.c))
+    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
+
     def bracket(self, x, y) -> tuple:
-        return contract(self.field, self.c, x, y, self.dim)
+        return contract(self.field, self.sparse_c, x, y, self.dim)
 
     def bracket_map(self) -> LinearMap:
         """The bracket as a linear map on the row-major tensor square:
@@ -104,9 +114,6 @@ class HomLeibnizAlgebra:
 
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
-
-    def basis_vectors(self) -> list:
-        return [self.unit(i) for i in range(self.dim)]
 
     def twist_map(self) -> LinearMap:
         return LinearMap(self.dim, self.dim, self.twist)
@@ -127,33 +134,26 @@ class HomLeibnizAlgebra:
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-leibniz algebra")
-        f = self.field
-        tw = [self.apply_twist(self.unit(i)) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self.apply_twist(self.c[i][j])
-                rhs = self.bracket(tw[i], tw[j])
-                if lhs != rhs:
-                    rep.record("multiplicativity", (self.labels[i], self.labels[j]),
-                               f"twist[{self.labels[i]},{self.labels[j]}] != [twist {self.labels[i]}, twist {self.labels[j]}]")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.bracket(tw[i], self.c[j][k])
-                    rhs = vec_sub(f, self.bracket(self.c[i][j], tw[k]),
-                                  self.bracket(self.c[i][k], tw[j]))
-                    if lhs != rhs:
-                        rep.record("hom-leibniz identity",
-                                   (self.labels[i], self.labels[j], self.labels[k]))
+        f, c, tw, lb = self.field, self.sparse_c, self.sparse_twist, self.labels
+        br = partial(bilinear, f, c)
+
+        def pairs(i, j):
+            # t[x, y] = [t(x), t(y)]
+            yield ("multiplicativity", (lb[i], lb[j]), [linear(f, tw, c[i][j])], [br(tw[i], tw[j])],
+                   f"twist[{lb[i]},{lb[j]}] != [twist {lb[i]}, twist {lb[j]}]")
+
+        def triples(i, j, k):
+            # [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
+            yield ("hom-leibniz identity", (lb[i], lb[j], lb[k]),
+                   [br(tw[i], c[j][k]), br(c[i][k], tw[j])], [br(c[i][j], tw[k])])
+
+        check_laws(f, rep, (), [((self.dim, self.dim), pairs), ((self.dim,) * 3, triples)])
         rep.flags["hom_lie"] = self.is_skew()
         rep.flags["abelian"] = self.is_abelian()
         return rep
 
     def require_valid(self):
-        rep = self.validate()
-        if not rep.valid:
-            v = rep.violations[0]
-            raise StructureError(f"invalid algebra: {v.law} fails at {v.witness}")
+        self.validate().require(lambda v: StructureError(f"invalid algebra: {v.law} fails at {v.witness}"))
         return self
 
 
@@ -166,6 +166,10 @@ class AlgebraHom:
     def __post_init__(self):
         if self.map.domain_dim != self.source.dim or self.map.codomain_dim != self.target.dim:
             raise DimensionError("homomorphism matrix does not match the algebras")
+        if self.target.field != self.source.field:
+            raise FieldMismatch("target algebra over the wrong field")
+        if self.map.field != self.source.field:
+            raise FieldMismatch("homomorphism matrix over the wrong field")
 
     def apply(self, v) -> tuple:
         return self.map.apply(v)
@@ -173,14 +177,18 @@ class AlgebraHom:
     def validate(self) -> ValidationReport:
         rep = ValidationReport(subject="algebra homomorphism")
         src, tgt = self.source, self.target
-        cols = [self.map.column(i) for i in range(src.dim)]
-        for i in range(src.dim):
-            for j in range(src.dim):
-                if self.map.apply(src.c[i][j]) != tgt.bracket(cols[i], cols[j]):
-                    rep.record("bracket preservation", (src.labels[i], src.labels[j]))
-        for i in range(src.dim):
-            if self.map.apply(src.apply_twist(src.unit(i))) != tgt.apply_twist(cols[i]):
-                rep.record("twist compatibility", (src.labels[i],))
+        f, lb, sc = src.field, src.labels, src.sparse_c
+        cols = sparse_columns(self.map.matrix)
+
+        def pairs(i, j):
+            yield ("bracket preservation", (lb[i], lb[j]), [linear(f, cols, sc[i][j])],
+                   [bilinear(f, tgt.sparse_c, cols[i], cols[j])])
+
+        def singles(i):
+            yield ("twist compatibility", (lb[i],), [linear(f, cols, src.sparse_twist[i])],
+                   [linear(f, tgt.sparse_twist, cols[i])])
+
+        check_laws(f, rep, (), [((src.dim, src.dim), pairs), ((src.dim,), singles)])
         return rep
 
     def is_homomorphism(self) -> bool:
@@ -308,11 +316,8 @@ def certified_quotient(pres: QuotientSpace, left: LinearMap, right: LinearMap,
     reps = [pres.lift_unit(k) for k in range(pres.dim)]
     table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
     algebra = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, tuple(labels))
-    rep = algebra.validate()
-    if not rep.valid:
-        v = rep.violations[0]
-        raise InternalInconsistency(
-            f"presented algebra fails {v.law} at {v.witness}", witness=v.witness)
+    algebra.validate().require(lambda v: InternalInconsistency(
+        f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))
     return algebra
 
 
@@ -401,12 +406,9 @@ def yau_twist(L: HomLeibnizAlgebra, endo: Matrix) -> HomLeibnizAlgebra:
         raise StructureError("twisting requires a Leibniz algebra with identity twist")
     if (endo.rows, endo.cols) != (L.dim, L.dim):
         raise DimensionError("endomorphism matrix has the wrong shape")
+    AlgebraHom(L, L, LinearMap(L.dim, L.dim, endo)).validate().require(
+        lambda v: NotEndomorphism("map does not preserve the bracket", witness=v.witness))
     cols = [endo.col(j) for j in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(L.dim):
-            if endo.apply(L.c[i][j]) != L.bracket(cols[i], cols[j]):
-                raise NotEndomorphism("map does not preserve the bracket",
-                                      witness=(L.labels[i], L.labels[j]))
     table = tuple(tuple(L.bracket(cols[i], cols[j]) for j in range(L.dim)) for i in range(L.dim))
     return HomLeibnizAlgebra(L.field, L.dim, table, endo, L.labels)
 
@@ -465,7 +467,3 @@ def direct_sum(A: HomLeibnizAlgebra, B: HomLeibnizAlgebra) -> HomLeibnizAlgebra:
     twist = LinearMap.from_columns(f, n, twist_cols).matrix
     labels = tuple(f"{x}.1" for x in A.labels) + tuple(f"{x}.2" for x in B.labels)
     return HomLeibnizAlgebra(f, n, tuple(tuple(r) for r in table), twist, labels)
-
-
-def scalar_vec(field: Field, entries) -> tuple:
-    return tuple(field.from_int(x) if isinstance(x, int) else x for x in entries)

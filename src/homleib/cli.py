@@ -70,9 +70,7 @@ def _load_action(path: str) -> ActionDocument:
 
 
 def _require(report, what: str):
-    if not report.valid:
-        v = report.violations[0]
-        raise MathFailure(f"{what}: {v.law} fails at {v.witness}", witness=v.witness)
+    report.require(lambda v: MathFailure(f"{what}: {v.law} fails at {v.witness}", witness=v.witness))
 
 
 def cmd_validate(args) -> dict:
@@ -83,9 +81,7 @@ def cmd_validate(args) -> dict:
     if args.field_check:
         out["field"] = doc.field.describe() if isinstance(doc, AlgebraDocument) \
             else doc.actor.field.describe()
-    if not rep.to_dict()["valid"]:
-        v = rep.violations[0]
-        raise ReportedFailure(out, f"{v.law} fails at {v.witness}")
+    rep.require(lambda v: ReportedFailure(out, f"{v.law} fails at {v.witness}"))
     return out
 
 

@@ -75,10 +75,8 @@ class Extension:
     def from_projection(proj: AlgebraHom, kernel: Subspace | None = None) -> "Extension":
         if not proj.map.is_surjective():
             raise NotSurjective("projection is not onto the base")
-        rep = proj.validate()
-        if not rep.valid:
-            v = rep.violations[0]
-            raise InternalInconsistency(f"projection fails {v.law} at {v.witness}")
+        proj.validate().require(
+            lambda v: InternalInconsistency(f"projection fails {v.law} at {v.witness}"))
         ker = proj.map.kernel()
         if kernel is not None and kernel != ker:
             raise KernelMismatch("declared kernel differs from the kernel of the projection")
@@ -158,9 +156,8 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
         if not vec_is_zero(f, amb.apply(r)):
             raise InternalInconsistency("lift does not kill the tensor relations", witness=(r,))
     lift = AlgebraHom(t.algebra, Kp, amb.compose(t.presentation.section_map()))
-    rep = lift.validate()
-    if not rep.valid:
-        raise InternalInconsistency("lift is not a homomorphism", witness=rep.violations[0].witness)
+    lift.validate().require(
+        lambda v: InternalInconsistency("lift is not a homomorphism", witness=v.witness))
     if other.proj.map.compose(lift.map).matrix != uce.extension.proj.map.matrix:
         raise InternalInconsistency("lift does not commute over the base")
     return lift
@@ -233,10 +230,8 @@ def _presented_alpha_uce(L, A, incl, t):
     units = [unit_vec(f, ambient, g) for g in range(ambient)]
     comp_amb = LinearMap.from_columns(f, ambient, units + units)
     comp = AlgebraHom(t.algebra, presented, induced_map(comp_amb, t.presentation, pres))
-    crep = comp.validate()
-    if not crep.valid:
-        raise InternalInconsistency("comparison map is not a homomorphism",
-                                    witness=crep.violations[0].witness)
+    comp.validate().require(
+        lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
     if not (comp.map.is_injective() and comp.map.is_surjective()):
         raise InternalInconsistency("comparison map is not bijective")
     return presented, comp

@@ -115,9 +115,7 @@ def random_algebra(field: Field, rng: random.Random, max_dim: int = 4,
         return random_algebra(field, rng, max_dim, need_surjective_twist)
     if need_surjective_twist and out.twist_map().rank() != out.dim:
         return random_algebra(field, rng, max_dim, need_surjective_twist)
-    rep = out.validate()
-    if not rep.valid:
-        raise InternalInconsistency("generator produced an invalid algebra")
+    out.validate().require(lambda v: InternalInconsistency("generator produced an invalid algebra"))
     return out
 
 
@@ -133,9 +131,8 @@ def random_corep(field: Field, rng: random.Random, max_dim: int = 4) -> tuple:
         M = trivial_corep(L, dm, tw)
     else:
         M = adjoint_corep(L)
-    rep = M.validate()
-    if not rep.valid:
-        raise InternalInconsistency("generator produced an invalid co-representation")
+    M.validate().require(
+        lambda v: InternalInconsistency("generator produced an invalid co-representation"))
     return L, M
 
 

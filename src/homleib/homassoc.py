@@ -1,6 +1,9 @@
 """Hom-associative algebras and their degree-one Hochschild invariants.
 
-From an algebra A with product p and twist t, the degree-three Hochschild
+An algebra holds its product table and twist columns once in sparse form
+(``sparse_p``, ``sparse_twist``); products read them, and validation runs
+``linalg.check_laws`` on multiplicativity and Hom-associativity over basis
+tuples.  From an algebra A with product p and twist t, the degree-three Hochschild
 boundary sends a (x) b (x) c to  ab (x) t(c) - t(a) (x) bc + ca (x) t(b).
 The quotient of A (x) A by its image carries a Hom-Leibniz bracket
 (commutator in each leg) and a map phi onto the commutator subspace [A, A];
@@ -14,6 +17,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain
 
 from .errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency, StructureError
@@ -35,10 +39,15 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     _expand_kernel,
+    bilinear,
+    check_laws,
     connecting_map,
     contract,
     induced_map,
+    linear,
     outer,
+    sparse_columns,
+    sparse_table,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -62,10 +71,8 @@ class HomAssociativeAlgebra:
             raise StructureError("label count does not match dimension")
         if len(self.p) != self.dim or any(len(row) != self.dim for row in self.p):
             raise StructureError("product table must be dim x dim")
-        for row in self.p:
-            for v in row:
-                if len(v) != self.dim:
-                    raise StructureError("product values must be coordinate vectors")
+        if any(len(v) != self.dim for row in self.p for v in row):
+            raise StructureError("product values must be coordinate vectors")
         if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
             raise StructureError("twist matrix must be dim x dim")
         if self.twist.field != self.field:
@@ -86,8 +93,12 @@ class HomAssociativeAlgebra:
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
 
+    # the product table and twist columns in the one sparse form, built once
+    sparse_p = cached_property(lambda self: sparse_table(self.p))
+    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
+
     def product(self, x, y) -> tuple:
-        return contract(self.field, self.p, x, y, self.dim)
+        return contract(self.field, self.sparse_p, x, y, self.dim)
 
     def commutator_vec(self, x, y) -> tuple:
         f = self.field
@@ -102,25 +113,25 @@ class HomAssociativeAlgebra:
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-associative algebra")
-        tw = [self.apply_twist(self.unit(i)) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.apply_twist(self.p[i][j]) != self.product(tw[i], tw[j]):
-                    rep.record("multiplicativity", (self.labels[i], self.labels[j]))
-                for k in range(self.dim):
-                    lhs = self.product(tw[i], self.p[j][k])
-                    rhs = self.product(self.p[i][j], tw[k])
-                    if lhs != rhs:
-                        rep.record("hom-associativity",
-                                   (self.labels[i], self.labels[j], self.labels[k]))
+        f, p, tw, lb = self.field, self.sparse_p, self.sparse_twist, self.labels
+        prod = partial(bilinear, f, p)
+
+        def pair(i, j):
+            # t(xy) = t(x) t(y)
+            yield "multiplicativity", (lb[i], lb[j]), [linear(f, tw, p[i][j])], [prod(tw[i], tw[j])]
+
+        def triple(i, j, k):
+            # t(x) (yz) = (xy) t(z)
+            yield ("hom-associativity", (lb[i], lb[j], lb[k]),
+                   [prod(tw[i], p[j][k])], [prod(p[i][j], tw[k])])
+
+        check_laws(f, rep, (self.dim, self.dim), [((), pair), ((self.dim,), triple)])
         rep.flags["commutative"] = self.is_commutative()
         return rep
 
     def require_valid(self) -> "HomAssociativeAlgebra":
-        rep = self.validate()
-        if not rep.valid:
-            v = rep.violations[0]
-            raise StructureError(f"invalid hom-associative algebra: {v.law} at {v.witness}")
+        self.validate().require(
+            lambda v: StructureError(f"invalid hom-associative algebra: {v.law} at {v.witness}"))
         return self
 
 
@@ -129,11 +140,10 @@ def yau_twist_assoc(A: HomAssociativeAlgebra, endo: Matrix) -> HomAssociativeAlg
     endomorphism: the new product is endo applied to the old product."""
     if A.twist != Matrix.identity(A.field, A.dim):
         raise StructureError("twisting requires an associative algebra with identity twist")
-    cols = [endo.col(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if endo.apply(A.p[i][j]) != A.product(cols[i], cols[j]):
-                raise StructureError(f"map is not an algebra endomorphism at {(A.labels[i], A.labels[j])}")
+    # endo preserves the product exactly when it is a multiplicative twist of it
+    for v in HomAssociativeAlgebra(A.field, A.dim, A.p, endo, A.labels).validate().violations:
+        if v.law == "multiplicativity":
+            raise StructureError(f"map is not an algebra endomorphism at {v.witness}")
     table = tuple(tuple(endo.apply(A.p[i][j]) for j in range(A.dim)) for i in range(A.dim))
     return HomAssociativeAlgebra(A.field, A.dim, table, endo, A.labels)
 
@@ -266,10 +276,8 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
             raise InternalInconsistency("comparison does not kill the boundary ideal")
     sec = proj.map.section()
     iso = AlgebraHom(quot, h.algebra, on_square.compose(sec))
-    rep = iso.validate()
-    if not rep.valid:
-        raise InternalInconsistency("comparison map is not a homomorphism",
-                                    witness=rep.violations[0].witness)
+    iso.validate().require(
+        lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
     if not (iso.map.is_injective() and iso.map.is_surjective()):
         raise InternalInconsistency("comparison map is not bijective")
     return iso
@@ -368,10 +376,8 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     left = tuple(tuple(pres.project(amap.apply(rv)) for rv in reps) for amap in left_maps)
     right = tuple(tuple(pres.project(amap.apply(rv)) for amap in right_maps) for rv in reps)
     action = HomAction(lb, h.algebra, left, right)
-    rep = action.validate()
-    if not rep.valid:
-        v = rep.violations[0]
-        raise InternalInconsistency(f"quotient action identity {v.law} fails at {v.witness}")
+    action.validate().require(
+        lambda v: InternalInconsistency(f"quotient action identity {v.law} fails at {v.witness}"))
     return action
 
 

@@ -1,33 +1,43 @@
 """Homology of a Hom-Leibniz algebra with coefficients in a co-representation.
 
+A co-representation holds its two operations as tables like an action, and
+caches them with its twist columns in the one sparse form (``sparse_left``,
+``sparse_right``, ``sparse_twist``); ``linalg.check_laws`` checks its five
+identities on basis tuples.
+
 The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
 families: the head right-action term, the alternating left-action terms
 with sign (-1)^i, and the bracket-insertion terms with sign (-1)^(j+1)
-and the twisted coefficient in front.  ``ChainComplex`` builds each
-boundary column once, and the ``homology`` and ``check-all`` commands
-compute d^2 from the same cached columns that give the ranks: its vanishing
-is checked, never assumed, and the check would fail loudly under any
-sign-convention misreading.
+and the twisted coefficient in front.  ``boundary_column`` reads the sparse
+tables of L and M, ``ChainComplex`` builds each boundary column once, and
+the ``homology`` and ``check-all`` commands compute d^2 from the same cached
+columns that give the ranks: its vanishing is checked, never assumed, and
+the check would fail loudly under any sign-convention misreading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 from itertools import product as iter_product
 
-from .errors import StructureError
+from .errors import FieldMismatch, StructureError
 from .algebras import HomLeibnizAlgebra
 from .linalg import (
     LinearMap,
     Matrix,
     RrefAccumulator,
     Subspace,
+    bilinear,
+    check_laws,
     contract,
+    dense_vec,
+    linear,
     outer,
-    unit_vec,
+    sparse_columns,
+    sparse_table,
     vec_is_zero,
-    vec_sub,
     vec_zero,
 )
 from .report import ValidationReport
@@ -52,21 +62,25 @@ class CoRepresentation:
             raise StructureError("left operation tensor must be algebra x space")
         if len(self.right) != dm or any(len(r) != dl for r in self.right):
             raise StructureError("right operation tensor must be space x algebra")
-        for grid in (self.left, self.right):
-            for row in grid:
-                for v in row:
-                    if len(v) != dm:
-                        raise StructureError("operation values must be coefficient vectors")
+        if any(len(v) != dm for grid in (self.left, self.right) for row in grid for v in row):
+            raise StructureError("operation values must be coefficient vectors")
+        if self.twist.field != self.algebra.field:
+            raise FieldMismatch("coefficient twist over the wrong field")
 
     @property
     def field(self):
         return self.algebra.field
 
+    # both tables and the twist columns in the one sparse form, built once
+    sparse_left = cached_property(lambda self: sparse_table(self.left))
+    sparse_right = cached_property(lambda self: sparse_table(self.right))
+    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
+
     def act_left(self, x, m) -> tuple:
-        return contract(self.field, self.left, x, m, self.space_dim)
+        return contract(self.field, self.sparse_left, x, m, self.space_dim)
 
     def act_right(self, m, x) -> tuple:
-        return contract(self.field, self.right, m, x, self.space_dim)
+        return contract(self.field, self.sparse_right, m, x, self.space_dim)
 
     def apply_twist(self, m) -> tuple:
         return self.twist.apply(m)
@@ -76,36 +90,29 @@ class CoRepresentation:
         f = self.field
         rep = ValidationReport(subject="hom-co-representation",
                                axiom_status={k: True for k in "abcde"})
-        tl = [L.apply_twist(L.unit(i)) for i in range(L.dim)]
-        tm = [self.apply_twist(unit_vec(f, self.space_dim, i)) for i in range(self.space_dim)]
+        tl, tm, lc = L.sparse_twist, self.sparse_twist, L.sparse_c
+        left, right = self.sparse_left, self.sparse_right
+        al, ar = partial(bilinear, f, left), partial(bilinear, f, right)
         lbl, lbm = L.labels, tuple(f"m{i+1}" for i in range(self.space_dim))
-        for x in range(L.dim):
-            for m in range(self.space_dim):
-                # d) t_M(x.m) = t(x).t_M(m)
-                if self.apply_twist(self.left[x][m]) != self.act_left(tl[x], tm[m]):
-                    rep.record("d", (lbl[x], lbm[m]))
-                # e) t_M(m.x) = t_M(m).t(x)
-                if self.apply_twist(self.right[m][x]) != self.act_right(tm[m], tl[x]):
-                    rep.record("e", (lbm[m], lbl[x]))
-                for y in range(L.dim):
-                    bxy = L.c[x][y]
-                    # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
-                    lhs = self.act_left(bxy, tm[m])
-                    rhs = vec_sub(f, self.act_left(tl[x], self.left[y][m]),
-                                  self.act_left(tl[y], self.left[x][m]))
-                    if lhs != rhs:
-                        rep.record("a", (lbl[x], lbl[y], lbm[m]))
-                    # b) t_M(m).[x,y] = (y.m).t(x) - t(y).(m.x)
-                    lhs = self.act_right(tm[m], bxy)
-                    rhs = vec_sub(f, self.act_right(self.left[y][m], tl[x]),
-                                  self.act_left(tl[y], self.right[m][x]))
-                    if lhs != rhs:
-                        rep.record("b", (lbm[m], lbl[x], lbl[y]))
-                    # c) (m.x).t(y) = - t(y).(m.x)
-                    lhs = self.act_right(self.right[m][x], tl[y])
-                    rhs = tuple(f.neg(v) for v in self.act_left(tl[y], self.right[m][x]))
-                    if lhs != rhs:
-                        rep.record("c", (lbm[m], lbl[x], lbl[y]))
+
+        def at(x, m):
+            # d) t_M(x.m) = t(x).t_M(m)
+            yield "d", (lbl[x], lbm[m]), [linear(f, tm, left[x][m])], [al(tl[x], tm[m])]
+            # e) t_M(m.x) = t_M(m).t(x)
+            yield "e", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
+
+        def with_y(x, m, y):
+            # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
+            yield ("a", (lbl[x], lbl[y], lbm[m]),
+                   [al(lc[x][y], tm[m]), al(tl[y], left[x][m])], [al(tl[x], left[y][m])])
+            # b) t_M(m).[x,y] = (y.m).t(x) - t(y).(m.x)
+            yield ("b", (lbm[m], lbl[x], lbl[y]),
+                   [ar(tm[m], lc[x][y]), al(tl[y], right[m][x])], [ar(left[y][m], tl[x])])
+            # c) (m.x).t(y) = - t(y).(m.x)
+            yield ("c", (lbm[m], lbl[x], lbl[y]),
+                   [ar(right[m][x], tl[y]), al(tl[y], right[m][x])], [])
+
+        check_laws(f, rep, (L.dim, self.space_dim), [((), at), ((L.dim,), with_y)])
         return rep
 
 
@@ -125,8 +132,7 @@ def adjoint_corep(L: HomLeibnizAlgebra) -> CoRepresentation:
     f = L.field
     left = tuple(tuple(tuple(f.neg(v) for v in L.c[m][x]) for m in range(L.dim))
                  for x in range(L.dim))
-    right = tuple(tuple(L.c[m][x] for x in range(L.dim)) for m in range(L.dim))
-    return CoRepresentation(L, L.dim, L.twist, left, right)
+    return CoRepresentation(L, L.dim, L.twist, left, L.c)
 
 
 def chain_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
@@ -147,21 +153,18 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
     f = L.field
     zero = f.zero()
     dl = L.dim
-    tw = [L.twist.col(i) for i in range(dl)]  # t(e_i), read off without arithmetic
+    tw = L.sparse_twist
     out: dict[int, object] = {}
 
     def scatter(sign_positive: bool, head, slots):
-        # head is a coefficient vector, slots are algebra coordinate vectors;
-        # only combinations of nonzero slot coordinates contribute
-        nonzero = [[(idx, x) for idx, x in enumerate(v) if x] for v in slots]
-        for picks in iter_product(*nonzero):
+        # head and slots are sparse: a coefficient vector and algebra
+        # vectors; each combination of their nonzero coordinates contributes
+        for picks in iter_product(*slots):
             coeff = None
             for _, x in picks:
                 coeff = x if coeff is None else f.mul(coeff, x)
             combo = tuple(idx for idx, _ in picks)
-            for hm, hv in enumerate(head):
-                if not hv:
-                    continue
+            for hm, hv in head:
                 total = hv if coeff is None else f.mul(hv, coeff)
                 if not sign_positive:
                     total = f.neg(total)
@@ -173,21 +176,21 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
                     out[key] = cur
 
     # head family: m acted by x_1 on the right, the rest twisted
-    scatter(True, M.right[m_idx][xs[0]], [tw[x] for x in xs[1:]])
+    scatter(True, M.sparse_right[m_idx][xs[0]], [tw[x] for x in xs[1:]])
     # left-action family, i = 2..n with sign (-1)^i
     for i in range(2, n + 1):
-        head = M.left[xs[i - 1]][m_idx]
+        head = M.sparse_left[xs[i - 1]][m_idx]
         slots = [tw[x] for k, x in enumerate(xs) if k != i - 1]
         scatter(i % 2 == 0, head, slots)
     # bracket insertion family over pairs i < j, sign (-1)^(j+1)
-    tm = M.twist.col(m_idx)
+    tm = M.sparse_twist[m_idx]
     for j in range(2, n + 1):
         for i in range(1, j):
             slots = []
             for k, x in enumerate(xs, start=1):
                 if k == j:
                     continue
-                slots.append(L.c[xs[i - 1]][xs[j - 1]] if k == i else tw[x])
+                slots.append(L.sparse_c[xs[i - 1]][xs[j - 1]] if k == i else tw[x])
             scatter((j + 1) % 2 == 0, tm, slots)
     return out
 
@@ -237,35 +240,16 @@ class ChainComplex:
 
     def squares_to_zero(self, n: int) -> bool:
         """Whether the degree-n boundary followed by the degree n-1 one
-        vanishes, composed column by column."""
-        f = self.algebra.field
-        zero = f.zero()
+        vanishes: the lower columns are the sparse columns ``linear`` applies
+        to each upper one."""
         lower = self.columns(n - 1)
-        for col in self.columns(n):
-            acc: dict[int, object] = {}
-            for idx, coeff in col:
-                for k, v in lower[idx]:
-                    cur = f.add(acc.get(k, zero), f.mul(coeff, v))
-                    if not cur:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = cur
-            if acc:
-                return False
-        return True
+        return not any(linear(self.algebra.field, lower, col) for col in self.columns(n))
 
     def matrix(self, n: int) -> LinearMap:
         """The degree-n boundary as a dense linear map."""
-        cols = self.columns(n)
         f = self.algebra.field
         rows_dim = chain_dim(self.algebra, self.coeffs, n - 1)
-        dense = []
-        for col in cols:
-            v = [f.zero()] * rows_dim
-            for k, x in col:
-                v[k] = x
-            dense.append(tuple(v))
-        return LinearMap.from_columns(f, rows_dim, dense)
+        return LinearMap.from_columns(f, rows_dim, [dense_vec(f, rows_dim, col) for col in self.columns(n)])
 
     def homology(self, n: int) -> HomologyResult:
         """Dimension of cycles modulo boundaries in degree n, with canonical

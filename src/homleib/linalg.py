@@ -17,11 +17,17 @@ Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
 presentations:
 
-* ``contract`` evaluates a bilinear map from its table of values on basis
-  pairs (brackets, actions, products);
+* each structure caches its tables (brackets, actions, products) once in
+  sparse form: ``sparse_table`` keeps the nonzero (k, value) pairs of each
+  value table[i][j], ``sparse_columns`` those of each column of a twist;
+* ``bilinear`` is the one contraction, of a sparse table at two sparse
+  vectors, ``contract`` its dense form and ``linear`` applies sparse columns;
+* ``check_laws`` is the one identity checker: it records each law instance
+  on basis indices whose signed sum of such terms is nonzero;
 * ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
   at an offset when the ambient space has several blocks;
-* ``unit_vec`` is a basis vector;
+* ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
+  between a dense vector and its nonzero (index, value) pairs;
 * ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
   and ``LinearMap.preimage`` reads a solution off the factor and rechecks
   it; both return None for a vector outside the subspace or image, and each
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import product
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined
 from .fields import Field
@@ -63,27 +70,82 @@ def vec_is_zero(field: Field, v) -> bool:
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
+    return dense_vec(field, n, ((i, field.one()),))
+
+
+def sparse_vec(v) -> tuple:
+    """The nonzero coordinates of a dense vector as (index, value) pairs."""
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
+def dense_vec(field: Field, n: int, pairs) -> tuple:
+    """The length-n vector with the given (index, value) pairs, zero elsewhere."""
     v = [field.zero()] * n
-    v[i] = field.one()
+    for k, x in pairs:
+        v[k] = x
     return tuple(v)
 
 
-def contract(field: Field, table, x, y, dim: int) -> tuple:
-    """The bilinear map with values table[i][j] (length-dim vectors) on basis
-    pairs, evaluated at (x, y): the sum of x_i y_j table[i][j]."""
-    out = [field.zero()] * dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
+def sparse_table(table) -> tuple:
+    """A table of values on basis pairs, each as its nonzero (k, value) pairs."""
+    return tuple(tuple(sparse_vec(v) for v in row) for row in table)
+
+
+def sparse_columns(m: Matrix) -> tuple:
+    """The columns of a matrix, each as its nonzero (k, value) pairs."""
+    return tuple(sparse_vec(m.col(j)) for j in range(m.cols))
+
+
+def bilinear(field: Field, table, u, v) -> tuple:
+    """The sum of u_i v_j table[i][j] for sparse u, v and a ``sparse_table``."""
+    zero = field.zero()
+    out = {}
+    for i, a in u:
         row = table[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = field.mul(xi, yj)
-            for k, t in enumerate(row[j]):
-                if t:
-                    out[k] = field.add(out[k], field.mul(coeff, t))
-    return tuple(out)
+        for j, b in v:
+            coeff = field.mul(a, b)
+            for k, t in row[j]:
+                out[k] = field.add(out.get(k, zero), field.mul(coeff, t))
+    return tuple((k, x) for k, x in out.items() if x)
+
+
+def linear(field: Field, cols, u) -> tuple:
+    """The linear map with sparse columns ``cols`` at the sparse vector u."""
+    zero = field.zero()
+    out = {}
+    for i, a in u:
+        for k, t in cols[i]:
+            out[k] = field.add(out.get(k, zero), field.mul(a, t))
+    return tuple((k, x) for k, x in out.items() if x)
+
+
+def contract(field: Field, table, x, y, dim: int) -> tuple:
+    """``bilinear`` at dense vectors x, y, as a dense length-dim vector."""
+    return dense_vec(field, dim, bilinear(field, table, sparse_vec(x), sparse_vec(y)))
+
+
+def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
+    """Record in ``report`` every violated instance of a family of laws.
+
+    The outer loop runs row-major over the index tuples of ``outer_dims``;
+    inside it each (inner_dims, laws) pair of ``groups`` runs in turn over
+    those of ``inner_dims``, and ``laws(*outer, *inner)`` yields one instance
+    per law: (name, witness, plus, minus[, detail]), with ``plus`` and
+    ``minus`` lists of sparse vectors.  An instance is recorded exactly when
+    the sum of ``plus`` less the sum of ``minus`` is nonzero."""
+    zero = field.zero()
+    add, sub = field.add, field.sub
+    for idx in product(*map(range, outer_dims)):
+        for inner_dims, laws in groups:
+            for jdx in product(*map(range, inner_dims)):
+                for name, witness, plus, minus, *detail in laws(*idx, *jdx):
+                    acc = {}
+                    for op, vecs in ((add, plus), (sub, minus)):
+                        for vec in vecs:
+                            for k, x in vec:
+                                acc[k] = op(acc.get(k, zero), x)
+                    if any(acc.values()):
+                        report.record(name, witness, *detail)
 
 
 def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:
@@ -295,14 +357,9 @@ class RrefAccumulator:
         return True
 
     def basis_matrix(self) -> Matrix:
-        zero = self.field.zero()
-        rows = []
-        for pc in sorted(self.rows):
-            dense = [zero] * self.ambient_dim
-            for c, val in self.rows[pc].items():
-                dense[c] = val
-            rows.append(tuple(dense))
-        return Matrix(self.field, len(rows), self.ambient_dim, tuple(rows))
+        rows = tuple(dense_vec(self.field, self.ambient_dim, self.rows[pc].items())
+                     for pc in sorted(self.rows))
+        return Matrix(self.field, len(rows), self.ambient_dim, rows)
 
 
 @dataclass(frozen=True)
@@ -319,7 +376,7 @@ class Subspace:
         pivots = []
         sparse = []
         for r in self.basis.entries:
-            support = tuple((j, x) for j, x in enumerate(r) if x)
+            support = sparse_vec(r)
             sparse.append(support)
             pivots.append(support[0][0] if support else -1)
         object.__setattr__(self, "_pivots", tuple(pivots))
@@ -464,7 +521,7 @@ class LinearMap:
         n = self.domain_dim
         acc = RrefAccumulator(f, n + self.codomain_dim)
         for i, r in enumerate(self.matrix.entries):
-            acc.add(tuple((j, x) for j, x in enumerate(r) if x) + ((n + i, f.one()),),
+            acc.add(sparse_vec(r) + ((n + i, f.one()),),
                     sparse=True)
         return acc.rows
 
@@ -595,11 +652,7 @@ class QuotientSpace:
     def lift(self, q) -> tuple:
         if len(q) != self.dim:
             raise DimensionError("coordinate vector does not match quotient dimension")
-        f = self.field
-        v = [f.zero()] * self.ambient_dim
-        for c, x in zip(self.coset_basis, q):
-            v[c] = x
-        return tuple(v)
+        return dense_vec(self.field, self.ambient_dim, zip(self.coset_basis, q))
 
     def lift_unit(self, k) -> tuple:
         return unit_vec(self.field, self.ambient_dim, self.coset_basis[k])

@@ -50,6 +50,11 @@ class ValidationReport:
         if law in self.axiom_status:
             self.axiom_status[law] = False
 
+    def require(self, error):
+        """Raise ``error(v)`` for the first violation v, if there is one."""
+        if self.violations:
+            raise error(self.violations[0])
+
     def to_dict(self) -> dict:
         out = {
             "subject": self.subject,

@@ -83,9 +83,6 @@ class TensorProduct:
     def ambient_twist(self) -> LinearMap:
         return _ambient_twist(self.m_side, self.n_side)
 
-    def generator_labels(self) -> tuple:
-        return _generator_labels(self.m_side, self.n_side)
-
 
 def _generator_labels(M, N) -> tuple:
     # the second block gets a prime so tensor squares stay unambiguous
@@ -109,26 +106,16 @@ def _ambient_twist(M, N) -> LinearMap:
 
 
 def _eval_maps(ma: MutualActions):
-    """The two evaluation maps on ambient generators."""
+    """The two evaluation maps on ambient generators: the columns are the
+    action values on the row-major blocks m*n, then n*m."""
     M, N = ma.m_side, ma.n_side
-    f = M.field
-    cols_m, cols_n = [], []
-    for i in range(M.dim):
-        for j in range(N.dim):
-            cols_m.append(ma.nm.right[i][j])   # m acted by n, in M
-            cols_n.append(ma.mn.left[i][j])    # m acting on n, in N
-    for j in range(N.dim):
-        for i in range(M.dim):
-            cols_m.append(ma.nm.left[j][i])    # n acting on m, in M
-            cols_n.append(ma.mn.right[j][i])   # n acted by m, in N
-    eval_m = LinearMap.from_columns(f, M.dim, cols_m)
-    eval_n = LinearMap.from_columns(f, N.dim, cols_n)
+
+    def flat(first, second):
+        return [v for table in (first, second) for row in table for v in row]
+
+    eval_m = LinearMap.from_columns(M.field, M.dim, flat(ma.nm.right, ma.nm.left))   # m<n, n>m
+    eval_n = LinearMap.from_columns(M.field, N.dim, flat(ma.mn.left, ma.mn.right))   # m>n, n<m
     return eval_m, eval_n
-
-
-def _sparse(v) -> tuple:
-    """The nonzero coordinates of a dense vector as (index, value) pairs."""
-    return tuple((k, x) for k, x in enumerate(v) if x)
 
 
 def relation_vectors(ma: MutualActions):
@@ -157,14 +144,10 @@ def relation_vectors(ma: MutualActions):
     dm, dn = M.dim, N.dim
     base = dm * dn
 
-    def grid(rows):
-        return [[_sparse(v) for v in row] for row in rows]
-
-    tm = [_sparse(M.apply_twist(M.unit(i))) for i in range(dm)]
-    tn = [_sparse(N.apply_twist(N.unit(j))) for j in range(dn)]
-    cm, cn = grid(M.c), grid(N.c)
-    mn_left, mn_right = grid(ma.mn.left), grid(ma.mn.right)
-    nm_left, nm_right = grid(ma.nm.left), grid(ma.nm.right)
+    tm, tn = M.sparse_twist, N.sparse_twist
+    cm, cn = M.sparse_c, N.sparse_c
+    mn_left, mn_right = ma.mn.sparse_left, ma.mn.sparse_right
+    nm_left, nm_right = ma.nm.sparse_left, ma.nm.sparse_right
 
     # a pure tensor as (offset, stride, first leg, second leg): u (x) v sits
     # at offset + a * stride + b for the coordinates u_a, v_b
@@ -236,10 +219,8 @@ def relation_vectors(ma: MutualActions):
 
 def build_tensor(ma: MutualActions) -> TensorProduct:
     """Construct the tensor product algebra of compatibly acting algebras."""
-    comp = ma.check_compatible()
-    if not comp.valid:
-        v = comp.violations[0]
-        raise IncompatibleActions(f"compatibility {v.law} fails at {v.witness}", witness=v.witness)
+    ma.check_compatible().require(lambda v: IncompatibleActions(
+        f"compatibility {v.law} fails at {v.witness}", witness=v.witness))
     M, N = ma.m_side, ma.n_side
     ambient = 2 * M.dim * N.dim
     acc = RrefAccumulator(M.field, ambient)
@@ -266,11 +247,8 @@ def factor_maps(t: TensorProduct):
     into_m = AlgebraHom(t.algebra, t.m_side, t.eval_m.compose(sec))
     into_n = AlgebraHom(t.algebra, t.n_side, t.eval_n.compose(sec))
     for hom, name in ((into_m, "first"), (into_n, "second")):
-        rep = hom.validate()
-        if not rep.valid:
-            raise InternalInconsistency(
-                f"evaluation onto the {name} factor is not a homomorphism",
-                witness=rep.violations[0].witness)
+        hom.validate().require(lambda v: InternalInconsistency(
+            f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
     return into_m, into_n
 
 
@@ -348,11 +326,8 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     left = [tuple(amap.apply(rep_vec) for rep_vec in reps) for amap in left_maps]
     right = [tuple(amap.apply(rep_vec) for amap in right_maps) for rep_vec in reps]
     action = HomAction(actor, T, tuple(left), tuple(right))
-    rep = action.validate()
-    if not rep.valid:
-        v = rep.violations[0]
-        raise InternalInconsistency(
-            f"outer action identity {v.law} fails at {v.witness}", witness=v.witness)
+    action.validate().require(lambda v: InternalInconsistency(
+        f"outer action identity {v.law} fails at {v.witness}", witness=v.witness))
     return action
 
 
@@ -543,8 +518,6 @@ def induced_tensor_map(f_hom: AlgebraHom, g_hom: AlgebraHom,
     amb = _ambient_map(M.field, fm, gn, t_dst.m_side.dim * t_dst.n_side.dim)
     hom = AlgebraHom(t_src.algebra, t_dst.algebra,
                      induced_map(amb, t_src.presentation, t_dst.presentation))
-    rep = hom.validate()
-    if not rep.valid:
-        raise InternalInconsistency("induced tensor map is not a homomorphism",
-                                    witness=rep.violations[0].witness)
+    hom.validate().require(
+        lambda v: InternalInconsistency("induced tensor map is not a homomorphism", witness=v.witness))
     return hom

@@ -158,3 +158,31 @@ def test_boundary_columns_built_only_by_the_chain_complex():
     # no other code loops over the chain basis building them again
     found = _library_sites(_calls_boundary_column)
     assert [site.rsplit(":", 1)[0] for site in found] == ["homology:ChainComplex.columns"], found
+
+
+def _calls_record(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "record"
+
+
+DENSE_KERNELS = ("vec_sub", "contract", "bracket", "act_left", "act_right", "product", "apply_twist")
+
+
+def _names_dense_kernel(node):
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return isinstance(node, (ast.Name, ast.Attribute)) and name in DENSE_KERNELS
+
+
+def test_violations_recorded_only_by_the_identity_checker():
+    # every validator states its laws for linalg.check_laws, the one place
+    # that decides a law instance fails and records it
+    found = _library_sites(_calls_record)
+    assert [site.rsplit(":", 1)[0] for site in found] == ["linalg:check_laws"], found
+
+
+def test_validators_hold_no_dense_loops():
+    # a validator reads the cached sparse tables; a dense difference or a
+    # dense bracket, action, product or twist in its body is a hand-rolled
+    # loop beside the checker
+    found = [site for site in _library_sites(_names_dense_kernel)
+             if {"validate", "check_compatible"} & set(site.split(":")[1].split("."))]
+    assert found == []

@@ -23,6 +23,7 @@ from homleib.linalg import (
     outer,
     quotient,
     rref,
+    sparse_table,
     unit_vec,
     vec_add,
     vec_scale,
@@ -234,7 +235,7 @@ class TestKernelLayer:
             for i in range(2):
                 for j in range(4):
                     expected = vec_add(f, expected, vec_scale(f, f.mul(x[i], y[j]), table[i][j]))
-            assert contract(f, table, x, y, 3) == expected
+            assert contract(f, sparse_table(table), x, y, 3) == expected
 
     def test_outer_lands_on_tensor_generators(self, f):
         L = direct_sum(sl2(f), HomLeibnizAlgebra.abelian(f, 1))
