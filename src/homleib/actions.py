@@ -204,21 +204,22 @@ def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names):
     """The four compatibility laws in A for the action ``on_a`` of B on A
     and ``on_b`` of A on B, indexed (a, b, a') with a, a' in A and b in B;
     x>y is x acting on y from the left, x<y is x acted by y from the right."""
-    f, la, lb = A.field, A.labels, B.labels
+    f, la, lb, c = A.field, A.labels, B.labels, A.sparse_c
     b_on_a, a_by_b = on_a.sparse_left, on_a.sparse_right   # in A
     a_on_b, b_by_a = on_b.sparse_left, on_b.sparse_right   # in B
-    on, by, br = (partial(bilinear, f, t) for t in (b_on_a, a_by_b, A.sparse_c))
-    e = [((i, f.one()),) for i in range(A.dim)]   # the basis, sparse
+    lin = partial(linear, f)
+    # acting on a' or bracketing with it is linear, with the a'-th columns
+    on_col, br_col = tuple(zip(*b_on_a)), tuple(zip(*c))
 
     def laws(a, b, a2):
         # (a>b)>a' = [a<b, a']
-        yield names[0], (la[a], lb[b], la[a2]), [on(a_on_b[a][b], e[a2])], [br(a_by_b[a][b], e[a2])]
+        yield names[0], (la[a], lb[b], la[a2]), [lin(on_col[a2], a_on_b[a][b])], [lin(br_col[a2], a_by_b[a][b])]
         # (b<a)>a' = [b>a, a']
-        yield names[1], (lb[b], la[a], la[a2]), [on(b_by_a[b][a], e[a2])], [br(b_on_a[b][a], e[a2])]
+        yield names[1], (lb[b], la[a], la[a2]), [lin(on_col[a2], b_by_a[b][a])], [lin(br_col[a2], b_on_a[b][a])]
         # a<(a'>b) = [a, a'<b]
-        yield names[2], (la[a], la[a2], lb[b]), [by(e[a], a_on_b[a2][b])], [br(e[a], a_by_b[a2][b])]
+        yield names[2], (la[a], la[a2], lb[b]), [lin(a_by_b[a], a_on_b[a2][b])], [lin(c[a], a_by_b[a2][b])]
         # a<(b<a') = [a, b>a']
-        yield names[3], (la[a], lb[b], la[a2]), [by(e[a], b_by_a[b][a2])], [br(e[a], b_on_a[b][a2])]
+        yield names[3], (la[a], lb[b], la[a2]), [lin(a_by_b[a], b_by_a[b][a2])], [lin(c[a], b_on_a[b][a2])]
 
     return laws
 

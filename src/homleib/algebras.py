@@ -40,6 +40,7 @@ from .linalg import (
     bilinear,
     check_laws,
     contract,
+    dense_vec,
     induced_map,
     linear,
     outer,
@@ -82,10 +83,8 @@ class HomLeibnizAlgebra:
         """Build from sparse bracket data {(i, j): {k: coeff}}."""
         table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), val in brackets.items():
-            v = [field.zero()] * dim
-            for k, coeff in val.items():
-                v[k] = field.from_int(coeff) if isinstance(coeff, int) else coeff
-            table[i][j] = tuple(v)
+            table[i][j] = dense_vec(field, dim, ((k, field.from_int(c) if isinstance(c, int) else c)
+                                                 for k, c in val.items()))
         tw = twist if twist is not None else Matrix.identity(field, dim)
         if isinstance(tw, LinearMap):
             tw = tw.matrix

@@ -43,6 +43,7 @@ from .linalg import (
     check_laws,
     connecting_map,
     contract,
+    dense_vec,
     induced_map,
     linear,
     outer,
@@ -82,10 +83,8 @@ class HomAssociativeAlgebra:
     def from_products(field: Field, dim: int, products: dict, twist=None, labels=None) -> "HomAssociativeAlgebra":
         table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), val in products.items():
-            v = [field.zero()] * dim
-            for k, coeff in val.items():
-                v[k] = field.from_int(coeff) if isinstance(coeff, int) else coeff
-            table[i][j] = tuple(v)
+            table[i][j] = dense_vec(field, dim, ((k, field.from_int(c) if isinstance(c, int) else c)
+                                                 for k, c in val.items()))
         tw = twist if twist is not None else Matrix.identity(field, dim)
         labels = tuple(labels) if labels else tuple(f"a{i + 1}" for i in range(dim))
         return HomAssociativeAlgebra(field, dim, tuple(tuple(r) for r in table), tw, labels)

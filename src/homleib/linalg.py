@@ -75,7 +75,7 @@ def unit_vec(field: Field, n: int, i: int) -> tuple:
 
 def sparse_vec(v) -> tuple:
     """The nonzero coordinates of a dense vector as (index, value) pairs."""
-    return tuple((k, x) for k, x in enumerate(v) if x)
+    return tuple([(k, x) for k, x in enumerate(v) if x])
 
 
 def dense_vec(field: Field, n: int, pairs) -> tuple:
@@ -93,10 +93,10 @@ def sparse_table(table) -> tuple:
 
 def sparse_columns(m: Matrix) -> tuple:
     """The columns of a matrix, each as its nonzero (k, value) pairs."""
-    return tuple(sparse_vec(m.col(j)) for j in range(m.cols))
+    return tuple(sparse_vec(c) for c in m.transpose().entries)
 
 
-def bilinear(field: Field, table, u, v) -> tuple:
+def bilinear(field: Field, table, u, v) -> list:
     """The sum of u_i v_j table[i][j] for sparse u, v and a ``sparse_table``."""
     zero = field.zero()
     out = {}
@@ -106,22 +106,43 @@ def bilinear(field: Field, table, u, v) -> tuple:
             coeff = field.mul(a, b)
             for k, t in row[j]:
                 out[k] = field.add(out.get(k, zero), field.mul(coeff, t))
-    return tuple((k, x) for k, x in out.items() if x)
+    return [(k, x) for k, x in out.items() if x]
 
 
-def linear(field: Field, cols, u) -> tuple:
+def linear(field: Field, cols, u) -> list:
     """The linear map with sparse columns ``cols`` at the sparse vector u."""
     zero = field.zero()
     out = {}
     for i, a in u:
         for k, t in cols[i]:
             out[k] = field.add(out.get(k, zero), field.mul(a, t))
-    return tuple((k, x) for k, x in out.items() if x)
+    return [(k, x) for k, x in out.items() if x]
 
 
 def contract(field: Field, table, x, y, dim: int) -> tuple:
-    """``bilinear`` at dense vectors x, y, as a dense length-dim vector."""
-    return dense_vec(field, dim, bilinear(field, table, sparse_vec(x), sparse_vec(y)))
+    """The sum of x_i y_j table[i][j] at dense x, y, as a dense length-dim vector."""
+    out = [field.zero()] * dim
+    ys = sparse_vec(y)
+    for i, a in enumerate(x):
+        if a:
+            row = table[i]
+            for j, b in ys:
+                coeff = field.mul(a, b)
+                for k, t in row[j]:
+                    out[k] = field.add(out[k], field.mul(coeff, t))
+    return tuple(out)
+
+
+def _total(field: Field, vecs) -> dict:
+    """The sum of sparse vectors of canonical scalars as a dict of its
+    nonzero coordinates, so that equal sums compare equal."""
+    if len(vecs) == 1:
+        return dict(vecs[0])
+    acc = {}
+    for vec in vecs:
+        for k, x in vec:
+            acc[k] = field.add(acc[k], x) if k in acc else x
+    return {k: x for k, x in acc.items() if x}
 
 
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
@@ -131,20 +152,13 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     inside it each (inner_dims, laws) pair of ``groups`` runs in turn over
     those of ``inner_dims``, and ``laws(*outer, *inner)`` yields one instance
     per law: (name, witness, plus, minus[, detail]), with ``plus`` and
-    ``minus`` lists of sparse vectors.  An instance is recorded exactly when
-    the sum of ``plus`` less the sum of ``minus`` is nonzero."""
-    zero = field.zero()
-    add, sub = field.add, field.sub
+    ``minus`` lists of ``bilinear`` or ``linear`` values.  An instance is
+    recorded exactly when its signed sum, plus less minus, is nonzero."""
     for idx in product(*map(range, outer_dims)):
         for inner_dims, laws in groups:
             for jdx in product(*map(range, inner_dims)):
                 for name, witness, plus, minus, *detail in laws(*idx, *jdx):
-                    acc = {}
-                    for op, vecs in ((add, plus), (sub, minus)):
-                        for vec in vecs:
-                            for k, x in vec:
-                                acc[k] = op(acc.get(k, zero), x)
-                    if any(acc.values()):
+                    if _total(field, plus) != _total(field, minus):
                         report.record(name, witness, *detail)
 
 
