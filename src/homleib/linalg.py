@@ -122,14 +122,14 @@ def linear(field: Field, cols, u) -> list:
 def contract(field: Field, table, x, y, dim: int) -> tuple:
     """The sum of x_i y_j table[i][j] at dense x, y, as a dense length-dim vector."""
     out = [field.zero()] * dim
-    ys = sparse_vec(y)
-    for i, a in enumerate(x):
-        if a:
+    for i, xi in enumerate(x):
+        if xi:
             row = table[i]
-            for j, b in ys:
-                coeff = field.mul(a, b)
-                for k, t in row[j]:
-                    out[k] = field.add(out[k], field.mul(coeff, t))
+            for j, yj in enumerate(y):
+                if yj:
+                    coeff = field.mul(xi, yj)
+                    for k, t in row[j]:
+                        out[k] = field.add(out[k], field.mul(coeff, t))
     return tuple(out)
 
 
