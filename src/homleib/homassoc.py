@@ -1,9 +1,10 @@
 """Hom-associative algebras and their degree-one Hochschild invariants.
 
-An algebra holds its product table and twist columns once in sparse form
-(``sparse_p``, ``sparse_twist``); products read them, and validation runs
-``linalg.check_laws`` on multiplicativity and Hom-associativity over basis
-tuples.  From an algebra A with product p and twist t, the degree-three Hochschild
+An algebra caches its product table and twist columns in sparse form
+(``sparse_p``, ``sparse_twist``); validation runs ``linalg.check_laws`` on
+multiplicativity and Hom-associativity over basis tuples.
+
+From an algebra A with product p and twist t, the degree-three Hochschild
 boundary sends a (x) b (x) c to  ab (x) t(c) - t(a) (x) bc + ca (x) t(b).
 The quotient of A (x) A by its image carries a Hom-Leibniz bracket
 (commutator in each leg) and a map phi onto the commutator subspace [A, A];

@@ -134,8 +134,8 @@ def contract(field: Field, table, x, y, dim: int) -> tuple:
 
 
 def _total(field: Field, vecs) -> dict:
-    """The sum of sparse vectors of canonical scalars as a dict of its
-    nonzero coordinates, so that equal sums compare equal."""
+    """The sum of ``bilinear`` or ``linear`` values as a dict without zeros;
+    their scalars are canonical, so equal sums compare equal."""
     if len(vecs) == 1:
         return dict(vecs[0])
     acc = {}
