@@ -411,6 +411,29 @@ class TestAgainstDenseLoops:
         assert broken > len(cells) // 2
 
     @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    def test_every_single_entry_perturbation_of_products_and_maps(self, f):
+        """Sweep: each product constant and twist entry of the twisted upper
+        triangular matrices, and each entry of the identity map of sl2
+        twisted, moved by one."""
+        A = twisted_upper(f)
+        broken = []
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    P = HomAssociativeAlgebra(f, 3, _bump_table(f, A.p, i, j, k, f.one()), A.twist, A.labels)
+                    broken.append(both_reports("assoc", P))
+                T = HomAssociativeAlgebra(f, 3, A.p, _bump_matrix(A.twist, i, j, f.one()), A.labels)
+                broken.append(both_reports("assoc", T))
+        L = sl2_twisted(f)
+        for r in range(3):
+            for c in range(3):
+                bumped = _bump_matrix(Matrix.identity(f, 3), r, c, f.one())
+                broken.append(both_reports("hom", AlgebraHom(L, L, LinearMap(3, 3, bumped))))
+        for sparse, dense in broken:
+            assert sparse.to_dict() == dense.to_dict()
+        assert sum(not sparse.valid for sparse, _ in broken) > len(broken) // 2
+
+    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
     def test_valid_instances_pass(self, f):
         for make in ALGEBRAS:
             L = make(f)
