@@ -307,11 +307,6 @@ def _perturbed_action(draw, f, a, delta, sides=("left", "right", "target")):
     return HomAction(a.actor, a.target, *((bumped, a.right) if side == "left" else (a.left, bumped)))
 
 
-def _base_action(draw, f):
-    L = draw(st.sampled_from(ALGEBRAS))(f)
-    return self_action(L)
-
-
 def _mutual(draw, f):
     if draw(st.booleans()):
         return MutualActions.adjoint(draw(st.sampled_from(ALGEBRAS))(f))
@@ -321,7 +316,8 @@ def _mutual(draw, f):
 
 @st.composite
 def cases(draw):
-    """(kind, field, perturbed object) with one entry moved by a nonzero amount."""
+    """(kind, object) for an object over Q or GF(1000003) with one entry moved
+    by a nonzero amount."""
     f = draw(st.sampled_from(FIELDS))
     delta = f.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
     if draw(st.booleans()):
@@ -346,7 +342,7 @@ def cases(draw):
             return kind, h
         return kind, AlgebraHom(h.source, _perturbed_algebra(draw, f, h.target, delta), h.map)
     if kind == "action":
-        return kind, _perturbed_action(draw, f, _base_action(draw, f), delta)
+        return kind, _perturbed_action(draw, f, self_action(draw(st.sampled_from(ALGEBRAS))(f)), delta)
     if kind == "compat":
         ma = _mutual(draw, f)
         if draw(st.booleans()):
