@@ -56,9 +56,13 @@ class HomAction:
                          tuple(tuple(z for _ in range(dm)) for _ in range(dl)),
                          tuple(tuple(z for _ in range(dl)) for _ in range(dm)))
 
-    # both tables in the one sparse form, built once
-    sparse_left = cached_property(lambda self: sparse_table(self.left))
-    sparse_right = cached_property(lambda self: sparse_table(self.right))
+    # both tables in the one sparse form, built once; a table that is the
+    # actor's bracket table (the adjoint action) shares the actor's sparse form
+    sparse_left = cached_property(lambda self: self._sparse(self.left))
+    sparse_right = cached_property(lambda self: self._sparse(self.right))
+
+    def _sparse(self, table) -> tuple:
+        return self.actor.sparse_c if table is self.actor.c else sparse_table(table)
 
     def act_left(self, x, m) -> tuple:
         """Value of the actor vector x on the target vector m from the left."""
@@ -71,7 +75,12 @@ class HomAction:
         return not any(v for t in (self.sparse_left, self.sparse_right) for row in t for v in row)
 
     def validate(self) -> ValidationReport:
-        """Check the eight action identities on all basis tuples."""
+        """The eight action identities on all basis tuples, checked once per
+        action; the report is shared, so callers only read it."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         L, M = self.actor, self.target
         f = M.field
         rep = ValidationReport(subject="hom-leibniz action",

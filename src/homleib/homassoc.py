@@ -112,6 +112,12 @@ class HomAssociativeAlgebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def validate(self) -> ValidationReport:
+        """The twist and hom-associativity laws on all basis tuples, checked
+        once per algebra; the report is shared, so callers only read it."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-associative algebra")
         f, p, tw, lb = self.field, self.sparse_p, self.sparse_twist, self.labels
         prod = partial(bilinear, f, p)

@@ -23,7 +23,7 @@ from homleib.algebras import (
     quotient_algebra,
     yau_twist,
 )
-from homleib.errors import FieldMismatch, NotEndomorphism, StructureError
+from homleib.errors import FieldMismatch, InvalidAction, NotEndomorphism, StructureError
 from homleib.fields import Field
 from homleib.generators import heisenberg, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, yau_twist_assoc
@@ -504,13 +504,49 @@ class TestSparseTablesBuiltOnce:
             A.validate()
             M.act_right(x, y)
             M.validate()
+        # the adjoint action and the adjoint right operation of M share the
+        # sparse form of L's bracket table
         assert sorted(built) == sorted([
             ("homleib.algebras", "sparse_table"), ("homleib.algebras", "sparse_columns"),  # L
-            ("homleib.actions", "sparse_table"), ("homleib.actions", "sparse_table"),      # its action
             ("homleib.homassoc", "sparse_table"), ("homleib.homassoc", "sparse_columns"),  # A
-            ("homleib.homology", "sparse_table"), ("homleib.homology", "sparse_table"),    # M
-            ("homleib.homology", "sparse_columns"),
+            ("homleib.homology", "sparse_table"), ("homleib.homology", "sparse_columns"),  # M
         ])
+        assert ma.mn.sparse_left is ma.mn.sparse_right is L.sparse_c
+        assert M.sparse_right is L.sparse_c
+
+
+class TestReportsComputedOnce:
+    """An action and a Hom-associative algebra check their laws once; every
+    later ``validate`` and ``require_valid`` reads the same report."""
+
+    def count_checks(self, monkeypatch, mod):
+        runs = []
+        real = mod.check_laws
+        monkeypatch.setattr(mod, "check_laws", lambda *a: runs.append(1) or real(*a))
+        return runs
+
+    def test_action(self, monkeypatch):
+        a = self_action(sl2_twisted(QQ))
+        runs = self.count_checks(monkeypatch, actions)
+        first = a.validate()
+        assert a.validate() is first and a.require_valid() is a
+        assert len(runs) == 1 and first.valid
+        L = sl2_twisted(QQ)
+        bumped = HomAction(L, L, _bump_table(QQ, L.c, 0, 1, 2, QQ.one()), L.c)
+        with pytest.raises(InvalidAction, match="action identity"):
+            bumped.require_valid()
+        assert not bumped.validate().valid and len(runs) == 2
+
+    def test_hom_associative_algebra(self, monkeypatch):
+        A = twisted_upper(QQ)
+        runs = self.count_checks(monkeypatch, homassoc)
+        first = A.validate()
+        assert A.validate() is first and A.require_valid() is A
+        assert len(runs) == 1 and first.valid
+        bumped = HomAssociativeAlgebra(QQ, 3, _bump_table(QQ, A.p, 0, 1, 1, QQ.one()), A.twist, A.labels)
+        with pytest.raises(StructureError, match="invalid hom-associative algebra"):
+            bumped.require_valid()
+        assert not bumped.validate().valid and len(runs) == 2
 
 
 class TestFieldMismatch:

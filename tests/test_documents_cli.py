@@ -287,6 +287,12 @@ class TestCli:
         assert data["dim"] == 3
         assert data["abelian"] is True
 
+    def test_tensor_square_with_action_documents_exits_two(self, docs, capsys):
+        code = main(["tensor", "--square", docs["e1"], docs["e1"], docs["e1"], "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: tensor takes --square FILE or two action documents, not both\n"
+
     def test_twist(self, docs, tmp_path, capsys):
         base = dict(SL2_DOC, kind="leibniz")
         base.pop("alpha")
@@ -390,3 +396,13 @@ class TestCli:
         out0 = subprocess.run(cmd, capture_output=True, env=env0, check=True).stdout
         out1 = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out0 == out1
+
+    def test_python_m_homleib(self, docs, capsys):
+        """``python -m homleib`` runs the same command line as ``main``."""
+        run = [sys.executable, "-m", "homleib"]
+        version = subprocess.run([*run, "--version"], capture_output=True, text=True, check=True)
+        assert re.fullmatch(r"homleib \S+\n", version.stdout)
+        out = subprocess.run([*run, "validate", docs["sl2"], "--json"],
+                             capture_output=True, text=True, check=True).stdout
+        assert main(["validate", docs["sl2"], "--json"]) == 0
+        assert out == capsys.readouterr().out
