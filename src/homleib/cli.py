@@ -484,10 +484,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
-    """Parse with a parser of the named subcommand alone, which is most of
-    the cost of a small job when all fourteen are built.  Help, --version,
-    anything not starting with a command, and every usage error go to the
-    full parser, whose usage line lists every command."""
+    """Parse with a parser of the named subcommand alone: building all
+    fourteen costs about as much as a small job.  Help, --version, anything
+    not starting with a command, and every usage error go to the full
+    parser, whose usage line lists every command."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS and "-h" not in argv and "--help" not in argv:
         try:
