@@ -182,7 +182,7 @@ def test_violations_recorded_only_by_the_identity_checker():
 def test_validators_hold_no_dense_loops():
     # a validator reads the cached sparse tables; a dense difference or a
     # dense bracket, action, product or twist in its body is a hand-rolled
-    # loop beside the checker
+    # loop beside the checker (``_report`` is the cached body of a validate)
     found = [site for site in _library_sites(_names_dense_kernel)
-             if {"validate", "check_compatible"} & set(site.split(":")[1].split("."))]
+             if {"validate", "_report", "check_compatible"} & set(site.split(":")[1].split("."))]
     assert found == []
