@@ -23,7 +23,6 @@ from .linalg import (
     check_laws,
     contract,
     linear,
-    sparse_table,
     vec_add,
     vec_zero,
 )
@@ -56,13 +55,9 @@ class HomAction:
                          tuple(tuple(z for _ in range(dm)) for _ in range(dl)),
                          tuple(tuple(z for _ in range(dl)) for _ in range(dm)))
 
-    # both tables in the one sparse form, built once; a table that is the
-    # actor's bracket table (the adjoint action) shares the actor's sparse form
-    sparse_left = cached_property(lambda self: self._sparse(self.left))
-    sparse_right = cached_property(lambda self: self._sparse(self.right))
-
-    def _sparse(self, table) -> tuple:
-        return self.actor.sparse_c if table is self.actor.c else sparse_table(table)
+    # both tables in the one sparse form, built once
+    sparse_left = cached_property(lambda self: self.actor.sparse_of(self.left))
+    sparse_right = cached_property(lambda self: self.actor.sparse_of(self.right))
 
     def act_left(self, x, m) -> tuple:
         """Value of the actor vector x on the target vector m from the left."""

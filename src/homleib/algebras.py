@@ -99,6 +99,12 @@ class HomLeibnizAlgebra:
     sparse_c = cached_property(lambda self: sparse_table(self.c))
     sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
 
+    def sparse_of(self, table) -> tuple:
+        """The sparse form of a table of bilinear operations on this algebra:
+        its own bracket table (the adjoint action or co-representation)
+        shares ``sparse_c``, any other table is built anew."""
+        return self.sparse_c if table is self.c else sparse_table(table)
+
     def bracket(self, x, y) -> tuple:
         return contract(self.field, self.sparse_c, x, y, self.dim)
 

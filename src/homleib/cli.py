@@ -11,6 +11,7 @@ Reports are human-readable by default and canonical JSON under ``--json``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -416,7 +417,7 @@ def _arg(*flags, **options):
 _FILE = _arg("file")
 
 # name -> (handler, help text, arguments after --json); the one declaration
-# of each subcommand, in the order the full parser lists them
+# of each subcommand, in the order the parser lists them
 COMMANDS = {
     "validate": (cmd_validate, "check the axioms of a document", [
         _FILE,
@@ -453,28 +454,18 @@ COMMANDS = {
 }
 
 
-class _Reparse(Exception):
-    """A usage error met by a one-command parser, to be reported by the full
-    parser instead."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    # subparsers are built with their parent's class, so this reaches them too
-    def error(self, message):
-        raise _Reparse
-
-
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named ``only``; the
-    latter raises ``_Reparse`` instead of printing a usage error."""
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: ``main`` runs
+    many times in one process, and building the fourteen subparsers costs
+    about as much as a small job.  argparse reads the terminal width when it
+    formats, so the shared parser prints the same bytes as a new one."""
+    parser = argparse.ArgumentParser(
         prog="homleib",
         description="Exact computer algebra for Hom-Leibniz and Hom-associative algebras")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, arguments) in COMMANDS.items():
-        if only is not None and name != only:
-            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for flags, options in arguments:
@@ -483,22 +474,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv=None) -> argparse.Namespace:
-    """Parse with a parser of the named subcommand alone: building all
-    fourteen costs about as much as a small job.  Help, --version, anything
-    not starting with a command, and every usage error go to the full
-    parser, whose usage line lists every command."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS and "-h" not in argv and "--help" not in argv:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ReportedFailure as exc:

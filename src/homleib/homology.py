@@ -36,7 +36,6 @@ from .linalg import (
     linear,
     outer,
     sparse_columns,
-    sparse_table,
     vec_is_zero,
     vec_zero,
 )
@@ -71,15 +70,10 @@ class CoRepresentation:
     def field(self):
         return self.algebra.field
 
-    # both tables and the twist columns in the one sparse form, built once; a
-    # table that is the algebra's bracket table (the adjoint co-representation's
-    # right operation) shares the algebra's sparse form
-    sparse_left = cached_property(lambda self: self._sparse(self.left))
-    sparse_right = cached_property(lambda self: self._sparse(self.right))
+    # both tables and the twist columns in the one sparse form, built once
+    sparse_left = cached_property(lambda self: self.algebra.sparse_of(self.left))
+    sparse_right = cached_property(lambda self: self.algebra.sparse_of(self.right))
     sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
-
-    def _sparse(self, table) -> tuple:
-        return self.algebra.sparse_c if table is self.algebra.c else sparse_table(table)
 
     def act_left(self, x, m) -> tuple:
         return contract(self.field, self.sparse_left, x, m, self.space_dim)

@@ -396,13 +396,3 @@ class TestCli:
         out0 = subprocess.run(cmd, capture_output=True, env=env0, check=True).stdout
         out1 = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out0 == out1
-
-    def test_python_m_homleib(self, docs, capsys):
-        """``python -m homleib`` runs the same command line as ``main``."""
-        run = [sys.executable, "-m", "homleib"]
-        version = subprocess.run([*run, "--version"], capture_output=True, text=True, check=True)
-        assert re.fullmatch(r"homleib \S+\n", version.stdout)
-        out = subprocess.run([*run, "validate", docs["sl2"], "--json"],
-                             capture_output=True, text=True, check=True).stdout
-        assert main(["validate", docs["sl2"], "--json"]) == 0
-        assert out == capsys.readouterr().out
