@@ -410,50 +410,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _arg(*flags, **options):
-    return flags, options
-
-
-_FILE = _arg("file")
-
-# name -> (handler, help text, arguments after --json); the one declaration
-# of each subcommand, in the order the parser lists them
-COMMANDS = {
-    "validate": (cmd_validate, "check the axioms of a document", [
-        _FILE,
-        _arg("--field-check", action="store_true", help="also report the parsed ground field")]),
-    "info": (cmd_info, "center, derived subalgebra and predicates", [_FILE]),
-    "lieize": (cmd_lieize, "quotient by the squares ideal", [_FILE]),
-    "twist": (cmd_twist, "twist a Leibniz algebra along an endomorphism", [
-        _FILE,
-        _arg("--endo", required=True, help="document whose alpha matrix is the endomorphism")]),
-    "semidirect": (cmd_semidirect, "semi-direct product along an action", [_FILE]),
-    "tensor": (cmd_tensor, "non-abelian tensor product", [
-        _arg("--square", help="tensor square of one algebra under adjoint actions"),
-        _arg("first", nargs="?", help="action of the first algebra on the second"),
-        _arg("second", nargs="?", help="action of the second algebra on the first")]),
-    "homology": (cmd_homology, "homology dimensions", [
-        _FILE,
-        _arg("--coeffs", choices=("trivial", "adjoint"), default="trivial"),
-        _arg("--max-n", type=int, default=2)]),
-    "uce": (cmd_uce, "universal central extension of a perfect algebra", [_FILE]),
-    "uce-alpha": (cmd_uce_alpha,
-                  "universal twist-central extension of a twist-perfect algebra", [_FILE]),
-    "six-term": (cmd_six_term, "exactness certificate for an ideal", [
-        _FILE,
-        _arg("--ideal", required=True, help="'zero', 'full' or a JSON list of coordinate vectors")]),
-    "hochschild": (cmd_hochschild, "boundary quotient of an associative-type algebra", [_FILE]),
-    "hh1": (cmd_hh1, "first Hochschild homologies and the twist-identity flag", [_FILE]),
-    "sequence-check": (cmd_sequence_check,
-                       "five-joint exactness certificate for the comparison sequence", [_FILE]),
-    "check-all": (cmd_check_all, "property battery for a document", [
-        _FILE,
-        _arg("--seed", type=int, default=0),
-        _arg("--max-n", type=int, default=3),
-        _arg("--random-instances", type=int, default=3)]),
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: ``main`` runs
@@ -465,17 +421,76 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computer algebra for Hom-Leibniz and Hom-associative algebras")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, arguments) in COMMANDS.items():
+
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
         p.set_defaults(func=func)
+        return p
+
+    p = add("validate", cmd_validate, "check the axioms of a document")
+    p.add_argument("file")
+    p.add_argument("--field-check", action="store_true",
+                   help="also report the parsed ground field")
+
+    p = add("info", cmd_info, "center, derived subalgebra and predicates")
+    p.add_argument("file")
+
+    p = add("lieize", cmd_lieize, "quotient by the squares ideal")
+    p.add_argument("file")
+
+    p = add("twist", cmd_twist, "twist a Leibniz algebra along an endomorphism")
+    p.add_argument("file")
+    p.add_argument("--endo", required=True,
+                   help="document whose alpha matrix is the endomorphism")
+
+    p = add("semidirect", cmd_semidirect, "semi-direct product along an action")
+    p.add_argument("file")
+
+    p = add("tensor", cmd_tensor, "non-abelian tensor product")
+    p.add_argument("--square", help="tensor square of one algebra under adjoint actions")
+    p.add_argument("first", nargs="?", help="action of the first algebra on the second")
+    p.add_argument("second", nargs="?", help="action of the second algebra on the first")
+
+    p = add("homology", cmd_homology, "homology dimensions")
+    p.add_argument("file")
+    p.add_argument("--coeffs", choices=("trivial", "adjoint"), default="trivial")
+    p.add_argument("--max-n", type=int, default=2)
+
+    p = add("uce", cmd_uce, "universal central extension of a perfect algebra")
+    p.add_argument("file")
+
+    p = add("uce-alpha", cmd_uce_alpha,
+            "universal twist-central extension of a twist-perfect algebra")
+    p.add_argument("file")
+
+    p = add("six-term", cmd_six_term, "exactness certificate for an ideal")
+    p.add_argument("file")
+    p.add_argument("--ideal", required=True,
+                   help="'zero', 'full' or a JSON list of coordinate vectors")
+
+    p = add("hochschild", cmd_hochschild, "boundary quotient of an associative-type algebra")
+    p.add_argument("file")
+
+    p = add("hh1", cmd_hh1, "first Hochschild homologies and the twist-identity flag")
+    p.add_argument("file")
+
+    p = add("sequence-check", cmd_sequence_check,
+            "five-joint exactness certificate for the comparison sequence")
+    p.add_argument("file")
+
+    p = add("check-all", cmd_check_all, "property battery for a document")
+    p.add_argument("file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--random-instances", type=int, default=3)
+
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         report = args.func(args)
     except ReportedFailure as exc:
