@@ -22,6 +22,7 @@ from .linalg import (
     bilinear,
     check_laws,
     contract,
+    grid,
     linear,
     vec_add,
     vec_zero,
@@ -114,7 +115,7 @@ class HomAction:
             yield ("f", (lbm[m], lbl[x], lbm[m2]),
                    [br(tm[m], left[x][m2]), br(tm[m], right[m2][x])], [])
 
-        check_laws(f, rep, (L.dim, M.dim), [((), at), ((L.dim,), with_y), ((M.dim,), with_m2)])
+        check_laws(f, rep, (L.dim, M.dim), [(grid(), at), (grid(L.dim), with_y), (grid(M.dim), with_m2)])
         rep.flags["trivial"] = self.is_trivial()
         return rep
 
@@ -197,7 +198,7 @@ class MutualActions:
         in_m = _compatibility_laws(M, N, self.nm, self.mn, ("c1", "c2", "c3", "c4"))
         in_n = _compatibility_laws(N, M, self.mn, self.nm, ("c5", "c6", "c7", "c8"))
         check_laws(M.field, rep, (M.dim, N.dim),
-                   [((M.dim,), in_m), ((N.dim,), lambda m, n, n2: in_n(n, m, n2))])
+                   [(grid(M.dim), in_m), (grid(N.dim), lambda m, n, n2: in_n(n, m, n2))])
         return rep
 
     def is_compatible(self) -> bool:

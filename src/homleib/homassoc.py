@@ -45,6 +45,7 @@ from .linalg import (
     connecting_map,
     contract,
     dense_vec,
+    grid,
     induced_map,
     linear,
     outer,
@@ -131,7 +132,7 @@ class HomAssociativeAlgebra:
             yield ("hom-associativity", (lb[i], lb[j], lb[k]),
                    [prod(tw[i], p[j][k])], [prod(p[i][j], tw[k])])
 
-        check_laws(f, rep, (self.dim, self.dim), [((), pair), ((self.dim,), triple)])
+        check_laws(f, rep, (self.dim, self.dim), [(grid(), pair), (grid(self.dim), triple)])
         rep.flags["commutative"] = self.is_commutative()
         return rep
 

@@ -33,6 +33,7 @@ from .linalg import (
     check_laws,
     contract,
     dense_vec,
+    grid,
     linear,
     outer,
     sparse_columns,
@@ -111,7 +112,7 @@ class CoRepresentation:
             yield ("c", (lbm[m], lbl[x], lbl[y]),
                    [ar(right[m][x], tl[y]), al(tl[y], right[m][x])], [])
 
-        check_laws(f, rep, (L.dim, self.space_dim), [((), at), ((L.dim,), with_y)])
+        check_laws(f, rep, (L.dim, self.space_dim), [(grid(), at), (grid(L.dim), with_y)])
         return rep
 
 

@@ -23,7 +23,9 @@ presentations:
 * ``bilinear`` is the one contraction, of a sparse table at two sparse
   vectors, ``contract`` its dense form and ``linear`` applies sparse columns;
 * ``check_laws`` is the one identity checker: it records each law instance
-  on basis indices whose signed sum of such terms is nonzero;
+  on basis indices whose signed sum of such terms is nonzero, over index
+  tuples each group names (``grid`` for all of them, or the support off
+  which its instances are zero by sparsity);
 * ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
   at an offset when the ambient space has several blocks;
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
@@ -145,18 +147,27 @@ def _total(field: Field, vecs) -> dict:
     return {k: x for k, x in acc.items() if x}
 
 
+def grid(*dims):
+    """The index tuples of a ``check_laws`` group that runs row-major over
+    every basis index below ``dims``, whatever the outer index."""
+    return lambda *outer: product(*map(range, dims))
+
+
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     """Record in ``report`` every violated instance of a family of laws.
 
     The outer loop runs row-major over the index tuples of ``outer_dims``;
-    inside it each (inner_dims, laws) pair of ``groups`` runs in turn over
-    those of ``inner_dims``, and ``laws(*outer, *inner)`` yields one instance
-    per law: (name, witness, plus, minus[, detail]), with ``plus`` and
-    ``minus`` lists of ``bilinear`` or ``linear`` values.  An instance is
-    recorded exactly when its signed sum, plus less minus, is nonzero."""
+    inside it each (tuples, laws) pair of ``groups`` runs in turn over the
+    inner index tuples ``tuples(*outer)`` names, and ``laws(*outer, *inner)``
+    yields one instance per law: (name, witness, plus, minus[, detail]),
+    with ``plus`` and ``minus`` lists of ``bilinear`` or ``linear`` values.
+    An instance is recorded exactly when its signed sum, plus less minus, is
+    nonzero.  A group names the full grid with ``grid``; a group whose
+    instances vanish by sparsity off a support names only the support, in
+    the grid's order, and so records what the full grid would."""
     for idx in product(*map(range, outer_dims)):
-        for inner_dims, laws in groups:
-            for jdx in product(*map(range, inner_dims)):
+        for tuples, laws in groups:
+            for jdx in tuples(*idx):
                 for name, witness, plus, minus, *detail in laws(*idx, *jdx):
                     if _total(field, plus) != _total(field, minus):
                         report.record(name, witness, *detail)

@@ -5,7 +5,9 @@ The ambient space has one generator per elementary symbol: the block of
 pure tensors m (x) n first, then the block n (x) m, row-major in basis
 indices.  Ten multilinear relation families are instantiated on basis
 tuples and spanned; the tensor product is the quotient.  Bilinearity is
-built into the ambient space itself.
+built into the ambient space itself.  Every term of a relation is a pure
+tensor of two sparse vectors, so an instance in which each term has an
+empty leg is zero and is never generated; the span is unchanged.
 
 The bracket of two generators factors through the two evaluation maps
 
@@ -119,10 +121,16 @@ def _eval_maps(ma: MutualActions):
 
 
 def relation_vectors(ma: MutualActions):
-    """Yield the spanning relation instances over basis tuples.
+    """Yield the spanning relation instances over basis tuples, less those
+    that are zero by sparsity.
 
     Each instance is a sparse row: the sorted (column, value) pairs of its
-    nonzero ambient coordinates, empty for an instance that vanishes.
+    nonzero ambient coordinates.  Every term is a pure tensor of two sparse
+    vectors, and a pure tensor with an empty leg is zero, so an instance is
+    yielded only when one of its terms has two nonempty legs; r7-r10 run
+    only over the (m, n) with a nonzero action value.  The rest come in the
+    order below, so the nonzero rows are those of the full enumeration in
+    the same order; a row whose terms cancel is still yielded, empty.
 
     Families, with m, m' in M and n, n' in N (all basis vectors):
       r1  t(m) * [n,n']  - m.n * t(n')   + m.n' * t(n)              (block mn)
@@ -158,6 +166,10 @@ def relation_vectors(ma: MutualActions):
         return base, dm, v, u
 
     def row(plus, minus):
+        # the instance's row, or nothing when each of its terms has an empty
+        # leg and so the instance is zero by sparsity
+        if not any(u and v for _, _, u, v in plus + minus):
+            return
         out = {}
         for op, terms in ((f.add, plus), (f.sub, minus)):
             for off, stride, u, v in terms:
@@ -165,56 +177,52 @@ def relation_vectors(ma: MutualActions):
                     for b, vb in v:
                         c = off + a * stride + b
                         out[c] = op(out.get(c, zero), f.mul(ua, vb))
-        return tuple(sorted((c, x) for c, x in out.items() if x))
+        yield tuple(sorted((c, x) for c, x in out.items() if x))
 
     for i in range(dm):
         for j in range(dn):
             for j2 in range(dn):
                 # r1: t(m) * [n, n'] = m.n * t(n') - m.n' * t(n)
-                yield row((mn(tm[i], cn[j][j2]), mn(nm_right[i][j2], tn[j])),
-                          (mn(nm_right[i][j], tn[j2]),))
+                yield from row((mn(tm[i], cn[j][j2]), mn(nm_right[i][j2], tn[j])),
+                               (mn(nm_right[i][j], tn[j2]),))
                 # r4: [n, n'] * t(m) = n.m * t(n') - t(n) * m.n'
-                yield row((nm(cn[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])),
-                          (mn(nm_left[j][i], tn[j2]),))
+                yield from row((nm(cn[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])),
+                               (mn(nm_left[j][i], tn[j2]),))
     for j in range(dn):
         for i in range(dm):
             for i2 in range(dm):
                 # r2: t(n) * [m, m'] = n.m * t(m') - n.m' * t(m)
-                yield row((nm(tn[j], cm[i][i2]), nm(mn_right[j][i2], tm[i])),
-                          (nm(mn_right[j][i], tm[i2]),))
+                yield from row((nm(tn[j], cm[i][i2]), nm(mn_right[j][i2], tm[i])),
+                               (nm(mn_right[j][i], tm[i2]),))
                 # r3: [m, m'] * t(n) = m.n * t(m') - t(m) * n.m'
-                yield row((mn(cm[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])),
-                          (nm(mn_left[i][j], tm[i2]),))
+                yield from row((mn(cm[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])),
+                               (nm(mn_left[i][j], tm[i2]),))
     for i in range(dm):
         for i2 in range(dm):
             for j in range(dn):
                 # r5: t(m) * (m'.n) = - t(m) * (n.m')
-                yield row((mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])), ())
+                yield from row((mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])), ())
     for j in range(dn):
         for j2 in range(dn):
             for i in range(dm):
                 # r6: t(n) * (n'.m) = - t(n) * (m.n')
-                yield row((nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])), ())
-    for i in range(dm):
-        for j in range(dn):
-            mdown = nm_right[i][j]   # m acted by n, in M
-            mup = mn_left[i][j]      # m acting on n, in N
-            ndown = mn_right[j][i]   # n acted by m, in N
-            nup = nm_left[j][i]      # n acting on m, in M
-            for i2 in range(dm):
-                for j2 in range(dn):
-                    m2down = nm_right[i2][j2]
-                    m2up = mn_left[i2][j2]
-                    n2down = mn_right[j2][i2]
-                    n2up = nm_left[j2][i2]
-                    # r7: (m<n) * (m'>n') = (m>n) * (m'<n')
-                    yield row((mn(mdown, m2up),), (nm(mup, m2down),))
-                    # r8: (m<n) * (n'<m') = (m>n) * (n'>m')
-                    yield row((mn(mdown, n2down),), (nm(mup, n2up),))
-                    # r9: (n>m) * (m'>n') = (n<m) * (m'<n')
-                    yield row((mn(nup, m2up),), (nm(ndown, m2down),))
-                    # r10: (n>m) * (n'<m') = (n<m) * (n'>m')
-                    yield row((mn(nup, n2down),), (nm(ndown, n2up),))
+                yield from row((nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])), ())
+    # at each (m, n): m acted by n and n acting on m (in M), m acting on n
+    # and n acted by m (in N); where all four are empty, every r7-r10 term
+    # has an empty leg
+    values = [(nm_right[i][j], mn_left[i][j], mn_right[j][i], nm_left[j][i])
+              for i in range(dm) for j in range(dn)]
+    live = [v for v in values if any(v)]
+    for mdown, mup, ndown, nup in live:
+        for m2down, m2up, n2down, n2up in live:
+            # r7: (m<n) * (m'>n') = (m>n) * (m'<n')
+            yield from row((mn(mdown, m2up),), (nm(mup, m2down),))
+            # r8: (m<n) * (n'<m') = (m>n) * (n'>m')
+            yield from row((mn(mdown, n2down),), (nm(mup, n2up),))
+            # r9: (n>m) * (m'>n') = (n<m) * (m'<n')
+            yield from row((mn(nup, m2up),), (nm(ndown, m2down),))
+            # r10: (n>m) * (n'<m') = (n<m) * (n'>m')
+            yield from row((mn(nup, n2down),), (nm(ndown, n2up),))
 
 
 def build_tensor(ma: MutualActions) -> TensorProduct:

@@ -23,7 +23,8 @@ from homleib.algebras import (
     quotient_algebra,
     yau_twist,
 )
-from homleib.errors import FieldMismatch, InvalidAction, NotEndomorphism, StructureError
+from homleib.errors import FieldMismatch, InternalInconsistency, InvalidAction, NotEndomorphism, StructureError
+from homleib.extensions import Extension, universal_central_extension
 from homleib.fields import Field
 from homleib.generators import heisenberg, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, yau_twist_assoc
@@ -279,6 +280,17 @@ def _bump_matrix(m, r, c, delta):
     return Matrix(f, m.rows, m.cols, tuple(tuple(row) for row in rows))
 
 
+def _single_entry_perturbations(L):
+    """(cell, algebra) for each structure constant c[i][j][k] and each twist
+    entry (r, c) of L moved by one."""
+    f, n = L.field, L.dim
+    out = [(("c", i, j, k), HomLeibnizAlgebra(f, n, _bump_table(f, L.c, i, j, k, f.one()), L.twist, L.labels))
+           for i in range(n) for j in range(n) for k in range(n)]
+    out += [(("t", r, c), HomLeibnizAlgebra(f, n, L.c, _bump_matrix(L.twist, r, c, f.one()), L.labels))
+            for r in range(n) for c in range(n)]
+    return out
+
+
 def _pick_table_entry(draw, table):
     i = draw(st.integers(0, len(table) - 1))
     j = draw(st.integers(0, len(table[i]) - 1))
@@ -390,21 +402,30 @@ class TestAgainstDenseLoops:
     def test_every_single_entry_perturbation(self, f):
         """Sweep: each structure constant and twist entry of sl2 twisted moved
         by one; the reports agree, and most moves break some law."""
-        L = sl2_twisted(f)
+        perturbed = _single_entry_perturbations(sl2_twisted(f))
         broken = 0
-        cells = [("c", i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-        cells += [("t", r, c, None) for r in range(3) for c in range(3)]
-        for what, a, b, k in cells:
-            if what == "c":
-                P = HomLeibnizAlgebra(f, 3, _bump_table(f, L.c, a, b, k, f.one()), L.twist, L.labels)
-            else:
-                P = HomLeibnizAlgebra(f, 3, L.c, _bump_matrix(L.twist, a, b, f.one()), L.labels)
+        for cell, P in perturbed:
             for kind, obj in (("algebra", P), ("action", self_action(P)), ("corep", adjoint_corep(P)),
                               ("compat", MutualActions.adjoint(P))):
                 sparse, dense = both_reports(kind, obj)
-                assert sparse.to_dict() == dense.to_dict(), (kind, what, a, b, k)
+                assert sparse.to_dict() == dense.to_dict(), (kind, cell)
             broken += not P.validate().valid
-        assert broken > len(cells) // 2
+        assert broken > len(perturbed) // 2
+
+    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    def test_every_single_entry_perturbation_of_sparse_brackets(self, f):
+        """Sweep on brackets of sparse support, where the Hom-Leibniz identity
+        is checked only on the triples off which it is zero by sparsity: each
+        structure constant and twist entry of the abelian algebra twisted by
+        diag(2, -2, 3) and of the Heisenberg algebra moved by one."""
+        abelian = HomLeibnizAlgebra.abelian(f, 3, Matrix.from_rows(f, [[2, 0, 0], [0, -2, 0], [0, 0, 3]]))
+        identity_broken = 0
+        for L in (abelian, heisenberg(f)):
+            for cell, P in _single_entry_perturbations(L):
+                sparse, dense = both_reports("algebra", P)
+                assert sparse.to_dict() == dense.to_dict(), (L.labels, cell)
+                identity_broken += any(v.law == "hom-leibniz identity" for v in sparse.violations)
+        assert identity_broken > 0
 
     @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
     def test_every_single_entry_perturbation_of_products_and_maps(self, f):
@@ -517,8 +538,9 @@ class TestSparseTablesBuiltOnce:
 
 
 class TestReportsComputedOnce:
-    """An action and a Hom-associative algebra check their laws once; every
-    later ``validate`` and ``require_valid`` reads the same report."""
+    """An action, a homomorphism and a Hom-associative algebra check their
+    laws once; every later ``validate`` and ``require_valid`` reads the same
+    report."""
 
     def count_checks(self, monkeypatch, mod):
         runs = []
@@ -548,6 +570,25 @@ class TestReportsComputedOnce:
         with pytest.raises(StructureError, match="invalid hom-associative algebra"):
             bumped.require_valid()
         assert not bumped.validate().valid and len(runs) == 2
+
+
+    def test_homomorphism(self, monkeypatch):
+        subjects = []
+        real = algebras.check_laws
+        monkeypatch.setattr(algebras, "check_laws",
+                            lambda f, rep, *a: subjects.append(rep.subject) or real(f, rep, *a))
+        uce = universal_central_extension(sl2(QQ))
+        # factor_maps checks both factor maps; Extension.from_projection then
+        # reads the first one's report instead of checking it again
+        assert subjects.count("algebra homomorphism") == 2
+        psi = uce.extension.proj
+        assert psi.validate() is psi.validate() and psi.validate().valid
+        bumped = AlgebraHom(psi.source, psi.target,
+                            LinearMap(psi.map.domain_dim, psi.map.codomain_dim,
+                                      _bump_matrix(psi.map.matrix, 0, 0, QQ.one())))
+        with pytest.raises(InternalInconsistency, match="projection fails"):
+            Extension.from_projection(bumped)
+        assert not bumped.validate().valid and subjects.count("algebra homomorphism") == 3
 
 
 class TestFieldMismatch:
