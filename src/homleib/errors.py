@@ -77,10 +77,6 @@ class NotEquivariant(MathFailure):
     pass
 
 
-class HypothesisNotMet(MathFailure):
-    pass
-
-
 class NotSurjective(MathFailure):
     pass
 

@@ -9,11 +9,15 @@ The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
 families: the head right-action term, the alternating left-action terms
 with sign (-1)^i, and the bracket-insertion terms with sign (-1)^(j+1)
-and the twisted coefficient in front.  ``boundary_column`` reads the sparse
-tables of L and M, ``ChainComplex`` builds each boundary column once, and
-the ``homology`` and ``check-all`` commands compute d^2 from the same cached
-columns that give the ranks: its vanishing is checked, never assumed, and
-the check would fail loudly under any sign-convention misreading.
+and the twisted coefficient in front.  The signs do not depend on n, so
+seen from x_n the boundary splits exactly: d_n(m x_1 ... x_n) is
+d_(n-1)(m x_1 ... x_(n-1)) tensored with t(x_n), plus (-1)^n (x_n . m)
+t(x_1) ... t(x_(n-1)), plus (-1)^(n+1) t_M(m) tensored with the chains
+that put [x_i, x_n] in place i < n.  ``ChainComplex`` builds each degree
+once, from its cached degree below (degree 1 is the right action), and
+the ``homology`` and ``check-all`` commands compute d^2 from the same
+cached columns that give the ranks: its vanishing is checked, never
+assumed, and the check would fail loudly under a sign slip in any family.
 """
 
 from __future__ import annotations
@@ -139,59 +143,52 @@ def chain_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
     return M.space_dim * L.dim ** n
 
 
-def _index(L_dim: int, m_idx: int, xs: tuple) -> int:
-    out = m_idx
-    for x in xs:
-        out = out * L_dim + x
-    return out
-
-
 def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
-                    m_idx: int, xs: tuple) -> dict:
+                    m_idx: int, xs: tuple, lower: tuple) -> dict:
     """Sparse image of the basis chain m (x) x_1 (x) ... (x) x_n under the
-    degree-n boundary, as {row index: coefficient}."""
+    degree-n boundary, as {row index: coefficient}.  ``lower`` is the image
+    of m (x) x_1 ... x_(n-1) under the degree n-1 boundary, as (row,
+    coefficient) pairs; degree 1 ignores it."""
+    if n == 1:
+        return dict(M.sparse_right[m_idx][xs[0]])
     f = L.field
     zero = f.zero()
     dl = L.dim
     tw = L.sparse_twist
     out: dict[int, object] = {}
 
-    def scatter(sign_positive: bool, head, slots):
-        # head and slots are sparse: a coefficient vector and algebra
-        # vectors; each combination of their nonzero coordinates contributes
+    def scatter(sign, head, slots):
+        # head is sparse (a coefficient or chain vector), each slot a sparse
+        # algebra vector; every combination of their nonzero coordinates
+        # adds sign * product at row (head row, slot indices) row-major
+        if not head:
+            return
+        scale = dl ** len(slots)
         for picks in iter_product(*slots):
-            coeff = None
-            for _, x in picks:
-                coeff = x if coeff is None else f.mul(coeff, x)
-            combo = tuple(idx for idx, _ in picks)
+            coeff, offset = sign, 0
+            for idx, x in picks:
+                coeff = f.mul(coeff, x)
+                offset = offset * dl + idx
             for hm, hv in head:
-                total = hv if coeff is None else f.mul(hv, coeff)
-                if not sign_positive:
-                    total = f.neg(total)
-                key = _index(dl, hm, combo)
-                cur = f.add(out.get(key, zero), total)
-                if not cur:
-                    out.pop(key, None)
-                else:
+                key = hm * scale + offset
+                cur = f.add(out.get(key, zero), f.mul(hv, coeff))
+                if cur:
                     out[key] = cur
+                else:
+                    out.pop(key, None)
 
-    # head family: m acted by x_1 on the right, the rest twisted
-    scatter(True, M.sparse_right[m_idx][xs[0]], [tw[x] for x in xs[1:]])
-    # left-action family, i = 2..n with sign (-1)^i
-    for i in range(2, n + 1):
-        head = M.sparse_left[xs[i - 1]][m_idx]
-        slots = [tw[x] for k, x in enumerate(xs) if k != i - 1]
-        scatter(i % 2 == 0, head, slots)
-    # bracket insertion family over pairs i < j, sign (-1)^(j+1)
-    tm = M.sparse_twist[m_idx]
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            slots = []
-            for k, x in enumerate(xs, start=1):
-                if k == j:
-                    continue
-                slots.append(L.sparse_c[xs[i - 1]][xs[j - 1]] if k == i else tw[x])
-            scatter((j + 1) % 2 == 0, tm, slots)
+    *front, last = xs
+    twisted = [tw[x] for x in front]
+    # the terms that leave x_n alone: d_(n-1) of the front, x_n twisted
+    scatter(f.one(), lower, [tw[last]])
+    # x_n acting on the left, sign (-1)^n
+    left_sign = f.one() if n % 2 == 0 else f.neg(f.one())
+    scatter(left_sign, M.sparse_left[last][m_idx], twisted)
+    # the brackets [x_i, x_n] in place i < n, sign (-1)^(n+1)
+    for i, x in enumerate(front):
+        slots = list(twisted)
+        slots[i] = L.sparse_c[x][last]
+        scatter(f.neg(left_sign), M.sparse_twist[m_idx], slots)
     return out
 
 
@@ -204,10 +201,10 @@ class HomologyResult:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """The chain complex of L with coefficients in M.  Each boundary column
-    is built once, the first time its degree is asked for; ranks, the
-    squared-boundary check, dense boundaries and homology all read the
-    cached columns."""
+    """The chain complex of L with coefficients in M.  Each degree's
+    boundary columns are built once, from the cached degree below, the
+    first time the degree is asked for; ranks, the squared-boundary check,
+    dense boundaries and homology all read the cached columns."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
@@ -222,9 +219,12 @@ class ChainComplex:
         cols = self._columns.get(n)
         if cols is None:
             L, M = self.algebra, self.coeffs
-            cols = tuple(tuple(boundary_column(L, M, n, m_idx, xs).items())
-                         for m_idx in range(M.space_dim)
-                         for xs in iter_product(*[range(L.dim)] * n))
+            # column c extends column c // dim L of the degree below; degree
+            # 0 has no boundary, one empty column per coefficient
+            lower = self.columns(n - 1) if n > 1 else ((),) * M.space_dim
+            basis = iter_product(range(M.space_dim), iter_product(*[range(L.dim)] * n))
+            cols = tuple(tuple(boundary_column(L, M, n, m_idx, xs, lower[c // L.dim]).items())
+                         for c, (m_idx, xs) in enumerate(basis))
             self._columns[n] = cols  # only a finished tuple is ever stored
         return cols
 

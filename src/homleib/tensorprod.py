@@ -245,15 +245,17 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
 
 def factor_maps(t: TensorProduct):
     """The two algebra homomorphisms from the tensor product onto values of
-    the actions inside each factor."""
+    the actions inside each factor; on a tensor square, where they agree,
+    one homomorphism returned twice."""
     pres = t.presentation
     for r in pres.relations.basis.entries:
         if not vec_is_zero(t.m_side.field, t.eval_m.apply(r)) or \
            not vec_is_zero(t.n_side.field, t.eval_n.apply(r)):
             raise InternalInconsistency("evaluation map does not kill the relations", witness=(r,))
     sec = pres.section_map()
-    into_m = AlgebraHom(t.algebra, t.m_side, t.eval_m.compose(sec))
-    into_n = AlgebraHom(t.algebra, t.n_side, t.eval_n.compose(sec))
+    on_m, on_n = t.eval_m.compose(sec), t.eval_n.compose(sec)
+    into_m = AlgebraHom(t.algebra, t.m_side, on_m)
+    into_n = into_m if (t.n_side, on_n) == (t.m_side, on_m) else AlgebraHom(t.algebra, t.n_side, on_n)
     for hom, name in ((into_m, "first"), (into_n, "second")):
         hom.validate().require(lambda v: InternalInconsistency(
             f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
