@@ -23,6 +23,7 @@ from .linalg import (
     check_laws,
     contract,
     grid,
+    induced_map,
     linear,
     vec_add,
     vec_zero,
@@ -150,6 +151,22 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
               for i in range(actor.dim))
         for j in range(target.dim))
     return HomAction(actor, target, left, right)
+
+
+def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, columns,
+                   error) -> HomAction:
+    """The action of ``actor`` on the algebra ``target`` presented by
+    ``pres``.  ``columns(a)`` gives the left and right actions of the actor
+    basis vector a on the ambient generators, as two lists of ambient
+    columns; each is certified to descend by ``induced_map`` on ``pres``
+    (raising ``error``), and its column k is the value at coset generator k."""
+    left, right = [], []
+    for a in range(actor.dim):
+        for maps, cols in zip((left, right), columns(a)):
+            amap = LinearMap.from_columns(actor.field, pres.ambient_dim, cols)
+            maps.append(induced_map(amap, pres, pres, error))
+    return HomAction(actor, target, tuple(tuple(m.column(k) for k in range(target.dim)) for m in left),
+                     tuple(tuple(m.column(k) for m in right) for k in range(target.dim)))
 
 
 def self_action(L: HomLeibnizAlgebra) -> HomAction:
@@ -285,7 +302,6 @@ def reconstructed_action(sd: SemidirectProduct) -> HomAction:
     bracket of the section and inclusion images inside the total algebra."""
     M, L = sd.include.source, sd.project.target
     K = sd.algebra
-    f = K.field
 
     def down(v):
         q = sd.include.map.preimage(v)

@@ -469,10 +469,6 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
     return sub, incl
 
 
-def twist_image_subalgebra(L: HomLeibnizAlgebra, label_prefix: str = "a"):
-    return subalgebra(L, L.twist_map().image(), label_prefix)
-
-
 def direct_sum(A: HomLeibnizAlgebra, B: HomLeibnizAlgebra) -> HomLeibnizAlgebra:
     if A.field != B.field:
         raise FieldMismatch("direct sum across different fields")

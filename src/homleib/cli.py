@@ -74,6 +74,13 @@ def _require(report, what: str):
     report.require(lambda v: MathFailure(f"{what}: {v.law} fails at {v.witness}", witness=v.witness))
 
 
+def _valid_algebra(path: str, kinds=("hom-leibniz", "leibniz")):
+    """The algebra of a document, built and validated."""
+    alg = _load_algebra(path, kinds).build()
+    _require(alg.validate(), "algebra")
+    return alg
+
+
 def cmd_validate(args) -> dict:
     doc = parse_document(Path(args.file))
     rep = doc.build().validate()
@@ -107,9 +114,7 @@ def cmd_info(args) -> dict:
 
 
 def cmd_lieize(args) -> dict:
-    doc = _load_algebra(args.file)
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file)
     quot, proj = lieization(alg)
     return {
         "input_dim": alg.dim,
@@ -159,9 +164,7 @@ def cmd_tensor(args) -> dict:
     if args.square:
         if args.first or args.second:
             raise UsageError("tensor takes --square FILE or two action documents, not both")
-        doc = _load_algebra(args.square)
-        alg = doc.build()
-        _require(alg.validate(), "algebra")
+        alg = _valid_algebra(args.square)
         ma = MutualActions.adjoint(alg)
     else:
         if not (args.first and args.second):
@@ -190,9 +193,7 @@ def _nonnegative(value: int, flag: str):
 
 def cmd_homology(args) -> dict:
     _nonnegative(args.max_n, "--max-n")
-    doc = _load_algebra(args.file)
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file)
     if args.coeffs == "trivial":
         corep = trivial_corep(alg)
     else:
@@ -217,9 +218,7 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_uce(args) -> dict:
-    doc = _load_algebra(args.file)
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file)
     uce = universal_central_extension(alg)
     return {
         "total_dim": uce.extension.total.dim,
@@ -230,9 +229,7 @@ def cmd_uce(args) -> dict:
 
 
 def cmd_uce_alpha(args) -> dict:
-    doc = _load_algebra(args.file)
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file)
     res = universal_alpha_central_extension(alg)
     return {
         "total_dim": res.extension.total.dim,
@@ -263,9 +260,7 @@ def _parse_ideal(alg, text: str) -> Subspace:
 
 
 def cmd_six_term(args) -> dict:
-    doc = _load_algebra(args.file)
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file)
     space = _parse_ideal(alg, args.ideal)
     IdealHandle(alg, space).require_ideal()
     rep = six_term_check(alg, space)
@@ -276,9 +271,7 @@ def cmd_six_term(args) -> dict:
 
 
 def cmd_hochschild(args) -> dict:
-    doc = _load_algebra(args.file, kinds=("hom-associative",))
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file, kinds=("hom-associative",))
     h = hochschild_module(alg)
     return {
         "boundary_rank": h.boundary.rank(),
@@ -291,16 +284,12 @@ def cmd_hochschild(args) -> dict:
 
 
 def cmd_hh1(args) -> dict:
-    doc = _load_algebra(args.file, kinds=("hom-associative",))
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file, kinds=("hom-associative",))
     return first_homologies(alg).to_dict()
 
 
 def cmd_sequence_check(args) -> dict:
-    doc = _load_algebra(args.file, kinds=("hom-associative",))
-    alg = doc.build()
-    _require(alg.validate(), "algebra")
+    alg = _valid_algebra(args.file, kinds=("hom-associative",))
     rep = sequence_check(alg)
     out = {"report": rep.to_dict()}
     if not rep.ok:

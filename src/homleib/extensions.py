@@ -46,7 +46,6 @@ from .linalg import (
     quotient,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
 from .report import ExactnessReport
@@ -141,21 +140,14 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
                 raise KernelMismatch("perturbation must take values in the kernel")
         section = section.add(perturbation)
     t = uce.tensor
-    dm, dn = t.m_side.dim, t.n_side.dim
-    cols = []
-    for i in range(dm):
-        si = section.column(i)
-        for j in range(dn):
-            cols.append(Kp.bracket(si, section.column(j)))
-    for j in range(dn):
-        sj = section.column(j)
-        for i in range(dm):
-            cols.append(Kp.bracket(sj, section.column(i)))
-    amb = LinearMap.from_columns(f, Kp.dim, cols)
-    for r in t.presentation.relations.basis.entries:
-        if not vec_is_zero(f, amb.apply(r)):
-            raise InternalInconsistency("lift does not kill the tensor relations", witness=(r,))
-    lift = AlgebraHom(t.algebra, Kp, amb.compose(t.presentation.section_map()))
+    # x*y in either block of the tensor square of the base goes to the
+    # bracket of the chosen preimages; both blocks are row-major in (x, y)
+    s = [section.column(i) for i in range(L.dim)]
+    brackets = [Kp.bracket(u, v) for u in s for v in s]
+    amb = LinearMap.from_columns(f, Kp.dim, brackets + brackets)
+    lift = AlgebraHom(t.algebra, Kp, induced_map(
+        amb, t.presentation, quotient(f, Kp.dim, ()),
+        lambda r, w: InternalInconsistency("lift does not kill the tensor relations", witness=(r,))))
     lift.validate().require(
         lambda v: InternalInconsistency("lift is not a homomorphism", witness=v.witness))
     if other.proj.map.compose(lift.map).matrix != uce.extension.proj.map.matrix:
@@ -181,7 +173,6 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
     """
     if twist_image_bracket_span(L).dim != L.dim:
         raise NotAlphaPerfect("the twist image does not bracket onto the whole algebra")
-    f = L.field
     A, incl = subalgebra(L, L.twist_map().image(), "a")
     t = build_tensor(MutualActions.adjoint(A))
     psi_a = commutator_map(t)

@@ -34,9 +34,12 @@ presentations:
   and ``LinearMap.preimage`` reads a solution off the factor and rechecks
   it; both return None for a vector outside the subspace or image, and each
   caller raises its own error;
-* ``induced_map`` is the map of quotients induced by an ambient map: it
-  certifies that relations land in relations, then projects one image per
-  quotient generator, with no dense matrix product;
+* ``induced_map`` is the one descent certificate, and every map out of a
+  presentation is one: it checks that the ambient map carries each relation
+  row into the target's relations, raising ``error(r, w)`` for the first row
+  r whose image w does not, then projects the image of each coset
+  generator.  A map into a plain space has the relation-free target
+  ``quotient(field, n, ())``;
 * ``connecting_map`` is the snake map of an exactness certificate: lift
   along a row map, push down a column map, read in the target.
 """
@@ -687,25 +690,26 @@ class QuotientSpace:
         cols = [self.project(unit_vec(f, self.ambient_dim, j)) for j in range(self.ambient_dim)]
         return LinearMap.from_columns(f, self.dim, cols)
 
-    def section_map(self) -> LinearMap:
-        return LinearMap.from_columns(self.field, self.ambient_dim,
-                                      [self.lift_unit(k) for k in range(self.dim)])
-
 
 def quotient(field: Field, ambient_dim: int, relations) -> QuotientSpace:
     return QuotientSpace(ambient_dim, Subspace.span(field, ambient_dim, relations))
 
 
-def induced_map(f: LinearMap, src: QuotientSpace, dst: QuotientSpace) -> LinearMap:
+def _not_well_defined(r, w):
+    return NotWellDefined("map does not descend to the quotient", witness=(r, w))
+
+
+def induced_map(f: LinearMap, src: QuotientSpace, dst: QuotientSpace,
+                error=_not_well_defined) -> LinearMap:
     """The map on quotient coordinates, provided f carries relations into
-    relations: column k is the class of f applied to the k-th coset
-    representative of ``src``."""
+    relations: column k is the class of f at the k-th coset generator of
+    ``src``.  The first relation row r whose image w leaves the relations of
+    ``dst`` raises ``error(r, w)``."""
     if f.domain_dim != src.ambient_dim or f.codomain_dim != dst.ambient_dim:
         raise DimensionError("map does not connect the two ambient spaces")
     for r in src.relations.basis.entries:
         w = f.apply(r)
         if not dst.relations.contains(w):
-            raise NotWellDefined(
-                "map does not descend to the quotient", witness=(r, w))
+            raise error(r, w)
     cols = [dst.project(f.apply(src.lift_unit(k))) for k in range(src.dim)]
     return LinearMap.from_columns(f.field, dst.dim, cols)

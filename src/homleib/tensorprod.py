@@ -22,7 +22,8 @@ the evaluations kill every relation (the crossed-module property of the
 tensor product), and two mat-vecs per relation basis row certify the
 bracket; a row they do not kill falls back to the full check.  A failure
 aborts loudly since it would contradict the construction.  Maps between
-tensor products are ``linalg.induced_map`` of the ambient map.
+tensor products, the factor maps onto M and N and the outer actions are
+each ``linalg.induced_map`` of an ambient map.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
-from .actions import HomAction, MutualActions, bracket_mutual
+from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import AlgebraHom, HomLeibnizAlgebra, certified_quotient
 from .linalg import (
     LinearMap,
@@ -39,6 +40,7 @@ from .linalg import (
     Subspace,
     induced_map,
     outer,
+    quotient,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -245,17 +247,16 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
 
 def factor_maps(t: TensorProduct):
     """The two algebra homomorphisms from the tensor product onto values of
-    the actions inside each factor; on a tensor square, where they agree,
-    one homomorphism returned twice."""
-    pres = t.presentation
-    for r in pres.relations.basis.entries:
-        if not vec_is_zero(t.m_side.field, t.eval_m.apply(r)) or \
-           not vec_is_zero(t.n_side.field, t.eval_n.apply(r)):
-            raise InternalInconsistency("evaluation map does not kill the relations", witness=(r,))
-    sec = pres.section_map()
-    on_m, on_n = t.eval_m.compose(sec), t.eval_n.compose(sec)
-    into_m = AlgebraHom(t.algebra, t.m_side, on_m)
-    into_n = into_m if (t.n_side, on_n) == (t.m_side, on_m) else AlgebraHom(t.algebra, t.n_side, on_n)
+    the actions inside each factor, induced by the evaluation maps; on a
+    tensor square, where they agree, one homomorphism returned twice."""
+    def onto(side, ev):
+        return AlgebraHom(t.algebra, side, induced_map(
+            ev, t.presentation, quotient(side.field, side.dim, ()),
+            lambda r, w: InternalInconsistency("evaluation map does not kill the relations",
+                                               witness=(r,))))
+
+    into_m = onto(t.m_side, t.eval_m)
+    into_n = into_m if (t.n_side, t.eval_n) == (t.m_side, t.eval_m) else onto(t.n_side, t.eval_n)
     for hom, name in ((into_m, "first"), (into_n, "second")):
         hom.validate().require(lambda v: InternalInconsistency(
             f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
@@ -284,9 +285,7 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     """
     M, N = t.m_side, t.n_side
     f = M.field
-    pres = t.presentation
     mn, nm = t.actions.mn, t.actions.nm
-    T = t.algebra
     if side == "m":
         actor = M
 
@@ -304,10 +303,8 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
     tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
 
-    # for each actor basis vector, both actions as maps from the ambient
-    # generators into quotient coordinates
-    left_maps, right_maps = [], []
-    for a in range(actor.dim):
+    def columns(a):
+        # both actions of the actor basis vector a on the ambient generators
         left_cols = [None] * t.ambient_dim
         right_cols = [None] * t.ambient_dim
         for i in range(M.dim):
@@ -315,27 +312,16 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
                 am, an, ma, na = values(a, i, j)
                 g, g2 = t.idx_mn(i, j), t.idx_nm(j, i)
                 x, y = t.embed_mn(am, tn[j]), t.embed_nm(an, tm[i])
-                left_cols[g] = pres.project(vec_sub(f, x, y))
-                left_cols[g2] = pres.project(vec_sub(f, y, x))
-                right_cols[g] = pres.project(
-                    vec_add(f, t.embed_mn(ma, tn[j]), t.embed_mn(tm[i], na)))
-                right_cols[g2] = pres.project(
-                    vec_add(f, t.embed_nm(na, tm[i]), t.embed_nm(tn[j], ma)))
-        left_maps.append(LinearMap.from_columns(f, T.dim, left_cols))
-        right_maps.append(LinearMap.from_columns(f, T.dim, right_cols))
+                left_cols[g] = vec_sub(f, x, y)
+                left_cols[g2] = vec_sub(f, y, x)
+                right_cols[g] = vec_add(f, t.embed_mn(ma, tn[j]), t.embed_mn(tm[i], na))
+                right_cols[g2] = vec_add(f, t.embed_nm(na, tm[i]), t.embed_nm(tn[j], ma))
+        return left_cols, right_cols
 
-    # the formulas are linear in the ambient generator; they must kill the
-    # relation subspace for the quotient action to be meaningful
-    for r in pres.relations.basis.entries:
-        for a in range(actor.dim):
-            for amap in (left_maps[a], right_maps[a]):
-                if not vec_is_zero(f, amap.apply(r)):
-                    raise InternalInconsistency(
-                        "outer action does not descend to the quotient", witness=(side, r))
-    reps = [pres.lift_unit(k) for k in range(T.dim)]
-    left = [tuple(amap.apply(rep_vec) for rep_vec in reps) for amap in left_maps]
-    right = [tuple(amap.apply(rep_vec) for amap in right_maps) for rep_vec in reps]
-    action = HomAction(actor, T, tuple(left), tuple(right))
+    # the formulas are linear in the ambient generator; they must carry the
+    # relations into the relations for the quotient action to exist
+    action = induced_action(actor, t.algebra, t.presentation, columns, lambda r, w: InternalInconsistency(
+        "outer action does not descend to the quotient", witness=(side, r)))
     action.validate().require(lambda v: InternalInconsistency(
         f"outer action identity {v.law} fails at {v.witness}", witness=v.witness))
     return action

@@ -429,18 +429,19 @@ class TestAgainstDenseLoops:
 
     @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
     def test_every_single_entry_perturbation_of_products_and_maps(self, f):
-        """Sweep: each product constant and twist entry of the twisted upper
-        triangular matrices, and each entry of the identity map of sl2
-        twisted, moved by one."""
-        A = twisted_upper(f)
+        """Sweep: each product constant and twist entry of the dual numbers
+        and of the twisted upper triangular matrices, and each entry of the
+        identity map of sl2 twisted, moved by one."""
         broken = []
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    P = HomAssociativeAlgebra(f, 3, _bump_table(f, A.p, i, j, k, f.one()), A.twist, A.labels)
-                    broken.append(both_reports("assoc", P))
-                T = HomAssociativeAlgebra(f, 3, A.p, _bump_matrix(A.twist, i, j, f.one()), A.labels)
-                broken.append(both_reports("assoc", T))
+        for A in (dual_numbers(f), twisted_upper(f)):
+            n = A.dim
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        P = HomAssociativeAlgebra(f, n, _bump_table(f, A.p, i, j, k, f.one()), A.twist, A.labels)
+                        broken.append(both_reports("assoc", P))
+                    T = HomAssociativeAlgebra(f, n, A.p, _bump_matrix(A.twist, i, j, f.one()), A.labels)
+                    broken.append(both_reports("assoc", T))
         L = sl2_twisted(f)
         for r in range(3):
             for c in range(3):
@@ -570,6 +571,25 @@ class TestReportsComputedOnce:
         with pytest.raises(StructureError, match="invalid hom-associative algebra"):
             bumped.require_valid()
         assert not bumped.validate().valid and len(runs) == 2
+
+    def test_hom_associativity_runs_only_on_its_support(self, monkeypatch):
+        # at a triple where p[i][j] and p[j][k] are both zero each side is
+        # zero; upper triangular has 19 other triples of 27
+        names = []
+        real = homassoc.check_laws
+
+        def counted(laws):
+            def each(*idx):
+                for instance in laws(*idx):
+                    names.append(instance[0])
+                    yield instance
+            return each
+
+        monkeypatch.setattr(homassoc, "check_laws", lambda f, rep, dims, groups: real(
+            f, rep, dims, [(tuples, counted(laws)) for tuples, laws in groups]))
+        assert upper_triangular(QQ).validate().valid
+        assert names.count("multiplicativity") == 9
+        assert names.count("hom-associativity") == 19
 
 
     def test_homomorphism(self, monkeypatch):

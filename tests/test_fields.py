@@ -160,6 +160,24 @@ def test_boundary_columns_built_only_by_the_chain_complex():
     assert [site.rsplit(":", 1)[0] for site in found] == ["homology:ChainComplex.columns"], found
 
 
+def _reads_relation_basis(node):
+    # ``<...>.relations.basis`` or ``relations.basis``
+    if not (isinstance(node, ast.Attribute) and node.attr == "basis"):
+        return False
+    value = node.value
+    name = value.id if isinstance(value, ast.Name) else getattr(value, "attr", None)
+    return name == "relations"
+
+
+def test_relation_rows_read_only_by_the_descent_certificates():
+    # every map out of a presentation is ``induced_map``, the one place that
+    # certifies a map carries the relations into the target's relations;
+    # ``certified_quotient`` keeps its bracket sweep over the relation rows
+    found = _library_sites(_reads_relation_basis)
+    assert [site.rsplit(":", 1)[0] for site in found] == \
+        ["algebras:certified_quotient", "linalg:induced_map"], found
+
+
 def _calls_record(node):
     return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "record"
 
