@@ -10,9 +10,8 @@ runs ``linalg.check_laws`` on the Hom-Leibniz identity
     [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
 
 and multiplicativity t[x, y] = [t(x), t(y)] on basis tuples, which suffices
-by multilinearity.  The identity is checked only on the triples where
-[y, z], [x, y] or [x, z] is nonzero: at any other basis triple both sides
-are zero, so a bracket with sparse support (an abelian or Heisenberg
+by multilinearity, each only where ``linalg.support`` finds a term that can
+be nonzero: a bracket with sparse support (an abelian or Heisenberg
 algebra, most presented tensor products) skips nearly all of its dim^3
 triples, with the report of the full sweep.  Homomorphisms are validated
 the same way, once per object.  All values are immutable and all
@@ -52,6 +51,7 @@ from .linalg import (
     outer,
     sparse_columns,
     sparse_table,
+    support,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -148,18 +148,21 @@ class HomLeibnizAlgebra:
         f, c, tw, lb = self.field, self.sparse_c, self.sparse_twist, self.labels
         br = partial(bilinear, f, c)
 
-        def pairs(i, j):
+        def pairs(i, j, _):
             # t[x, y] = [t(x), t(y)]
             yield ("multiplicativity", (lb[i], lb[j]), [linear(f, tw, c[i][j])], [br(tw[i], tw[j])],
                    f"twist[{lb[i]},{lb[j]}] != [twist {lb[i]}, twist {lb[j]}]")
 
-        def triples(i, j, k):
+        def triples(i, j, k, _):
             # [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
             yield ("hom-leibniz identity", (lb[i], lb[j], lb[k]),
                    [br(tw[i], c[j][k]), br(c[i][k], tw[j])], [br(c[i][j], tw[k])])
 
-        check_laws(f, rep, (), [(grid(self.dim, self.dim), pairs),
-                                (partial(_identity_support, c), triples)])
+        n = self.dim
+        check_laws(f, rep, (), [
+            support((n, n), pairs, ((tw, (c, 0, 1)), (c, (tw, 0), (tw, 1)))),
+            support((n, n, n), triples,
+                    ((c, (tw, 0), (c, 1, 2)), (c, (c, 0, 2), (tw, 1)), (c, (c, 0, 1), (tw, 2))))])
         rep.flags["hom_lie"] = self.is_skew()
         rep.flags["abelian"] = self.is_abelian()
         return rep
@@ -167,17 +170,6 @@ class HomLeibnizAlgebra:
     def require_valid(self):
         self.validate().require(lambda v: StructureError(f"invalid algebra: {v.law} fails at {v.witness}"))
         return self
-
-
-def _identity_support(c):
-    """The index triples (i, j, k), row-major, at which c[j][k], c[i][j] or
-    c[i][k] is nonzero: at every other triple each term of the Hom-Leibniz
-    identity brackets with an empty value, so both sides are zero."""
-    rows = [{k for k, v in enumerate(row) if v} for row in c]
-    for i, row in enumerate(c):
-        for j, cij in enumerate(row):
-            for k in range(len(c)) if cij else sorted(rows[i] | rows[j]):
-                yield i, j, k
 
 
 @dataclass(frozen=True)
@@ -210,7 +202,7 @@ class AlgebraHom:
         f, lb, sc = src.field, src.labels, src.sparse_c
         cols = sparse_columns(self.map.matrix)
 
-        def pairs(i, j):
+        def pairs(i, j, _):
             yield ("bracket preservation", (lb[i], lb[j]), [linear(f, cols, sc[i][j])],
                    [bilinear(f, tgt.sparse_c, cols[i], cols[j])])
 
@@ -218,7 +210,9 @@ class AlgebraHom:
             yield ("twist compatibility", (lb[i],), [linear(f, cols, src.sparse_twist[i])],
                    [linear(f, tgt.sparse_twist, cols[i])])
 
-        check_laws(f, rep, (), [(grid(src.dim, src.dim), pairs), (grid(src.dim), singles)])
+        n = src.dim
+        check_laws(f, rep, (), [support((n, n), pairs, ((cols, (sc, 0, 1)), (tgt.sparse_c, (cols, 0), (cols, 1)))),
+                                (grid(n), singles)])
         return rep
 
     def is_homomorphism(self) -> bool:
@@ -330,21 +324,17 @@ def certified_quotient(pres: QuotientSpace, left: LinearMap, right: LinearMap,
     f = pres.field
     ambient = pres.ambient_dim
     relations = pres.relations
-
-    def amb_bracket(x, y):
-        return outer(f, left.apply(x), right.apply(y), ambient)
-
     twist = induced_map(twist_amb, pres, pres)
     for r in relations.basis.entries:
-        if vec_is_zero(f, left.apply(r)) and vec_is_zero(f, right.apply(r)):
+        left_r, right_r = left.apply(r), right.apply(r)
+        if vec_is_zero(f, left_r) and vec_is_zero(f, right_r):
             continue
         for k in range(ambient):
-            g = unit_vec(f, ambient, k)
-            if not relations.contains(amb_bracket(r, g)) or \
-               not relations.contains(amb_bracket(g, r)):
+            if not relations.contains(outer(f, left_r, right.column(k), ambient)) or \
+               not relations.contains(outer(f, left.column(k), right_r, ambient)):
                 raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
-    reps = [pres.lift_unit(k) for k in range(pres.dim)]
-    table = tuple(tuple(pres.project(amb_bracket(ra, rb)) for rb in reps) for ra in reps)
+    gens = [(left.column(a), right.column(a)) for a in pres.coset_basis]
+    table = tuple(tuple(pres.project(outer(f, x, y, ambient)) for _, y in gens) for x, _ in gens)
     algebra = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, tuple(labels))
     algebra.validate().require(lambda v: InternalInconsistency(
         f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))

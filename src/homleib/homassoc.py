@@ -2,9 +2,8 @@
 
 An algebra caches its product table and twist columns in sparse form
 (``sparse_p``, ``sparse_twist``); validation runs ``linalg.check_laws`` on
-multiplicativity and Hom-associativity over basis tuples.  At a triple
-(i, j, k) with p[i][j] and p[j][k] both zero each side of Hom-associativity
-is zero, so only the other triples are evaluated, in the same order.
+multiplicativity and Hom-associativity over basis tuples, the latter only
+where ``linalg.support`` finds a side that can be nonzero, in order.
 
 From an algebra A with product p and twist t, the degree-three Hochschild
 boundary sends a (x) b (x) c to  ab (x) t(c) - t(a) (x) bc + ca (x) t(b).
@@ -55,6 +54,7 @@ from .linalg import (
     quotient,
     sparse_columns,
     sparse_table,
+    support,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -131,18 +131,14 @@ class HomAssociativeAlgebra:
             # t(xy) = t(x) t(y)
             yield "multiplicativity", (lb[i], lb[j]), [linear(f, tw, p[i][j])], [prod(tw[i], tw[j])]
 
-        def triple(i, j, k):
+        def triple(i, j, k, _):
             # t(x) (yz) = (xy) t(z)
             yield ("hom-associativity", (lb[i], lb[j], lb[k]),
                    [prod(tw[i], p[j][k])], [prod(p[i][j], tw[k])])
 
-        rows = [[k for k, v in enumerate(row) if v] for row in p]
-
-        def support(i, j):
-            # (xy) t(z) is zero where p[i][j] is, and t(x) (yz) where p[j][k] is
-            return ((k,) for k in (range(self.dim) if p[i][j] else rows[j]))
-
-        check_laws(f, rep, (self.dim, self.dim), [(grid(), pair), (support, triple)])
+        n = self.dim
+        check_laws(f, rep, (n, n), [
+            (grid(), pair), support((n, n, n), triple, ((p, (tw, 0), (p, 1, 2)), (p, (p, 0, 1), (tw, 2))))])
         rep.flags["commutative"] = self.is_commutative()
         return rep
 
@@ -393,17 +389,6 @@ def action_of_quotient(h: HochschildModule) -> HomAction:
     return HomAction(h.algebra, lb, left, right)
 
 
-def quotient_mutual_actions(h: HochschildModule) -> MutualActions:
-    """Mutual actions of the commutator algebra and the quotient algebra;
-    compatibility needs the twist-identity condition on commutators."""
-    A = h.parent
-    wit = alpha_identity_witness(A)
-    if wit is not None:
-        raise AlphaIdentityFails(
-            f"commutator of {wit[0]} with a twist-shift value is nonzero", witness=wit)
-    return MutualActions(action_on_quotient(h), action_of_quotient(h))
-
-
 def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     """Five-joint exactness certificate for the degree-one Hochschild
     comparison sequence
@@ -430,7 +415,7 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.dims["commutator subspace"] = h.commutator_space.dim
     rep.dims["first homology"] = h.first_homology_dim
 
-    ma_q = quotient_mutual_actions(h)
+    ma_q = MutualActions(action_on_quotient(h), action_of_quotient(h))
     rep.check("mutual actions compatible", ma_q.is_compatible())
     t_aq = build_tensor(ma_q)
     rep.dims["tensor with quotient"] = t_aq.algebra.dim
@@ -482,9 +467,9 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.check("tensor row exact in the middle", big_f.map.image() == big_g.map.kernel())
 
     # columns: evaluation of each tensor product onto its second factor
-    _, col_q = factor_maps(t_aq)
-    _, col_c = factor_maps(t_ac)
-    _, col_h = factor_maps(t_ah)
+    col_q, = factor_maps(t_aq, "n")
+    col_c, = factor_maps(t_ac, "n")
+    col_h, = factor_maps(t_ah, "n")
     rep.check("column over the homology tensor vanishes", col_h.map.is_zero())
     rep.check("column vanishes on the included homology tensor",
               col_q.map.compose(big_f.map).is_zero())

@@ -3,7 +3,8 @@
 A co-representation holds its two operations as tables like an action, and
 caches them with its twist columns in the one sparse form (``sparse_left``,
 ``sparse_right``, ``sparse_twist``); ``linalg.check_laws`` checks its five
-identities on basis tuples.
+identities on basis tuples, the three that act twice only where
+``linalg.support`` finds a term that can be nonzero.
 
 The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
@@ -41,6 +42,7 @@ from .linalg import (
     linear,
     outer,
     sparse_columns,
+    support,
     vec_is_zero,
     vec_zero,
 )
@@ -105,7 +107,7 @@ class CoRepresentation:
             # e) t_M(m.x) = t_M(m).t(x)
             yield "e", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
 
-        def with_y(x, m, y):
+        def with_y(x, m, y, _):
             # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
             yield ("a", (lbl[x], lbl[y], lbm[m]),
                    [al(lc[x][y], tm[m]), al(tl[y], left[x][m])], [al(tl[x], left[y][m])])
@@ -116,7 +118,12 @@ class CoRepresentation:
             yield ("c", (lbm[m], lbl[x], lbl[y]),
                    [ar(right[m][x], tl[y]), al(tl[y], right[m][x])], [])
 
-        check_laws(f, rep, (L.dim, self.space_dim), [(grid(), at), (grid(L.dim), with_y)])
+        # the terms of a-c at (x, m, y), run as one law where any can be nonzero
+        y_terms = ((left, (lc, 0, 2), (tm, 1)), (left, (tl, 2), (left, 0, 1)), (left, (tl, 0), (left, 2, 1)),
+                   (right, (tm, 1), (lc, 0, 2)), (left, (tl, 2), (right, 1, 0)), (right, (left, 2, 1), (tl, 0)),
+                   (right, (right, 1, 0), (tl, 2)))
+        dl, dm = L.dim, self.space_dim
+        check_laws(f, rep, (dl, dm), [(grid(), at), support((dl, dm, dl), with_y, y_terms)])
         return rep
 
 

@@ -24,8 +24,8 @@ presentations:
   vectors, ``contract`` its dense form and ``linear`` applies sparse columns;
 * ``check_laws`` is the one identity checker: it records each law instance
   on basis indices whose signed sum of such terms is nonzero, over index
-  tuples each group names (``grid`` for all of them, or the support off
-  which its instances are zero by sparsity);
+  tuples each group names (``grid`` for all of them, ``support`` for those
+  where a term can be nonzero by sparsity);
 * ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
   at an offset when the ambient space has several blocks;
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
@@ -47,8 +47,10 @@ presentations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from itertools import product
+from math import prod
+from operator import or_
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined
 from .fields import Field
@@ -156,6 +158,72 @@ def grid(*dims):
     return lambda *outer: product(*map(range, dims))
 
 
+def support(dims, laws, *terms):
+    """A ``check_laws`` group over the index tuples below ``dims``, outer
+    indices first, that evaluates only what can be nonzero.  terms[q] are
+    the terms of law q, (cols, u) for ``linear(cols, u)`` or (table, u, v)
+    for ``bilinear``, each leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]].
+    The rule is exact: linear(cols, u) can be nonzero only if cols[a] is
+    nonempty for some a in supp u, bilinear(table, u, v) only if table[a][b]
+    is for some (a, b) in supp u x supp v.  The group runs row-major over the
+    tuples where a term can be nonzero, and laws(*idx, live) yields there the
+    instances of the laws q with bit q of ``live`` set, those with such a
+    term; so it records what the full grid would.  A set of index tuples is
+    a bitmask over the row-major grid."""
+    size = prod(dims)
+    full, spread, at = (1 << size) - 1, {}, _places(dims)
+
+    def where(leg):  # coordinate a -> where it is in the support of the leg's vector
+        key = (id(leg[0]), *leg[1:])
+        if key not in spread:
+            spread[key] = out = {}
+            p, r = leg[1], leg[-1]
+            for x, y, vec in [(x, x, v) for x, v in enumerate(leg[0]) if v] if len(leg) == 2 else \
+                    [(x, y, v) for x, row in enumerate(leg[0]) for y, v in enumerate(row) if v]:
+                here = at[p][x] & at[r][y]
+                for a, _ in vec:
+                    out[a] = out.get(a, 0) | here
+        return spread[key]
+
+    live = []
+    for law in terms:
+        bits = 0
+        for table, *legs in law:
+            # a linear term meets the columns as a bilinear one meets a constant leg
+            right = where(legs[1]).items() if legs[1:] else [(None, full)]
+            for a, here in where(legs[0]).items() if bits != full else ():
+                for b, there in right:
+                    if table[a] if b is None else table[a][b]:
+                        bits |= here & there
+        live.append(bits)
+
+    def tuples(*outer):
+        start, span = 0, size
+        for x, d in zip(outer, dims):
+            start, span = start * d + x, span // d
+        here = [bits >> start * span & (1 << span) - 1 for bits in live]
+        union = reduce(or_, here)
+        inner = list(product(*map(range, dims[len(outer):]))) if union else ()
+        while union:
+            t = (union & -union).bit_length() - 1
+            union &= union - 1
+            yield (*inner[t], sum(1 << q for q, bits in enumerate(here) if bits >> t & 1))
+    return tuples, laws
+
+
+@lru_cache(maxsize=64)
+def _places(dims) -> tuple:
+    """at[p][x]: the index tuples below ``dims`` whose index p is x, as a
+    bitmask over the row-major grid; ``every`` has a 1 at each multiple of
+    the period of index p."""
+    at, full = [], (1 << prod(dims)) - 1
+    for p, d in enumerate(dims):
+        run = prod(dims[p + 1:])
+        every = full // ((1 << run * d) - 1) if full else 0
+        at.append(tuple(every * ((1 << run) - 1) << x * run for x in range(d)))
+    return tuple(at)
+
+
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     """Record in ``report`` every violated instance of a family of laws.
 
@@ -165,9 +233,9 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     yields one instance per law: (name, witness, plus, minus[, detail]),
     with ``plus`` and ``minus`` lists of ``bilinear`` or ``linear`` values.
     An instance is recorded exactly when its signed sum, plus less minus, is
-    nonzero.  A group names the full grid with ``grid``; a group whose
-    instances vanish by sparsity off a support names only the support, in
-    the grid's order, and so records what the full grid would."""
+    nonzero.  A group names the full grid with ``grid``; a ``support`` group
+    names only the instances that can be nonzero, in the grid's order, and
+    so records what the full grid would."""
     for idx in product(*map(range, outer_dims)):
         for tuples, laws in groups:
             for jdx in tuples(*idx):

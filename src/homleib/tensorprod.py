@@ -245,22 +245,26 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     return TensorProduct(ma, pres, algebra, eval_m, eval_n)
 
 
-def factor_maps(t: TensorProduct):
-    """The two algebra homomorphisms from the tensor product onto values of
-    the actions inside each factor, induced by the evaluation maps; on a
-    tensor square, where they agree, one homomorphism returned twice."""
+def factor_maps(t: TensorProduct, sides: str = "mn"):
+    """The algebra homomorphisms from the tensor product onto values of the
+    actions inside the factors ``sides`` names, "m" the first and "n" the
+    second, induced by the evaluation maps; on a tensor square, where they
+    agree, one homomorphism returned twice."""
     def onto(side, ev):
         return AlgebraHom(t.algebra, side, induced_map(
             ev, t.presentation, quotient(side.field, side.dim, ()),
             lambda r, w: InternalInconsistency("evaluation map does not kill the relations",
                                                witness=(r,))))
 
-    into_m = onto(t.m_side, t.eval_m)
-    into_n = into_m if (t.n_side, t.eval_n) == (t.m_side, t.eval_m) else onto(t.n_side, t.eval_n)
-    for hom, name in ((into_m, "first"), (into_n, "second")):
-        hom.validate().require(lambda v: InternalInconsistency(
-            f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
-    return into_m, into_n
+    homs = {"m": onto(t.m_side, t.eval_m)} if "m" in sides else {}
+    if "n" in sides:
+        square = homs and (t.n_side, t.eval_n) == (t.m_side, t.eval_m)
+        homs["n"] = homs["m"] if square else onto(t.n_side, t.eval_n)
+    for s, name in (("m", "first"), ("n", "second")):
+        if s in homs:
+            homs[s].validate().require(lambda v: InternalInconsistency(
+                f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
+    return tuple(homs[s] for s in sides)
 
 
 def commutator_map(t: TensorProduct) -> AlgebraHom:

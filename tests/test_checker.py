@@ -1,14 +1,20 @@
 """The identity checker against dense reference loops.
 
 Every validator states its laws for ``linalg.check_laws`` on the cached
-sparse tables.  The dense loops below are the reference: they bracket, act
-and twist dense coordinate vectors with their own dense contraction and
-compare the two sides of each law, in the same loop order.  A perturbed
-structure constant, twist entry or action value must give the same report
-both ways, so every law the perturbation breaks yields its witnesses.
+sparse tables, and most evaluate only the instances ``linalg.support``
+names as possibly nonzero.  The dense loops below are the reference: they
+bracket, act and twist dense coordinate vectors with their own dense
+contraction and compare the two sides of each law at every basis tuple, in
+the same loop order.  A perturbed structure constant, twist entry or action
+value must give the same report both ways, so every law the perturbation
+breaks yields its witnesses, in order.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,15 +29,22 @@ from homleib.algebras import (
     quotient_algebra,
     yau_twist,
 )
-from homleib.errors import FieldMismatch, InternalInconsistency, InvalidAction, NotEndomorphism, StructureError
+from homleib.errors import (
+    FieldMismatch,
+    IncompatibleActions,
+    InternalInconsistency,
+    InvalidAction,
+    NotEndomorphism,
+    StructureError,
+)
 from homleib.extensions import Extension, universal_central_extension
 from homleib.fields import Field
-from homleib.generators import heisenberg, sl2, square_bracket_algebra
-from homleib.homassoc import HomAssociativeAlgebra, yau_twist_assoc
+from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
+from homleib.homassoc import HomAssociativeAlgebra, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
 from homleib.linalg import LinearMap, Matrix, Subspace, unit_vec, vec_scale
 from homleib.report import ValidationReport
-from homleib.tensorprod import relation_vectors
+from homleib.tensorprod import build_tensor, relation_vectors
 
 QQ = Field()
 GFP = Field(1000003)
@@ -462,6 +475,136 @@ class TestAgainstDenseLoops:
             assert make(f).validate().to_dict() == dense_assoc(make(f)).to_dict()
 
 
+def _abelian3(f):
+    return HomLeibnizAlgebra.abelian(f, 3, Matrix.from_rows(f, [[2, 0, 0], [0, -2, 0], [0, 0, 3]]))
+
+
+def _sparse_cases(f):
+    """(kind, object) for valid instances of sparse support of every
+    validator that evaluates only the instances that can be nonzero: the
+    twisted abelian and the Heisenberg algebra, maps, trivial, adjoint and
+    ideal-pair actions, co-representations (random ones among them) and the
+    upper triangular matrices."""
+    A, H = _abelian3(f), heisenberg(f)
+    _, proj = quotient_algebra(H, IdealHandle(H, derived_subspace(H)))
+    rng = random.Random(11)
+    return [("algebra", A), ("algebra", H),
+            ("hom", AlgebraHom(H, H, LinearMap.identity(f, 3))), ("hom", proj),
+            ("action", self_action(H)), ("action", HomAction.trivial(A, H)),
+            ("compat", MutualActions.adjoint(H)), ("compat", MutualActions.trivial(A, H)),
+            ("compat", ideal_pair_actions(H, derived_subspace(H), Subspace.full(f, 3))),
+            ("corep", adjoint_corep(H)), ("corep", trivial_corep(A, 2, Matrix.from_rows(f, [[1, 2], [0, 3]]))),
+            *(("corep", random_corep(f, rng, max_dim=3)[1]) for _ in range(3)),
+            ("assoc", upper_triangular(f))]
+
+
+def _entry_bumps(f, table):
+    """(cell, table) with one coordinate of one value moved by one, for every
+    coordinate."""
+    return [((i, j, k), _bump_table(f, table, i, j, k, f.one()))
+            for i in range(len(table)) for j in range(len(table[i])) for k in range(len(table[i][j]))]
+
+
+def _matrix_bumps(m):
+    return [((r, c), _bump_matrix(m, r, c, m.field.one())) for r in range(m.rows) for c in range(m.cols)]
+
+
+def _bumps(f, kind, obj):
+    """(cell, object) for obj with one entry of a table its validator reads
+    moved by one, for every entry."""
+    def each(name, bumps, build):
+        return [((name, *cell), build(t)) for cell, t in bumps]
+
+    if kind == "algebra":
+        return _single_entry_perturbations(obj)
+    if kind == "hom":
+        m = obj.map.matrix
+        return each("map", _matrix_bumps(m), lambda b: AlgebraHom(obj.source, obj.target, LinearMap(
+            m.cols, m.rows, b))) + \
+            each("source", _single_entry_perturbations(obj.source), lambda P: AlgebraHom(P, obj.target, obj.map))
+    if kind == "action":
+        return each("left", _entry_bumps(f, obj.left), lambda t: HomAction(obj.actor, obj.target, t, obj.right)) + \
+            each("right", _entry_bumps(f, obj.right), lambda t: HomAction(obj.actor, obj.target, obj.left, t))
+    if kind == "compat":
+        return each("mn", _bumps(f, "action", obj.mn), lambda a: MutualActions(a, obj.nm)) + \
+            each("nm", _bumps(f, "action", obj.nm), lambda a: MutualActions(obj.mn, a))
+    if kind == "corep":
+        M = partial(CoRepresentation, obj.algebra, obj.space_dim)
+        return each("left", _entry_bumps(f, obj.left), lambda t: M(obj.twist, t, obj.right)) + \
+            each("right", _entry_bumps(f, obj.right), lambda t: M(obj.twist, obj.left, t)) + \
+            each("twist", _matrix_bumps(obj.twist), lambda t: M(t, obj.left, obj.right))
+    A = partial(HomAssociativeAlgebra, f, obj.dim)
+    return each("p", _entry_bumps(f, obj.p), lambda t: A(t, obj.twist, obj.labels)) + \
+        each("twist", _matrix_bumps(obj.twist), lambda t: A(obj.p, t, obj.labels))
+
+
+class TestSparseSupports:
+    """Each validator evaluates only the law instances whose terms can be
+    nonzero, by the inputs' sparsity; the reports are the full sweep's."""
+
+    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    def test_single_entry_bumps_of_sparse_instances(self, f):
+        """Every single-entry bump of every table a validator reads, on
+        sparse instances: the report matches the dense loops, order
+        included, and each validator sees bumps that break a law."""
+        broken = Counter()
+        for kind, obj in _sparse_cases(f):
+            assert both_reports(kind, obj)[0].valid, kind
+            for cell, bumped in _bumps(f, kind, obj):
+                sparse, dense = both_reports(kind, bumped)
+                assert sparse.to_dict() == dense.to_dict(), (kind, cell)
+                broken[kind] += not sparse.valid
+        assert set(broken) == {"algebra", "hom", "action", "compat", "corep", "assoc"}
+        assert all(broken.values()), broken
+
+    def evaluated(self, monkeypatch, build):
+        """The law names of the instances check_laws evaluates in build()."""
+        names = Counter()
+
+        def counted(real):
+            def run(field, report, dims, groups):
+                def each(laws):
+                    def inner(*idx):
+                        for instance in laws(*idx):
+                            names[instance[0]] += 1
+                            yield instance
+                    return inner
+                return real(field, report, dims, [(tuples, each(laws)) for tuples, laws in groups])
+            return run
+
+        for mod in (actions, algebras, homassoc, homology):
+            monkeypatch.setattr(mod, "check_laws", counted(mod.check_laws))
+        assert build().valid
+        return dict(names)
+
+    def test_instances_evaluated(self, monkeypatch):
+        """Pins of the instances each validator evaluates, law by law.  In
+        the Heisenberg algebra every bracket lands in the centre, so a term
+        that brackets or acts twice is empty: its Hom-Leibniz identity, the
+        action laws a-f of its adjoint action and co-representation and all
+        its compatibility laws are zero by sparsity, and only the laws of a
+        single bracket or action run where that is nonzero (the action laws
+        g, h, d, e and the twist compatibility of a map run on the full
+        grid).  sl2 twisted keeps 18 of 27 identity triples and 12 of 27
+        instances of each compatibility law."""
+        H, A, f = heisenberg(QQ), _abelian3(QQ), QQ
+        cases = [
+            (H.validate, {"multiplicativity": 2}),
+            (AlgebraHom(H, H, LinearMap.identity(f, 3)).validate,
+             {"bracket preservation": 2, "twist compatibility": 3}),
+            (self_action(H).validate, {"g": 9, "h": 9}),
+            (HomAction.trivial(A, H).validate, {"g": 9, "h": 9}),
+            (MutualActions.adjoint(H).check_compatible, {}),
+            (MutualActions.trivial(A, H).check_compatible, {}),
+            (adjoint_corep(H).validate, {"d": 9, "e": 9}),
+            (sl2_twisted(f).validate, {"multiplicativity": 6, "hom-leibniz identity": 18}),
+            (MutualActions.adjoint(sl2_twisted(f)).check_compatible, {f"c{i}": 12 for i in range(1, 9)}),
+        ]
+        for build, pin in cases:
+            assert self.evaluated(monkeypatch, build) == pin
+            monkeypatch.undo()
+
+
 def _first_dense_failure(f, table, endo, labels):
     """The first basis pair whose value endo does not carry to the value at
     its images, by the dense loop, or None."""
@@ -539,9 +682,9 @@ class TestSparseTablesBuiltOnce:
 
 
 class TestReportsComputedOnce:
-    """An action, a homomorphism and a Hom-associative algebra check their
-    laws once; every later ``validate`` and ``require_valid`` reads the same
-    report."""
+    """An action, a homomorphism, a pair of mutual actions and a
+    Hom-associative algebra check their laws once; every later ``validate``,
+    ``require_valid`` and ``check_compatible`` reads the same report."""
 
     def count_checks(self, monkeypatch, mod):
         runs = []
@@ -573,8 +716,10 @@ class TestReportsComputedOnce:
         assert not bumped.validate().valid and len(runs) == 2
 
     def test_hom_associativity_runs_only_on_its_support(self, monkeypatch):
-        # at a triple where p[i][j] and p[j][k] are both zero each side is
-        # zero; upper triangular has 19 other triples of 27
+        # t(x) (yz) can be nonzero only where p[i][s] is nonzero for some s
+        # in the support of p[j][k], and (xy) t(z) only where p[s][k] is for
+        # some s in that of p[i][j]; on upper triangular that leaves the 5
+        # triples whose product is nonzero, of 27
         names = []
         real = homassoc.check_laws
 
@@ -589,8 +734,37 @@ class TestReportsComputedOnce:
             f, rep, dims, [(tuples, counted(laws)) for tuples, laws in groups]))
         assert upper_triangular(QQ).validate().valid
         assert names.count("multiplicativity") == 9
-        assert names.count("hom-associativity") == 19
+        assert names.count("hom-associativity") == 5
 
+
+    def test_mutual_actions(self, monkeypatch):
+        L = sl2_twisted(QQ)
+        ma = MutualActions.adjoint(L)
+        runs = self.count_checks(monkeypatch, actions)
+        first = ma.check_compatible()
+        assert ma.check_compatible() is first and ma.is_compatible()
+        build_tensor(ma)
+        assert len(runs) == 1 and first.valid
+        bumped = MutualActions(HomAction(L, L, _bump_table(QQ, L.c, 0, 1, 2, QQ.one()), L.c), ma.nm)
+        with pytest.raises(IncompatibleActions):
+            build_tensor(bumped)
+        assert not bumped.is_compatible() and len(runs) == 2
+
+    def test_sequence_check(self, monkeypatch, gl2):
+        # each mutual action pair and each homomorphism is checked once, no
+        # first-factor map is built for nothing, and the twist-identity
+        # condition is tested once
+        subjects, witnesses = Counter(), []
+        for mod in (actions, algebras):
+            real = mod.check_laws
+            monkeypatch.setattr(mod, "check_laws", lambda f, rep, *a, real=real: subjects.update([rep.subject])
+                                or real(f, rep, *a))
+        real_witness = homassoc.alpha_identity_witness
+        monkeypatch.setattr(homassoc, "alpha_identity_witness", lambda A: witnesses.append(A) or real_witness(A))
+        assert all(item.ok for item in sequence_check(gl2).items)
+        assert subjects["mutual action compatibility"] == 3
+        assert subjects["algebra homomorphism"] == 7
+        assert witnesses == [gl2]
 
     def test_homomorphism(self, monkeypatch):
         subjects = []

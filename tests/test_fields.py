@@ -204,3 +204,34 @@ def test_validators_hold_no_dense_loops():
     found = [site for site in _library_sites(_names_dense_kernel)
              if {"validate", "_report", "check_compatible"} & set(site.split(":")[1].split("."))]
     assert found == []
+
+
+def _calls(node, name):
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) == name
+
+
+def test_law_instances_named_only_through_the_support_helper():
+    # every check_laws group names its index tuples through linalg: a
+    # ``support`` call is the group of the instances that can be nonzero, a
+    # ``grid`` call the tuples of a full sweep; no module keeps a support of
+    # its own
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        supported = {t.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign) and _calls(node.value, "support") for t in node.targets}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "support" in node.name:
+                found.append(f"{path.stem}:{node.name}")
+            if not _calls(node, "check_laws"):
+                continue
+            groups = node.args[3]
+            for group in groups.elts if isinstance(groups, ast.List) else [groups]:
+                if not (_calls(group, "support") or getattr(group, "id", None) in supported
+                        or isinstance(group, ast.Tuple) and _calls(group.elts[0], "grid")):
+                    found.append(f"{path.stem}:{group.lineno}")
+    assert found == [], found
