@@ -98,7 +98,7 @@ class HomAction:
             # h) t_M(m.x) = t_M(m).t_L(x)
             yield "h", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
 
-        def with_y(x, m, y, _):
+        def with_y(x, m, y):
             # a) t_M(m).[x,y] = (m.x).t(y) - (m.y).t(x)
             yield ("a", (lbm[m], lbl[x], lbl[y]),
                    [ar(tm[m], lc[x][y]), ar(right[m][y], tl[x])], [ar(right[m][x], tl[y])])
@@ -109,7 +109,7 @@ class HomAction:
             yield ("c", (lbl[x], lbl[y], lbm[m]),
                    [al(tl[x], left[y][m]), al(tl[x], right[m][y])], [])
 
-        def with_m2(x, m, m2, _):
+        def with_m2(x, m, m2):
             # d) t(x).[m,m'] = [x.m, t_M(m')] - [x.m', t_M(m)]
             yield ("d", (lbl[x], lbm[m], lbm[m2]),
                    [al(tl[x], mc[m][m2]), br(left[x][m2], tm[m])], [br(left[x][m], tm[m2])])

@@ -148,12 +148,12 @@ class HomLeibnizAlgebra:
         f, c, tw, lb = self.field, self.sparse_c, self.sparse_twist, self.labels
         br = partial(bilinear, f, c)
 
-        def pairs(i, j, _):
+        def pairs(i, j):
             # t[x, y] = [t(x), t(y)]
             yield ("multiplicativity", (lb[i], lb[j]), [linear(f, tw, c[i][j])], [br(tw[i], tw[j])],
                    f"twist[{lb[i]},{lb[j]}] != [twist {lb[i]}, twist {lb[j]}]")
 
-        def triples(i, j, k, _):
+        def triples(i, j, k):
             # [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
             yield ("hom-leibniz identity", (lb[i], lb[j], lb[k]),
                    [br(tw[i], c[j][k]), br(c[i][k], tw[j])], [br(c[i][j], tw[k])])
@@ -202,7 +202,7 @@ class AlgebraHom:
         f, lb, sc = src.field, src.labels, src.sparse_c
         cols = sparse_columns(self.map.matrix)
 
-        def pairs(i, j, _):
+        def pairs(i, j):
             yield ("bracket preservation", (lb[i], lb[j]), [linear(f, cols, sc[i][j])],
                    [bilinear(f, tgt.sparse_c, cols[i], cols[j])])
 

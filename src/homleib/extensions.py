@@ -253,7 +253,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     psi_ll = commutator_map(data.t_ll)
     psi_qq = commutator_map(data.t_qq)
     # the column over L*M evaluates into the ideal (second factor)
-    into_ideal, = factor_maps(data.t_lm, "n")
+    into_ideal = factor_maps(data.t_lm, second_only=True)
     k1 = into_ideal.map.kernel()
     k2 = psi_ll.map.kernel()
     k3 = psi_qq.map.kernel()

@@ -107,7 +107,7 @@ class CoRepresentation:
             # e) t_M(m.x) = t_M(m).t(x)
             yield "e", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
 
-        def with_y(x, m, y, _):
+        def with_y(x, m, y):
             # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
             yield ("a", (lbl[x], lbl[y], lbm[m]),
                    [al(lc[x][y], tm[m]), al(tl[y], left[x][m])], [al(tl[x], left[y][m])])

@@ -47,7 +47,7 @@ presentations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
 from operator import or_
@@ -158,70 +158,85 @@ def grid(*dims):
     return lambda *outer: product(*map(range, dims))
 
 
+_MASK_BITS = 1 << 16  # the most index tuples one ``support`` bitmask covers
+
+
 def support(dims, laws, *terms):
-    """A ``check_laws`` group over the index tuples below ``dims``, outer
-    indices first, that evaluates only what can be nonzero.  terms[q] are
-    the terms of law q, (cols, u) for ``linear(cols, u)`` or (table, u, v)
-    for ``bilinear``, each leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]].
-    The rule is exact: linear(cols, u) can be nonzero only if cols[a] is
-    nonempty for some a in supp u, bilinear(table, u, v) only if table[a][b]
-    is for some (a, b) in supp u x supp v.  The group runs row-major over the
-    tuples where a term can be nonzero, and laws(*idx, live) yields there the
-    instances of the laws q with bit q of ``live`` set, those with such a
-    term; so it records what the full grid would.  A set of index tuples is
-    a bitmask over the row-major grid."""
-    size = prod(dims)
-    full, spread, at = (1 << size) - 1, {}, _places(dims)
+    """A ``check_laws`` group that runs row-major over the index tuples below
+    ``dims``, outer indices first, where a term of a law can be nonzero, and
+    so records what the full grid would.  terms[q] are the terms of law q,
+    (cols, u) for ``linear(cols, u)`` or (table, u, v) for ``bilinear``, each
+    leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]].  The rule is exact:
+    linear(cols, u) can be nonzero only if cols[a] is nonempty for some a in
+    supp u, bilinear(table, u, v) only if table[a][b] is for some (a, b) in
+    supp u x supp v.  One law runs as laws(*idx); several as laws(*idx,
+    live), bit q of ``live`` set where law q has such a term.  A set of index
+    tuples is a bitmask over the trailing indices, at most ``_MASK_BITS`` of
+    them, for one value of the leading ones at a time."""
+    cut, legs, memo, rests = 0, {}, [None, None], {}
+    while prod(dims[cut:]) > _MASK_BITS:
+        cut += 1
+    size = prod(dims[cut:])
+    full = (1 << size) - 1
+    if not full:
+        return (lambda *outer: ()), laws
+    at = [None] * cut  # at[p][x]: where trailing index p is x
+    for p in range(cut, len(dims)):
+        run = prod(dims[p + 1:])
+        base = full // ((1 << run * dims[p]) - 1) * ((1 << run) - 1)
+        at.append([base << x * run for x in range(dims[p])])
 
-    def where(leg):  # coordinate a -> where it is in the support of the leg's vector
-        key = (id(leg[0]), *leg[1:])
-        if key not in spread:
-            spread[key] = out = {}
-            p, r = leg[1], leg[-1]
-            for x, y, vec in [(x, x, v) for x, v in enumerate(leg[0]) if v] if len(leg) == 2 else \
-                    [(x, y, v) for x, row in enumerate(leg[0]) for y, v in enumerate(row) if v]:
-                here = at[p][x] & at[r][y]
-                for a, _ in vec:
-                    out[a] = out.get(a, 0) | here
-        return spread[key]
+    def where(idx, vectors, *pos):  # [(a, where a is in the support of the leg's vector)] at idx
+        key = (id(vectors), *pos)
+        if key in legs:
+            return legs[key]
+        if min(pos) < cut:  # fix the leading indices at idx; not kept, as idx moves on
+            key = None
+            if len(pos) == 2 and pos[1] < cut:  # the column at the leading index
+                vectors, pos = [row[idx[pos[1]]] for row in vectors], pos[:1]
+            if pos[0] < cut:  # the vector, or the row, at the leading index
+                vectors, pos = vectors[idx[pos[0]]], pos[1:]
+            if not pos:
+                return [(a, full) for a, _ in vectors]
+        out, p, r = {}, at[pos[0]], at[pos[-1]]
+        for x, y, vec in [(x, x, v) for x, v in enumerate(vectors) if v] if len(pos) == 1 else \
+                [(x, y, v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]:
+            here = p[x] & r[y]
+            for a, _ in vec:
+                out[a] = out.get(a, 0) | here
+        if key:
+            legs[key] = out.items()
+        return out.items()
 
-    live = []
-    for law in terms:
-        bits = 0
-        for table, *legs in law:
-            # a linear term meets the columns as a bilinear one meets a constant leg
-            right = where(legs[1]).items() if legs[1:] else [(None, full)]
-            for a, here in where(legs[0]).items() if bits != full else ():
+    def masks(idx, law):  # where a term of the law can be nonzero; a linear
+        bits = 0          # term is a bilinear one with a constant second leg
+        for table, u, *v in law:
+            right = where(idx, *v[0]) if v else [(None, full)]
+            for a, here in where(idx, *u):
                 for b, there in right:
                     if table[a] if b is None else table[a][b]:
                         bits |= here & there
-        live.append(bits)
+        return bits
 
     def tuples(*outer):
-        start, span = 0, size
-        for x, d in zip(outer, dims):
-            start, span = start * d + x, span // d
-        here = [bits >> start * span & (1 << span) - 1 for bits in live]
-        union = reduce(or_, here)
-        inner = list(product(*map(range, dims[len(outer):]))) if union else ()
-        while union:
-            t = (union & -union).bit_length() - 1
-            union &= union - 1
-            yield (*inner[t], sum(1 << q for q, bits in enumerate(here) if bits >> t & 1))
+        for head in product(*map(range, dims[len(outer):cut])) if len(outer) < cut else [()]:
+            idx = outer + head
+            if memo[0] != idx[:cut]:
+                memo[:] = idx[:cut], [masks(idx, law) for law in terms]
+            start, span = 0, size
+            for x, d in zip(idx[cut:], dims[cut:]):
+                start, span = start * d + x, span // d
+            live = [bits >> start * span & (1 << span) - 1 for bits in memo[1]]
+            union = reduce(or_, live)
+            if union and len(idx) not in rests:
+                rests[len(idx)] = list(product(*map(range, dims[len(idx):])))
+            rest = rests.get(len(idx))
+            while union:
+                low = union & -union
+                union ^= low
+                jdx = (*head, *rest[low.bit_length() - 1])
+                yield (*jdx, sum(1 << q for q, bits in enumerate(live) if bits & low)) if live[1:] else jdx
     return tuples, laws
-
-
-@lru_cache(maxsize=64)
-def _places(dims) -> tuple:
-    """at[p][x]: the index tuples below ``dims`` whose index p is x, as a
-    bitmask over the row-major grid; ``every`` has a 1 at each multiple of
-    the period of index p."""
-    at, full = [], (1 << prod(dims)) - 1
-    for p, d in enumerate(dims):
-        run = prod(dims[p + 1:])
-        every = full // ((1 << run * d) - 1) if full else 0
-        at.append(tuple(every * ((1 << run) - 1) << x * run for x in range(d)))
-    return tuple(at)
 
 
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:

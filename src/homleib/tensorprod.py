@@ -245,26 +245,25 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     return TensorProduct(ma, pres, algebra, eval_m, eval_n)
 
 
-def factor_maps(t: TensorProduct, sides: str = "mn"):
-    """The algebra homomorphisms from the tensor product onto values of the
-    actions inside the factors ``sides`` names, "m" the first and "n" the
-    second, induced by the evaluation maps; on a tensor square, where they
-    agree, one homomorphism returned twice."""
+def factor_maps(t: TensorProduct, second_only: bool = False):
+    """The two algebra homomorphisms from the tensor product onto values of
+    the actions inside each factor, induced by the evaluation maps; on a
+    tensor square, where they agree, one homomorphism returned twice.  With
+    ``second_only`` the first is not built, and the second is returned."""
     def onto(side, ev):
         return AlgebraHom(t.algebra, side, induced_map(
             ev, t.presentation, quotient(side.field, side.dim, ()),
             lambda r, w: InternalInconsistency("evaluation map does not kill the relations",
                                                witness=(r,))))
 
-    homs = {"m": onto(t.m_side, t.eval_m)} if "m" in sides else {}
-    if "n" in sides:
-        square = homs and (t.n_side, t.eval_n) == (t.m_side, t.eval_m)
-        homs["n"] = homs["m"] if square else onto(t.n_side, t.eval_n)
-    for s, name in (("m", "first"), ("n", "second")):
-        if s in homs:
-            homs[s].validate().require(lambda v: InternalInconsistency(
+    into_m = None if second_only else onto(t.m_side, t.eval_m)
+    square = into_m is not None and (t.n_side, t.eval_n) == (t.m_side, t.eval_m)
+    into_n = into_m if square else onto(t.n_side, t.eval_n)
+    for hom, name in ((into_m, "first"), (into_n, "second")):
+        if hom is not None:
+            hom.validate().require(lambda v: InternalInconsistency(
                 f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
-    return tuple(homs[s] for s in sides)
+    return into_n if second_only else (into_m, into_n)
 
 
 def commutator_map(t: TensorProduct) -> AlgebraHom:

@@ -12,14 +12,16 @@ breaks yields its witnesses, in order.
 
 from __future__ import annotations
 
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from homleib import actions, algebras, homassoc, homology
+from homleib import actions, algebras, homassoc, homology, linalg
 from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_action
 from homleib.algebras import (
     AlgebraHom,
@@ -42,7 +44,7 @@ from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
-from homleib.linalg import LinearMap, Matrix, Subspace, unit_vec, vec_scale
+from homleib.linalg import LinearMap, Matrix, Subspace, support, unit_vec, vec_scale
 from homleib.report import ValidationReport
 from homleib.tensorprod import build_tensor, relation_vectors
 
@@ -604,6 +606,86 @@ class TestSparseSupports:
             assert self.evaluated(monkeypatch, build) == pin
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("mask_bits", [1, 5, 1 << 16])
+    def test_support_is_the_rule(self, monkeypatch, mask_bits):
+        """On random sparse tables, ``support`` names exactly the tuples,
+        row-major, where a term passes the rule, with the laws live there,
+        whether the outer indices are none or all but the last; small
+        ``_MASK_BITS`` run the leading indices one value at a time."""
+        monkeypatch.setattr(linalg, "_MASK_BITS", mask_bits)
+        rng = random.Random(5)
+        for _ in range(60):
+            dims, basis = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 3)))), rng.randint(1, 3)
+
+            def vec():
+                return tuple((a, 1) for a in range(basis) if rng.random() < 0.3)
+
+            def leg():
+                pos = rng.sample(range(len(dims)), rng.choice((1, 2)))
+                vectors = [vec() for _ in range(dims[pos[0]])]
+                if len(pos) == 2:
+                    vectors = [tuple(vec() for _ in range(dims[pos[1]])) for _ in vectors]
+                return (tuple(vectors), *pos)
+
+            def term():
+                if rng.random() < 0.3:
+                    return tuple(vec() for _ in range(basis)), leg()
+                return tuple(tuple(vec() for _ in range(basis)) for _ in range(basis)), leg(), leg()
+
+            terms = [[term() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
+            expected = []
+            for idx in itertools.product(*map(range, dims)):
+                live = sum(1 << q for q, law in enumerate(terms) if any(_can_be_nonzero(t, idx) for t in law))
+                if live:
+                    expected.append((*idx, live) if len(terms) > 1 else idx)
+            for outer in (0, len(dims) - 1):
+                tuples, _ = support(dims, None, *terms)
+                got = [(*o, *j) for o in itertools.product(*map(range, dims[:outer])) for j in tuples(*o)]
+                assert got == expected, (dims, outer)
+
+    def test_exact_rule_on_hom_associativity(self):
+        """Hom-associativity keeps the rule of its pin in
+        TestReportsComputedOnce: the 19 triples of upper triangular where xy
+        or yz is nonzero.  Its two sides as terms would leave 5."""
+        A = upper_triangular(QQ)
+        p, tw, n = A.sparse_p, A.sparse_twist, A.dim
+        tuples, _ = support((n, n, n), None, ((p, (tw, 0), (p, 1, 2)), (p, (p, 0, 1), (tw, 2))))
+        assert len(list(tuples())) == 5
+
+    def test_large_presented_algebra(self):
+        """The tensor square of a 10-dim abelian algebra under trivial
+        actions presents an abelian algebra of dim 200; its validation keeps
+        a few MB of masks (a full 200^3 grid would be 1 MB per mask)."""
+        f = QQ
+        A = HomLeibnizAlgebra.abelian(f, 10, Matrix.from_rows(f, [[2 if i == j else 0 for j in range(10)]
+                                                                 for i in range(10)]))
+        B = build_tensor(MutualActions.trivial(A, A)).algebra
+        assert B.dim == 200
+        B = HomLeibnizAlgebra(f, B.dim, B.c, B.twist, B.labels)
+        B.sparse_c, B.sparse_twist
+        tracemalloc.start()
+        try:
+            assert B.validate().valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak
+
+
+def _can_be_nonzero(term, idx):
+    """The rule of ``linalg.support`` for one term at one index tuple, by
+    brute force."""
+    def at(leg):
+        vectors, *pos = leg
+        for p in pos:
+            vectors = vectors[idx[p]]
+        return [a for a, _ in vectors]
+
+    table, u, *v = term
+    if not v:
+        return any(table[a] for a in at(u))
+    return any(table[a][b] for a in at(u) for b in at(v[0]))
+
 
 def _first_dense_failure(f, table, endo, labels):
     """The first basis pair whose value endo does not carry to the value at
@@ -716,10 +798,8 @@ class TestReportsComputedOnce:
         assert not bumped.validate().valid and len(runs) == 2
 
     def test_hom_associativity_runs_only_on_its_support(self, monkeypatch):
-        # t(x) (yz) can be nonzero only where p[i][s] is nonzero for some s
-        # in the support of p[j][k], and (xy) t(z) only where p[s][k] is for
-        # some s in that of p[i][j]; on upper triangular that leaves the 5
-        # triples whose product is nonzero, of 27
+        # at a triple where p[i][j] and p[j][k] are both zero each side is
+        # zero; upper triangular has 19 other triples of 27
         names = []
         real = homassoc.check_laws
 
@@ -734,8 +814,7 @@ class TestReportsComputedOnce:
             f, rep, dims, [(tuples, counted(laws)) for tuples, laws in groups]))
         assert upper_triangular(QQ).validate().valid
         assert names.count("multiplicativity") == 9
-        assert names.count("hom-associativity") == 5
-
+        assert names.count("hom-associativity") == 19
 
     def test_mutual_actions(self, monkeypatch):
         L = sl2_twisted(QQ)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from homleib import homassoc
+from homleib import homassoc, tensorprod
 from homleib.actions import HomAction, MutualActions
 from homleib.algebras import (
     AlgebraHom,
@@ -182,6 +182,18 @@ class TestSameMatricesAsTheSectionCompositions:
             into_m, into_n = factor_maps(t)
             assert into_m.map == _through_lifts(t.eval_m, t.presentation)
             assert into_n.map == _through_lifts(t.eval_n, t.presentation)
+
+    @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+    def test_second_factor_map_alone(self, f, monkeypatch):
+        # with second_only the map onto the first factor is never built
+        L, A = sl2(f), to_leibniz(upper_triangular(f))
+        t = build_tensor(MutualActions(HomAction.trivial(L, A), HomAction.trivial(A, L)))
+        targets = []
+        monkeypatch.setattr(tensorprod, "AlgebraHom",
+                            lambda src, tgt, m: targets.append(tgt) or AlgebraHom(src, tgt, m))
+        into_n = factor_maps(t, second_only=True)
+        assert targets == [t.n_side] and into_n.target == A
+        assert into_n.map == _through_lifts(t.eval_n, t.presentation)
 
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
     def test_lift_against(self, f):
