@@ -6,29 +6,25 @@ as ``left[x][m]`` for the value of x acting on m from the left and
 sparse form of ``linalg`` (``sparse_left``, ``sparse_right``).  Eight
 identities tie the actions to the brackets and twists of both algebras, and
 eight more make two actions compatible; every identity is multilinear, so
-``linalg.check_laws`` checks them on basis tuples, which is exhaustive.  A
-law that brackets or acts twice runs only where ``linalg.support`` finds a
-term that can be nonzero, and the compatibility laws, which read different
-tables, are skipped law by law; the reports are the full sweep's.
+``linalg.check_laws`` checks them on basis tuples, which is exhaustive.
+Each law is data, its terms named by table and index position, and runs
+only where one of its own terms can be nonzero; the reports are the full
+sweep's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle
 from .linalg import (
     LinearMap,
     Subspace,
-    bilinear,
     check_laws,
     contract,
-    grid,
     induced_map,
-    linear,
-    support,
     vec_add,
     vec_zero,
 )
@@ -48,7 +44,7 @@ class HomAction:
             raise StructureError("left action tensor must be actor x target")
         if len(self.right) != dm or any(len(r) != dl for r in self.right):
             raise StructureError("right action tensor must be target x actor")
-        if any(len(v) != dm for grid in (self.left, self.right) for row in grid for v in row):
+        if any(len(v) != dm for table in (self.left, self.right) for row in table for v in row):
             raise StructureError("action values must be target coordinate vectors")
         if self.target.field != self.actor.field:
             raise FieldMismatch("target algebra over the wrong field")
@@ -82,55 +78,40 @@ class HomAction:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        L, M = self.actor, self.target
-        f = M.field
+        L, M, f = self.actor, self.target, self.target.field
         rep = ValidationReport(subject="hom-leibniz action",
                                axiom_status={k: True for k in "abcdefgh"})
         tl, tm, lc, mc = L.sparse_twist, M.sparse_twist, L.sparse_c, M.sparse_c
         left, right = self.sparse_left, self.sparse_right
-        al, ar = partial(bilinear, f, left), partial(bilinear, f, right)
-        br = partial(bilinear, f, mc)
         lbl, lbm = L.labels, M.labels
-
-        def at(x, m):
-            # g) t_M(x.m) = t_L(x).t_M(m)
-            yield "g", (lbl[x], lbm[m]), [linear(f, tm, left[x][m])], [al(tl[x], tm[m])]
-            # h) t_M(m.x) = t_M(m).t_L(x)
-            yield "h", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
-
-        def with_y(x, m, y):
-            # a) t_M(m).[x,y] = (m.x).t(y) - (m.y).t(x)
-            yield ("a", (lbm[m], lbl[x], lbl[y]),
-                   [ar(tm[m], lc[x][y]), ar(right[m][y], tl[x])], [ar(right[m][x], tl[y])])
-            # b) [x,y].t_M(m) = (x.m).t(y) - t(x).(m.y)
-            yield ("b", (lbl[x], lbl[y], lbm[m]),
-                   [al(lc[x][y], tm[m]), al(tl[x], right[m][y])], [ar(left[x][m], tl[y])])
-            # c) t(x).(y.m) = -t(x).(m.y)
-            yield ("c", (lbl[x], lbl[y], lbm[m]),
-                   [al(tl[x], left[y][m]), al(tl[x], right[m][y])], [])
-
-        def with_m2(x, m, m2):
-            # d) t(x).[m,m'] = [x.m, t_M(m')] - [x.m', t_M(m)]
-            yield ("d", (lbl[x], lbm[m], lbm[m2]),
-                   [al(tl[x], mc[m][m2]), br(left[x][m2], tm[m])], [br(left[x][m], tm[m2])])
-            # e) [m,m'].t(x) = [m.x, t_M(m')] + [t_M(m), m'.x]
-            yield ("e", (lbm[m], lbm[m2], lbl[x]),
-                   [ar(mc[m][m2], tl[x])], [br(right[m][x], tm[m2]), br(tm[m], right[m2][x])])
-            # f) [t_M(m), x.m'] = -[t_M(m), m'.x]
-            yield ("f", (lbm[m], lbl[x], lbm[m2]),
-                   [br(tm[m], left[x][m2]), br(tm[m], right[m2][x])], [])
-
-        # the terms of a-c at (x, m, y) and of d-f at (x, m, m'); each triple of
-        # laws runs as one where any of its terms can be nonzero
-        y_terms = ((right, (tm, 1), (lc, 0, 2)), (right, (right, 1, 2), (tl, 0)), (right, (right, 1, 0), (tl, 2)),
-                   (left, (lc, 0, 2), (tm, 1)), (left, (tl, 0), (right, 1, 2)), (right, (left, 0, 1), (tl, 2)),
-                   (left, (tl, 0), (left, 2, 1)))
-        m2_terms = ((left, (tl, 0), (mc, 1, 2)), (mc, (left, 0, 2), (tm, 1)), (mc, (left, 0, 1), (tm, 2)),
-                    (right, (mc, 1, 2), (tl, 0)), (mc, (right, 1, 0), (tm, 2)), (mc, (tm, 1), (right, 2, 0)),
-                    (mc, (tm, 1), (left, 0, 2)))
         dl, dm = L.dim, M.dim
-        check_laws(f, rep, (dl, dm), [(grid(), at), support((dl, dm, dl), with_y, y_terms),
-                                      support((dl, dm, dm), with_m2, m2_terms)])
+        # indices (x, m), then (x, m, y) and (x, m, m')
+        check_laws(f, rep, (dl, dm), [
+            ((dl, dm), [
+                # g) t_M(x.m) = t_L(x).t_M(m)
+                ("g", ((lbl, 0), (lbm, 1)), [(tm, (left, 0, 1))], [(left, (tl, 0), (tm, 1))]),
+                # h) t_M(m.x) = t_M(m).t_L(x)
+                ("h", ((lbm, 1), (lbl, 0)), [(tm, (right, 1, 0))], [(right, (tm, 1), (tl, 0))])]),
+            ((dl, dm, dl), [
+                # a) t_M(m).[x,y] = (m.x).t(y) - (m.y).t(x)
+                ("a", ((lbm, 1), (lbl, 0), (lbl, 2)),
+                 [(right, (tm, 1), (lc, 0, 2)), (right, (right, 1, 2), (tl, 0))], [(right, (right, 1, 0), (tl, 2))]),
+                # b) [x,y].t_M(m) = (x.m).t(y) - t(x).(m.y)
+                ("b", ((lbl, 0), (lbl, 2), (lbm, 1)),
+                 [(left, (lc, 0, 2), (tm, 1)), (left, (tl, 0), (right, 1, 2))], [(right, (left, 0, 1), (tl, 2))]),
+                # c) t(x).(y.m) = -t(x).(m.y)
+                ("c", ((lbl, 0), (lbl, 2), (lbm, 1)),
+                 [(left, (tl, 0), (left, 2, 1)), (left, (tl, 0), (right, 1, 2))], [])]),
+            ((dl, dm, dm), [
+                # d) t(x).[m,m'] = [x.m, t_M(m')] - [x.m', t_M(m)]
+                ("d", ((lbl, 0), (lbm, 1), (lbm, 2)),
+                 [(left, (tl, 0), (mc, 1, 2)), (mc, (left, 0, 2), (tm, 1))], [(mc, (left, 0, 1), (tm, 2))]),
+                # e) [m,m'].t(x) = [m.x, t_M(m')] + [t_M(m), m'.x]
+                ("e", ((lbm, 1), (lbm, 2), (lbl, 0)),
+                 [(right, (mc, 1, 2), (tl, 0))], [(mc, (right, 1, 0), (tm, 2)), (mc, (tm, 1), (right, 2, 0))]),
+                # f) [t_M(m), x.m'] = -[t_M(m), m'.x]
+                ("f", ((lbm, 1), (lbl, 0), (lbm, 2)),
+                 [(mc, (tm, 1), (left, 0, 2)), (mc, (tm, 1), (right, 2, 0))], [])])])
         rep.flags["trivial"] = self.is_trivial()
         return rep
 
@@ -231,10 +212,9 @@ class MutualActions:
         M, N = self.m_side, self.n_side
         rep = ValidationReport(subject="mutual action compatibility",
                                axiom_status={f"c{i}": True for i in range(1, 9)})
-        in_m = _compatibility_laws(M, N, self.nm, self.mn, ("c1", "c2", "c3", "c4"), 0, 1)
-        in_n = _compatibility_laws(N, M, self.mn, self.nm, ("c5", "c6", "c7", "c8"), 1, 0)
-        check_laws(M.field, rep, (M.dim, N.dim), [support((M.dim, N.dim, M.dim), *in_m),
-                                                  support((M.dim, N.dim, N.dim), *in_n)])
+        check_laws(M.field, rep, (M.dim, N.dim), [
+            ((M.dim, N.dim, M.dim), _compatibility_laws(M, N, self.nm, self.mn, ("c1", "c2", "c3", "c4"), 0, 1)),
+            ((M.dim, N.dim, N.dim), _compatibility_laws(N, M, self.mn, self.nm, ("c5", "c6", "c7", "c8"), 1, 0))])
         return rep
 
     def is_compatible(self) -> bool:
@@ -243,37 +223,27 @@ class MutualActions:
 
 def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names, pa, pb):
     """The four compatibility laws in A for the action ``on_a`` of B on A
-    and ``on_b`` of A on B, and their terms, for ``support`` over index
-    tuples with a at position pa, b in B at pb and a' last (a, a' in A);
-    x>y is x acting on y from the left, x<y is x acted by y from the right."""
-    f, la, lb, c = A.field, A.labels, B.labels, A.sparse_c
+    and ``on_b`` of A on B, over index tuples with a at position pa, b in B
+    at pb and a' last (a, a' in A); x>y is x acting on y from the left, x<y
+    is x acted by y from the right."""
+    la, lb, c = A.labels, B.labels, A.sparse_c
     b_on_a, a_by_b = on_a.sparse_left, on_a.sparse_right   # in A
     a_on_b, b_by_a = on_b.sparse_left, on_b.sparse_right   # in B
-    lin = partial(linear, f)
-    # acting on a' or bracketing with it is linear, with the a'-th columns;
-    # as a term it is the bilinear map at the basis vector e[a']
-    on_col, br_col = tuple(zip(*b_on_a)), tuple(zip(*c))
-    e = tuple(((a, f.one()),) for a in range(A.dim))
-
-    def laws(*idx):
-        a, b, a2, live = idx[pa], idx[pb], idx[2], idx[3]
-        if live & 1:
-            # (a>b)>a' = [a<b, a']
-            yield names[0], (la[a], lb[b], la[a2]), [lin(on_col[a2], a_on_b[a][b])], [lin(br_col[a2], a_by_b[a][b])]
-        if live & 2:
-            # (b<a)>a' = [b>a, a']
-            yield names[1], (lb[b], la[a], la[a2]), [lin(on_col[a2], b_by_a[b][a])], [lin(br_col[a2], b_on_a[b][a])]
-        if live & 4:
-            # a<(a'>b) = [a, a'<b]
-            yield names[2], (la[a], la[a2], lb[b]), [lin(a_by_b[a], a_on_b[a2][b])], [lin(c[a], a_by_b[a2][b])]
-        if live & 8:
-            # a<(b<a') = [a, b>a']
-            yield names[3], (la[a], lb[b], la[a2]), [lin(a_by_b[a], b_by_a[b][a2])], [lin(c[a], b_on_a[b][a2])]
-
-    return laws, ((b_on_a, (a_on_b, pa, pb), (e, 2)), (c, (a_by_b, pa, pb), (e, 2))), \
-        ((b_on_a, (b_by_a, pb, pa), (e, 2)), (c, (b_on_a, pb, pa), (e, 2))), \
-        ((a_by_b, (e, pa), (a_on_b, 2, pb)), (c, (e, pa), (a_by_b, 2, pb))), \
-        ((a_by_b, (e, pa), (b_by_a, pb, 2)), (c, (e, pa), (b_on_a, pb, 2)))
+    # acting on a' or bracketing with it is the bilinear map at e[a']
+    e = tuple(((a, A.field.one()),) for a in range(A.dim))
+    return [
+        # (a>b)>a' = [a<b, a']
+        (names[0], ((la, pa), (lb, pb), (la, 2)),
+         [(b_on_a, (a_on_b, pa, pb), (e, 2))], [(c, (a_by_b, pa, pb), (e, 2))]),
+        # (b<a)>a' = [b>a, a']
+        (names[1], ((lb, pb), (la, pa), (la, 2)),
+         [(b_on_a, (b_by_a, pb, pa), (e, 2))], [(c, (b_on_a, pb, pa), (e, 2))]),
+        # a<(a'>b) = [a, a'<b]
+        (names[2], ((la, pa), (la, 2), (lb, pb)),
+         [(a_by_b, (e, pa), (a_on_b, 2, pb))], [(c, (e, pa), (a_by_b, 2, pb))]),
+        # a<(b<a') = [a, b>a']
+        (names[3], ((la, pa), (lb, pb), (la, 2)),
+         [(a_by_b, (e, pa), (b_by_a, pb, 2))], [(c, (e, pa), (b_on_a, pb, 2))])]
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     field = actor.field
     left = [[vec_zero(field, target.dim) for _ in range(target.dim)] for _ in range(actor.dim)]
     right = [[vec_zero(field, target.dim) for _ in range(actor.dim)] for _ in range(target.dim)]
-    for side, grid in (("left", left), ("right", right)):
+    for side, table in (("left", left), ("right", right)):
         entries = node.get(side, [])
         if not isinstance(entries, list):
             raise ParseError(f"{where}.{side}: must be a list")
@@ -211,9 +211,9 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
                                     f"{where}.{side}[{first}]")
             val = _parse_value(field, target.basis, entry["value"], f"{loc}.value")
             if side == "left":
-                grid[x][m] = val
+                table[x][m] = val
             else:
-                grid[m][x] = val
+                table[m][x] = val
     return ActionDocument(actor, target,
                           tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 

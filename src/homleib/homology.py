@@ -3,8 +3,8 @@
 A co-representation holds its two operations as tables like an action, and
 caches them with its twist columns in the one sparse form (``sparse_left``,
 ``sparse_right``, ``sparse_twist``); ``linalg.check_laws`` checks its five
-identities on basis tuples, the three that act twice only where
-``linalg.support`` finds a term that can be nonzero.
+identities, stated as data, on the basis tuples where a term can be
+nonzero.
 
 The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
@@ -24,7 +24,7 @@ assumed, and the check would fail loudly under a sign slip in any family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import FieldMismatch, StructureError
@@ -34,15 +34,12 @@ from .linalg import (
     Matrix,
     RrefAccumulator,
     Subspace,
-    bilinear,
     check_laws,
     contract,
     dense_vec,
-    grid,
     linear,
     outer,
     sparse_columns,
-    support,
     vec_is_zero,
     vec_zero,
 )
@@ -68,7 +65,7 @@ class CoRepresentation:
             raise StructureError("left operation tensor must be algebra x space")
         if len(self.right) != dm or any(len(r) != dl for r in self.right):
             raise StructureError("right operation tensor must be space x algebra")
-        if any(len(v) != dm for grid in (self.left, self.right) for row in grid for v in row):
+        if any(len(v) != dm for table in (self.left, self.right) for row in table for v in row):
             raise StructureError("operation values must be coefficient vectors")
         if self.twist.field != self.algebra.field:
             raise FieldMismatch("coefficient twist over the wrong field")
@@ -92,38 +89,30 @@ class CoRepresentation:
         return self.twist.apply(m)
 
     def validate(self) -> ValidationReport:
-        L = self.algebra
-        f = self.field
+        L, f = self.algebra, self.field
         rep = ValidationReport(subject="hom-co-representation",
                                axiom_status={k: True for k in "abcde"})
         tl, tm, lc = L.sparse_twist, self.sparse_twist, L.sparse_c
         left, right = self.sparse_left, self.sparse_right
-        al, ar = partial(bilinear, f, left), partial(bilinear, f, right)
         lbl, lbm = L.labels, tuple(f"m{i+1}" for i in range(self.space_dim))
-
-        def at(x, m):
-            # d) t_M(x.m) = t(x).t_M(m)
-            yield "d", (lbl[x], lbm[m]), [linear(f, tm, left[x][m])], [al(tl[x], tm[m])]
-            # e) t_M(m.x) = t_M(m).t(x)
-            yield "e", (lbm[m], lbl[x]), [linear(f, tm, right[m][x])], [ar(tm[m], tl[x])]
-
-        def with_y(x, m, y):
-            # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
-            yield ("a", (lbl[x], lbl[y], lbm[m]),
-                   [al(lc[x][y], tm[m]), al(tl[y], left[x][m])], [al(tl[x], left[y][m])])
-            # b) t_M(m).[x,y] = (y.m).t(x) - t(y).(m.x)
-            yield ("b", (lbm[m], lbl[x], lbl[y]),
-                   [ar(tm[m], lc[x][y]), al(tl[y], right[m][x])], [ar(left[y][m], tl[x])])
-            # c) (m.x).t(y) = - t(y).(m.x)
-            yield ("c", (lbm[m], lbl[x], lbl[y]),
-                   [ar(right[m][x], tl[y]), al(tl[y], right[m][x])], [])
-
-        # the terms of a-c at (x, m, y), run as one law where any can be nonzero
-        y_terms = ((left, (lc, 0, 2), (tm, 1)), (left, (tl, 2), (left, 0, 1)), (left, (tl, 0), (left, 2, 1)),
-                   (right, (tm, 1), (lc, 0, 2)), (left, (tl, 2), (right, 1, 0)), (right, (left, 2, 1), (tl, 0)),
-                   (right, (right, 1, 0), (tl, 2)))
         dl, dm = L.dim, self.space_dim
-        check_laws(f, rep, (dl, dm), [(grid(), at), support((dl, dm, dl), with_y, y_terms)])
+        # indices (x, m), then (x, m, y)
+        check_laws(f, rep, (dl, dm), [
+            ((dl, dm), [
+                # d) t_M(x.m) = t(x).t_M(m)
+                ("d", ((lbl, 0), (lbm, 1)), [(tm, (left, 0, 1))], [(left, (tl, 0), (tm, 1))]),
+                # e) t_M(m.x) = t_M(m).t(x)
+                ("e", ((lbm, 1), (lbl, 0)), [(tm, (right, 1, 0))], [(right, (tm, 1), (tl, 0))])]),
+            ((dl, dm, dl), [
+                # a) [x,y].t_M(m) = t(x).(y.m) - t(y).(x.m)
+                ("a", ((lbl, 0), (lbl, 2), (lbm, 1)),
+                 [(left, (lc, 0, 2), (tm, 1)), (left, (tl, 2), (left, 0, 1))], [(left, (tl, 0), (left, 2, 1))]),
+                # b) t_M(m).[x,y] = (y.m).t(x) - t(y).(m.x)
+                ("b", ((lbm, 1), (lbl, 0), (lbl, 2)),
+                 [(right, (tm, 1), (lc, 0, 2)), (left, (tl, 2), (right, 1, 0))], [(right, (left, 2, 1), (tl, 0))]),
+                # c) (m.x).t(y) = - t(y).(m.x)
+                ("c", ((lbm, 1), (lbl, 0), (lbl, 2)),
+                 [(right, (right, 1, 0), (tl, 2)), (left, (tl, 2), (right, 1, 0))], [])])])
         return rep
 
 
@@ -297,7 +286,7 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
     from .algebras import derived_subspace
 
     f = L.field
-    if any(not vec_is_zero(f, v) for grid in (M.left, M.right) for row in grid for v in row):
+    if any(not vec_is_zero(f, v) for table in (M.left, M.right) for row in table for v in row):
         raise StructureError("closed form requires trivial operations")
     der = derived_subspace(L)
     tm_image = LinearMap(M.space_dim, M.space_dim, M.twist).image()

@@ -22,10 +22,10 @@ presentations:
   value table[i][j], ``sparse_columns`` those of each column of a twist;
 * ``bilinear`` is the one contraction, of a sparse table at two sparse
   vectors, ``contract`` its dense form and ``linear`` applies sparse columns;
-* ``check_laws`` is the one identity checker: it records each law instance
-  on basis indices whose signed sum of such terms is nonzero, over index
-  tuples each group names (``grid`` for all of them, ``support`` for those
-  where a term can be nonzero by sparsity);
+* ``check_laws`` is the one identity checker: each law is data, signed
+  lists of such terms on basis indices, and from that data it both finds
+  the instances where a term can be nonzero by sparsity and evaluates them,
+  recording each whose signed sum is nonzero;
 * ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
   at an offset when the ambient space has several blocks;
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from itertools import product
 from math import prod
-from operator import or_
+from operator import mul, or_
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined
 from .fields import Field
@@ -140,54 +140,85 @@ def contract(field: Field, table, x, y, dim: int) -> tuple:
     return tuple(out)
 
 
-def _total(field: Field, vecs) -> dict:
-    """The sum of ``bilinear`` or ``linear`` values as a dict without zeros;
-    their scalars are canonical, so equal sums compare equal."""
-    if len(vecs) == 1:
-        return dict(vecs[0])
+def _term(term) -> tuple:
+    """A term of a law as (table, u, p, r, v, q, s): its first leg is
+    u[idx[p]], or u[idx[p]][idx[r]] where r is not None, and v, q, s its
+    second leg the same way (v None for a ``linear`` term)."""
+    table, (u, p, *r), *v = term
+    (v, q, *s), = v or [(None, None)]
+    return table, u, p, *(r or [None]), v, q, *(s or [None])
+
+
+def _total(field: Field, terms, idx) -> dict:
+    """The sum of the values of ``_term`` terms at idx as a dict without
+    zeros; their scalars are canonical, so equal sums compare equal."""
     acc = {}
-    for vec in vecs:
+    for table, u, p, r, v, q, s in terms:
+        u = u[idx[p]] if r is None else u[idx[p]][idx[r]]
+        vec = linear(field, table, u) if v is None else \
+            bilinear(field, table, u, v[idx[q]] if s is None else v[idx[q]][idx[s]])
+        if len(terms) == 1:
+            return dict(vec)
         for k, x in vec:
             acc[k] = field.add(acc[k], x) if k in acc else x
     return {k: x for k, x in acc.items() if x}
 
 
-def grid(*dims):
-    """The index tuples of a ``check_laws`` group that runs row-major over
-    every basis index below ``dims``, whatever the outer index."""
-    return lambda *outer: product(*map(range, dims))
+_MASK_BITS = 1 << 16  # the most index tuples one support bitmask covers
 
 
-_MASK_BITS = 1 << 16  # the most index tuples one ``support`` bitmask covers
+def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
+    """Record in ``report`` every violated instance of a family of laws.
+
+    A law is data, (name, witness, plus, minus[, detail]), stated on an index
+    tuple idx.  ``plus`` and ``minus`` are lists of terms, (cols, u) for
+    ``linear(cols, u)`` and (table, u, v) for ``bilinear(table, u, v)``, each
+    leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]]; the witness is a
+    tuple of (labels, p), naming labels[idx[p]], and ``detail`` a format
+    string over the witness.  An instance is recorded exactly when its signed
+    sum, plus less minus, is nonzero.
+
+    The outer loop runs row-major over the index tuples of ``outer_dims``;
+    inside it each (dims, laws) group runs in turn, row-major over the index
+    tuples below ``dims`` that extend the outer one, and at each over its
+    laws in order.  Only the instances where a term can be nonzero are
+    evaluated, so the report is the full grid's: linear(cols, u) can be
+    nonzero only if cols[a] is nonempty for some a in supp u, and
+    bilinear(table, u, v) only if table[a][b] is for some (a, b) in supp u x
+    supp v."""
+    legs = {}
+    runs = [_support(len(outer_dims), dims, laws, legs) for dims, laws in groups]
+    for idx in product(*map(range, outer_dims)):
+        for run in runs:
+            for jdx, (name, witness, plus, minus, detail) in run(idx):
+                if _total(field, plus, jdx) != _total(field, minus, jdx):
+                    labels = tuple(lb[jdx[p]] for lb, p in witness)
+                    report.record(name, labels, detail.format(*labels))
 
 
-def support(dims, laws, *terms):
-    """A ``check_laws`` group that runs row-major over the index tuples below
-    ``dims``, outer indices first, where a term of a law can be nonzero, and
-    so records what the full grid would.  terms[q] are the terms of law q,
-    (cols, u) for ``linear(cols, u)`` or (table, u, v) for ``bilinear``, each
-    leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]].  The rule is exact:
-    linear(cols, u) can be nonzero only if cols[a] is nonempty for some a in
-    supp u, bilinear(table, u, v) only if table[a][b] is for some (a, b) in
-    supp u x supp v.  One law runs as laws(*idx); several as laws(*idx,
-    live), bit q of ``live`` set where law q has such a term.  A set of index
-    tuples is a bitmask over the trailing indices, at most ``_MASK_BITS`` of
-    them, for one value of the leading ones at a time."""
-    cut, legs, memo, rests = 0, {}, [None, None], {}
+def _support(k: int, dims, laws, legs):
+    """The instances of one ``check_laws`` group where a term can be nonzero,
+    at an outer index tuple of length k: (idx, law) in order, the law with
+    its terms in the form of ``_term``.  A set of index tuples is a bitmask
+    over the trailing indices, at most ``_MASK_BITS`` of them, for one value
+    of the leading ones at a time; ``legs`` keeps the masks of each leg, by
+    group shape, for the whole call."""
+    cut = 0
     while prod(dims[cut:]) > _MASK_BITS:
         cut += 1
-    size = prod(dims[cut:])
-    full = (1 << size) - 1
+    n = max(k, cut)  # the length of the index tuples a bitmask is read at
+    spans = [prod(dims[p:]) for p in range(len(dims) + 1)]  # spans[p + 1]: the stride of index p
+    full = (1 << spans[cut]) - 1
     if not full:
-        return (lambda *outer: ()), laws
+        return lambda outer: ()
     at = [None] * cut  # at[p][x]: where trailing index p is x
     for p in range(cut, len(dims)):
-        run = prod(dims[p + 1:])
+        run = spans[p + 1]
         base = full // ((1 << run * dims[p]) - 1) * ((1 << run) - 1)
         at.append([base << x * run for x in range(dims[p])])
 
     def where(idx, vectors, *pos):  # [(a, where a is in the support of the leg's vector)] at idx
-        key = (id(vectors), *pos)
+        key = (dims, id(vectors), *pos)
         if key in legs:
             return legs[key]
         if min(pos) < cut:  # fix the leading indices at idx; not kept, as idx moves on
@@ -208,55 +239,46 @@ def support(dims, laws, *terms):
             legs[key] = out.items()
         return out.items()
 
-    def masks(idx, law):  # where a term of the law can be nonzero; a linear
-        bits = 0          # term is a bilinear one with a constant second leg
-        for table, u, *v in law:
-            right = where(idx, *v[0]) if v else [(None, full)]
-            for a, here in where(idx, *u):
-                for b, there in right:
-                    if table[a] if b is None else table[a][b]:
-                        bits |= here & there
+    def mask(idx, terms):  # where a term can be nonzero; a linear term is
+        bits = 0           # a bilinear one with a constant second leg
+        for table, u, *v in terms:
+            left = where(idx, *u)
+            if left:
+                for b, there in where(idx, *v[0]) if v else [(None, full)]:
+                    for a, here in left:
+                        if table[a] if b is None else table[a][b]:
+                            bits |= here & there
         return bits
 
-    def tuples(*outer):
-        for head in product(*map(range, dims[len(outer):cut])) if len(outer) < cut else [()]:
+    def law(q):  # law q with its terms in the form of ``_term``, built once
+        if compiled[q] is None:
+            name, witness, plus, minus, *detail = laws[q]
+            compiled[q] = name, witness, [*map(_term, plus)], [*map(_term, minus)], "".join(detail)
+        return compiled[q]
+
+    terms, compiled, memo, rest = [law[2] + law[3] for law in laws], [None] * len(laws), [None], []
+    heads, strides, block = list(product(*map(range, dims[k:cut]))), spans[cut + 1:n + 1], (1 << spans[n]) - 1
+
+    def run(outer):
+        for head in heads:
             idx = outer + head
             if memo[0] != idx[:cut]:
-                memo[:] = idx[:cut], [masks(idx, law) for law in terms]
-            start, span = 0, size
-            for x, d in zip(idx[cut:], dims[cut:]):
-                start, span = start * d + x, span // d
-            live = [bits >> start * span & (1 << span) - 1 for bits in memo[1]]
-            union = reduce(or_, live)
-            if union and len(idx) not in rests:
-                rests[len(idx)] = list(product(*map(range, dims[len(idx):])))
-            rest = rests.get(len(idx))
-            while union:
-                low = union & -union
-                union ^= low
-                jdx = (*head, *rest[low.bit_length() - 1])
-                yield (*jdx, sum(1 << q for q, bits in enumerate(live) if bits & low)) if live[1:] else jdx
-    return tuples, laws
-
-
-def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
-    """Record in ``report`` every violated instance of a family of laws.
-
-    The outer loop runs row-major over the index tuples of ``outer_dims``;
-    inside it each (tuples, laws) pair of ``groups`` runs in turn over the
-    inner index tuples ``tuples(*outer)`` names, and ``laws(*outer, *inner)``
-    yields one instance per law: (name, witness, plus, minus[, detail]),
-    with ``plus`` and ``minus`` lists of ``bilinear`` or ``linear`` values.
-    An instance is recorded exactly when its signed sum, plus less minus, is
-    nonzero.  A group names the full grid with ``grid``; a ``support`` group
-    names only the instances that can be nonzero, in the grid's order, and
-    so records what the full grid would."""
-    for idx in product(*map(range, outer_dims)):
-        for tuples, laws in groups:
-            for jdx in tuples(*idx):
-                for name, witness, plus, minus, *detail in laws(*idx, *jdx):
-                    if _total(field, plus) != _total(field, minus):
-                        report.record(name, witness, *detail)
+                masks = [mask(idx, t) for t in terms]
+                memo[:] = idx[:cut], masks, reduce(or_, masks, 0)
+            shift = sum(map(mul, idx[cut:], strides))
+            union = memo[2] >> shift & block
+            if union:
+                live = [(bits >> shift, q) for q, bits in enumerate(memo[1]) if bits >> shift & union]
+                if not rest:
+                    rest.extend(product(*map(range, dims[n:])))
+                while union:
+                    low = union & -union
+                    union ^= low
+                    jdx = (*idx, *rest[low.bit_length() - 1])
+                    for bits, q in live:
+                        if bits & low:
+                            yield jdx, law(q)
+    return run
 
 
 def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from homleib import linalg
 from homleib.fields import Field
 from homleib.linalg import Matrix
 from homleib.algebras import HomLeibnizAlgebra, yau_twist
@@ -19,6 +20,26 @@ QQ = Field()
 @pytest.fixture
 def field():
     return QQ
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The law instances ``linalg.check_laws`` evaluates from now on, as
+    (law name, index tuple) in order: each one its support helper yields."""
+    seen = []
+    real = linalg._support
+
+    def counting(*args):
+        run = real(*args)
+
+        def each(outer):
+            for idx, law in run(outer):
+                seen.append((law[0], idx))
+                yield idx, law
+        return each
+
+    monkeypatch.setattr(linalg, "_support", counting)
+    return seen
 
 
 @pytest.fixture

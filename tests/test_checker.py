@@ -1,8 +1,8 @@
 """The identity checker against dense reference loops.
 
-Every validator states its laws for ``linalg.check_laws`` on the cached
-sparse tables, and most evaluate only the instances ``linalg.support``
-names as possibly nonzero.  The dense loops below are the reference: they
+Every validator states its laws as data for ``linalg.check_laws`` on the
+cached sparse tables, which evaluates only the instances where a term can
+be nonzero.  The dense loops below are the reference: they
 bracket, act and twist dense coordinate vectors with their own dense
 contraction and compare the two sides of each law at every basis tuple, in
 the same loop order.  A perturbed structure constant, twist entry or action
@@ -44,7 +44,7 @@ from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
-from homleib.linalg import LinearMap, Matrix, Subspace, support, unit_vec, vec_scale
+from homleib.linalg import LinearMap, Matrix, Subspace, unit_vec, vec_scale
 from homleib.report import ValidationReport
 from homleib.tensorprod import build_tensor, relation_vectors
 
@@ -95,8 +95,10 @@ def dense_algebra(L):
             for k in range(n):
                 if br(tw[i], L.c[j][k]) != dense_sub(f, br(L.c[i][j], tw[k]), br(L.c[i][k], tw[j])):
                     rep.record("hom-leibniz identity", (lb[i], lb[j], lb[k]))
-    rep.flags["hom_lie"] = L.is_skew()
-    rep.flags["abelian"] = L.is_abelian()
+    # [x, x] = 0 for every x exactly when c[i][j] + c[j][i] = 0 for all i, j
+    # (the characteristic is not 2)
+    rep.flags["hom_lie"] = not any(any(dense_add(f, L.c[i][j], L.c[j][i])) for i in range(n) for j in range(n))
+    rep.flags["abelian"] = not any(any(v) for row in L.c for v in row)
     return rep
 
 
@@ -559,98 +561,65 @@ class TestSparseSupports:
         assert set(broken) == {"algebra", "hom", "action", "compat", "corep", "assoc"}
         assert all(broken.values()), broken
 
-    def evaluated(self, monkeypatch, build):
-        """The law names of the instances check_laws evaluates in build()."""
-        names = Counter()
-
-        def counted(real):
-            def run(field, report, dims, groups):
-                def each(laws):
-                    def inner(*idx):
-                        for instance in laws(*idx):
-                            names[instance[0]] += 1
-                            yield instance
-                    return inner
-                return real(field, report, dims, [(tuples, each(laws)) for tuples, laws in groups])
-            return run
-
-        for mod in (actions, algebras, homassoc, homology):
-            monkeypatch.setattr(mod, "check_laws", counted(mod.check_laws))
-        assert build().valid
-        return dict(names)
-
-    def test_instances_evaluated(self, monkeypatch):
+    def test_instances_evaluated(self, evaluated):
         """Pins of the instances each validator evaluates, law by law.  In
         the Heisenberg algebra every bracket lands in the centre, so a term
         that brackets or acts twice is empty: its Hom-Leibniz identity, the
         action laws a-f of its adjoint action and co-representation and all
-        its compatibility laws are zero by sparsity, and only the laws of a
-        single bracket or action run where that is nonzero (the action laws
-        g, h, d, e and the twist compatibility of a map run on the full
-        grid).  sl2 twisted keeps 18 of 27 identity triples and 12 of 27
+        its compatibility laws are zero by sparsity, and the laws of a single
+        bracket or action run only where that is nonzero: g, h, d and e where
+        x acts on m or m on x, two pairs each, and none under the trivial
+        action.  sl2 twisted keeps 18 of 27 identity triples and 12 of 27
         instances of each compatibility law."""
         H, A, f = heisenberg(QQ), _abelian3(QQ), QQ
         cases = [
             (H.validate, {"multiplicativity": 2}),
             (AlgebraHom(H, H, LinearMap.identity(f, 3)).validate,
              {"bracket preservation": 2, "twist compatibility": 3}),
-            (self_action(H).validate, {"g": 9, "h": 9}),
-            (HomAction.trivial(A, H).validate, {"g": 9, "h": 9}),
+            (self_action(H).validate, {"g": 2, "h": 2}),
+            (HomAction.trivial(A, H).validate, {}),
             (MutualActions.adjoint(H).check_compatible, {}),
             (MutualActions.trivial(A, H).check_compatible, {}),
-            (adjoint_corep(H).validate, {"d": 9, "e": 9}),
+            (adjoint_corep(H).validate, {"d": 2, "e": 2}),
             (sl2_twisted(f).validate, {"multiplicativity": 6, "hom-leibniz identity": 18}),
             (MutualActions.adjoint(sl2_twisted(f)).check_compatible, {f"c{i}": 12 for i in range(1, 9)}),
         ]
         for build, pin in cases:
-            assert self.evaluated(monkeypatch, build) == pin
-            monkeypatch.undo()
+            evaluated.clear()
+            assert build().valid
+            assert Counter(name for name, _ in evaluated) == pin
 
     @pytest.mark.parametrize("mask_bits", [1, 5, 1 << 16])
-    def test_support_is_the_rule(self, monkeypatch, mask_bits):
-        """On random sparse tables, ``support`` names exactly the tuples,
-        row-major, where a term passes the rule, with the laws live there,
-        whether the outer indices are none or all but the last; small
-        ``_MASK_BITS`` run the leading indices one value at a time."""
+    def test_reports_match_the_full_grid(self, monkeypatch, evaluated, mask_bits):
+        """On random sparse law data over Q and GF(1000003), ``check_laws``
+        records what every instance of the full grid records, order
+        included, whether the outer indices are none or all but the last;
+        small ``_MASK_BITS`` run the leading indices one value at a time."""
         monkeypatch.setattr(linalg, "_MASK_BITS", mask_bits)
         rng = random.Random(5)
-        for _ in range(60):
-            dims, basis = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 3)))), rng.randint(1, 3)
+        violated = 0
+        for f in FIELDS:
+            for _ in range(60):
+                outer_dims, groups = _random_laws(f, rng)
+                got, want = ValidationReport("laws"), ValidationReport("laws")
+                linalg.check_laws(f, got, outer_dims, groups)
+                _full_grid(f, want, outer_dims, groups)
+                assert got.to_dict() == want.to_dict(), (outer_dims, groups)
+                violated += len(want.violations)
+        # some evaluated instances fail and some hold
+        assert 0 < violated < len(evaluated)
 
-            def vec():
-                return tuple((a, 1) for a in range(basis) if rng.random() < 0.3)
-
-            def leg():
-                pos = rng.sample(range(len(dims)), rng.choice((1, 2)))
-                vectors = [vec() for _ in range(dims[pos[0]])]
-                if len(pos) == 2:
-                    vectors = [tuple(vec() for _ in range(dims[pos[1]])) for _ in vectors]
-                return (tuple(vectors), *pos)
-
-            def term():
-                if rng.random() < 0.3:
-                    return tuple(vec() for _ in range(basis)), leg()
-                return tuple(tuple(vec() for _ in range(basis)) for _ in range(basis)), leg(), leg()
-
-            terms = [[term() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
-            expected = []
-            for idx in itertools.product(*map(range, dims)):
-                live = sum(1 << q for q, law in enumerate(terms) if any(_can_be_nonzero(t, idx) for t in law))
-                if live:
-                    expected.append((*idx, live) if len(terms) > 1 else idx)
-            for outer in (0, len(dims) - 1):
-                tuples, _ = support(dims, None, *terms)
-                got = [(*o, *j) for o in itertools.product(*map(range, dims[:outer])) for j in tuples(*o)]
-                assert got == expected, (dims, outer)
-
-    def test_exact_rule_on_hom_associativity(self):
-        """Hom-associativity keeps the rule of its pin in
-        TestReportsComputedOnce: the 19 triples of upper triangular where xy
-        or yz is nonzero.  Its two sides as terms would leave 5."""
+    def test_exact_rule_on_hom_associativity(self, evaluated):
+        """Hom-associativity runs on its two sides as terms: the 5 triples
+        of upper triangular where t(x) (yz) or (xy) t(z) can be nonzero, of
+        the 19 where xy or yz is."""
         A = upper_triangular(QQ)
-        p, tw, n = A.sparse_p, A.sparse_twist, A.dim
-        tuples, _ = support((n, n, n), None, ((p, (tw, 0), (p, 1, 2)), (p, (p, 0, 1), (tw, 2))))
-        assert len(list(tuples())) == 5
+        assert A.validate().valid
+        p, tw = A.sparse_p, A.sparse_twist
+        sides = ((p, (tw, 0), (p, 1, 2)), (p, (p, 0, 1), (tw, 2)))
+        rule = [idx for idx in itertools.product(range(3), repeat=3) if any(_can_be_nonzero(t, idx) for t in sides)]
+        assert [idx for name, idx in evaluated if name == "hom-associativity"] == rule
+        assert len(rule) == 5
 
     def test_large_presented_algebra(self):
         """The tensor square of a 10-dim abelian algebra under trivial
@@ -673,8 +642,8 @@ class TestSparseSupports:
 
 
 def _can_be_nonzero(term, idx):
-    """The rule of ``linalg.support`` for one term at one index tuple, by
-    brute force."""
+    """The support rule of ``linalg.check_laws`` for one term at one index
+    tuple, by brute force."""
     def at(leg):
         vectors, *pos = leg
         for p in pos:
@@ -685,6 +654,72 @@ def _can_be_nonzero(term, idx):
     if not v:
         return any(table[a] for a in at(u))
     return any(table[a][b] for a in at(u) for b in at(v[0]))
+
+
+def _random_laws(f, rng):
+    """Random sparse law data for ``check_laws``: outer dims and groups of
+    one to three laws, each group's dims extending the outer ones."""
+    dims = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 3))))
+    k, basis = rng.choice((0, len(dims) - 1)), rng.randint(1, 3)
+
+    def vec():
+        return tuple((a, f.from_int(rng.choice((1, -1, 2)))) for a in range(basis) if rng.random() < 0.35)
+
+    def law(n, gdims):
+        def leg():
+            pos = rng.sample(range(n), rng.choice((1, 2)) if n > 1 else 1)
+            vectors = [vec() for _ in range(gdims[pos[0]])]
+            if len(pos) == 2:
+                vectors = [tuple(vec() for _ in range(gdims[pos[1]])) for _ in vectors]
+            return (tuple(vectors), *pos)
+
+        def term():
+            if rng.random() < 0.3:
+                return tuple(vec() for _ in range(basis)), leg()
+            return tuple(tuple(vec() for _ in range(basis)) for _ in range(basis)), leg(), leg()
+
+        plus = [term() for _ in range(rng.randint(1, 2))]
+        # a law whose sides agree but for order holds wherever it runs
+        minus = rng.sample(plus, len(plus)) if rng.random() < 0.3 else [term() for _ in range(rng.randint(0, 2))]
+        witness = tuple((tuple(f"x{p}.{i}" for i in range(gdims[p])), p) for p in range(n))
+        detail = ["at " + " ".join(f"{{{i}}}" for i in range(n))] if rng.random() < 0.5 else []
+        return (f"law{rng.randint(0, 99)}", witness, plus, minus, *detail)
+
+    groups = []
+    for _ in range(rng.randint(1, 2)):
+        gdims = dims[:k] + tuple(rng.randint(1, 3) for _ in range(rng.randint(max(1 - k, 0), 3 - k)))
+        groups.append((gdims, [law(len(gdims), gdims) for _ in range(rng.randint(1, 3))]))
+    return dims[:k], groups
+
+
+def _grid_sum(f, terms, idx):
+    """The signed sum of terms at idx, evaluated term by term."""
+    out = {}
+    for table, *legs in terms:
+        vecs = []
+        for vectors, *pos in legs:
+            for p in pos:
+                vectors = vectors[idx[p]]
+            vecs.append(vectors)
+        cells = [(table[a], x) for a, x in vecs[0]] if len(vecs) == 1 else \
+            [(table[a][b], f.mul(x, y)) for a, x in vecs[0] for b, y in vecs[1]]
+        for cell, c in cells:
+            for k, t in cell:
+                out[k] = f.add(out.get(k, f.zero()), f.mul(c, t))
+    return {k: x for k, x in out.items() if x}
+
+
+def _full_grid(f, report, outer_dims, groups):
+    """``check_laws`` without a support: every law at every index tuple of
+    its group, in the same loop order."""
+    for idx in itertools.product(*map(range, outer_dims)):
+        for dims, laws in groups:
+            for rest in itertools.product(*map(range, dims[len(idx):])):
+                jdx = idx + rest
+                for name, witness, plus, minus, *detail in laws:
+                    if _grid_sum(f, plus, jdx) != _grid_sum(f, minus, jdx):
+                        labels = tuple(lb[jdx[p]] for lb, p in witness)
+                        report.record(name, labels, *(d.format(*labels) for d in detail))
 
 
 def _first_dense_failure(f, table, endo, labels):
@@ -797,24 +832,14 @@ class TestReportsComputedOnce:
             bumped.require_valid()
         assert not bumped.validate().valid and len(runs) == 2
 
-    def test_hom_associativity_runs_only_on_its_support(self, monkeypatch):
-        # at a triple where p[i][j] and p[j][k] are both zero each side is
-        # zero; upper triangular has 19 other triples of 27
-        names = []
-        real = homassoc.check_laws
-
-        def counted(laws):
-            def each(*idx):
-                for instance in laws(*idx):
-                    names.append(instance[0])
-                    yield instance
-            return each
-
-        monkeypatch.setattr(homassoc, "check_laws", lambda f, rep, dims, groups: real(
-            f, rep, dims, [(tuples, counted(laws)) for tuples, laws in groups]))
+    def test_hom_associativity_runs_only_on_its_support(self, evaluated):
+        # each side of t(xy) = t(x) t(y) and of t(x) (yz) = (xy) t(z) is
+        # zero where one of its products is; upper triangular has 4 pairs
+        # of 9 and 5 triples of 27 where a side can be nonzero
         assert upper_triangular(QQ).validate().valid
-        assert names.count("multiplicativity") == 9
-        assert names.count("hom-associativity") == 19
+        names = [name for name, _ in evaluated]
+        assert names.count("multiplicativity") == 4
+        assert names.count("hom-associativity") == 5
 
     def test_mutual_actions(self, monkeypatch):
         L = sl2_twisted(QQ)

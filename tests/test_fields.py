@@ -206,32 +206,30 @@ def test_validators_hold_no_dense_loops():
     assert found == []
 
 
-def _calls(node, name):
-    func = getattr(node, "func", None)
-    return isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) == name
+LAW_BODIES = ("validate", "_report", "check_compatible", "_compatibility_laws")
 
 
-def test_law_instances_named_only_through_the_support_helper():
-    # every check_laws group names its index tuples through linalg: a
-    # ``support`` call is the group of the instances that can be nonzero, a
-    # ``grid`` call the tuples of a full sweep; no module keeps a support of
-    # its own
+def test_laws_are_data():
+    # a validator states its laws as data for linalg.check_laws, which
+    # derives each law's support and evaluates its terms from the same data:
+    # no law body defines a function or evaluates a term itself, and no
+    # module names an index set of its own
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.stem == "linalg":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        supported = {t.id for node in ast.walk(tree)
-                     if isinstance(node, ast.Assign) and _calls(node.value, "support") for t in node.targets}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and "support" in node.name:
-                found.append(f"{path.stem}:{node.name}")
-            if not _calls(node, "check_laws"):
+        for body in ast.walk(tree):
+            if not (isinstance(body, ast.FunctionDef) and body.name in LAW_BODIES):
                 continue
-            groups = node.args[3]
-            for group in groups.elts if isinstance(groups, ast.List) else [groups]:
-                if not (_calls(group, "support") or getattr(group, "id", None) in supported
-                        or isinstance(group, ast.Tuple) and _calls(group.elts[0], "grid")):
-                    found.append(f"{path.stem}:{group.lineno}")
+            for node in ast.walk(body):
+                if node is not body and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    found.append(f"{path.stem}:{body.name}:defines:{node.lineno}")
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) in \
+                        ("bilinear", "linear"):
+                    found.append(f"{path.stem}:{body.name}:evaluates:{node.lineno}")
+        if path.stem != "linalg":
+            found += [f"{path.stem}:names:{node.lineno}" for node in ast.walk(tree)
+                      if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+                      & {"grid", "support"}]
     assert found == [], found

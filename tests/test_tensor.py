@@ -23,7 +23,7 @@ from homleib.algebras import (
 )
 from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_action
 from homleib.generators import heisenberg, random_ideal_pair, random_trivial_pair, sl2 as make_sl2
-from homleib import algebras, tensorprod
+from homleib import tensorprod
 from homleib.homassoc import hochschild_module, to_leibniz
 from homleib.tensorprod import (
     build_tensor,
@@ -296,28 +296,17 @@ class TestRelations:
             assert [r for r in rows if r] == [r for r in full if r]
             assert len(rows) < len(full)
 
-    def test_abelian_square_under_trivial_actions_skips_every_instance(self, monkeypatch):
+    def test_abelian_square_under_trivial_actions_skips_every_instance(self, evaluated):
         A = _abelian_diag(QQ)
         ma = MutualActions.trivial(A, A)
         assert list(relation_vectors(ma)) == []
-        evaluated = []
-
-        def counted(laws):
-            def each(*idx):
-                for instance in laws(*idx):
-                    evaluated.append(instance[0])
-                    yield instance
-            return each
-
-        real = algebras.check_laws
-        monkeypatch.setattr(algebras, "check_laws", lambda field, report, outer, groups: real(
-            field, report, outer, [(tuples, counted(laws)) for tuples, laws in groups]))
         t = build_tensor(ma)
         assert t.algebra.dim == 18 and t.algebra.is_abelian()
         # the presented bracket is zero, so no Hom-Leibniz instance can be
         # nonzero and none is evaluated, multiplicativity included
-        assert evaluated.count("multiplicativity") == 0
-        assert "hom-leibniz identity" not in evaluated
+        names = [name for name, _ in evaluated]
+        assert names.count("multiplicativity") == 0
+        assert "hom-leibniz identity" not in names
 
     def test_rows_are_sorted_and_nonzero(self, sl2_twisted):
         for row in relation_vectors(MutualActions.adjoint(sl2_twisted)):
