@@ -53,6 +53,7 @@ from .tensorprod import (
     TensorProduct,
     build_tensor,
     commutator_map,
+    factor_maps,
     ideal_sequence_certificate,
 )
 
@@ -248,8 +249,6 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     for item in data.report.items:
         rep.check(f"row: {item.name}", item.ok, item.detail)
 
-    from .tensorprod import factor_maps, induced_tensor_map
-
     psi_ll = commutator_map(data.t_ll)
     psi_qq = commutator_map(data.t_qq)
     # the column over L*M evaluates into the ideal (second factor)
@@ -266,11 +265,10 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     right_sq = psi_qq.map.compose(data.tau.map)
     rep.check("projection commutes over the tensor row", left_sq.matrix == right_sq.matrix)
 
-    # first map: include the ideal tensor into the square, then twist
-    id_l = AlgebraHom(L, L, LinearMap.identity(f, L.dim))
-    sigma2 = induced_tensor_map(id_l, data.incl, data.t_lm, data.t_ll)
-    twist_ll = data.t_ll.algebra.twist_map()
-    t1_cols = [twist_ll.apply(sigma2.map.apply(v)) for v in k1.basis.entries]
+    # first map: include the ideal tensor into the square, then twist; that
+    # is the second block of the row's left map
+    zeros = (f.zero(),) * data.t_ml.algebra.dim
+    t1_cols = [data.sigma.apply(zeros + v) for v in k1.basis.entries]
     rep.check("first map lands in the middle kernel",
               all(k2.contains(c) for c in t1_cols))
     im1 = Subspace.span(f, data.t_ll.algebra.dim, t1_cols)
@@ -284,13 +282,12 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
               im1 == k2.intersect(data.tau.map.kernel()))
 
     # cokernel target: ideal modulo the two-sided commutator with the algebra
-    M_sub, incl = subalgebra(L, ideal_space, "m")
     two_sided = commutator(IdealHandle(L, ideal_space),
                            IdealHandle(L, Subspace.full(f, L.dim)))
-    in_m = [incl.map.preimage(v) for v in two_sided.basis.entries]
+    in_m = [data.incl.map.preimage(v) for v in two_sided.basis.entries]
     if any(q is None for q in in_m):
         raise InternalInconsistency("commutator with the algebra leaves the ideal")
-    coker_q = quotient(f, M_sub.dim, in_m)
+    coker_q = quotient(f, data.incl.source.dim, in_m)
     rep.dims["ideal modulo commutator"] = coker_q.dim
 
     # the big column's image equals that two-sided commutator: values of the
@@ -305,7 +302,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     # connecting map: lift along the projection row, evaluate, read in the cokernel
     def read(v):
-        q = incl.map.preimage(v)
+        q = data.incl.map.preimage(v)
         return None if q is None else coker_q.project(q)
 
     delta = connecting_map(k3, data.tau.map, psi_ll.map, read, coker_q.dim)

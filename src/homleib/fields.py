@@ -78,10 +78,6 @@ class Field:
             if self.p < 3:
                 raise ValueError("characteristic 2 is not supported")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def zero(self):
         return 0
 

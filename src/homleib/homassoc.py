@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency, NotWellDefined, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -248,9 +247,8 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     """
     f = A.field
     n = A.dim
-    lb = to_leibniz(A)
     h = hochschild_module(A)
-    t = build_tensor(MutualActions.adjoint(lb))
+    t = build_tensor(MutualActions.adjoint(h.commutator_algebra))
     T = t.algebra
 
     # ideal generated by the boundary shapes, through both generator blocks,
@@ -296,16 +294,16 @@ def alpha_identity_holds(A: HomAssociativeAlgebra) -> bool:
     return alpha_identity_witness(A) is None
 
 
-def milnor_relations(A: HomAssociativeAlgebra) -> Subspace:
+def milnor_relations(h: HochschildModule) -> Subspace:
     """Boundary image plus t(a) (x) [b,c] and [a,b] (x) t(c) over basis triples."""
+    A = h.parent
     f = A.field
     n = A.dim
-    lb = to_leibniz(A)
-    b3 = hochschild_boundary(A)
+    lb = h.commutator_algebra
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
     outers = (v for a in range(n) for b in range(n) for c in range(n)
               for v in (outer(f, tw[a], lb.c[b][c], n * n), outer(f, lb.c[a][b], tw[c], n * n)))
-    return Subspace.span(f, n * n, chain(b3.image().basis.entries, outers))
+    return h.presentation.relations.add(Subspace.span(f, n * n, outers))
 
 
 @dataclass(frozen=True)
@@ -328,7 +326,7 @@ class FirstHomologies:
 
 def first_homologies(A: HomAssociativeAlgebra) -> FirstHomologies:
     h = hochschild_module(A)
-    milnor = A.dim * A.dim - milnor_relations(A).dim
+    milnor = A.dim * A.dim - milnor_relations(h).dim
     return FirstHomologies(
         hh1_alpha_dim=h.first_homology_dim,
         hh1_milnor_dim=milnor,
@@ -410,8 +408,8 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
 
     # commutator subalgebra with its bracket actions
     C_sub, incl_c = subalgebra(lb, h.commutator_space, "c")
-    id_lb = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
-    t_ac = build_tensor(bracket_mutual(lb, (lb, id_lb), (C_sub, incl_c)))
+    id_a = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
+    t_ac = build_tensor(bracket_mutual(lb, (lb, id_a), (C_sub, incl_c)))
     rep.dims["tensor with commutator"] = t_ac.algebra.dim
 
     # first homology as an abelian algebra with restricted twist, trivial actions
@@ -448,7 +446,6 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     phi_hom = AlgebraHom(h.algebra, C_sub, LinearMap.from_columns(f, C_sub.dim, phi_cols))
     rep.check("evaluation is a homomorphism onto the commutator subalgebra",
               phi_hom.is_homomorphism())
-    id_a = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
     big_f = induced_tensor_map(id_a, incl_h, t_ah, t_aq)
     big_g = induced_tensor_map(id_a, phi_hom, t_aq, t_ac)
     rep.check("tensored evaluation surjective", big_g.map.is_surjective())
@@ -466,7 +463,7 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     im_col_q_ambient = Subspace.span(
         f, n * n,
         [h.presentation.lift(t_aq.eval_n.column(g)) for g in range(t_aq.ambient_dim)])
-    milnor = milnor_relations(A)
+    milnor = milnor_relations(h)
     extra = im_col_q_ambient.add(h.presentation.relations)
     rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
     im_col_c = Subspace.span(

@@ -463,9 +463,6 @@ class RrefAccumulator:
         sv = {i: x for i, x in enumerate(v) if x}
         return self._reduce(sv)
 
-    def contains(self, v) -> bool:
-        return not self.reduce_vector(v)
-
     def add(self, v, sparse: bool = False) -> bool:
         f = self.field
         zero = f.zero()

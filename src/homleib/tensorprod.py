@@ -471,10 +471,8 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequen
     from .algebras import IdealHandle, quotient_algebra, subalgebra
 
     f = L.field
-    handle = IdealHandle(L, ideal_space)
-    handle.require_ideal()
+    quot, proj = quotient_algebra(L, IdealHandle(L, ideal_space))
     M_sub, incl = subalgebra(L, ideal_space, "m")
-    quot, proj = quotient_algebra(L, handle)
     id_l = AlgebraHom(L, L, LinearMap.identity(f, L.dim))
 
     ma_ml = bracket_mutual(L, (M_sub, incl), (L, id_l))

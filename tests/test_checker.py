@@ -13,6 +13,7 @@ breaks yields its witnesses, in order.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -21,7 +22,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from homleib import actions, algebras, homassoc, homology, linalg
+from homleib import actions, algebras, cli, extensions, homassoc, homology, linalg, tensorprod
 from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_action
 from homleib.algebras import (
     AlgebraHom,
@@ -39,10 +40,11 @@ from homleib.errors import (
     NotEndomorphism,
     StructureError,
 )
-from homleib.extensions import Extension, universal_central_extension
+from homleib.documents import serialize_algebra
+from homleib.extensions import Extension, six_term_check, universal_central_extension
 from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
-from homleib.homassoc import HomAssociativeAlgebra, sequence_check, yau_twist_assoc
+from homleib.homassoc import HomAssociativeAlgebra, first_homologies, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
 from homleib.linalg import LinearMap, Matrix, Subspace, unit_vec, vec_scale
 from homleib.report import ValidationReport
@@ -888,6 +890,50 @@ class TestReportsComputedOnce:
         with pytest.raises(InternalInconsistency, match="projection fails"):
             Extension.from_projection(bumped)
         assert not bumped.validate().valid and subjects.count("algebra homomorphism") == 2
+
+
+class TestCertificatePartsBuiltOnce:
+    """Each exactness certificate reads the parts it has already built: the
+    six-term certificate reuses its ideal row, and one Hochschild boundary
+    serves a whole degree-one comparison."""
+
+    def counting(self, monkeypatch, mods, name, key=lambda *a: True):
+        calls = []
+        real = getattr(mods[0], name)
+        for mod in mods:
+            monkeypatch.setattr(mod, name, lambda *a: calls.append(key(*a)) or real(*a))
+        return calls
+
+    def test_six_term_reuses_its_ideal_row(self, monkeypatch):
+        L = algebras.direct_sum(sl2(QQ), sl2(QQ))
+        ideal = Subspace.span(QQ, 6, [unit_vec(QQ, 6, i) for i in range(3)])
+        maps = self.counting(monkeypatch, (tensorprod,), "induced_tensor_map")
+        subs = self.counting(monkeypatch, (algebras, extensions), "subalgebra",
+                             lambda L, space, *a: space == ideal)
+        assert six_term_check(L, ideal).ok
+        # the row's two inclusion-induced maps and its projection, nothing more
+        assert len(maps) == 3
+        assert subs.count(True) == 1
+
+    def test_one_hochschild_boundary_per_comparison(self, monkeypatch, gl2):
+        boundaries = self.counting(monkeypatch, (homassoc,), "hochschild_boundary")
+        first_homologies(gl2)
+        assert len(boundaries) == 1
+        assert sequence_check(gl2).ok
+        assert len(boundaries) == 2
+
+    def test_hochschild_command_does_not_factor_the_boundary(self, monkeypatch, tmp_path, capsys,
+                                                             upper_triangular):
+        modules = []
+        real = cli.hochschild_module
+        monkeypatch.setattr(cli, "hochschild_module", lambda A: modules.append(real(A)) or modules[-1])
+        path = tmp_path / "ut.alg"
+        path.write_text(json.dumps(serialize_algebra(upper_triangular)), encoding="utf-8")
+        assert cli.main(["hochschild", str(path), "--json"]) == 0
+        (h,) = modules
+        assert json.loads(capsys.readouterr().out)["boundary_rank"] == h.boundary.image().dim
+        # the rank is the relation rank of the presentation, read, not eliminated again
+        assert "_factor" not in vars(h.boundary)
 
 
 class TestFieldMismatch:

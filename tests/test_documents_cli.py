@@ -372,6 +372,21 @@ class TestCli:
             assert code == 0, out
             assert json.loads(out)["ok"] is True
 
+    def test_check_all_stops_after_failed_axioms(self, tmp_path, capsys):
+        # the constructions presume the axioms, so an invalid algebra is
+        # reported as such, not as an internal inconsistency of a construction
+        leibniz = dict(E1_DOC, basis=["a", "b"], alpha=[["1", "0"], ["0", "1"]], bracket=[
+            {"left": "a", "right": "a", "value": {"b": "1"}},
+            {"left": "b", "right": "a", "value": {"a": "1"}}])
+        assoc = dict(UT_DOC, dim=2, basis=["a", "b"], alpha=[["1", "0"], ["0", "1"]], product=[
+            {"left": "a", "right": "a", "value": {"b": "1"}},
+            {"left": "b", "right": "a", "value": {"a": "1"}}])
+        for name, doc in (("leibniz.alg", leibniz), ("assoc.alg", assoc)):
+            code, out = run_cli(capsys, "check-all", write(tmp_path, name, doc), "--json")
+            assert code == 1, out
+            assert json.loads(out) == {"seed": 0, "checks": [{"name": "axioms", "ok": False}],
+                                       "ok": False, "error": "axioms"}
+
     def test_lieize(self, docs, capsys):
         code, out = run_cli(capsys, "lieize", docs["e1"], "--json")
         assert code == 0

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from homleib.cli import main
+from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
 from homleib.linalg import Matrix, vec_is_zero
@@ -156,6 +159,14 @@ class TestHochschildModule:
         assert h.commutator_space.dim == 1
         assert h.boundary.rank() == oracle_boundary_rank(upper_triangular)
 
+    def test_command_boundary_rank_against_oracle(self, dual_numbers, upper_triangular, tmp_path, capsys):
+        # the command reads the rank off the presentation's relations
+        for A in (dual_numbers, upper_triangular):
+            path = tmp_path / "a.alg"
+            path.write_text(json.dumps(serialize_algebra(A)), encoding="utf-8")
+            assert main(["hochschild", str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["boundary_rank"] == oracle_boundary_rank(A)
+
     def test_composite_vanishes(self, dual_numbers, upper_triangular, gl2, mixed):
         # the boundary followed by the commutator evaluation is zero
         for A in (dual_numbers, upper_triangular, gl2, mixed):
@@ -236,7 +247,7 @@ class TestFirstHomologies:
                     rows.append(r2)
 
         rank = sympy.Matrix(rows).rank()
-        assert milnor_relations(A).dim == rank
+        assert milnor_relations(hochschild_module(A)).dim == rank
         assert first_homologies(A).hh1_milnor_dim == n * n - rank == 0
 
     def test_alpha_identity_fails_with_witness(self, upper_triangular):

@@ -45,7 +45,7 @@ def fields():
 
 
 def scalars(field):
-    if field.is_rational:
+    if field.p is None:
         return st.integers(-4, 4).map(Fraction)
     return st.integers(0, field.p - 1)
 
