@@ -9,14 +9,11 @@ __version__ = "0.1.0"
 
 from .fields import Field
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
-    RrefResult,
     Subspace,
     induced_map,
     quotient,
-    rref,
 )
 from .algebras import (
     AlgebraHom,

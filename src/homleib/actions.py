@@ -20,7 +20,7 @@ from functools import cached_property
 from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle
 from .linalg import (
-    LinearMap,
+    Matrix,
     Subspace,
     check_laws,
     contract,
@@ -138,11 +138,11 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
         return q
 
     left = tuple(
-        tuple(coords(parent.bracket(incl_a.map.column(i), incl_t.map.column(j)))
+        tuple(coords(parent.bracket(incl_a.map.col(i), incl_t.map.col(j)))
               for j in range(target.dim))
         for i in range(actor.dim))
     right = tuple(
-        tuple(coords(parent.bracket(incl_t.map.column(j), incl_a.map.column(i)))
+        tuple(coords(parent.bracket(incl_t.map.col(j), incl_a.map.col(i)))
               for i in range(actor.dim))
         for j in range(target.dim))
     return HomAction(actor, target, left, right)
@@ -158,10 +158,10 @@ def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, co
     left, right = [], []
     for a in range(actor.dim):
         for maps, cols in zip((left, right), columns(a)):
-            amap = LinearMap.from_columns(actor.field, pres.ambient_dim, cols)
+            amap = Matrix.from_columns(actor.field, pres.ambient_dim, cols)
             maps.append(induced_map(amap, pres, pres, error))
-    return HomAction(actor, target, tuple(tuple(m.column(k) for k in range(target.dim)) for m in left),
-                     tuple(tuple(m.column(k) for m in right) for k in range(target.dim)))
+    return HomAction(actor, target, tuple(m.transpose().entries for m in left),
+                     tuple(tuple(m.col(k) for m in right) for k in range(target.dim)))
 
 
 def self_action(L: HomLeibnizAlgebra) -> HomAction:
@@ -284,16 +284,15 @@ def semidirect(action: HomAction) -> SemidirectProduct:
         table.append(tuple(row))
     twist_cols = [pair(M.twist.col(j), vec_zero(f, L.dim)) for j in range(M.dim)]
     twist_cols += [pair(vec_zero(f, M.dim), L.twist.col(j)) for j in range(L.dim)]
-    twist = LinearMap.from_columns(f, n, twist_cols).matrix
     labels = tuple(f"m.{x}" for x in M.labels) + tuple(f"l.{x}" for x in L.labels)
-    prod = HomLeibnizAlgebra(f, n, tuple(table), twist, labels)
+    prod = HomLeibnizAlgebra(f, n, tuple(table), Matrix.from_columns(f, n, twist_cols), labels)
 
     inc_cols = [pair(M.unit(j), vec_zero(f, L.dim)) for j in range(M.dim)]
-    include = AlgebraHom(M, prod, LinearMap.from_columns(f, n, inc_cols))
+    include = AlgebraHom(M, prod, Matrix.from_columns(f, n, inc_cols))
     proj_cols = [vec_zero(f, L.dim) for _ in range(M.dim)] + [L.unit(j) for j in range(L.dim)]
-    project = AlgebraHom(prod, L, LinearMap.from_columns(f, L.dim, proj_cols))
+    project = AlgebraHom(prod, L, Matrix.from_columns(f, L.dim, proj_cols))
     sec_cols = [pair(vec_zero(f, M.dim), L.unit(j)) for j in range(L.dim)]
-    section = AlgebraHom(L, prod, LinearMap.from_columns(f, n, sec_cols))
+    section = AlgebraHom(L, prod, Matrix.from_columns(f, n, sec_cols))
     return SemidirectProduct(prod, include, project, section)
 
 
@@ -310,11 +309,11 @@ def reconstructed_action(sd: SemidirectProduct) -> HomAction:
         return q
 
     left = tuple(
-        tuple(down(K.bracket(sd.section.map.column(x), sd.include.map.column(m)))
+        tuple(down(K.bracket(sd.section.map.col(x), sd.include.map.col(m)))
               for m in range(M.dim))
         for x in range(L.dim))
     right = tuple(
-        tuple(down(K.bracket(sd.include.map.column(m), sd.section.map.column(x)))
+        tuple(down(K.bracket(sd.include.map.col(m), sd.section.map.col(x)))
               for x in range(L.dim))
         for m in range(M.dim))
     return HomAction(L, M, left, right)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
     RrefAccumulator,
@@ -88,8 +87,6 @@ class HomLeibnizAlgebra:
             table[i][j] = dense_vec(field, dim, ((k, field.from_int(c) if isinstance(c, int) else c)
                                                  for k, c in val.items()))
         tw = twist if twist is not None else Matrix.identity(field, dim)
-        if isinstance(tw, LinearMap):
-            tw = tw.matrix
         return HomLeibnizAlgebra(field, dim, tuple(tuple(r) for r in table), tw,
                                  tuple(labels) if labels else default_labels(dim))
 
@@ -110,20 +107,16 @@ class HomLeibnizAlgebra:
     def bracket(self, x, y) -> tuple:
         return contract(self.field, self.sparse_c, x, y, self.dim)
 
-    def bracket_map(self) -> LinearMap:
+    def bracket_map(self) -> Matrix:
         """The bracket as a linear map on the row-major tensor square:
         e_i (x) e_j goes to c[i][j]."""
-        return LinearMap.from_columns(self.field, self.dim,
-                                      [v for row in self.c for v in row])
+        return Matrix.from_columns(self.field, self.dim, [v for row in self.c for v in row])
 
     def apply_twist(self, x) -> tuple:
         return self.twist.apply(x)
 
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
-
-    def twist_map(self) -> LinearMap:
-        return LinearMap(self.dim, self.dim, self.twist)
 
     def is_abelian(self) -> bool:
         return not any(v for row in self.sparse_c for v in row)
@@ -162,10 +155,10 @@ class HomLeibnizAlgebra:
 class AlgebraHom:
     source: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
-    map: LinearMap
+    map: Matrix
 
     def __post_init__(self):
-        if self.map.domain_dim != self.source.dim or self.map.codomain_dim != self.target.dim:
+        if (self.map.rows, self.map.cols) != (self.target.dim, self.source.dim):
             raise DimensionError("homomorphism matrix does not match the algebras")
         if self.target.field != self.source.field:
             raise FieldMismatch("target algebra over the wrong field")
@@ -186,7 +179,7 @@ class AlgebraHom:
         rep = ValidationReport(subject="algebra homomorphism")
         src, tgt = self.source, self.target
         f, lb, sc = src.field, src.labels, src.sparse_c
-        cols = sparse_columns(self.map.matrix)
+        cols = sparse_columns(self.map)
         n = src.dim
         check_laws(f, rep, (), [
             ((n, n), [("bracket preservation", ((lb, 0), (lb, 1)),
@@ -270,8 +263,7 @@ def center(L: HomLeibnizAlgebra) -> Subspace:
             rows.append(tuple(L.c[j][i][k] for i in range(L.dim)))
     if not rows:
         return Subspace.full(f, L.dim)
-    mat = Matrix(f, len(rows), L.dim, tuple(rows))
-    return LinearMap(L.dim, len(rows), mat).kernel()
+    return Matrix(f, len(rows), L.dim, tuple(rows)).kernel()
 
 
 def quotient_algebra(L: HomLeibnizAlgebra, ideal: IdealHandle):
@@ -279,18 +271,18 @@ def quotient_algebra(L: HomLeibnizAlgebra, ideal: IdealHandle):
     if ideal.parent != L:
         raise ParentMismatch("ideal of a different algebra")
     ideal.require_ideal()
-    q = QuotientSpace(L.dim, ideal.space)
+    q = QuotientSpace(ideal.space)
     reps = [q.lift_unit(k) for k in range(q.dim)]
     table = tuple(tuple(q.project(L.bracket(ra, rb)) for rb in reps) for ra in reps)
-    twist = induced_map(L.twist_map(), q, q)
+    twist = induced_map(L.twist, q, q)
     labels = tuple(L.labels[c] for c in q.coset_basis)
-    quot = HomLeibnizAlgebra(L.field, q.dim, table, twist.matrix, labels)
+    quot = HomLeibnizAlgebra(L.field, q.dim, table, twist, labels)
     proj = AlgebraHom(L, quot, q.projection_map())
     return quot, proj
 
 
-def certified_quotient(pres: QuotientSpace, left: LinearMap, right: LinearMap,
-                       twist_amb: LinearMap, labels) -> HomLeibnizAlgebra:
+def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
+                       twist_amb: Matrix, labels) -> HomLeibnizAlgebra:
     """The algebra on ``pres`` whose bracket factors as the pure tensor
     [x, y] = left(x) (x) right(y) in the row-major ambient space, with the
     twist ``induced_map`` certifies from ``twist_amb``, and the quotient
@@ -310,12 +302,12 @@ def certified_quotient(pres: QuotientSpace, left: LinearMap, right: LinearMap,
         if vec_is_zero(f, left_r) and vec_is_zero(f, right_r):
             continue
         for k in range(ambient):
-            if not relations.contains(outer(f, left_r, right.column(k), ambient)) or \
-               not relations.contains(outer(f, left.column(k), right_r, ambient)):
+            if not relations.contains(outer(f, left_r, right.col(k), ambient)) or \
+               not relations.contains(outer(f, left.col(k), right_r, ambient)):
                 raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
-    gens = [(left.column(a), right.column(a)) for a in pres.coset_basis]
+    gens = [(left.col(a), right.col(a)) for a in pres.coset_basis]
     table = tuple(tuple(pres.project(outer(f, x, y, ambient)) for _, y in gens) for x, _ in gens)
-    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist.matrix, tuple(labels))
+    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist, tuple(labels))
     algebra.validate().require(lambda v: InternalInconsistency(
         f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))
     return algebra
@@ -339,7 +331,7 @@ class Predicates:
 
 def twist_image_bracket_span(L: HomLeibnizAlgebra) -> Subspace:
     """Span of [t(L), t(L)] where t is the twist."""
-    img = L.twist_map().image()
+    img = L.twist.image()
     handle = IdealHandle(L, img)
     return commutator(handle, handle)
 
@@ -348,7 +340,7 @@ def predicates(L: HomLeibnizAlgebra) -> Predicates:
     return Predicates(
         perfect=derived_subspace(L).dim == L.dim,
         alpha_perfect=twist_image_bracket_span(L).dim == L.dim,
-        alpha_surjective=L.twist_map().rank() == L.dim,
+        alpha_surjective=L.twist.rank() == L.dim,
         abelian=L.is_abelian(),
     )
 
@@ -391,7 +383,7 @@ def ideal_closure(L: HomLeibnizAlgebra, seeds) -> Subspace:
             e = L.unit(j)
             push(L.bracket(v, e))
             push(L.bracket(e, v))
-    return Subspace(L.dim, acc.basis_matrix())
+    return Subspace(acc.basis_matrix())
 
 
 def lieization(L: HomLeibnizAlgebra):
@@ -406,7 +398,7 @@ def yau_twist(L: HomLeibnizAlgebra, endo: Matrix) -> HomLeibnizAlgebra:
         raise StructureError("twisting requires a Leibniz algebra with identity twist")
     if (endo.rows, endo.cols) != (L.dim, L.dim):
         raise DimensionError("endomorphism matrix has the wrong shape")
-    AlgebraHom(L, L, LinearMap(L.dim, L.dim, endo)).validate().require(
+    AlgebraHom(L, L, endo).validate().require(
         lambda v: NotEndomorphism("map does not preserve the bracket", witness=v.witness))
     cols = [endo.col(j) for j in range(L.dim)]
     table = tuple(tuple(L.bracket(cols[i], cols[j]) for j in range(L.dim)) for i in range(L.dim))
@@ -432,10 +424,9 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
 
     table = tuple(tuple(coords(L.bracket(a, b)) for b in basis) for a in basis)
     twist_cols = [coords(L.apply_twist(a)) for a in basis]
-    twist = LinearMap.from_columns(f, k, twist_cols).matrix
     labels = default_labels(k, label_prefix)
-    sub = HomLeibnizAlgebra(f, k, table, twist, labels)
-    incl = AlgebraHom(sub, L, LinearMap.from_columns(f, L.dim, basis))
+    sub = HomLeibnizAlgebra(f, k, table, Matrix.from_columns(f, k, twist_cols), labels)
+    incl = AlgebraHom(sub, L, space.basis.transpose())
     return sub, incl
 
 
@@ -460,6 +451,5 @@ def direct_sum(A: HomLeibnizAlgebra, B: HomLeibnizAlgebra) -> HomLeibnizAlgebra:
             table[A.dim + i][A.dim + j] = emb_b(B.c[i][j])
     twist_cols = [emb_a(A.twist.col(j)) for j in range(A.dim)]
     twist_cols += [emb_b(B.twist.col(j)) for j in range(B.dim)]
-    twist = LinearMap.from_columns(f, n, twist_cols).matrix
     labels = tuple(f"{x}.1" for x in A.labels) + tuple(f"{x}.2" for x in B.labels)
-    return HomLeibnizAlgebra(f, n, tuple(tuple(r) for r in table), twist, labels)
+    return HomLeibnizAlgebra(f, n, tuple(tuple(r) for r in table), Matrix.from_columns(f, n, twist_cols), labels)

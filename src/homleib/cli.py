@@ -49,7 +49,7 @@ from .homassoc import (
     to_leibniz,
 )
 from .homology import ChainComplex, adjoint_corep, chain_dim, coinvariants_dim, trivial_corep
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 from .report import render_witness
 from .tensorprod import build_tensor, factor_maps
 
@@ -150,14 +150,11 @@ def cmd_semidirect(args) -> dict:
 
 
 def _split_exact(sd) -> bool:
-    from .linalg import LinearMap
-
-    f = sd.algebra.field
-    ident = LinearMap.identity(f, sd.project.target.dim).matrix
+    ident = Matrix.identity(sd.algebra.field, sd.project.target.dim)
     return (sd.include.map.rank() == sd.include.source.dim
             and sd.project.map.rank() == sd.project.target.dim
             and sd.project.map.kernel() == sd.include.map.image()
-            and sd.project.map.compose(sd.section.map).matrix == ident)
+            and sd.project.map.compose(sd.section.map) == ident)
 
 
 def cmd_tensor(args) -> dict:
@@ -289,11 +286,12 @@ def cmd_hochschild(args) -> dict:
 
 def cmd_hh1(args) -> dict:
     alg = _valid_algebra(args.file, kinds=("hom-associative",))
-    return first_homologies(alg).to_dict()
+    return first_homologies(hochschild_module(alg)).to_dict()
 
 
 def cmd_sequence_check(args) -> dict:
-    return _certificate(sequence_check(_valid_algebra(args.file, kinds=("hom-associative",))))
+    alg = _valid_algebra(args.file, kinds=("hom-associative",))
+    return _certificate(sequence_check(hochschild_module(alg)))
 
 
 def cmd_check_all(args) -> dict:
@@ -315,14 +313,14 @@ def cmd_check_all(args) -> dict:
     elif doc.kind == "hom-associative":
         h = hochschild_module(alg)
         note("cyclic identity", cyclic_identity_holds(h))
-        fh = first_homologies(alg)
+        fh = first_homologies(h)
         note("rank-nullity of the evaluation",
              fh.hh1_alpha_dim == h.algebra.dim - h.commutator_space.dim)
         if alg.is_commutative():
             note("homologies agree on commutative input",
                  fh.hh1_alpha_dim == fh.hh1_milnor_dim)
         elif fh.alpha_identity_holds:
-            note("comparison sequence", sequence_check(alg).ok)
+            note("comparison sequence", sequence_check(h).ok)
     else:
         quot, proj = lieization(alg)
         note("lie-ization is hom-lie", quot.is_skew())

@@ -30,8 +30,10 @@ An action document:
 
 Each (actor, target) pair is listed at most once per side.  Relative paths
 resolve against the directory of the containing file.
-Parsing failures raise ParseError (bad JSON, wrong shapes) or SemanticError
-(unknown labels, bad scalars, unsupported field) with a location string.
+Parsing failures raise ParseError (bad JSON, nesting past the parser's
+depth, wrong shapes) or SemanticError (unknown labels, bad scalars,
+unsupported field) with a location string; a message repeats at most
+``errors.ECHO_LIMIT`` characters of any input value.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, SemanticError
+from .errors import ParseError, SemanticError, echo
 from .actions import HomAction
 from .algebras import HomLeibnizAlgebra
 from .fields import Field
@@ -94,7 +96,7 @@ def _label_index(basis, label, where: str) -> int:
     try:
         return basis.index(label)
     except ValueError:
-        raise SemanticError(f"{where}: unknown label {label!r}") from None
+        raise SemanticError(f"{where}: unknown label {echo(label)}") from None
 
 
 def _parse_value(field: Field, basis, node, where: str) -> tuple:
@@ -226,6 +228,10 @@ def load_json(path: Path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 

@@ -8,6 +8,15 @@ line maps them to exit codes 2 and 1 respectively.
 
 from __future__ import annotations
 
+ECHO_LIMIT = 40  # the most characters of a piece of input an error message repeats
+
+
+def echo(value) -> str:
+    """The repr of a piece of input for an error message, cut to
+    ``ECHO_LIMIT`` characters so that a huge value cannot flood it."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT - 3] + "..."
+
 
 class UsageError(Exception):
     """Malformed or inconsistent input data."""

@@ -37,7 +37,7 @@ from .algebras import (
 )
 from .actions import MutualActions
 from .linalg import (
-    LinearMap,
+    Matrix,
     Subspace,
     _expand_kernel,
     connecting_map,
@@ -119,7 +119,7 @@ def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtensi
 
 
 def lift_against(uce: UniversalCentralExtension, other: Extension,
-                 perturbation: LinearMap | None = None) -> AlgebraHom:
+                 perturbation: Matrix | None = None) -> AlgebraHom:
     """The unique lift of the universal extension through another central
     extension of the same base.
 
@@ -136,22 +136,21 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
     f = L.field
     section = other.proj.map.section()
     if perturbation is not None:
-        for j in range(perturbation.domain_dim):
-            if not other.kernel.contains(perturbation.column(j)):
-                raise KernelMismatch("perturbation must take values in the kernel")
+        if not all(other.kernel.contains(v) for v in perturbation.transpose().entries):
+            raise KernelMismatch("perturbation must take values in the kernel")
         section = section.add(perturbation)
     t = uce.tensor
     # x*y in either block of the tensor square of the base goes to the
     # bracket of the chosen preimages; both blocks are row-major in (x, y)
-    s = [section.column(i) for i in range(L.dim)]
+    s = section.transpose().entries
     brackets = [Kp.bracket(u, v) for u in s for v in s]
-    amb = LinearMap.from_columns(f, Kp.dim, brackets + brackets)
+    amb = Matrix.from_columns(f, Kp.dim, brackets + brackets)
     lift = AlgebraHom(t.algebra, Kp, induced_map(
         amb, t.presentation, quotient(f, Kp.dim, ()),
         lambda r, w: InternalInconsistency("lift does not kill the tensor relations", witness=(r,))))
     lift.validate().require(
         lambda v: InternalInconsistency("lift is not a homomorphism", witness=v.witness))
-    if other.proj.map.compose(lift.map).matrix != uce.extension.proj.map.matrix:
+    if other.proj.map.compose(lift.map) != uce.extension.proj.map:
         raise InternalInconsistency("lift does not commute over the base")
     return lift
 
@@ -174,7 +173,7 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
     """
     if twist_image_bracket_span(L).dim != L.dim:
         raise NotAlphaPerfect("the twist image does not bracket onto the whole algebra")
-    A, incl = subalgebra(L, L.twist_map().image(), "a")
+    A, incl = subalgebra(L, L.twist.image(), "a")
     t = build_tensor(MutualActions.adjoint(A))
     psi_a = commutator_map(t)
     proj = AlgebraHom(t.algebra, L, incl.map.compose(psi_a.map))
@@ -212,15 +211,14 @@ def _presented_alpha_uce(L, A, incl, t):
     # kills every relation
     fold = A.bracket_map()
     tw = [A.apply_twist(A.unit(i)) for i in range(k)]
-    twist_amb = LinearMap.from_columns(f, ambient,
-                                       [outer(f, u, v, ambient) for u in tw for v in tw])
+    twist_amb = Matrix.from_columns(f, ambient, [outer(f, u, v, ambient) for u in tw for v in tw])
     labels = [f"u{i + 1}" for i in range(pres.dim)]
     presented = certified_quotient(pres, fold, fold, twist_amb, labels)
 
     # generator comparison: a*b in either block of the tensor square -> a (x) b;
     # both blocks are row-major in (first leg, second leg), like the plain space
     units = [unit_vec(f, ambient, g) for g in range(ambient)]
-    comp_amb = LinearMap.from_columns(f, ambient, units + units)
+    comp_amb = Matrix.from_columns(f, ambient, units + units)
     comp = AlgebraHom(t.algebra, presented, induced_map(comp_amb, t.presentation, pres))
     comp.validate().require(
         lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
@@ -263,7 +261,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     # commutativity of the square the snake construction uses
     left_sq = data.proj.map.compose(psi_ll.map)
     right_sq = psi_qq.map.compose(data.tau.map)
-    rep.check("projection commutes over the tensor row", left_sq.matrix == right_sq.matrix)
+    rep.check("projection commutes over the tensor row", left_sq == right_sq)
 
     # first map: include the ideal tensor into the square, then twist; that
     # is the second block of the row's left map
@@ -293,10 +291,10 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     # the big column's image equals that two-sided commutator: values of the
     # evaluation on the ideal tensor, then twisted values on the swapped one
     psi_big_cols = []
-    for g in range(data.t_ml.ambient_dim):
-        psi_big_cols.append(data.incl.map.apply(data.t_ml.eval_m.column(g)))
-    for g in range(data.t_lm.ambient_dim):
-        psi_big_cols.append(L.apply_twist(data.t_lm.eval_m.column(g)))
+    for v in data.t_ml.eval_m.transpose().entries:
+        psi_big_cols.append(data.incl.map.apply(v))
+    for v in data.t_lm.eval_m.transpose().entries:
+        psi_big_cols.append(L.apply_twist(v))
     im_psi = Subspace.span(f, L.dim, psi_big_cols)
     rep.check("column image equals the two-sided commutator", im_psi == two_sided)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SemanticError
+from .errors import SemanticError, echo
 
 
 # Miller-Rabin over the first thirteen prime bases is exact for every n
@@ -116,7 +116,7 @@ class Field:
         if isinstance(text, int) and not isinstance(text, bool):
             return self.from_int(text)
         if not isinstance(text, str):
-            raise SemanticError(f"scalar must be a string or int, got {text!r}")
+            raise SemanticError(f"scalar must be a string or int, got {echo(text)}")
         parts = text.strip().split("/")
         try:
             if len(parts) == 1:
@@ -126,9 +126,9 @@ class Field:
             else:
                 raise ValueError
         except ValueError:
-            raise SemanticError(f"cannot parse scalar {text!r}") from None
+            raise SemanticError(f"cannot parse scalar {echo(text)}") from None
         if den == 0 or (self.p is not None and den % self.p == 0):
-            raise SemanticError(f"zero denominator in scalar {text!r}")
+            raise SemanticError(f"zero denominator in scalar {echo(text)}")
         return self.div(self.from_int(num), self.from_int(den))
 
     def to_str(self, a) -> str:

@@ -44,7 +44,7 @@ def random_invertible(field: Field, dim: int, rng: random.Random) -> Matrix:
         for j in range(i):
             rows[i][j] = _scalars(field, rng)
     lower = Matrix(field, dim, dim, tuple(tuple(r) for r in rows))
-    return upper.mul(lower)
+    return upper.compose(lower)
 
 
 def square_bracket_algebra(field: Field, scale=1) -> HomLeibnizAlgebra:
@@ -113,7 +113,7 @@ def random_algebra(field: Field, rng: random.Random, max_dim: int = 4,
         out = direct_sum(a, b)
     if out.dim > max_dim:
         return random_algebra(field, rng, max_dim, need_surjective_twist)
-    if need_surjective_twist and out.twist_map().rank() != out.dim:
+    if need_surjective_twist and out.twist.rank() != out.dim:
         return random_algebra(field, rng, max_dim, need_surjective_twist)
     out.validate().require(lambda v: InternalInconsistency("generator produced an invalid algebra"))
     return out

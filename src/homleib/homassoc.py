@@ -36,7 +36,6 @@ from .algebras import (
 )
 from .fields import Field
 from .linalg import (
-    LinearMap,
     Matrix,
     QuotientSpace,
     Subspace,
@@ -155,13 +154,13 @@ def to_leibniz(A: HomAssociativeAlgebra) -> HomLeibnizAlgebra:
     return HomLeibnizAlgebra(A.field, A.dim, table, A.twist, A.labels)
 
 
-def hochschild_boundary(A: HomAssociativeAlgebra) -> LinearMap:
+def hochschild_boundary(A: HomAssociativeAlgebra) -> Matrix:
     """The degree-three boundary A (x) A (x) A -> A (x) A, columns over basis
     triples in row-major order."""
     f = A.field
     size = A.dim * A.dim
     shapes = _boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, size))
-    return LinearMap.from_columns(f, size, shapes)
+    return Matrix.from_columns(f, size, shapes)
 
 
 def _boundary_shapes(A: HomAssociativeAlgebra, table, tens):
@@ -182,10 +181,10 @@ def _boundary_shapes(A: HomAssociativeAlgebra, table, tens):
 class HochschildModule:
     parent: HomAssociativeAlgebra
     commutator_algebra: HomLeibnizAlgebra   # A with the commutator bracket
-    boundary: LinearMap                     # degree-three Hochschild boundary
+    boundary: Matrix                        # degree-three Hochschild boundary
     presentation: QuotientSpace             # A (x) A modulo the boundary image
     algebra: HomLeibnizAlgebra              # the quotient with its bracket and twist
-    phi: LinearMap                          # quotient -> A, class of a (x) b to ab - ba
+    phi: Matrix                             # quotient -> A, class of a (x) b to ab - ba
     commutator_space: Subspace              # [A, A] inside A
 
     @property
@@ -206,14 +205,14 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     size = n * n
     lb = to_leibniz(A)
     b3 = hochschild_boundary(A)
-    pres = QuotientSpace(size, b3.image())
+    pres = QuotientSpace(b3.image())
     fold = lb.bracket_map()
     # phi is the fold on classes, so the fold must kill the boundary image;
     # the bracket factors through it on both legs
     phi = induced_map(fold, pres, quotient(f, n, ()), lambda r, w: InternalInconsistency(
         "evaluation does not kill the boundary image"))
     tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    twist_amb = LinearMap.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
+    twist_amb = Matrix.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
     labels = [f"{A.labels[g // n]}#{A.labels[g % n]}" for g in pres.coset_basis]
     algebra = certified_quotient(pres, fold, fold, twist_amb, labels)
     comm_space = derived_subspace(lb)
@@ -264,10 +263,10 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     # generator comparison: both tensor blocks evaluate to plain tensor
     # classes, and both are row-major in (first leg, second leg) like A (x) A
     units = [unit_vec(f, n * n, g) for g in range(n * n)]
-    on_square = induced_map(LinearMap.from_columns(f, n * n, units + units),
+    on_square = induced_map(Matrix.from_columns(f, n * n, units + units),
                             t.presentation, h.presentation)
     iso = AlgebraHom(quot, h.algebra, induced_map(
-        on_square, QuotientSpace(T.dim, ideal), quotient(f, h.algebra.dim, ()),
+        on_square, QuotientSpace(ideal), quotient(f, h.algebra.dim, ()),
         lambda r, w: InternalInconsistency("comparison does not kill the boundary ideal")))
     iso.validate().require(
         lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
@@ -280,7 +279,7 @@ def alpha_identity_witness(A: HomAssociativeAlgebra):
     """None when commutators of A with the image of (twist - identity)
     vanish, else a witnessing pair of basis indices."""
     f = A.field
-    shift = LinearMap(A.dim, A.dim, A.twist).sub(LinearMap.identity(f, A.dim))
+    shift = A.twist.sub(Matrix.identity(f, A.dim))
     img = shift.image()
     for i in range(A.dim):
         ei = A.unit(i)
@@ -324,8 +323,8 @@ class FirstHomologies:
         }
 
 
-def first_homologies(A: HomAssociativeAlgebra) -> FirstHomologies:
-    h = hochschild_module(A)
+def first_homologies(h: HochschildModule) -> FirstHomologies:
+    A = h.parent
     milnor = A.dim * A.dim - milnor_relations(h).dim
     return FirstHomologies(
         hh1_alpha_dim=h.first_homology_dim,
@@ -367,26 +366,28 @@ def action_of_quotient(h: HochschildModule) -> HomAction:
     evaluation: (x # y) . a = [[x,y], a] and a . (x # y) = [a, [x,y]]."""
     lb = h.commutator_algebra
     left = tuple(
-        tuple(lb.bracket(h.phi.column(k), lb.unit(j)) for j in range(lb.dim))
+        tuple(lb.bracket(h.phi.col(k), lb.unit(j)) for j in range(lb.dim))
         for k in range(h.algebra.dim))
     right = tuple(
-        tuple(lb.bracket(lb.unit(j), h.phi.column(k)) for k in range(h.algebra.dim))
+        tuple(lb.bracket(lb.unit(j), h.phi.col(k)) for k in range(h.algebra.dim))
         for j in range(lb.dim))
     return HomAction(h.algebra, lb, left, right)
 
 
-def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
+def sequence_check(h: HochschildModule) -> ExactnessReport:
     """Five-joint exactness certificate for the degree-one Hochschild
-    comparison sequence
+    comparison sequence of the algebra A = ``h.parent``
 
         A*H -> Ker(A*Q -> Q) -> Ker(A*C -> C) -> H -> Milnor -> C/[A,C] -> 0
 
     where Q is the boundary quotient algebra, H the kernel of its evaluation
     (the first Hochschild homology, an abelian algebra), C the commutator
     subalgebra, and Milnor the Milnor-type quotient.  Requires the
-    twist-identity condition; certifies the two cokernel identifications and
-    every joint by exact ranks.
+    twist-identity condition, checked before anything is read from ``h``;
+    certifies the two cokernel identifications and every joint by exact
+    ranks.
     """
+    A = h.parent
     A.require_valid()
     f = A.field
     n = A.dim
@@ -395,7 +396,6 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
         raise AlphaIdentityFails(
             f"commutator of {wit[0]} with a twist-shift value is nonzero", witness=wit)
     rep = ExactnessReport(subject="hochschild comparison sequence")
-    h = hochschild_module(A)
     lb = h.commutator_algebra
     rep.dims["quotient algebra"] = h.algebra.dim
     rep.dims["commutator subspace"] = h.commutator_space.dim
@@ -408,7 +408,7 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
 
     # commutator subalgebra with its bracket actions
     C_sub, incl_c = subalgebra(lb, h.commutator_space, "c")
-    id_a = AlgebraHom(lb, lb, LinearMap.identity(f, lb.dim))
+    id_a = AlgebraHom(lb, lb, Matrix.identity(f, lb.dim))
     t_ac = build_tensor(bracket_mutual(lb, (lb, id_a), (C_sub, incl_c)))
     rep.dims["tensor with commutator"] = t_ac.algebra.dim
 
@@ -424,15 +424,14 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     H_alg = HomLeibnizAlgebra(
         f, hdim,
         tuple(tuple(vec_zero(f, hdim) for _ in range(hdim)) for _ in range(hdim)),
-        LinearMap.from_columns(f, hdim, h_twist_cols).matrix if hdim else Matrix(f, 0, 0, ()),
+        Matrix.from_columns(f, hdim, h_twist_cols),
         tuple(f"z{i + 1}" for i in range(hdim)))
     ma_h = MutualActions.trivial(lb, H_alg)
     t_ah = build_tensor(ma_h)
     rep.dims["tensor with first homology"] = t_ah.algebra.dim
 
     # row maps: include the homology, then evaluate through phi
-    incl_h = AlgebraHom(H_alg, h.algebra,
-                        LinearMap.from_columns(f, h.algebra.dim, list(H_space.basis.entries)))
+    incl_h = AlgebraHom(H_alg, h.algebra, H_space.basis.transpose())
     rep.check("homology includes as a homomorphism", incl_h.is_homomorphism())
 
     def in_c(v, message):
@@ -441,9 +440,8 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
             raise InternalInconsistency(message)
         return q
 
-    phi_cols = [in_c(h.phi.column(j), "evaluation leaves the commutator subalgebra")
-                for j in range(h.phi.domain_dim)]
-    phi_hom = AlgebraHom(h.algebra, C_sub, LinearMap.from_columns(f, C_sub.dim, phi_cols))
+    phi_cols = [in_c(v, "evaluation leaves the commutator subalgebra") for v in h.phi.transpose().entries]
+    phi_hom = AlgebraHom(h.algebra, C_sub, Matrix.from_columns(f, C_sub.dim, phi_cols))
     rep.check("evaluation is a homomorphism onto the commutator subalgebra",
               phi_hom.is_homomorphism())
     big_f = induced_tensor_map(id_a, incl_h, t_ah, t_aq)
@@ -462,19 +460,18 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     # cokernel identifications
     im_col_q_ambient = Subspace.span(
         f, n * n,
-        [h.presentation.lift(t_aq.eval_n.column(g)) for g in range(t_aq.ambient_dim)])
+        [h.presentation.lift(v) for v in t_aq.eval_n.transpose().entries])
     milnor = milnor_relations(h)
     extra = im_col_q_ambient.add(h.presentation.relations)
     rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
-    im_col_c = Subspace.span(
-        f, C_sub.dim, [col_c.map.column(j) for j in range(t_ac.algebra.dim)])
+    im_col_c = col_c.map.image()
     two_sided = commutator(IdealHandle(lb, h.commutator_space),
                            IdealHandle(lb, Subspace.full(f, lb.dim)))
     two_sided_in_c = Subspace.span(
         f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
                        for v in two_sided.basis.entries])
     rep.check("right cokernel matches the commutator quotient", im_col_c == two_sided_in_c)
-    coker_c = QuotientSpace(C_sub.dim, im_col_c)
+    coker_c = QuotientSpace(im_col_c)
     rep.dims["commutator modulo inner"] = coker_c.dim
 
     # snake joints
@@ -484,7 +481,7 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.dims["kernel over commutator tensor"] = k_c.dim
 
     # joint 1: image of the homology tensor inside the quotient-tensor kernel
-    im_f_cols = [big_f.map.column(j) for j in range(t_ah.algebra.dim)]
+    im_f_cols = big_f.map.transpose().entries
     rep.check("homology tensor lands in the kernel", all(k_q.contains(c) for c in im_f_cols))
     im_f = Subspace.span(f, t_aq.algebra.dim, im_f_cols)
     rep.check("exact at the quotient-tensor kernel",
@@ -504,9 +501,9 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     rep.check("exact at the commutator-tensor kernel", im_k == ker_delta)
 
     # map from the homology into the Milnor quotient
-    milnor_q = QuotientSpace(n * n, milnor)
+    milnor_q = QuotientSpace(milnor)
     to_milnor_cols = [milnor_q.project(h.presentation.lift(v)) for v in H_space.basis.entries]
-    to_milnor = LinearMap.from_columns(f, milnor_q.dim, to_milnor_cols)
+    to_milnor = Matrix.from_columns(f, milnor_q.dim, to_milnor_cols)
     im_delta = delta.image()
     ker_to_milnor = to_milnor.kernel()
     rep.check("exact at the first homology", im_delta == ker_to_milnor)
@@ -514,8 +511,8 @@ def sequence_check(A: HomAssociativeAlgebra) -> ExactnessReport:
     # map from the Milnor quotient onto the commutator cokernel, induced by
     # the commutator fold into the commutator subalgebra; the Milnor
     # relations must evaluate into the inner commutators for it to descend
-    fold_c = LinearMap.from_columns(f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
-                                                   for row in lb.c for v in row])
+    fold_c = Matrix.from_columns(f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
+                                                for row in lb.c for v in row])
     try:
         to_coker = induced_map(fold_c, milnor_q, coker_c)
     except NotWellDefined:

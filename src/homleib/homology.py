@@ -30,13 +30,11 @@ from itertools import product as iter_product
 from .errors import FieldMismatch, StructureError
 from .algebras import HomLeibnizAlgebra
 from .linalg import (
-    LinearMap,
     Matrix,
     RrefAccumulator,
     Subspace,
     check_laws,
     contract,
-    dense_vec,
     linear,
     outer,
     sparse_columns,
@@ -189,18 +187,11 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
 
 
 @dataclass(frozen=True)
-class HomologyResult:
-    degree: int
-    dim: int
-    representatives: tuple  # chain-space coordinate vectors spanning a complement
-
-
-@dataclass(frozen=True)
 class ChainComplex:
     """The chain complex of L with coefficients in M.  Each degree's
     boundary columns are built once, from the cached degree below, the
-    first time the degree is asked for; ranks, the squared-boundary check,
-    dense boundaries and homology all read the cached columns."""
+    first time the degree is asked for; ranks and the squared-boundary
+    check both read the cached columns."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
@@ -241,31 +232,6 @@ class ChainComplex:
         lower = self.columns(n - 1)
         return not any(linear(self.algebra.field, lower, col) for col in self.columns(n))
 
-    def matrix(self, n: int) -> LinearMap:
-        """The degree-n boundary as a dense linear map."""
-        f = self.algebra.field
-        rows_dim = chain_dim(self.algebra, self.coeffs, n - 1)
-        return LinearMap.from_columns(f, rows_dim, [dense_vec(f, rows_dim, col) for col in self.columns(n)])
-
-    def homology(self, n: int) -> HomologyResult:
-        """Dimension of cycles modulo boundaries in degree n, with canonical
-        representatives (degree 0 is the cokernel of the first boundary),
-        from the dense boundaries.  When only the dimension is needed,
-        ``homology_dim`` gives it from the sparse ranks."""
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
-        f = self.algebra.field
-        cycles = Subspace.full(f, self.coeffs.space_dim) if n == 0 else self.matrix(n).kernel()
-        img = self.matrix(n + 1).image()
-        acc = RrefAccumulator(f, chain_dim(self.algebra, self.coeffs, n))
-        for v in img.basis.entries:
-            acc.add(v)
-        reps = []
-        for v in cycles.basis.entries:
-            if acc.add(v):
-                reps.append(v)
-        return HomologyResult(n, cycles.dim - img.dim, tuple(reps))
-
     def homology_dim(self, n: int) -> int:
         """dim H_n = dim C_n - rank d_n - rank d_(n+1)."""
         if n < 0:
@@ -289,7 +255,7 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
     if any(not vec_is_zero(f, v) for table in (M.left, M.right) for row in table for v in row):
         raise StructureError("closed form requires trivial operations")
     der = derived_subspace(L)
-    tm_image = LinearMap(M.space_dim, M.space_dim, M.twist).image()
+    tm_image = M.twist.image()
     size = M.space_dim * L.dim
     rel = Subspace.span(f, size, [outer(f, u, b, size) for u in tm_image.basis.entries
                                   for b in der.basis.entries])

@@ -3,15 +3,17 @@ images, preimages, quotient spaces and induced maps.
 
 Everything is immutable after construction and all arithmetic is exact;
 equality of values is field equality, never approximate.  Vectors are plain
-tuples of scalars, matrices are tuples of row tuples.  Subspace bases are
+tuples of scalars, matrices are tuples of row tuples.  A ``Matrix`` is the
+one linear-map type: column j is the image of basis vector j, and its shape
+is the only record of the map's domain and codomain.  Subspace bases are
 kept in canonical reduced row echelon form with pivots in increasing column
 order, so equal subspaces compare equal as data and every reported basis is
-deterministic.
+deterministic; a subspace's ambient dimension is its basis's column count,
+and a quotient's is its relations'.
 
 ``RrefAccumulator`` is the one elimination engine, a sparse incremental
-RREF: it builds every span, and each ``LinearMap`` factors once through it
-(the RREF of [M | I]) for its rank, kernel, preimages and section.  ``rref``
-is the dense Gauss-Jordan reference the tests compare it against.
+RREF: it builds every span, and each ``Matrix`` factors once through it
+(the RREF of [M | I]) for its rank, kernel, preimages and section.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -31,7 +33,7 @@ presentations:
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
   between a dense vector and its nonzero (index, value) pairs;
 * ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
-  and ``LinearMap.preimage`` reads a solution off the factor and rechecks
+  and ``Matrix.preimage`` reads a solution off the factor and rechecks
   it; both return None for a vector outside the subspace or image, and each
   caller raises its own error;
 * ``induced_map`` is the one descent certificate, and every map out of a
@@ -298,6 +300,10 @@ def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:
 
 @dataclass(frozen=True)
 class Matrix:
+    """A matrix and the linear map it gives: column j is the image of basis
+    vector j, so a map from an n-space to an m-space is m x n.  Its rank,
+    kernel, preimages and section read one factorization, built once."""
+
     field: Field
     rows: int
     cols: int
@@ -314,6 +320,12 @@ class Matrix:
         return Matrix(field, len(rows), ncols, rows)
 
     @staticmethod
+    def from_columns(field: Field, rows: int, columns) -> "Matrix":
+        """The map with the given columns, each of length ``rows``."""
+        columns = list(columns)
+        return Matrix(field, rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
+
+    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, tuple((field.zero(),) * cols for _ in range(rows)))
 
@@ -321,16 +333,11 @@ class Matrix:
     def identity(field: Field, n: int) -> "Matrix":
         return Matrix(field, n, n, tuple(unit_vec(field, n, i) for i in range(n)))
 
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def col(self, j) -> tuple:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix(self.field, self.cols, self.rows, tuple(() for _ in range(self.cols)))
-        return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.entries)))
+        return Matrix.from_columns(self.field, self.cols, self.entries)
 
     def apply(self, v) -> tuple:
         if len(v) != self.cols:
@@ -346,24 +353,25 @@ class Matrix:
                     out[i] = f.add(out[i], f.mul(e, c))
         return tuple(out)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+    def compose(self, inner: "Matrix") -> "Matrix":
+        """self after inner."""
+        if self.field != inner.field:
             raise FieldMismatch("matrix product across different fields")
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions disagree")
+        if self.cols != inner.rows:
+            raise DimensionError("composition shapes disagree")
         f = self.field
-        ot = other.transpose().entries
+        cols = inner.transpose().entries
         out = []
         for r in self.entries:
             row = []
-            for c in ot:
+            for c in cols:
                 acc = f.zero()
                 for a, b in zip(r, c):
                     if a and b:
                         acc = f.add(acc, f.mul(a, b))
                 row.append(acc)
             out.append(tuple(row))
-        return Matrix(f, self.rows, other.cols, tuple(out))
+        return Matrix(f, self.rows, inner.cols, tuple(out))
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -382,45 +390,84 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.entries)
 
+    @cached_property
+    def _factor(self) -> dict:
+        """The RREF of [M | I], built once, as pivot column -> sparse row.
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: Matrix
-    rank: int
-    pivots: tuple
+        A row whose pivot lies in M is a row of the RREF of M, and its I block
+        holds the row operations that produced it; a row whose pivot lies in
+        the I block is an equation of the image."""
+        f = self.field
+        n = self.cols
+        acc = RrefAccumulator(f, n + self.rows)
+        for i, r in enumerate(self.entries):
+            acc.add(sparse_vec(r) + ((n + i, f.one()),),
+                    sparse=True)
+        return acc.rows
 
+    def rank(self) -> int:
+        return sum(1 for p in self._factor if p < self.cols)
 
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, with rank and pivot columns: the dense
-    Gauss-Jordan reference for ``RrefAccumulator`` and ``LinearMap``."""
-    f = m.field
-    one = f.one()
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != one:
-            inv = f.inv(pv)
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    reduced = Matrix(f, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return RrefResult(reduced, len(pivots), tuple(pivots))
+    def image(self) -> Subspace:
+        return Subspace.span(self.field, self.rows, self.transpose().entries)
+
+    def kernel(self) -> Subspace:
+        """Spanned by one solution per free column of M: 1 there, minus that
+        column of the RREF at the pivots."""
+        f = self.field
+        n = self.cols
+        solved = [(p, row) for p, row in self._factor.items() if p < n]
+        basis = []
+        for c in range(n):
+            if c in self._factor:
+                continue
+            v = [f.zero()] * n
+            v[c] = f.one()
+            for p, row in solved:
+                if c in row:
+                    v[p] = f.neg(row[c])
+            basis.append(tuple(v))
+        return Subspace.span(f, n, basis)
+
+    def is_surjective(self) -> bool:
+        return self.rank() == self.rows
+
+    def is_injective(self) -> bool:
+        return self.rank() == self.cols
+
+    def preimage(self, v) -> tuple | None:
+        """The exact solution of self.x = v with free variables zero,
+        rechecked, or None off the image."""
+        if len(v) != self.rows:
+            raise DimensionError(f"vector length {len(v)} does not match {self.rows} rows")
+        f = self.field
+        n = self.cols
+        x = [f.zero()] * n
+        for p, row in self._factor.items():
+            s = f.zero()
+            for c, e in row.items():
+                if c >= n and v[c - n]:
+                    s = f.add(s, f.mul(e, v[c - n]))
+            if p < n:
+                x[p] = s
+            elif s:
+                return None
+        x = tuple(x)
+        return x if self.apply(x) == tuple(v) else None
+
+    def section(self) -> "Matrix":
+        """A right inverse on the image: columns are the preimages of e_k.
+
+        Deterministic (free variables zero).  Raises if not surjective.
+        """
+        f = self.field
+        cols = []
+        for k in range(self.rows):
+            x = self.preimage(unit_vec(f, self.rows, k))
+            if x is None:
+                raise NotWellDefined(f"no preimage for coordinate {k}; map is not surjective")
+            cols.append(x)
+        return Matrix.from_columns(f, self.cols, cols)
 
 
 class RrefAccumulator:
@@ -430,7 +477,7 @@ class RrefAccumulator:
     sparsely as {column: value}.  ``add`` reduces the incoming vector and
     reports whether it enlarged the span; it takes a dense vector, or with
     ``sparse`` the (column, value) pairs of its nonzero coordinates.  The
-    result is identical to one shot ``rref`` of all inserted vectors.
+    rows are always the reduced row echelon form of the vectors added.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -496,11 +543,14 @@ class RrefAccumulator:
 class Subspace:
     """A subspace of a coordinate space, held as a canonical RREF basis."""
 
-    ambient_dim: int
     basis: Matrix  # rows = basis vectors, reduced echelon, no zero rows
     # cached echelon data; identity is determined by the basis alone
     _pivots: tuple = dc_field(init=False, compare=False, repr=False)
     _sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     def __post_init__(self):
         pivots = []
@@ -519,15 +569,15 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionError(f"vector length {len(v)} in ambient dimension {ambient_dim}")
             acc.add(v)
-        return Subspace(ambient_dim, acc.basis_matrix())
+        return Subspace(acc.basis_matrix())
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(field, 0, ambient_dim, ()))
+        return Subspace(Matrix(field, 0, ambient_dim, ()))
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(field, ambient_dim))
+        return Subspace(Matrix.identity(field, ambient_dim))
 
     @property
     def field(self) -> Field:
@@ -583,149 +633,14 @@ class Subspace:
         h = self.dim
         # kernel elements (a, b) of the stacked bases give a.H + b.K = 0, so
         # a.H lies in both row spaces
-        stacked = LinearMap.from_columns(f, self.ambient_dim,
-                                         self.basis.entries + other.basis.entries)
-        combine = LinearMap.from_columns(f, self.ambient_dim, self.basis.entries)
+        stacked = Matrix.from_columns(f, self.ambient_dim, self.basis.entries + other.basis.entries)
+        combine = self.basis.transpose()
         return Subspace.span(f, self.ambient_dim,
                              [combine.apply(w[:h]) for w in stacked.kernel().basis.entries])
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map given by its matrix; columns are images of basis vectors."""
-
-    domain_dim: int
-    codomain_dim: int
-    matrix: Matrix
-
-    def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.codomain_dim, self.domain_dim):
-            raise DimensionError("matrix shape must be codomain x domain")
-
-    @staticmethod
-    def from_columns(field: Field, codomain_dim: int, columns) -> "LinearMap":
-        columns = list(columns)
-        rows = tuple(zip(*columns)) if columns else tuple(() for _ in range(codomain_dim))
-        if columns:
-            return LinearMap(len(columns), codomain_dim, Matrix(field, codomain_dim, len(columns), rows))
-        return LinearMap(0, codomain_dim, Matrix(field, codomain_dim, 0, tuple(() for _ in range(codomain_dim))))
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "LinearMap":
-        return LinearMap(n, n, Matrix.identity(field, n))
-
-    @staticmethod
-    def zero(field: Field, domain_dim: int, codomain_dim: int) -> "LinearMap":
-        return LinearMap(domain_dim, codomain_dim, Matrix.zero(field, codomain_dim, domain_dim))
-
-    @property
-    def field(self) -> Field:
-        return self.matrix.field
-
-    def apply(self, v) -> tuple:
-        return self.matrix.apply(v)
-
-    def column(self, j) -> tuple:
-        return self.matrix.col(j)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self after inner."""
-        if inner.codomain_dim != self.domain_dim:
-            raise DimensionError("composition shapes disagree")
-        return LinearMap(inner.domain_dim, self.codomain_dim, self.matrix.mul(inner.matrix))
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.domain_dim, self.codomain_dim, self.matrix.add(other.matrix))
-
-    def sub(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.domain_dim, self.codomain_dim, self.matrix.sub(other.matrix))
-
-    @cached_property
-    def _factor(self) -> dict:
-        """The RREF of [M | I], built once, as pivot column -> sparse row.
-
-        A row whose pivot lies in M is a row of the RREF of M, and its I block
-        holds the row operations that produced it; a row whose pivot lies in
-        the I block is an equation of the image."""
-        f = self.field
-        n = self.domain_dim
-        acc = RrefAccumulator(f, n + self.codomain_dim)
-        for i, r in enumerate(self.matrix.entries):
-            acc.add(sparse_vec(r) + ((n + i, f.one()),),
-                    sparse=True)
-        return acc.rows
-
-    def rank(self) -> int:
-        return sum(1 for p in self._factor if p < self.domain_dim)
-
-    def image(self) -> Subspace:
-        return Subspace.span(self.field, self.codomain_dim,
-                             [self.matrix.col(j) for j in range(self.domain_dim)])
-
-    def kernel(self) -> Subspace:
-        """Spanned by one solution per free column of M: 1 there, minus that
-        column of the RREF at the pivots."""
-        f = self.field
-        n = self.domain_dim
-        solved = [(p, row) for p, row in self._factor.items() if p < n]
-        basis = []
-        for c in range(n):
-            if c in self._factor:
-                continue
-            v = [f.zero()] * n
-            v[c] = f.one()
-            for p, row in solved:
-                if c in row:
-                    v[p] = f.neg(row[c])
-            basis.append(tuple(v))
-        return Subspace.span(f, n, basis)
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.codomain_dim
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.domain_dim
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-    def preimage(self, v) -> tuple | None:
-        """The exact solution of self.x = v with free variables zero,
-        rechecked, or None off the image."""
-        if len(v) != self.codomain_dim:
-            raise DimensionError(f"vector length {len(v)} does not match {self.codomain_dim} rows")
-        f = self.field
-        n = self.domain_dim
-        x = [f.zero()] * n
-        for p, row in self._factor.items():
-            s = f.zero()
-            for c, e in row.items():
-                if c >= n and v[c - n]:
-                    s = f.add(s, f.mul(e, v[c - n]))
-            if p < n:
-                x[p] = s
-            elif s:
-                return None
-        x = tuple(x)
-        return x if self.apply(x) == tuple(v) else None
-
-    def section(self) -> "LinearMap":
-        """A right inverse on the image: columns are the preimages of e_k.
-
-        Deterministic (free variables zero).  Raises if not surjective.
-        """
-        f = self.field
-        cols = []
-        for k in range(self.codomain_dim):
-            x = self.preimage(unit_vec(f, self.codomain_dim, k))
-            if x is None:
-                raise NotWellDefined(f"no preimage for coordinate {k}; map is not surjective")
-            cols.append(x)
-        return LinearMap.from_columns(f, self.domain_dim, cols)
-
-
-def connecting_map(kernel: Subspace, row: LinearMap, column: LinearMap, read,
-                   target_dim: int) -> LinearMap | None:
+def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
+                   target_dim: int) -> Matrix | None:
     """The connecting map on ``kernel``: each basis vector is lifted through
     ``row.preimage``, sent along ``column`` and read off by ``read`` (a
     function returning target coordinates or None).  None when some lift or
@@ -737,14 +652,14 @@ def connecting_map(kernel: Subspace, row: LinearMap, column: LinearMap, read,
         if q is None:
             return None
         cols.append(q)
-    return LinearMap.from_columns(kernel.field, target_dim, cols)
+    return Matrix.from_columns(kernel.field, target_dim, cols)
 
 
-def _expand_kernel(mapping: LinearMap, space: Subspace) -> Subspace:
+def _expand_kernel(mapping: Matrix, space: Subspace) -> Subspace:
     """The kernel of a map defined on coordinates in the basis of ``space``,
     as a subspace of the ambient space of ``space``."""
     f = space.field
-    combine = LinearMap.from_columns(f, space.ambient_dim, space.basis.entries)
+    combine = space.basis.transpose()
     return Subspace.span(f, space.ambient_dim,
                          [combine.apply(w) for w in mapping.kernel().basis.entries])
 
@@ -758,9 +673,12 @@ class QuotientSpace:
     so project(lift(q)) = q exactly.
     """
 
-    ambient_dim: int
     relations: Subspace
     coset_basis: tuple = dc_field(init=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.relations.ambient_dim
 
     def __post_init__(self):
         pivots = set(self.relations.pivots())
@@ -787,31 +705,31 @@ class QuotientSpace:
     def lift_unit(self, k) -> tuple:
         return unit_vec(self.field, self.ambient_dim, self.coset_basis[k])
 
-    def projection_map(self) -> LinearMap:
+    def projection_map(self) -> Matrix:
         f = self.field
         cols = [self.project(unit_vec(f, self.ambient_dim, j)) for j in range(self.ambient_dim)]
-        return LinearMap.from_columns(f, self.dim, cols)
+        return Matrix.from_columns(f, self.dim, cols)
 
 
 def quotient(field: Field, ambient_dim: int, relations) -> QuotientSpace:
-    return QuotientSpace(ambient_dim, Subspace.span(field, ambient_dim, relations))
+    return QuotientSpace(Subspace.span(field, ambient_dim, relations))
 
 
 def _not_well_defined(r, w):
     return NotWellDefined("map does not descend to the quotient", witness=(r, w))
 
 
-def induced_map(f: LinearMap, src: QuotientSpace, dst: QuotientSpace,
-                error=_not_well_defined) -> LinearMap:
+def induced_map(f: Matrix, src: QuotientSpace, dst: QuotientSpace,
+                error=_not_well_defined) -> Matrix:
     """The map on quotient coordinates, provided f carries relations into
     relations: column k is the class of f at the k-th coset generator of
     ``src``.  The first relation row r whose image w leaves the relations of
     ``dst`` raises ``error(r, w)``."""
-    if f.domain_dim != src.ambient_dim or f.codomain_dim != dst.ambient_dim:
+    if (f.rows, f.cols) != (dst.ambient_dim, src.ambient_dim):
         raise DimensionError("map does not connect the two ambient spaces")
     for r in src.relations.basis.entries:
         w = f.apply(r)
         if not dst.relations.contains(w):
             raise error(r, w)
     cols = [dst.project(f.apply(src.lift_unit(k))) for k in range(src.dim)]
-    return LinearMap.from_columns(f.field, dst.dim, cols)
+    return Matrix.from_columns(f.field, dst.dim, cols)

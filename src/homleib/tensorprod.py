@@ -34,7 +34,7 @@ from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import AlgebraHom, HomLeibnizAlgebra, certified_quotient
 from .linalg import (
-    LinearMap,
+    Matrix,
     QuotientSpace,
     RrefAccumulator,
     Subspace,
@@ -54,8 +54,8 @@ class TensorProduct:
     actions: MutualActions
     presentation: QuotientSpace
     algebra: HomLeibnizAlgebra
-    eval_m: LinearMap  # ambient -> M
-    eval_n: LinearMap  # ambient -> N
+    eval_m: Matrix  # ambient -> M
+    eval_n: Matrix  # ambient -> N
 
     @property
     def m_side(self) -> HomLeibnizAlgebra:
@@ -84,7 +84,7 @@ class TensorProduct:
     def ambient_bracket(self, x, y) -> tuple:
         return self.embed_mn(self.eval_m.apply(x), self.eval_n.apply(y))
 
-    def ambient_twist(self) -> LinearMap:
+    def ambient_twist(self) -> Matrix:
         return _ambient_twist(self.m_side, self.n_side)
 
 
@@ -95,15 +95,15 @@ def _generator_labels(M, N) -> tuple:
     return tuple(out)
 
 
-def _ambient_map(f, fm, gn, base) -> LinearMap:
+def _ambient_map(f, fm, gn, base) -> Matrix:
     """The map of ambient generators m*n -> fm[m]*gn[n] and n*m -> gn[n]*fm[m]
     into an ambient space whose second block starts at ``base``."""
     cols = [outer(f, u, v, 2 * base) for u in fm for v in gn]
     cols += [outer(f, v, u, 2 * base, base) for v in gn for u in fm]
-    return LinearMap.from_columns(f, 2 * base, cols)
+    return Matrix.from_columns(f, 2 * base, cols)
 
 
-def _ambient_twist(M, N) -> LinearMap:
+def _ambient_twist(M, N) -> Matrix:
     tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
     tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
     return _ambient_map(M.field, tm, tn, M.dim * N.dim)
@@ -117,8 +117,8 @@ def _eval_maps(ma: MutualActions):
     def flat(first, second):
         return [v for table in (first, second) for row in table for v in row]
 
-    eval_m = LinearMap.from_columns(M.field, M.dim, flat(ma.nm.right, ma.nm.left))   # m<n, n>m
-    eval_n = LinearMap.from_columns(M.field, N.dim, flat(ma.mn.left, ma.mn.right))   # m>n, n<m
+    eval_m = Matrix.from_columns(M.field, M.dim, flat(ma.nm.right, ma.nm.left))   # m<n, n>m
+    eval_n = Matrix.from_columns(M.field, N.dim, flat(ma.mn.left, ma.mn.right))   # m>n, n<m
     return eval_m, eval_n
 
 
@@ -237,7 +237,7 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     for row in relation_vectors(ma):
         if row:
             acc.add(row, sparse=True)
-    pres = QuotientSpace(ambient, Subspace(ambient, acc.basis_matrix()))
+    pres = QuotientSpace(Subspace(acc.basis_matrix()))
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]
@@ -270,7 +270,7 @@ def commutator_map(t: TensorProduct) -> AlgebraHom:
     """For the tensor square of one algebra under adjoint actions, the map
     sending a generator x*y to the bracket [x, y]."""
     into_m, into_n = factor_maps(t)
-    if into_m.map.matrix != into_n.map.matrix:
+    if into_m.map != into_n.map:
         raise InternalInconsistency("the two factor maps disagree on a tensor square")
     return into_m
 
@@ -401,11 +401,10 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
         rep.check(f"{name} factor map intertwines the left outer action", ok_left)
         rep.check(f"{name} factor map intertwines the right outer action", ok_right)
 
-    twist_t = T.twist_map()
     ok_left = ok_right = True
     for g1 in range(t.ambient_dim):
         cls1 = t.presentation.project(unit_vec(f, t.ambient_dim, g1))
-        tw1 = twist_t.apply(cls1)
+        tw1 = T.apply_twist(cls1)
         vm = into_m.map.apply(cls1)
         vn = into_n.map.apply(cls1)
         for g2 in range(t.ambient_dim):
@@ -441,7 +440,7 @@ def right_exactness_certificate(f_hom: AlgebraHom, g_hom: AlgebraHom,
     rep.dims["first tensor"] = t1.algebra.dim
     rep.dims["middle tensor"] = t2.algebra.dim
     rep.dims["third tensor"] = t3.algebra.dim
-    idn = AlgebraHom(ma1.n_side, ma1.n_side, LinearMap.identity(f_hom.map.field, ma1.n_side.dim))
+    idn = AlgebraHom(ma1.n_side, ma1.n_side, Matrix.identity(f_hom.map.field, ma1.n_side.dim))
     big_f = induced_tensor_map(f_hom, idn, t1, t2)
     big_g = induced_tensor_map(g_hom, idn, t2, t3)
     rep.check("induced g surjective", big_g.map.is_surjective())
@@ -459,7 +458,7 @@ class IdealSequenceData:
     t_qq: TensorProduct     # tensor square of the quotient
     incl: AlgebraHom        # ideal into the algebra
     proj: AlgebraHom        # algebra onto the quotient
-    sigma: LinearMap        # (ideal*L) + (L*ideal) -> L*L
+    sigma: Matrix           # (ideal*L) + (L*ideal) -> L*L
     tau: AlgebraHom         # L*L -> quotient square
     report: ExactnessReport
 
@@ -473,7 +472,7 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequen
     f = L.field
     quot, proj = quotient_algebra(L, IdealHandle(L, ideal_space))
     M_sub, incl = subalgebra(L, ideal_space, "m")
-    id_l = AlgebraHom(L, L, LinearMap.identity(f, L.dim))
+    id_l = AlgebraHom(L, L, Matrix.identity(f, L.dim))
 
     ma_ml = bracket_mutual(L, (M_sub, incl), (L, id_l))
     ma_lm = bracket_mutual(L, (L, id_l), (M_sub, incl))
@@ -486,10 +485,9 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequen
     sigma2 = induced_tensor_map(id_l, incl, t_lm, t_ll)
     tau = induced_tensor_map(proj, proj, t_ll, t_qq)
 
-    twist_ll = t_ll.algebra.twist_map()
-    cols = [sigma1.map.column(j) for j in range(t_ml.algebra.dim)]
-    cols += [twist_ll.apply(sigma2.map.column(j)) for j in range(t_lm.algebra.dim)]
-    sigma = LinearMap.from_columns(f, t_ll.algebra.dim, cols)
+    cols = [sigma1.map.col(j) for j in range(t_ml.algebra.dim)]
+    cols += [t_ll.algebra.apply_twist(sigma2.map.col(j)) for j in range(t_lm.algebra.dim)]
+    sigma = Matrix.from_columns(f, t_ll.algebra.dim, cols)
 
     rep = ExactnessReport(subject="ideal tensor sequence")
     rep.dims["ideal tensor"] = t_ml.algebra.dim

@@ -38,6 +38,7 @@ from homleib.generators import (
 from homleib.homassoc import (
     HomAssociativeAlgebra,
     first_homologies,
+    hochschild_module,
     sequence_check,
     yau_twist_assoc,
 )
@@ -208,12 +209,12 @@ def test_criterion_10_hochschild_sequence():
         QQ, 3,
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
         labels=("e11", "e12", "e22"))
-    ok = sequence_check(ut).ok
+    ok = sequence_check(hochschild_module(ut)).ok
     dual = HomAssociativeAlgebra.from_products(
         QQ, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, labels=("1", "x"))
     twisted_dual = yau_twist_assoc(dual, Matrix.from_rows(QQ, [[1, 0], [0, -1]]))
     for commutative in (dual, twisted_dual):
-        fh = first_homologies(commutative)
+        fh = first_homologies(hochschild_module(commutative))
         ok = ok and fh.hh1_alpha_dim == fh.hh1_milnor_dim
     elapsed = time.monotonic() - start
     announce(10, ok and elapsed < 60.0, elapsed)

@@ -6,7 +6,7 @@ import pytest
 
 from homleib.errors import InvalidAction, StructureError
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Subspace, vec_zero
+from homleib.linalg import Matrix, Subspace, vec_zero
 from homleib.algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, quotient_algebra, subalgebra
 from homleib.actions import (
     HomAction,
@@ -36,7 +36,7 @@ class TestValidateAction:
         assert rep.flags["trivial"] is True
 
     def test_bracket_action_on_derived_ideal(self, nonlie2):
-        id_l = AlgebraHom(nonlie2, nonlie2, LinearMap.identity(QQ, 2))
+        id_l = AlgebraHom(nonlie2, nonlie2, Matrix.identity(QQ, 2))
         ideal = Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])
         sub, incl = subalgebra(nonlie2, ideal)
         act = bracket_action(nonlie2, (nonlie2, id_l), (sub, incl))
@@ -108,8 +108,8 @@ class TestSemidirect:
         assert sd.include.map.rank() == sd.include.source.dim
         assert sd.project.map.rank() == sd.project.target.dim
         assert sd.project.map.kernel() == sd.include.map.image()
-        ident = LinearMap.identity(f, sd.project.target.dim).matrix
-        assert sd.project.map.compose(sd.section.map).matrix == ident
+        ident = Matrix.identity(f, sd.project.target.dim)
+        assert sd.project.map.compose(sd.section.map) == ident
         zero = sd.project.map.compose(sd.include.map)
         assert zero.is_zero()
 
@@ -134,7 +134,7 @@ class TestSemidirect:
         self.rank_checks(sd)
 
     def test_ideal_action_of_nonlie2(self, nonlie2):
-        id_l = AlgebraHom(nonlie2, nonlie2, LinearMap.identity(QQ, 2))
+        id_l = AlgebraHom(nonlie2, nonlie2, Matrix.identity(QQ, 2))
         ideal = Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])
         sub, incl = subalgebra(nonlie2, ideal)
         act = bracket_action(nonlie2, (nonlie2, id_l), (sub, incl))

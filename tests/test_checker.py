@@ -46,7 +46,7 @@ from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, first_homologies, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
-from homleib.linalg import LinearMap, Matrix, Subspace, unit_vec, vec_scale
+from homleib.linalg import Matrix, Subspace, unit_vec, vec_scale
 from homleib.report import ValidationReport
 from homleib.tensorprod import build_tensor, relation_vectors
 
@@ -108,7 +108,7 @@ def dense_hom(h):
     src, tgt = h.source, h.target
     f = src.field
     rep = ValidationReport(subject="algebra homomorphism")
-    cols = [h.map.column(i) for i in range(src.dim)]
+    cols = [h.map.col(i) for i in range(src.dim)]
     for i in range(src.dim):
         for j in range(src.dim):
             if h.map.apply(src.c[i][j]) != dense_contract(f, tgt.c, cols[i], cols[j], tgt.dim):
@@ -359,14 +359,14 @@ def cases(draw):
     if kind == "hom":
         L = draw(st.sampled_from(ALGEBRAS))(f)
         quot, proj = quotient_algebra(L, IdealHandle(L, derived_subspace(L)))
-        h = draw(st.sampled_from([AlgebraHom(L, L, LinearMap.identity(f, L.dim)), proj]))
+        h = draw(st.sampled_from([AlgebraHom(L, L, Matrix.identity(f, L.dim)), proj]))
         what = draw(st.sampled_from(["map", "source", "target"]))
         if what == "map":
-            m = h.map.matrix
+            m = h.map
             if not m.rows:
                 return kind, h
             bumped = _bump_matrix(m, *_pick_matrix_entry(draw, m), delta)
-            return kind, AlgebraHom(h.source, h.target, LinearMap(h.map.domain_dim, h.map.codomain_dim, bumped))
+            return kind, AlgebraHom(h.source, h.target, bumped)
         if what == "source":
             return kind, AlgebraHom(_perturbed_algebra(draw, f, h.source, delta), h.target, h.map)
         if not h.target.dim:
@@ -465,7 +465,7 @@ class TestAgainstDenseLoops:
         for r in range(3):
             for c in range(3):
                 bumped = _bump_matrix(Matrix.identity(f, 3), r, c, f.one())
-                broken.append(both_reports("hom", AlgebraHom(L, L, LinearMap(3, 3, bumped))))
+                broken.append(both_reports("hom", AlgebraHom(L, L, bumped)))
         for sparse, dense in broken:
             assert sparse.to_dict() == dense.to_dict()
         assert sum(not sparse.valid for sparse, _ in broken) > len(broken) // 2
@@ -495,7 +495,7 @@ def _sparse_cases(f):
     _, proj = quotient_algebra(H, IdealHandle(H, derived_subspace(H)))
     rng = random.Random(11)
     return [("algebra", A), ("algebra", H),
-            ("hom", AlgebraHom(H, H, LinearMap.identity(f, 3))), ("hom", proj),
+            ("hom", AlgebraHom(H, H, Matrix.identity(f, 3))), ("hom", proj),
             ("action", self_action(H)), ("action", HomAction.trivial(A, H)),
             ("compat", MutualActions.adjoint(H)), ("compat", MutualActions.trivial(A, H)),
             ("compat", ideal_pair_actions(H, derived_subspace(H), Subspace.full(f, 3))),
@@ -524,9 +524,8 @@ def _bumps(f, kind, obj):
     if kind == "algebra":
         return _single_entry_perturbations(obj)
     if kind == "hom":
-        m = obj.map.matrix
-        return each("map", _matrix_bumps(m), lambda b: AlgebraHom(obj.source, obj.target, LinearMap(
-            m.cols, m.rows, b))) + \
+        m = obj.map
+        return each("map", _matrix_bumps(m), lambda b: AlgebraHom(obj.source, obj.target, b)) + \
             each("source", _single_entry_perturbations(obj.source), lambda P: AlgebraHom(P, obj.target, obj.map))
     if kind == "action":
         return each("left", _entry_bumps(f, obj.left), lambda t: HomAction(obj.actor, obj.target, t, obj.right)) + \
@@ -576,7 +575,7 @@ class TestSparseSupports:
         H, A, f = heisenberg(QQ), _abelian3(QQ), QQ
         cases = [
             (H.validate, {"multiplicativity": 2}),
-            (AlgebraHom(H, H, LinearMap.identity(f, 3)).validate,
+            (AlgebraHom(H, H, Matrix.identity(f, 3)).validate,
              {"bracket preservation": 2, "twist compatibility": 3}),
             (self_action(H).validate, {"g": 2, "h": 2}),
             (HomAction.trivial(A, H).validate, {}),
@@ -867,7 +866,7 @@ class TestReportsComputedOnce:
                                 or real(f, rep, *a))
         real_witness = homassoc.alpha_identity_witness
         monkeypatch.setattr(homassoc, "alpha_identity_witness", lambda A: witnesses.append(A) or real_witness(A))
-        assert all(item.ok for item in sequence_check(gl2).items)
+        assert all(item.ok for item in sequence_check(homassoc.hochschild_module(gl2)).items)
         assert subjects["mutual action compatibility"] == 3
         assert subjects["algebra homomorphism"] == 7
         assert witnesses == [gl2]
@@ -884,9 +883,7 @@ class TestReportsComputedOnce:
         assert subjects.count("algebra homomorphism") == 1
         psi = uce.extension.proj
         assert psi.validate() is psi.validate() and psi.validate().valid
-        bumped = AlgebraHom(psi.source, psi.target,
-                            LinearMap(psi.map.domain_dim, psi.map.codomain_dim,
-                                      _bump_matrix(psi.map.matrix, 0, 0, QQ.one())))
+        bumped = AlgebraHom(psi.source, psi.target, _bump_matrix(psi.map, 0, 0, QQ.one()))
         with pytest.raises(InternalInconsistency, match="projection fails"):
             Extension.from_projection(bumped)
         assert not bumped.validate().valid and subjects.count("algebra homomorphism") == 2
@@ -917,10 +914,21 @@ class TestCertificatePartsBuiltOnce:
 
     def test_one_hochschild_boundary_per_comparison(self, monkeypatch, gl2):
         boundaries = self.counting(monkeypatch, (homassoc,), "hochschild_boundary")
-        first_homologies(gl2)
+        h = homassoc.hochschild_module(gl2)
+        first_homologies(h)
+        assert sequence_check(h).ok
         assert len(boundaries) == 1
-        assert sequence_check(gl2).ok
-        assert len(boundaries) == 2
+
+    def test_one_hochschild_module_per_check_all(self, monkeypatch, tmp_path, capsys, gl2):
+        modules = self.counting(monkeypatch, (cli, homassoc), "hochschild_module")
+        path = tmp_path / "gl2.alg"
+        path.write_text(json.dumps(serialize_algebra(gl2)), encoding="utf-8")
+        assert cli.main(["check-all", str(path), "--json"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        # the cyclic identity, both homologies and the comparison sequence
+        # all read the one module
+        assert "comparison sequence" in names
+        assert len(modules) == 1
 
     def test_hochschild_command_does_not_factor_the_boundary(self, monkeypatch, tmp_path, capsys,
                                                              upper_triangular):
@@ -950,6 +958,6 @@ class TestFieldMismatch:
 
     def test_homomorphism_across_fields(self):
         with pytest.raises(FieldMismatch, match="wrong field"):
-            AlgebraHom(sl2(QQ), sl2(Field(5)), LinearMap.identity(QQ, 3))
+            AlgebraHom(sl2(QQ), sl2(Field(5)), Matrix.identity(QQ, 3))
         with pytest.raises(FieldMismatch, match="wrong field"):
-            AlgebraHom(sl2(QQ), sl2(QQ), LinearMap.identity(Field(5), 3))
+            AlgebraHom(sl2(QQ), sl2(QQ), Matrix.identity(Field(5), 3))

@@ -38,7 +38,7 @@ from homleib.homassoc import (
     hochschild_module,
     to_leibniz,
 )
-from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace, induced_map, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, induced_map, unit_vec
 from homleib.tensorprod import build_tensor, factor_maps, outer_action
 
 QQ = Field()
@@ -70,18 +70,16 @@ def _bump(f, table, i, j, k):
     return tuple(tuple(r) for r in rows)
 
 
-def _bump_map(m: LinearMap, r, c) -> LinearMap:
+def _bump_map(m: Matrix, r, c) -> Matrix:
     f = m.field
-    rows = [list(row) for row in m.matrix.entries]
+    rows = [list(row) for row in m.entries]
     rows[r][c] = f.add(rows[r][c], f.one())
-    return LinearMap(m.domain_dim, m.codomain_dim,
-                     Matrix(f, m.matrix.rows, m.matrix.cols, tuple(tuple(x) for x in rows)))
+    return Matrix(f, m.rows, m.cols, tuple(tuple(x) for x in rows))
 
 
-def _through_lifts(amb: LinearMap, pres: QuotientSpace) -> LinearMap:
+def _through_lifts(amb: Matrix, pres: QuotientSpace) -> Matrix:
     """The ambient map composed with the coset section of a presentation."""
-    sec = LinearMap.from_columns(amb.field, pres.ambient_dim,
-                                 [pres.lift_unit(k) for k in range(pres.dim)])
+    sec = Matrix.from_columns(amb.field, pres.ambient_dim, [pres.lift_unit(k) for k in range(pres.dim)])
     return amb.compose(sec)
 
 
@@ -107,7 +105,7 @@ class TestMutations:
         # one generator whose lift is nonzero becomes an extra relation
         g = next(g for g in range(t.ambient_dim)
                  if any(lift.map.apply(pres.project(unit_vec(f, t.ambient_dim, g)))))
-        extra = QuotientSpace(t.ambient_dim, pres.relations.add(
+        extra = QuotientSpace(pres.relations.add(
             Subspace.span(f, t.ambient_dim, [unit_vec(f, t.ambient_dim, g)])))
         expected = next(r for r in extra.relations.basis.entries
                         if any(lift.map.apply(pres.project(r))))
@@ -151,8 +149,8 @@ class TestMutations:
         def with_extra_column(alg):
             # e11 (x) e12 folds to [e11, e12] = e12, which is not zero
             b3 = real(alg)
-            cols = [b3.column(j) for j in range(b3.domain_dim)] + [unit_vec(f, alg.dim ** 2, 1)]
-            return LinearMap.from_columns(f, alg.dim ** 2, cols)
+            cols = [*b3.transpose().entries, unit_vec(f, alg.dim ** 2, 1)]
+            return Matrix.from_columns(f, alg.dim ** 2, cols)
 
         monkeypatch.setattr(homassoc, "hochschild_boundary", with_extra_column)
         with pytest.raises(InternalInconsistency) as info:
@@ -167,7 +165,7 @@ def _central_cover(base):
     f = base.field
     total = direct_sum(HomLeibnizAlgebra.abelian(f, 1), base)
     cols = [tuple(f.zero() for _ in range(base.dim))] + [base.unit(j) for j in range(base.dim)]
-    return Extension.from_projection(AlgebraHom(total, base, LinearMap.from_columns(f, base.dim, cols)))
+    return Extension.from_projection(AlgebraHom(total, base, Matrix.from_columns(f, base.dim, cols)))
 
 
 class TestSameMatricesAsTheSectionCompositions:
@@ -203,11 +201,11 @@ class TestSameMatricesAsTheSectionCompositions:
         for other in (uce.extension, _central_cover(L)):
             K = other.total
             sec = other.proj.map.section()
-            cols = [K.bracket(sec.column(i), sec.column(j))
+            cols = [K.bracket(sec.col(i), sec.col(j))
                     for i in range(L.dim) for j in range(L.dim)]
-            cols += [K.bracket(sec.column(j), sec.column(i))
+            cols += [K.bracket(sec.col(j), sec.col(i))
                      for j in range(L.dim) for i in range(L.dim)]
-            amb = LinearMap.from_columns(f, K.dim, cols)
+            amb = Matrix.from_columns(f, K.dim, cols)
             assert lift_against(uce, other).map == _through_lifts(amb, t.presentation)
 
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -222,6 +220,6 @@ class TestSameMatricesAsTheSectionCompositions:
         ideal = ideal_closure(T, (t.presentation.project(v) for pair in shapes for v in pair))
         _, proj = quotient_algebra(T, IdealHandle(T, ideal))
         units = [unit_vec(f, n * n, g) for g in range(n * n)]
-        on_square = induced_map(LinearMap.from_columns(f, n * n, units + units),
+        on_square = induced_map(Matrix.from_columns(f, n * n, units + units),
                                 t.presentation, h.presentation)
         assert boundary_ideal_agreement(A).map == on_square.compose(proj.map.section())

@@ -234,6 +234,29 @@ class TestCli:
         assert code == 2
         assert "error" in captured.err
 
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.alg"
+        path.write_text("[" * 200000, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "number"])
+    def test_huge_scalar_exits_two_with_a_short_message(self, entry, tmp_path, capsys):
+        # a 5001-digit alpha entry is refused, and the message repeats a
+        # bounded part of it
+        text = json.dumps(dict(E1_DOC, dim=1, basis=["e1"], bracket=[], alpha=[["ALPHA"]]))
+        path = tmp_path / "huge.alg"
+        path.write_text(text.replace('"ALPHA"', entry.format("1" * 5001)), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < len(str(path)) + 200
+
+    def test_long_label_is_cut_in_the_message(self):
+        doc = dict(E1_DOC, bracket=[{"left": "x" * 5000, "right": "e2", "value": {"e1": "1"}}])
+        with pytest.raises(SemanticError, match="unknown label 'xxx") as err:
+            parse_algebra_document(doc)
+        assert len(str(err.value)) < 100
+
     def test_field_check_flag(self, docs, capsys):
         code, out = run_cli(capsys, "validate", docs["e1"], "--field-check")
         assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Matrix, Subspace
+from homleib.linalg import Matrix, Subspace
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -33,7 +33,7 @@ def central_cover(base):
     total = direct_sum(c, base)
     cols = [tuple(QQ.zero() for _ in range(base.dim))] + \
         [base.unit(j) for j in range(base.dim)]
-    proj = AlgebraHom(total, base, LinearMap.from_columns(QQ, base.dim, cols))
+    proj = AlgebraHom(total, base, Matrix.from_columns(QQ, base.dim, cols))
     return Extension.from_projection(proj)
 
 
@@ -47,7 +47,7 @@ def alpha_central_only():
     assert alg.validate().valid
     base = HomLeibnizAlgebra.abelian(QQ, 2)
     cols = [base.unit(0), base.unit(1), (QQ.zero(), QQ.zero())]
-    proj = AlgebraHom(alg, base, LinearMap.from_columns(QQ, 2, cols))
+    proj = AlgebraHom(alg, base, Matrix.from_columns(QQ, 2, cols))
     return Extension.from_projection(proj)
 
 
@@ -67,10 +67,10 @@ class TestClassify:
         der, incl = subalgebra(nonlie2, derived_subspace(nonlie2), "d")
         cols = []
         for j in range(t.algebra.dim):
-            q = incl.map.preimage(cm.map.column(j))
+            q = incl.map.preimage(cm.map.col(j))
             assert q is not None
             cols.append(q)
-        proj = AlgebraHom(t.algebra, der, LinearMap.from_columns(QQ, der.dim, cols))
+        proj = AlgebraHom(t.algebra, der, Matrix.from_columns(QQ, der.dim, cols))
         ext = Extension.from_projection(proj)
         assert classify_extension(ext) is ExtensionKind.CENTRAL
         assert ext.kernel.dim == 2
@@ -82,7 +82,7 @@ class TestClassify:
         # collapsing a perfect algebra to a point leaves a kernel that is
         # neither central nor twist-central
         point = HomLeibnizAlgebra.abelian(QQ, 0)
-        proj = AlgebraHom(sl2, point, LinearMap.zero(QQ, 3, 0))
+        proj = AlgebraHom(sl2, point, Matrix.zero(QQ, 0, 3))
         ext = Extension.from_projection(proj)
         assert classify_extension(ext) is ExtensionKind.NEITHER
 
@@ -126,14 +126,14 @@ class TestLift:
         uce = universal_central_extension(sl2)
         lift = lift_against(uce, uce.extension)
         comp = uce.extension.proj.map.compose(lift.map)
-        assert comp.matrix == uce.extension.proj.map.matrix
+        assert comp == uce.extension.proj.map
 
     def test_lift_against_identity_extension(self, sl2):
         uce = universal_central_extension(sl2)
         ident = Extension.from_projection(
-            AlgebraHom(sl2, sl2, LinearMap.identity(QQ, 3)))
+            AlgebraHom(sl2, sl2, Matrix.identity(QQ, 3)))
         lift = lift_against(uce, ident)
-        assert lift.map.matrix == uce.extension.proj.map.matrix
+        assert lift.map == uce.extension.proj.map
 
     def test_lift_against_cover_is_unique(self, sl2):
         uce = universal_central_extension(sl2)
@@ -144,9 +144,9 @@ class TestLift:
             cols = [tuple(QQ.from_int(rng.randint(-2, 2)) if i == 0 else QQ.zero()
                           for i in range(cover.total.dim))
                     for _ in range(sl2.dim)]
-            pert = LinearMap.from_columns(QQ, cover.total.dim, cols)
+            pert = Matrix.from_columns(QQ, cover.total.dim, cols)
             other = lift_against(uce, cover, perturbation=pert)
-            assert other.map.matrix == base_lift.map.matrix
+            assert other.map == base_lift.map
 
     def test_base_mismatch(self, sl2, nonlie2):
         uce = universal_central_extension(sl2)
@@ -159,7 +159,7 @@ class TestLift:
         sd = direct_sum(sl2, sl2)
         zero3 = tuple(QQ.zero() for _ in range(3))
         cols = [sl2.unit(j) for j in range(3)] + [zero3] * 3
-        proj = AlgebraHom(sd, sl2, LinearMap.from_columns(QQ, 3, cols))
+        proj = AlgebraHom(sd, sl2, Matrix.from_columns(QQ, 3, cols))
         with pytest.raises(NotCentral):
             lift_against(uce, Extension.from_projection(proj))
 
@@ -175,7 +175,7 @@ class TestUniversalAlphaCentral:
         res = universal_alpha_central_extension(sl2)
         uce = universal_central_extension(sl2)
         assert res.extension.total.dim == uce.extension.total.dim
-        assert res.extension.proj.map.matrix == uce.extension.proj.map.matrix
+        assert res.extension.proj.map == uce.extension.proj.map
 
     def test_not_alpha_perfect_refused(self, nonlie2):
         with pytest.raises(NotAlphaPerfect):

@@ -233,3 +233,18 @@ def test_laws_are_data():
                       if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
                       & {"grid", "support"}]
     assert found == [], found
+
+
+WRAPPER_NAMES = ("LinearMap", "twist_map", "domain_dim", "codomain_dim")
+
+
+def _names_wrapper(node):
+    names = (getattr(node, attr, None) for attr in ("id", "attr", "name", "arg"))
+    return any(name in WRAPPER_NAMES for name in names)
+
+
+def test_one_linear_map_type():
+    # a Matrix is the one linear-map type and its shape the only record of a
+    # map's domain and codomain: no module wraps it or states the shape again
+    found = _library_sites(_names_wrapper)
+    assert found == [], found

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -14,7 +15,7 @@ from homleib import generators
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
-from homleib.linalg import Matrix
+from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec
 from homleib.algebras import HomLeibnizAlgebra, derived_subspace, direct_sum, yau_twist
 from homleib.generators import random_corep
 from homleib.homology import (
@@ -85,6 +86,35 @@ def reference_boundary_column(L, M, n, m_idx, xs):
                 slots.append(L.sparse_c[xs[i - 1]][xs[j - 1]] if k == i else tw[x])
             scatter((j + 1) % 2 == 0, tm, slots)
     return out
+
+
+def boundary_matrix(cx, n: int) -> Matrix:
+    """The degree-n boundary of ``cx`` as a dense matrix, from its cached
+    sparse columns."""
+    f = cx.algebra.field
+    rows = chain_dim(cx.algebra, cx.coeffs, n - 1)
+    return Matrix.from_columns(f, rows, [dense_vec(f, rows, col) for col in cx.columns(n)])
+
+
+@dataclass(frozen=True)
+class HomologyResult:
+    degree: int
+    dim: int
+    representatives: tuple  # chain-space coordinate vectors spanning a complement
+
+
+def dense_homology(cx, n: int) -> HomologyResult:
+    """Dimension of cycles modulo boundaries in degree n, with canonical
+    representatives (degree 0 is the cokernel of the first boundary), from
+    the dense boundaries: the reference for ``ChainComplex.homology_dim``."""
+    f = cx.algebra.field
+    cycles = Subspace.full(f, cx.coeffs.space_dim) if n == 0 else boundary_matrix(cx, n).kernel()
+    img = boundary_matrix(cx, n + 1).image()
+    acc = RrefAccumulator(f, chain_dim(cx.algebra, cx.coeffs, n))
+    for v in img.basis.entries:
+        acc.add(v)
+    reps = [v for v in cycles.basis.entries if acc.add(v)]
+    return HomologyResult(n, cycles.dim - img.dim, tuple(reps))
 
 
 def oracle_trivial_homology(alg, degree):
@@ -168,24 +198,24 @@ class TestCoRepresentations:
 class TestBoundary:
     def test_degree_one_is_the_right_operation(self, nonlie2):
         adj = adjoint_corep(nonlie2)
-        bm = ChainComplex(nonlie2, adj).matrix(1)
+        bm = boundary_matrix(ChainComplex(nonlie2, adj), 1)
         for m in range(2):
             for x in range(2):
-                assert bm.column(m * 2 + x) == adj.right[m][x]
+                assert bm.col(m * 2 + x) == adj.right[m][x]
 
     def test_trivial_coefficients_degree_two_is_bracket_insertion(self, sl2):
         triv = trivial_corep(sl2)
-        bm = ChainComplex(sl2, triv).matrix(2)
+        bm = boundary_matrix(ChainComplex(sl2, triv), 2)
         for i in range(3):
             for j in range(3):
                 expected = tuple(QQ.neg(x) for x in sl2.c[i][j])
-                assert bm.column(i * 3 + j) == expected
+                assert bm.col(i * 3 + j) == expected
 
     def test_degree_two_adjoint_expansion(self, nonlie2):
         # independent expansion of the three families for coefficients equal
         # to the algebra itself with x.m = -[m, x] and m.x = [m, x]
         adj = adjoint_corep(nonlie2)
-        bm = ChainComplex(nonlie2, adj).matrix(2)
+        bm = boundary_matrix(ChainComplex(nonlie2, adj), 2)
         alg = nonlie2
         for m in range(2):
             for x1 in range(2):
@@ -200,7 +230,7 @@ class TestBoundary:
                     expected = tuple(
                         QQ.sub(QQ.add(a, b), c)
                         for a, b, c in zip(term1, term2, term3))
-                    col = bm.column((m * 2 + x1) * 2 + x2)
+                    col = bm.col((m * 2 + x1) * 2 + x2)
                     assert col == expected
 
     def test_squares_to_zero_on_fixed_instances(self, nonlie2, sl2, sl2_twisted):
@@ -383,15 +413,13 @@ class TestHomology:
         assert [chain_dim(sl2, triv, n) for n in range(4)] == [1, 3, 9, 27]
 
     def test_representatives_complement_the_boundaries(self, nonlie2):
-        from homleib.linalg import Subspace
-
         cx = ChainComplex(nonlie2, trivial_corep(nonlie2))
-        res = cx.homology(2)
+        res = dense_homology(cx, 2)
         assert len(res.representatives) == res.dim == 1
-        img = cx.matrix(3).image()
+        img = boundary_matrix(cx, 3).image()
         joined = Subspace.span(QQ, 4, list(img.basis.entries) + list(res.representatives))
         assert joined.dim == img.dim + res.dim
-        cycles = cx.matrix(2).kernel()
+        cycles = boundary_matrix(cx, 2).kernel()
         assert all(cycles.contains(r) for r in res.representatives)
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
@@ -404,7 +432,7 @@ class TestHomology:
             ranks = [cx.rank(n) for n in range(4)]
             assert ranks[0] == 0
             for n in range(1, 4):
-                assert ranks[n] == cx.matrix(n).rank()
+                assert ranks[n] == boundary_matrix(cx, n).rank()
             for n in range(3):
-                assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == cx.homology(n).dim
-                assert cx.homology_dim(n) == cx.homology(n).dim
+                assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == dense_homology(cx, n).dim
+                assert cx.homology_dim(n) == dense_homology(cx, n).dim

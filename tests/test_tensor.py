@@ -8,7 +8,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import LinearMap, Matrix, QuotientSpace, Subspace, outer, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, outer, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -331,7 +331,7 @@ class TestDescentCertificate:
         # twist is the identity) but not closed under the bracket
         row = unit_vec(QQ, ambient, 1)
         assert any(eval_m.apply(row)) and any(eval_n.apply(row))
-        pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
+        pres = QuotientSpace(Subspace.span(QQ, ambient, [row]))
         labels = [f"g{c}" for c in pres.coset_basis]
         with pytest.raises(BracketNotWellDefined) as info:
             certified_quotient(pres, eval_m, eval_n, twist, labels)
@@ -340,7 +340,7 @@ class TestDescentCertificate:
     def test_sweep_runs_only_on_unkilled_rows(self, sl2, monkeypatch):
         ma, eval_m, eval_n, twist = _square_parts(sl2)
         ambient = 2 * sl2.dim * sl2.dim
-        pres = QuotientSpace(ambient, Subspace.full(QQ, ambient))
+        pres = QuotientSpace(Subspace.full(QQ, ambient))
         unkilled = sum(1 for r in pres.relations.basis.entries
                        if any(eval_m.apply(r)) or any(eval_n.apply(r)))
         assert 0 < unkilled < ambient
@@ -360,7 +360,7 @@ class TestDescentCertificate:
         ambient = A.dim * A.dim
         fold = to_leibniz(A).bracket_map()
         tw = [A.apply_twist(A.unit(i)) for i in range(A.dim)]
-        twist = LinearMap.from_columns(QQ, ambient, [outer(QQ, u, v, ambient) for u in tw for v in tw])
+        twist = Matrix.from_columns(QQ, ambient, [outer(QQ, u, v, ambient) for u in tw for v in tw])
         h = hochschild_module(A)
         calls = []
         contains = Subspace.contains
@@ -373,7 +373,7 @@ class TestDescentCertificate:
         # e11 (x) e12 folds to [e11, e12] = e12, so its span gets the sweep
         row = unit_vec(QQ, ambient, 1)
         assert any(fold.apply(row))
-        pres = QuotientSpace(ambient, Subspace.span(QQ, ambient, [row]))
+        pres = QuotientSpace(Subspace.span(QQ, ambient, [row]))
         with pytest.raises(BracketNotWellDefined) as info:
             certified_quotient(pres, fold, fold, twist, [f"g{c}" for c in pres.coset_basis])
         assert info.value.witness == (row,)
@@ -404,15 +404,14 @@ class TestFactorMaps:
 class TestInducedMaps:
     def test_identity_pair_induces_identity(self, nonlie2):
         t = build_tensor(MutualActions.adjoint(nonlie2))
-        ident = AlgebraHom(nonlie2, nonlie2, LinearMap.identity(QQ, 2))
+        ident = AlgebraHom(nonlie2, nonlie2, Matrix.identity(QQ, 2))
         hom = induced_tensor_map(ident, ident, t, t)
-        assert hom.map.matrix == Matrix.identity(QQ, t.algebra.dim)
+        assert hom.map == Matrix.identity(QQ, t.algebra.dim)
 
     def test_non_equivariant_rejected(self, sl2):
         t = build_tensor(MutualActions.adjoint(sl2))
-        doubler = AlgebraHom(sl2, sl2, LinearMap(3, 3, Matrix.from_rows(
-            QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])))
-        ident = AlgebraHom(sl2, sl2, LinearMap.identity(QQ, 3))
+        doubler = AlgebraHom(sl2, sl2, Matrix.from_rows(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+        ident = AlgebraHom(sl2, sl2, Matrix.identity(QQ, 3))
         with pytest.raises(NotEquivariant):
             induced_tensor_map(doubler, ident, t, t)
 
@@ -481,8 +480,8 @@ class TestExactness:
     def test_degenerate_first_term(self, sl2):
         # zero ideal: the first algebra vanishes, the projection is bijective
         zero = HomLeibnizAlgebra.abelian(QQ, 0)
-        incl = AlgebraHom(zero, sl2, LinearMap.zero(QQ, 0, 3))
-        ident = AlgebraHom(sl2, sl2, LinearMap.identity(QQ, 3))
+        incl = AlgebraHom(zero, sl2, Matrix.zero(QQ, 3, 0))
+        ident = AlgebraHom(sl2, sl2, Matrix.identity(QQ, 3))
         rep = right_exactness_certificate(
             incl, ident,
             _mutual_with_partner(sl2, zero_space=True),
@@ -500,7 +499,7 @@ class TestExactness:
         quot, proj = quotient_algebra(G, IdealHandle(G, first))
         from homleib.actions import bracket_action
 
-        id_g = AlgebraHom(G, G, LinearMap.identity(QQ, 5))
+        id_g = AlgebraHom(G, G, Matrix.identity(QQ, 5))
         ma1 = MutualActions(bracket_action(G, (A, incl_a), (B, incl_b)),
                             bracket_action(G, (B, incl_b), (A, incl_a)))
         ma2 = MutualActions(bracket_action(G, (G, id_g), (B, incl_b)),
@@ -554,10 +553,10 @@ def _quotient_partner_actions(G, quot, proj, B, incl_b):
     def down(v):
         return proj.map.apply(v)
 
-    left_bq = tuple(tuple(down(G.bracket(incl_b.map.column(m), sec.apply(quot.unit(x))))
+    left_bq = tuple(tuple(down(G.bracket(incl_b.map.col(m), sec.apply(quot.unit(x))))
                           for x in range(quot.dim))
                     for m in range(B.dim))
-    right_bq = tuple(tuple(down(G.bracket(sec.apply(quot.unit(x)), incl_b.map.column(m)))
+    right_bq = tuple(tuple(down(G.bracket(sec.apply(quot.unit(x)), incl_b.map.col(m)))
                            for m in range(B.dim))
                      for x in range(quot.dim))
     act_b_on_q = HomAction(B, quot, left_bq, right_bq)
