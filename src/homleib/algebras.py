@@ -47,6 +47,7 @@ from .linalg import (
     outer,
     sparse_columns,
     sparse_table,
+    sparse_vec,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -223,11 +224,15 @@ class IdealHandle:
                 return ("twist", h, w)
         return None
 
+    # the witness, found once per handle: a certificate that checks the
+    # ideal and then passes the handle on does not check it again
+    _witness = cached_property(lambda self: self.ideal_witness())
+
     def is_ideal(self) -> bool:
-        return self.ideal_witness() is None
+        return self._witness is None
 
     def require_ideal(self):
-        w = self.ideal_witness()
+        w = self._witness
         if w is None:
             return self
         if w[0] == "twist":
@@ -371,7 +376,7 @@ def ideal_closure(L: HomLeibnizAlgebra, seeds) -> Subspace:
     queue = []
 
     def push(v):
-        if acc.add(v):
+        if acc.add(sparse_vec(v)):
             queue.append(v)
 
     for v in seeds:

@@ -266,9 +266,7 @@ def _certificate(rep) -> dict:
 
 def cmd_six_term(args) -> dict:
     alg = _valid_algebra(args.file)
-    space = _parse_ideal(alg, args.ideal)
-    IdealHandle(alg, space).require_ideal()
-    return _certificate(six_term_check(alg, space))
+    return _certificate(six_term_check(alg, _parse_ideal(alg, args.ideal)))
 
 
 def cmd_hochschild(args) -> dict:

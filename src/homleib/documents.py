@@ -33,7 +33,10 @@ resolve against the directory of the containing file.
 Parsing failures raise ParseError (bad JSON, nesting past the parser's
 depth, wrong shapes) or SemanticError (unknown labels, bad scalars,
 unsupported field) with a location string; a message repeats at most
-``errors.ECHO_LIMIT`` characters of any input value.
+``errors.ECHO_LIMIT`` characters of any input value.  Each integer of a
+scalar (a numerator, a denominator or a JSON integer literal) has at most
+``sys.get_int_max_str_digits()`` digits, Python's limit on converting a
+string to an int (4300 by default); a longer one is refused with exit 2.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .algebras import (
     IdealHandle,
     certified_quotient,
     commutator,
+    default_labels,
     predicates,
     subalgebra,
     twist_image_bracket_span,
@@ -38,15 +39,14 @@ from .algebras import (
 from .actions import MutualActions
 from .linalg import (
     Matrix,
+    QuotientSpace,
     Subspace,
     _expand_kernel,
     connecting_map,
     induced_map,
-    outer,
+    law_rows,
     quotient,
-    unit_vec,
-    vec_add,
-    vec_sub,
+    tensor_table,
 )
 from .report import ExactnessReport
 from .tensorprod import (
@@ -181,44 +181,33 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
     if classify_extension(ext) is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("twist tensor square projection is not central")
 
-    presented, iso = _presented_alpha_uce(L, A, incl, t)
+    presented, iso = _presented_alpha_uce(A, t)
     return AlphaUniversalCentralExtension(t, ext, presented, iso)
 
 
-def _presented_alpha_uce(L, A, incl, t):
-    """Quotient of the plain tensor space of the twist image by the span of
+def _presented_alpha_uce(A, t):
+    """Quotient of the plain tensor space of the twist image A by the span of
         -[x1,x2] (x) t(x3) + [x1,x3] (x) t(x2) + t(x1) (x) [x2,x3]
-    over basis triples, with bracket u (x) v, u' (x) v' -> [u,v] (x) [u',v']."""
-    f = L.field
-
-    def a_coords(v):
-        q = incl.map.preimage(v)
-        if q is None:
-            raise InternalInconsistency("value escapes the twist image subalgebra")
-        return q
-
-    k = A.dim
+    over basis triples, as ``linalg.law_rows`` data, with bracket
+    u (x) v, u' (x) v' -> [u,v] (x) [u',v'].  A is all of L on L's own
+    basis, since the twist image holds [t(L), t(L)] = L, so A's brackets and
+    twist are L's, in the same coordinates."""
+    f, k = A.field, A.dim
     ambient = k * k
-    idx = range(L.dim)
-    br = [[a_coords(L.c[i][j]) for j in idx] for i in idx]
-    tw = [a_coords(L.apply_twist(L.unit(i))) for i in idx]
-    pres = quotient(f, ambient, (
-        vec_add(f, vec_sub(f, outer(f, br[i][l], tw[j], ambient), outer(f, br[i][j], tw[l], ambient)),
-                outer(f, tw[i], br[j][l], ambient))
-        for i in idx for j in idx for l in idx))
+    br, tw, tens = A.sparse_c, A.sparse_twist, tensor_table(f, k, k)
+    rows = law_rows(f, [((k, k, k), [("alpha relation", (),
+                                      [(tens, (br, 0, 2), (tw, 1)), (tens, (tw, 0), (br, 1, 2))],
+                                      [(tens, (br, 0, 1), (tw, 2))])])])
+    pres = QuotientSpace(Subspace.span_sparse(f, ambient, rows))
     # the bracket factors through folding both legs; folding a relation
     # instance gives the Hom-Leibniz identity, so a valid algebra's fold
     # kills every relation
     fold = A.bracket_map()
-    tw = [A.apply_twist(A.unit(i)) for i in range(k)]
-    twist_amb = Matrix.from_columns(f, ambient, [outer(f, u, v, ambient) for u in tw for v in tw])
-    labels = [f"u{i + 1}" for i in range(pres.dim)]
-    presented = certified_quotient(pres, fold, fold, twist_amb, labels)
+    presented = certified_quotient(pres, fold, fold, A.twist.kron(A.twist), default_labels(pres.dim, "u"))
 
     # generator comparison: a*b in either block of the tensor square -> a (x) b;
     # both blocks are row-major in (first leg, second leg), like the plain space
-    units = [unit_vec(f, ambient, g) for g in range(ambient)]
-    comp_amb = Matrix.from_columns(f, ambient, units + units)
+    comp_amb = Matrix.from_columns(f, ambient, Matrix.identity(f, ambient).entries * 2)
     comp = AlgebraHom(t.algebra, presented, induced_map(comp_amb, t.presentation, pres))
     comp.validate().require(
         lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
@@ -237,12 +226,14 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     homology of L and Q; the connecting map lifts through the tensor row and
     evaluates the commutator map.  Every joint is certified by exact ranks,
     together with the commutation and identification facts the construction
-    depends on.
+    depends on.  The ideal is checked first, once: a subspace that is not
+    a twist-stable two-sided ideal raises before a non-perfect algebra does.
     """
+    ideal = IdealHandle(L, ideal_space).require_ideal()
     if not predicates(L).perfect:
         raise NotPerfect("six-term certificate requires a perfect algebra")
     f = L.field
-    data = ideal_sequence_certificate(L, ideal_space)
+    data = ideal_sequence_certificate(L, ideal)
     rep = ExactnessReport(subject="six-term sequence")
     for item in data.report.items:
         rep.check(f"row: {item.name}", item.ok, item.detail)
@@ -280,8 +271,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
               im1 == k2.intersect(data.tau.map.kernel()))
 
     # cokernel target: ideal modulo the two-sided commutator with the algebra
-    two_sided = commutator(IdealHandle(L, ideal_space),
-                           IdealHandle(L, Subspace.full(f, L.dim)))
+    two_sided = commutator(ideal, IdealHandle(L, Subspace.full(f, L.dim)))
     in_m = [data.incl.map.preimage(v) for v in two_sided.basis.entries]
     if any(q is None for q in in_m):
         raise InternalInconsistency("commutator with the algebra leaves the ideal")

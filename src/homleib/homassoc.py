@@ -10,7 +10,9 @@ boundary sends a (x) b (x) c to  ab (x) t(c) - t(a) (x) bc + ca (x) t(b).
 The quotient of A (x) A by its image carries a Hom-Leibniz bracket
 (commutator in each leg) and a map phi onto the commutator subspace [A, A];
 the kernel of phi is the first Hochschild homology.  The Milnor-type
-variant divides A (x) A by two further commutator-shaped families.  The
+variant divides A (x) A by two further commutator-shaped families, stated
+as ``linalg.law_rows`` data on pure tensors.  The boundary itself stays a
+map with one column per basis triple, zero columns included.  The
 exact-sequence certificate ties all of these together through three tensor
 products and a snake construction, with every joint checked by exact rank
 arithmetic.
@@ -45,10 +47,12 @@ from .linalg import (
     contract,
     dense_vec,
     induced_map,
+    law_rows,
     outer,
     quotient,
     sparse_columns,
     sparse_table,
+    tensor_table,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -211,10 +215,8 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     # the bracket factors through it on both legs
     phi = induced_map(fold, pres, quotient(f, n, ()), lambda r, w: InternalInconsistency(
         "evaluation does not kill the boundary image"))
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    twist_amb = Matrix.from_columns(f, size, [outer(f, u, v, size) for u in tw for v in tw])
     labels = [f"{A.labels[g // n]}#{A.labels[g % n]}" for g in pres.coset_basis]
-    algebra = certified_quotient(pres, fold, fold, twist_amb, labels)
+    algebra = certified_quotient(pres, fold, fold, A.twist.kron(A.twist), labels)
     comm_space = derived_subspace(lb)
     if phi.image() != comm_space:
         raise InternalInconsistency("evaluation image differs from the commutator subspace")
@@ -262,8 +264,7 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
 
     # generator comparison: both tensor blocks evaluate to plain tensor
     # classes, and both are row-major in (first leg, second leg) like A (x) A
-    units = [unit_vec(f, n * n, g) for g in range(n * n)]
-    on_square = induced_map(Matrix.from_columns(f, n * n, units + units),
+    on_square = induced_map(Matrix.from_columns(f, n * n, Matrix.identity(f, n * n).entries * 2),
                             t.presentation, h.presentation)
     iso = AlgebraHom(quot, h.algebra, induced_map(
         on_square, QuotientSpace(ideal), quotient(f, h.algebra.dim, ()),
@@ -294,15 +295,14 @@ def alpha_identity_holds(A: HomAssociativeAlgebra) -> bool:
 
 
 def milnor_relations(h: HochschildModule) -> Subspace:
-    """Boundary image plus t(a) (x) [b,c] and [a,b] (x) t(c) over basis triples."""
-    A = h.parent
-    f = A.field
-    n = A.dim
-    lb = h.commutator_algebra
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    outers = (v for a in range(n) for b in range(n) for c in range(n)
-              for v in (outer(f, tw[a], lb.c[b][c], n * n), outer(f, lb.c[a][b], tw[c], n * n)))
-    return h.presentation.relations.add(Subspace.span(f, n * n, outers))
+    """Boundary image plus t(a) (x) [b,c] and [a,b] (x) t(c) over basis
+    triples (a, b, c), as ``linalg.law_rows`` data."""
+    A, lb = h.parent, h.commutator_algebra
+    f, n, tw, c = A.field, A.dim, A.sparse_twist, lb.sparse_c
+    tens = tensor_table(f, n, n)
+    rows = law_rows(f, [((n, n, n), [("t(a) (x) [b,c]", (), [(tens, (tw, 0), (c, 1, 2))], []),
+                                     ("[a,b] (x) t(c)", (), [(tens, (c, 0, 1), (tw, 2))], [])])])
+    return h.presentation.relations.add(Subspace.span_sparse(f, n * n, rows))
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ class ChainComplex:
             return 0
         acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
         for col in self.columns(n):
-            acc.add(col, sparse=True)
+            acc.add(col)
         return acc.rank
 
     def squares_to_zero(self, n: int) -> bool:

@@ -12,8 +12,11 @@ deterministic; a subspace's ambient dimension is its basis's column count,
 and a quotient's is its relations'.
 
 ``RrefAccumulator`` is the one elimination engine, a sparse incremental
-RREF: it builds every span, and each ``Matrix`` factors once through it
-(the RREF of [M | I]) for its rank, kernel, preimages and section.
+RREF that takes each vector as the (column, value) pairs of its nonzero
+coordinates: it builds every span (``Subspace.span`` of dense vectors,
+``Subspace.span_sparse`` of sparse rows), and each ``Matrix`` factors once
+through it (the RREF of [M | I]) for its rank, kernel, preimages and
+section.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -22,14 +25,19 @@ presentations:
 * each structure caches its tables (brackets, actions, products) once in
   sparse form: ``sparse_table`` keeps the nonzero (k, value) pairs of each
   value table[i][j], ``sparse_columns`` those of each column of a twist;
-* ``bilinear`` is the one contraction, of a sparse table at two sparse
-  vectors, ``contract`` its dense form and ``linear`` applies sparse columns;
-* ``check_laws`` is the one identity checker: each law is data, signed
-  lists of such terms on basis indices, and from that data it both finds
-  the instances where a term can be nonzero by sparsity and evaluates them,
-  recording each whose signed sum is nonzero;
-* ``outer`` embeds a pure tensor u (x) v into a row-major coordinate block,
-  at an offset when the ambient space has several blocks;
+* ``contract`` contracts a sparse table at two dense vectors, and
+  ``linear`` applies sparse columns to a sparse vector;
+* a law, or a family of relations, is data: signed lists of bilinear and
+  linear terms in such tables on basis indices.  From that data one rule
+  finds the instances where a term can be nonzero, by sparsity, and one
+  evaluator forms each instance's signed sum, multiplying by no factor that
+  is the field's one.  ``check_laws``, the one identity checker, records
+  each instance whose sum is nonzero; ``law_rows``, the one relation
+  generator, yields each sum as a sparse row;
+* ``tensor_table`` states a row-major block of pure tensors as a sparse
+  table, so a relation term u (x) v is a bilinear term; ``outer`` embeds a
+  dense pure tensor in such a block, and ``Matrix.kron`` is the map
+  u (x) v -> f(u) (x) g(v) of two maps;
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
   between a dense vector and its nonzero (index, value) pairs;
 * ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
@@ -105,19 +113,6 @@ def sparse_columns(m: Matrix) -> tuple:
     return tuple(sparse_vec(c) for c in m.transpose().entries)
 
 
-def bilinear(field: Field, table, u, v) -> list:
-    """The sum of u_i v_j table[i][j] for sparse u, v and a ``sparse_table``."""
-    zero = field.zero()
-    out = {}
-    for i, a in u:
-        row = table[i]
-        for j, b in v:
-            coeff = field.mul(a, b)
-            for k, t in row[j]:
-                out[k] = field.add(out.get(k, zero), field.mul(coeff, t))
-    return [(k, x) for k, x in out.items() if x]
-
-
 def linear(field: Field, cols, u) -> list:
     """The linear map with sparse columns ``cols`` at the sparse vector u."""
     zero = field.zero()
@@ -142,60 +137,104 @@ def contract(field: Field, table, x, y, dim: int) -> tuple:
     return tuple(out)
 
 
+def tensor_table(field: Field, rows: int, cols: int, offset: int = 0) -> tuple:
+    """A row-major block of pure tensors as a sparse table: the term
+    (table, u, v) is u (x) v, with e_a (x) e_b at offset + a * cols + b."""
+    one = field.one()
+    return tuple(tuple(((offset + a * cols + b, one),) for b in range(cols)) for a in range(rows))
+
+
 def _term(term) -> tuple:
     """A term of a law as (table, u, p, r, v, q, s): its first leg is
     u[idx[p]], or u[idx[p]][idx[r]] where r is not None, and v, q, s its
-    second leg the same way (v None for a ``linear`` term)."""
+    second leg the same way (v None for a linear term)."""
     table, (u, p, *r), *v = term
     (v, q, *s), = v or [(None, None)]
     return table, u, p, *(r or [None]), v, q, *(s or [None])
 
 
-def _total(field: Field, terms, idx) -> dict:
-    """The sum of the values of ``_term`` terms at idx as a dict without
-    zeros; their scalars are canonical, so equal sums compare equal."""
-    acc = {}
-    for table, u, p, r, v, q, s in terms:
-        u = u[idx[p]] if r is None else u[idx[p]][idx[r]]
-        vec = linear(field, table, u) if v is None else \
-            bilinear(field, table, u, v[idx[q]] if s is None else v[idx[q]][idx[s]])
-        if len(terms) == 1:
-            return dict(vec)
-        for k, x in vec:
-            acc[k] = field.add(acc[k], x) if k in acc else x
-    return {k: x for k, x in acc.items() if x}
+def _evaluator(field: Field):
+    """row(plus, minus, idx): the signed sum, plus less minus, of ``_term``
+    terms at idx, as coordinates that may hold zeros.  Each coordinate pair
+    of a term adds (or subtracts) one product, and a factor that is the
+    field's one is not multiplied, so a basis-vector leg or a
+    ``tensor_table`` costs no product."""
+    one, zero, mul, add, sub = field.one(), field.zero(), field.mul, field.add, field.sub
+
+    def times(a, b):
+        return b if a is one else a if b is one else mul(a, b)
+
+    def row(plus, minus, idx):
+        out = {}
+        for op, terms in ((add, plus), (sub, minus)):
+            for table, u, p, r, v, q, s in terms:
+                u = u[idx[p]] if r is None else u[idx[p]][idx[r]]
+                if v is None:
+                    for a, x in u:
+                        for k, t in table[a]:
+                            out[k] = op(out.get(k, zero), times(x, t))
+                    continue
+                v = v[idx[q]] if s is None else v[idx[q]][idx[s]]
+                for a, x in u:
+                    line = table[a]
+                    for b, y in v:
+                        coeff = times(x, y)
+                        for k, t in line[b]:
+                            out[k] = op(out.get(k, zero), times(coeff, t))
+        return out
+    return row
 
 
-_MASK_BITS = 1 << 16  # the most index tuples one support bitmask covers
+def _instances(outer_dims: tuple, groups):
+    """(idx, law) for each instance of the laws of ``groups`` where a term
+    can be nonzero, in the order of ``check_laws``."""
+    legs = {}
+    runs = [_support(len(outer_dims), dims, laws, legs) for dims, laws in groups]
+    for idx in product(*map(range, outer_dims)):
+        for run in runs:
+            yield from run(idx)
 
 
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     """Record in ``report`` every violated instance of a family of laws.
 
     A law is data, (name, witness, plus, minus[, detail]), stated on an index
-    tuple idx.  ``plus`` and ``minus`` are lists of terms, (cols, u) for
-    ``linear(cols, u)`` and (table, u, v) for ``bilinear(table, u, v)``, each
-    leg (vectors, p[, r]) naming vectors[idx[p]][idx[r]]; the witness is a
-    tuple of (labels, p), naming labels[idx[p]], and ``detail`` a format
-    string over the witness.  An instance is recorded exactly when its signed
-    sum, plus less minus, is nonzero.
+    tuple idx.  ``plus`` and ``minus`` are lists of terms, (cols, u) for the
+    linear map with sparse columns cols at u and (table, u, v) for the
+    bilinear map with ``sparse_table`` table at u and v, each leg (vectors,
+    p[, r]) naming vectors[idx[p]][idx[r]]; the witness is a tuple of
+    (labels, p), naming labels[idx[p]], and ``detail`` a format string over
+    the witness.  An instance is recorded exactly when its signed sum, plus
+    less minus, is nonzero.
 
     The outer loop runs row-major over the index tuples of ``outer_dims``;
     inside it each (dims, laws) group runs in turn, row-major over the index
     tuples below ``dims`` that extend the outer one, and at each over its
     laws in order.  Only the instances where a term can be nonzero are
-    evaluated, so the report is the full grid's: linear(cols, u) can be
-    nonzero only if cols[a] is nonempty for some a in supp u, and
-    bilinear(table, u, v) only if table[a][b] is for some (a, b) in supp u x
-    supp v."""
-    legs = {}
-    runs = [_support(len(outer_dims), dims, laws, legs) for dims, laws in groups]
-    for idx in product(*map(range, outer_dims)):
-        for run in runs:
-            for jdx, (name, witness, plus, minus, detail) in run(idx):
-                if _total(field, plus, jdx) != _total(field, minus, jdx):
-                    labels = tuple(lb[jdx[p]] for lb, p in witness)
-                    report.record(name, labels, detail.format(*labels))
+    evaluated, so the report is the full grid's: a linear term can be
+    nonzero only if cols[a] is nonempty for some a in supp u, and a bilinear
+    one only if table[a][b] is for some (a, b) in supp u x supp v."""
+    row = _evaluator(field)
+    for jdx, (name, witness, plus, minus, detail) in _instances(outer_dims, groups):
+        if any(row(plus, minus, jdx).values()):
+            labels = tuple(lb[jdx[p]] for lb, p in witness)
+            report.record(name, labels, detail.format(*labels))
+
+
+def law_rows(field: Field, groups):
+    """Yield the rows of a family of relations stated as ``check_laws``
+    data, with no outer loop: each group runs in full, in turn.  A row is
+    the signed sum of an instance where a term can be nonzero, as the sorted
+    (column, value) pairs of its nonzero coordinates; an instance whose
+    terms cancel yields an empty row.  A relation's terms are pure tensors
+    (``tensor_table``), so an instance is skipped exactly when each of its
+    terms has an empty leg."""
+    row = _evaluator(field)
+    for jdx, (_, _, plus, minus, _) in _instances((), groups):
+        yield tuple(sorted((k, x) for k, x in row(plus, minus, jdx).items() if x))
+
+
+_MASK_BITS = 1 << 16  # the most index tuples one support bitmask covers
 
 
 def _support(k: int, dims, laws, legs):
@@ -373,6 +412,13 @@ class Matrix:
             out.append(tuple(row))
         return Matrix(f, self.rows, inner.cols, tuple(out))
 
+    def kron(self, other: "Matrix") -> "Matrix":
+        """The map u (x) v -> self(u) (x) other(v) of row-major tensor spaces."""
+        f = self.field
+        size = self.rows * other.rows
+        return Matrix.from_columns(f, size, [outer(f, u, v, size) for u in self.transpose().entries
+                                             for v in other.transpose().entries])
+
     def add(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch("matrix sum across different fields")
@@ -401,8 +447,7 @@ class Matrix:
         n = self.cols
         acc = RrefAccumulator(f, n + self.rows)
         for i, r in enumerate(self.entries):
-            acc.add(sparse_vec(r) + ((n + i, f.one()),),
-                    sparse=True)
+            acc.add(sparse_vec(r) + ((n + i, f.one()),))
         return acc.rows
 
     def rank(self) -> int:
@@ -474,10 +519,10 @@ class RrefAccumulator:
     """Incremental reduced row echelon span builder.
 
     Rows are kept fully reduced against each other at all times, stored
-    sparsely as {column: value}.  ``add`` reduces the incoming vector and
-    reports whether it enlarged the span; it takes a dense vector, or with
-    ``sparse`` the (column, value) pairs of its nonzero coordinates.  The
-    rows are always the reduced row echelon form of the vectors added.
+    sparsely as {column: value}.  ``add`` takes a vector as the (column,
+    value) pairs of its nonzero coordinates, reduces it and reports whether
+    it enlarged the span.  The rows are always the reduced row echelon form
+    of the vectors added.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
@@ -506,14 +551,10 @@ class RrefAccumulator:
                     sv[cc] = nv
         return sv
 
-    def reduce_vector(self, v) -> dict:
-        sv = {i: x for i, x in enumerate(v) if x}
-        return self._reduce(sv)
-
-    def add(self, v, sparse: bool = False) -> bool:
+    def add(self, v) -> bool:
         f = self.field
         zero = f.zero()
-        sv = self._reduce(dict(v)) if sparse else self.reduce_vector(v)
+        sv = self._reduce(dict(v))
         if not sv:
             return False
         pivot = min(sv)
@@ -568,7 +609,17 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError(f"vector length {len(v)} in ambient dimension {ambient_dim}")
-            acc.add(v)
+            acc.add(sparse_vec(v))
+        return Subspace(acc.basis_matrix())
+
+    @staticmethod
+    def span_sparse(field: Field, ambient_dim: int, rows) -> "Subspace":
+        """The span of sparse rows, each the (column, value) pairs of the
+        nonzero coordinates of a vector; an empty row adds nothing."""
+        acc = RrefAccumulator(field, ambient_dim)
+        for row in rows:
+            if row:
+                acc.add(row)
         return Subspace(acc.basis_matrix())
 
     @staticmethod

@@ -5,9 +5,11 @@ The ambient space has one generator per elementary symbol: the block of
 pure tensors m (x) n first, then the block n (x) m, row-major in basis
 indices.  Ten multilinear relation families are instantiated on basis
 tuples and spanned; the tensor product is the quotient.  Bilinearity is
-built into the ambient space itself.  Every term of a relation is a pure
-tensor of two sparse vectors, so an instance in which each term has an
-empty leg is zero and is never generated; the span is unchanged.
+built into the ambient space itself.  The families are data for
+``linalg.law_rows``: every term is a pure tensor of two sparse vectors, a
+bilinear term in a ``linalg.tensor_table`` block, so ``check_laws``' own
+support rule skips exactly the instances in which each term has an empty
+leg, which are zero; the span is unchanged.
 
 The bracket of two generators factors through the two evaluation maps
 
@@ -32,15 +34,16 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
-from .algebras import AlgebraHom, HomLeibnizAlgebra, certified_quotient
+from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, certified_quotient
 from .linalg import (
     Matrix,
     QuotientSpace,
-    RrefAccumulator,
     Subspace,
     induced_map,
+    law_rows,
     outer,
     quotient,
+    tensor_table,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -126,13 +129,12 @@ def relation_vectors(ma: MutualActions):
     """Yield the spanning relation instances over basis tuples, less those
     that are zero by sparsity.
 
-    Each instance is a sparse row: the sorted (column, value) pairs of its
-    nonzero ambient coordinates.  Every term is a pure tensor of two sparse
-    vectors, and a pure tensor with an empty leg is zero, so an instance is
-    yielded only when one of its terms has two nonempty legs; r7-r10 run
-    only over the (m, n) with a nonzero action value.  The rest come in the
-    order below, so the nonzero rows are those of the full enumeration in
-    the same order; a row whose terms cancel is still yielded, empty.
+    The ten families are ``linalg.law_rows`` data: each term is a pure
+    tensor of two sparse vectors in one of the two blocks, and an instance
+    is yielded only when one of its terms has two nonempty legs.  Each row
+    is the sorted (column, value) pairs of the instance's nonzero ambient
+    coordinates; the nonzero rows are those of the full enumeration, in the
+    order below, and a row whose terms cancel is still yielded, empty.
 
     Families, with m, m' in M and n, n' in N (all basis vectors):
       r1  t(m) * [n,n']  - m.n * t(n')   + m.n' * t(n)              (block mn)
@@ -146,85 +148,35 @@ def relation_vectors(ma: MutualActions):
       r9  (n>m) * (m'>n')  - (n<m) * (m'<n')
       r10 (n>m) * (n'<m')  - (n<m) * (n'>m')
     where x>y is x acting on y from the left and x<y is x acted by y from
-    the right.
+    the right.  r1 and r4 run over (m, n, n'), r2 and r3 over (n, m, m'), r5
+    over (m, m', n), r6 over (n, n', m) and r7-r10 over (m, n, m', n').
     """
     M, N = ma.m_side, ma.n_side
-    f = M.field
-    zero = f.zero()
-    dm, dn = M.dim, N.dim
-    base = dm * dn
-
-    tm, tn = M.sparse_twist, N.sparse_twist
-    cm, cn = M.sparse_c, N.sparse_c
-    mn_left, mn_right = ma.mn.sparse_left, ma.mn.sparse_right
-    nm_left, nm_right = ma.nm.sparse_left, ma.nm.sparse_right
-
-    # a pure tensor as (offset, stride, first leg, second leg): u (x) v sits
-    # at offset + a * stride + b for the coordinates u_a, v_b
-    def mn(u, v):
-        return 0, dn, u, v
-
-    def nm(v, u):
-        return base, dm, v, u
-
-    def row(plus, minus):
-        # the instance's row, or nothing when each of its terms has an empty
-        # leg and so the instance is zero by sparsity
-        if not any(u and v for _, _, u, v in plus + minus):
-            return
-        out = {}
-        for op, terms in ((f.add, plus), (f.sub, minus)):
-            for off, stride, u, v in terms:
-                for a, ua in u:
-                    for b, vb in v:
-                        c = off + a * stride + b
-                        out[c] = op(out.get(c, zero), f.mul(ua, vb))
-        yield tuple(sorted((c, x) for c, x in out.items() if x))
-
-    for i in range(dm):
-        for j in range(dn):
-            for j2 in range(dn):
-                # r1: t(m) * [n, n'] = m.n * t(n') - m.n' * t(n)
-                yield from row((mn(tm[i], cn[j][j2]), mn(nm_right[i][j2], tn[j])),
-                               (mn(nm_right[i][j], tn[j2]),))
-                # r4: [n, n'] * t(m) = n.m * t(n') - t(n) * m.n'
-                yield from row((nm(cn[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])),
-                               (mn(nm_left[j][i], tn[j2]),))
-    for j in range(dn):
-        for i in range(dm):
-            for i2 in range(dm):
-                # r2: t(n) * [m, m'] = n.m * t(m') - n.m' * t(m)
-                yield from row((nm(tn[j], cm[i][i2]), nm(mn_right[j][i2], tm[i])),
-                               (nm(mn_right[j][i], tm[i2]),))
-                # r3: [m, m'] * t(n) = m.n * t(m') - t(m) * n.m'
-                yield from row((mn(cm[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])),
-                               (nm(mn_left[i][j], tm[i2]),))
-    for i in range(dm):
-        for i2 in range(dm):
-            for j in range(dn):
-                # r5: t(m) * (m'.n) = - t(m) * (n.m')
-                yield from row((mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])), ())
-    for j in range(dn):
-        for j2 in range(dn):
-            for i in range(dm):
-                # r6: t(n) * (n'.m) = - t(n) * (m.n')
-                yield from row((nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])), ())
-    # at each (m, n): m acted by n and n acting on m (in M), m acting on n
-    # and n acted by m (in N); where all four are empty, every r7-r10 term
-    # has an empty leg
-    values = [(nm_right[i][j], mn_left[i][j], mn_right[j][i], nm_left[j][i])
-              for i in range(dm) for j in range(dn)]
-    live = [v for v in values if any(v)]
-    for mdown, mup, ndown, nup in live:
-        for m2down, m2up, n2down, n2up in live:
-            # r7: (m<n) * (m'>n') = (m>n) * (m'<n')
-            yield from row((mn(mdown, m2up),), (nm(mup, m2down),))
-            # r8: (m<n) * (n'<m') = (m>n) * (n'>m')
-            yield from row((mn(mdown, n2down),), (nm(mup, n2up),))
-            # r9: (n>m) * (m'>n') = (n<m) * (m'<n')
-            yield from row((mn(nup, m2up),), (nm(ndown, m2down),))
-            # r10: (n>m) * (n'<m') = (n<m) * (n'>m')
-            yield from row((mn(nup, n2down),), (nm(ndown, n2up),))
+    f, dm, dn = M.field, M.dim, N.dim
+    tm, tn, cm, cn = M.sparse_twist, N.sparse_twist, M.sparse_c, N.sparse_c
+    m_on_n, n_by_m = ma.mn.sparse_left, ma.mn.sparse_right   # in N
+    n_on_m, m_by_n = ma.nm.sparse_left, ma.nm.sparse_right   # in M
+    mn, nm = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
+    yield from law_rows(f, [
+        ((dm, dn, dn), [
+            ("r1", (), [(mn, (tm, 0), (cn, 1, 2)), (mn, (m_by_n, 0, 2), (tn, 1))],
+             [(mn, (m_by_n, 0, 1), (tn, 2))]),
+            ("r4", (), [(nm, (cn, 1, 2), (tm, 0)), (nm, (tn, 1), (m_by_n, 0, 2))],
+             [(mn, (n_on_m, 1, 0), (tn, 2))])]),
+        ((dn, dm, dm), [
+            ("r2", (), [(nm, (tn, 0), (cm, 1, 2)), (nm, (n_by_m, 0, 2), (tm, 1))],
+             [(nm, (n_by_m, 0, 1), (tm, 2))]),
+            ("r3", (), [(mn, (cm, 1, 2), (tn, 0)), (mn, (tm, 1), (n_by_m, 0, 2))],
+             [(nm, (m_on_n, 1, 0), (tm, 2))])]),
+        ((dm, dm, dn), [
+            ("r5", (), [(mn, (tm, 0), (m_on_n, 1, 2)), (mn, (tm, 0), (n_by_m, 2, 1))], [])]),
+        ((dn, dn, dm), [
+            ("r6", (), [(nm, (tn, 0), (n_on_m, 1, 2)), (nm, (tn, 0), (m_by_n, 2, 1))], [])]),
+        ((dm, dn, dm, dn), [
+            ("r7", (), [(mn, (m_by_n, 0, 1), (m_on_n, 2, 3))], [(nm, (m_on_n, 0, 1), (m_by_n, 2, 3))]),
+            ("r8", (), [(mn, (m_by_n, 0, 1), (n_by_m, 3, 2))], [(nm, (m_on_n, 0, 1), (n_on_m, 3, 2))]),
+            ("r9", (), [(mn, (n_on_m, 1, 0), (m_on_n, 2, 3))], [(nm, (n_by_m, 1, 0), (m_by_n, 2, 3))]),
+            ("r10", (), [(mn, (n_on_m, 1, 0), (n_by_m, 3, 2))], [(nm, (n_by_m, 1, 0), (n_on_m, 3, 2))])])])
 
 
 def build_tensor(ma: MutualActions) -> TensorProduct:
@@ -232,12 +184,7 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     ma.check_compatible().require(lambda v: IncompatibleActions(
         f"compatibility {v.law} fails at {v.witness}", witness=v.witness))
     M, N = ma.m_side, ma.n_side
-    ambient = 2 * M.dim * N.dim
-    acc = RrefAccumulator(M.field, ambient)
-    for row in relation_vectors(ma):
-        if row:
-            acc.add(row, sparse=True)
-    pres = QuotientSpace(Subspace(acc.basis_matrix()))
+    pres = QuotientSpace(Subspace.span_sparse(M.field, 2 * M.dim * N.dim, relation_vectors(ma)))
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]
@@ -463,15 +410,15 @@ class IdealSequenceData:
     report: ExactnessReport
 
 
-def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal_space) -> IdealSequenceData:
+def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> IdealSequenceData:
     """Exactness of   (M*L) + (L*M)  ->  L*L  ->  (L/M)*(L/M)  ->  0
     for a two-sided twist-stable ideal M, with the left map assembled from
     the two inclusion-induced maps (the second one twisted)."""
-    from .algebras import IdealHandle, quotient_algebra, subalgebra
+    from .algebras import quotient_algebra, subalgebra
 
     f = L.field
-    quot, proj = quotient_algebra(L, IdealHandle(L, ideal_space))
-    M_sub, incl = subalgebra(L, ideal_space, "m")
+    quot, proj = quotient_algebra(L, ideal)
+    M_sub, incl = subalgebra(L, ideal.space, "m")
     id_l = AlgebraHom(L, L, Matrix.identity(f, L.dim))
 
     ma_ml = bracket_mutual(L, (M_sub, incl), (L, id_l))

@@ -18,6 +18,7 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,7 +47,7 @@ from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, first_homologies, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
-from homleib.linalg import Matrix, Subspace, unit_vec, vec_scale
+from homleib.linalg import Matrix, Subspace, dense_vec, unit_vec, vec_scale
 from homleib.report import ValidationReport
 from homleib.tensorprod import build_tensor, relation_vectors
 
@@ -730,6 +731,74 @@ def _first_dense_failure(f, table, endo, labels):
     return next(((labels[i], labels[j]) for i in range(n) for j in range(n)
                  if endo.apply(table[i][j]) != dense_contract(f, table, endo.col(i), endo.col(j), n)),
                 None)
+
+
+def _law_data(module, build):
+    """The (field, groups) of each ``check_laws`` call that ``module`` makes
+    while ``build()`` runs."""
+    calls = []
+    real = module.check_laws
+
+    def spy(field, report, outer_dims, groups):
+        calls.append((field, groups))
+        real(field, report, outer_dims, groups)
+
+    with mock.patch.object(module, "check_laws", spy):
+        build()
+    return calls
+
+
+def _dense_row(f, law, jdx, size):
+    """The signed sum of a law instance from the dense tables, a linear term
+    being the bilinear one with the constant second leg 1."""
+    total = (f.zero(),) * size
+    for combine, terms in ((dense_add, law[2]), (dense_sub, law[3])):
+        for table, u, p, r, v, q, s in terms:
+            x = u[jdx[p]] if r is None else u[jdx[p]][jdx[r]]
+            if v is None:
+                table, y = [[cols] for cols in table], ((0, f.one()),)
+            else:
+                y = v[jdx[q]] if s is None else v[jdx[q]][jdx[s]]
+            dense = [[dense_vec(f, size, e) for e in row] for row in table]
+            total = combine(f, total, dense_contract(f, dense, dense_vec(f, len(table), x),
+                                                     dense_vec(f, len(table[0]), y), size))
+    return total
+
+
+@st.composite
+def perturbed_sl2_laws(draw):
+    """The action or compatibility validator of sl2's adjoint action, plain
+    or twisted, over Q or GF(1000003), with one entry moved."""
+    f = draw(st.sampled_from(FIELDS))
+    delta = f.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
+    a = self_action(draw(st.sampled_from([sl2, sl2_twisted]))(f))
+    if draw(st.booleans()):
+        return _perturbed_action(draw, f, a, delta).validate
+    bumped = _perturbed_action(draw, f, a, delta, ("left", "right"))
+    return MutualActions(*draw(st.sampled_from([(bumped, a), (a, bumped)]))).check_compatible
+
+
+class TestLawRows:
+    """``linalg.law_rows`` runs ``check_laws``' own support and term data: on
+    the same law data, an instance is recorded exactly when its row is
+    nonzero, and each row is the dense signed sum."""
+
+    @given(perturbed_sl2_laws())
+    def test_check_laws_records_exactly_the_nonzero_rows(self, validate):
+        (f, groups), = _law_data(actions, validate)
+        instances = list(linalg._instances((), groups))
+        rows = list(linalg.law_rows(f, groups))
+        assert len(rows) == len(instances)
+        expected = []
+        for (jdx, law), row in zip(instances, rows):
+            assert dense_vec(f, 3, row) == _dense_row(f, law, jdx, 3)
+            if row:
+                expected.append((law[0], tuple(lb[jdx[p]] for lb, p in law[1])))
+        rep = ValidationReport(subject="rows")
+        linalg.check_laws(f, rep, (), groups)
+        assert [(v.law, v.witness) for v in rep.violations] == expected
+        # the validator's outer loop only orders the same records
+        assert sorted((v.law, v.witness) for v in validate().violations) == sorted(expected)
 
 
 class TestEndomorphismChecks:

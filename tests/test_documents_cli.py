@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from homleib.algebras import IdealHandle
 from homleib.errors import ParseError, SemanticError
 from homleib.fields import Field
 from homleib.cli import main
@@ -18,6 +19,7 @@ from homleib.documents import (
     parse_document,
     serialize_algebra,
 )
+from homleib.linalg import Subspace
 from homleib.report import render_witness
 
 QQ = Field()
@@ -251,6 +253,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < len(str(path)) + 200
 
+    @pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "number"])
+    def test_scalar_digit_limit(self, entry, tmp_path):
+        # an integer of a scalar may have sys.get_int_max_str_digits() digits
+        # (Python's default, 4300, pinned here); one digit more exits 2
+        text = json.dumps(dict(E1_DOC, dim=1, basis=["e1"], bracket=[], alpha=[["ALPHA"]]))
+        path = tmp_path / "long.alg"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for digits, code in ((4300, 0), (4301, 2)):
+                path.write_text(text.replace('"ALPHA"', entry.format("7" * digits)), encoding="utf-8")
+                assert main(["validate", str(path)]) == code
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_long_label_is_cut_in_the_message(self):
         doc = dict(E1_DOC, bracket=[{"left": "x" * 5000, "right": "e2", "value": {"e1": "1"}}])
         with pytest.raises(SemanticError, match="unknown label 'xxx") as err:
@@ -364,6 +381,22 @@ class TestCli:
         code, out = run_cli(capsys, "six-term", path, "--ideal", '[["1","0","0"]]', "--json")
         assert code == 1
         assert json.loads(out)["witness"] == "('left', (1, 0, 0), 'f', (0, 0, 1/2))"
+
+    def test_non_ideal_of_a_non_perfect_algebra(self, tmp_path, capsys):
+        # Heisenberg is not perfect; the ideal is checked first all the same
+        heis = dict(SL2_DOC, bracket=SL2_DOC["bracket"][:2])
+        path = write(tmp_path, "heis.alg", heis)
+        code, out = run_cli(capsys, "six-term", path, "--ideal", '[["1","0","0"]]', "--json")
+        assert code == 1
+        assert json.loads(out)["kind"] == "NotAnIdeal"
+
+    def test_six_term_checks_the_ideal_once(self, docs, capsys, monkeypatch):
+        checked = []
+        real = IdealHandle.ideal_witness
+        monkeypatch.setattr(IdealHandle, "ideal_witness", lambda h: checked.append(h.space) or real(h))
+        code, _ = run_cli(capsys, "six-term", docs["sl2"], "--ideal", "full", "--json")
+        assert code == 0
+        assert checked == [Subspace.full(QQ, 3)]
 
     def test_render_witness(self):
         assert render_witness(("twist", (Fraction(1, 2), Fraction(4), 0), "e")) == \

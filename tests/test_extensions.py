@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
-from homleib.linalg import Matrix, Subspace
+from homleib import extensions
+from homleib.generators import sl2 as make_sl2
+from homleib.linalg import Matrix, Subspace, outer, vec_add, vec_sub
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     direct_sum,
     predicates,
+    subalgebra,
+    yau_twist,
 )
 from homleib.extensions import (
     Extension,
@@ -180,6 +185,36 @@ class TestUniversalAlphaCentral:
     def test_not_alpha_perfect_refused(self, nonlie2):
         with pytest.raises(NotAlphaPerfect):
             universal_alpha_central_extension(nonlie2)
+
+
+def full_alpha_relations(L):
+    """Every instance of the alpha presentation's family over basis triples
+    of L, in the coordinates of the twist image A, as a dense sum of
+    ``outer`` terms: the reference for the relation span."""
+    A, incl = subalgebra(L, L.twist.image(), "a")
+    f, size, idx = L.field, A.dim * A.dim, range(L.dim)
+    br = [[incl.map.preimage(L.c[i][j]) for j in idx] for i in idx]
+    tw = [incl.map.preimage(L.twist.col(i)) for i in idx]
+    for i, j, l in itertools.product(idx, repeat=3):
+        yield vec_add(f, vec_sub(f, outer(f, br[i][l], tw[j], size), outer(f, br[i][j], tw[l], size)),
+                      outer(f, tw[i], br[j][l], size))
+
+
+def _twisted_sl2(f, t):
+    return yau_twist(make_sl2(f), Matrix.from_rows(f, [[t, 0, 0], [0, f.div(1, t), 0], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+def test_alpha_relation_span_is_the_full_enumeration(f, monkeypatch):
+    presentations = []
+    real = extensions.certified_quotient
+    monkeypatch.setattr(extensions, "certified_quotient",
+                        lambda pres, *args: presentations.append(pres) or real(pres, *args))
+    for L in (make_sl2(f), _twisted_sl2(f, 5), direct_sum(_twisted_sl2(f, -2), _twisted_sl2(f, 2))):
+        presentations.clear()
+        universal_alpha_central_extension(L)
+        (pres,) = presentations
+        assert pres.relations == Subspace.span(f, L.dim * L.dim, full_alpha_relations(L))
 
 
 class TestSixTerm:

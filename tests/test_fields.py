@@ -248,3 +248,22 @@ def test_one_linear_map_type():
     # map's domain and codomain: no module wraps it or states the shape again
     found = _library_sites(_names_wrapper)
     assert found == [], found
+
+
+RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce")
+
+
+def test_relation_families_are_law_data():
+    # the tensor, Milnor and alpha-presentation relations are stated as data
+    # for linalg.law_rows, which decides by check_laws' own support rule
+    # which instances can be nonzero: no family loops over basis tuples
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    seen, found = set(), []
+    for path in sorted(src.glob("*.py")):
+        for body in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(body, ast.FunctionDef) and body.name in RELATION_FAMILIES:
+                seen.add(body.name)
+                found += [f"{path.stem}:{body.name}:{node.lineno}" for node in ast.walk(body)
+                          if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert seen == set(RELATION_FAMILIES)
+    assert found == [], found

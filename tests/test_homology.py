@@ -15,7 +15,7 @@ from homleib import generators
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
-from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec
+from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec, sparse_vec
 from homleib.algebras import HomLeibnizAlgebra, derived_subspace, direct_sum, yau_twist
 from homleib.generators import random_corep
 from homleib.homology import (
@@ -112,8 +112,8 @@ def dense_homology(cx, n: int) -> HomologyResult:
     img = boundary_matrix(cx, n + 1).image()
     acc = RrefAccumulator(f, chain_dim(cx.algebra, cx.coeffs, n))
     for v in img.basis.entries:
-        acc.add(v)
-    reps = [v for v in cycles.basis.entries if acc.add(v)]
+        acc.add(sparse_vec(v))
+    reps = [v for v in cycles.basis.entries if acc.add(sparse_vec(v))]
     return HomologyResult(n, cycles.dim - img.dim, tuple(reps))
 
 

@@ -417,7 +417,7 @@ class TestInducedMaps:
 
     def test_quotient_projection_is_surjective_on_tensors(self, nonlie2):
         data = ideal_sequence_certificate(
-            nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())]))
+            nonlie2, IdealHandle(nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])))
         assert data.tau.map.is_surjective()
 
 
@@ -513,12 +513,12 @@ class TestExactness:
 
     def test_ideal_sequence_on_nonlie2(self, nonlie2):
         data = ideal_sequence_certificate(
-            nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())]))
+            nonlie2, IdealHandle(nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])))
         assert data.report.ok
         assert data.t_qq.algebra.dim == 2
 
     def test_ideal_sequence_full_ideal(self, sl2):
-        data = ideal_sequence_certificate(sl2, Subspace.full(QQ, 3))
+        data = ideal_sequence_certificate(sl2, IdealHandle(sl2, Subspace.full(QQ, 3)))
         assert data.report.ok
         assert data.t_qq.algebra.dim == 0
         assert data.sigma.rank() == data.t_ll.algebra.dim
