@@ -587,7 +587,7 @@ class Subspace:
     basis: Matrix  # rows = basis vectors, reduced echelon, no zero rows
     # cached echelon data; identity is determined by the basis alone
     _pivots: tuple = dc_field(init=False, compare=False, repr=False)
-    _sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
+    sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -601,7 +601,7 @@ class Subspace:
             sparse.append(support)
             pivots.append(support[0][0] if support else -1)
         object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_sparse_rows", tuple(sparse))
+        object.__setattr__(self, "sparse_rows", tuple(sparse))
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -615,9 +615,10 @@ class Subspace:
     @staticmethod
     def span_sparse(field: Field, ambient_dim: int, rows) -> "Subspace":
         """The span of sparse rows, each the (column, value) pairs of the
-        nonzero coordinates of a vector; an empty row adds nothing."""
+        nonzero coordinates of a vector; an empty row, and a row equal to
+        one already added, adds nothing and is not eliminated."""
         acc = RrefAccumulator(field, ambient_dim)
-        for row in rows:
+        for row in dict.fromkeys(rows):  # each distinct row once, in order
             if row:
                 acc.add(row)
         return Subspace(acc.basis_matrix())
@@ -648,7 +649,7 @@ class Subspace:
         f = self.field
         w = list(v)
         coords = []
-        for support, p in zip(self._sparse_rows, self._pivots):
+        for support, p in zip(self.sparse_rows, self._pivots):
             c = w[p]
             coords.append(c)
             if c:

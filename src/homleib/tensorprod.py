@@ -9,7 +9,10 @@ built into the ambient space itself.  The families are data for
 ``linalg.law_rows``: every term is a pure tensor of two sparse vectors, a
 bilinear term in a ``linalg.tensor_table`` block, so ``check_laws``' own
 support rule skips exactly the instances in which each term has an empty
-leg, which are zero; the span is unchanged.
+leg, which are zero; the span is unchanged.  On a tensor square the block
+swap u*v <-> u*v' carries the other six families into the span S of r1, r3,
+r5 and r7 and its swap, so only those four are instantiated and the
+relations are S + swap(S) (the proof is at ``relation_vectors``).
 
 The bracket of two generators factors through the two evaluation maps
 
@@ -31,6 +34,7 @@ each ``linalg.induced_map`` of an ambient map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -125,9 +129,17 @@ def _eval_maps(ma: MutualActions):
     return eval_m, eval_n
 
 
+def _is_square(ma: MutualActions) -> bool:
+    """Whether the two sides carry equal data: dimension, twist, bracket,
+    and one action table for all four actions."""
+    M, N, mn, nm = ma.m_side, ma.n_side, ma.mn, ma.nm
+    return (M.dim, M.sparse_twist, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) == \
+        (N.dim, N.sparse_twist, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right)
+
+
 def relation_vectors(ma: MutualActions):
     """Yield the spanning relation instances over basis tuples, less those
-    that are zero by sparsity.
+    that are zero by sparsity (on a tensor square, of r1, r3, r5, r7 only).
 
     The ten families are ``linalg.law_rows`` data: each term is a pure
     tensor of two sparse vectors in one of the two blocks, and an instance
@@ -150,6 +162,15 @@ def relation_vectors(ma: MutualActions):
     where x>y is x acting on y from the left and x<y is x acted by y from
     the right.  r1 and r4 run over (m, n, n'), r2 and r3 over (n, m, m'), r5
     over (m, m', n), r6 over (n, n', m) and r7-r10 over (m, n, m', n').
+
+    On a square (``_is_square``: both sides carry the same twist, bracket
+    and action table A, so x>y = x<y = A[x][y]) let swap exchange the two
+    blocks, u*v <-> u*v'.  Reading each family off the list above:
+      * r2, r4 and r6 are swap(r1), swap(r3) and swap(r5) at the same tuple;
+      * r8, r9 and r10 are r7 at (m, n, n', m'), (n, m, m', n'), (n, m, n', m');
+      * r7 = u*v - u*v' with u = A[m][n], v = A[m'][n'], so swap(r7) = -r7.
+    So the relations are S + swap(S), S the span of r1, r3, r5 and r7: only
+    those are yielded, and ``build_tensor`` adds the swap of S's basis rows.
     """
     M, N = ma.m_side, ma.n_side
     f, dm, dn = M.field, M.dim, N.dim
@@ -157,26 +178,19 @@ def relation_vectors(ma: MutualActions):
     m_on_n, n_by_m = ma.mn.sparse_left, ma.mn.sparse_right   # in N
     n_on_m, m_by_n = ma.nm.sparse_left, ma.nm.sparse_right   # in M
     mn, nm = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
-    yield from law_rows(f, [
-        ((dm, dn, dn), [
-            ("r1", (), [(mn, (tm, 0), (cn, 1, 2)), (mn, (m_by_n, 0, 2), (tn, 1))],
-             [(mn, (m_by_n, 0, 1), (tn, 2))]),
-            ("r4", (), [(nm, (cn, 1, 2), (tm, 0)), (nm, (tn, 1), (m_by_n, 0, 2))],
-             [(mn, (n_on_m, 1, 0), (tn, 2))])]),
-        ((dn, dm, dm), [
-            ("r2", (), [(nm, (tn, 0), (cm, 1, 2)), (nm, (n_by_m, 0, 2), (tm, 1))],
-             [(nm, (n_by_m, 0, 1), (tm, 2))]),
-            ("r3", (), [(mn, (cm, 1, 2), (tn, 0)), (mn, (tm, 1), (n_by_m, 0, 2))],
-             [(nm, (m_on_n, 1, 0), (tm, 2))])]),
-        ((dm, dm, dn), [
-            ("r5", (), [(mn, (tm, 0), (m_on_n, 1, 2)), (mn, (tm, 0), (n_by_m, 2, 1))], [])]),
-        ((dn, dn, dm), [
-            ("r6", (), [(nm, (tn, 0), (n_on_m, 1, 2)), (nm, (tn, 0), (m_by_n, 2, 1))], [])]),
-        ((dm, dn, dm, dn), [
-            ("r7", (), [(mn, (m_by_n, 0, 1), (m_on_n, 2, 3))], [(nm, (m_on_n, 0, 1), (m_by_n, 2, 3))]),
-            ("r8", (), [(mn, (m_by_n, 0, 1), (n_by_m, 3, 2))], [(nm, (m_on_n, 0, 1), (n_on_m, 3, 2))]),
-            ("r9", (), [(mn, (n_on_m, 1, 0), (m_on_n, 2, 3))], [(nm, (n_by_m, 1, 0), (m_by_n, 2, 3))]),
-            ("r10", (), [(mn, (n_on_m, 1, 0), (n_by_m, 3, 2))], [(nm, (n_by_m, 1, 0), (n_on_m, 3, 2))])])])
+    r1 = ("r1", (), [(mn, (tm, 0), (cn, 1, 2)), (mn, (m_by_n, 0, 2), (tn, 1))], [(mn, (m_by_n, 0, 1), (tn, 2))])
+    r2 = ("r2", (), [(nm, (tn, 0), (cm, 1, 2)), (nm, (n_by_m, 0, 2), (tm, 1))], [(nm, (n_by_m, 0, 1), (tm, 2))])
+    r3 = ("r3", (), [(mn, (cm, 1, 2), (tn, 0)), (mn, (tm, 1), (n_by_m, 0, 2))], [(nm, (m_on_n, 1, 0), (tm, 2))])
+    r4 = ("r4", (), [(nm, (cn, 1, 2), (tm, 0)), (nm, (tn, 1), (m_by_n, 0, 2))], [(mn, (n_on_m, 1, 0), (tn, 2))])
+    r5 = ("r5", (), [(mn, (tm, 0), (m_on_n, 1, 2)), (mn, (tm, 0), (n_by_m, 2, 1))], [])
+    r6 = ("r6", (), [(nm, (tn, 0), (n_on_m, 1, 2)), (nm, (tn, 0), (m_by_n, 2, 1))], [])
+    r7 = ("r7", (), [(mn, (m_by_n, 0, 1), (m_on_n, 2, 3))], [(nm, (m_on_n, 0, 1), (m_by_n, 2, 3))])
+    r8 = ("r8", (), [(mn, (m_by_n, 0, 1), (n_by_m, 3, 2))], [(nm, (m_on_n, 0, 1), (n_on_m, 3, 2))])
+    r9 = ("r9", (), [(mn, (n_on_m, 1, 0), (m_on_n, 2, 3))], [(nm, (n_by_m, 1, 0), (m_by_n, 2, 3))])
+    r10 = ("r10", (), [(mn, (n_on_m, 1, 0), (n_by_m, 3, 2))], [(nm, (n_by_m, 1, 0), (n_on_m, 3, 2))])
+    mnn, nmm, mmn, nnm, mnmn = (dm, dn, dn), (dn, dm, dm), (dm, dm, dn), (dn, dn, dm), (dm, dn, dm, dn)
+    yield from law_rows(f, [(mnn, [r1]), (nmm, [r3]), (mmn, [r5]), (mnmn, [r7])] if _is_square(ma) else [
+        (mnn, [r1, r4]), (nmm, [r2, r3]), (mmn, [r5]), (nnm, [r6]), (mnmn, [r7, r8, r9, r10])])
 
 
 def build_tensor(ma: MutualActions) -> TensorProduct:
@@ -184,7 +198,12 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     ma.check_compatible().require(lambda v: IncompatibleActions(
         f"compatibility {v.law} fails at {v.witness}", witness=v.witness))
     M, N = ma.m_side, ma.n_side
-    pres = QuotientSpace(Subspace.span_sparse(M.field, 2 * M.dim * N.dim, relation_vectors(ma)))
+    half = M.dim * N.dim
+    rel = Subspace.span_sparse(M.field, 2 * half, relation_vectors(ma))
+    if _is_square(ma):  # the relations are S + swap(S): see relation_vectors
+        swap = (tuple(sorted((c - half if c >= half else c + half, x) for c, x in r)) for r in rel.sparse_rows)
+        rel = Subspace.span_sparse(M.field, 2 * half, chain(rel.sparse_rows, swap))
+    pres = QuotientSpace(rel)
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]

@@ -267,3 +267,20 @@ def test_relation_families_are_law_data():
                           if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert seen == set(RELATION_FAMILIES)
     assert found == [], found
+
+
+TENSOR_FAMILIES = tuple(f"r{k}" for k in range(1, 11))
+
+
+def test_each_tensor_family_stated_once():
+    # a tensor square states r1, r3, r5 and r7 as the same law tuples as any
+    # other pair: each family name is one constant in tensorprod, the name
+    # of one law, so no path keeps a copy of a family
+    path = Path(__file__).resolve().parents[1] / "src" / "homleib" / "tensorprod.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in TENSOR_FAMILIES]
+    laws = [node.elts[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant)
+            and node.elts[0].value in TENSOR_FAMILIES]
+    assert sorted(laws) == sorted(names) == sorted(TENSOR_FAMILIES)

@@ -146,6 +146,21 @@ class TestRref:
         assert acc.basis_matrix() == Matrix(m.field, res.rank, m.cols, res.reduced.entries[:res.rank])
 
 
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_span_sparse_eliminates_each_distinct_row_once(self, m, rnd):
+        # every row fed twice, shuffled, spans the same subspace, and a row
+        # equal to one already added is skipped before elimination
+        rows = [tuple((c, x) for c, x in enumerate(r) if x) for r in m.entries]
+        doubled = rows * 2
+        rnd.shuffle(doubled)
+        added, add = [], RrefAccumulator.add
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RrefAccumulator, "add", lambda acc, v: added.append(v) or add(acc, v))
+            span = Subspace.span_sparse(m.field, m.cols, doubled)
+        assert span == Subspace.span(m.field, m.cols, m.entries)
+        assert sorted(added) == sorted({r for r in rows if r})
+
+
 class TestKernel:
     def test_zero_map_full_kernel(self):
         assert Matrix.zero(QQ, 3, 3).kernel().dim == 3

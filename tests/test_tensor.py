@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from homleib.errors import BracketNotWellDefined, IncompatibleActions, NotEquivariant
+from homleib.errors import BracketNotWellDefined, IncompatibleActions, MathFailure, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import Matrix, QuotientSpace, Subspace, outer, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, outer, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -189,10 +190,10 @@ def _sl2_plus_abelian(f):
 
 def full_relation_rows(ma):
     """Every instance of the ten relation families, in the order of
-    ``relation_vectors``, as the dense reference: each term is a dense pure
-    tensor ``outer`` of dense brackets, twist columns and action values,
-    summed coordinate by coordinate and read off as a sparse row, empty for
-    an instance that vanishes."""
+    ``relation_vectors`` off the square path, as the dense reference: each
+    term is a dense pure tensor ``outer`` of dense brackets, twist columns
+    and action values, summed coordinate by coordinate and read off as a
+    sparse row, empty for an instance that vanishes.  Yields (family, row)."""
     M, N = ma.m_side, ma.n_side
     f = M.field
     dm, dn = M.dim, N.dim
@@ -207,31 +208,31 @@ def full_relation_rows(ma):
     def nm(v, u):
         return outer(f, v, u, size, dm * dn)
 
-    def row(plus, minus=()):
+    def row(family, plus, minus=()):
         total = [f.zero()] * size
         for op, vecs in ((f.add, plus), (f.sub, minus)):
             for vec in vecs:
                 total = [op(a, b) for a, b in zip(total, vec)]
-        return tuple((c, x) for c, x in enumerate(total) if x)
+        return family, tuple((c, x) for c, x in enumerate(total) if x)
 
     for i in range(dm):
         for j in range(dn):
             for j2 in range(dn):
-                yield row([mn(tm[i], N.c[j][j2]), mn(nm_right[i][j2], tn[j])], [mn(nm_right[i][j], tn[j2])])
-                yield row([nm(N.c[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])], [mn(nm_left[j][i], tn[j2])])
+                yield row("r1", [mn(tm[i], N.c[j][j2]), mn(nm_right[i][j2], tn[j])], [mn(nm_right[i][j], tn[j2])])
+                yield row("r4", [nm(N.c[j][j2], tm[i]), nm(tn[j], nm_right[i][j2])], [mn(nm_left[j][i], tn[j2])])
     for j in range(dn):
         for i in range(dm):
             for i2 in range(dm):
-                yield row([nm(tn[j], M.c[i][i2]), nm(mn_right[j][i2], tm[i])], [nm(mn_right[j][i], tm[i2])])
-                yield row([mn(M.c[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])], [nm(mn_left[i][j], tm[i2])])
+                yield row("r2", [nm(tn[j], M.c[i][i2]), nm(mn_right[j][i2], tm[i])], [nm(mn_right[j][i], tm[i2])])
+                yield row("r3", [mn(M.c[i][i2], tn[j]), mn(tm[i], mn_right[j][i2])], [nm(mn_left[i][j], tm[i2])])
     for i in range(dm):
         for i2 in range(dm):
             for j in range(dn):
-                yield row([mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])])
+                yield row("r5", [mn(tm[i], mn_left[i2][j]), mn(tm[i], mn_right[j][i2])])
     for j in range(dn):
         for j2 in range(dn):
             for i in range(dm):
-                yield row([nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])])
+                yield row("r6", [nm(tn[j], nm_left[j2][i]), nm(tn[j], nm_right[i][j2])])
     for i in range(dm):
         for j in range(dn):
             for i2 in range(dm):
@@ -240,10 +241,10 @@ def full_relation_rows(ma):
                     ndown, nup = mn_right[j][i], nm_left[j][i]
                     m2down, m2up = nm_right[i2][j2], mn_left[i2][j2]
                     n2down, n2up = mn_right[j2][i2], nm_left[j2][i2]
-                    yield row([mn(mdown, m2up)], [nm(mup, m2down)])
-                    yield row([mn(mdown, n2down)], [nm(mup, n2up)])
-                    yield row([mn(nup, m2up)], [nm(ndown, m2down)])
-                    yield row([mn(nup, n2down)], [nm(ndown, n2up)])
+                    yield row("r7", [mn(mdown, m2up)], [nm(mup, m2down)])
+                    yield row("r8", [mn(mdown, n2down)], [nm(mup, n2up)])
+                    yield row("r9", [mn(nup, m2up)], [nm(ndown, m2down)])
+                    yield row("r10", [mn(nup, n2down)], [nm(ndown, n2up)])
 
 
 def _abelian_diag(f):
@@ -269,13 +270,24 @@ def _relation_cases(f):
     ]
 
 
+SQUARE_FAMILIES = ("r1", "r3", "r5", "r7")
+
+
+def _full_span(ma):
+    """The span of the dense rows of all ten families."""
+    f, size = ma.m_side.field, 2 * ma.m_side.dim * ma.n_side.dim
+    return Subspace.span(f, size, [dense_vec(f, size, r) for _, r in full_relation_rows(ma)])
+
+
 class TestRelations:
     @pytest.mark.parametrize("p", [None, 1000003])
     @pytest.mark.parametrize("make, generated, nonzero, basis", [
-        (heisenberg, 76, 60, HEIS_RELATIONS),
-        (_sl2_plus_abelian, 360, 300, SL2_AB1_RELATIONS),
+        (heisenberg, 34, 26, HEIS_RELATIONS),
+        (_sl2_plus_abelian, 144, 114, SL2_AB1_RELATIONS),
     ])
     def test_relation_span_pinned(self, p, make, generated, nonzero, basis):
+        # the square path yields r1, r3, r5 and r7 only (76/60 and 360/300
+        # rows for all ten families); the RREF basis is the ten families'
         f = Field(p)
         ma = MutualActions.adjoint(make(f))
         rows = list(relation_vectors(ma))
@@ -289,12 +301,23 @@ class TestRelations:
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     def test_rows_are_the_nonzero_rows_of_the_full_enumeration(self, f):
         # only instances that are zero by sparsity are skipped: the nonzero
-        # rows, and so the RREF basis built from them, come in the same order
-        for ma in _relation_cases(f):
+        # rows, and so the RREF basis built from them, come in the same order;
+        # on a square the families are r1, r3, r5 and r7, off it all ten
+        cases = _relation_cases(f)
+        assert [tensorprod._is_square(ma) for ma in cases] == [True] * 4 + [False] * 3 + [True]
+        for ma in cases:
             rows = list(relation_vectors(ma))
             full = list(full_relation_rows(ma))
-            assert [r for r in rows if r] == [r for r in full if r]
-            assert len(rows) < len(full)
+            kept = [r for family, r in full if family in SQUARE_FAMILIES or not tensorprod._is_square(ma)]
+            assert [r for r in rows if r] == [r for r in kept if r]
+            assert len(rows) < len(kept)
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_presentation_is_the_span_of_all_ten_families(self, f):
+        # on a square the swap closure of the four families' span gives back
+        # exactly the span of all ten
+        for ma in _relation_cases(f):
+            assert build_tensor(ma).presentation.relations == _full_span(ma)
 
     def test_abelian_square_under_trivial_actions_skips_every_instance(self, evaluated):
         A = _abelian_diag(QQ)
@@ -313,6 +336,84 @@ class TestRelations:
             cols = [c for c, _ in row]
             assert cols == sorted(set(cols))
             assert all(x for _, x in row)
+
+
+def _bump(f, table, i, j, k):
+    """The table with one added at coordinate k of the value table[i][j]."""
+    rows = [list(r) for r in table]
+    rows[i][j] = tuple(f.add(x, f.one()) if c == k else x for c, x in enumerate(rows[i][j]))
+    return tuple(tuple(r) for r in rows)
+
+
+def _sides(M, L):
+    """M and L acting on each other by L's bracket table."""
+    return MutualActions(HomAction(M, L, L.c, L.c), HomAction(L, M, L.c, L.c))
+
+
+def _mutant(L, kind):
+    """The adjoint pair of L with one entry bumped: of one of the four
+    action tables, of the first side's twist or of its bracket."""
+    f, a = L.field, self_action(L)
+    rows = [list(r) for r in L.twist.entries]
+    rows[0][0] = f.add(rows[0][0], f.one())
+    return {
+        "m acting on n": MutualActions(HomAction(L, L, _bump(f, L.c, 0, 1, 2), L.c), a),
+        "n acted by m": MutualActions(HomAction(L, L, L.c, _bump(f, L.c, 0, 1, 2)), a),
+        "n acting on m": MutualActions(a, HomAction(L, L, _bump(f, L.c, 0, 1, 2), L.c)),
+        "m acted by n": MutualActions(a, HomAction(L, L, L.c, _bump(f, L.c, 0, 1, 2))),
+        "twist": _sides(replace(L, twist=Matrix.from_rows(f, rows)), L),
+        "bracket": _sides(replace(L, c=_bump(f, L.c, 0, 1, 2)), L),
+        "bracket at (h, h)": _sides(replace(L, c=_bump(f, L.c, 2, 2, 2)), L),
+    }[kind]
+
+
+def _outcome(ma):
+    """The relations of the tensor product, or the failure building it."""
+    try:
+        return build_tensor(ma).presentation.relations
+    except MathFailure as e:
+        return type(e), str(e), e.witness
+
+
+class TestSquarePath:
+    """A pair one entry away from a square must leave the square path."""
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("make", [_sl2_diag, heisenberg], ids=["twisted sl2", "heisenberg"])
+    @pytest.mark.parametrize("kind", ["m acting on n", "n acted by m", "n acting on m", "m acted by n",
+                                      "twist", "bracket", "bracket at (h, h)"])
+    def test_one_entry_off_a_square(self, f, make, kind, monkeypatch):
+        ma = _mutant(make(f), kind)
+        assert tensorprod._is_square(MutualActions.adjoint(make(f)))
+        assert not tensorprod._is_square(ma)
+        generated = []
+        real = tensorprod.relation_vectors
+        monkeypatch.setattr(tensorprod, "relation_vectors", lambda m: generated.append(m) or real(m))
+        got = _outcome(ma)
+        # the ten-family build: the same checks in the same order, on the
+        # relations of the dense enumeration of all ten families
+        monkeypatch.setattr(tensorprod, "relation_vectors", lambda m: (r for _, r in full_relation_rows(m)))
+        assert got == _outcome(ma)
+        if isinstance(got, Subspace):
+            assert got == _full_span(ma)
+        elif got[0] is IncompatibleActions:
+            assert generated == []  # refused before any row is generated
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_full_ideal_pairs_take_the_square_path(self, f, monkeypatch):
+        # the full ideal is a subalgebra object distinct from L with L's
+        # data, so all four tensor products of its sequence are squares
+        stated = []
+        real = tensorprod.law_rows
+        monkeypatch.setattr(tensorprod, "law_rows", lambda field, groups: stated.append(
+            [law[0] for _, laws in groups for law in laws]) or real(field, groups))
+        L = _sl2_diag(f)
+        data = ideal_sequence_certificate(L, IdealHandle(L, Subspace.full(f, 3)))
+        assert data.report.ok
+        assert data.t_ml.m_side is not data.t_ml.n_side and data.t_lm.m_side is not data.t_lm.n_side
+        assert stated == [list(SQUARE_FAMILIES)] * 4
+        for t in (data.t_ml, data.t_lm, data.t_ll):
+            assert t.presentation.relations == _full_span(t.actions)
 
 
 def _square_parts(L):
