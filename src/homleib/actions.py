@@ -299,24 +299,7 @@ def semidirect(action: HomAction) -> SemidirectProduct:
 def reconstructed_action(sd: SemidirectProduct) -> HomAction:
     """Action read back from a split extension: x acts on m through the
     bracket of the section and inclusion images inside the total algebra."""
-    M, L = sd.include.source, sd.project.target
-    K = sd.algebra
-
-    def down(v):
-        q = sd.include.map.preimage(v)
-        if q is None:
-            raise InvalidAction("bracket value leaves the kernel summand", witness=(v,))
-        return q
-
-    left = tuple(
-        tuple(down(K.bracket(sd.section.map.col(x), sd.include.map.col(m)))
-              for m in range(M.dim))
-        for x in range(L.dim))
-    right = tuple(
-        tuple(down(K.bracket(sd.include.map.col(m), sd.section.map.col(x)))
-              for x in range(L.dim))
-        for m in range(M.dim))
-    return HomAction(L, M, left, right)
+    return bracket_action(sd.algebra, (sd.project.target, sd.section), (sd.include.source, sd.include))
 
 
 def bracket_mutual(parent: HomLeibnizAlgebra, first, second) -> MutualActions:

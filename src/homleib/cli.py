@@ -18,10 +18,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import MathFailure, UsageError
+from .errors import MathFailure, ParseError, UsageError
 from .actions import MutualActions, semidirect
 from .algebras import (
-    HomLeibnizAlgebra,
     IdealHandle,
     center,
     derived_subspace,
@@ -33,6 +32,7 @@ from .documents import (
     ActionDocument,
     AlgebraDocument,
     parse_document,
+    parse_json,
     serialize_algebra,
 )
 from .extensions import (
@@ -127,7 +127,7 @@ def cmd_lieize(args) -> dict:
 
 def cmd_twist(args) -> dict:
     doc = _load_algebra(args.file, kinds=("leibniz",))
-    base = HomLeibnizAlgebra(doc.field, doc.dim, doc.table, doc.alpha, doc.basis)
+    base = doc.build()
     endo_doc = _load_algebra(args.endo, kinds=("leibniz", "hom-leibniz"))
     if endo_doc.dim != doc.dim:
         raise UsageError("endomorphism document has a different dimension")
@@ -243,8 +243,8 @@ def _parse_ideal(alg, text: str) -> Subspace:
     if text == "full":
         return Subspace.full(alg.field, alg.dim)
     try:
-        rows = json.loads(text)
-    except json.JSONDecodeError:
+        rows = parse_json(text, "--ideal")
+    except ParseError:
         raise UsageError("--ideal must be 'zero', 'full' or a JSON list of vectors") from None
     if not isinstance(rows, list):
         raise UsageError("--ideal must be a JSON list of coordinate vectors")

@@ -228,14 +228,17 @@ def load_json(path: Path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_json(text, path)
+
+
+def parse_json(text: str, where):
+    """The value of a JSON text, or ParseError naming ``where``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
-        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+        raise ParseError(f"{where}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # malformed, or an integer literal past Python's digit limit
+        raise ParseError(f"{where}: invalid JSON ({exc})") from None
 
 
 def parse_document(path: Path):

@@ -10,9 +10,9 @@ boundary sends a (x) b (x) c to  ab (x) t(c) - t(a) (x) bc + ca (x) t(b).
 The quotient of A (x) A by its image carries a Hom-Leibniz bracket
 (commutator in each leg) and a map phi onto the commutator subspace [A, A];
 the kernel of phi is the first Hochschild homology.  The Milnor-type
-variant divides A (x) A by two further commutator-shaped families, stated
-as ``linalg.law_rows`` data on pure tensors.  The boundary itself stays a
-map with one column per basis triple, zero columns included.  The
+variant divides A (x) A by two further commutator-shaped families.  The
+boundary family and the Milnor families are ``linalg.law_rows`` data on
+pure tensors, and every reader spans or tests their rows.  The
 exact-sequence certificate ties all of these together through three tensor
 products and a snake construction, with every joint checked by exact rank
 arithmetic.
@@ -158,34 +158,28 @@ def to_leibniz(A: HomAssociativeAlgebra) -> HomLeibnizAlgebra:
     return HomLeibnizAlgebra(A.field, A.dim, table, A.twist, A.labels)
 
 
-def hochschild_boundary(A: HomAssociativeAlgebra) -> Matrix:
-    """The degree-three boundary A (x) A (x) A -> A (x) A, columns over basis
-    triples in row-major order."""
-    f = A.field
-    size = A.dim * A.dim
-    shapes = _boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, size))
-    return Matrix.from_columns(f, size, shapes)
+def boundary_rows(A: HomAssociativeAlgebra, table, square: bool = False):
+    """Yield the boundary family
+        p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b)
+    over basis triples (a, b, c) as ``linalg.law_rows`` rows, for the sparse
+    bilinear table p: in the block A (x) A, or with ``square`` in both blocks
+    of a tensor square, the second at offset n * n, in turn at each triple.
+    The image of the degree-three Hochschild boundary is the span of the
+    rows with p the product."""
+    f, n, tw = A.field, A.dim, A.sparse_twist
 
+    def law(tens):
+        return ("boundary", (), [(tens, (table, 0, 1), (tw, 2)), (tens, (table, 2, 0), (tw, 1))],
+                [(tens, (tw, 0), (table, 1, 2))])
 
-def _boundary_shapes(A: HomAssociativeAlgebra, table, tens):
-    """p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b) over basis triples
-    (a, b, c) in row-major order, for the bilinear map p with values
-    table[i][j] on basis pairs and the pure-tensor embedding ``tens``."""
-    f = A.field
-    n = A.dim
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = vec_sub(f, tens(table[a][b], tw[c]), tens(tw[a], table[b][c]))
-                yield vec_add(f, v, tens(table[c][a], tw[b]))
+    mn = law(tensor_table(f, n, n))
+    return law_rows(f, [((n, n, n), [mn, law(tensor_table(f, n, n, n * n))] if square else [mn])])
 
 
 @dataclass(frozen=True)
 class HochschildModule:
     parent: HomAssociativeAlgebra
     commutator_algebra: HomLeibnizAlgebra   # A with the commutator bracket
-    boundary: Matrix                        # degree-three Hochschild boundary
     presentation: QuotientSpace             # A (x) A modulo the boundary image
     algebra: HomLeibnizAlgebra              # the quotient with its bracket and twist
     phi: Matrix                             # quotient -> A, class of a (x) b to ab - ba
@@ -206,10 +200,8 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     on the quotient is certified."""
     f = A.field
     n = A.dim
-    size = n * n
     lb = to_leibniz(A)
-    b3 = hochschild_boundary(A)
-    pres = QuotientSpace(b3.image())
+    pres = QuotientSpace(Subspace.span_sparse(f, n * n, boundary_rows(A, A.sparse_p)))
     fold = lb.bracket_map()
     # phi is the fold on classes, so the fold must kill the boundary image;
     # the bracket factors through it on both legs
@@ -220,17 +212,15 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     comm_space = derived_subspace(lb)
     if phi.image() != comm_space:
         raise InternalInconsistency("evaluation image differs from the commutator subspace")
-    return HochschildModule(A, lb, b3, pres, algebra, phi, comm_space)
+    return HochschildModule(A, lb, pres, algebra, phi, comm_space)
 
 
 def cyclic_identity_holds(h: HochschildModule) -> bool:
     """[a,b] (x) t(c) - t(a) (x) [b,c] + [c,a] (x) t(b) lies in the boundary
     image, for all basis triples."""
-    A = h.parent
-    f = A.field
-    size = A.dim * A.dim
-    shapes = _boundary_shapes(A, h.commutator_algebra.c, lambda u, v: outer(f, u, v, size))
-    return all(h.presentation.relations.contains(v) for v in shapes)
+    A, rel = h.parent, h.presentation.relations
+    return all(rel.contains(dense_vec(A.field, rel.ambient_dim, r))
+               for r in boundary_rows(A, h.commutator_algebra.sparse_c))
 
 
 def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
@@ -252,10 +242,10 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     t = build_tensor(MutualActions.adjoint(h.commutator_algebra))
     T = t.algebra
 
-    # ideal generated by the boundary shapes, through both generator blocks,
+    # ideal generated by the boundary family in both generator blocks,
     # inside the tensor square
-    shapes = zip(_boundary_shapes(A, A.p, t.embed_mn), _boundary_shapes(A, A.p, t.embed_nm))
-    ideal = ideal_closure(T, (t.presentation.project(v) for pair in shapes for v in pair))
+    ideal = ideal_closure(T, (t.presentation.project(dense_vec(f, t.ambient_dim, r))
+                              for r in boundary_rows(A, A.sparse_p, square=True)))
 
     quot, _ = quotient_algebra(T, IdealHandle(T, ideal))
     if quot.dim != h.algebra.dim:
@@ -412,26 +402,15 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     t_ac = build_tensor(bracket_mutual(lb, (lb, id_a), (C_sub, incl_c)))
     rep.dims["tensor with commutator"] = t_ac.algebra.dim
 
-    # first homology as an abelian algebra with restricted twist, trivial actions
+    # first homology: H = ker phi brackets to zero, as the quotient bracket
+    # factors through phi, and the twist keeps H, as phi commutes with the
+    # twist on a multiplicative A
     H_space = h.first_homology()
-    hdim = H_space.dim
-    h_twist_cols = []
-    for v in H_space.basis.entries:
-        q = H_space.coordinates(h.algebra.apply_twist(v))
-        if q is None:
-            raise InternalInconsistency("twist does not preserve the first homology")
-        h_twist_cols.append(q)
-    H_alg = HomLeibnizAlgebra(
-        f, hdim,
-        tuple(tuple(vec_zero(f, hdim) for _ in range(hdim)) for _ in range(hdim)),
-        Matrix.from_columns(f, hdim, h_twist_cols),
-        tuple(f"z{i + 1}" for i in range(hdim)))
-    ma_h = MutualActions.trivial(lb, H_alg)
-    t_ah = build_tensor(ma_h)
+    H_alg, incl_h = subalgebra(h.algebra, H_space, "z")
+    t_ah = build_tensor(MutualActions.trivial(lb, H_alg))
     rep.dims["tensor with first homology"] = t_ah.algebra.dim
 
     # row maps: include the homology, then evaluate through phi
-    incl_h = AlgebraHom(H_alg, h.algebra, H_space.basis.transpose())
     rep.check("homology includes as a homomorphism", incl_h.is_homomorphism())
 
     def in_c(v, message):
@@ -492,7 +471,7 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.check("kernels map onward", all(k_c.contains(c) for c in im_k_cols))
 
     # connecting map into the homology
-    delta = connecting_map(k_c, big_g.map, col_q.map, H_space.coordinates, hdim)
+    delta = connecting_map(k_c, big_g.map, col_q.map, H_space.coordinates, H_alg.dim)
     rep.check("connecting lifts exist", delta is not None)
     if delta is None:
         return rep

@@ -398,6 +398,19 @@ class TestCli:
         assert code == 0
         assert checked == [Subspace.full(QQ, 3)]
 
+    @pytest.mark.parametrize("text", ["[" * 50000, "[[" + "7" * 5000 + ", 0, 0]]"],
+                             ids=["nested", "long-integer"])
+    def test_unreadable_ideal_exits_two(self, docs, capsys, text):
+        # the option is read through the documents' JSON error mapping; the
+        # integer is past Python's default digit limit, 4300, pinned here
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["six-term", docs["sl2"], "--ideal", text, "--json"]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err == "error: --ideal must be 'zero', 'full' or a JSON list of vectors\n"
+
     def test_render_witness(self):
         assert render_witness(("twist", (Fraction(1, 2), Fraction(4), 0), "e")) == \
             "('twist', (1/2, 4, 0), 'e')"

@@ -236,27 +236,35 @@ def test_laws_are_data():
 
 
 WRAPPER_NAMES = ("LinearMap", "twist_map", "domain_dim", "codomain_dim")
+DENSE_BOUNDARY_NAMES = ("hochschild_boundary", "_boundary_shapes")
 
 
-def _names_wrapper(node):
-    names = (getattr(node, attr, None) for attr in ("id", "attr", "name", "arg"))
-    return any(name in WRAPPER_NAMES for name in names)
+def _names(names):
+    return lambda node: any(getattr(node, attr, None) in names for attr in ("id", "attr", "name", "arg"))
 
 
 def test_one_linear_map_type():
     # a Matrix is the one linear-map type and its shape the only record of a
     # map's domain and codomain: no module wraps it or states the shape again
-    found = _library_sites(_names_wrapper)
+    found = _library_sites(_names(WRAPPER_NAMES))
     assert found == [], found
 
 
-RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce")
+def test_no_dense_hochschild_boundary():
+    # every reader of the degree-three boundary spans or tests the rows of
+    # homassoc.boundary_rows: no module builds it as a dense map
+    found = _library_sites(_names(DENSE_BOUNDARY_NAMES))
+    assert found == [], found
+
+
+RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce", "boundary_rows")
 
 
 def test_relation_families_are_law_data():
-    # the tensor, Milnor and alpha-presentation relations are stated as data
-    # for linalg.law_rows, which decides by check_laws' own support rule
-    # which instances can be nonzero: no family loops over basis tuples
+    # the tensor, Milnor, alpha-presentation and Hochschild boundary
+    # relations are stated as data for linalg.law_rows, which decides by
+    # check_laws' own support rule which instances can be nonzero: no
+    # family loops over basis tuples
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     seen, found = set(), []
     for path in sorted(src.glob("*.py")):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -11,16 +13,16 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
-from homleib.linalg import Matrix, vec_is_zero
+from homleib.linalg import Matrix, outer, sparse_vec, vec_add, vec_is_zero, vec_sub
 from homleib.algebras import derived_subspace
 from homleib.homassoc import (
     HomAssociativeAlgebra,
     alpha_identity_holds,
     alpha_identity_witness,
     boundary_ideal_agreement,
+    boundary_rows,
     cyclic_identity_holds,
     first_homologies,
-    hochschild_boundary,
     hochschild_module,
     milnor_relations,
     sequence_check,
@@ -29,6 +31,25 @@ from homleib.homassoc import (
 )
 
 QQ = Field()
+GFP = Field(1000003)
+
+
+def boundary_shapes(A, table, tens):
+    """The dense reference for ``homassoc.boundary_rows``: the vectors
+    p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b) over basis triples
+    (a, b, c) in row-major order, zero ones included, for the bilinear map p
+    with values table[i][j] and the pure-tensor embedding ``tens``."""
+    f = A.field
+    tw = [A.twist.col(i) for i in range(A.dim)]
+    return [vec_add(f, vec_sub(f, tens(table[a][b], tw[c]), tens(tw[a], table[b][c])), tens(table[c][a], tw[b]))
+            for a, b, c in product(range(A.dim), repeat=3)]
+
+
+def hochschild_boundary(A):
+    """The degree-three boundary A (x) A (x) A -> A (x) A as a dense matrix,
+    columns over basis triples in row-major order."""
+    size = A.dim * A.dim
+    return Matrix.from_columns(A.field, size, boundary_shapes(A, A.p, lambda u, v: outer(A.field, u, v, size)))
 
 
 def oracle_boundary_rank(A):
@@ -151,14 +172,14 @@ class TestHochschildModule:
         h = hochschild_module(dual_numbers)
         rank = oracle_boundary_rank(dual_numbers)
         assert rank == 3
-        assert h.boundary.rank() == rank
+        assert h.presentation.relations.dim == rank
         assert h.algebra.dim == 4 - rank == 1
 
     def test_upper_triangular_evaluation(self, upper_triangular):
         h = hochschild_module(upper_triangular)
         assert h.phi.rank() == 1
         assert h.commutator_space.dim == 1
-        assert h.boundary.rank() == oracle_boundary_rank(upper_triangular)
+        assert h.presentation.relations.dim == oracle_boundary_rank(upper_triangular)
 
     def test_command_boundary_rank_against_oracle(self, dual_numbers, upper_triangular, tmp_path, capsys):
         # the command reads the rank off the presentation's relations
@@ -293,3 +314,103 @@ class TestSequence:
         # module: a stand-in holding only the algebra raises the same
         with pytest.raises(AlphaIdentityFails):
             sequence_check(SimpleNamespace(parent=scaled))
+
+
+def _block_sum(a, b):
+    """a + b with the product and twist of each on its own summand."""
+    f, n = a.field, a.dim + b.dim
+    prods = {(i, j): dict(enumerate(a.p[i][j])) for i in range(a.dim) for j in range(a.dim)}
+    prods |= {(a.dim + i, a.dim + j): {a.dim + k: x for k, x in enumerate(b.p[i][j])}
+              for i in range(b.dim) for j in range(b.dim)}
+    tw = [[f.zero()] * n for _ in range(n)]
+    for m, off in ((a, 0), (b, a.dim)):
+        for i in range(m.dim):
+            for j in range(m.dim):
+                tw[off + i][off + j] = m.twist.entries[i][j]
+    return HomAssociativeAlgebra.from_products(
+        f, n, prods, Matrix.from_rows(f, tw),
+        labels=tuple(x + ".1" for x in a.labels) + tuple(x + ".2" for x in b.labels))
+
+
+def _boundary_cases(f):
+    """(name, algebra, valid algebra) for the dual numbers, upper
+    triangular, gl2 and mixed algebras and their twisted forms, each its
+    own valid algebra, and for each of those with one product or twist
+    entry bumped."""
+    def diag(*xs):
+        return Matrix.from_rows(f, [[x if i == j else 0 for j in range(len(xs))] for i, x in enumerate(xs)])
+
+    half = f.div(f.one(), f.from_int(2))
+    dual = HomAssociativeAlgebra.from_products(f, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                                               labels=("1", "x"))
+    ut = HomAssociativeAlgebra.from_products(
+        f, 3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}, labels=("e11", "e12", "e22"))
+    gl2 = HomAssociativeAlgebra.from_products(
+        f, 4, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {0: 1}, (1, 3): {1: 1},
+               (2, 0): {2: 1}, (2, 1): {3: 1}, (3, 2): {2: 1}, (3, 3): {3: 1}},
+        labels=("e11", "e12", "e21", "e22"))
+    # x -> -x, and conjugation by diag(1, 2) on the matrix algebras
+    t_dual, t_ut, t_gl2 = (yau_twist_assoc(dual, diag(1, -1)), yau_twist_assoc(ut, diag(1, 2, 1)),
+                           yau_twist_assoc(gl2, diag(1, 2, half, 1)))
+    valid = [("dual", dual), ("ut", ut), ("gl2", gl2), ("mixed", _block_sum(ut, t_dual)),
+             ("twisted dual", t_dual), ("twisted ut", t_ut), ("twisted gl2", t_gl2),
+             ("twisted mixed", _block_sum(t_ut, t_dual))]
+    bumped = []
+    for k, (name, A) in enumerate(valid):
+        if k % 2:  # bump the twist's entry at (0, 1)
+            rows = [list(r) for r in A.twist.entries]
+            rows[0][1] = f.add(rows[0][1], f.one())
+            bumped.append((f"{name}, twist bumped", replace(A, twist=Matrix.from_rows(f, rows)), A))
+        else:  # bump the first coordinate of e1 e2
+            p = [list(r) for r in A.p]
+            p[1][0] = (f.add(p[1][0][0], f.one()), *p[1][0][1:])
+            bumped.append((f"{name}, product bumped", replace(A, p=tuple(map(tuple, p))), A))
+    return [(name, A, A) for name, A in valid] + bumped
+
+
+BOUNDARY_CASES = [(f, *case) for f in (QQ, GFP) for case in _boundary_cases(f)]
+BOUNDARY_IDS = [f"{'Q' if f is QQ else 'GF(1000003)'}:{name}" for f, name, *_ in BOUNDARY_CASES]
+
+
+class TestBoundaryRows:
+    """The boundary family as law data against the dense reference
+    ``hochschild_boundary``: valid algebras, their twisted forms and bumped
+    entries, over Q and GF(1000003)."""
+
+    @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_rows_are_the_nonzero_columns_in_order(self, f, name, A, valid):
+        size = A.dim * A.dim
+        single = lambda u, v: outer(f, u, v, size)
+        lb = to_leibniz(A)
+        assert [r for r in boundary_rows(A, A.sparse_p) if r] == \
+            [sparse_vec(c) for c in hochschild_boundary(A).transpose().entries if any(c)]
+        assert [r for r in boundary_rows(A, lb.sparse_c) if r] == \
+            [sparse_vec(c) for c in boundary_shapes(A, lb.c, single) if any(c)]
+        # both blocks of a tensor square, the second at offset n * n, in turn
+        pairs = zip(boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, 2 * size)),
+                    boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, 2 * size, size)))
+        assert [r for r in boundary_rows(A, A.sparse_p, square=True) if r] == \
+            [sparse_vec(c) for pair in pairs for c in pair if any(c)]
+
+    @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_presentation_is_the_span_of_the_columns(self, f, name, A, valid):
+        assert A.validate().valid is (A is valid)
+        image = hochschild_boundary(A).image()
+        fold = to_leibniz(A).bracket_map()
+        if all(vec_is_zero(f, fold.apply(v)) for v in image.basis.entries):
+            assert hochschild_module(A).presentation.relations == image
+        else:  # a bumped entry whose commutator fold does not kill the image
+            with pytest.raises(InternalInconsistency, match="evaluation does not kill the boundary image"):
+                hochschild_module(A)
+
+    @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_cyclic_identity_agrees_with_dense_membership(self, f, name, A, valid):
+        # the module of the valid algebra, read with the case's twist and
+        # commutator algebra, so that a bumped entry can break the identity
+        lb = to_leibniz(A)
+        h = replace(hochschild_module(valid), parent=A, commutator_algebra=lb)
+        size = A.dim * A.dim
+        dense = all(h.presentation.relations.contains(v)
+                    for v in boundary_shapes(A, lb.c, lambda u, v: outer(f, u, v, size)))
+        assert cyclic_identity_holds(h) is dense
+        assert dense or A is not valid
