@@ -25,6 +25,7 @@ from .linalg import (
     check_laws,
     contract,
     induced_map,
+    sparse_vec,
     vec_add,
     vec_zero,
 )
@@ -158,8 +159,7 @@ def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, co
     left, right = [], []
     for a in range(actor.dim):
         for maps, cols in zip((left, right), columns(a)):
-            amap = Matrix.from_columns(actor.field, pres.ambient_dim, cols)
-            maps.append(induced_map(amap, pres, pres, error))
+            maps.append(induced_map([sparse_vec(c) for c in cols], pres, pres, error))
     return HomAction(actor, target, tuple(m.transpose().entries for m in left),
                      tuple(tuple(m.col(k) for m in right) for k in range(target.dim)))
 

@@ -44,13 +44,13 @@ from .linalg import (
     contract,
     dense_vec,
     induced_map,
-    outer,
+    linear,
     sparse_columns,
+    sparse_outer,
     sparse_table,
     sparse_vec,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_zero,
 )
 from .report import ValidationReport
@@ -94,6 +94,14 @@ class HomLeibnizAlgebra:
     @staticmethod
     def abelian(field: Field, dim: int, twist=None, labels=None) -> "HomLeibnizAlgebra":
         return HomLeibnizAlgebra.from_brackets(field, dim, {}, twist, labels)
+
+    @staticmethod
+    def from_sparse(field: Field, dim: int, table, twist: Matrix, labels) -> "HomLeibnizAlgebra":
+        """The algebra whose ``sparse_c`` is ``table``, its dense table built from it."""
+        alg = HomLeibnizAlgebra(field, dim, tuple(tuple(dense_vec(field, dim, v) for v in row) for row in table),
+                                twist, tuple(labels))
+        alg.__dict__["sparse_c"] = table
+        return alg
 
     # the bracket table and twist columns in the one sparse form, built once
     sparse_c = cached_property(lambda self: sparse_table(self.c))
@@ -241,21 +249,25 @@ class IdealHandle:
 
 
 def commutator(h: IdealHandle, k: IdealHandle) -> Subspace:
-    """Span of all brackets [h, k] and [k, h] over bases of the two subspaces."""
+    """Span of all brackets [h, k] and [k, h] over bases of the two
+    subspaces; on one subspace, each ordered pair of basis vectors once."""
     if h.parent != k.parent:
         raise ParentMismatch("commutator of ideals of different algebras")
     L = h.parent
-    vecs = []
-    for a in h.space.basis.entries:
-        for b in k.space.basis.entries:
-            vecs.append(L.bracket(a, b))
-            vecs.append(L.bracket(b, a))
+    hs, ks = h.space.basis.entries, k.space.basis.entries
+    vecs = [L.bracket(a, b) for a in hs for b in ks]
+    if h.space != k.space:
+        vecs += [L.bracket(b, a) for a in hs for b in ks]
     return Subspace.span(L.field, L.dim, vecs)
 
 
 def derived_subspace(L: HomLeibnizAlgebra) -> Subspace:
-    full = IdealHandle(L, Subspace.full(L.field, L.dim))
-    return commutator(full, full)
+    """The span of the brackets of basis vectors, read off ``sparse_c``."""
+    return Subspace.span_sparse(L.field, L.dim, [v for row in L.sparse_c for v in row])
+
+
+def is_perfect(L: HomLeibnizAlgebra) -> bool:
+    return derived_subspace(L).dim == L.dim
 
 
 def center(L: HomLeibnizAlgebra) -> Subspace:
@@ -277,42 +289,42 @@ def quotient_algebra(L: HomLeibnizAlgebra, ideal: IdealHandle):
         raise ParentMismatch("ideal of a different algebra")
     ideal.require_ideal()
     q = QuotientSpace(ideal.space)
-    reps = [q.lift_unit(k) for k in range(q.dim)]
-    table = tuple(tuple(q.project(L.bracket(ra, rb)) for rb in reps) for ra in reps)
+    gens = q.coset_basis
+    table = tuple(tuple(q.project_sparse(L.sparse_c[a][b]) for b in gens) for a in gens)
     twist = induced_map(L.twist, q, q)
-    labels = tuple(L.labels[c] for c in q.coset_basis)
-    quot = HomLeibnizAlgebra(L.field, q.dim, table, twist, labels)
+    quot = HomLeibnizAlgebra.from_sparse(L.field, q.dim, table, twist, [L.labels[c] for c in gens])
     proj = AlgebraHom(L, quot, q.projection_map())
     return quot, proj
 
 
 def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
-                       twist_amb: Matrix, labels) -> HomLeibnizAlgebra:
+                       twist_amb, labels) -> HomLeibnizAlgebra:
     """The algebra on ``pres`` whose bracket factors as the pure tensor
     [x, y] = left(x) (x) right(y) in the row-major ambient space, with the
-    twist ``induced_map`` certifies from ``twist_amb``, and the quotient
-    generators named by ``labels``.
+    twist ``induced_map`` certifies from ``twist_amb`` (a ``Matrix`` or its
+    sparse columns), and the quotient generators named by ``labels``.
 
     A relation row that ``left`` and ``right`` both kill brackets to zero
     with every generator; any other row r must bracket into the relations
     with every generator on both sides (``BracketNotWellDefined``, witness
-    (r,)).  The projected algebra is then validated.
+    (r,)).  Rows, columns and brackets are sparse, and the bracket table is
+    the algebra's sparse table.  The projected algebra is then validated.
     """
     f = pres.field
-    ambient = pres.ambient_dim
     relations = pres.relations
     twist = induced_map(twist_amb, pres, pres)
-    for r in relations.basis.entries:
-        left_r, right_r = left.apply(r), right.apply(r)
-        if vec_is_zero(f, left_r) and vec_is_zero(f, right_r):
+    lc, rc, stride = left.sparse_cols, right.sparse_cols, right.rows
+    for r, row in zip(relations.basis.entries, relations.sparse_rows):
+        left_r, right_r = linear(f, lc, row), linear(f, rc, row)
+        if not (left_r or right_r):
             continue
-        for k in range(ambient):
-            if not relations.contains(outer(f, left_r, right.col(k), ambient)) or \
-               not relations.contains(outer(f, left.col(k), right_r, ambient)):
+        for k in range(pres.ambient_dim):
+            if not relations.contains_sparse(sparse_outer(f, left_r, rc[k], stride)) or \
+               not relations.contains_sparse(sparse_outer(f, lc[k], right_r, stride)):
                 raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
-    gens = [(left.col(a), right.col(a)) for a in pres.coset_basis]
-    table = tuple(tuple(pres.project(outer(f, x, y, ambient)) for _, y in gens) for x, _ in gens)
-    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist, tuple(labels))
+    gens = pres.coset_basis
+    table = tuple(tuple(pres.project_sparse(sparse_outer(f, lc[a], rc[b], stride)) for b in gens) for a in gens)
+    algebra = HomLeibnizAlgebra.from_sparse(f, pres.dim, table, twist, labels)
     algebra.validate().require(lambda v: InternalInconsistency(
         f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))
     return algebra
@@ -343,7 +355,7 @@ def twist_image_bracket_span(L: HomLeibnizAlgebra) -> Subspace:
 
 def predicates(L: HomLeibnizAlgebra) -> Predicates:
     return Predicates(
-        perfect=derived_subspace(L).dim == L.dim,
+        perfect=is_perfect(L),
         alpha_perfect=twist_image_bracket_span(L).dim == L.dim,
         alpha_surjective=L.twist.rank() == L.dim,
         abelian=L.is_abelian(),

@@ -32,7 +32,7 @@ from .algebras import (
     certified_quotient,
     commutator,
     default_labels,
-    predicates,
+    is_perfect,
     subalgebra,
     twist_image_bracket_span,
 )
@@ -108,7 +108,7 @@ class UniversalCentralExtension:
 
 def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtension:
     """The tensor square of a perfect algebra over itself, with x*y -> [x, y]."""
-    if not predicates(L).perfect:
+    if not is_perfect(L):
         raise NotPerfect("the algebra does not equal its own bracket span")
     t = build_tensor(MutualActions.adjoint(L))
     psi = commutator_map(t)
@@ -230,7 +230,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     a twist-stable two-sided ideal raises before a non-perfect algebra does.
     """
     ideal = IdealHandle(L, ideal_space).require_ideal()
-    if not predicates(L).perfect:
+    if not is_perfect(L):
         raise NotPerfect("six-term certificate requires a perfect algebra")
     f = L.field
     data = ideal_sequence_certificate(L, ideal)

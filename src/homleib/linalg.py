@@ -35,20 +35,24 @@ presentations:
   each instance whose sum is nonzero; ``law_rows``, the one relation
   generator, yields each sum as a sparse row;
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
-  table, so a relation term u (x) v is a bilinear term; ``outer`` embeds a
-  dense pure tensor in such a block, and ``Matrix.kron`` is the map
-  u (x) v -> f(u) (x) g(v) of two maps;
+  table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
+  is the pure tensor of two sparse vectors in such a block (``outer`` its
+  dense form), and ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
-  between a dense vector and its nonzero (index, value) pairs;
-* ``Subspace.coordinates`` reads a vector's coordinates off the RREF basis
-  and ``Matrix.preimage`` reads a solution off the factor and rechecks
-  it; both return None for a vector outside the subspace or image, and each
+  between a dense vector and its nonzero (index, value) pairs, and a
+  ``Matrix`` keeps its ``sparse_cols`` once built;
+* ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
+  lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
+  sparse ``contains_sparse`` and ``project_sparse`` read it.
+  ``Matrix.preimage`` reads a solution off the factor and rechecks it; it
+  and ``coordinates`` return None off the image or subspace, and each
   caller raises its own error;
 * ``induced_map`` is the one descent certificate, and every map out of a
-  presentation is one: it checks that the ambient map carries each relation
-  row into the target's relations, raising ``error(r, w)`` for the first row
-  r whose image w does not, then projects the image of each coset
-  generator.  A map into a plain space has the relation-free target
+  presentation is one: it checks that the ambient map, a ``Matrix`` or
+  its sparse columns, carries each sparse relation row into the target's
+  relations, raising ``error(r, w)`` (both dense) for the first row r
+  whose image w does not, then projects each coset generator's column.
+  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
 * ``connecting_map`` is the snake map of an exactness certificate: lift
   along a row map, push down a column map, read in the target.
@@ -110,7 +114,7 @@ def sparse_table(table) -> tuple:
 
 def sparse_columns(m: Matrix) -> tuple:
     """The columns of a matrix, each as its nonzero (k, value) pairs."""
-    return tuple(sparse_vec(c) for c in m.transpose().entries)
+    return m.sparse_cols
 
 
 def linear(field: Field, cols, u) -> list:
@@ -322,19 +326,17 @@ def _support(k: int, dims, laws, legs):
     return run
 
 
+def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:
+    """The pure tensor u (x) v of sparse vectors as sparse pairs: u_i v_j
+    sits at offset + i * stride + j, stride being the second leg's length."""
+    mul = field.mul
+    return [(offset + i * stride + j, mul(x, y)) for i, x in u for j, y in v]
+
+
 def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:
-    """The pure tensor u (x) v in a coordinate space of the given size:
-    u_i v_j sits at offset + i * len(v) + j, every other coordinate is zero."""
-    out = [field.zero()] * size
-    stride = len(v)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        base = offset + i * stride
-        for j, vj in enumerate(v):
-            if vj:
-                out[base + j] = field.mul(ui, vj)
-    return tuple(out)
+    """The pure tensor u (x) v of dense vectors in a coordinate space of the
+    given size, every coordinate off ``sparse_outer`` zero."""
+    return dense_vec(field, size, sparse_outer(field, sparse_vec(u), sparse_vec(v), len(v), offset))
 
 
 @dataclass(frozen=True)
@@ -365,6 +367,11 @@ class Matrix:
         return Matrix(field, rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
     @staticmethod
+    def from_sparse_columns(field: Field, rows: int, columns) -> "Matrix":
+        """The map whose column j has the (k, value) pairs columns[j]."""
+        return Matrix.from_columns(field, rows, [dense_vec(field, rows, c) for c in columns])
+
+    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, tuple((field.zero(),) * cols for _ in range(rows)))
 
@@ -377,6 +384,9 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.cols, self.entries)
+
+    # the columns, each as its nonzero (k, value) pairs, built once
+    sparse_cols = cached_property(lambda self: tuple(sparse_vec(c) for c in self.transpose().entries))
 
     def apply(self, v) -> tuple:
         if len(v) != self.cols:
@@ -415,9 +425,8 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """The map u (x) v -> self(u) (x) other(v) of row-major tensor spaces."""
         f = self.field
-        size = self.rows * other.rows
-        return Matrix.from_columns(f, size, [outer(f, u, v, size) for u in self.transpose().entries
-                                             for v in other.transpose().entries])
+        return Matrix.from_sparse_columns(f, self.rows * other.rows, [
+            sparse_outer(f, u, v, other.rows) for u in self.sparse_cols for v in other.sparse_cols])
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -574,6 +583,13 @@ class RrefAccumulator:
         self.rows[pivot] = sv
         return True
 
+    def add_rows(self, rows) -> None:
+        """Add sparse rows in order; an empty row, and a row equal to one
+        earlier in ``rows``, adds nothing and is not eliminated."""
+        for row in dict.fromkeys(rows):
+            if row:
+                self.add(row)
+
     def basis_matrix(self) -> Matrix:
         rows = tuple(dense_vec(self.field, self.ambient_dim, self.rows[pc].items())
                      for pc in sorted(self.rows))
@@ -588,20 +604,17 @@ class Subspace:
     # cached echelon data; identity is determined by the basis alone
     _pivots: tuple = dc_field(init=False, compare=False, repr=False)
     sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
+    _rows: dict = dc_field(init=False, compare=False, repr=False)  # pivot -> the row's other pairs
 
     @property
     def ambient_dim(self) -> int:
         return self.basis.cols
 
     def __post_init__(self):
-        pivots = []
-        sparse = []
-        for r in self.basis.entries:
-            support = sparse_vec(r)
-            sparse.append(support)
-            pivots.append(support[0][0] if support else -1)
-        object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "sparse_rows", tuple(sparse))
+        sparse = tuple(map(sparse_vec, self.basis.entries))
+        object.__setattr__(self, "sparse_rows", sparse)
+        object.__setattr__(self, "_pivots", tuple(r[0][0] if r else -1 for r in sparse))
+        object.__setattr__(self, "_rows", {r[0][0]: r[1:] for r in sparse if r})
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -618,9 +631,7 @@ class Subspace:
         nonzero coordinates of a vector; an empty row, and a row equal to
         one already added, adds nothing and is not eliminated."""
         acc = RrefAccumulator(field, ambient_dim)
-        for row in dict.fromkeys(rows):  # each distinct row once, in order
-            if row:
-                acc.add(row)
+        acc.add_rows(rows)
         return Subspace(acc.basis_matrix())
 
     @staticmethod
@@ -642,35 +653,45 @@ class Subspace:
     def pivots(self) -> tuple:
         return self._pivots
 
-    def _eliminate(self, v):
-        """(c, w) with v = sum of c_k basis_k + w and w zero at every pivot."""
+    def residue(self, pairs) -> dict:
+        """The sparse vector v with nonzero coordinates ``pairs`` less its
+        part in this subspace, as {column: value}.  A reduced row is zero at
+        every other pivot, so v's basis coordinates are v at the pivots and
+        only the pivots in v's support are touched."""
+        f, rows = self.field, self._rows
+        zero, sub, mul = f.zero(), f.sub, f.mul
+        w = dict(pairs)
+        for p in [c for c in w if c in rows]:
+            c = w.pop(p)
+            for j, x in rows[p]:
+                y = sub(w.get(j, zero), mul(c, x))
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+        return w
+
+    def contains_sparse(self, pairs) -> bool:
+        return not self.residue(pairs)
+
+    def _sparse(self, v) -> tuple:
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} in ambient dimension {self.ambient_dim}")
-        f = self.field
-        w = list(v)
-        coords = []
-        for support, p in zip(self.sparse_rows, self._pivots):
-            c = w[p]
-            coords.append(c)
-            if c:
-                for j, x in support:
-                    w[j] = f.sub(w[j], f.mul(c, x))
-        return coords, w
+        return sparse_vec(v)
 
     def reduce(self, v) -> tuple:
         """Canonical representative of v modulo this subspace (zeros at pivots)."""
-        return tuple(self._eliminate(v)[1])
+        return dense_vec(self.field, self.ambient_dim, self.residue(self._sparse(v)).items())
 
     def contains(self, v) -> bool:
-        return not any(self._eliminate(v)[1])
+        return not self.residue(self._sparse(v))
 
     def coordinates(self, v) -> tuple | None:
         """Coordinates of v in the basis rows, or None when v lies outside."""
-        coords, w = self._eliminate(v)
-        return None if any(w) else tuple(coords)
+        return None if self.residue(self._sparse(v)) else tuple(v[p] for p in self._pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return all(self.contains_sparse(r) for r in other.sparse_rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -727,6 +748,7 @@ class QuotientSpace:
 
     relations: Subspace
     coset_basis: tuple = dc_field(init=False)
+    _at: dict = dc_field(init=False, compare=False, repr=False)  # coset column -> quotient coordinate
 
     @property
     def ambient_dim(self) -> int:
@@ -736,6 +758,7 @@ class QuotientSpace:
         pivots = set(self.relations.pivots())
         object.__setattr__(self, "coset_basis",
                            tuple(c for c in range(self.ambient_dim) if c not in pivots))
+        object.__setattr__(self, "_at", {c: k for k, c in enumerate(self.coset_basis)})
 
     @property
     def field(self) -> Field:
@@ -745,22 +768,25 @@ class QuotientSpace:
     def dim(self) -> int:
         return self.ambient_dim - self.relations.dim
 
+    def project_sparse(self, pairs) -> tuple:
+        """The class of a sparse vector as the sorted nonzero (k, value)
+        pairs of its quotient coordinates: its residue, read at the coset
+        generators."""
+        at = self._at
+        return tuple(sorted((at[c], x) for c, x in self.relations.residue(pairs).items()))
+
     def project(self, v) -> tuple:
-        w = self.relations.reduce(v)
-        return tuple(w[c] for c in self.coset_basis)
+        return dense_vec(self.field, self.dim, self.project_sparse(self.relations._sparse(v)))
 
     def lift(self, q) -> tuple:
         if len(q) != self.dim:
             raise DimensionError("coordinate vector does not match quotient dimension")
         return dense_vec(self.field, self.ambient_dim, zip(self.coset_basis, q))
 
-    def lift_unit(self, k) -> tuple:
-        return unit_vec(self.field, self.ambient_dim, self.coset_basis[k])
-
     def projection_map(self) -> Matrix:
-        f = self.field
-        cols = [self.project(unit_vec(f, self.ambient_dim, j)) for j in range(self.ambient_dim)]
-        return Matrix.from_columns(f, self.dim, cols)
+        one = self.field.one()
+        return Matrix.from_sparse_columns(self.field, self.dim, [
+            self.project_sparse(((j, one),)) for j in range(self.ambient_dim)])
 
 
 def quotient(field: Field, ambient_dim: int, relations) -> QuotientSpace:
@@ -771,17 +797,18 @@ def _not_well_defined(r, w):
     return NotWellDefined("map does not descend to the quotient", witness=(r, w))
 
 
-def induced_map(f: Matrix, src: QuotientSpace, dst: QuotientSpace,
+def induced_map(f, src: QuotientSpace, dst: QuotientSpace,
                 error=_not_well_defined) -> Matrix:
-    """The map on quotient coordinates, provided f carries relations into
-    relations: column k is the class of f at the k-th coset generator of
-    ``src``.  The first relation row r whose image w leaves the relations of
-    ``dst`` raises ``error(r, w)``."""
-    if (f.rows, f.cols) != (dst.ambient_dim, src.ambient_dim):
+    """The map on quotient coordinates, provided f (a ``Matrix`` or its
+    sparse columns) carries relations into relations: column k is the class
+    of f at the k-th coset generator of ``src``.  The first relation row r
+    whose image w leaves the relations of ``dst`` raises ``error(r, w)``."""
+    cols = f.sparse_cols if isinstance(f, Matrix) else f
+    if len(cols) != src.ambient_dim or isinstance(f, Matrix) and f.rows != dst.ambient_dim:
         raise DimensionError("map does not connect the two ambient spaces")
-    for r in src.relations.basis.entries:
-        w = f.apply(r)
-        if not dst.relations.contains(w):
-            raise error(r, w)
-    cols = [dst.project(f.apply(src.lift_unit(k))) for k in range(src.dim)]
-    return Matrix.from_columns(f.field, dst.dim, cols)
+    field = dst.field
+    for r, row in zip(src.relations.basis.entries, src.relations.sparse_rows):
+        w = linear(field, cols, row)
+        if not dst.relations.contains_sparse(w):
+            raise error(r, dense_vec(field, dst.ambient_dim, w))
+    return Matrix.from_sparse_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])

@@ -24,17 +24,17 @@ The quotient algebra comes from ``algebras.certified_quotient`` with the
 two evaluation maps as the bracket factors, so descent of the bracket and
 of the induced twist is certified, never assumed.  On compatible actions
 the evaluations kill every relation (the crossed-module property of the
-tensor product), and two mat-vecs per relation basis row certify the
-bracket; a row they do not kill falls back to the full check.  A failure
-aborts loudly since it would contradict the construction.  Maps between
-tensor products, the factor maps onto M and N and the outer actions are
-each ``linalg.induced_map`` of an ambient map.
+tensor product), and two sparse products per relation basis row certify
+the bracket; a row they do not kill falls back to the full check.  A
+failure aborts loudly since it would contradict the construction.  Maps
+between tensor products, the factor maps onto M and N and the outer
+actions are each ``linalg.induced_map`` of an ambient map, the tensor
+ambient maps given by their sparse columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -42,11 +42,13 @@ from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, certified_quot
 from .linalg import (
     Matrix,
     QuotientSpace,
+    RrefAccumulator,
     Subspace,
     induced_map,
     law_rows,
     outer,
     quotient,
+    sparse_outer,
     tensor_table,
     unit_vec,
     vec_add,
@@ -92,7 +94,8 @@ class TensorProduct:
         return self.embed_mn(self.eval_m.apply(x), self.eval_n.apply(y))
 
     def ambient_twist(self) -> Matrix:
-        return _ambient_twist(self.m_side, self.n_side)
+        return Matrix.from_sparse_columns(self.m_side.field, self.ambient_dim,
+                                          _ambient_twist(self.m_side, self.n_side))
 
 
 def _generator_labels(M, N) -> tuple:
@@ -102,18 +105,16 @@ def _generator_labels(M, N) -> tuple:
     return tuple(out)
 
 
-def _ambient_map(f, fm, gn, base) -> Matrix:
-    """The map of ambient generators m*n -> fm[m]*gn[n] and n*m -> gn[n]*fm[m]
-    into an ambient space whose second block starts at ``base``."""
-    cols = [outer(f, u, v, 2 * base) for u in fm for v in gn]
-    cols += [outer(f, v, u, 2 * base, base) for v in gn for u in fm]
-    return Matrix.from_columns(f, 2 * base, cols)
+def _ambient_map(f, fm, gn, dm, dn) -> tuple:
+    """The sparse columns of the map of ambient generators m*n -> fm[m]*gn[n]
+    and n*m -> gn[n]*fm[m], for sparse columns fm into a dm-space and gn
+    into a dn-space."""
+    return tuple([sparse_outer(f, u, v, dn) for u in fm for v in gn] +
+                 [sparse_outer(f, v, u, dm, dm * dn) for v in gn for u in fm])
 
 
-def _ambient_twist(M, N) -> Matrix:
-    tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
-    tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
-    return _ambient_map(M.field, tm, tn, M.dim * N.dim)
+def _ambient_twist(M, N) -> tuple:
+    return _ambient_map(M.field, M.sparse_twist, N.sparse_twist, M.dim, N.dim)
 
 
 def _eval_maps(ma: MutualActions):
@@ -199,11 +200,12 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
         f"compatibility {v.law} fails at {v.witness}", witness=v.witness))
     M, N = ma.m_side, ma.n_side
     half = M.dim * N.dim
-    rel = Subspace.span_sparse(M.field, 2 * half, relation_vectors(ma))
+    acc = RrefAccumulator(M.field, 2 * half)
+    acc.add_rows(relation_vectors(ma))
     if _is_square(ma):  # the relations are S + swap(S): see relation_vectors
-        swap = (tuple(sorted((c - half if c >= half else c + half, x) for c, x in r)) for r in rel.sparse_rows)
-        rel = Subspace.span_sparse(M.field, 2 * half, chain(rel.sparse_rows, swap))
-    pres = QuotientSpace(rel)
+        acc.add_rows([tuple(sorted((c - half if c >= half else c + half, x) for c, x in acc.rows[p].items()))
+                      for p in sorted(acc.rows)])
+    pres = QuotientSpace(Subspace(acc.basis_matrix()))
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]
@@ -473,10 +475,8 @@ def induced_tensor_map(f_hom: AlgebraHom, g_hom: AlgebraHom,
     wit = equivariance_witness(f_hom, g_hom, t_src.actions, t_dst.actions)
     if wit is not None:
         raise NotEquivariant(f"maps do not preserve the actions at {wit}", witness=wit)
-    M, N = t_src.m_side, t_src.n_side
-    fm = [f_hom.apply(M.unit(i)) for i in range(M.dim)]
-    gn = [g_hom.apply(N.unit(j)) for j in range(N.dim)]
-    amb = _ambient_map(M.field, fm, gn, t_dst.m_side.dim * t_dst.n_side.dim)
+    amb = _ambient_map(f_hom.map.field, f_hom.map.sparse_cols, g_hom.map.sparse_cols,
+                       t_dst.m_side.dim, t_dst.n_side.dim)
     hom = AlgebraHom(t_src.algebra, t_dst.algebra,
                      induced_map(amb, t_src.presentation, t_dst.presentation))
     hom.validate().require(

@@ -6,8 +6,10 @@ extension, the evaluation and the action on the Hochschild boundary
 quotient, the boundary-ideal comparison) is well defined only because it
 carries the relations into the relations of its target.  The mutation tests
 perturb one input so that a map no longer does, and pin the exception class,
-message and witness each construction raises.  The regression guards pin the
-matrices against the compositions with a coset section they replace.
+message and witness each construction raises; the descent certificate itself
+is pinned, one bumped entry at a time, against the dense path it replaces.
+The regression guards pin the matrices against the compositions with a
+coset section they replace.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     IdealHandle,
+    certified_quotient,
     direct_sum,
     ideal_closure,
     quotient_algebra,
+    yau_twist,
 )
-from homleib.errors import InternalInconsistency
+from homleib.errors import BracketNotWellDefined, InternalInconsistency, NotWellDefined
 from homleib.extensions import Extension, lift_against, universal_central_extension
 from homleib.fields import Field
-from homleib.generators import sl2
+from homleib.generators import heisenberg, sl2
 from homleib.homassoc import (
     HomAssociativeAlgebra,
     action_on_quotient,
@@ -37,9 +41,10 @@ from homleib.homassoc import (
     hochschild_module,
     to_leibniz,
 )
-from homleib.linalg import Matrix, QuotientSpace, Subspace, induced_map, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, induced_map, quotient, sparse_table, unit_vec
 from homleib.tensorprod import build_tensor, factor_maps, outer_action
 from test_homassoc import boundary_shapes
+from test_linalg import dense_reduce
 
 QQ = Field()
 GFP = Field(1000003)
@@ -79,7 +84,8 @@ def _bump_map(m: Matrix, r, c) -> Matrix:
 
 def _through_lifts(amb: Matrix, pres: QuotientSpace) -> Matrix:
     """The ambient map composed with the coset section of a presentation."""
-    sec = Matrix.from_columns(amb.field, pres.ambient_dim, [pres.lift_unit(k) for k in range(pres.dim)])
+    units = [unit_vec(amb.field, pres.ambient_dim, c) for c in pres.coset_basis]
+    sec = Matrix.from_columns(amb.field, pres.ambient_dim, units)
     return amb.compose(sec)
 
 
@@ -222,3 +228,135 @@ class TestSameMatricesAsTheSectionCompositions:
         on_square = induced_map(Matrix.from_columns(f, n * n, units + units),
                                 t.presentation, h.presentation)
         assert boundary_ideal_agreement(A).map == on_square.compose(proj.map.section())
+
+
+def _dense_project(q: QuotientSpace, v) -> tuple:
+    w = dense_reduce(q.relations, v)[1]
+    return tuple(w[c] for c in q.coset_basis)
+
+
+def _dense_outer(f, u, v, size) -> tuple:
+    out = [f.zero()] * size
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                out[i * len(v) + j] = f.mul(x, y)
+    return tuple(out)
+
+
+def dense_induced_map(m: Matrix, src: QuotientSpace, dst: QuotientSpace) -> Matrix:
+    """The descent certificate on dense vectors: each relation row's image
+    tested by dense reduction, then each coset generator's image projected."""
+    for r in src.relations.basis.entries:
+        w = m.apply(r)
+        if any(dense_reduce(dst.relations, w)[1]):
+            raise NotWellDefined("map does not descend to the quotient", witness=(r, w))
+    return Matrix.from_columns(m.field, dst.dim, [_dense_project(dst, m.col(c)) for c in src.coset_basis])
+
+
+def dense_certified_quotient(pres, left, right, twist_amb, labels) -> HomLeibnizAlgebra:
+    """The certified quotient on dense vectors: the kill test by dense
+    products, the sweep on dense pure tensors, the table by dense projection."""
+    f, ambient, relations = pres.field, pres.ambient_dim, pres.relations
+    twist = dense_induced_map(twist_amb, pres, pres)
+    for r in relations.basis.entries:
+        left_r, right_r = left.apply(r), right.apply(r)
+        if not any(left_r) and not any(right_r):
+            continue
+        for k in range(ambient):
+            for pure in (_dense_outer(f, left_r, right.col(k), ambient), _dense_outer(f, left.col(k), right_r, ambient)):
+                if any(dense_reduce(relations, pure)[1]):
+                    raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
+    gens = [(left.col(a), right.col(a)) for a in pres.coset_basis]
+    table = tuple(tuple(_dense_project(pres, _dense_outer(f, x, y, ambient)) for _, y in gens) for x, _ in gens)
+    algebra = HomLeibnizAlgebra(f, pres.dim, table, twist, tuple(labels))
+    algebra.validate().require(lambda v: InternalInconsistency(
+        f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))
+    return algebra
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` returns, or the class, message and witness of
+    the descent failure it raises."""
+    try:
+        return build(*args)
+    except (NotWellDefined, BracketNotWellDefined, InternalInconsistency) as e:
+        return type(e), str(e), e.witness
+
+
+def _twisted_sl2(f):
+    return yau_twist(sl2(f), Matrix.from_rows(f, [[4, 0, 0], [0, f.div(1, 4), 0], [0, 0, 1]]))
+
+
+def _square(make, f):
+    t = build_tensor(MutualActions.adjoint(make(f)))
+    return t.presentation, t.eval_m, t.eval_n, t.ambient_twist(), t.algebra.labels
+
+
+def _entries(m: Matrix):
+    return [(r, c) for r in range(m.rows) for c in range(m.cols)]
+
+
+class TestDescentAgainstTheDensePath:
+    """One bumped entry of an ambient twist, of an evaluation map (an action
+    value) or of a fold (a bracket value): ``induced_map`` raises the same
+    (r, w) and ``certified_quotient`` the same (r,) as the dense path, or
+    both build the same map or algebra."""
+
+    @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+    @pytest.mark.parametrize("make", [_twisted_sl2, heisenberg], ids=["twisted sl2", "heisenberg"])
+    def test_ambient_twist(self, f, make):
+        pres, eval_m, eval_n, twist, labels = _square(make, f)
+        raised = 0
+        for k, (r, c) in enumerate(_entries(twist)):
+            bumped = _bump_map(twist, r, c)
+            got = _outcome(induced_map, bumped, pres, pres)
+            assert got == _outcome(dense_induced_map, bumped, pres, pres)
+            assert got == _outcome(induced_map, bumped.sparse_cols, pres, pres)
+            raised += isinstance(got, tuple)
+            if k % 5 == 0:
+                got = _outcome(certified_quotient, pres, eval_m, eval_n, bumped, labels)
+                assert got == _outcome(dense_certified_quotient, pres, eval_m, eval_n, bumped, labels)
+        assert raised
+
+    @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+    @pytest.mark.parametrize("make", [_twisted_sl2, heisenberg], ids=["twisted sl2", "heisenberg"])
+    def test_action_value(self, f, make):
+        pres, eval_m, eval_n, twist, labels = _square(make, f)
+        raised = 0
+        for side in ("m", "n"):
+            ev = eval_m if side == "m" else eval_n
+            for r, c in _entries(ev):
+                left, right = (_bump_map(ev, r, c), eval_n) if side == "m" else (eval_m, _bump_map(ev, r, c))
+                got = _outcome(certified_quotient, pres, left, right, twist, labels)
+                assert got == _outcome(dense_certified_quotient, pres, left, right, twist, labels)
+                raised += isinstance(got, tuple) and got[0] is BracketNotWellDefined
+        assert raised
+
+    @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+    @pytest.mark.parametrize("make", [upper_triangular, gl2])
+    def test_bracket_value(self, f, make):
+        A = make(f)
+        h = hochschild_module(A)
+        pres, fold, twist = h.presentation, to_leibniz(A).bracket_map(), A.twist.kron(A.twist)
+        plain = quotient(f, A.dim, ())
+        raised = 0
+        for r, c in _entries(fold):
+            bumped = _bump_map(fold, r, c)
+            got = _outcome(induced_map, bumped, pres, plain)
+            assert got == _outcome(dense_induced_map, bumped, pres, plain)
+            got = _outcome(certified_quotient, pres, bumped, bumped, twist, h.algebra.labels)
+            assert got == _outcome(dense_certified_quotient, pres, bumped, bumped, twist, h.algebra.labels)
+            raised += isinstance(got, tuple) and got[0] is BracketNotWellDefined
+        assert raised
+
+    @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+    def test_presented_table_is_the_sparse_table(self, f):
+        # the presented algebra is handed its sparse table; it must be the
+        # one sparse_table reads off its dense table
+        for T in (_square_algebra(_twisted_sl2(f)), _square_algebra(heisenberg(f)), hochschild_module(gl2(f)).algebra):
+            assert T.sparse_c == sparse_table(T.c)
+
+
+def _square_algebra(L):
+    return build_tensor(MutualActions.adjoint(L)).algebra

@@ -178,6 +178,30 @@ def test_relation_rows_read_only_by_the_descent_certificates():
         ["algebras:certified_quotient", "linalg:induced_map"], found
 
 
+SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "_ambient_map")
+
+
+def _dense_presentation_step(node):
+    # a dense pure tensor, or a dense projection or membership test
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("project", "contains"):
+        return True
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "outer"
+
+
+def test_presentation_builders_stay_sparse():
+    # the descent certificate, the certified quotient and the tensor
+    # ambient maps reduce, project and tensor sparse vectors only, through
+    # Subspace.residue; a dense vector is formed only as a failure's witness
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    defined = {node.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert set(SPARSE_PRESENTATION) <= defined
+    found = [site for site in _library_sites(_dense_presentation_step)
+             if set(site.split(":")[1].split(".")) & set(SPARSE_PRESENTATION)]
+    assert found == [], found
+
+
 def _calls_record(node):
     return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "record"
 

@@ -23,6 +23,7 @@ from homleib.linalg import (
     outer,
     quotient,
     sparse_table,
+    sparse_vec,
     unit_vec,
     vec_add,
     vec_scale,
@@ -444,3 +445,45 @@ class TestEliminationEngine:
             for call in (space.contains, space.coordinates, space.reduce, m.preimage):
                 with pytest.raises(DimensionError):
                     call(v)
+
+
+def dense_reduce(space: Subspace, v) -> tuple:
+    """(c, w) with v = sum of c_k basis_k + w, w zero at every pivot: the
+    dense reduction of v row by row against the RREF basis, the reference
+    for ``Subspace.residue``."""
+    f = space.field
+    w, coords = list(v), []
+    for row, p in zip(space.basis.entries, space.pivots()):
+        c = w[p]
+        coords.append(c)
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    w[j] = f.sub(w[j], f.mul(c, x))
+    return tuple(coords), tuple(w)
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestResidue:
+    """The sparse residue, and every dense reading of it, against the dense
+    reduction on random reduced subspaces."""
+
+    @given(st.data())
+    def test_matches_the_dense_reduction(self, f, data):
+        m = data.draw(low_rank_matrices(f))
+        space = Subspace.span(f, m.cols, m.entries)
+        entry = st.integers(0, f.p - 1) if f.p else \
+            st.builds(f.div, st.integers(-4, 4), st.integers(1, 3))
+        outside = tuple(data.draw(entry) for _ in range(m.cols))
+        inside = space.basis.transpose().apply(tuple(data.draw(entry) for _ in range(space.dim)))
+        q = QuotientSpace(space)
+        for v in (outside, inside, vec_add(f, inside, outside)):
+            coords, w = dense_reduce(space, v)
+            assert space.residue(sparse_vec(v)) == dict(sparse_vec(w))
+            assert not any(w[p] for p in space.pivots())
+            assert space.reduce(v) == w
+            assert space.contains(v) == space.contains_sparse(sparse_vec(v)) == (not any(w))
+            assert space.coordinates(v) == (None if any(w) else coords)
+            assert q.project(v) == tuple(w[c] for c in q.coset_basis)
+            assert q.project_sparse(sparse_vec(v)) == sparse_vec(q.project(v))
+        assert space.coordinates(inside) is not None

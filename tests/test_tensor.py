@@ -446,8 +446,8 @@ class TestDescentCertificate:
                        if any(eval_m.apply(r)) or any(eval_n.apply(r)))
         assert 0 < unkilled < ambient
         calls = []
-        contains = Subspace.contains
-        monkeypatch.setattr(Subspace, "contains",
+        contains = Subspace.contains_sparse
+        monkeypatch.setattr(Subspace, "contains_sparse",
                             lambda self, v: calls.append(v) or contains(self, v))
         algebra = certified_quotient(pres, eval_m, eval_n, twist, [])
         assert algebra.dim == 0
@@ -464,8 +464,8 @@ class TestDescentCertificate:
         twist = Matrix.from_columns(QQ, ambient, [outer(QQ, u, v, ambient) for u in tw for v in tw])
         h = hochschild_module(A)
         calls = []
-        contains = Subspace.contains
-        monkeypatch.setattr(Subspace, "contains",
+        contains = Subspace.contains_sparse
+        monkeypatch.setattr(Subspace, "contains_sparse",
                             lambda self, v: calls.append(v) or contains(self, v))
         algebra = certified_quotient(h.presentation, fold, fold, twist, h.algebra.labels)
         assert algebra == h.algebra
