@@ -684,7 +684,7 @@ class Subspace:
         return dense_vec(self.field, self.ambient_dim, self.residue(self._sparse(v)).items())
 
     def contains(self, v) -> bool:
-        return not self.residue(self._sparse(v))
+        return self.contains_sparse(self._sparse(v))
 
     def coordinates(self, v) -> tuple | None:
         """Coordinates of v in the basis rows, or None when v lies outside."""

@@ -264,7 +264,8 @@ def dense_certified_quotient(pres, left, right, twist_amb, labels) -> HomLeibniz
         if not any(left_r) and not any(right_r):
             continue
         for k in range(ambient):
-            for pure in (_dense_outer(f, left_r, right.col(k), ambient), _dense_outer(f, left.col(k), right_r, ambient)):
+            for pure in (_dense_outer(f, left_r, right.col(k), ambient),
+                         _dense_outer(f, left.col(k), right_r, ambient)):
                 if any(dense_reduce(relations, pure)[1]):
                     raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
     gens = [(left.col(a), right.col(a)) for a in pres.coset_basis]
@@ -291,6 +292,10 @@ def _twisted_sl2(f):
 def _square(make, f):
     t = build_tensor(MutualActions.adjoint(make(f)))
     return t.presentation, t.eval_m, t.eval_n, t.ambient_twist(), t.algebra.labels
+
+
+def _square_algebra(L):
+    return build_tensor(MutualActions.adjoint(L)).algebra
 
 
 def _entries(m: Matrix):
@@ -352,11 +357,10 @@ class TestDescentAgainstTheDensePath:
 
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
     def test_presented_table_is_the_sparse_table(self, f):
-        # the presented algebra is handed its sparse table; it must be the
-        # one sparse_table reads off its dense table
-        for T in (_square_algebra(_twisted_sl2(f)), _square_algebra(heisenberg(f)), hochschild_module(gl2(f)).algebra):
+        # a presented or quotient algebra is handed its sparse table; it
+        # must be the one sparse_table reads off its dense table
+        L = direct_sum(sl2(f), heisenberg(f))  # the centre of the Heisenberg summand is e6
+        quot, _ = quotient_algebra(L, IdealHandle(L, Subspace.span(f, 6, [unit_vec(f, 6, 5)])))
+        for T in (_square_algebra(_twisted_sl2(f)), _square_algebra(L), hochschild_module(gl2(f)).algebra, quot):
             assert T.sparse_c == sparse_table(T.c)
-
-
-def _square_algebra(L):
-    return build_tensor(MutualActions.adjoint(L)).algebra
+            assert not T.is_abelian()
