@@ -25,7 +25,6 @@ from .linalg import (
     check_laws,
     contract,
     induced_map,
-    sparse_vec,
     vec_add,
     vec_zero,
 )
@@ -82,7 +81,7 @@ class HomAction:
         L, M, f = self.actor, self.target, self.target.field
         rep = ValidationReport(subject="hom-leibniz action",
                                axiom_status={k: True for k in "abcdefgh"})
-        tl, tm, lc, mc = L.sparse_twist, M.sparse_twist, L.sparse_c, M.sparse_c
+        tl, tm, lc, mc = L.twist.sparse_cols, M.twist.sparse_cols, L.sparse_c, M.sparse_c
         left, right = self.sparse_left, self.sparse_right
         lbl, lbm = L.labels, M.labels
         dl, dm = L.dim, M.dim
@@ -153,13 +152,13 @@ def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, co
                    error) -> HomAction:
     """The action of ``actor`` on the algebra ``target`` presented by
     ``pres``.  ``columns(a)`` gives the left and right actions of the actor
-    basis vector a on the ambient generators, as two lists of ambient
+    basis vector a on the ambient generators, as two lists of sparse ambient
     columns; each is certified to descend by ``induced_map`` on ``pres``
     (raising ``error``), and its column k is the value at coset generator k."""
     left, right = [], []
     for a in range(actor.dim):
         for maps, cols in zip((left, right), columns(a)):
-            maps.append(induced_map([sparse_vec(c) for c in cols], pres, pres, error))
+            maps.append(induced_map(cols, pres, pres, error))
     return HomAction(actor, target, tuple(m.transpose().entries for m in left),
                      tuple(tuple(m.col(k) for m in right) for k in range(target.dim)))
 

@@ -3,9 +3,9 @@
 An algebra is a coordinate space with a bilinear bracket, stored as the
 table c[i][j] = [e_i, e_j] (a coordinate vector), and a linear twist whose
 matrix columns are the images of the basis.  Both are cached once in the
-sparse form of ``linalg`` (``sparse_c``, ``sparse_twist``), which brackets,
-validation, tensor relations and homology boundaries read.  Validation
-runs ``linalg.check_laws`` on the Hom-Leibniz identity
+sparse form of ``linalg`` (``sparse_c``, ``twist.sparse_cols``), which
+brackets, validation, tensor relations and homology boundaries read.
+Validation runs ``linalg.check_laws`` on the Hom-Leibniz identity
 
     [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
 
@@ -44,8 +44,8 @@ from .linalg import (
     contract,
     dense_vec,
     induced_map,
+    law_rows,
     linear,
-    sparse_columns,
     sparse_outer,
     sparse_table,
     sparse_vec,
@@ -103,9 +103,8 @@ class HomLeibnizAlgebra:
         alg.__dict__["sparse_c"] = table
         return alg
 
-    # the bracket table and twist columns in the one sparse form, built once
+    # the bracket table in the one sparse form, built once (the twist's is twist.sparse_cols)
     sparse_c = cached_property(lambda self: sparse_table(self.c))
-    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
 
     def sparse_of(self, table) -> tuple:
         """The sparse form of a table of bilinear operations on this algebra:
@@ -143,7 +142,7 @@ class HomLeibnizAlgebra:
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-leibniz algebra")
-        f, c, tw, lb, n = self.field, self.sparse_c, self.sparse_twist, self.labels, self.dim
+        f, c, tw, lb, n = self.field, self.sparse_c, self.twist.sparse_cols, self.labels, self.dim
         check_laws(f, rep, (), [
             # t[x, y] = [t(x), t(y)]
             ((n, n), [("multiplicativity", ((lb, 0), (lb, 1)), [(tw, (c, 0, 1))], [(c, (tw, 0), (tw, 1))],
@@ -188,13 +187,13 @@ class AlgebraHom:
         rep = ValidationReport(subject="algebra homomorphism")
         src, tgt = self.source, self.target
         f, lb, sc = src.field, src.labels, src.sparse_c
-        cols = sparse_columns(self.map)
+        cols = self.map.sparse_cols
         n = src.dim
         check_laws(f, rep, (), [
             ((n, n), [("bracket preservation", ((lb, 0), (lb, 1)),
                        [(cols, (sc, 0, 1))], [(tgt.sparse_c, (cols, 0), (cols, 1))])]),
             ((n,), [("twist compatibility", ((lb, 0),),
-                     [(cols, (src.sparse_twist, 0))], [(tgt.sparse_twist, (cols, 0))])])])
+                     [(cols, (src.twist.sparse_cols, 0))], [(tgt.twist.sparse_cols, (cols, 0))])])])
         return rep
 
     def is_homomorphism(self) -> bool:
@@ -220,16 +219,17 @@ class IdealHandle:
     def ideal_witness(self):
         """None when this is a twist-stable two-sided ideal, else a witness."""
         L, S = self.parent, self.space
-        for h in S.basis.entries:
-            for j in range(L.dim):
-                e = L.unit(j)
-                for tag, v in (("left", L.bracket(h, e)), ("right", L.bracket(e, h))):
-                    if not S.contains(v):
-                        return (tag, h, L.labels[j], v)
-        for h in S.basis.entries:
-            w = L.apply_twist(h)
-            if not S.contains(w):
-                return ("twist", h, w)
+        f, c, n = L.field, L.sparse_c, L.dim
+        sides = list(zip(zip(*c), c))  # [h, e_j] and [e_j, h]: column j and row j of the table at h
+        for h in S.sparse_rows:
+            for j, (col, row) in enumerate(sides):
+                for tag, v in (("left", linear(f, col, h)), ("right", linear(f, row, h))):
+                    if not S.contains_sparse(v):
+                        return (tag, dense_vec(f, n, h), L.labels[j], dense_vec(f, n, v))
+        for h in S.sparse_rows:
+            w = linear(f, L.twist.sparse_cols, h)
+            if not S.contains_sparse(w):
+                return ("twist", dense_vec(f, n, h), dense_vec(f, n, w))
         return None
 
     # the witness, found once per handle: a certificate that checks the
@@ -250,15 +250,16 @@ class IdealHandle:
 
 def commutator(h: IdealHandle, k: IdealHandle) -> Subspace:
     """Span of all brackets [h, k] and [k, h] over bases of the two
-    subspaces; on one subspace, each ordered pair of basis vectors once."""
+    subspaces, as ``linalg.law_rows`` data; on one subspace, each ordered
+    pair of basis vectors once."""
     if h.parent != k.parent:
         raise ParentMismatch("commutator of ideals of different algebras")
     L = h.parent
-    hs, ks = h.space.basis.entries, k.space.basis.entries
-    vecs = [L.bracket(a, b) for a in hs for b in ks]
+    hs, ks, c = h.space.sparse_rows, k.space.sparse_rows, L.sparse_c
+    laws = [("[h, k]", (), [(c, (hs, 0), (ks, 1))], [])]
     if h.space != k.space:
-        vecs += [L.bracket(b, a) for a in hs for b in ks]
-    return Subspace.span(L.field, L.dim, vecs)
+        laws.append(("[k, h]", (), [(c, (ks, 1), (hs, 0))], []))
+    return Subspace.span_sparse(L.field, L.dim, law_rows(L.field, [((h.dim, k.dim), laws)]))
 
 
 def derived_subspace(L: HomLeibnizAlgebra) -> Subspace:
@@ -314,14 +315,15 @@ def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
     relations = pres.relations
     twist = induced_map(twist_amb, pres, pres)
     lc, rc, stride = left.sparse_cols, right.sparse_cols, right.rows
-    for r, row in zip(relations.basis.entries, relations.sparse_rows):
+    for row in relations.sparse_rows:
         left_r, right_r = linear(f, lc, row), linear(f, rc, row)
         if not (left_r or right_r):
             continue
         for k in range(pres.ambient_dim):
             if not relations.contains_sparse(sparse_outer(f, left_r, rc[k], stride)) or \
                not relations.contains_sparse(sparse_outer(f, lc[k], right_r, stride)):
-                raise BracketNotWellDefined("bracket does not preserve the relations", witness=(r,))
+                raise BracketNotWellDefined("bracket does not preserve the relations",
+                                            witness=(dense_vec(f, pres.ambient_dim, row),))
     gens = pres.coset_basis
     table = tuple(tuple(pres.project_sparse(sparse_outer(f, lc[a], rc[b], stride)) for b in gens) for a in gens)
     algebra = HomLeibnizAlgebra.from_sparse(f, pres.dim, table, twist, labels)
@@ -373,34 +375,30 @@ def squares_ideal(L: HomLeibnizAlgebra) -> Subspace:
 
     def seeds():
         for i in range(L.dim):
-            yield L.c[i][i]
+            yield L.sparse_c[i][i]
             for j in range(i + 1, L.dim):
-                yield vec_add(f, L.c[i][j], L.c[j][i])
+                yield sparse_vec(vec_add(f, L.c[i][j], L.c[j][i]))
 
     return ideal_closure(L, seeds())
 
 
 def ideal_closure(L: HomLeibnizAlgebra, seeds) -> Subspace:
-    """Smallest twist-stable two-sided ideal containing the seed vectors:
-    each new vector is bracketed with every basis vector on both sides and
-    twisted until nothing enlarges the span.  The basis is canonical RREF."""
-    acc = RrefAccumulator(L.field, L.dim)
-    queue = []
-
-    def push(v):
-        if acc.add(sparse_vec(v)):
-            queue.append(v)
-
-    for v in seeds:
-        push(v)
+    """Smallest twist-stable two-sided ideal containing the seed vectors,
+    each given as sparse pairs: each new vector is twisted and bracketed
+    with every basis vector on both sides until nothing enlarges the span.
+    The basis is canonical RREF."""
+    f, c = L.field, L.sparse_c
+    # the twist, then [v, e_j] and [e_j, v] (column j and row j of the table), applied to v
+    maps = [L.twist.sparse_cols, *(cols for side in zip(zip(*c), c) for cols in side)]
+    acc = RrefAccumulator(f, L.dim)
+    queue = [v for v in seeds if acc.add(v)]
     while queue:
         v = queue.pop()
-        push(L.apply_twist(v))
-        for j in range(L.dim):
-            e = L.unit(j)
-            push(L.bracket(v, e))
-            push(L.bracket(e, v))
-    return Subspace(acc.basis_matrix())
+        for cols in maps:
+            w = linear(f, cols, v)
+            if acc.add(w):
+                queue.append(w)
+    return acc.subspace()
 
 
 def lieization(L: HomLeibnizAlgebra):

@@ -45,6 +45,7 @@ from .linalg import (
     connecting_map,
     induced_map,
     law_rows,
+    linear,
     quotient,
     tensor_table,
 )
@@ -92,8 +93,8 @@ def classify_extension(e: Extension) -> ExtensionKind:
     ker_handle = IdealHandle(K, e.kernel)
     if commutator(ker_handle, full).dim == 0:
         return ExtensionKind.CENTRAL
-    twisted = Subspace.span(K.field, K.dim,
-                            [K.apply_twist(v) for v in e.kernel.basis.entries])
+    twisted = Subspace.span_sparse(K.field, K.dim, [linear(K.field, K.twist.sparse_cols, r)
+                                                    for r in e.kernel.sparse_rows])
     if commutator(IdealHandle(K, twisted), full).dim == 0:
         return ExtensionKind.ALPHA_CENTRAL_ONLY
     return ExtensionKind.NEITHER
@@ -194,7 +195,7 @@ def _presented_alpha_uce(A, t):
     twist are L's, in the same coordinates."""
     f, k = A.field, A.dim
     ambient = k * k
-    br, tw, tens = A.sparse_c, A.sparse_twist, tensor_table(f, k, k)
+    br, tw, tens = A.sparse_c, A.twist.sparse_cols, tensor_table(f, k, k)
     rows = law_rows(f, [((k, k, k), [("alpha relation", (),
                                       [(tens, (br, 0, 2), (tw, 1)), (tens, (tw, 0), (br, 1, 2))],
                                       [(tens, (br, 0, 1), (tw, 2))])])])
@@ -256,16 +257,16 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     # first map: include the ideal tensor into the square, then twist; that
     # is the second block of the row's left map
-    zeros = (f.zero(),) * data.t_ml.algebra.dim
-    t1_cols = [data.sigma.apply(zeros + v) for v in k1.basis.entries]
+    twisted_incl = data.sigma.sparse_cols[data.t_ml.algebra.dim:]
+    t1_cols = [linear(f, twisted_incl, r) for r in k1.sparse_rows]
     rep.check("first map lands in the middle kernel",
-              all(k2.contains(c) for c in t1_cols))
-    im1 = Subspace.span(f, data.t_ll.algebra.dim, t1_cols)
+              all(k2.contains_sparse(c) for c in t1_cols))
+    im1 = Subspace.span_sparse(f, data.t_ll.algebra.dim, t1_cols)
 
     # second map: the quotient-induced tensor map, restricted to kernels
-    t2_cols = [data.tau.map.apply(v) for v in k2.basis.entries]
+    t2_cols = [linear(f, data.tau.map.sparse_cols, r) for r in k2.sparse_rows]
     rep.check("second map lands in the quotient kernel",
-              all(k3.contains(c) for c in t2_cols))
+              all(k3.contains_sparse(c) for c in t2_cols))
 
     rep.check("exact at the second homology of the algebra",
               im1 == k2.intersect(data.tau.map.kernel()))
@@ -296,7 +297,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     delta = connecting_map(k3, data.tau.map, psi_ll.map, read, coker_q.dim)
     rep.check("connecting map lifts exist", delta is not None)
     if delta is not None:
-        im2_in_k3 = Subspace.span(f, data.t_qq.algebra.dim, t2_cols)
+        im2_in_k3 = Subspace.span_sparse(f, data.t_qq.algebra.dim, t2_cols)
         ker_delta = _expand_kernel(delta, k3)
         rep.check("exact at the second homology of the quotient", im2_in_k3 == ker_delta)
         rep.check("connecting map onto the ideal cokernel", delta.rank() == coker_q.dim)

@@ -1,8 +1,8 @@
 """Hom-associative algebras and their degree-one Hochschild invariants.
 
 An algebra caches its product table and twist columns in sparse form
-(``sparse_p``, ``sparse_twist``); validation runs ``linalg.check_laws`` on
-multiplicativity and Hom-associativity, stated as data, over the basis
+(``sparse_p``, ``twist.sparse_cols``); validation runs ``linalg.check_laws``
+on multiplicativity and Hom-associativity, stated as data, over the basis
 tuples where a side can be nonzero, in order.
 
 From an algebra A with product p and twist t, the degree-three Hochschild
@@ -48,14 +48,13 @@ from .linalg import (
     dense_vec,
     induced_map,
     law_rows,
-    outer,
+    linear,
     quotient,
-    sparse_columns,
+    sparse_add,
+    sparse_outer,
     sparse_table,
     tensor_table,
     unit_vec,
-    vec_add,
-    vec_is_zero,
     vec_sub,
     vec_zero,
 )
@@ -96,9 +95,8 @@ class HomAssociativeAlgebra:
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
 
-    # the product table and twist columns in the one sparse form, built once
+    # the product table in the one sparse form, built once (the twist's is twist.sparse_cols)
     sparse_p = cached_property(lambda self: sparse_table(self.p))
-    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
 
     def product(self, x, y) -> tuple:
         return contract(self.field, self.sparse_p, x, y, self.dim)
@@ -122,7 +120,7 @@ class HomAssociativeAlgebra:
     @cached_property
     def _report(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-associative algebra")
-        f, p, tw, lb, n = self.field, self.sparse_p, self.sparse_twist, self.labels, self.dim
+        f, p, tw, lb, n = self.field, self.sparse_p, self.twist.sparse_cols, self.labels, self.dim
         check_laws(f, rep, (n, n), [
             # t(xy) = t(x) t(y)
             ((n, n), [("multiplicativity", ((lb, 0), (lb, 1)), [(tw, (p, 0, 1))], [(p, (tw, 0), (tw, 1))])]),
@@ -166,7 +164,7 @@ def boundary_rows(A: HomAssociativeAlgebra, table, square: bool = False):
     of a tensor square, the second at offset n * n, in turn at each triple.
     The image of the degree-three Hochschild boundary is the span of the
     rows with p the product."""
-    f, n, tw = A.field, A.dim, A.sparse_twist
+    f, n, tw = A.field, A.dim, A.twist.sparse_cols
 
     def law(tens):
         return ("boundary", (), [(tens, (table, 0, 1), (tw, 2)), (tens, (table, 2, 0), (tw, 1))],
@@ -219,8 +217,7 @@ def cyclic_identity_holds(h: HochschildModule) -> bool:
     """[a,b] (x) t(c) - t(a) (x) [b,c] + [c,a] (x) t(b) lies in the boundary
     image, for all basis triples."""
     A, rel = h.parent, h.presentation.relations
-    return all(rel.contains(dense_vec(A.field, rel.ambient_dim, r))
-               for r in boundary_rows(A, h.commutator_algebra.sparse_c))
+    return all(rel.contains_sparse(r) for r in boundary_rows(A, h.commutator_algebra.sparse_c))
 
 
 def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
@@ -244,8 +241,7 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
 
     # ideal generated by the boundary family in both generator blocks,
     # inside the tensor square
-    ideal = ideal_closure(T, (t.presentation.project(dense_vec(f, t.ambient_dim, r))
-                              for r in boundary_rows(A, A.sparse_p, square=True)))
+    ideal = ideal_closure(T, (t.presentation.project_sparse(r) for r in boundary_rows(A, A.sparse_p, square=True)))
 
     quot, _ = quotient_algebra(T, IdealHandle(T, ideal))
     if quot.dim != h.algebra.dim:
@@ -269,14 +265,13 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
 def alpha_identity_witness(A: HomAssociativeAlgebra):
     """None when commutators of A with the image of (twist - identity)
     vanish, else a witnessing pair of basis indices."""
-    f = A.field
-    shift = A.twist.sub(Matrix.identity(f, A.dim))
-    img = shift.image()
-    for i in range(A.dim):
-        ei = A.unit(i)
-        for w in img.basis.entries:
-            if not vec_is_zero(f, A.commutator_vec(ei, w)):
-                return (A.labels[i], w)
+    f, p = A.field, A.sparse_p
+    img = A.twist.sub(Matrix.identity(f, A.dim)).image()
+    # e_i w and w e_i: row i and column i of the product table at w
+    for i, (row, col) in enumerate(zip(p, zip(*p))):
+        for w in img.sparse_rows:
+            if sparse_add(f, linear(f, row, w), linear(f, col, w), f.neg(f.one())):
+                return (A.labels[i], dense_vec(f, A.dim, w))
     return None
 
 
@@ -288,7 +283,7 @@ def milnor_relations(h: HochschildModule) -> Subspace:
     """Boundary image plus t(a) (x) [b,c] and [a,b] (x) t(c) over basis
     triples (a, b, c), as ``linalg.law_rows`` data."""
     A, lb = h.parent, h.commutator_algebra
-    f, n, tw, c = A.field, A.dim, A.sparse_twist, lb.sparse_c
+    f, n, tw, c = A.field, A.dim, A.twist.sparse_cols, lb.sparse_c
     tens = tensor_table(f, n, n)
     rows = law_rows(f, [((n, n, n), [("t(a) (x) [b,c]", (), [(tens, (tw, 0), (c, 1, 2))], []),
                                      ("[a,b] (x) t(c)", (), [(tens, (c, 0, 1), (tw, 2))], [])])])
@@ -330,18 +325,18 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
         a . (x # y) = [a,x] # t(y) - [a,y] # t(x)
         (x # y) . a = [x,a] # t(y) + t(x) # [y,a]
     certified to descend and to satisfy the action identities."""
-    A = h.parent
-    lb = h.commutator_algebra
-    f = A.field
-    n = A.dim
-    size = n * n
-    tw = [A.apply_twist(A.unit(i)) for i in range(n)]
+    A, lb = h.parent, h.commutator_algebra
+    f, n, c, tw = A.field, A.dim, lb.sparse_c, A.twist.sparse_cols
+    one, minus = f.one(), f.neg(f.one())
+
+    def tensor(u, v):  # u (x) v of sparse vectors in A (x) A
+        return sparse_outer(f, u, v, n)
 
     def columns(a):
-        # both actions of the actor basis vector a on A (x) A
-        return ([vec_sub(f, outer(f, lb.c[a][x], tw[y], size), outer(f, lb.c[a][y], tw[x], size))
+        # both actions of the actor basis vector a on A (x) A, as sparse columns
+        return ([sparse_add(f, tensor(c[a][x], tw[y]), tensor(c[a][y], tw[x]), minus)
                  for x in range(n) for y in range(n)],
-                [vec_add(f, outer(f, lb.c[x][a], tw[y], size), outer(f, tw[x], lb.c[y][a], size))
+                [sparse_add(f, tensor(c[x][a], tw[y]), tensor(tw[x], c[y][a]), one)
                  for x in range(n) for y in range(n)])
 
     action = induced_action(lb, h.algebra, h.presentation, columns, lambda r, w: InternalInconsistency(
@@ -436,10 +431,11 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.check("column vanishes on the included homology tensor",
               col_q.map.compose(big_f.map).is_zero())
 
-    # cokernel identifications
-    im_col_q_ambient = Subspace.span(
-        f, n * n,
-        [h.presentation.lift(v) for v in t_aq.eval_n.transpose().entries])
+    # cokernel identifications; a class of A (x) A lifts to its coset generators
+    def at_cosets(pairs):
+        return tuple((h.presentation.coset_basis[k], x) for k, x in pairs)
+
+    im_col_q_ambient = Subspace.span_sparse(f, n * n, map(at_cosets, t_aq.eval_n.sparse_cols))
     milnor = milnor_relations(h)
     extra = im_col_q_ambient.add(h.presentation.relations)
     rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
@@ -460,29 +456,28 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.dims["kernel over commutator tensor"] = k_c.dim
 
     # joint 1: image of the homology tensor inside the quotient-tensor kernel
-    im_f_cols = big_f.map.transpose().entries
-    rep.check("homology tensor lands in the kernel", all(k_q.contains(c) for c in im_f_cols))
-    im_f = Subspace.span(f, t_aq.algebra.dim, im_f_cols)
+    rep.check("homology tensor lands in the kernel", all(k_q.contains_sparse(c) for c in big_f.map.sparse_cols))
+    im_f = big_f.map.image()
     rep.check("exact at the quotient-tensor kernel",
               im_f == k_q.intersect(big_g.map.kernel()))
 
     # joint 2: image of the kernel over the quotient tensor in the next kernel
-    im_k_cols = [big_g.map.apply(v) for v in k_q.basis.entries]
-    rep.check("kernels map onward", all(k_c.contains(c) for c in im_k_cols))
+    im_k_cols = [linear(f, big_g.map.sparse_cols, r) for r in k_q.sparse_rows]
+    rep.check("kernels map onward", all(k_c.contains_sparse(c) for c in im_k_cols))
 
     # connecting map into the homology
     delta = connecting_map(k_c, big_g.map, col_q.map, H_space.coordinates, H_alg.dim)
     rep.check("connecting lifts exist", delta is not None)
     if delta is None:
         return rep
-    im_k = Subspace.span(f, t_ac.algebra.dim, im_k_cols)
+    im_k = Subspace.span_sparse(f, t_ac.algebra.dim, im_k_cols)
     ker_delta = _expand_kernel(delta, k_c)
     rep.check("exact at the commutator-tensor kernel", im_k == ker_delta)
 
     # map from the homology into the Milnor quotient
     milnor_q = QuotientSpace(milnor)
-    to_milnor_cols = [milnor_q.project(h.presentation.lift(v)) for v in H_space.basis.entries]
-    to_milnor = Matrix.from_columns(f, milnor_q.dim, to_milnor_cols)
+    to_milnor = Matrix.from_sparse_columns(f, milnor_q.dim, [milnor_q.project_sparse(at_cosets(r))
+                                                            for r in H_space.sparse_rows])
     im_delta = delta.image()
     ker_to_milnor = to_milnor.kernel()
     rep.check("exact at the first homology", im_delta == ker_to_milnor)

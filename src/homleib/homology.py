@@ -1,8 +1,8 @@
 """Homology of a Hom-Leibniz algebra with coefficients in a co-representation.
 
 A co-representation holds its two operations as tables like an action, and
-caches them with its twist columns in the one sparse form (``sparse_left``,
-``sparse_right``, ``sparse_twist``); ``linalg.check_laws`` checks its five
+caches them in the one sparse form (``sparse_left``, ``sparse_right``, and
+its twist's ``sparse_cols``); ``linalg.check_laws`` checks its five
 identities, stated as data, on the basis tuples where a term can be
 nonzero.
 
@@ -36,8 +36,7 @@ from .linalg import (
     check_laws,
     contract,
     linear,
-    outer,
-    sparse_columns,
+    sparse_outer,
     vec_is_zero,
     vec_zero,
 )
@@ -72,10 +71,9 @@ class CoRepresentation:
     def field(self):
         return self.algebra.field
 
-    # both tables and the twist columns in the one sparse form, built once
+    # both tables in the one sparse form, built once (the twist's is twist.sparse_cols)
     sparse_left = cached_property(lambda self: self.algebra.sparse_of(self.left))
     sparse_right = cached_property(lambda self: self.algebra.sparse_of(self.right))
-    sparse_twist = cached_property(lambda self: sparse_columns(self.twist))
 
     def act_left(self, x, m) -> tuple:
         return contract(self.field, self.sparse_left, x, m, self.space_dim)
@@ -90,7 +88,7 @@ class CoRepresentation:
         L, f = self.algebra, self.field
         rep = ValidationReport(subject="hom-co-representation",
                                axiom_status={k: True for k in "abcde"})
-        tl, tm, lc = L.sparse_twist, self.sparse_twist, L.sparse_c
+        tl, tm, lc = L.twist.sparse_cols, self.twist.sparse_cols, L.sparse_c
         left, right = self.sparse_left, self.sparse_right
         lbl, lbm = L.labels, tuple(f"m{i+1}" for i in range(self.space_dim))
         dl, dm = L.dim, self.space_dim
@@ -148,7 +146,7 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
     f = L.field
     zero = f.zero()
     dl = L.dim
-    tw = L.sparse_twist
+    tw = L.twist.sparse_cols
     out: dict[int, object] = {}
 
     def scatter(sign, head, slots):
@@ -182,7 +180,7 @@ def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
     for i, x in enumerate(front):
         slots = list(twisted)
         slots[i] = L.sparse_c[x][last]
-        scatter(f.neg(left_sign), M.sparse_twist[m_idx], slots)
+        scatter(f.neg(left_sign), M.twist.sparse_cols[m_idx], slots)
     return out
 
 
@@ -255,8 +253,6 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
     if any(not vec_is_zero(f, v) for table in (M.left, M.right) for row in table for v in row):
         raise StructureError("closed form requires trivial operations")
     der = derived_subspace(L)
-    tm_image = M.twist.image()
-    size = M.space_dim * L.dim
-    rel = Subspace.span(f, size, [outer(f, u, b, size) for u in tm_image.basis.entries
-                                  for b in der.basis.entries])
-    return size - rel.dim
+    rel = Subspace.span_sparse(f, M.space_dim * L.dim, [sparse_outer(f, u, b, L.dim)
+                                                        for u in M.twist.image().sparse_rows for b in der.sparse_rows])
+    return rel.ambient_dim - rel.dim

@@ -2,21 +2,23 @@
 images, preimages, quotient spaces and induced maps.
 
 Everything is immutable after construction and all arithmetic is exact;
-equality of values is field equality, never approximate.  Vectors are plain
-tuples of scalars, matrices are tuples of row tuples.  A ``Matrix`` is the
-one linear-map type: column j is the image of basis vector j, and its shape
-is the only record of the map's domain and codomain.  Subspace bases are
-kept in canonical reduced row echelon form with pivots in increasing column
-order, so equal subspaces compare equal as data and every reported basis is
-deterministic; a subspace's ambient dimension is its basis's column count,
-and a quotient's is its relations'.
+equality of values is field equality, never approximate.  A dense vector is
+a plain tuple of scalars, a sparse one the (index, value) pairs of its
+nonzero coordinates.  A ``Matrix`` is the one linear-map type, a grid of
+row tuples: column j is the image of basis vector j, and its shape is the
+only record of the map's domain and codomain.  A ``Subspace`` holds its
+field, its ambient dimension and the sparse rows of its canonical reduced
+row echelon form, pivots first and in increasing column order, so equal
+subspaces compare and hash equal as data and every reported basis is
+deterministic; its dense ``basis`` is a view built only when read, at the
+edges (output, tests).  A quotient's ambient dimension is its relations'.
 
 ``RrefAccumulator`` is the one elimination engine, a sparse incremental
-RREF that takes each vector as the (column, value) pairs of its nonzero
-coordinates: it builds every span (``Subspace.span`` of dense vectors,
-``Subspace.span_sparse`` of sparse rows), and each ``Matrix`` factors once
-through it (the RREF of [M | I]) for its rank, kernel, preimages and
-section.
+RREF that takes each vector as its sparse pairs: it builds every span
+(``Subspace.span`` of dense vectors checks their length and passes them to
+``Subspace.span_sparse``), hands its rows to a ``Subspace`` with
+``subspace()``, and each ``Matrix`` factors once through it (the RREF of
+[M | I]) for its rank, kernel, preimages and section.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -24,7 +26,8 @@ presentations:
 
 * each structure caches its tables (brackets, actions, products) once in
   sparse form: ``sparse_table`` keeps the nonzero (k, value) pairs of each
-  value table[i][j], ``sparse_columns`` those of each column of a twist;
+  value table[i][j], and ``Matrix.sparse_cols`` those of each column of a
+  map, a twist included;
 * ``contract`` contracts a sparse table at two dense vectors, and
   ``linear`` applies sparse columns to a sparse vector;
 * a law, or a family of relations, is data: signed lists of bilinear and
@@ -39,8 +42,7 @@ presentations:
   is the pure tensor of two sparse vectors in such a block (``outer`` its
   dense form), and ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
-  between a dense vector and its nonzero (index, value) pairs, and a
-  ``Matrix`` keeps its ``sparse_cols`` once built;
+  between the dense and the sparse form of a vector;
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
   lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
   sparse ``contains_sparse`` and ``project_sparse`` read it.
@@ -50,9 +52,9 @@ presentations:
 * ``induced_map`` is the one descent certificate, and every map out of a
   presentation is one: it checks that the ambient map, a ``Matrix`` or
   its sparse columns, carries each sparse relation row into the target's
-  relations, raising ``error(r, w)`` (both dense) for the first row r
-  whose image w does not, then projects each coset generator's column.
-  A map into a plain space has the relation-free target
+  relations, raising ``error(r, w)`` (both dense, formed only then) for
+  the first row r whose image w does not, then projects each coset
+  generator's column.  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
 * ``connecting_map`` is the snake map of an exactness certificate: lift
   along a row map, push down a column map, read in the target.
@@ -112,11 +114,6 @@ def sparse_table(table) -> tuple:
     return tuple(tuple(sparse_vec(v) for v in row) for row in table)
 
 
-def sparse_columns(m: Matrix) -> tuple:
-    """The columns of a matrix, each as its nonzero (k, value) pairs."""
-    return m.sparse_cols
-
-
 def linear(field: Field, cols, u) -> list:
     """The linear map with sparse columns ``cols`` at the sparse vector u."""
     zero = field.zero()
@@ -125,6 +122,11 @@ def linear(field: Field, cols, u) -> list:
         for k, t in cols[i]:
             out[k] = field.add(out.get(k, zero), field.mul(a, t))
     return [(k, x) for k, x in out.items() if x]
+
+
+def sparse_add(field: Field, u, v, c) -> list:
+    """u + c v for sparse vectors u and v, as its nonzero (k, value) pairs."""
+    return linear(field, (u, v), ((0, field.one()), (1, c)))
 
 
 def contract(field: Field, table, x, y, dim: int) -> tuple:
@@ -463,7 +465,7 @@ class Matrix:
         return sum(1 for p in self._factor if p < self.cols)
 
     def image(self) -> Subspace:
-        return Subspace.span(self.field, self.rows, self.transpose().entries)
+        return Subspace.span_sparse(self.field, self.rows, self.sparse_cols)
 
     def kernel(self) -> Subspace:
         """Spanned by one solution per free column of M: 1 there, minus that
@@ -471,17 +473,8 @@ class Matrix:
         f = self.field
         n = self.cols
         solved = [(p, row) for p, row in self._factor.items() if p < n]
-        basis = []
-        for c in range(n):
-            if c in self._factor:
-                continue
-            v = [f.zero()] * n
-            v[c] = f.one()
-            for p, row in solved:
-                if c in row:
-                    v[p] = f.neg(row[c])
-            basis.append(tuple(v))
-        return Subspace.span(f, n, basis)
+        return Subspace.span_sparse(f, n, [((c, f.one()), *[(p, f.neg(row[c])) for p, row in solved if c in row])
+                                           for c in range(n) if c not in self._factor])
 
     def is_surjective(self) -> bool:
         return self.rank() == self.rows
@@ -586,44 +579,47 @@ class RrefAccumulator:
     def add_rows(self, rows) -> None:
         """Add sparse rows in order; an empty row, and a row equal to one
         earlier in ``rows``, adds nothing and is not eliminated."""
-        for row in dict.fromkeys(rows):
+        for row in dict.fromkeys(map(tuple, rows)):
             if row:
                 self.add(row)
 
-    def basis_matrix(self) -> Matrix:
-        rows = tuple(dense_vec(self.field, self.ambient_dim, self.rows[pc].items())
-                     for pc in sorted(self.rows))
-        return Matrix(self.field, len(rows), self.ambient_dim, rows)
+    def subspace(self) -> Subspace:
+        """The span of the vectors added, its rows sorted by pivot and each
+        by column."""
+        return Subspace(self.field, self.ambient_dim,
+                        tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows)))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of a coordinate space, held as a canonical RREF basis."""
+    """A subspace of a coordinate space, held as the sparse rows of its
+    canonical RREF: each row the sorted (column, value) pairs of its nonzero
+    coordinates, its pivot first, the pivots increasing."""
 
-    basis: Matrix  # rows = basis vectors, reduced echelon, no zero rows
-    # cached echelon data; identity is determined by the basis alone
-    _pivots: tuple = dc_field(init=False, compare=False, repr=False)
-    sparse_rows: tuple = dc_field(init=False, compare=False, repr=False)
+    field: Field
+    ambient_dim: int
+    sparse_rows: tuple
     _rows: dict = dc_field(init=False, compare=False, repr=False)  # pivot -> the row's other pairs
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.cols
-
     def __post_init__(self):
-        sparse = tuple(map(sparse_vec, self.basis.entries))
-        object.__setattr__(self, "sparse_rows", sparse)
-        object.__setattr__(self, "_pivots", tuple(r[0][0] if r else -1 for r in sparse))
-        object.__setattr__(self, "_rows", {r[0][0]: r[1:] for r in sparse if r})
+        # the first pivot is the least column of any row
+        rows = self.sparse_rows
+        if rows and (rows[0][0][0] < 0 or max(r[-1][0] for r in rows) >= self.ambient_dim):
+            raise DimensionError(f"a column index outside ambient dimension {self.ambient_dim}")
+        object.__setattr__(self, "_rows", {r[0][0]: r[1:] for r in rows})
+
+    # the basis rows as a dense matrix, built once when read
+    basis = cached_property(lambda self: Matrix(self.field, self.dim, self.ambient_dim, tuple(
+        dense_vec(self.field, self.ambient_dim, r) for r in self.sparse_rows)))
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
-        acc = RrefAccumulator(field, ambient_dim)
+        rows = []
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError(f"vector length {len(v)} in ambient dimension {ambient_dim}")
-            acc.add(sparse_vec(v))
-        return Subspace(acc.basis_matrix())
+            rows.append(sparse_vec(v))
+        return Subspace.span_sparse(field, ambient_dim, rows)
 
     @staticmethod
     def span_sparse(field: Field, ambient_dim: int, rows) -> "Subspace":
@@ -632,26 +628,22 @@ class Subspace:
         one already added, adds nothing and is not eliminated."""
         acc = RrefAccumulator(field, ambient_dim)
         acc.add_rows(rows)
-        return Subspace(acc.basis_matrix())
+        return acc.subspace()
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(Matrix(field, 0, ambient_dim, ()))
+        return Subspace(field, ambient_dim, ())
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(Matrix.identity(field, ambient_dim))
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
+        return Subspace(field, ambient_dim, tuple(((i, field.one()),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.sparse_rows)
 
     def pivots(self) -> tuple:
-        return self._pivots
+        return tuple(self._rows)
 
     def residue(self, pairs) -> dict:
         """The sparse vector v with nonzero coordinates ``pairs`` less its
@@ -688,28 +680,31 @@ class Subspace:
 
     def coordinates(self, v) -> tuple | None:
         """Coordinates of v in the basis rows, or None when v lies outside."""
-        return None if self.residue(self._sparse(v)) else tuple(v[p] for p in self._pivots)
+        return None if self.residue(self._sparse(v)) else tuple(v[p] for p in self._rows)
+
+    def _same_space(self, other: "Subspace", what: str) -> None:
+        if self.field != other.field:
+            raise FieldMismatch(f"{what} across different fields")
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionError(f"{what} in different ambient spaces")
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        self._same_space(other, "subspace containment")
         return all(self.contains_sparse(r) for r in other.sparse_rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("subspace sum in different ambient spaces")
-        return Subspace.span(self.field, self.ambient_dim,
-                             list(self.basis.entries) + list(other.basis.entries))
+        self._same_space(other, "subspace sum")
+        return Subspace.span_sparse(self.field, self.ambient_dim, self.sparse_rows + other.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("intersection in different ambient spaces")
+        self._same_space(other, "intersection")
         f = self.field
         h = self.dim
         # kernel elements (a, b) of the stacked bases give a.H + b.K = 0, so
         # a.H lies in both row spaces
-        stacked = Matrix.from_columns(f, self.ambient_dim, self.basis.entries + other.basis.entries)
-        combine = self.basis.transpose()
-        return Subspace.span(f, self.ambient_dim,
-                             [combine.apply(w[:h]) for w in stacked.kernel().basis.entries])
+        stacked = Matrix.from_sparse_columns(f, self.ambient_dim, self.sparse_rows + other.sparse_rows)
+        return Subspace.span_sparse(f, self.ambient_dim, [linear(f, self.sparse_rows, [(i, x) for i, x in w if i < h])
+                                                          for w in stacked.kernel().sparse_rows])
 
 
 def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
@@ -719,8 +714,8 @@ def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
     function returning target coordinates or None).  None when some lift or
     read fails."""
     cols = []
-    for v in kernel.basis.entries:
-        x = row.preimage(v)
+    for r in kernel.sparse_rows:
+        x = row.preimage(dense_vec(kernel.field, kernel.ambient_dim, r))
         q = None if x is None else read(column.apply(x))
         if q is None:
             return None
@@ -732,9 +727,8 @@ def _expand_kernel(mapping: Matrix, space: Subspace) -> Subspace:
     """The kernel of a map defined on coordinates in the basis of ``space``,
     as a subspace of the ambient space of ``space``."""
     f = space.field
-    combine = space.basis.transpose()
-    return Subspace.span(f, space.ambient_dim,
-                         [combine.apply(w) for w in mapping.kernel().basis.entries])
+    return Subspace.span_sparse(f, space.ambient_dim,
+                                [linear(f, space.sparse_rows, w) for w in mapping.kernel().sparse_rows])
 
 
 @dataclass(frozen=True)
@@ -742,8 +736,7 @@ class QuotientSpace:
     """Ambient space modulo a relation subspace, with canonical coordinates.
 
     Quotient coordinates are the non-pivot columns of the relation RREF in
-    increasing order; ``lift`` places coordinates there and zeros at pivots,
-    so project(lift(q)) = q exactly.
+    increasing order: the class of a vector is its residue read there.
     """
 
     relations: Subspace
@@ -778,11 +771,6 @@ class QuotientSpace:
     def project(self, v) -> tuple:
         return dense_vec(self.field, self.dim, self.project_sparse(self.relations._sparse(v)))
 
-    def lift(self, q) -> tuple:
-        if len(q) != self.dim:
-            raise DimensionError("coordinate vector does not match quotient dimension")
-        return dense_vec(self.field, self.ambient_dim, zip(self.coset_basis, q))
-
     def projection_map(self) -> Matrix:
         one = self.field.one()
         return Matrix.from_sparse_columns(self.field, self.dim, [
@@ -807,8 +795,8 @@ def induced_map(f, src: QuotientSpace, dst: QuotientSpace,
     if len(cols) != src.ambient_dim or isinstance(f, Matrix) and f.rows != dst.ambient_dim:
         raise DimensionError("map does not connect the two ambient spaces")
     field = dst.field
-    for r, row in zip(src.relations.basis.entries, src.relations.sparse_rows):
+    for row in src.relations.sparse_rows:
         w = linear(field, cols, row)
         if not dst.relations.contains_sparse(w):
-            raise error(r, dense_vec(field, dst.ambient_dim, w))
+            raise error(dense_vec(field, src.ambient_dim, row), dense_vec(field, dst.ambient_dim, w))
     return Matrix.from_sparse_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])

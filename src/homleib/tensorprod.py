@@ -28,8 +28,8 @@ tensor product), and two sparse products per relation basis row certify
 the bracket; a row they do not kill falls back to the full check.  A
 failure aborts loudly since it would contradict the construction.  Maps
 between tensor products, the factor maps onto M and N and the outer
-actions are each ``linalg.induced_map`` of an ambient map, the tensor
-ambient maps given by their sparse columns.
+actions are each ``linalg.induced_map`` of an ambient map, given by its
+sparse columns where it is not an evaluation.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     RrefAccumulator,
-    Subspace,
     induced_map,
     law_rows,
     outer,
     quotient,
+    sparse_add,
     sparse_outer,
     tensor_table,
-    unit_vec,
-    vec_add,
     vec_is_zero,
-    vec_sub,
 )
 from .report import ExactnessReport
 
@@ -114,7 +111,7 @@ def _ambient_map(f, fm, gn, dm, dn) -> tuple:
 
 
 def _ambient_twist(M, N) -> tuple:
-    return _ambient_map(M.field, M.sparse_twist, N.sparse_twist, M.dim, N.dim)
+    return _ambient_map(M.field, M.twist.sparse_cols, N.twist.sparse_cols, M.dim, N.dim)
 
 
 def _eval_maps(ma: MutualActions):
@@ -134,8 +131,8 @@ def _is_square(ma: MutualActions) -> bool:
     """Whether the two sides carry equal data: dimension, twist, bracket,
     and one action table for all four actions."""
     M, N, mn, nm = ma.m_side, ma.n_side, ma.mn, ma.nm
-    return (M.dim, M.sparse_twist, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) == \
-        (N.dim, N.sparse_twist, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right)
+    return (M.dim, M.twist.sparse_cols, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) == \
+        (N.dim, N.twist.sparse_cols, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right)
 
 
 def relation_vectors(ma: MutualActions):
@@ -175,7 +172,7 @@ def relation_vectors(ma: MutualActions):
     """
     M, N = ma.m_side, ma.n_side
     f, dm, dn = M.field, M.dim, N.dim
-    tm, tn, cm, cn = M.sparse_twist, N.sparse_twist, M.sparse_c, N.sparse_c
+    tm, tn, cm, cn = M.twist.sparse_cols, N.twist.sparse_cols, M.sparse_c, N.sparse_c
     m_on_n, n_by_m = ma.mn.sparse_left, ma.mn.sparse_right   # in N
     n_on_m, m_by_n = ma.nm.sparse_left, ma.nm.sparse_right   # in M
     mn, nm = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
@@ -205,7 +202,7 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     if _is_square(ma):  # the relations are S + swap(S): see relation_vectors
         acc.add_rows([tuple(sorted((c - half if c >= half else c + half, x) for c, x in acc.rows[p].items()))
                       for p in sorted(acc.rows)])
-    pres = QuotientSpace(Subspace(acc.basis_matrix()))
+    pres = QuotientSpace(acc.subspace())
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]
@@ -262,31 +259,37 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
 
         def values(a, i, j):
             # a on m, a on n (in N), m acted by a, n acted by a (in N)
-            return M.c[a][i], mn.left[a][j], M.c[i][a], mn.right[j][a]
+            return M.sparse_c[a][i], mn.sparse_left[a][j], M.sparse_c[i][a], mn.sparse_right[j][a]
     elif side == "n":
         actor = N
 
         def values(a, i, j):
             # a on m (in M), a on n, m acted by a (in M), n acted by a
-            return nm.left[a][i], N.c[a][j], nm.right[i][a], N.c[j][a]
+            return nm.sparse_left[a][i], N.sparse_c[a][j], nm.sparse_right[i][a], N.sparse_c[j][a]
     else:
         raise ValueError("side must be 'm' or 'n'")
-    tm = [M.apply_twist(M.unit(i)) for i in range(M.dim)]
-    tn = [N.apply_twist(N.unit(j)) for j in range(N.dim)]
+    tm, tn, one, minus = M.twist.sparse_cols, N.twist.sparse_cols, f.one(), f.neg(f.one())
+
+    def in_mn(u, v):  # u*v in the block m*n, of sparse u in M and v in N
+        return sparse_outer(f, u, v, N.dim)
+
+    def in_nm(v, u):  # v*u in the block n*m
+        return sparse_outer(f, v, u, M.dim, M.dim * N.dim)
 
     def columns(a):
-        # both actions of the actor basis vector a on the ambient generators
+        # both actions of the actor basis vector a on the ambient generators,
+        # as sparse columns
         left_cols = [None] * t.ambient_dim
         right_cols = [None] * t.ambient_dim
         for i in range(M.dim):
             for j in range(N.dim):
                 am, an, ma, na = values(a, i, j)
                 g, g2 = t.idx_mn(i, j), t.idx_nm(j, i)
-                x, y = t.embed_mn(am, tn[j]), t.embed_nm(an, tm[i])
-                left_cols[g] = vec_sub(f, x, y)
-                left_cols[g2] = vec_sub(f, y, x)
-                right_cols[g] = vec_add(f, t.embed_mn(ma, tn[j]), t.embed_mn(tm[i], na))
-                right_cols[g2] = vec_add(f, t.embed_nm(na, tm[i]), t.embed_nm(tn[j], ma))
+                x, y = in_mn(am, tn[j]), in_nm(an, tm[i])
+                left_cols[g] = sparse_add(f, x, y, minus)
+                left_cols[g2] = sparse_add(f, y, x, minus)
+                right_cols[g] = sparse_add(f, in_mn(ma, tn[j]), in_mn(tm[i], na), one)
+                right_cols[g2] = sparse_add(f, in_nm(na, tm[i]), in_nm(tn[j], ma), one)
         return left_cols, right_cols
 
     # the formulas are linear in the ambient generator; they must carry the
@@ -340,6 +343,7 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     into_m, into_n = factor_maps(t)
     act_m = outer_action(t, "m")
     act_n = outer_action(t, "n")
+    classes = t.presentation.projection_map().transpose().entries  # of the ambient generators
     z = center(T)
     rep.check("first kernel inside the center", z.contains_subspace(into_m.map.kernel()))
     rep.check("second kernel inside the center", z.contains_subspace(into_n.map.kernel()))
@@ -348,7 +352,7 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
         ker = hom.map.kernel()
         ok = True
         for g in range(t.ambient_dim):
-            v = hom.map.apply(t.presentation.project(unit_vec(f, t.ambient_dim, g)))
+            v = hom.map.apply(classes[g])
             for k in ker.basis.entries:
                 if not vec_is_zero(f, act.act_left(v, k)) or \
                    not vec_is_zero(f, act.act_right(k, v)):
@@ -371,12 +375,12 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
 
     ok_left = ok_right = True
     for g1 in range(t.ambient_dim):
-        cls1 = t.presentation.project(unit_vec(f, t.ambient_dim, g1))
+        cls1 = classes[g1]
         tw1 = T.apply_twist(cls1)
         vm = into_m.map.apply(cls1)
         vn = into_n.map.apply(cls1)
         for g2 in range(t.ambient_dim):
-            cls2 = t.presentation.project(unit_vec(f, t.ambient_dim, g2))
+            cls2 = classes[g2]
             br = T.bracket(tw1, cls2)
             if act_m.act_left(vm, cls2) != br or act_n.act_left(vn, cls2) != br:
                 ok_left = False

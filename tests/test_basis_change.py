@@ -1,0 +1,111 @@
+"""Basis-change oracle: an algebra and its conjugate by a fixed unitriangular
+integer matrix P are isomorphic, so every dimension, flag and certificate
+verdict the command line reports on them must be the same.
+
+P has 1 on the diagonal and (i + 2j) mod 3 - 1 above it (0-based i < j);
+its inverse is integral too.  The conjugate's basis vectors are the columns
+of P: its structure constants are P^-1 [P e_a, P e_b] and its twist is
+P^-1 t P.  Only the basis-dependent parts of an output are left out of the
+comparison: the presented algebra's table and the center's basis.  Over Q,
+homology runs at ``--max-n 1`` only, since the conjugated chain spaces fill
+in and their elimination over Q is slow; over GF(p) it runs at ``--max-n 2``.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from homleib import generators
+from homleib.algebras import HomLeibnizAlgebra, direct_sum, yau_twist
+from homleib.cli import main
+from homleib.documents import serialize_algebra
+from homleib.fields import Field
+from homleib.homassoc import HomAssociativeAlgebra, yau_twist_assoc
+from homleib.linalg import Matrix
+
+QQ, GFP = Field(), Field(1000003)
+
+
+def unitriangular(f, n) -> Matrix:
+    return Matrix.from_rows(f, [[(i + 2 * j) % 3 - 1 if i < j else int(i == j) for j in range(n)]
+                                for i in range(n)])
+
+
+def conjugate(alg):
+    """The same algebra in the basis of the columns of ``unitriangular``."""
+    f, n = alg.field, alg.dim
+    P = unitriangular(f, n)
+    inverse = P.section()  # P is bijective, so its section is its inverse
+    op = alg.bracket if isinstance(alg, HomLeibnizAlgebra) else alg.product
+    cols = P.transpose().entries
+    table = tuple(tuple(inverse.apply(op(cols[a], cols[b])) for b in range(n)) for a in range(n))
+    return type(alg)(f, n, table, inverse.compose(alg.twist).compose(P), alg.labels)
+
+
+def _upper_triangular(f):
+    return HomAssociativeAlgebra.from_products(
+        f, 3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}, labels=("e11", "e12", "e22"))
+
+
+LEIBNIZ = {
+    "square-twisted": lambda f: yau_twist(generators.square_bracket_algebra(f), Matrix.from_rows(f, [[4, 1], [0, 2]])),
+    "abelian-twisted": lambda f: HomLeibnizAlgebra.abelian(f, 3, Matrix.from_rows(f, [[2, 0, 0], [0, -2, 1],
+                                                                                       [0, 0, 3]])),
+    "heisenberg-twisted": lambda f: yau_twist(generators.heisenberg(f),
+                                              Matrix.from_rows(f, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])),
+    "sl2-twisted": lambda f: yau_twist(generators.sl2(f),
+                                       Matrix.from_rows(f, [[2, 0, 0], [0, f.div(1, 2), 0], [0, 0, 1]])),
+    "sl2+square": lambda f: direct_sum(generators.sl2(f), generators.square_bracket_algebra(f)),
+}
+ASSOCIATIVE = {
+    "upper-triangular-twisted": lambda f: yau_twist_assoc(
+        _upper_triangular(f), Matrix.from_rows(f, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])),
+}
+COMMANDS = [("validate",), ("info",)]
+LEIBNIZ_COMMANDS = [("tensor", "--square"), ("uce",), ("six-term", "--ideal", "zero"),
+                    ("six-term", "--ideal", "full")]
+HOMOLOGY = {QQ: "1", GFP: "2"}
+
+
+def _invariants(data):
+    """The output less its basis-dependent parts."""
+    if isinstance(data, dict):
+        return {k: _invariants(v) for k, v in data.items() if k not in ("algebra", "center_basis")}
+    if isinstance(data, list):
+        return [_invariants(x) for x in data]
+    return data
+
+
+def _run(alg, commands, path, capsys):
+    path.write_text(json.dumps(serialize_algebra(alg)), encoding="utf-8")
+    out = []
+    for cmd in commands:
+        code = main([cmd[0], *cmd[1:], str(path), "--json"])
+        out.append((cmd, code, _invariants(json.loads(capsys.readouterr().out))))
+    return out
+
+
+def test_the_conjugating_matrix():
+    P = unitriangular(QQ, 4)
+    assert P.entries == ((1, 1, 0, -1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    inverse = P.section()
+    assert inverse.compose(P) == Matrix.identity(QQ, 4)
+    assert all(isinstance(x, int) for row in inverse.entries for x in row)
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+@pytest.mark.parametrize("name", sorted(LEIBNIZ) + sorted(ASSOCIATIVE))
+def test_reports_do_not_depend_on_the_basis(name, f, tmp_path, capsys):
+    alg = (LEIBNIZ.get(name) or ASSOCIATIVE[name])(f)
+    assert alg.dim <= 5
+    commands = list(COMMANDS)
+    if name in LEIBNIZ:
+        commands += LEIBNIZ_COMMANDS + [("homology", "--coeffs", coeffs, "--max-n", HOMOLOGY[f])
+                                        for coeffs in ("trivial", "adjoint")]
+    twisted = conjugate(alg)
+    assert twisted != alg
+    stock = _run(alg, commands, tmp_path / "stock.alg", capsys)
+    assert [code for _, code, _ in stock][:2] == [0, 0]
+    assert _run(twisted, commands, tmp_path / "conjugated.alg", capsys) == stock

@@ -12,6 +12,7 @@ breaks yields its witnesses, in order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -617,7 +618,7 @@ class TestSparseSupports:
         the 19 where xy or yz is."""
         A = upper_triangular(QQ)
         assert A.validate().valid
-        p, tw = A.sparse_p, A.sparse_twist
+        p, tw = A.sparse_p, A.twist.sparse_cols
         sides = ((p, (tw, 0), (p, 1, 2)), (p, (p, 0, 1), (tw, 2)))
         rule = [idx for idx in itertools.product(range(3), repeat=3) if any(_can_be_nonzero(t, idx) for t in sides)]
         assert [idx for name, idx in evaluated if name == "hom-associativity"] == rule
@@ -633,7 +634,7 @@ class TestSparseSupports:
         B = build_tensor(MutualActions.trivial(A, A)).algebra
         assert B.dim == 200
         B = HomLeibnizAlgebra(f, B.dim, B.c, B.twist, B.labels)
-        B.sparse_c, B.sparse_twist
+        B.sparse_c, B.twist.sparse_cols
         tracemalloc.start()
         try:
             assert B.validate().valid
@@ -833,17 +834,22 @@ class TestEndomorphismChecks:
 
 class TestSparseTablesBuiltOnce:
     def test_repeated_calls_build_each_table_once(self, monkeypatch):
+        # twists are fresh matrices, their sparse columns not yet built
         L = sl2_twisted(QQ)
+        L = HomLeibnizAlgebra(QQ, L.dim, L.c, Matrix(QQ, 3, 3, L.twist.entries), L.labels)
         ma = MutualActions.adjoint(L)
         A = upper_triangular(QQ)
         M = adjoint_corep(L)
         built = []
         for mod in (algebras, actions, homassoc, homology):
-            for name in ("sparse_table", "sparse_columns"):
-                if hasattr(mod, name):
-                    real = getattr(mod, name)
-                    monkeypatch.setattr(mod, name, lambda t, real=real, key=(mod.__name__, name):
-                                        built.append(key) or real(t))
+            if hasattr(mod, "sparse_table"):
+                real = mod.sparse_table
+                monkeypatch.setattr(mod, "sparse_table", lambda t, real=real, key=(mod.__name__, "sparse_table"):
+                                    built.append(key) or real(t))
+        # a twist's sparse columns are its Matrix.sparse_cols, cached there
+        cols = functools.cached_property(lambda m, real=Matrix.sparse_cols.func: built.append(m) or real(m))
+        cols.__set_name__(Matrix, "sparse_cols")
+        monkeypatch.setattr(Matrix, "sparse_cols", cols)
         x, y = L.unit(0), L.unit(2)
         for _ in range(3):
             L.bracket(x, y)
@@ -859,11 +865,15 @@ class TestSparseTablesBuiltOnce:
         # the adjoint action and the adjoint right operation of M share the
         # sparse form of L's bracket table; M's left operation is built by
         # L.sparse_of
-        assert sorted(built) == sorted([
-            ("homleib.algebras", "sparse_table"), ("homleib.algebras", "sparse_columns"),  # L
-            ("homleib.homassoc", "sparse_table"), ("homleib.homassoc", "sparse_columns"),  # A
-            ("homleib.algebras", "sparse_table"), ("homleib.homology", "sparse_columns"),  # M
+        # M's twist is L's, so its sparse columns are L's
+        tables = [key for key in built if isinstance(key, tuple)]
+        assert sorted(tables) == sorted([
+            ("homleib.algebras", "sparse_table"),  # L
+            ("homleib.homassoc", "sparse_table"),  # A
+            ("homleib.algebras", "sparse_table"),  # M
         ])
+        assert [m for m in built if not isinstance(m, tuple)] == [L.twist, A.twist]
+        assert M.twist is L.twist
         assert ma.mn.sparse_left is ma.mn.sparse_right is L.sparse_c
         assert M.sparse_right is L.sparse_c
 

@@ -41,7 +41,8 @@ from homleib.homassoc import (
     hochschild_module,
     to_leibniz,
 )
-from homleib.linalg import Matrix, QuotientSpace, Subspace, induced_map, quotient, sparse_table, unit_vec
+from homleib.linalg import (Matrix, QuotientSpace, Subspace, induced_map, quotient, sparse_table, sparse_vec,
+                            unit_vec)
 from homleib.tensorprod import build_tensor, factor_maps, outer_action
 from test_homassoc import boundary_shapes
 from test_linalg import dense_reduce
@@ -222,7 +223,7 @@ class TestSameMatricesAsTheSectionCompositions:
         t = build_tensor(MutualActions.adjoint(to_leibniz(A)))
         T = t.algebra
         shapes = zip(boundary_shapes(A, A.p, t.embed_mn), boundary_shapes(A, A.p, t.embed_nm))
-        ideal = ideal_closure(T, (t.presentation.project(v) for pair in shapes for v in pair))
+        ideal = ideal_closure(T, (t.presentation.project_sparse(sparse_vec(v)) for pair in shapes for v in pair))
         _, proj = quotient_algebra(T, IdealHandle(T, ideal))
         units = [unit_vec(f, n * n, g) for g in range(n * n)]
         on_square = induced_map(Matrix.from_columns(f, n * n, units + units),

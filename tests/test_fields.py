@@ -160,9 +160,9 @@ def test_boundary_columns_built_only_by_the_chain_complex():
     assert [site.rsplit(":", 1)[0] for site in found] == ["homology:ChainComplex.columns"], found
 
 
-def _reads_relation_basis(node):
-    # ``<...>.relations.basis`` or ``relations.basis``
-    if not (isinstance(node, ast.Attribute) and node.attr == "basis"):
+def _reads_relation_rows(node):
+    # ``<...>.relations.sparse_rows`` or ``relations.basis``, in either form
+    if not (isinstance(node, ast.Attribute) and node.attr in ("sparse_rows", "basis")):
         return False
     value = node.value
     name = value.id if isinstance(value, ast.Name) else getattr(value, "attr", None)
@@ -173,12 +173,13 @@ def test_relation_rows_read_only_by_the_descent_certificates():
     # every map out of a presentation is ``induced_map``, the one place that
     # certifies a map carries the relations into the target's relations;
     # ``certified_quotient`` keeps its bracket sweep over the relation rows
-    found = _library_sites(_reads_relation_basis)
+    found = _library_sites(_reads_relation_rows)
     assert [site.rsplit(":", 1)[0] for site in found] == \
         ["algebras:certified_quotient", "linalg:induced_map"], found
 
 
-SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "_ambient_map")
+SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "_ambient_map", "outer_action",
+                       "action_on_quotient", "induced_action", "degree_one_trivial_closed_form")
 
 
 def _dense_presentation_step(node):
@@ -200,6 +201,32 @@ def test_presentation_builders_stay_sparse():
     found = [site for site in _library_sites(_dense_presentation_step)
              if set(site.split(":")[1].split(".")) & set(SPARSE_PRESENTATION)]
     assert found == [], found
+
+
+DENSE_TWINS = ("sparse_columns", "sparse_twist", "basis_matrix", "lift")
+
+
+def test_dense_twins_are_gone():
+    # a subspace holds only its sparse RREF rows, built by the accumulator's
+    # ``subspace()``; a twist's sparse columns are its ``Matrix.sparse_cols``:
+    # no alias, cached twin, dense basis builder or dense lift is defined
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # every function and class, and every module or class attribute
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        defined = [(node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(t.id, node.lineno) for scope in scopes for node in scope.body
+                    for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
+        found += [f"{path.stem}:{name}:{line}" for name, line in defined if name in DENSE_TWINS]
+        if path.stem == "linalg":
+            subspace = next(node for node in scopes if getattr(node, "name", None) == "Subspace")
+            fields = {node.target.id: ast.unparse(node.annotation) for node in subspace.body
+                      if isinstance(node, ast.AnnAssign)}
+    assert found == [], found
+    assert fields == {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple", "_rows": "dict"}, fields
 
 
 def _calls_record(node):

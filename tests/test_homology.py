@@ -46,7 +46,7 @@ def reference_boundary_column(L, M, n, m_idx, xs):
     f = L.field
     zero = f.zero()
     dl = L.dim
-    tw = L.sparse_twist
+    tw = L.twist.sparse_cols
     out = {}
 
     def scatter(sign_positive: bool, head, slots):
@@ -76,7 +76,7 @@ def reference_boundary_column(L, M, n, m_idx, xs):
         slots = [tw[x] for k, x in enumerate(xs) if k != i - 1]
         scatter(i % 2 == 0, head, slots)
     # bracket insertion family over pairs i < j, sign (-1)^(j+1)
-    tm = M.sparse_twist[m_idx]
+    tm = M.twist.sparse_cols[m_idx]
     for j in range(2, n + 1):
         for i in range(1, j):
             slots = []

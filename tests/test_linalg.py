@@ -17,8 +17,10 @@ from homleib.linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    _expand_kernel,
     connecting_map,
     contract,
+    dense_vec,
     induced_map,
     outer,
     quotient,
@@ -144,7 +146,7 @@ class TestRref:
             before = rref(Matrix(m.field, k, m.cols, m.entries[:k])).rank
             assert acc.add(row) == (rref(Matrix(m.field, k + 1, m.cols, m.entries[:k + 1])).rank > before)
         res = rref(m)
-        assert acc.basis_matrix() == Matrix(m.field, res.rank, m.cols, res.reduced.entries[:res.rank])
+        assert acc.subspace().basis == Matrix(m.field, res.rank, m.cols, res.reduced.entries[:res.rank])
 
 
     @given(matrices(), st.randoms(use_true_random=False))
@@ -206,7 +208,8 @@ class TestQuotient:
     def test_project_lift_roundtrip(self, m, data):
         q = QuotientSpace(m.image() if m.rows == m.cols else Subspace.span(m.field, m.cols, m.entries))
         coords = tuple(data.draw(scalars(m.field)) for _ in range(q.dim))
-        assert q.project(q.lift(coords)) == coords
+        # coordinates placed at the coset generators, zeros at the pivots
+        assert q.project(dense_vec(m.field, m.cols, zip(q.coset_basis, coords))) == coords
 
     @given(matrices(max_dim=3))
     def test_relations_project_to_zero(self, m):
@@ -266,6 +269,21 @@ class TestSubspace:
             Matrix.identity(QQ, 2).add(Matrix.identity(F5, 2))
         with pytest.raises(FieldMismatch):
             Matrix.identity(QQ, 2).sub(Matrix.identity(F5, 2))
+        # a GF(5) subspace is not read as one over Q
+        line = Subspace.span(F5, 2, [(F5.one(), F5.from_int(4))])
+        for call in (Subspace.full(QQ, 2).add, Subspace.full(QQ, 2).intersect, Subspace.full(QQ, 2).contains_subspace):
+            with pytest.raises(FieldMismatch):
+                call(line)
+
+    def test_columns_outside_the_ambient_space_rejected(self):
+        # a negative column would be the last coordinate of a dense vector,
+        # and a column at the ambient dimension would be none at all
+        for rows in ([((-1, QQ.one()),)], [((3, QQ.one()),)], [((0, QQ.one()), (3, QQ.one())), ((0, QQ.one()),)]):
+            with pytest.raises(DimensionError):
+                Subspace.span_sparse(QQ, 3, rows)
+        with pytest.raises(DimensionError):
+            Subspace(QQ, 2, (((0, QQ.one()), (2, QQ.one())),))
+        assert Subspace.span_sparse(QQ, 3, [((2, QQ.one()),)]).basis.entries == ((0, 0, 1),)
 
 
 def _random_vec(field, rng, n):
@@ -364,9 +382,10 @@ class TestConnectingMap:
 
 
 @st.composite
-def low_rank_matrices(draw, field, max_dim=5):
+def low_rank_matrices(draw, field, max_dim=5, cols=None):
     """A product of two small random matrices, so ranks below full are common."""
-    rows, inner, cols = (draw(st.integers(1, max_dim)) for _ in range(3))
+    rows, inner, drawn = (draw(st.integers(1, max_dim)) for _ in range(3))
+    cols = cols or drawn
     entry = st.integers(-2, 2).map(field.from_int)
 
     def grid(r, c):
@@ -388,6 +407,39 @@ def _dense_solution(m, b):
     return tuple(x)
 
 
+def _dense_kernel(m) -> list:
+    """One kernel vector of m per free column of the dense reference ``rref``:
+    1 there, minus that column of the RREF at the pivots."""
+    f, res = m.field, rref(m)
+    kernel = []
+    for c in range(m.cols):
+        if c in res.pivots:
+            continue
+        v = [f.zero()] * m.cols
+        v[c] = f.one()
+        for r, pc in enumerate(res.pivots):
+            v[pc] = f.neg(res.reduced.entries[r][c])
+        kernel.append(tuple(v))
+    return kernel
+
+
+def _dense_basis(f, n, vectors) -> Matrix:
+    """The nonzero rows of the dense reference ``rref`` of the vectors."""
+    res = rref(Matrix(f, len(vectors), n, tuple(vectors)))
+    return Matrix(f, res.rank, n, res.reduced.entries[:res.rank])
+
+
+def _dense_combinations(f, n, rows, coefficient_vectors) -> list:
+    """The combinations sum c_i rows_i of dense rows, one per coefficient vector."""
+    out = []
+    for c in coefficient_vectors:
+        v = vec_zero(f, n)
+        for x, row in zip(c, rows):
+            v = vec_add(f, v, vec_scale(f, x, row))
+        out.append(v)
+    return out
+
+
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
 class TestEliminationEngine:
     """Every rank, kernel, preimage and section of a ``Matrix`` equals the
@@ -398,16 +450,7 @@ class TestEliminationEngine:
         m = data.draw(low_rank_matrices(f))
         res = rref(m)
         assert m.rank() == res.rank
-        kernel = []
-        for c in range(m.cols):
-            if c in res.pivots:
-                continue
-            v = [f.zero()] * m.cols
-            v[c] = f.one()
-            for r, pc in enumerate(res.pivots):
-                v[pc] = f.neg(res.reduced.entries[r][c])
-            kernel.append(tuple(v))
-        assert m.kernel() == Subspace.span(f, m.cols, kernel)
+        assert m.kernel() == Subspace.span(f, m.cols, _dense_kernel(m))
         entry = st.integers(-3, 3).map(f.from_int)
         x = tuple(data.draw(entry) for _ in range(m.cols))
         b = tuple(data.draw(entry) for _ in range(m.rows))
@@ -488,3 +531,43 @@ class TestResidue:
             assert q.project(v) == tuple(w[c] for c in q.coset_basis)
             assert q.project_sparse(sparse_vec(v)) == sparse_vec(q.project(v))
         assert space.coordinates(inside) == x
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestSparseStorage:
+    """A subspace keeps only the sparse rows of its RREF.  Its dense basis,
+    and every sum, intersection and expanded kernel, equals the computation
+    on dense rows with the reference ``rref``; equal subspaces built in
+    different ways compare and hash equal."""
+
+    @given(st.data())
+    def test_matches_the_dense_computation(self, f, data):
+        m = data.draw(low_rank_matrices(f))
+        n = m.cols
+        other = data.draw(low_rank_matrices(f, cols=n))
+        a, b = Subspace.span(f, n, m.entries), Subspace.span(f, n, other.entries)
+        assert "basis" not in vars(a)  # the dense view is built only when read
+        assert a.basis == _dense_basis(f, n, m.entries)
+        assert a.add(b).basis == _dense_basis(f, n, a.basis.entries + b.basis.entries)
+        stacked = Matrix.from_columns(f, n, a.basis.entries + b.basis.entries)
+        kernel = [w[:a.dim] for w in _dense_kernel(stacked)]
+        assert a.intersect(b).basis == _dense_basis(f, n, _dense_combinations(f, n, a.basis.entries, kernel))
+        mapping = data.draw(low_rank_matrices(f, cols=a.dim)) if a.dim else Matrix.zero(f, 1, 0)
+        expanded = _dense_combinations(f, n, a.basis.entries, _dense_kernel(mapping))
+        assert _expand_kernel(mapping, a).basis == _dense_basis(f, n, expanded)
+
+    @given(st.data())
+    def test_equal_subspaces_compare_and_hash_equal(self, f, data):
+        m = data.draw(low_rank_matrices(f))
+        n, a = m.cols, Subspace.span(f, m.cols, m.entries)
+        scaled = [vec_scale(f, f.from_int(-2), r) for r in reversed(m.entries)]
+        acc = RrefAccumulator(f, n)
+        acc.add_rows(sparse_vec(r) for r in scaled)
+        same = [Subspace.span(f, n, scaled), acc.subspace(), Subspace.span_sparse(f, n, a.sparse_rows),
+                a.add(a), a.intersect(Subspace.full(f, n)), Subspace.full(f, n).intersect(a),
+                Subspace(f, n, a.sparse_rows)]
+        for s in same:
+            assert s == a and hash(s) == hash(a)
+        assert len({a, *same}) == 1
+        if a.dim < n:
+            assert a != Subspace.full(f, n)
