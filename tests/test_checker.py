@@ -865,13 +865,13 @@ class TestSparseTablesBuiltOnce:
         # the adjoint action and the adjoint right operation of M share the
         # sparse form of L's bracket table; M's left operation is built by
         # L.sparse_of
-        # M's twist is L's, so its sparse columns are L's
         tables = [key for key in built if isinstance(key, tuple)]
         assert sorted(tables) == sorted([
             ("homleib.algebras", "sparse_table"),  # L
             ("homleib.homassoc", "sparse_table"),  # A
             ("homleib.algebras", "sparse_table"),  # M
         ])
+        # M's twist is L's, so its sparse columns are L's
         assert [m for m in built if not isinstance(m, tuple)] == [L.twist, A.twist]
         assert M.twist is L.twist
         assert ma.mn.sparse_left is ma.mn.sparse_right is L.sparse_c
