@@ -1,9 +1,12 @@
 """Hom-Leibniz actions, compatibility of mutual actions, semi-direct products.
 
-An action of (L, t_L) on (M, t_M) is a pair of bilinear maps, written here
-as ``left[x][m]`` for the value of x acting on m from the left and
-``right[m][x]`` for m acted on from the right, both also cached in the
-sparse form of ``linalg`` (``sparse_left``, ``sparse_right``).  Eight
+An action of (L, t_L) on (M, t_M) is a pair of bilinear maps, held only in
+the sparse table form of ``linalg``: ``sparse_left[x][m]`` is the value of
+x acting on m from the left and ``sparse_right[m][x]`` that of m acted on
+from the right, each the sorted (index, value) pairs of its nonzero target
+coordinates.  Builders write the pairs directly; the adjoint action shares
+its algebra's ``sparse_c``, and an action induced on a presentation hands
+on the ``sparse_cols`` of its induced maps.  Eight
 identities tie the actions to the brackets and twists of both algebras, and
 eight more make two actions compatible; every identity is multilinear, so
 ``linalg.check_laws`` checks them on basis tuples, which is exhaustive.
@@ -25,8 +28,9 @@ from .linalg import (
     check_laws,
     contract,
     induced_map,
-    vec_add,
-    vec_zero,
+    is_sparse_vec,
+    linear,
+    sparse_vec,
 )
 from .report import ValidationReport
 
@@ -35,16 +39,16 @@ from .report import ValidationReport
 class HomAction:
     actor: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
-    left: tuple  # left[x][m] in target coordinates
-    right: tuple  # right[m][x] in target coordinates
+    sparse_left: tuple  # sparse_left[x][m] as sparse target coordinates
+    sparse_right: tuple  # sparse_right[m][x] as sparse target coordinates
 
     def __post_init__(self):
-        dl, dm = self.actor.dim, self.target.dim
-        if len(self.left) != dl or any(len(r) != dm for r in self.left):
+        dl, dm, left, right = self.actor.dim, self.target.dim, self.sparse_left, self.sparse_right
+        if len(left) != dl or any(len(r) != dm for r in left):
             raise StructureError("left action tensor must be actor x target")
-        if len(self.right) != dm or any(len(r) != dl for r in self.right):
+        if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right action tensor must be target x actor")
-        if any(len(v) != dm for table in (self.left, self.right) for row in table for v in row):
+        if not all(is_sparse_vec(v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("action values must be target coordinate vectors")
         if self.target.field != self.actor.field:
             raise FieldMismatch("target algebra over the wrong field")
@@ -52,14 +56,7 @@ class HomAction:
     @staticmethod
     def trivial(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra) -> "HomAction":
         dl, dm = actor.dim, target.dim
-        z = vec_zero(target.field, dm)
-        return HomAction(actor, target,
-                         tuple(tuple(z for _ in range(dm)) for _ in range(dl)),
-                         tuple(tuple(z for _ in range(dl)) for _ in range(dm)))
-
-    # both tables in the one sparse form, built once
-    sparse_left = cached_property(lambda self: self.actor.sparse_of(self.left))
-    sparse_right = cached_property(lambda self: self.actor.sparse_of(self.right))
+        return HomAction(actor, target, (((),) * dm,) * dl, (((),) * dl,) * dm)
 
     def act_left(self, x, m) -> tuple:
         """Value of the actor vector x on the target vector m from the left."""
@@ -135,7 +132,7 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
         q = incl_t.map.preimage(v)
         if q is None:
             raise InvalidAction("bracket escapes the target subspace", witness=(v,))
-        return q
+        return sparse_vec(q)
 
     left = tuple(
         tuple(coords(parent.bracket(incl_a.map.col(i), incl_t.map.col(j)))
@@ -158,14 +155,13 @@ def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, co
     left, right = [], []
     for a in range(actor.dim):
         for maps, cols in zip((left, right), columns(a)):
-            maps.append(induced_map(cols, pres, pres, error))
-    return HomAction(actor, target, tuple(m.transpose().entries for m in left),
-                     tuple(tuple(m.col(k) for m in right) for k in range(target.dim)))
+            maps.append(induced_map(cols, pres, pres, error).sparse_cols)
+    return HomAction(actor, target, tuple(left), tuple(tuple(m[k] for m in right) for k in range(target.dim)))
 
 
 def self_action(L: HomLeibnizAlgebra) -> HomAction:
-    """The adjoint action of an algebra on itself."""
-    return HomAction(L, L, L.c, L.c)
+    """The adjoint action of an algebra on itself, on its own sparse table."""
+    return HomAction(L, L, L.sparse_c, L.sparse_c)
 
 
 @dataclass(frozen=True)
@@ -257,41 +253,35 @@ def semidirect(action: HomAction) -> SemidirectProduct:
     """Semi-direct product along an action of L on M.
 
     Underlying space M + L; bracket of (m1, l1) and (m2, l2) is
-    ([m1, m2] + t(l1).m2 + m1.t(l2), [l1, l2]); twist acts blockwise.
+    ([m1, m2] + t(l1).m2 + m1.t(l2), [l1, l2]); twist acts blockwise.  On
+    basis pairs each term lives in one block: [m, m'] is M's table, m.t(l)
+    and t(l).m are the action tables at the twisted l, and [l, l'] is L's.
     """
     action.require_valid()
     M, L = action.target, action.actor
-    f = M.field
-    n = M.dim + L.dim
+    f, dm, one = M.field, M.dim, M.field.one()
+    n = dm + L.dim
+    tl, right = L.twist.sparse_cols, action.sparse_right
+    acting = tuple(zip(*action.sparse_left))  # acting[m][x]: x acting on m from the left
 
-    def pair(mv, lv):
-        return tuple(mv) + tuple(lv)
+    def up(v):  # a sparse vector of L in the L summand
+        return tuple((dm + k, x) for k, x in v)
 
-    table = []
-    for a in range(n):
-        row = []
-        m1 = M.unit(a) if a < M.dim else vec_zero(f, M.dim)
-        l1 = L.unit(a - M.dim) if a >= M.dim else vec_zero(f, L.dim)
-        tl1 = L.apply_twist(l1)
-        for b in range(n):
-            m2 = M.unit(b) if b < M.dim else vec_zero(f, M.dim)
-            l2 = L.unit(b - M.dim) if b >= M.dim else vec_zero(f, L.dim)
-            mv = M.bracket(m1, m2)
-            mv = vec_add(f, mv, action.act_left(tl1, m2))
-            mv = vec_add(f, mv, action.act_right(m1, L.apply_twist(l2)))
-            row.append(pair(mv, L.bracket(l1, l2)))
-        table.append(tuple(row))
-    twist_cols = [pair(M.twist.col(j), vec_zero(f, L.dim)) for j in range(M.dim)]
-    twist_cols += [pair(vec_zero(f, M.dim), L.twist.col(j)) for j in range(L.dim)]
+    def block(a, b):  # [e_a, e_b] from the four blocks, as sorted pairs
+        if a < dm:
+            return M.sparse_c[a][b] if b < dm else tuple(sorted(linear(f, right[a], tl[b - dm])))
+        if b < dm:
+            return tuple(sorted(linear(f, acting[b], tl[a - dm])))
+        return up(L.sparse_c[a - dm][b - dm])
+
+    table = tuple(tuple(block(a, b) for b in range(n)) for a in range(n))
+    twist = Matrix.from_sparse_columns(f, n, M.twist.sparse_cols + tuple(map(up, tl)))
     labels = tuple(f"m.{x}" for x in M.labels) + tuple(f"l.{x}" for x in L.labels)
-    prod = HomLeibnizAlgebra(f, n, tuple(table), Matrix.from_columns(f, n, twist_cols), labels)
-
-    inc_cols = [pair(M.unit(j), vec_zero(f, L.dim)) for j in range(M.dim)]
-    include = AlgebraHom(M, prod, Matrix.from_columns(f, n, inc_cols))
-    proj_cols = [vec_zero(f, L.dim) for _ in range(M.dim)] + [L.unit(j) for j in range(L.dim)]
-    project = AlgebraHom(prod, L, Matrix.from_columns(f, L.dim, proj_cols))
-    sec_cols = [pair(vec_zero(f, M.dim), L.unit(j)) for j in range(L.dim)]
-    section = AlgebraHom(L, prod, Matrix.from_columns(f, n, sec_cols))
+    prod = HomLeibnizAlgebra.from_sparse(f, n, table, twist, labels)
+    units = [((j, one),) for j in range(L.dim)]
+    include = AlgebraHom(M, prod, Matrix.from_sparse_columns(f, n, [((j, one),) for j in range(dm)]))
+    project = AlgebraHom(prod, L, Matrix.from_sparse_columns(f, L.dim, [()] * dm + units))
+    section = AlgebraHom(L, prod, Matrix.from_sparse_columns(f, n, map(up, units)))
     return SemidirectProduct(prod, include, project, section)
 
 

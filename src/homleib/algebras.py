@@ -106,12 +106,6 @@ class HomLeibnizAlgebra:
     # the bracket table in the one sparse form, built once (the twist's is twist.sparse_cols)
     sparse_c = cached_property(lambda self: sparse_table(self.c))
 
-    def sparse_of(self, table) -> tuple:
-        """The sparse form of a table of bilinear operations on this algebra:
-        its own bracket table (the adjoint action or co-representation)
-        shares ``sparse_c``, any other table is built anew."""
-        return self.sparse_c if table is self.c else sparse_table(table)
-
     def bracket(self, x, y) -> tuple:
         return contract(self.field, self.sparse_c, x, y, self.dim)
 
@@ -211,6 +205,8 @@ class IdealHandle:
     def __post_init__(self):
         if self.space.ambient_dim != self.parent.dim:
             raise DimensionError("subspace does not live in the parent algebra")
+        if self.space.field != self.parent.field:
+            raise FieldMismatch("subspace over the wrong field")
 
     @property
     def dim(self) -> int:
@@ -427,6 +423,8 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
     """
     if space.ambient_dim != L.dim:
         raise DimensionError("subspace of a different space")
+    if space.field != L.field:
+        raise FieldMismatch("subspace over the wrong field")
     f = L.field
     basis = list(space.basis.entries)
     k = len(basis)

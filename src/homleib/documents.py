@@ -50,7 +50,7 @@ from .actions import HomAction
 from .algebras import HomLeibnizAlgebra
 from .fields import Field
 from .homassoc import HomAssociativeAlgebra
-from .linalg import Matrix, vec_zero
+from .linalg import Matrix, dense_vec, vec_zero
 
 ALGEBRA_KINDS = ("hom-leibniz", "hom-associative", "leibniz")
 
@@ -74,11 +74,11 @@ class AlgebraDocument:
 class ActionDocument:
     actor: AlgebraDocument
     target: AlgebraDocument
-    left: tuple
-    right: tuple
+    sparse_left: tuple  # the sparse tables of ``HomAction``
+    sparse_right: tuple
 
     def build(self) -> HomAction:
-        return HomAction(self.actor.build(), self.target.build(), self.left, self.right)
+        return HomAction(self.actor.build(), self.target.build(), self.sparse_left, self.sparse_right)
 
 
 def parse_field(node, where: str) -> Field:
@@ -103,16 +103,17 @@ def _label_index(basis, label, where: str) -> int:
 
 
 def _parse_value(field: Field, basis, node, where: str) -> tuple:
+    """A value as the sorted (index, scalar) pairs of its nonzero coordinates."""
     if not isinstance(node, dict):
         raise ParseError(f"{where}: value must be an object mapping labels to scalars")
-    v = list(vec_zero(field, len(basis)))
+    v = {}
     for label, scalar in node.items():
         k = _label_index(basis, label, where)
         try:
             v[k] = field.parse(scalar)
         except SemanticError as exc:
             raise SemanticError(f"{where}: {exc}") from None
-    return tuple(v)
+    return tuple(sorted((k, x) for k, x in v.items() if x))
 
 
 def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
@@ -153,7 +154,7 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
         if first != pos:
             raise SemanticError(f"{loc}: duplicates the (left, right) pair of "
                                 f"{where}.{table_key}[{first}]")
-        table[i][j] = _parse_value(field, basis, entry["value"], f"{loc}.value")
+        table[i][j] = dense_vec(field, dim, _parse_value(field, basis, entry["value"], f"{loc}.value"))
 
     if "alpha" in node:
         rows = node["alpha"]
@@ -197,8 +198,8 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     if actor.field != target.field:
         raise SemanticError(f"{where}: actor and target fields differ")
     field = actor.field
-    left = [[vec_zero(field, target.dim) for _ in range(target.dim)] for _ in range(actor.dim)]
-    right = [[vec_zero(field, target.dim) for _ in range(actor.dim)] for _ in range(target.dim)]
+    left = [[()] * target.dim for _ in range(actor.dim)]
+    right = [[()] * actor.dim for _ in range(target.dim)]
     for side, table in (("left", left), ("right", right)):
         entries = node.get(side, [])
         if not isinstance(entries, list):

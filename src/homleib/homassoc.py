@@ -55,7 +55,6 @@ from .linalg import (
     sparse_table,
     tensor_table,
     unit_vec,
-    vec_sub,
     vec_zero,
 )
 from .report import ExactnessReport, ValidationReport
@@ -100,10 +99,6 @@ class HomAssociativeAlgebra:
 
     def product(self, x, y) -> tuple:
         return contract(self.field, self.sparse_p, x, y, self.dim)
-
-    def commutator_vec(self, x, y) -> tuple:
-        f = self.field
-        return vec_sub(f, self.product(x, y), self.product(y, x))
 
     def apply_twist(self, x) -> tuple:
         return self.twist.apply(x)
@@ -150,10 +145,13 @@ def yau_twist_assoc(A: HomAssociativeAlgebra, endo: Matrix) -> HomAssociativeAlg
 
 
 def to_leibniz(A: HomAssociativeAlgebra) -> HomLeibnizAlgebra:
-    """The commutator algebra: bracket xy - yx with the same twist."""
-    table = tuple(tuple(A.commutator_vec(A.unit(i), A.unit(j)) for j in range(A.dim))
+    """The commutator algebra: bracket xy - yx with the same twist, read
+    off the sparse product table."""
+    f, p = A.field, A.sparse_p
+    minus = f.neg(f.one())
+    table = tuple(tuple(tuple(sorted(sparse_add(f, p[i][j], p[j][i], minus))) for j in range(A.dim))
                   for i in range(A.dim))
-    return HomLeibnizAlgebra(A.field, A.dim, table, A.twist, A.labels)
+    return HomLeibnizAlgebra.from_sparse(f, A.dim, table, A.twist, A.labels)
 
 
 def boundary_rows(A: HomAssociativeAlgebra, table, square: bool = False):
@@ -350,12 +348,10 @@ def action_of_quotient(h: HochschildModule) -> HomAction:
     """The quotient algebra acting on the commutator algebra through the
     evaluation: (x # y) . a = [[x,y], a] and a . (x # y) = [a, [x,y]]."""
     lb = h.commutator_algebra
-    left = tuple(
-        tuple(lb.bracket(h.phi.col(k), lb.unit(j)) for j in range(lb.dim))
-        for k in range(h.algebra.dim))
-    right = tuple(
-        tuple(lb.bracket(lb.unit(j), h.phi.col(k)) for k in range(h.algebra.dim))
-        for j in range(lb.dim))
+    f, c, phi = lb.field, lb.sparse_c, h.phi.sparse_cols
+    # [u, e_j] is column j of the table at u, [e_j, u] its row j
+    left = tuple(tuple(tuple(sorted(linear(f, col, u))) for col in zip(*c)) for u in phi)
+    right = tuple(tuple(tuple(sorted(linear(f, row, u))) for u in phi) for row in c)
     return HomAction(h.algebra, lb, left, right)
 
 

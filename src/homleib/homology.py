@@ -1,10 +1,11 @@
 """Homology of a Hom-Leibniz algebra with coefficients in a co-representation.
 
-A co-representation holds its two operations as tables like an action, and
-caches them in the one sparse form (``sparse_left``, ``sparse_right``, and
-its twist's ``sparse_cols``); ``linalg.check_laws`` checks its five
-identities, stated as data, on the basis tuples where a term can be
-nonzero.
+A co-representation holds its two operations only as sparse tables, like
+an action (``sparse_left[x][m]``, ``sparse_right[m][x]``, each value the
+sorted (index, value) pairs of its nonzero coordinates), with its twist's
+``sparse_cols``; the adjoint one shares its algebra's ``sparse_c``.
+``linalg.check_laws`` checks its five identities, stated as data, on the
+basis tuples where a term can be nonzero.
 
 The degree-n chain space is M tensored with n copies of L, basis ordered
 row-major over (m, x_1, ..., x_n).  The boundary has three summand
@@ -24,7 +25,6 @@ assumed, and the check would fail loudly under a sign slip in any family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import FieldMismatch, StructureError
@@ -35,10 +35,9 @@ from .linalg import (
     Subspace,
     check_laws,
     contract,
+    is_sparse_vec,
     linear,
     sparse_outer,
-    vec_is_zero,
-    vec_zero,
 )
 from .report import ValidationReport
 
@@ -51,18 +50,18 @@ class CoRepresentation:
     algebra: HomLeibnizAlgebra
     space_dim: int
     twist: Matrix
-    left: tuple   # left[x][m] in coefficient coordinates
-    right: tuple  # right[m][x] in coefficient coordinates
+    sparse_left: tuple   # sparse_left[x][m] as sparse coefficient coordinates
+    sparse_right: tuple  # sparse_right[m][x] as sparse coefficient coordinates
 
     def __post_init__(self):
-        dl, dm = self.algebra.dim, self.space_dim
+        dl, dm, left, right = self.algebra.dim, self.space_dim, self.sparse_left, self.sparse_right
         if (self.twist.rows, self.twist.cols) != (dm, dm):
             raise StructureError("coefficient twist must be square of the space dimension")
-        if len(self.left) != dl or any(len(r) != dm for r in self.left):
+        if len(left) != dl or any(len(r) != dm for r in left):
             raise StructureError("left operation tensor must be algebra x space")
-        if len(self.right) != dm or any(len(r) != dl for r in self.right):
+        if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right operation tensor must be space x algebra")
-        if any(len(v) != dm for table in (self.left, self.right) for row in table for v in row):
+        if not all(is_sparse_vec(v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("operation values must be coefficient vectors")
         if self.twist.field != self.algebra.field:
             raise FieldMismatch("coefficient twist over the wrong field")
@@ -70,10 +69,6 @@ class CoRepresentation:
     @property
     def field(self):
         return self.algebra.field
-
-    # both tables in the one sparse form, built once (the twist's is twist.sparse_cols)
-    sparse_left = cached_property(lambda self: self.algebra.sparse_of(self.left))
-    sparse_right = cached_property(lambda self: self.algebra.sparse_of(self.right))
 
     def act_left(self, x, m) -> tuple:
         return contract(self.field, self.sparse_left, x, m, self.space_dim)
@@ -114,21 +109,16 @@ class CoRepresentation:
 
 def trivial_corep(L: HomLeibnizAlgebra, space_dim: int = 1, twist: Matrix | None = None) -> CoRepresentation:
     """Zero operations; the default twist is the identity (scalar coefficients)."""
-    f = L.field
-    z = vec_zero(f, space_dim)
-    tw = twist if twist is not None else Matrix.identity(f, space_dim)
-    return CoRepresentation(
-        L, space_dim, tw,
-        tuple(tuple(z for _ in range(space_dim)) for _ in range(L.dim)),
-        tuple(tuple(z for _ in range(L.dim)) for _ in range(space_dim)))
+    tw = twist if twist is not None else Matrix.identity(L.field, space_dim)
+    return CoRepresentation(L, space_dim, tw, (((),) * space_dim,) * L.dim, (((),) * L.dim,) * space_dim)
 
 
 def adjoint_corep(L: HomLeibnizAlgebra) -> CoRepresentation:
-    """The algebra on itself: x.m = -[m, x] from the left, m.x = [m, x]."""
-    f = L.field
-    left = tuple(tuple(tuple(f.neg(v) for v in L.c[m][x]) for m in range(L.dim))
-                 for x in range(L.dim))
-    return CoRepresentation(L, L.dim, L.twist, left, L.c)
+    """The algebra on itself: x.m = -[m, x] from the left, m.x = [m, x],
+    on its own sparse table."""
+    f, c = L.field, L.sparse_c
+    left = tuple(tuple(tuple((k, f.neg(v)) for k, v in c[m][x]) for m in range(L.dim)) for x in range(L.dim))
+    return CoRepresentation(L, L.dim, L.twist, left, c)
 
 
 def chain_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
@@ -239,8 +229,7 @@ class ChainComplex:
 
 def coinvariants_dim(M: CoRepresentation) -> int:
     """Closed form in degree zero: the space modulo all right-action values."""
-    span = Subspace.span(M.field, M.space_dim,
-                         [M.right[m][x] for m in range(M.space_dim) for x in range(M.algebra.dim)])
+    span = Subspace.span_sparse(M.field, M.space_dim, [v for row in M.sparse_right for v in row])
     return M.space_dim - span.dim
 
 
@@ -250,7 +239,7 @@ def degree_one_trivial_closed_form(L: HomLeibnizAlgebra, M: CoRepresentation) ->
     from .algebras import derived_subspace
 
     f = L.field
-    if any(not vec_is_zero(f, v) for table in (M.left, M.right) for row in table for v in row):
+    if any(v for table in (M.sparse_left, M.sparse_right) for row in table for v in row):
         raise StructureError("closed form requires trivial operations")
     der = derived_subspace(L)
     rel = Subspace.span_sparse(f, M.space_dim * L.dim, [sparse_outer(f, u, b, L.dim)

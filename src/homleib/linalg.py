@@ -24,10 +24,11 @@ Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
 presentations:
 
-* each structure caches its tables (brackets, actions, products) once in
-  sparse form: ``sparse_table`` keeps the nonzero (k, value) pairs of each
-  value table[i][j], and ``Matrix.sparse_cols`` those of each column of a
-  map, a twist included;
+* each structure holds its tables in sparse form, each value table[i][j]
+  as its nonzero (k, value) pairs: actions and co-representations store
+  only that form, algebras cache it once from their dense tables
+  (``sparse_table``), and ``Matrix.sparse_cols`` holds those of each
+  column of a map, a twist included;
 * ``contract`` contracts a sparse table at two dense vectors, and
   ``linear`` applies sparse columns to a sparse vector;
 * a law, or a family of relations, is data: signed lists of bilinear and
@@ -42,7 +43,8 @@ presentations:
   is the pure tensor of two sparse vectors in such a block (``outer`` its
   dense form), and ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
-  between the dense and the sparse form of a vector;
+  between the dense and the sparse form of a vector, and ``is_sparse_vec``
+  tells whether a value is in the sparse form;
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
   lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
   sparse ``contains_sparse`` and ``project_sparse`` read it.
@@ -112,6 +114,19 @@ def dense_vec(field: Field, n: int, pairs) -> tuple:
 def sparse_table(table) -> tuple:
     """A table of values on basis pairs, each as its nonzero (k, value) pairs."""
     return tuple(tuple(sparse_vec(v) for v in row) for row in table)
+
+
+def is_sparse_vec(v, dim: int) -> bool:
+    """Whether v is a vector of a dim-space in the one sparse form: a tuple
+    of (index, value) pairs, the indices increasing in 0 .. dim - 1 and
+    every value nonzero."""
+    last = -1
+    for pair in v if type(v) is tuple else [None]:
+        if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int \
+                or not last < pair[0] < dim or not pair[1]:
+            return False
+        last = pair[0]
+    return True
 
 
 def linear(field: Field, cols, u) -> list:

@@ -43,6 +43,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     RrefAccumulator,
+    check_laws,
     induced_map,
     law_rows,
     outer,
@@ -52,7 +53,7 @@ from .linalg import (
     tensor_table,
     vec_is_zero,
 )
-from .report import ExactnessReport
+from .report import ExactnessReport, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ def _eval_maps(ma: MutualActions):
     def flat(first, second):
         return [v for table in (first, second) for row in table for v in row]
 
-    eval_m = Matrix.from_columns(M.field, M.dim, flat(ma.nm.right, ma.nm.left))   # m<n, n>m
-    eval_n = Matrix.from_columns(M.field, N.dim, flat(ma.mn.left, ma.mn.right))   # m>n, n<m
+    eval_m = Matrix.from_sparse_columns(M.field, M.dim, flat(ma.nm.sparse_right, ma.nm.sparse_left))  # m<n, n>m
+    eval_n = Matrix.from_sparse_columns(M.field, N.dim, flat(ma.mn.sparse_left, ma.mn.sparse_right))  # m>n, n<m
     return eval_m, eval_n
 
 
@@ -303,23 +304,27 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
 
 def equivariance_witness(f_hom: AlgebraHom, g_hom: AlgebraHom,
                          src: MutualActions, dst: MutualActions):
-    """None when (f, g) preserve the four action tensors, else a witness."""
+    """None when (f, g) preserve the four action tensors, else a witness:
+    the four laws run as ``linalg.check_laws`` data over (m, n), each a
+    source action value under f or g against the target action at the
+    images, and the first violation, law name first, is the witness."""
     M, N = src.m_side, src.n_side
-    for i in range(M.dim):
-        em = M.unit(i)
-        fm = f_hom.apply(em)
-        for j in range(N.dim):
-            en = N.unit(j)
-            gn = g_hom.apply(en)
-            if f_hom.apply(src.nm.left[j][i]) != dst.nm.act_left(gn, fm):
-                return ("n acting on m", N.labels[j], M.labels[i])
-            if f_hom.apply(src.nm.right[i][j]) != dst.nm.act_right(fm, gn):
-                return ("m acted by n", M.labels[i], N.labels[j])
-            if g_hom.apply(src.mn.left[i][j]) != dst.mn.act_left(fm, gn):
-                return ("m acting on n", M.labels[i], N.labels[j])
-            if g_hom.apply(src.mn.right[j][i]) != dst.mn.act_right(gn, fm):
-                return ("n acted by m", N.labels[j], M.labels[i])
-    return None
+    fc, gc, lm, ln = f_hom.map.sparse_cols, g_hom.map.sparse_cols, M.labels, N.labels
+    rep = ValidationReport(subject="action equivariance")
+    check_laws(M.field, rep, (), [((M.dim, N.dim), [
+        # f(n>m) = g(n)>f(m)
+        ("n acting on m", ((ln, 1), (lm, 0)), [(fc, (src.nm.sparse_left, 1, 0))],
+         [(dst.nm.sparse_left, (gc, 1), (fc, 0))]),
+        # f(m<n) = f(m)<g(n)
+        ("m acted by n", ((lm, 0), (ln, 1)), [(fc, (src.nm.sparse_right, 0, 1))],
+         [(dst.nm.sparse_right, (fc, 0), (gc, 1))]),
+        # g(m>n) = f(m)>g(n)
+        ("m acting on n", ((lm, 0), (ln, 1)), [(gc, (src.mn.sparse_left, 0, 1))],
+         [(dst.mn.sparse_left, (fc, 0), (gc, 1))]),
+        # g(n<m) = g(n)<f(m)
+        ("n acted by m", ((ln, 1), (lm, 0)), [(gc, (src.mn.sparse_right, 1, 0))],
+         [(dst.mn.sparse_right, (gc, 1), (fc, 0))])])])
+    return next(((v.law, *v.witness) for v in rep.violations), None)
 
 
 def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:

@@ -6,7 +6,7 @@ import pytest
 
 from homleib.errors import InvalidAction, StructureError
 from homleib.fields import Field
-from homleib.linalg import Matrix, Subspace, vec_zero
+from homleib.linalg import Matrix, Subspace, sparse_table, sparse_vec, vec_zero
 from homleib.algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, quotient_algebra, subalgebra
 from homleib.actions import (
     HomAction,
@@ -18,15 +18,16 @@ from homleib.actions import (
     semidirect,
 )
 from homleib.generators import random_algebra, sl2 as make_sl2
+from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
 
 QQ = Field()
 
 
 def perturb_left(action, x, m, vec):
-    left = [list(row) for row in action.left]
-    left[x][m] = vec
+    left = [list(row) for row in action.sparse_left]
+    left[x][m] = sparse_vec(vec)
     return HomAction(action.actor, action.target,
-                     tuple(tuple(r) for r in left), action.right)
+                     tuple(tuple(r) for r in left), action.sparse_right)
 
 
 class TestValidateAction:
@@ -60,7 +61,7 @@ class TestValidateAction:
 
     def test_shape_mismatch(self, nonlie2, sl2):
         with pytest.raises(StructureError):
-            HomAction(sl2, nonlie2, self_action(nonlie2).left, self_action(nonlie2).right)
+            HomAction(sl2, nonlie2, self_action(nonlie2).sparse_left, self_action(nonlie2).sparse_right)
 
     def test_representation_shape_on_abelian_target(self, nonlie2):
         # an abelian target makes the three bracket identities vacuous, so a
@@ -71,7 +72,7 @@ class TestValidateAction:
         quot, proj = quotient_algebra(nonlie2, der)
         left = tuple(tuple(vec_zero(QQ, 1) for _ in range(1)) for _ in range(2))
         right = (((QQ.one(),), vec_zero(QQ, 1)),)
-        cand = HomAction(nonlie2, quot, left, right)
+        cand = HomAction(nonlie2, quot, sparse_table(left), sparse_table(right))
         rep = cand.validate()
         assert not rep.valid
         assert rep.axiom_status["a"] is False
@@ -165,10 +166,10 @@ class TestSemidirect:
                 tuple(act.act_right(alg.unit(m), alg.apply_twist(alg.unit(x)))
                       for x in range(alg.dim))
                 for m in range(alg.dim))
-            assert back.left == expected_left
-            assert back.right == expected_right
-        assert reconstructed_action(semidirect(self_action(make_sl2(QQ)))).left == \
-            self_action(make_sl2(QQ)).left
+            assert back.sparse_left == sparse_table(expected_left)
+            assert back.sparse_right == sparse_table(expected_right)
+        assert reconstructed_action(semidirect(self_action(make_sl2(QQ)))).sparse_left == \
+            self_action(make_sl2(QQ)).sparse_left
 
     def test_random_semidirects_validate(self):
         rng = random.Random(3)
@@ -177,3 +178,71 @@ class TestSemidirect:
             sd = semidirect(self_action(alg))
             assert sd.algebra.validate().valid
             self.rank_checks(sd)
+
+
+# one value of a two-dimensional target in every form that is not the sparse
+# one: the pairs unsorted, an index twice, out of range or negative, a zero
+# scalar, a dense vector, a list
+NOT_SPARSE = {
+    "unsorted": ((1, 1), (0, 1)),
+    "repeated index": ((0, 1), (0, 2)),
+    "index past the end": ((2, 1),),
+    "negative index": ((-1, 1),),
+    "zero scalar": ((0, 0),),
+    "dense value": (0, 1),
+    "list": [(0, 1)],
+}
+
+
+class TestSparseTables:
+    """An action and a co-representation store each operation only as a
+    sparse table, each value the sorted (index, value) pairs of its nonzero
+    coordinates; every other form is refused."""
+
+    @staticmethod
+    def _with(table, value):
+        rows = [list(r) for r in table]
+        rows[1][0] = value
+        return tuple(tuple(r) for r in rows)
+
+    @pytest.mark.parametrize("value", NOT_SPARSE.values(), ids=NOT_SPARSE)
+    def test_action_refuses(self, nonlie2, value):
+        a = self_action(nonlie2)
+        for left, right in ((self._with(a.sparse_left, value), a.sparse_right),
+                            (a.sparse_left, self._with(a.sparse_right, value))):
+            with pytest.raises(StructureError, match="^action values must be target coordinate vectors$"):
+                HomAction(nonlie2, nonlie2, left, right)
+
+    @pytest.mark.parametrize("value", NOT_SPARSE.values(), ids=NOT_SPARSE)
+    def test_corep_refuses(self, nonlie2, value):
+        M = adjoint_corep(nonlie2)
+        for left, right in ((self._with(M.sparse_left, value), M.sparse_right),
+                            (M.sparse_left, self._with(M.sparse_right, value))):
+            with pytest.raises(StructureError, match="^operation values must be coefficient vectors$"):
+                CoRepresentation(nonlie2, 2, M.twist, left, right)
+
+    def test_dense_grids_refused(self, nonlie2):
+        with pytest.raises(StructureError, match="^action values must be target coordinate vectors$"):
+            HomAction(nonlie2, nonlie2, nonlie2.c, nonlie2.c)
+        with pytest.raises(StructureError, match="^operation values must be coefficient vectors$"):
+            CoRepresentation(nonlie2, 2, nonlie2.twist, nonlie2.c, nonlie2.c)
+
+    def test_shapes(self, nonlie2, sl2):
+        a, M = self_action(nonlie2), adjoint_corep(nonlie2)
+        with pytest.raises(StructureError, match="^left action tensor must be actor x target$"):
+            HomAction(sl2, nonlie2, a.sparse_left, a.sparse_right)
+        with pytest.raises(StructureError, match="^right action tensor must be target x actor$"):
+            HomAction(nonlie2, nonlie2, a.sparse_left, a.sparse_right[:1])
+        with pytest.raises(StructureError, match="^left operation tensor must be algebra x space$"):
+            CoRepresentation(nonlie2, 2, M.twist, M.sparse_left[:1], M.sparse_right)
+        with pytest.raises(StructureError, match="^right operation tensor must be space x algebra$"):
+            CoRepresentation(nonlie2, 2, M.twist, M.sparse_left, tuple(r[:1] for r in M.sparse_right))
+
+    def test_builders_store_the_sparse_form(self, nonlie2, sl2):
+        # the adjoint action and co-representation share the bracket's
+        # sparse table, and the trivial ones hold empty values
+        L = sl2
+        assert self_action(L).sparse_left is self_action(L).sparse_right is L.sparse_c
+        assert adjoint_corep(L).sparse_right is L.sparse_c
+        assert HomAction.trivial(nonlie2, L).sparse_left == (((),) * 3,) * 2
+        assert trivial_corep(L, 2).sparse_right == (((),) * 3,) * 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from homleib.errors import NotAnIdeal, NotEndomorphism, ParentMismatch, StructureError
+from homleib.errors import FieldMismatch, NotAnIdeal, NotEndomorphism, ParentMismatch, StructureError
 from homleib.fields import Field
 from homleib.linalg import Matrix, Subspace
 from homleib.algebras import (
@@ -215,3 +215,12 @@ class TestSubalgebraDirectSum:
         assert s.dim == 5
         assert s.validate().valid
         assert derived_subspace(s).dim == 4
+
+    def test_subspace_over_another_field_rejected(self, sl2):
+        # a GF(5) subspace is not read as one of a Q algebra: brackets taken
+        # over Q would be tested against rows reduced mod 5
+        line = Subspace.span(Field(5), 3, [(1, 4, 0)])
+        with pytest.raises(FieldMismatch, match="^subspace over the wrong field$"):
+            IdealHandle(sl2, line)
+        with pytest.raises(FieldMismatch, match="^subspace over the wrong field$"):
+            subalgebra(sl2, Subspace.full(Field(5), 3))

@@ -48,7 +48,7 @@ from homleib.fields import Field
 from homleib.generators import heisenberg, random_corep, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, first_homologies, sequence_check, yau_twist_assoc
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
-from homleib.linalg import Matrix, Subspace, dense_vec, unit_vec, vec_scale
+from homleib.linalg import Matrix, Subspace, dense_vec, sparse_table, unit_vec, vec_scale
 from homleib.report import ValidationReport
 from homleib.tensorprod import build_tensor, relation_vectors
 
@@ -58,6 +58,13 @@ FIELDS = (QQ, GFP)
 
 
 # -- dense reference ----------------------------------------------------------
+
+def dense_table(f, table, dim):
+    """The dense view of a sparse action or co-representation table: each
+    value as its length-dim coordinate tuple (the tests of actions and
+    co-representations read dense values through it)."""
+    return tuple(tuple(dense_vec(f, dim, v) for v in row) for row in table)
+
 
 def dense_contract(f, table, x, y, dim):
     out = [f.zero()] * dim
@@ -125,12 +132,13 @@ def dense_action(a):
     L, M = a.actor, a.target
     f = M.field
     rep = ValidationReport(subject="hom-leibniz action", axiom_status={k: True for k in "abcdefgh"})
+    left, right = (dense_table(f, t, M.dim) for t in (a.sparse_left, a.sparse_right))
 
     def al(x, m):
-        return dense_contract(f, a.left, x, m, M.dim)
+        return dense_contract(f, left, x, m, M.dim)
 
     def ar(m, x):
-        return dense_contract(f, a.right, m, x, M.dim)
+        return dense_contract(f, right, m, x, M.dim)
 
     def br(u, v):
         return dense_contract(f, M.c, u, v, M.dim)
@@ -142,25 +150,25 @@ def dense_action(a):
     lbl, lbm = L.labels, M.labels
     for x in range(L.dim):
         for m in range(M.dim):
-            if tw(a.left[x][m]) != al(tl[x], tm[m]):
+            if tw(left[x][m]) != al(tl[x], tm[m]):
                 rep.record("g", (lbl[x], lbm[m]))
-            if tw(a.right[m][x]) != ar(tm[m], tl[x]):
+            if tw(right[m][x]) != ar(tm[m], tl[x]):
                 rep.record("h", (lbm[m], lbl[x]))
             for y in range(L.dim):
                 bxy = L.c[x][y]
-                if ar(tm[m], bxy) != dense_sub(f, ar(a.right[m][x], tl[y]), ar(a.right[m][y], tl[x])):
+                if ar(tm[m], bxy) != dense_sub(f, ar(right[m][x], tl[y]), ar(right[m][y], tl[x])):
                     rep.record("a", (lbm[m], lbl[x], lbl[y]))
-                if al(bxy, tm[m]) != dense_sub(f, ar(a.left[x][m], tl[y]), al(tl[x], a.right[m][y])):
+                if al(bxy, tm[m]) != dense_sub(f, ar(left[x][m], tl[y]), al(tl[x], right[m][y])):
                     rep.record("b", (lbl[x], lbl[y], lbm[m]))
-                if al(tl[x], a.left[y][m]) != neg(al(tl[x], a.right[m][y])):
+                if al(tl[x], left[y][m]) != neg(al(tl[x], right[m][y])):
                     rep.record("c", (lbl[x], lbl[y], lbm[m]))
             for m2 in range(M.dim):
                 bmm = M.c[m][m2]
-                if al(tl[x], bmm) != dense_sub(f, br(a.left[x][m], tm[m2]), br(a.left[x][m2], tm[m])):
+                if al(tl[x], bmm) != dense_sub(f, br(left[x][m], tm[m2]), br(left[x][m2], tm[m])):
                     rep.record("d", (lbl[x], lbm[m], lbm[m2]))
-                if ar(bmm, tl[x]) != dense_add(f, br(a.right[m][x], tm[m2]), br(tm[m], a.right[m2][x])):
+                if ar(bmm, tl[x]) != dense_add(f, br(right[m][x], tm[m2]), br(tm[m], right[m2][x])):
                     rep.record("e", (lbm[m], lbm[m2], lbl[x]))
-                if br(tm[m], a.left[x][m2]) != neg(br(tm[m], a.right[m2][x])):
+                if br(tm[m], left[x][m2]) != neg(br(tm[m], right[m2][x])):
                     rep.record("f", (lbm[m], lbl[x], lbm[m2]))
     rep.flags["trivial"] = a.is_trivial()
     return rep
@@ -169,7 +177,8 @@ def dense_action(a):
 def dense_compat(ma):
     M, N = ma.m_side, ma.n_side
     f = M.field
-    mn, nm = ma.mn, ma.nm
+    mn_left, mn_right = (dense_table(f, t, N.dim) for t in (ma.mn.sparse_left, ma.mn.sparse_right))
+    nm_left, nm_right = (dense_table(f, t, M.dim) for t in (ma.nm.sparse_left, ma.nm.sparse_right))
     rep = ValidationReport(subject="mutual action compatibility",
                            axiom_status={f"c{i}": True for i in range(1, 9)})
 
@@ -183,23 +192,23 @@ def dense_compat(ma):
             en = unit_vec(f, N.dim, n)
             for m2 in range(M.dim):
                 em2 = unit_vec(f, M.dim, m2)
-                if c(nm.left, mn.left[m][n], em2, M.dim) != c(M.c, nm.right[m][n], em2, M.dim):
+                if c(nm_left, mn_left[m][n], em2, M.dim) != c(M.c, nm_right[m][n], em2, M.dim):
                     rep.record("c1", (lm[m], ln[n], lm[m2]))
-                if c(nm.left, mn.right[n][m], em2, M.dim) != c(M.c, nm.left[n][m], em2, M.dim):
+                if c(nm_left, mn_right[n][m], em2, M.dim) != c(M.c, nm_left[n][m], em2, M.dim):
                     rep.record("c2", (ln[n], lm[m], lm[m2]))
-                if c(nm.right, em, mn.left[m2][n], M.dim) != c(M.c, em, nm.right[m2][n], M.dim):
+                if c(nm_right, em, mn_left[m2][n], M.dim) != c(M.c, em, nm_right[m2][n], M.dim):
                     rep.record("c3", (lm[m], lm[m2], ln[n]))
-                if c(nm.right, em, mn.right[n][m2], M.dim) != c(M.c, em, nm.left[n][m2], M.dim):
+                if c(nm_right, em, mn_right[n][m2], M.dim) != c(M.c, em, nm_left[n][m2], M.dim):
                     rep.record("c4", (lm[m], ln[n], lm[m2]))
             for n2 in range(N.dim):
                 en2 = unit_vec(f, N.dim, n2)
-                if c(mn.left, nm.left[n][m], en2, N.dim) != c(N.c, mn.right[n][m], en2, N.dim):
+                if c(mn_left, nm_left[n][m], en2, N.dim) != c(N.c, mn_right[n][m], en2, N.dim):
                     rep.record("c5", (ln[n], lm[m], ln[n2]))
-                if c(mn.left, nm.right[m][n], en2, N.dim) != c(N.c, mn.left[m][n], en2, N.dim):
+                if c(mn_left, nm_right[m][n], en2, N.dim) != c(N.c, mn_left[m][n], en2, N.dim):
                     rep.record("c6", (lm[m], ln[n], ln[n2]))
-                if c(mn.right, en, nm.left[n2][m], N.dim) != c(N.c, en, mn.right[n2][m], N.dim):
+                if c(mn_right, en, nm_left[n2][m], N.dim) != c(N.c, en, mn_right[n2][m], N.dim):
                     rep.record("c7", (ln[n], ln[n2], lm[m]))
-                if c(mn.right, en, nm.right[m][n2], N.dim) != c(N.c, en, mn.left[m][n2], N.dim):
+                if c(mn_right, en, nm_right[m][n2], N.dim) != c(N.c, en, mn_left[m][n2], N.dim):
                     rep.record("c8", (ln[n], lm[m], ln[n2]))
     return rep
 
@@ -227,28 +236,29 @@ def dense_corep(M):
     L = M.algebra
     f, dm = L.field, M.space_dim
     rep = ValidationReport(subject="hom-co-representation", axiom_status={k: True for k in "abcde"})
+    left, right = (dense_table(f, t, dm) for t in (M.sparse_left, M.sparse_right))
 
     def al(x, m):
-        return dense_contract(f, M.left, x, m, dm)
+        return dense_contract(f, left, x, m, dm)
 
     def ar(m, x):
-        return dense_contract(f, M.right, m, x, dm)
+        return dense_contract(f, right, m, x, dm)
 
     tl, tm, tw = _twisted_units(L), [M.twist.col(i) for i in range(dm)], M.twist.apply
     lbl, lbm = L.labels, tuple(f"m{i + 1}" for i in range(dm))
     for x in range(L.dim):
         for m in range(dm):
-            if tw(M.left[x][m]) != al(tl[x], tm[m]):
+            if tw(left[x][m]) != al(tl[x], tm[m]):
                 rep.record("d", (lbl[x], lbm[m]))
-            if tw(M.right[m][x]) != ar(tm[m], tl[x]):
+            if tw(right[m][x]) != ar(tm[m], tl[x]):
                 rep.record("e", (lbm[m], lbl[x]))
             for y in range(L.dim):
                 bxy = L.c[x][y]
-                if al(bxy, tm[m]) != dense_sub(f, al(tl[x], M.left[y][m]), al(tl[y], M.left[x][m])):
+                if al(bxy, tm[m]) != dense_sub(f, al(tl[x], left[y][m]), al(tl[y], left[x][m])):
                     rep.record("a", (lbl[x], lbl[y], lbm[m]))
-                if ar(tm[m], bxy) != dense_sub(f, ar(M.left[y][m], tl[x]), al(tl[y], M.right[m][x])):
+                if ar(tm[m], bxy) != dense_sub(f, ar(left[y][m], tl[x]), al(tl[y], right[m][x])):
                     rep.record("b", (lbm[m], lbl[x], lbl[y]))
-                if ar(M.right[m][x], tl[y]) != tuple(f.neg(v) for v in al(tl[y], M.right[m][x])):
+                if ar(right[m][x], tl[y]) != tuple(f.neg(v) for v in al(tl[y], right[m][x])):
                     rep.record("c", (lbm[m], lbl[x], lbl[y]))
     return rep
 
@@ -334,10 +344,10 @@ def _perturbed_algebra(draw, f, L, delta):
 def _perturbed_action(draw, f, a, delta, sides=("left", "right", "target")):
     side = draw(st.sampled_from(sides))
     if side == "target":
-        return HomAction(a.actor, _perturbed_algebra(draw, f, a.target, delta), a.left, a.right)
-    table = getattr(a, side)
-    bumped = _bump_table(f, table, *_pick_table_entry(draw, table), delta)
-    return HomAction(a.actor, a.target, *((bumped, a.right) if side == "left" else (a.left, bumped)))
+        return HomAction(a.actor, _perturbed_algebra(draw, f, a.target, delta), a.sparse_left, a.sparse_right)
+    table = dense_table(f, getattr(a, f"sparse_{side}"), a.target.dim)
+    bumped = sparse_table(_bump_table(f, table, *_pick_table_entry(draw, table), delta))
+    return HomAction(a.actor, a.target, *((bumped, a.sparse_right) if side == "left" else (a.sparse_left, bumped)))
 
 
 def _mutual(draw, f):
@@ -391,7 +401,8 @@ def cases(draw):
         return kind, HomAssociativeAlgebra(f, A.dim, p, twist, A.labels)
     L = draw(st.sampled_from(ALGEBRAS))(f)
     M = draw(st.sampled_from([adjoint_corep(L), trivial_corep(L, 2, Matrix.from_rows(f, [[1, 2], [0, 3]]))]))
-    left, right, twist = M.left, M.right, M.twist
+    left, right = (dense_table(f, t, M.space_dim) for t in (M.sparse_left, M.sparse_right))
+    twist = M.twist
     part = draw(st.sampled_from(["left", "right", "twist"]))
     if part == "left":
         left = _bump_table(f, left, *_pick_table_entry(draw, left), delta)
@@ -399,7 +410,7 @@ def cases(draw):
         right = _bump_table(f, right, *_pick_table_entry(draw, right), delta)
     else:
         twist = _bump_matrix(twist, *_pick_matrix_entry(draw, twist), delta)
-    return kind, CoRepresentation(L, M.space_dim, twist, left, right)
+    return kind, CoRepresentation(L, M.space_dim, twist, sparse_table(left), sparse_table(right))
 
 
 def both_reports(kind, obj):
@@ -513,6 +524,11 @@ def _entry_bumps(f, table):
             for i in range(len(table)) for j in range(len(table[i])) for k in range(len(table[i][j]))]
 
 
+def _sparse_bumps(f, table, dim):
+    """``_entry_bumps`` of a sparse table, read and bumped in its dense view."""
+    return [(cell, sparse_table(t)) for cell, t in _entry_bumps(f, dense_table(f, table, dim))]
+
+
 def _matrix_bumps(m):
     return [((r, c), _bump_matrix(m, r, c, m.field.one())) for r in range(m.rows) for c in range(m.cols)]
 
@@ -530,16 +546,18 @@ def _bumps(f, kind, obj):
         return each("map", _matrix_bumps(m), lambda b: AlgebraHom(obj.source, obj.target, b)) + \
             each("source", _single_entry_perturbations(obj.source), lambda P: AlgebraHom(P, obj.target, obj.map))
     if kind == "action":
-        return each("left", _entry_bumps(f, obj.left), lambda t: HomAction(obj.actor, obj.target, t, obj.right)) + \
-            each("right", _entry_bumps(f, obj.right), lambda t: HomAction(obj.actor, obj.target, obj.left, t))
+        left, right, dm = obj.sparse_left, obj.sparse_right, obj.target.dim
+        return each("left", _sparse_bumps(f, left, dm), lambda t: HomAction(obj.actor, obj.target, t, right)) + \
+            each("right", _sparse_bumps(f, right, dm), lambda t: HomAction(obj.actor, obj.target, left, t))
     if kind == "compat":
         return each("mn", _bumps(f, "action", obj.mn), lambda a: MutualActions(a, obj.nm)) + \
             each("nm", _bumps(f, "action", obj.nm), lambda a: MutualActions(obj.mn, a))
     if kind == "corep":
         M = partial(CoRepresentation, obj.algebra, obj.space_dim)
-        return each("left", _entry_bumps(f, obj.left), lambda t: M(obj.twist, t, obj.right)) + \
-            each("right", _entry_bumps(f, obj.right), lambda t: M(obj.twist, obj.left, t)) + \
-            each("twist", _matrix_bumps(obj.twist), lambda t: M(t, obj.left, obj.right))
+        left, right, dm = obj.sparse_left, obj.sparse_right, obj.space_dim
+        return each("left", _sparse_bumps(f, left, dm), lambda t: M(obj.twist, t, right)) + \
+            each("right", _sparse_bumps(f, right, dm), lambda t: M(obj.twist, left, t)) + \
+            each("twist", _matrix_bumps(obj.twist), lambda t: M(t, left, right))
     A = partial(HomAssociativeAlgebra, f, obj.dim)
     return each("p", _entry_bumps(f, obj.p), lambda t: A(t, obj.twist, obj.labels)) + \
         each("twist", _matrix_bumps(obj.twist), lambda t: A(obj.p, t, obj.labels))
@@ -837,9 +855,7 @@ class TestSparseTablesBuiltOnce:
         # twists are fresh matrices, their sparse columns not yet built
         L = sl2_twisted(QQ)
         L = HomLeibnizAlgebra(QQ, L.dim, L.c, Matrix(QQ, 3, 3, L.twist.entries), L.labels)
-        ma = MutualActions.adjoint(L)
         A = upper_triangular(QQ)
-        M = adjoint_corep(L)
         built = []
         for mod in (algebras, actions, homassoc, homology):
             if hasattr(mod, "sparse_table"):
@@ -850,6 +866,10 @@ class TestSparseTablesBuiltOnce:
         cols = functools.cached_property(lambda m, real=Matrix.sparse_cols.func: built.append(m) or real(m))
         cols.__set_name__(Matrix, "sparse_cols")
         monkeypatch.setattr(Matrix, "sparse_cols", cols)
+        # an action and a co-representation hold only sparse tables, built
+        # with them
+        ma = MutualActions.adjoint(L)
+        M = adjoint_corep(L)
         x, y = L.unit(0), L.unit(2)
         for _ in range(3):
             L.bracket(x, y)
@@ -863,13 +883,12 @@ class TestSparseTablesBuiltOnce:
             M.act_right(x, y)
             M.validate()
         # the adjoint action and the adjoint right operation of M share the
-        # sparse form of L's bracket table; M's left operation is built by
-        # L.sparse_of
+        # sparse form of L's bracket table; M's left operation negates its
+        # pairs in place, with no sparse_table call
         tables = [key for key in built if isinstance(key, tuple)]
         assert sorted(tables) == sorted([
             ("homleib.algebras", "sparse_table"),  # L
             ("homleib.homassoc", "sparse_table"),  # A
-            ("homleib.algebras", "sparse_table"),  # M
         ])
         # M's twist is L's, so its sparse columns are L's
         assert [m for m in built if not isinstance(m, tuple)] == [L.twist, A.twist]
@@ -896,7 +915,7 @@ class TestReportsComputedOnce:
         assert a.validate() is first and a.require_valid() is a
         assert len(runs) == 1 and first.valid
         L = sl2_twisted(QQ)
-        bumped = HomAction(L, L, _bump_table(QQ, L.c, 0, 1, 2, QQ.one()), L.c)
+        bumped = HomAction(L, L, sparse_table(_bump_table(QQ, L.c, 0, 1, 2, QQ.one())), L.sparse_c)
         with pytest.raises(InvalidAction, match="action identity"):
             bumped.require_valid()
         assert not bumped.validate().valid and len(runs) == 2
@@ -929,7 +948,8 @@ class TestReportsComputedOnce:
         assert ma.check_compatible() is first and ma.is_compatible()
         build_tensor(ma)
         assert len(runs) == 1 and first.valid
-        bumped = MutualActions(HomAction(L, L, _bump_table(QQ, L.c, 0, 1, 2, QQ.one()), L.c), ma.nm)
+        bumped = MutualActions(HomAction(L, L, sparse_table(_bump_table(QQ, L.c, 0, 1, 2, QQ.one())), L.sparse_c),
+                               ma.nm)
         with pytest.raises(IncompatibleActions):
             build_tensor(bumped)
         assert not bumped.is_compatible() and len(runs) == 2

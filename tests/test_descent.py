@@ -44,6 +44,7 @@ from homleib.homassoc import (
 from homleib.linalg import (Matrix, QuotientSpace, Subspace, induced_map, quotient, sparse_table, sparse_vec,
                             unit_vec)
 from homleib.tensorprod import build_tensor, factor_maps, outer_action
+from test_checker import dense_table
 from test_homassoc import boundary_shapes
 from test_linalg import dense_reduce
 
@@ -129,7 +130,8 @@ class TestMutations:
         # the action the chosen side's formulas read: mn on the M side, nm on N
         name = "mn" if side == "m" else "nm"
         a = getattr(t.actions, name)
-        bumped = HomAction(a.actor, a.target, _bump(f, a.left, 0, 0, 0), a.right)
+        left = dense_table(f, a.sparse_left, a.target.dim)
+        bumped = HomAction(a.actor, a.target, sparse_table(_bump(f, left, 0, 0, 0)), a.sparse_right)
         with pytest.raises(InternalInconsistency) as info:
             outer_action(replace(t, actions=replace(t.actions, **{name: bumped})), side)
         assert type(info.value) is InternalInconsistency

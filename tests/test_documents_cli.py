@@ -19,7 +19,7 @@ from homleib.documents import (
     parse_document,
     serialize_algebra,
 )
-from homleib.linalg import Subspace
+from homleib.linalg import Subspace, sparse_table
 from homleib.report import render_witness
 
 QQ = Field()
@@ -205,6 +205,29 @@ class TestParsing:
         doc = parse_document(Path(path))
         act = doc.build()
         assert act.validate().valid
+
+    def test_action_tables_are_canonical(self, docs, tmp_path):
+        # values list labels out of basis order and state zeros; each side
+        # parses to the sparse table of the dense grid the entries describe
+        action = {
+            "actor": "sl2.alg",
+            "target": "sl2.alg",
+            "left": [
+                {"actor": "h", "target": "e", "value": {"f": "0", "e": "2"}},
+                {"actor": "e", "target": "f", "value": {"h": "1", "e": "0"}},
+                {"actor": "f", "target": "h", "value": {"h": "0"}},
+            ],
+            "right": [{"target": "h", "actor": "f", "value": {"h": "0/3", "f": "2", "e": "0"}}],
+        }
+        doc = parse_document(Path(write(tmp_path, "partial.act", action)))
+        zero = (0, 0, 0)
+        left = [[zero] * 3 for _ in range(3)]
+        left[2][0], left[0][1] = (2, 0, 0), (0, 0, 1)
+        right = [[zero] * 3 for _ in range(3)]
+        right[2][1] = (0, 2, 0)
+        assert doc.sparse_left == sparse_table(left) and doc.sparse_right == sparse_table(right)
+        act = doc.build()
+        assert (act.sparse_left, act.sparse_right) == (sparse_table(left), sparse_table(right))
 
 
 def run_cli(capsys, *argv):

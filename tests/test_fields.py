@@ -203,15 +203,22 @@ def test_presentation_builders_stay_sparse():
     assert found == [], found
 
 
-DENSE_TWINS = ("sparse_columns", "sparse_twist", "basis_matrix", "lift")
+DENSE_TWINS = ("sparse_columns", "sparse_twist", "basis_matrix", "lift", "sparse_of", "commutator_vec")
+
+
+def _fields(scopes, name):
+    cls = next(node for node in scopes if getattr(node, "name", None) == name)
+    return {node.target.id: ast.unparse(node.annotation) for node in cls.body if isinstance(node, ast.AnnAssign)}
 
 
 def test_dense_twins_are_gone():
     # a subspace holds only its sparse RREF rows, built by the accumulator's
-    # ``subspace()``; a twist's sparse columns are its ``Matrix.sparse_cols``:
-    # no alias, cached twin, dense basis builder or dense lift is defined
+    # ``subspace()``; a twist's sparse columns are its ``Matrix.sparse_cols``;
+    # an action or co-representation holds only its sparse tables: no alias,
+    # cached twin, dense basis builder, dense lift, dense-to-sparse table
+    # conversion or dense commutator is defined
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
-    found = []
+    found, fields = [], {}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         # every function and class, and every module or class attribute
@@ -221,12 +228,17 @@ def test_dense_twins_are_gone():
         defined += [(t.id, node.lineno) for scope in scopes for node in scope.body
                     for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
         found += [f"{path.stem}:{name}:{line}" for name, line in defined if name in DENSE_TWINS]
-        if path.stem == "linalg":
-            subspace = next(node for node in scopes if getattr(node, "name", None) == "Subspace")
-            fields = {node.target.id: ast.unparse(node.annotation) for node in subspace.body
-                      if isinstance(node, ast.AnnAssign)}
+        for stem, name in (("linalg", "Subspace"), ("actions", "HomAction"), ("homology", "CoRepresentation")):
+            if path.stem == stem:
+                fields[name] = _fields(scopes, name)
     assert found == [], found
-    assert fields == {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple", "_rows": "dict"}, fields
+    assert fields == {
+        "Subspace": {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple", "_rows": "dict"},
+        "HomAction": {"actor": "HomLeibnizAlgebra", "target": "HomLeibnizAlgebra",
+                      "sparse_left": "tuple", "sparse_right": "tuple"},
+        "CoRepresentation": {"algebra": "HomLeibnizAlgebra", "space_dim": "int", "twist": "Matrix",
+                             "sparse_left": "tuple", "sparse_right": "tuple"},
+    }, fields
 
 
 def _calls_record(node):
@@ -251,20 +263,23 @@ def test_violations_recorded_only_by_the_identity_checker():
 def test_validators_hold_no_dense_loops():
     # a validator reads the cached sparse tables; a dense difference or a
     # dense bracket, action, product or twist in its body is a hand-rolled
-    # loop beside the checker (``_report`` is the cached body of a validate)
+    # loop beside the checker (``_report`` is the cached body of a validate,
+    # and ``equivariance_witness`` checks that maps preserve the actions)
     found = [site for site in _library_sites(_names_dense_kernel)
-             if {"validate", "_report", "check_compatible"} & set(site.split(":")[1].split("."))]
-    assert found == []
+             if {"validate", "_report", "check_compatible", "equivariance_witness"}
+             & set(site.split(":")[1].split("."))]
+    assert found == [], found
 
 
-LAW_BODIES = ("validate", "_report", "check_compatible", "_compatibility_laws")
+LAW_BODIES = ("validate", "_report", "check_compatible", "_compatibility_laws", "equivariance_witness")
 
 
 def test_laws_are_data():
     # a validator states its laws as data for linalg.check_laws, which
     # derives each law's support and evaluates its terms from the same data:
-    # no law body defines a function or evaluates a term itself, and no
-    # module names an index set of its own
+    # no law body defines a function or evaluates a term itself (by a
+    # linear or bilinear map, or a map's ``apply``), and no module names an
+    # index set of its own
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     found = []
     for path in sorted(src.glob("*.py")):
@@ -277,7 +292,7 @@ def test_laws_are_data():
                     found.append(f"{path.stem}:{body.name}:defines:{node.lineno}")
                 func = getattr(node, "func", None)
                 if isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) in \
-                        ("bilinear", "linear"):
+                        ("bilinear", "linear", "apply"):
                     found.append(f"{path.stem}:{body.name}:evaluates:{node.lineno}")
         if path.stem != "linalg":
             found += [f"{path.stem}:names:{node.lineno}" for node in ast.walk(tree)

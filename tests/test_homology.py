@@ -15,7 +15,7 @@ from homleib import generators
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
-from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec, sparse_vec
+from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec, sparse_table, sparse_vec
 from homleib.algebras import HomLeibnizAlgebra, derived_subspace, direct_sum, yau_twist
 from homleib.generators import random_corep
 from homleib.homology import (
@@ -27,6 +27,7 @@ from homleib.homology import (
     degree_one_trivial_closed_form,
     trivial_corep,
 )
+from test_checker import dense_table
 
 QQ = Field()
 GF = Field(1000003)
@@ -175,9 +176,9 @@ class TestCoRepresentations:
         # any algebra with nonvanishing double brackets
         adj = adjoint_corep(sl2)
         flipped = CoRepresentation(sl2, 3, adj.twist,
-                                   tuple(tuple(tuple(QQ.neg(x) for x in v) for v in row)
-                                         for row in adj.left),
-                                   adj.right)
+                                   tuple(tuple(tuple((k, QQ.neg(x)) for k, x in v) for v in row)
+                                         for row in adj.sparse_left),
+                                   adj.sparse_right)
         rep = flipped.validate()
         assert not rep.valid
         assert rep.axiom_status["c"] is False
@@ -186,10 +187,10 @@ class TestCoRepresentations:
     def test_perturbed_adjoint_fails_on_nonlie2(self, nonlie2):
         # replacing the value of e2 acting on e2 by e2 breaks identity d)
         adj = adjoint_corep(nonlie2)
-        left = [list(row) for row in adj.left]
-        left[1][1] = (QQ.zero(), QQ.one())
+        left = [list(row) for row in adj.sparse_left]
+        left[1][1] = sparse_vec((QQ.zero(), QQ.one()))
         bad = CoRepresentation(nonlie2, 2, adj.twist,
-                               tuple(tuple(r) for r in left), adj.right)
+                               tuple(tuple(r) for r in left), adj.sparse_right)
         rep = bad.validate()
         assert not rep.valid
         assert rep.axiom_status["d"] is False
@@ -201,7 +202,7 @@ class TestBoundary:
         bm = boundary_matrix(ChainComplex(nonlie2, adj), 1)
         for m in range(2):
             for x in range(2):
-                assert bm.col(m * 2 + x) == adj.right[m][x]
+                assert bm.col(m * 2 + x) == dense_vec(QQ, 2, adj.sparse_right[m][x])
 
     def test_trivial_coefficients_degree_two_is_bracket_insertion(self, sl2):
         triv = trivial_corep(sl2)
@@ -257,16 +258,16 @@ def _bumped_adjoints(L):
     f = L.field
     adj = adjoint_corep(L)
     for side in ("left", "right"):
-        table = getattr(adj, side)
+        table = dense_table(f, getattr(adj, f"sparse_{side}"), L.dim)
         for i, row in enumerate(table):
             for j, v in enumerate(row):
                 for coord in range(L.dim):
                     grid = [list(r) for r in table]
                     grid[i][j] = tuple(f.add(x, f.one()) if k == coord else x for k, x in enumerate(v))
-                    bumped = tuple(tuple(r) for r in grid)
+                    bumped = sparse_table(grid)
                     yield CoRepresentation(L, L.dim, adj.twist,
-                                           bumped if side == "left" else adj.left,
-                                           bumped if side == "right" else adj.right)
+                                           bumped if side == "left" else adj.sparse_left,
+                                           bumped if side == "right" else adj.sparse_right)
 
 
 class TestChainComplex:
@@ -314,12 +315,11 @@ class TestChainComplex:
         # the identities fail and the computed d^2 no longer vanishes
         sl2 = generators.sl2(f)
         adj = adjoint_corep(sl2)
-        grids = {"left": [list(r) for r in adj.left], "right": [list(r) for r in adj.right]}
+        grids = {k: [list(r) for r in dense_table(f, getattr(adj, f"sparse_{k}"), 3)] for k in ("left", "right")}
         v = list(grids[side][i][j])
         v[coord] = f.add(v[coord], f.one())
         grids[side][i][j] = tuple(v)
-        bad = CoRepresentation(sl2, 3, adj.twist, *(tuple(tuple(r) for r in grids[k])
-                                                    for k in ("left", "right")))
+        bad = CoRepresentation(sl2, 3, adj.twist, *(sparse_table(grids[k]) for k in ("left", "right")))
         assert not bad.validate().valid
         cx = ChainComplex(sl2, bad)
         assert not cx.squares_to_zero(2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, MathFailure, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, outer, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, outer, sparse_table, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -37,6 +38,7 @@ from homleib.tensorprod import (
     right_exactness_certificate,
     tensor_identity_battery,
 )
+from test_checker import dense_table
 
 QQ = Field()
 
@@ -200,7 +202,8 @@ def full_relation_rows(ma):
     size = 2 * dm * dn
     tm = [M.twist.col(i) for i in range(dm)]
     tn = [N.twist.col(j) for j in range(dn)]
-    mn_left, mn_right, nm_left, nm_right = ma.mn.left, ma.mn.right, ma.nm.left, ma.nm.right
+    mn_left, mn_right, nm_left, nm_right = (dense_table(f, t, a.target.dim)
+                                            for a in (ma.mn, ma.nm) for t in (a.sparse_left, a.sparse_right))
 
     def mn(u, v):
         return outer(f, u, v, size)
@@ -347,7 +350,7 @@ def _bump(f, table, i, j, k):
 
 def _sides(M, L):
     """M and L acting on each other by L's bracket table."""
-    return MutualActions(HomAction(M, L, L.c, L.c), HomAction(L, M, L.c, L.c))
+    return MutualActions(HomAction(M, L, L.sparse_c, L.sparse_c), HomAction(L, M, L.sparse_c, L.sparse_c))
 
 
 def _mutant(L, kind):
@@ -356,11 +359,12 @@ def _mutant(L, kind):
     f, a = L.field, self_action(L)
     rows = [list(r) for r in L.twist.entries]
     rows[0][0] = f.add(rows[0][0], f.one())
+    c, bumped = L.sparse_c, sparse_table(_bump(f, L.c, 0, 1, 2))
     return {
-        "m acting on n": MutualActions(HomAction(L, L, _bump(f, L.c, 0, 1, 2), L.c), a),
-        "n acted by m": MutualActions(HomAction(L, L, L.c, _bump(f, L.c, 0, 1, 2)), a),
-        "n acting on m": MutualActions(a, HomAction(L, L, _bump(f, L.c, 0, 1, 2), L.c)),
-        "m acted by n": MutualActions(a, HomAction(L, L, L.c, _bump(f, L.c, 0, 1, 2))),
+        "m acting on n": MutualActions(HomAction(L, L, bumped, c), a),
+        "n acted by m": MutualActions(HomAction(L, L, c, bumped), a),
+        "n acting on m": MutualActions(a, HomAction(L, L, bumped, c)),
+        "m acted by n": MutualActions(a, HomAction(L, L, c, bumped)),
         "twist": _sides(replace(L, twist=Matrix.from_rows(f, rows)), L),
         "bracket": _sides(replace(L, c=_bump(f, L.c, 0, 1, 2)), L),
         "bracket at (h, h)": _sides(replace(L, c=_bump(f, L.c, 2, 2, 2)), L),
@@ -513,13 +517,84 @@ class TestInducedMaps:
         t = build_tensor(MutualActions.adjoint(sl2))
         doubler = AlgebraHom(sl2, sl2, Matrix.from_rows(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
         ident = AlgebraHom(sl2, sl2, Matrix.identity(QQ, 3))
-        with pytest.raises(NotEquivariant):
+        with pytest.raises(NotEquivariant) as info:
             induced_tensor_map(doubler, ident, t, t)
+        # the first violation in (m, n) order, laws in their order
+        assert info.value.witness == ("m acting on n", "e", "f")
+        assert str(info.value) == "maps do not preserve the actions at ('m acting on n', 'e', 'f')"
 
     def test_quotient_projection_is_surjective_on_tensors(self, nonlie2):
         data = ideal_sequence_certificate(
             nonlie2, IdealHandle(nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())])))
         assert data.tau.map.is_surjective()
+
+
+def _dense_equivariance_witness(f_hom, g_hom, src, dst):
+    """The dense reference for ``equivariance_witness``: at each (m, n),
+    row-major, each of the four source action values under f or g against
+    the target action at the images of m and n, in this order; the first
+    that differs is the witness."""
+    M, N = src.m_side, src.n_side
+    f = M.field
+
+    mn_left, mn_right, nm_left, nm_right = (dense_table(f, t, a.target.dim)
+                                            for a in (src.mn, src.nm) for t in (a.sparse_left, a.sparse_right))
+    for i in range(M.dim):
+        fm = f_hom.apply(M.unit(i))
+        for j in range(N.dim):
+            gn = g_hom.apply(N.unit(j))
+            if f_hom.apply(nm_left[j][i]) != dst.nm.act_left(gn, fm):
+                return ("n acting on m", N.labels[j], M.labels[i])
+            if f_hom.apply(nm_right[i][j]) != dst.nm.act_right(fm, gn):
+                return ("m acted by n", M.labels[i], N.labels[j])
+            if g_hom.apply(mn_left[i][j]) != dst.mn.act_left(fm, gn):
+                return ("m acting on n", M.labels[i], N.labels[j])
+            if g_hom.apply(mn_right[j][i]) != dst.mn.act_right(gn, fm):
+                return ("n acted by m", N.labels[j], M.labels[i])
+    return None
+
+
+def _table_bumps(ma):
+    """ma with one coordinate of one value of one of its four action tables
+    moved by one, for every coordinate."""
+    f = ma.m_side.field
+    for name in ("mn", "nm"):
+        a = getattr(ma, name)
+        for side in ("sparse_left", "sparse_right"):
+            dense = dense_table(f, getattr(a, side), a.target.dim)
+            for i, row in enumerate(dense):
+                for j, v in enumerate(row):
+                    for k in range(len(v)):
+                        bumped = replace(a, **{side: sparse_table(_bump(f, dense, i, j, k))})
+                        yield replace(ma, **{name: bumped})
+
+
+class TestEquivarianceAgainstTheDenseLoop:
+    """``equivariance_witness`` states its four laws as ``check_laws`` data;
+    the dense loop it replaced gives the same witness, or None, on every
+    single-entry bump of the adjoint pairs of twisted sl2 and Heisenberg."""
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("make", [_sl2_diag, heisenberg], ids=["twisted sl2", "heisenberg"])
+    def test_every_single_entry_bump(self, f, make):
+        L = make(f)
+        ma, ident = MutualActions.adjoint(L), AlgebraHom(L, L, Matrix.identity(f, L.dim))
+        cases = [(ident, ident, ma, ma)] + [(ident, ident, src, ma) for src in _table_bumps(ma)]
+        cases += [(ident, ident, ma, dst) for dst in _table_bumps(ma)]
+        for r in range(L.dim):
+            for c in range(L.dim):
+                rows = [list(row) for row in ident.map.entries]
+                rows[r][c] = f.add(rows[r][c], f.one())
+                bumped = AlgebraHom(L, L, Matrix.from_rows(f, rows))
+                cases += [(bumped, ident, ma, ma), (ident, bumped, ma, ma)]
+        witnesses = Counter()
+        for f_hom, g_hom, src, dst in cases:
+            got = tensorprod.equivariance_witness(f_hom, g_hom, src, dst)
+            assert got == _dense_equivariance_witness(f_hom, g_hom, src, dst)
+            witnesses[None if got is None else got[0]] += 1
+        # the unbumped pair is equivariant, and every law is the first to
+        # fail somewhere
+        assert set(witnesses) == {None, "n acting on m", "m acted by n", "m acting on n", "n acted by m"}, witnesses
 
 
 class TestOuterActions:
@@ -649,7 +724,7 @@ def _quotient_partner_actions(G, quot, proj, B, incl_b):
                     for x in range(quot.dim))
     right_qb = tuple(tuple(via(quot.unit(x), B.unit(m), swap=True) for x in range(quot.dim))
                      for m in range(B.dim))
-    act_q_on_b = HomAction(quot, B, left_qb, right_qb)
+    act_q_on_b = HomAction(quot, B, sparse_table(left_qb), sparse_table(right_qb))
 
     def down(v):
         return proj.map.apply(v)
@@ -660,5 +735,5 @@ def _quotient_partner_actions(G, quot, proj, B, incl_b):
     right_bq = tuple(tuple(down(G.bracket(sec.apply(quot.unit(x)), incl_b.map.col(m)))
                            for m in range(B.dim))
                      for x in range(quot.dim))
-    act_b_on_q = HomAction(B, quot, left_bq, right_bq)
+    act_b_on_q = HomAction(B, quot, sparse_table(left_bq), sparse_table(right_bq))
     return MutualActions(act_q_on_b, act_b_on_q)
