@@ -48,7 +48,7 @@ class HomAction:
             raise StructureError("left action tensor must be actor x target")
         if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right action tensor must be target x actor")
-        if not all(is_sparse_vec(v, dm) for table in (left, right) for row in table for v in row):
+        if not all(is_sparse_vec(self.target.field, v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("action values must be target coordinate vectors")
         if self.target.field != self.actor.field:
             raise FieldMismatch("target algebra over the wrong field")

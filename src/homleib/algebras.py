@@ -40,10 +40,12 @@ from .linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    canonical_scalars,
     check_laws,
     contract,
     dense_vec,
     induced_map,
+    is_sparse_vec,
     law_rows,
     linear,
     sparse_outer,
@@ -75,6 +77,10 @@ class HomLeibnizAlgebra:
             raise StructureError("structure table must be dim x dim")
         if any(len(v) != self.dim for row in self.c for v in row):
             raise StructureError("bracket values must be coordinate vectors")
+        table = self.__dict__.get("sparse_c")  # handed over by from_sparse
+        if not (canonical_scalars(self.field, (v for row in self.c for v in row)) if table is None else
+                all(is_sparse_vec(self.field, v, self.dim) for row in table for v in row)):
+            raise StructureError("bracket coordinates must be canonical scalars of the field")
         if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
             raise StructureError("twist matrix must be dim x dim")
         if self.twist.field != self.field:
@@ -97,10 +103,12 @@ class HomLeibnizAlgebra:
 
     @staticmethod
     def from_sparse(field: Field, dim: int, table, twist: Matrix, labels) -> "HomLeibnizAlgebra":
-        """The algebra whose ``sparse_c`` is ``table``, its dense table built from it."""
-        alg = HomLeibnizAlgebra(field, dim, tuple(tuple(dense_vec(field, dim, v) for v in row) for row in table),
-                                twist, tuple(labels))
+        """The algebra whose ``sparse_c`` is ``table``, its dense table built
+        from it; the constructor checks ``table`` itself."""
+        alg = object.__new__(HomLeibnizAlgebra)
         alg.__dict__["sparse_c"] = table
+        alg.__init__(field, dim, tuple(tuple(dense_vec(field, dim, v) for v in row) for row in table),
+                     twist, tuple(labels))
         return alg
 
     # the bracket table in the one sparse form, built once (the twist's is twist.sparse_cols)

@@ -84,6 +84,14 @@ class Field:
     def one(self):
         return 1
 
+    def is_canonical(self, x) -> bool:
+        """Whether x is a scalar of this field in its canonical form: over
+        GF(p) an int in ``range(p)``, over Q an int, or a ``Fraction`` that
+        is not integral."""
+        if self.p is not None:
+            return type(x) is int and 0 <= x < self.p
+        return type(x) is int or type(x) is Fraction and x.denominator != 1
+
     def from_int(self, n: int):
         return int(n) if self.p is None else n % self.p
 

@@ -42,6 +42,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     _expand_kernel,
+    canonical_scalars,
     check_laws,
     connecting_map,
     contract,
@@ -76,6 +77,8 @@ class HomAssociativeAlgebra:
             raise StructureError("product table must be dim x dim")
         if any(len(v) != self.dim for row in self.p for v in row):
             raise StructureError("product values must be coordinate vectors")
+        if not canonical_scalars(self.field, (v for row in self.p for v in row)):
+            raise StructureError("product coordinates must be canonical scalars of the field")
         if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
             raise StructureError("twist matrix must be dim x dim")
         if self.twist.field != self.field:

@@ -61,7 +61,7 @@ class CoRepresentation:
             raise StructureError("left operation tensor must be algebra x space")
         if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right operation tensor must be space x algebra")
-        if not all(is_sparse_vec(v, dm) for table in (left, right) for row in table for v in row):
+        if not all(is_sparse_vec(self.algebra.field, v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("operation values must be coefficient vectors")
         if self.twist.field != self.algebra.field:
             raise FieldMismatch("coefficient twist over the wrong field")

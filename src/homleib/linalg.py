@@ -32,19 +32,22 @@ presentations:
 * ``contract`` contracts a sparse table at two dense vectors, and
   ``linear`` applies sparse columns to a sparse vector;
 * a law, or a family of relations, is data: signed lists of bilinear and
-  linear terms in such tables on basis indices.  From that data one rule
-  finds the instances where a term can be nonzero, by sparsity, and one
-  evaluator forms each instance's signed sum, multiplying by no factor that
-  is the field's one.  ``check_laws``, the one identity checker, records
-  each instance whose sum is nonzero; ``law_rows``, the one relation
-  generator, yields each sum as a sparse row;
+  linear terms in such tables on basis indices.  One engine scatters each
+  term from the nonzero coordinates of its two legs into the signed sums
+  of the instances they meet at, so its cost follows the nonzeros and an
+  instance no term reaches is never formed; it multiplies by no factor
+  that is the field's one, and skips a law whose two sides hold the same
+  terms.  ``check_laws``, the one identity checker, records each instance
+  whose sum is nonzero; ``law_rows``, the one relation generator, yields
+  each sum as a sparse row;
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
   is the pure tensor of two sparse vectors in such a block (``outer`` its
   dense form), and ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
-  between the dense and the sparse form of a vector, and ``is_sparse_vec``
-  tells whether a value is in the sparse form;
+  between the dense and the sparse form of a vector, ``is_sparse_vec``
+  tells whether a value is in the sparse form and ``canonical_scalars``
+  whether dense vectors hold only canonical scalars;
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
   lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
   sparse ``contains_sparse`` and ``project_sparse`` read it.
@@ -65,10 +68,9 @@ presentations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from math import prod
-from operator import mul, or_
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined
 from .fields import Field
@@ -116,17 +118,23 @@ def sparse_table(table) -> tuple:
     return tuple(tuple(sparse_vec(v) for v in row) for row in table)
 
 
-def is_sparse_vec(v, dim: int) -> bool:
+def is_sparse_vec(field: Field, v, dim: int) -> bool:
     """Whether v is a vector of a dim-space in the one sparse form: a tuple
     of (index, value) pairs, the indices increasing in 0 .. dim - 1 and
-    every value nonzero."""
+    every value a nonzero scalar of the field in its canonical form."""
     last = -1
     for pair in v if type(v) is tuple else [None]:
         if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int \
-                or not last < pair[0] < dim or not pair[1]:
+                or not last < pair[0] < dim or not pair[1] or not field.is_canonical(pair[1]):
             return False
         last = pair[0]
     return True
+
+
+def canonical_scalars(field: Field, vectors) -> bool:
+    """Whether every nonzero coordinate of the dense vectors is a scalar of
+    the field in its canonical form."""
+    return all(map(field.is_canonical, filter(None, chain.from_iterable(vectors))))
 
 
 def linear(field: Field, cols, u) -> list:
@@ -174,46 +182,123 @@ def _term(term) -> tuple:
     return table, u, p, *(r or [None]), v, q, *(s or [None])
 
 
-def _evaluator(field: Field):
-    """row(plus, minus, idx): the signed sum, plus less minus, of ``_term``
-    terms at idx, as coordinates that may hold zeros.  Each coordinate pair
-    of a term adds (or subtracts) one product, and a factor that is the
-    field's one is not multiplied, so a basis-vector leg or a
-    ``tensor_table`` costs no product."""
-    one, zero, mul, add, sub = field.one(), field.zero(), field.mul, field.add, field.sub
+def _cancels(plus, minus) -> bool:
+    """Whether ``plus`` and ``minus`` hold equal terms, compared by value,
+    the same number of times, so that every instance of the law is zero."""
+    rest = list(minus)
+    for term in plus:
+        if term not in rest:
+            return False
+        rest.remove(term)
+    return not rest
 
-    def times(a, b):
-        return b if a is one else a if b is one else mul(a, b)
 
-    def row(plus, minus, idx):
-        out = {}
-        for op, terms in ((add, plus), (sub, minus)):
-            for table, u, p, r, v, q, s in terms:
-                u = u[idx[p]] if r is None else u[idx[p]][idx[r]]
-                if v is None:
-                    for a, x in u:
-                        for k, t in table[a]:
-                            out[k] = op(out.get(k, zero), times(x, t))
-                    continue
-                v = v[idx[q]] if s is None else v[idx[q]][idx[s]]
-                for a, x in u:
-                    line = table[a]
-                    for b, y in v:
-                        coeff = times(x, y)
-                        for k, t in line[b]:
-                            out[k] = op(out.get(k, zero), times(coeff, t))
+def _law_sums(field: Field, k: int, groups):
+    """The one law engine, (sums, at).  ``sums`` yields, for each group of
+    ``check_laws`` data in turn, the signed sums, plus less minus, of its
+    instances where a term can be nonzero, as {key: {column: value}} with
+    coordinates that may be zero; at(key) is the instance's (idx, law), the
+    law with its terms in the form of ``_term``.  Keys sort as
+    ``check_laws`` runs, by outer tuple (the first k indices), group, inner
+    tuple and law: a key is that position in mixed radix, so it is linear
+    in the indices, index position p weighing ``weights[p]``.
+
+    Each term is scattered from its legs: each leg's nonzero coordinates
+    are listed once per call, each with its offset, the weighted sum of its
+    indices; the two lists are joined on the positions both legs name, a
+    position neither names runs over its range, and each pair of
+    coordinates adds its product to the sum at the key o1 + o2.  A linear
+    term is a bilinear one whose second leg is the constant 1.  A factor
+    that is the field's one is not multiplied, so a basis-vector leg or a
+    ``tensor_table`` costs no product.  A law whose two sides cancel term
+    by term (``_cancels``) is zero everywhere and is skipped."""
+    one, zero, mul = field.one(), field.zero(), field.mul
+    nq = max([len(laws) for _, laws in groups] + [1])
+    span = max([prod(dims[k:]) for dims, _ in groups] + [1])
+    const = ((0, one),)  # the second leg of a linear term, naming no position
+    placed, columns = {}, {}
+
+    def nonzeros(vectors, n):  # (indices, vector) for each nonzero vector of a leg naming n positions
+        return [((), vectors)] if n == 0 else [((x,), v) for x, v in enumerate(vectors) if v] if n == 1 else \
+            [((x, y), v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]
+
+    def place(vectors, pos, weights):  # (offset, index, value) for each nonzero coordinate of a leg
+        ws = [weights[p] for p in pos]
+        key = (id(vectors), *ws)
+        if key not in placed:
+            if len(ws) == 2:
+                w, z = ws
+                placed[key] = [(w * x + z * y, a, c) for x, row in enumerate(vectors)
+                               for y, v in enumerate(row) for a, c in v]
+            else:
+                placed[key] = [(ws[0] * x, a, c) for x, v in enumerate(vectors) for a, c in v] if ws else \
+                    [(0, a, c) for a, c in vectors]
+        return placed[key]
+
+    def blocks(dims, weights, u, pu, v, pv):
+        """(left, right) pairs of ``place`` lists: the term's pairs of
+        coordinates are those of left x right in each block."""
+        named = pu + pv
+        if len(set(named)) == len(named) == len(dims):  # two legs that cover the tuple apart
+            left = place(u, pu, weights)
+            return [(left, place(v, pv, weights))] if left else []
+        free = [p for p in range(len(dims)) if p not in named]
+        spread = [sum(weights[p] * x for p, x in zip(free, t)) for t in product(*(range(dims[p]) for p in free))]
+        out = []
+        for i, x in nonzeros(u, len(pu)):
+            for j, y in nonzeros(v, len(pv)):
+                at = {}
+                if all(at.setdefault(p, n) == n for p, n in zip(named, i + j)):
+                    o = sum(weights[p] * n for p, n in at.items())
+                    out += [([(o + w, a, c) for a, c in x], [(0, b, d) for b, d in y]) for w in spread]
         return out
-    return row
 
+    def scatter(g, dims, laws):
+        out = {}
+        weights = [prod(dims[p + 1:k]) * len(groups) * span * nq if p < k else prod(dims[p + 1:]) * nq
+                   for p in range(len(dims))]
+        for q, (_, _, plus, minus, *_) in enumerate(laws):
+            if _cancels(plus, minus):
+                continue
+            base = g * span * nq + q
+            for op, terms in ((field.add, plus), (field.sub, minus)):
+                for table, (u, *pu), *second in terms:
+                    if second:
+                        (v, *pv), = second
+                    else:  # a linear term as a bilinear one, its columns one per row
+                        v, pv = const, []
+                        if id(table) not in columns:
+                            columns[id(table)] = [(col,) for col in table]
+                        table = columns[id(table)]
+                    for left, right in blocks(dims, weights, u, pu, v, pv):
+                        for o1, a, x in left:
+                            o1 += base
+                            line = table[a]
+                            for o2, b, y in right:
+                                cell = line[b]
+                                if cell:
+                                    acc = out.get(o1 + o2)
+                                    if acc is None:
+                                        acc = out[o1 + o2] = {}
+                                    c = y if x is one else x if y is one else mul(x, y)
+                                    for col, z in cell:
+                                        z = z if c is one else c if z is one else mul(c, z)
+                                        acc[col] = op(acc.get(col, zero), z)
+        return out
 
-def _instances(outer_dims: tuple, groups):
-    """(idx, law) for each instance of the laws of ``groups`` where a term
-    can be nonzero, in the order of ``check_laws``."""
-    legs = {}
-    runs = [_support(len(outer_dims), dims, laws, legs) for dims, laws in groups]
-    for idx in product(*map(range, outer_dims)):
-        for run in runs:
-            yield from run(idx)
+    def at(key):
+        key, q = divmod(key, nq)
+        key, inner = divmod(key, span)
+        outer, g = divmod(key, len(groups))
+        dims, laws = groups[g]
+        flat, idx = outer * prod(dims[k:]) + inner, []
+        for d in reversed(dims):
+            flat, x = divmod(flat, d)
+            idx.append(x)
+        name, witness, plus, minus, *detail = laws[q]
+        return tuple(reversed(idx)), (name, witness, [*map(_term, plus)], [*map(_term, minus)], "".join(detail))
+
+    return (scatter(g, dims, laws) for g, (dims, laws) in enumerate(groups)), at
 
 
 def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
@@ -228,18 +313,19 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     the witness.  An instance is recorded exactly when its signed sum, plus
     less minus, is nonzero.
 
-    The outer loop runs row-major over the index tuples of ``outer_dims``;
-    inside it each (dims, laws) group runs in turn, row-major over the index
-    tuples below ``dims`` that extend the outer one, and at each over its
-    laws in order.  Only the instances where a term can be nonzero are
-    evaluated, so the report is the full grid's: a linear term can be
-    nonzero only if cols[a] is nonempty for some a in supp u, and a bilinear
-    one only if table[a][b] is for some (a, b) in supp u x supp v."""
-    row = _evaluator(field)
-    for jdx, (name, witness, plus, minus, detail) in _instances(outer_dims, groups):
-        if any(row(plus, minus, jdx).values()):
-            labels = tuple(lb[jdx[p]] for lb, p in witness)
-            report.record(name, labels, detail.format(*labels))
+    The records are in loop order: row-major over the index tuples of
+    ``outer_dims``, inside that each (dims, laws) group in turn, row-major
+    over the index tuples below ``dims`` that extend the outer one, and at
+    each over its laws in order.  Only the instances where a term can be
+    nonzero are evaluated (``_law_sums``), so the report is the full grid's:
+    a linear term can be nonzero only if cols[a] is nonempty for some a in
+    supp u, and a bilinear one only if table[a][b] is for some (a, b) in
+    supp u x supp v."""
+    sums, at = _law_sums(field, len(outer_dims), groups)
+    for key in sorted(key for group in sums for key, row in group.items() if any(row.values())):
+        idx, (name, witness, _, _, detail) = at(key)
+        labels = tuple(lb[idx[p]] for lb, p in witness)
+        report.record(name, labels, detail.format(*labels))
 
 
 def law_rows(field: Field, groups):
@@ -247,100 +333,12 @@ def law_rows(field: Field, groups):
     data, with no outer loop: each group runs in full, in turn.  A row is
     the signed sum of an instance where a term can be nonzero, as the sorted
     (column, value) pairs of its nonzero coordinates; an instance whose
-    terms cancel yields an empty row.  A relation's terms are pure tensors
-    (``tensor_table``), so an instance is skipped exactly when each of its
-    terms has an empty leg."""
-    row = _evaluator(field)
-    for jdx, (_, _, plus, minus, _) in _instances((), groups):
-        yield tuple(sorted((k, x) for k, x in row(plus, minus, jdx).items() if x))
-
-
-_MASK_BITS = 1 << 16  # the most index tuples one support bitmask covers
-
-
-def _support(k: int, dims, laws, legs):
-    """The instances of one ``check_laws`` group where a term can be nonzero,
-    at an outer index tuple of length k: (idx, law) in order, the law with
-    its terms in the form of ``_term``.  A set of index tuples is a bitmask
-    over the trailing indices, at most ``_MASK_BITS`` of them, for one value
-    of the leading ones at a time; ``legs`` keeps the masks of each leg, by
-    group shape, for the whole call."""
-    cut = 0
-    while prod(dims[cut:]) > _MASK_BITS:
-        cut += 1
-    n = max(k, cut)  # the length of the index tuples a bitmask is read at
-    spans = [prod(dims[p:]) for p in range(len(dims) + 1)]  # spans[p + 1]: the stride of index p
-    full = (1 << spans[cut]) - 1
-    if not full:
-        return lambda outer: ()
-    at = [None] * cut  # at[p][x]: where trailing index p is x
-    for p in range(cut, len(dims)):
-        run = spans[p + 1]
-        base = full // ((1 << run * dims[p]) - 1) * ((1 << run) - 1)
-        at.append([base << x * run for x in range(dims[p])])
-
-    def where(idx, vectors, *pos):  # [(a, where a is in the support of the leg's vector)] at idx
-        key = (dims, id(vectors), *pos)
-        if key in legs:
-            return legs[key]
-        if min(pos) < cut:  # fix the leading indices at idx; not kept, as idx moves on
-            key = None
-            if len(pos) == 2 and pos[1] < cut:  # the column at the leading index
-                vectors, pos = [row[idx[pos[1]]] for row in vectors], pos[:1]
-            if pos[0] < cut:  # the vector, or the row, at the leading index
-                vectors, pos = vectors[idx[pos[0]]], pos[1:]
-            if not pos:
-                return [(a, full) for a, _ in vectors]
-        out, p, r = {}, at[pos[0]], at[pos[-1]]
-        for x, y, vec in [(x, x, v) for x, v in enumerate(vectors) if v] if len(pos) == 1 else \
-                [(x, y, v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]:
-            here = p[x] & r[y]
-            for a, _ in vec:
-                out[a] = out.get(a, 0) | here
-        if key:
-            legs[key] = out.items()
-        return out.items()
-
-    def mask(idx, terms):  # where a term can be nonzero; a linear term is
-        bits = 0           # a bilinear one with a constant second leg
-        for table, u, *v in terms:
-            left = where(idx, *u)
-            if left:
-                for b, there in where(idx, *v[0]) if v else [(None, full)]:
-                    for a, here in left:
-                        if table[a] if b is None else table[a][b]:
-                            bits |= here & there
-        return bits
-
-    def law(q):  # law q with its terms in the form of ``_term``, built once
-        if compiled[q] is None:
-            name, witness, plus, minus, *detail = laws[q]
-            compiled[q] = name, witness, [*map(_term, plus)], [*map(_term, minus)], "".join(detail)
-        return compiled[q]
-
-    terms, compiled, memo, rest = [law[2] + law[3] for law in laws], [None] * len(laws), [None], []
-    heads, strides, block = list(product(*map(range, dims[k:cut]))), spans[cut + 1:n + 1], (1 << spans[n]) - 1
-
-    def run(outer):
-        for head in heads:
-            idx = outer + head
-            if memo[0] != idx[:cut]:
-                masks = [mask(idx, t) for t in terms]
-                memo[:] = idx[:cut], masks, reduce(or_, masks, 0)
-            shift = sum(map(mul, idx[cut:], strides))
-            union = memo[2] >> shift & block
-            if union:
-                live = [(bits >> shift, q) for q, bits in enumerate(memo[1]) if bits >> shift & union]
-                if not rest:
-                    rest.extend(product(*map(range, dims[n:])))
-                while union:
-                    low = union & -union
-                    union ^= low
-                    jdx = (*idx, *rest[low.bit_length() - 1])
-                    for bits, q in live:
-                        if bits & low:
-                            yield jdx, law(q)
-    return run
+    terms cancel yields an empty row, and a law that cancels term by term
+    none.  A relation's terms are pure tensors (``tensor_table``), so an
+    instance is skipped exactly when each of its terms has an empty leg."""
+    for group in _law_sums(field, 0, groups)[0]:
+        for key in sorted(group):
+            yield tuple(sorted([(k, x) for k, x in group[key].items() if x]))
 
 
 def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:

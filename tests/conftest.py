@@ -25,20 +25,23 @@ def field():
 @pytest.fixture
 def evaluated(monkeypatch):
     """The law instances ``linalg.check_laws`` evaluates from now on, as
-    (law name, index tuple) in order: each one its support helper yields."""
+    (law name, index tuple) in order: the keys of the sums its engine
+    yields, in the order of ``check_laws``."""
     seen = []
-    real = linalg._support
+    real = linalg._law_sums
 
-    def counting(*args):
-        run = real(*args)
+    def recording(*args):
+        sums, at = real(*args)
 
-        def each(outer):
-            for idx, law in run(outer):
-                seen.append((law[0], idx))
-                yield idx, law
-        return each
+        def each():
+            keys = []
+            for group in sums:
+                keys += group
+                yield group
+            seen.extend((law[0], idx) for idx, law in map(at, sorted(keys)))
+        return each(), at
 
-    monkeypatch.setattr(linalg, "_support", counting)
+    monkeypatch.setattr(linalg, "_law_sums", recording)
     return seen
 
 

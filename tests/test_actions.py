@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -226,6 +227,24 @@ class TestSparseTables:
             HomAction(nonlie2, nonlie2, nonlie2.c, nonlie2.c)
         with pytest.raises(StructureError, match="^operation values must be coefficient vectors$"):
             CoRepresentation(nonlie2, 2, nonlie2.twist, nonlie2.c, nonlie2.c)
+
+    def test_non_canonical_scalars_refused(self):
+        # a value that is zero in the field but not the int 0 would count as
+        # a nonzero coordinate: over GF(5), 5 is zero, so an action by it
+        # would be trivial and yet report that it is not
+        for f, bad, good in ((Field(5), (5, -1, 7, Fraction(1, 2), True, 1.0), (1, 4)),
+                             (QQ, (Fraction(2), Fraction(0), True, 1.0), (2, -3, Fraction(1, 2)))):
+            A, one = HomLeibnizAlgebra.abelian(f, 1), Matrix.identity(f, 1)
+            for x in bad:
+                table = ((((0, x),),),)
+                with pytest.raises(StructureError, match="^action values must be target coordinate vectors$"):
+                    HomAction(A, A, table, table)
+                with pytest.raises(StructureError, match="^operation values must be coefficient vectors$"):
+                    CoRepresentation(A, 1, one, table, table)
+            for x in good:
+                table = ((((0, x),),),)
+                assert not HomAction(A, A, table, table).is_trivial()
+                CoRepresentation(A, 1, one, table, table)
 
     def test_shapes(self, nonlie2, sl2):
         a, M = self_action(nonlie2), adjoint_corep(nonlie2)

@@ -22,6 +22,7 @@ from homleib.algebras import (
     yau_twist,
 )
 from homleib.generators import random_algebra
+from homleib.homassoc import HomAssociativeAlgebra
 
 QQ = Field()
 
@@ -56,6 +57,24 @@ class TestValidate:
     def test_shape_mismatch(self, field):
         with pytest.raises(StructureError):
             HomLeibnizAlgebra(field, 2, ((), ()), Matrix.identity(field, 2), ("a", "b"))
+
+    def test_non_canonical_scalars_refused(self):
+        # over GF(5), 5 is zero: a bracket by it would make an abelian
+        # algebra that reports it is not abelian
+        for f, bad, good in ((Field(5), (5, -1, Fraction(1, 2), True, 1.0), (1, 4)),
+                             (QQ, (Fraction(2), True, 1.0), (2, -3, Fraction(1, 2)))):
+            one = Matrix.identity(f, 1)
+            for x in bad:
+                with pytest.raises(StructureError, match="^bracket coordinates must be canonical scalars"):
+                    HomLeibnizAlgebra(f, 1, (((x,),),), one, ("e1",))
+                with pytest.raises(StructureError, match="^bracket coordinates must be canonical scalars"):
+                    HomLeibnizAlgebra.from_sparse(f, 1, ((((0, x),),),), one, ("e1",))
+                with pytest.raises(StructureError, match="^product coordinates must be canonical scalars"):
+                    HomAssociativeAlgebra(f, 1, (((x,),),), one, ("a1",))
+            for x in good:
+                assert not HomLeibnizAlgebra(f, 1, (((x,),),), one, ("e1",)).validate().flags["abelian"]
+                assert HomLeibnizAlgebra.from_sparse(f, 1, ((((0, x),),),), one, ("e1",)).c == (((x,),),)
+                HomAssociativeAlgebra(f, 1, (((x,),),), one, ("a1",))
 
 
 class TestCommutatorCenter:

@@ -323,6 +323,17 @@ def test_no_dense_hochschild_boundary():
     assert found == [], found
 
 
+BITMASK_ENGINE = ("_support", "_instances", "_evaluator", "_MASK_BITS")
+
+
+def test_bitmask_law_engine_is_gone():
+    # check_laws and law_rows share one engine that scatters each term from
+    # its legs' nonzero vectors: no bitmask support, instance enumerator,
+    # per-instance evaluator or bitmask size is defined or named
+    found = _library_sites(_names(BITMASK_ENGINE))
+    assert found == [], found
+
+
 RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce", "boundary_rows")
 
 
