@@ -129,10 +129,10 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
     target, incl_t = target_handle
 
     def coords(v):
-        q = incl_t.map.preimage(v)
+        q = incl_t.map.preimage_sparse(sparse_vec(v))
         if q is None:
             raise InvalidAction("bracket escapes the target subspace", witness=(v,))
-        return sparse_vec(q)
+        return q
 
     left = tuple(
         tuple(coords(parent.bracket(incl_a.map.col(i), incl_t.map.col(j)))
@@ -275,13 +275,13 @@ def semidirect(action: HomAction) -> SemidirectProduct:
         return up(L.sparse_c[a - dm][b - dm])
 
     table = tuple(tuple(block(a, b) for b in range(n)) for a in range(n))
-    twist = Matrix.from_sparse_columns(f, n, M.twist.sparse_cols + tuple(map(up, tl)))
+    twist = Matrix.from_columns(f, n, M.twist.sparse_cols + tuple(map(up, tl)))
     labels = tuple(f"m.{x}" for x in M.labels) + tuple(f"l.{x}" for x in L.labels)
     prod = HomLeibnizAlgebra.from_sparse(f, n, table, twist, labels)
     units = [((j, one),) for j in range(L.dim)]
-    include = AlgebraHom(M, prod, Matrix.from_sparse_columns(f, n, [((j, one),) for j in range(dm)]))
-    project = AlgebraHom(prod, L, Matrix.from_sparse_columns(f, L.dim, [()] * dm + units))
-    section = AlgebraHom(L, prod, Matrix.from_sparse_columns(f, n, map(up, units)))
+    include = AlgebraHom(M, prod, Matrix.from_columns(f, n, [((j, one),) for j in range(dm)]))
+    project = AlgebraHom(prod, L, Matrix.from_columns(f, L.dim, [()] * dm + units))
+    section = AlgebraHom(L, prod, Matrix.from_columns(f, n, map(up, units)))
     return SemidirectProduct(prod, include, project, section)
 
 

@@ -120,7 +120,7 @@ class HomLeibnizAlgebra:
     def bracket_map(self) -> Matrix:
         """The bracket as a linear map on the row-major tensor square:
         e_i (x) e_j goes to c[i][j]."""
-        return Matrix.from_columns(self.field, self.dim, [v for row in self.c for v in row])
+        return Matrix.from_columns(self.field, self.dim, [v for row in self.sparse_c for v in row])
 
     def apply_twist(self, x) -> tuple:
         return self.twist.apply(x)
@@ -276,16 +276,13 @@ def is_perfect(L: HomLeibnizAlgebra) -> bool:
 
 
 def center(L: HomLeibnizAlgebra) -> Subspace:
-    """Solutions of [x, e_j] = 0 = [e_j, x] for every basis vector e_j."""
-    f = L.field
-    rows = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            rows.append(tuple(L.c[i][j][k] for i in range(L.dim)))
-            rows.append(tuple(L.c[j][i][k] for i in range(L.dim)))
-    if not rows:
-        return Subspace.full(f, L.dim)
-    return Matrix(f, len(rows), L.dim, tuple(rows)).kernel()
+    """Solutions of [x, e_j] = 0 = [e_j, x] for every basis vector e_j: the
+    kernel of the map whose column i stacks [e_i, e_j] and then [e_j, e_i]
+    over all j."""
+    c, n = L.sparse_c, L.dim
+    return Matrix.from_columns(L.field, 2 * n * n, [
+        [(j * n + k, x) for j in range(n) for k, x in c[i][j]] +
+        [(n * n + j * n + k, x) for j in range(n) for k, x in c[j][i]] for i in range(n)]).kernel()
 
 
 def quotient_algebra(L: HomLeibnizAlgebra, ideal: IdealHandle):
@@ -434,7 +431,7 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
     if space.field != L.field:
         raise FieldMismatch("subspace over the wrong field")
     f = L.field
-    basis = list(space.basis.entries)
+    basis = [dense_vec(f, L.dim, r) for r in space.sparse_rows]
     k = len(basis)
 
     def coords(v):
@@ -444,33 +441,22 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
         return q
 
     table = tuple(tuple(coords(L.bracket(a, b)) for b in basis) for a in basis)
-    twist_cols = [coords(L.apply_twist(a)) for a in basis]
-    labels = default_labels(k, label_prefix)
-    sub = HomLeibnizAlgebra(f, k, table, Matrix.from_columns(f, k, twist_cols), labels)
-    incl = AlgebraHom(sub, L, space.basis.transpose())
+    twist = Matrix.from_columns(f, k, [sparse_vec(coords(L.apply_twist(a))) for a in basis])
+    sub = HomLeibnizAlgebra(f, k, table, twist, default_labels(k, label_prefix))
+    incl = AlgebraHom(sub, L, Matrix.from_columns(f, L.dim, space.sparse_rows))
     return sub, incl
 
 
 def direct_sum(A: HomLeibnizAlgebra, B: HomLeibnizAlgebra) -> HomLeibnizAlgebra:
     if A.field != B.field:
         raise FieldMismatch("direct sum across different fields")
-    f = A.field
-    n = A.dim + B.dim
+    f, a, n = A.field, A.dim, A.dim + B.dim
 
-    def emb_a(v):
-        return tuple(v) + vec_zero(f, B.dim)
+    def up(v):  # a sparse vector of B in the B summand
+        return tuple((a + k, x) for k, x in v)
 
-    def emb_b(v):
-        return vec_zero(f, A.dim) + tuple(v)
-
-    table = [[vec_zero(f, n) for _ in range(n)] for _ in range(n)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            table[i][j] = emb_a(A.c[i][j])
-    for i in range(B.dim):
-        for j in range(B.dim):
-            table[A.dim + i][A.dim + j] = emb_b(B.c[i][j])
-    twist_cols = [emb_a(A.twist.col(j)) for j in range(A.dim)]
-    twist_cols += [emb_b(B.twist.col(j)) for j in range(B.dim)]
+    table = tuple(row + ((),) * B.dim for row in A.sparse_c) + \
+        tuple(((),) * a + tuple(map(up, row)) for row in B.sparse_c)
+    twist = Matrix.from_columns(f, n, A.twist.sparse_cols + tuple(map(up, B.twist.sparse_cols)))
     labels = tuple(f"{x}.1" for x in A.labels) + tuple(f"{x}.2" for x in B.labels)
-    return HomLeibnizAlgebra(f, n, tuple(tuple(r) for r in table), Matrix.from_columns(f, n, twist_cols), labels)
+    return HomLeibnizAlgebra.from_sparse(f, n, table, twist, labels)

@@ -137,17 +137,15 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
     f = L.field
     section = other.proj.map.section()
     if perturbation is not None:
-        if not all(other.kernel.contains(v) for v in perturbation.transpose().entries):
+        if not all(other.kernel.contains(perturbation.col(j)) for j in range(perturbation.cols)):
             raise KernelMismatch("perturbation must take values in the kernel")
         section = section.add(perturbation)
     t = uce.tensor
     # x*y in either block of the tensor square of the base goes to the
     # bracket of the chosen preimages; both blocks are row-major in (x, y)
-    s = section.transpose().entries
-    brackets = [Kp.bracket(u, v) for u in s for v in s]
-    amb = Matrix.from_columns(f, Kp.dim, brackets + brackets)
+    brackets = Kp.bracket_map().compose(section.kron(section)).sparse_cols
     lift = AlgebraHom(t.algebra, Kp, induced_map(
-        amb, t.presentation, quotient(f, Kp.dim, ()),
+        brackets * 2, t.presentation, quotient(f, Kp.dim, ()),
         lambda r, w: InternalInconsistency("lift does not kill the tensor relations", witness=(r,))))
     lift.validate().require(
         lambda v: InternalInconsistency("lift is not a homomorphism", witness=v.witness))
@@ -208,7 +206,7 @@ def _presented_alpha_uce(A, t):
 
     # generator comparison: a*b in either block of the tensor square -> a (x) b;
     # both blocks are row-major in (first leg, second leg), like the plain space
-    comp_amb = Matrix.from_columns(f, ambient, Matrix.identity(f, ambient).entries * 2)
+    comp_amb = Matrix.identity(f, ambient).sparse_cols * 2
     comp = AlgebraHom(t.algebra, presented, induced_map(comp_amb, t.presentation, pres))
     comp.validate().require(
         lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
@@ -273,20 +271,17 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     # cokernel target: ideal modulo the two-sided commutator with the algebra
     two_sided = commutator(ideal, IdealHandle(L, Subspace.full(f, L.dim)))
-    in_m = [data.incl.map.preimage(v) for v in two_sided.basis.entries]
+    in_m = [data.incl.map.preimage_sparse(r) for r in two_sided.sparse_rows]
     if any(q is None for q in in_m):
         raise InternalInconsistency("commutator with the algebra leaves the ideal")
-    coker_q = quotient(f, data.incl.source.dim, in_m)
+    coker_q = QuotientSpace(Subspace.span_sparse(f, data.incl.source.dim, in_m))
     rep.dims["ideal modulo commutator"] = coker_q.dim
 
     # the big column's image equals that two-sided commutator: values of the
     # evaluation on the ideal tensor, then twisted values on the swapped one
-    psi_big_cols = []
-    for v in data.t_ml.eval_m.transpose().entries:
-        psi_big_cols.append(data.incl.map.apply(v))
-    for v in data.t_lm.eval_m.transpose().entries:
-        psi_big_cols.append(L.apply_twist(v))
-    im_psi = Subspace.span(f, L.dim, psi_big_cols)
+    psi_big_cols = data.incl.map.compose(data.t_ml.eval_m).sparse_cols + \
+        L.twist.compose(data.t_lm.eval_m).sparse_cols
+    im_psi = Subspace.span_sparse(f, L.dim, psi_big_cols)
     rep.check("column image equals the two-sided commutator", im_psi == two_sided)
 
     # connecting map: lift along the projection row, evaluate, read in the cokernel

@@ -251,8 +251,7 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
 
     # generator comparison: both tensor blocks evaluate to plain tensor
     # classes, and both are row-major in (first leg, second leg) like A (x) A
-    on_square = induced_map(Matrix.from_columns(f, n * n, Matrix.identity(f, n * n).entries * 2),
-                            t.presentation, h.presentation)
+    on_square = induced_map(Matrix.identity(f, n * n).sparse_cols * 2, t.presentation, h.presentation)
     iso = AlgebraHom(quot, h.algebra, induced_map(
         on_square, QuotientSpace(ideal), quotient(f, h.algebra.dim, ()),
         lambda r, w: InternalInconsistency("comparison does not kill the boundary ideal")))
@@ -407,13 +406,13 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     # row maps: include the homology, then evaluate through phi
     rep.check("homology includes as a homomorphism", incl_h.is_homomorphism())
 
-    def in_c(v, message):
-        q = incl_c.map.preimage(v)
+    def in_c(pairs, message):
+        q = incl_c.map.preimage_sparse(pairs)
         if q is None:
             raise InternalInconsistency(message)
         return q
 
-    phi_cols = [in_c(v, "evaluation leaves the commutator subalgebra") for v in h.phi.transpose().entries]
+    phi_cols = [in_c(c, "evaluation leaves the commutator subalgebra") for c in h.phi.sparse_cols]
     phi_hom = AlgebraHom(h.algebra, C_sub, Matrix.from_columns(f, C_sub.dim, phi_cols))
     rep.check("evaluation is a homomorphism onto the commutator subalgebra",
               phi_hom.is_homomorphism())
@@ -441,9 +440,8 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     im_col_c = col_c.map.image()
     two_sided = commutator(IdealHandle(lb, h.commutator_space),
                            IdealHandle(lb, Subspace.full(f, lb.dim)))
-    two_sided_in_c = Subspace.span(
-        f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
-                       for v in two_sided.basis.entries])
+    two_sided_in_c = Subspace.span_sparse(
+        f, C_sub.dim, [in_c(r, "vector does not lie in the subalgebra") for r in two_sided.sparse_rows])
     rep.check("right cokernel matches the commutator quotient", im_col_c == two_sided_in_c)
     coker_c = QuotientSpace(im_col_c)
     rep.dims["commutator modulo inner"] = coker_c.dim
@@ -475,8 +473,8 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
 
     # map from the homology into the Milnor quotient
     milnor_q = QuotientSpace(milnor)
-    to_milnor = Matrix.from_sparse_columns(f, milnor_q.dim, [milnor_q.project_sparse(at_cosets(r))
-                                                            for r in H_space.sparse_rows])
+    to_milnor = Matrix.from_columns(f, milnor_q.dim, [milnor_q.project_sparse(at_cosets(r))
+                                                     for r in H_space.sparse_rows])
     im_delta = delta.image()
     ker_to_milnor = to_milnor.kernel()
     rep.check("exact at the first homology", im_delta == ker_to_milnor)
@@ -485,7 +483,7 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     # the commutator fold into the commutator subalgebra; the Milnor
     # relations must evaluate into the inner commutators for it to descend
     fold_c = Matrix.from_columns(f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
-                                                for row in lb.c for v in row])
+                                                for row in lb.sparse_c for v in row])
     try:
         to_coker = induced_map(fold_c, milnor_q, coker_c)
     except NotWellDefined:

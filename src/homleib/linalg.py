@@ -4,9 +4,15 @@ images, preimages, quotient spaces and induced maps.
 Everything is immutable after construction and all arithmetic is exact;
 equality of values is field equality, never approximate.  A dense vector is
 a plain tuple of scalars, a sparse one the (index, value) pairs of its
-nonzero coordinates.  A ``Matrix`` is the one linear-map type, a grid of
-row tuples: column j is the image of basis vector j, and its shape is the
-only record of the map's domain and codomain.  A ``Subspace`` holds its
+nonzero coordinates, the indices increasing.  A ``Matrix`` is the one
+linear-map type: it holds its field, its shape and its columns in the
+sparse form, column j the image of basis vector j, so equal maps compare
+and hash equal as data, and its shape is the only record of the map's
+domain and codomain.  ``Matrix.from_columns`` is its one constructor; the
+dense grid, ``Matrix(field, rows, cols, entries)`` or ``from_rows`` and the
+``entries`` and ``col`` views, is only for the edges (documents, output,
+tests).  Its kernels (``apply``, ``compose``, ``add``, ``transpose``,
+``section``) run on the sparse columns.  A ``Subspace`` holds its
 field, its ambient dimension and the sparse rows of its canonical reduced
 row echelon form, pivots first and in increasing column order, so equal
 subspaces compare and hash equal as data and every reported basis is
@@ -27,8 +33,8 @@ presentations:
 * each structure holds its tables in sparse form, each value table[i][j]
   as its nonzero (k, value) pairs: actions and co-representations store
   only that form, algebras cache it once from their dense tables
-  (``sparse_table``), and ``Matrix.sparse_cols`` holds those of each
-  column of a map, a twist included;
+  (``sparse_table``), and a map, a twist included, holds its columns in
+  that form as ``Matrix.sparse_cols``;
 * ``contract`` contracts a sparse table at two dense vectors, and
   ``linear`` applies sparse columns to a sparse vector;
 * a law, or a family of relations, is data: signed lists of bilinear and
@@ -42,8 +48,8 @@ presentations:
   each sum as a sparse row;
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
-  is the pure tensor of two sparse vectors in such a block (``outer`` its
-  dense form), and ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
+  is the pure tensor of two sparse vectors in such a block, and
+  ``Matrix.kron`` is the map u (x) v -> f(u) (x) g(v);
 * ``unit_vec`` is a basis vector; ``sparse_vec`` and ``dense_vec`` convert
   between the dense and the sparse form of a vector, ``is_sparse_vec``
   tells whether a value is in the sparse form and ``canonical_scalars``
@@ -51,9 +57,9 @@ presentations:
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
   lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
   sparse ``contains_sparse`` and ``project_sparse`` read it.
-  ``Matrix.preimage`` reads a solution off the factor and rechecks it; it
-  and ``coordinates`` return None off the image or subspace, and each
-  caller raises its own error;
+  ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
+  it, and ``preimage`` is its dense form; they and ``coordinates`` return
+  None off the image or subspace, and each caller raises its own error;
 * ``induced_map`` is the one descent certificate, and every map out of a
   presentation is one: it checks that the ambient map, a ``Matrix`` or
   its sparse columns, carries each sparse relation row into the target's
@@ -72,7 +78,7 @@ from functools import cached_property
 from itertools import chain, product
 from math import prod
 
-from .errors import DimensionError, FieldMismatch, NotWellDefined
+from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
 
 
@@ -348,26 +354,31 @@ def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:
     return [(offset + i * stride + j, mul(x, y)) for i, x in u for j, y in v]
 
 
-def outer(field: Field, u, v, size: int, offset: int = 0) -> tuple:
-    """The pure tensor u (x) v of dense vectors in a coordinate space of the
-    given size, every coordinate off ``sparse_outer`` zero."""
-    return dense_vec(field, size, sparse_outer(field, sparse_vec(u), sparse_vec(v), len(v), offset))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """A matrix and the linear map it gives: column j is the image of basis
-    vector j, so a map from an n-space to an m-space is m x n.  Its rank,
-    kernel, preimages and section read one factorization, built once."""
+    vector j, so a map from an n-space to an m-space is m x n.  It holds
+    each column in the one sparse form, the (index, value) pairs of its
+    nonzero coordinates with the indices increasing, so equal maps compare
+    and hash equal; its dense ``entries`` are a view, built when read.  Its
+    rank, kernel, preimages and section read one factorization, built once."""
 
     field: Field
     rows: int
     cols: int
-    entries: tuple
+    sparse_cols: tuple
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __init__(self, field: Field, rows: int, cols: int, entries):
+        """The map with the dense grid ``entries``, a tuple of rows: the
+        dense edge (documents, tests).  Over Q an integral ``Fraction`` is
+        kept as given."""
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionError("entry grid does not match declared shape")
+        if field.p is not None and not canonical_scalars(field, entries):
+            raise StructureError("map coordinates must be canonical scalars of the field")
+        columns = tuple(map(sparse_vec, zip(*entries))) if rows else ((),) * cols
+        self.__dict__.update(field=field, rows=rows, cols=cols, sparse_cols=columns, entries=entries)
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -377,45 +388,50 @@ class Matrix:
 
     @staticmethod
     def from_columns(field: Field, rows: int, columns) -> "Matrix":
-        """The map with the given columns, each of length ``rows``."""
-        columns = list(columns)
-        return Matrix(field, rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
-
-    @staticmethod
-    def from_sparse_columns(field: Field, rows: int, columns) -> "Matrix":
-        """The map whose column j has the (k, value) pairs columns[j]."""
-        return Matrix.from_columns(field, rows, [dense_vec(field, rows, c) for c in columns])
+        """The map into a ``rows``-space whose column j has the (index,
+        value) pairs columns[j]: the indices increasing within range(rows)
+        (else ``DimensionError``), the values nonzero and, over GF(p),
+        canonical (else ``StructureError``)."""
+        columns = tuple(map(tuple, columns))
+        p = field.p
+        for col in columns:
+            last = -1
+            for k, x in col:
+                if not last < k < rows:
+                    raise DimensionError(f"column indices must increase within range({rows})")
+                if not x or p is not None and not field.is_canonical(x):
+                    raise StructureError("map coordinates must be canonical scalars of the field")
+                last = k
+        m = object.__new__(Matrix)
+        m.__dict__.update(field=field, rows=rows, cols=len(columns), sparse_cols=columns)
+        return m
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, tuple((field.zero(),) * cols for _ in range(rows)))
+        return Matrix.from_columns(field, rows, ((),) * cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, n, n, tuple(unit_vec(field, n, i) for i in range(n)))
+        return Matrix.from_columns(field, n, [((i, field.one()),) for i in range(n)])
+
+    # the dense grid of rows, built once when read: the dense edge
+    entries = cached_property(lambda self: tuple(dense_vec(self.field, self.cols, r)
+                                                 for r in self.transpose().sparse_cols))
 
     def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return dense_vec(self.field, self.rows, self.sparse_cols[j])
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.field, self.cols, self.entries)
-
-    # the columns, each as its nonzero (k, value) pairs, built once
-    sparse_cols = cached_property(lambda self: tuple(sparse_vec(c) for c in self.transpose().entries))
+        out = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.sparse_cols):
+            for k, x in col:
+                out[k].append((j, x))
+        return Matrix.from_columns(self.field, self.cols, out)
 
     def apply(self, v) -> tuple:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} does not match {self.cols} columns")
-        f = self.field
-        out = [f.zero()] * self.rows
-        for j, c in enumerate(v):
-            if not c:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i][j]
-                if e:
-                    out[i] = f.add(out[i], f.mul(e, c))
-        return tuple(out)
+        return dense_vec(self.field, self.rows, linear(self.field, self.sparse_cols, sparse_vec(v)))
 
     def compose(self, inner: "Matrix") -> "Matrix":
         """self after inner."""
@@ -423,46 +439,38 @@ class Matrix:
             raise FieldMismatch("matrix product across different fields")
         if self.cols != inner.rows:
             raise DimensionError("composition shapes disagree")
-        f = self.field
-        cols = inner.transpose().entries
-        out = []
-        for r in self.entries:
-            row = []
-            for c in cols:
-                acc = f.zero()
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(f, self.rows, inner.cols, tuple(out))
+        f, cols = self.field, self.sparse_cols
+        return Matrix.from_columns(f, self.rows, [sorted(linear(f, cols, c)) for c in inner.sparse_cols])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """The map u (x) v -> self(u) (x) other(v) of row-major tensor spaces."""
         f = self.field
-        return Matrix.from_sparse_columns(f, self.rows * other.rows, [
+        return Matrix.from_columns(f, self.rows * other.rows, [
             sparse_outer(f, u, v, other.rows) for u in self.sparse_cols for v in other.sparse_cols])
 
     def add(self, other: "Matrix") -> "Matrix":
+        return self._sum(other, self.field.one())
+
+    def sub(self, other: "Matrix") -> "Matrix":
+        return self._sum(other, self.field.neg(self.field.one()))
+
+    def _sum(self, other: "Matrix", c) -> "Matrix":
+        """self + c other."""
         if self.field != other.field:
             raise FieldMismatch("matrix sum across different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in sum")
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(vec_add(f, r, s) for r, s in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        g = other.field
-        return self.add(Matrix(g, other.rows, other.cols,
-                               tuple(vec_scale(g, g.neg(g.one()), r) for r in other.entries)))
+        return Matrix.from_columns(f, self.rows, [sorted(sparse_add(f, u, v, c))
+                                                  for u, v in zip(self.sparse_cols, other.sparse_cols)])
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.entries)
+        return not any(self.sparse_cols)
 
     @cached_property
     def _factor(self) -> dict:
-        """The RREF of [M | I], built once, as pivot column -> sparse row.
+        """The RREF of [M | I], built once, as pivot column -> sparse row,
+        from the rows of M gathered from its columns.
 
         A row whose pivot lies in M is a row of the RREF of M, and its I block
         holds the row operations that produced it; a row whose pivot lies in
@@ -470,8 +478,8 @@ class Matrix:
         f = self.field
         n = self.cols
         acc = RrefAccumulator(f, n + self.rows)
-        for i, r in enumerate(self.entries):
-            acc.add(sparse_vec(r) + ((n + i, f.one()),))
+        for i, r in enumerate(self.transpose().sparse_cols):
+            acc.add(r + ((n + i, f.one()),))
         return acc.rows
 
     def rank(self) -> int:
@@ -500,34 +508,38 @@ class Matrix:
         rechecked, or None off the image."""
         if len(v) != self.rows:
             raise DimensionError(f"vector length {len(v)} does not match {self.rows} rows")
-        f = self.field
-        n = self.cols
-        x = [f.zero()] * n
+        x = self.preimage_sparse(sparse_vec(v))
+        return None if x is None else dense_vec(self.field, self.cols, x)
+
+    def preimage_sparse(self, pairs) -> tuple | None:
+        """``preimage`` of the sparse vector with nonzero coordinates
+        ``pairs``, as the sorted pairs of its nonzero coordinates."""
+        f, n, v = self.field, self.cols, dict(pairs)
+        x = []
         for p, row in self._factor.items():
             s = f.zero()
             for c, e in row.items():
-                if c >= n and v[c - n]:
+                if c >= n and c - n in v:
                     s = f.add(s, f.mul(e, v[c - n]))
-            if p < n:
-                x[p] = s
-            elif s:
-                return None
-        x = tuple(x)
-        return x if self.apply(x) == tuple(v) else None
+            if s:
+                if p >= n:
+                    return None
+                x.append((p, s))
+        x.sort()
+        return tuple(x) if dict(linear(f, self.sparse_cols, x)) == v else None
 
     def section(self) -> "Matrix":
         """A right inverse on the image: columns are the preimages of e_k.
 
         Deterministic (free variables zero).  Raises if not surjective.
         """
-        f = self.field
-        cols = []
+        one, cols = self.field.one(), []
         for k in range(self.rows):
-            x = self.preimage(unit_vec(f, self.rows, k))
+            x = self.preimage_sparse(((k, one),))
             if x is None:
                 raise NotWellDefined(f"no preimage for coordinate {k}; map is not surjective")
             cols.append(x)
-        return Matrix.from_columns(f, self.cols, cols)
+        return Matrix.from_columns(self.field, self.cols, cols)
 
 
 class RrefAccumulator:
@@ -622,8 +634,8 @@ class Subspace:
         object.__setattr__(self, "_rows", {r[0][0]: r[1:] for r in rows})
 
     # the basis rows as a dense matrix, built once when read
-    basis = cached_property(lambda self: Matrix(self.field, self.dim, self.ambient_dim, tuple(
-        dense_vec(self.field, self.ambient_dim, r) for r in self.sparse_rows)))
+    basis = cached_property(lambda self: Matrix.from_columns(self.field, self.ambient_dim,
+                                                             self.sparse_rows).transpose())
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -715,7 +727,7 @@ class Subspace:
         h = self.dim
         # kernel elements (a, b) of the stacked bases give a.H + b.K = 0, so
         # a.H lies in both row spaces
-        stacked = Matrix.from_sparse_columns(f, self.ambient_dim, self.sparse_rows + other.sparse_rows)
+        stacked = Matrix.from_columns(f, self.ambient_dim, self.sparse_rows + other.sparse_rows)
         return Subspace.span_sparse(f, self.ambient_dim, [linear(f, self.sparse_rows, [(i, x) for i, x in w if i < h])
                                                           for w in stacked.kernel().sparse_rows])
 
@@ -732,7 +744,7 @@ def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
         q = None if x is None else read(column.apply(x))
         if q is None:
             return None
-        cols.append(q)
+        cols.append(sparse_vec(q))
     return Matrix.from_columns(kernel.field, target_dim, cols)
 
 
@@ -786,7 +798,7 @@ class QuotientSpace:
 
     def projection_map(self) -> Matrix:
         one = self.field.one()
-        return Matrix.from_sparse_columns(self.field, self.dim, [
+        return Matrix.from_columns(self.field, self.dim, [
             self.project_sparse(((j, one),)) for j in range(self.ambient_dim)])
 
 
@@ -812,4 +824,4 @@ def induced_map(f, src: QuotientSpace, dst: QuotientSpace,
         w = linear(field, cols, row)
         if not dst.relations.contains_sparse(w):
             raise error(dense_vec(field, src.ambient_dim, row), dense_vec(field, dst.ambient_dim, w))
-    return Matrix.from_sparse_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])
+    return Matrix.from_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])

@@ -45,11 +45,12 @@ from .linalg import (
     RrefAccumulator,
     check_laws,
     induced_map,
+    dense_vec,
     law_rows,
-    outer,
     quotient,
     sparse_add,
     sparse_outer,
+    sparse_vec,
     tensor_table,
     vec_is_zero,
 )
@@ -83,17 +84,21 @@ class TensorProduct:
         return self.m_side.dim * self.n_side.dim + j * self.m_side.dim + i
 
     def embed_mn(self, u, v) -> tuple:
-        return outer(self.m_side.field, u, v, self.ambient_dim)
+        return self._embed(u, v, 0)
 
     def embed_nm(self, v, u) -> tuple:
-        return outer(self.m_side.field, v, u, self.ambient_dim, self.m_side.dim * self.n_side.dim)
+        return self._embed(v, u, self.m_side.dim * self.n_side.dim)
+
+    def _embed(self, u, v, offset: int) -> tuple:
+        """The pure tensor of dense vectors u (x) v in the block at ``offset``, as a dense ambient vector."""
+        f = self.m_side.field
+        return dense_vec(f, self.ambient_dim, sparse_outer(f, sparse_vec(u), sparse_vec(v), len(v), offset))
 
     def ambient_bracket(self, x, y) -> tuple:
         return self.embed_mn(self.eval_m.apply(x), self.eval_n.apply(y))
 
     def ambient_twist(self) -> Matrix:
-        return Matrix.from_sparse_columns(self.m_side.field, self.ambient_dim,
-                                          _ambient_twist(self.m_side, self.n_side))
+        return Matrix.from_columns(self.m_side.field, self.ambient_dim, _ambient_twist(self.m_side, self.n_side))
 
 
 def _generator_labels(M, N) -> tuple:
@@ -123,8 +128,8 @@ def _eval_maps(ma: MutualActions):
     def flat(first, second):
         return [v for table in (first, second) for row in table for v in row]
 
-    eval_m = Matrix.from_sparse_columns(M.field, M.dim, flat(ma.nm.sparse_right, ma.nm.sparse_left))  # m<n, n>m
-    eval_n = Matrix.from_sparse_columns(M.field, N.dim, flat(ma.mn.sparse_left, ma.mn.sparse_right))  # m>n, n<m
+    eval_m = Matrix.from_columns(M.field, M.dim, flat(ma.nm.sparse_right, ma.nm.sparse_left))  # m<n, n>m
+    eval_n = Matrix.from_columns(M.field, N.dim, flat(ma.mn.sparse_left, ma.mn.sparse_right))  # m>n, n<m
     return eval_m, eval_n
 
 
@@ -348,7 +353,7 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     into_m, into_n = factor_maps(t)
     act_m = outer_action(t, "m")
     act_n = outer_action(t, "n")
-    classes = t.presentation.projection_map().transpose().entries  # of the ambient generators
+    classes = [dense_vec(f, T.dim, c) for c in t.presentation.projection_map().sparse_cols]  # of the generators
     z = center(T)
     rep.check("first kernel inside the center", z.contains_subspace(into_m.map.kernel()))
     rep.check("second kernel inside the center", z.contains_subspace(into_n.map.kernel()))
@@ -462,9 +467,8 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> Idea
     sigma2 = induced_tensor_map(id_l, incl, t_lm, t_ll)
     tau = induced_tensor_map(proj, proj, t_ll, t_qq)
 
-    cols = [sigma1.map.col(j) for j in range(t_ml.algebra.dim)]
-    cols += [t_ll.algebra.apply_twist(sigma2.map.col(j)) for j in range(t_lm.algebra.dim)]
-    sigma = Matrix.from_columns(f, t_ll.algebra.dim, cols)
+    sigma = Matrix.from_columns(f, t_ll.algebra.dim,
+                                sigma1.map.sparse_cols + t_ll.algebra.twist.compose(sigma2.map).sparse_cols)
 
     rep = ExactnessReport(subject="ideal tensor sequence")
     rep.dims["ideal tensor"] = t_ml.algebra.dim

@@ -926,7 +926,7 @@ class TestEndomorphismChecks:
 
 class TestSparseTablesBuiltOnce:
     def test_repeated_calls_build_each_table_once(self, monkeypatch):
-        # twists are fresh matrices, their sparse columns not yet built
+        # twists are fresh matrices
         L = sl2_twisted(QQ)
         L = HomLeibnizAlgebra(QQ, L.dim, L.c, Matrix(QQ, 3, 3, L.twist.entries), L.labels)
         A = upper_triangular(QQ)
@@ -936,10 +936,10 @@ class TestSparseTablesBuiltOnce:
                 real = mod.sparse_table
                 monkeypatch.setattr(mod, "sparse_table", lambda t, real=real, key=(mod.__name__, "sparse_table"):
                                     built.append(key) or real(t))
-        # a twist's sparse columns are its Matrix.sparse_cols, cached there
-        cols = functools.cached_property(lambda m, real=Matrix.sparse_cols.func: built.append(m) or real(m))
-        cols.__set_name__(Matrix, "sparse_cols")
-        monkeypatch.setattr(Matrix, "sparse_cols", cols)
+        # a map holds its sparse columns: no call builds its dense entries
+        entries = functools.cached_property(lambda m, real=Matrix.entries.func: built.append(m) or real(m))
+        entries.__set_name__(Matrix, "entries")
+        monkeypatch.setattr(Matrix, "entries", entries)
         # an action and a co-representation hold only sparse tables, built
         # with them
         ma = MutualActions.adjoint(L)
@@ -964,8 +964,8 @@ class TestSparseTablesBuiltOnce:
             ("homleib.algebras", "sparse_table"),  # L
             ("homleib.homassoc", "sparse_table"),  # A
         ])
-        # M's twist is L's, so its sparse columns are L's
-        assert [m for m in built if not isinstance(m, tuple)] == [L.twist, A.twist]
+        # M's twist is L's, and no dense grid of a map was built
+        assert [m for m in built if not isinstance(m, tuple)] == []
         assert M.twist is L.twist
         assert ma.mn.sparse_left is ma.mn.sparse_right is L.sparse_c
         assert M.sparse_right is L.sparse_c

@@ -87,7 +87,7 @@ def _bump_map(m: Matrix, r, c) -> Matrix:
 def _through_lifts(amb: Matrix, pres: QuotientSpace) -> Matrix:
     """The ambient map composed with the coset section of a presentation."""
     units = [unit_vec(amb.field, pres.ambient_dim, c) for c in pres.coset_basis]
-    sec = Matrix.from_columns(amb.field, pres.ambient_dim, units)
+    sec = Matrix.from_columns(amb.field, pres.ambient_dim, map(sparse_vec, units))
     return amb.compose(sec)
 
 
@@ -173,7 +173,7 @@ def _central_cover(base):
     f = base.field
     total = direct_sum(HomLeibnizAlgebra.abelian(f, 1), base)
     cols = [tuple(f.zero() for _ in range(base.dim))] + [base.unit(j) for j in range(base.dim)]
-    return Extension.from_projection(AlgebraHom(total, base, Matrix.from_columns(f, base.dim, cols)))
+    return Extension.from_projection(AlgebraHom(total, base, Matrix.from_columns(f, base.dim, map(sparse_vec, cols))))
 
 
 class TestSameMatricesAsTheSectionCompositions:
@@ -213,7 +213,7 @@ class TestSameMatricesAsTheSectionCompositions:
                     for i in range(L.dim) for j in range(L.dim)]
             cols += [K.bracket(sec.col(j), sec.col(i))
                      for j in range(L.dim) for i in range(L.dim)]
-            amb = Matrix.from_columns(f, K.dim, cols)
+            amb = Matrix.from_columns(f, K.dim, map(sparse_vec, cols))
             assert lift_against(uce, other).map == _through_lifts(amb, t.presentation)
 
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -228,7 +228,7 @@ class TestSameMatricesAsTheSectionCompositions:
         ideal = ideal_closure(T, (t.presentation.project_sparse(sparse_vec(v)) for pair in shapes for v in pair))
         _, proj = quotient_algebra(T, IdealHandle(T, ideal))
         units = [unit_vec(f, n * n, g) for g in range(n * n)]
-        on_square = induced_map(Matrix.from_columns(f, n * n, units + units),
+        on_square = induced_map(Matrix.from_columns(f, n * n, map(sparse_vec, units + units)),
                                 t.presentation, h.presentation)
         assert boundary_ideal_agreement(A).map == on_square.compose(proj.map.section())
 
@@ -254,7 +254,7 @@ def dense_induced_map(m: Matrix, src: QuotientSpace, dst: QuotientSpace) -> Matr
         w = m.apply(r)
         if any(dense_reduce(dst.relations, w)[1]):
             raise NotWellDefined("map does not descend to the quotient", witness=(r, w))
-    return Matrix.from_columns(m.field, dst.dim, [_dense_project(dst, m.col(c)) for c in src.coset_basis])
+    return Matrix.from_columns(m.field, dst.dim, [sparse_vec(_dense_project(dst, m.col(c))) for c in src.coset_basis])
 
 
 def dense_certified_quotient(pres, left, right, twist_amb, labels) -> HomLeibnizAlgebra:

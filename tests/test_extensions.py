@@ -9,7 +9,7 @@ from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
 from homleib import extensions
 from homleib.generators import sl2 as make_sl2
-from homleib.linalg import Matrix, Subspace, outer, vec_add, vec_sub
+from homleib.linalg import Matrix, Subspace, sparse_vec, vec_add, vec_sub
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -28,6 +28,7 @@ from homleib.extensions import (
     universal_central_extension,
 )
 from homleib.homology import ChainComplex, trivial_corep
+from test_linalg import dense_outer
 
 QQ = Field()
 
@@ -38,7 +39,7 @@ def central_cover(base):
     total = direct_sum(c, base)
     cols = [tuple(QQ.zero() for _ in range(base.dim))] + \
         [base.unit(j) for j in range(base.dim)]
-    proj = AlgebraHom(total, base, Matrix.from_columns(QQ, base.dim, cols))
+    proj = AlgebraHom(total, base, Matrix.from_columns(QQ, base.dim, map(sparse_vec, cols)))
     return Extension.from_projection(proj)
 
 
@@ -52,7 +53,7 @@ def alpha_central_only():
     assert alg.validate().valid
     base = HomLeibnizAlgebra.abelian(QQ, 2)
     cols = [base.unit(0), base.unit(1), (QQ.zero(), QQ.zero())]
-    proj = AlgebraHom(alg, base, Matrix.from_columns(QQ, 2, cols))
+    proj = AlgebraHom(alg, base, Matrix.from_columns(QQ, 2, map(sparse_vec, cols)))
     return Extension.from_projection(proj)
 
 
@@ -75,7 +76,7 @@ class TestClassify:
             q = incl.map.preimage(cm.map.col(j))
             assert q is not None
             cols.append(q)
-        proj = AlgebraHom(t.algebra, der, Matrix.from_columns(QQ, der.dim, cols))
+        proj = AlgebraHom(t.algebra, der, Matrix.from_columns(QQ, der.dim, map(sparse_vec, cols)))
         ext = Extension.from_projection(proj)
         assert classify_extension(ext) is ExtensionKind.CENTRAL
         assert ext.kernel.dim == 2
@@ -149,7 +150,7 @@ class TestLift:
             cols = [tuple(QQ.from_int(rng.randint(-2, 2)) if i == 0 else QQ.zero()
                           for i in range(cover.total.dim))
                     for _ in range(sl2.dim)]
-            pert = Matrix.from_columns(QQ, cover.total.dim, cols)
+            pert = Matrix.from_columns(QQ, cover.total.dim, map(sparse_vec, cols))
             other = lift_against(uce, cover, perturbation=pert)
             assert other.map == base_lift.map
 
@@ -164,7 +165,7 @@ class TestLift:
         sd = direct_sum(sl2, sl2)
         zero3 = tuple(QQ.zero() for _ in range(3))
         cols = [sl2.unit(j) for j in range(3)] + [zero3] * 3
-        proj = AlgebraHom(sd, sl2, Matrix.from_columns(QQ, 3, cols))
+        proj = AlgebraHom(sd, sl2, Matrix.from_columns(QQ, 3, map(sparse_vec, cols)))
         with pytest.raises(NotCentral):
             lift_against(uce, Extension.from_projection(proj))
 
@@ -190,14 +191,15 @@ class TestUniversalAlphaCentral:
 def full_alpha_relations(L):
     """Every instance of the alpha presentation's family over basis triples
     of L, in the coordinates of the twist image A, as a dense sum of
-    ``outer`` terms: the reference for the relation span."""
+    ``dense_outer`` terms: the reference for the relation span."""
     A, incl = subalgebra(L, L.twist.image(), "a")
     f, size, idx = L.field, A.dim * A.dim, range(L.dim)
     br = [[incl.map.preimage(L.c[i][j]) for j in idx] for i in idx]
     tw = [incl.map.preimage(L.twist.col(i)) for i in idx]
     for i, j, l in itertools.product(idx, repeat=3):
-        yield vec_add(f, vec_sub(f, outer(f, br[i][l], tw[j], size), outer(f, br[i][j], tw[l], size)),
-                      outer(f, tw[i], br[j][l], size))
+        yield vec_add(f, vec_sub(f, dense_outer(f, br[i][l], tw[j], size),
+                                 dense_outer(f, br[i][j], tw[l], size)),
+                      dense_outer(f, tw[i], br[j][l], size))
 
 
 def _twisted_sl2(f, t):

@@ -203,7 +203,8 @@ def test_presentation_builders_stay_sparse():
     assert found == [], found
 
 
-DENSE_TWINS = ("sparse_columns", "sparse_twist", "basis_matrix", "lift", "sparse_of", "commutator_vec")
+DENSE_TWINS = ("sparse_columns", "sparse_twist", "basis_matrix", "lift", "sparse_of", "commutator_vec",
+               "from_sparse_columns", "outer")
 
 
 def _fields(scopes, name):
@@ -213,10 +214,11 @@ def _fields(scopes, name):
 
 def test_dense_twins_are_gone():
     # a subspace holds only its sparse RREF rows, built by the accumulator's
-    # ``subspace()``; a twist's sparse columns are its ``Matrix.sparse_cols``;
-    # an action or co-representation holds only its sparse tables: no alias,
-    # cached twin, dense basis builder, dense lift, dense-to-sparse table
-    # conversion or dense commutator is defined
+    # ``subspace()``; a map holds only its sparse columns, built by
+    # ``Matrix.from_columns``; an action or co-representation holds only its
+    # sparse tables: no alias, cached twin, dense basis builder, dense lift,
+    # dense-to-sparse table conversion, dense commutator, second sparse
+    # constructor or dense pure tensor is defined
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     found, fields = [], {}
     for path in sorted(src.glob("*.py")):
@@ -228,11 +230,13 @@ def test_dense_twins_are_gone():
         defined += [(t.id, node.lineno) for scope in scopes for node in scope.body
                     for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
         found += [f"{path.stem}:{name}:{line}" for name, line in defined if name in DENSE_TWINS]
-        for stem, name in (("linalg", "Subspace"), ("actions", "HomAction"), ("homology", "CoRepresentation")):
+        for stem, name in (("linalg", "Matrix"), ("linalg", "Subspace"), ("actions", "HomAction"),
+                           ("homology", "CoRepresentation")):
             if path.stem == stem:
                 fields[name] = _fields(scopes, name)
     assert found == [], found
     assert fields == {
+        "Matrix": {"field": "Field", "rows": "int", "cols": "int", "sparse_cols": "tuple"},
         "Subspace": {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple", "_rows": "dict"},
         "HomAction": {"actor": "HomLeibnizAlgebra", "target": "HomLeibnizAlgebra",
                       "sparse_left": "tuple", "sparse_right": "tuple"},
@@ -240,6 +244,28 @@ def test_dense_twins_are_gone():
                              "sparse_left": "tuple", "sparse_right": "tuple"},
     }, fields
 
+
+
+DENSE_GRID_READERS = ("cli:cmd_info", "documents:serialize_algebra", "tensorprod:tensor_identity_battery")
+
+
+def _reads_entries(node):
+    return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+
+def _reads_transposed_entries(node):
+    return _reads_entries(node) and isinstance(node.value, ast.Call) and \
+        getattr(node.value.func, "attr", None) == "transpose"
+
+
+def test_dense_grid_read_only_at_the_edges():
+    # a map is its sparse columns, so no module transposes a map to read its
+    # columns densely; the dense grid of a map or a basis is read only to
+    # print it (``info``, a document) and by the dense battery of tensor
+    # identities
+    assert _library_sites(_reads_transposed_entries) == []
+    found = _library_sites(_reads_entries)
+    assert sorted({site.rsplit(":", 1)[0] for site in found}) == sorted(DENSE_GRID_READERS), found
 
 def _calls_record(node):
     return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "record"

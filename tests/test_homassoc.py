@@ -13,7 +13,7 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
-from homleib.linalg import Matrix, outer, sparse_vec, vec_add, vec_is_zero, vec_sub
+from homleib.linalg import Matrix, sparse_vec, vec_add, vec_is_zero, vec_sub
 from homleib.algebras import derived_subspace
 from homleib.homassoc import (
     HomAssociativeAlgebra,
@@ -29,6 +29,7 @@ from homleib.homassoc import (
     to_leibniz,
     yau_twist_assoc,
 )
+from test_linalg import dense_outer
 
 QQ = Field()
 GFP = Field(1000003)
@@ -49,7 +50,8 @@ def hochschild_boundary(A):
     """The degree-three boundary A (x) A (x) A -> A (x) A as a dense matrix,
     columns over basis triples in row-major order."""
     size = A.dim * A.dim
-    return Matrix.from_columns(A.field, size, boundary_shapes(A, A.p, lambda u, v: outer(A.field, u, v, size)))
+    return Matrix.from_columns(A.field, size, map(sparse_vec, boundary_shapes(
+        A, A.p, lambda u, v: dense_outer(A.field, u, v, size))))
 
 
 def oracle_boundary_rank(A):
@@ -380,15 +382,15 @@ class TestBoundaryRows:
     @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_rows_are_the_nonzero_columns_in_order(self, f, name, A, valid):
         size = A.dim * A.dim
-        single = lambda u, v: outer(f, u, v, size)
+        single = lambda u, v: dense_outer(f, u, v, size)
         lb = to_leibniz(A)
         assert [r for r in boundary_rows(A, A.sparse_p) if r] == \
             [sparse_vec(c) for c in hochschild_boundary(A).transpose().entries if any(c)]
         assert [r for r in boundary_rows(A, lb.sparse_c) if r] == \
             [sparse_vec(c) for c in boundary_shapes(A, lb.c, single) if any(c)]
         # both blocks of a tensor square, the second at offset n * n, in turn
-        pairs = zip(boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, 2 * size)),
-                    boundary_shapes(A, A.p, lambda u, v: outer(f, u, v, 2 * size, size)))
+        pairs = zip(boundary_shapes(A, A.p, lambda u, v: dense_outer(f, u, v, 2 * size)),
+                    boundary_shapes(A, A.p, lambda u, v: dense_outer(f, u, v, 2 * size, size)))
         assert [r for r in boundary_rows(A, A.sparse_p, square=True) if r] == \
             [sparse_vec(c) for pair in pairs for c in pair if any(c)]
 
@@ -411,6 +413,6 @@ class TestBoundaryRows:
         h = replace(hochschild_module(valid), parent=A, commutator_algebra=lb)
         size = A.dim * A.dim
         dense = all(h.presentation.relations.contains(v)
-                    for v in boundary_shapes(A, lb.c, lambda u, v: outer(f, u, v, size)))
+                    for v in boundary_shapes(A, lb.c, lambda u, v: dense_outer(f, u, v, size)))
         assert cyclic_identity_holds(h) is dense
         assert dense or A is not valid

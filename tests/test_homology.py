@@ -94,7 +94,7 @@ def boundary_matrix(cx, n: int) -> Matrix:
     sparse columns."""
     f = cx.algebra.field
     rows = chain_dim(cx.algebra, cx.coeffs, n - 1)
-    return Matrix.from_columns(f, rows, [dense_vec(f, rows, col) for col in cx.columns(n)])
+    return Matrix.from_columns(f, rows, [sparse_vec(dense_vec(f, rows, col)) for col in cx.columns(n)])
 
 
 @dataclass(frozen=True)

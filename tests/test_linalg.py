@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from homleib.actions import MutualActions
 from homleib.algebras import HomLeibnizAlgebra, direct_sum
-from homleib.errors import DimensionError, FieldMismatch, NotWellDefined
+from homleib.errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from homleib.fields import Field
 from homleib.generators import sl2
 from homleib.linalg import (
@@ -22,8 +22,8 @@ from homleib.linalg import (
     contract,
     dense_vec,
     induced_map,
-    outer,
     quotient,
+    sparse_outer,
     sparse_table,
     sparse_vec,
     unit_vec,
@@ -286,6 +286,13 @@ class TestSubspace:
         assert Subspace.span_sparse(QQ, 3, [((2, QQ.one()),)]).basis.entries == ((0, 0, 1),)
 
 
+def dense_outer(f, u, v, size, offset=0) -> tuple:
+    """The pure tensor u (x) v of dense vectors in a coordinate space of the
+    given size, v's length its stride, as a dense vector: the reference
+    form of a relation term."""
+    return dense_vec(f, size, sparse_outer(f, sparse_vec(u), sparse_vec(v), len(v), offset))
+
+
 def _random_vec(field, rng, n):
     return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(n))
 
@@ -309,12 +316,11 @@ class TestKernelLayer:
         size, offset = t.ambient_dim, L.dim * L.dim
         for i in range(L.dim):
             for j in range(L.dim):
-                assert outer(f, L.unit(i), L.unit(j), size) == unit_vec(f, size, t.idx_mn(i, j))
-                assert outer(f, L.unit(j), L.unit(i), size, offset) == \
-                    unit_vec(f, size, t.idx_nm(j, i))
+                assert t.embed_mn(L.unit(i), L.unit(j)) == unit_vec(f, size, t.idx_mn(i, j))
+                assert t.embed_nm(L.unit(j), L.unit(i)) == unit_vec(f, size, t.idx_nm(j, i))
         rng = random.Random(5)
         u, v = _random_vec(f, rng, L.dim), _random_vec(f, rng, L.dim)
-        mn, nm = outer(f, u, v, size), outer(f, v, u, size, offset)
+        mn, nm = t.embed_mn(u, v), t.embed_nm(v, u)
         for i in range(L.dim):
             for j in range(L.dim):
                 assert mn[t.idx_mn(i, j)] == f.mul(u[i], v[j])
@@ -346,6 +352,40 @@ class TestKernelLayer:
         inside = m.apply((f.from_int(2), f.from_int(-1), f.from_int(3)))
         assert m.apply(m.preimage(inside)) == inside
         assert m.preimage(unit_vec(f, 3, 2)) is None
+
+
+class TestSparseColumns:
+    def test_one_form_for_equal_maps(self):
+        # a map is its sparse columns, whichever constructor built it
+        dense = Matrix(QQ, 2, 3, ((1, 0, 0), (0, 1, 0)))
+        sparse = Matrix.from_columns(QQ, 2, [((0, 1),), ((1, 1),), ()])
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert sparse.sparse_cols == (((0, 1),), ((1, 1),), ())
+        assert sparse.entries == dense.entries and sparse.col(1) == (0, 1)
+        assert Matrix.identity(QQ, 2) == Matrix.from_rows(QQ, [[1, 0], [0, 1]])
+
+    def test_columns_refused_outside_the_rows(self):
+        # the indices of a column increase within range(rows): none wraps
+        # round to the last row, runs past it or repeats
+        assert Matrix.from_columns(QQ, 2, [((0, 1), (1, 3))]).entries == ((1,), (3,))
+        for col in (((-1, 1),), ((5, 1),), ((2, 1),), ((1, 1), (0, 1)), ((0, 1), (0, 2))):
+            with pytest.raises(DimensionError, match=r"range\(2\)"):
+                Matrix.from_columns(QQ, 2, [col])
+
+    def test_non_canonical_scalars_refused(self):
+        # over GF(5) the int 5 is zero in the field: a map that stored it
+        # would read as nonzero and fail to eliminate
+        for build in (lambda: Matrix(F5, 1, 1, ((5,),)),
+                      lambda: Matrix.from_rows(F5, [[Fraction(1, 2)]]),
+                      lambda: Matrix.from_columns(F5, 1, [((0, 5),)]),
+                      lambda: Matrix.from_columns(F5, 1, [((0, -1),)]),
+                      lambda: Matrix.from_columns(QQ, 1, [((0, 0),)])):
+            with pytest.raises(StructureError, match="canonical scalars"):
+                build()
+        assert Matrix.from_rows(F5, [[5, 7]]) == Matrix(F5, 1, 2, ((0, 2),))
+        # over Q an integral Fraction is kept as given and equals its int
+        m = Matrix(QQ, 1, 2, ((Fraction(2), 0),))
+        assert m == Matrix.from_rows(QQ, [[2, 0]]) and m.rank() == 1 and not m.is_zero()
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
@@ -461,7 +501,7 @@ class TestEliminationEngine:
             with pytest.raises(NotWellDefined, match=f"coordinate {units.index(None)};"):
                 m.section()
         else:
-            assert m.section() == Matrix.from_columns(f, m.cols, units)
+            assert m.section() == Matrix.from_columns(f, m.cols, map(sparse_vec, units))
 
     def test_factor_is_built_once(self, f, monkeypatch):
         inserted = []
@@ -549,7 +589,7 @@ class TestSparseStorage:
         assert "basis" not in vars(a)  # the dense view is built only when read
         assert a.basis == _dense_basis(f, n, m.entries)
         assert a.add(b).basis == _dense_basis(f, n, a.basis.entries + b.basis.entries)
-        stacked = Matrix.from_columns(f, n, a.basis.entries + b.basis.entries)
+        stacked = Matrix.from_columns(f, n, map(sparse_vec, a.basis.entries + b.basis.entries))
         kernel = [w[:a.dim] for w in _dense_kernel(stacked)]
         assert a.intersect(b).basis == _dense_basis(f, n, _dense_combinations(f, n, a.basis.entries, kernel))
         mapping = data.draw(low_rank_matrices(f, cols=a.dim)) if a.dim else Matrix.zero(f, 1, 0)

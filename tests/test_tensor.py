@@ -10,7 +10,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, MathFailure, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, outer, sparse_table, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, sparse_table, sparse_vec, unit_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -39,6 +39,7 @@ from homleib.tensorprod import (
     tensor_identity_battery,
 )
 from test_checker import dense_table
+from test_linalg import dense_outer
 
 QQ = Field()
 
@@ -193,7 +194,7 @@ def _sl2_plus_abelian(f):
 def full_relation_rows(ma):
     """Every instance of the ten relation families, in the order of
     ``relation_vectors`` off the square path, as the dense reference: each
-    term is a dense pure tensor ``outer`` of dense brackets, twist columns
+    term is a dense pure tensor ``dense_outer`` of dense brackets, twist columns
     and action values, summed coordinate by coordinate and read off as a
     sparse row, empty for an instance that vanishes.  Yields (family, row)."""
     M, N = ma.m_side, ma.n_side
@@ -206,10 +207,10 @@ def full_relation_rows(ma):
                                             for a in (ma.mn, ma.nm) for t in (a.sparse_left, a.sparse_right))
 
     def mn(u, v):
-        return outer(f, u, v, size)
+        return dense_outer(f, u, v, size)
 
     def nm(v, u):
-        return outer(f, v, u, size, dm * dn)
+        return dense_outer(f, v, u, size, dm * dn)
 
     def row(family, plus, minus=()):
         total = [f.zero()] * size
@@ -465,7 +466,7 @@ class TestDescentCertificate:
         ambient = A.dim * A.dim
         fold = to_leibniz(A).bracket_map()
         tw = [A.apply_twist(A.unit(i)) for i in range(A.dim)]
-        twist = Matrix.from_columns(QQ, ambient, [outer(QQ, u, v, ambient) for u in tw for v in tw])
+        twist = Matrix.from_columns(QQ, ambient, [sparse_vec(dense_outer(QQ, u, v, ambient)) for u in tw for v in tw])
         h = hochschild_module(A)
         calls = []
         contains = Subspace.contains_sparse
