@@ -1,10 +1,11 @@
 """Hom-Leibniz algebras given by structure constants and a twist map.
 
-An algebra is a coordinate space with a bilinear bracket, stored as the
-table c[i][j] = [e_i, e_j] (a coordinate vector), and a linear twist whose
-matrix columns are the images of the basis.  Both are cached once in the
-sparse form of ``linalg`` (``sparse_c``, ``twist.sparse_cols``), which
-brackets, validation, tensor relations and homology boundaries read.
+An algebra is a coordinate space with a bilinear bracket and a linear
+twist whose matrix columns are the images of the basis, both held only in
+the sparse form of ``linalg`` (``sparse_c``, ``twist.sparse_cols``) and built
+by ``from_sparse``; the dense table (the constructor, and the view ``c``) is
+only for the edges.  Brackets, validation, tensor relations and homology
+boundaries read the sparse table.
 Validation runs ``linalg.check_laws`` on the Hom-Leibniz identity
 
     [t(x), [y, z]] = [[x, y], t(z)] - [[x, z], t(y)]
@@ -48,12 +49,11 @@ from .linalg import (
     is_sparse_vec,
     law_rows,
     linear,
+    sparse_add,
     sparse_outer,
     sparse_table,
     sparse_vec,
     unit_vec,
-    vec_add,
-    vec_zero,
 )
 from .report import ValidationReport
 
@@ -62,40 +62,61 @@ def default_labels(dim: int, prefix: str = "e") -> tuple:
     return tuple(f"{prefix}{i + 1}" for i in range(dim))
 
 
-@dataclass(frozen=True)
+def _checked(field: Field, dim: int, table, twist: Matrix, labels, name: str, value: str, dense: bool) -> tuple:
+    """The sparse structure table and the labels of an algebra, checked with
+    its twist: each value a coordinate vector with ``dense``, else sorted
+    sparse pairs, each coordinate a canonical scalar; ``name`` and ``value``
+    name the table and its values in the messages."""
+    labels = tuple(labels)
+    if len(labels) != dim:
+        raise StructureError("label count does not match dimension")
+    table = tuple(map(tuple, table))
+    if len(table) != dim or any(len(row) != dim for row in table):
+        raise StructureError(f"{name} table must be dim x dim")
+    if dense and any(len(v) != dim for row in table for v in row):
+        raise StructureError(f"{value} values must be coordinate vectors")
+    if not (canonical_scalars(field, (v for row in table for v in row)) if dense else
+            all(v == () or is_sparse_vec(field, v, dim) for row in table for v in row)):
+        raise StructureError(f"{value} coordinates must be canonical scalars of the field")
+    if (twist.rows, twist.cols) != (dim, dim):
+        raise StructureError("twist matrix must be dim x dim")
+    if twist.field != field:
+        raise FieldMismatch("twist matrix over the wrong field")
+    return sparse_table(table) if dense else table, labels
+
+
+def _entry_table(field: Field, dim: int, entries: dict, value: str) -> list:
+    """The sparse table with the values {(i, j): {k: coeff}}, int coefficients
+    read in the field; an index outside range(dim) raises ``DimensionError``."""
+    table = [[()] * dim for _ in range(dim)]
+    for (i, j), val in entries.items():
+        if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in val)):
+            raise DimensionError(f"{value} indices must lie in range({dim})")
+        table[i][j] = tuple(sorted((k, x) for k, c in val.items()
+                                   if (x := field.from_int(c) if isinstance(c, int) else c)))
+    return table
+
+
+@dataclass(frozen=True, init=False)
 class HomLeibnizAlgebra:
     field: Field
     dim: int
-    c: tuple  # c[i][j] = coordinates of the bracket of basis vectors i, j
+    sparse_c: tuple  # sparse_c[i][j] = [e_i, e_j] as the sorted (index, value) pairs of its nonzero coordinates
     twist: Matrix
     labels: tuple
 
-    def __post_init__(self):
-        if len(self.labels) != self.dim:
-            raise StructureError("label count does not match dimension")
-        if len(self.c) != self.dim or any(len(row) != self.dim for row in self.c):
-            raise StructureError("structure table must be dim x dim")
-        if any(len(v) != self.dim for row in self.c for v in row):
-            raise StructureError("bracket values must be coordinate vectors")
-        table = self.__dict__.get("sparse_c")  # handed over by from_sparse
-        if not (canonical_scalars(self.field, (v for row in self.c for v in row)) if table is None else
-                all(is_sparse_vec(self.field, v, self.dim) for row in table for v in row)):
-            raise StructureError("bracket coordinates must be canonical scalars of the field")
-        if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
-            raise StructureError("twist matrix must be dim x dim")
-        if self.twist.field != self.field:
-            raise FieldMismatch("twist matrix over the wrong field")
+    def __init__(self, field: Field, dim: int, c, twist: Matrix, labels):
+        """The algebra with the dense table ``c``, c[i][j] the coordinates
+        of [e_i, e_j]: the dense edge (tests, benchmarks)."""
+        table, labels = _checked(field, dim, c, twist, labels, "structure", "bracket", dense=True)
+        self.__dict__.update(field=field, dim=dim, sparse_c=table, twist=twist, labels=labels)
 
     @staticmethod
     def from_brackets(field: Field, dim: int, brackets: dict, twist=None, labels=None) -> "HomLeibnizAlgebra":
         """Build from sparse bracket data {(i, j): {k: coeff}}."""
-        table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), val in brackets.items():
-            table[i][j] = dense_vec(field, dim, ((k, field.from_int(c) if isinstance(c, int) else c)
-                                                 for k, c in val.items()))
         tw = twist if twist is not None else Matrix.identity(field, dim)
-        return HomLeibnizAlgebra(field, dim, tuple(tuple(r) for r in table), tw,
-                                 tuple(labels) if labels else default_labels(dim))
+        return HomLeibnizAlgebra.from_sparse(field, dim, _entry_table(field, dim, brackets, "bracket"), tw,
+                                             labels or default_labels(dim))
 
     @staticmethod
     def abelian(field: Field, dim: int, twist=None, labels=None) -> "HomLeibnizAlgebra":
@@ -103,16 +124,16 @@ class HomLeibnizAlgebra:
 
     @staticmethod
     def from_sparse(field: Field, dim: int, table, twist: Matrix, labels) -> "HomLeibnizAlgebra":
-        """The algebra whose ``sparse_c`` is ``table``, its dense table built
-        from it; the constructor checks ``table`` itself."""
+        """The algebra whose ``sparse_c`` is ``table``, checked and stored as
+        given: the one constructor of the library."""
+        table, labels = _checked(field, dim, table, twist, labels, "structure", "bracket", dense=False)
         alg = object.__new__(HomLeibnizAlgebra)
-        alg.__dict__["sparse_c"] = table
-        alg.__init__(field, dim, tuple(tuple(dense_vec(field, dim, v) for v in row) for row in table),
-                     twist, tuple(labels))
+        alg.__dict__.update(field=field, dim=dim, sparse_c=table, twist=twist, labels=labels)
         return alg
 
-    # the bracket table in the one sparse form, built once (the twist's is twist.sparse_cols)
-    sparse_c = cached_property(lambda self: sparse_table(self.c))
+    # the dense table, built once when read: the dense edge
+    c = cached_property(lambda self: tuple(tuple(dense_vec(self.field, self.dim, v) for v in row)
+                                           for row in self.sparse_c))
 
     def bracket(self, x, y) -> tuple:
         return contract(self.field, self.sparse_c, x, y, self.dim)
@@ -326,7 +347,8 @@ def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
                 raise BracketNotWellDefined("bracket does not preserve the relations",
                                             witness=(dense_vec(f, pres.ambient_dim, row),))
     gens = pres.coset_basis
-    table = tuple(tuple(pres.project_sparse(sparse_outer(f, lc[a], rc[b], stride)) for b in gens) for a in gens)
+    table = tuple(tuple(pres.project_sparse(sparse_outer(f, lc[a], rc[b], stride)) if lc[a] and rc[b] else ()
+                        for b in gens) for a in gens)
     algebra = HomLeibnizAlgebra.from_sparse(f, pres.dim, table, twist, labels)
     algebra.validate().require(lambda v: InternalInconsistency(
         f"presented algebra fails {v.law} at {v.witness}", witness=v.witness))
@@ -372,13 +394,13 @@ def squares_ideal(L: HomLeibnizAlgebra) -> Subspace:
     (characteristic is never 2), then closed under bracketing with basis
     vectors on both sides and under the twist until the dimension stabilizes.
     """
-    f = L.field
+    f, c = L.field, L.sparse_c
 
     def seeds():
         for i in range(L.dim):
-            yield L.sparse_c[i][i]
+            yield c[i][i]
             for j in range(i + 1, L.dim):
-                yield sparse_vec(vec_add(f, L.c[i][j], L.c[j][i]))
+                yield sparse_add(f, c[i][j], c[j][i], f.one())
 
     return ideal_closure(L, seeds())
 
@@ -416,9 +438,9 @@ def yau_twist(L: HomLeibnizAlgebra, endo: Matrix) -> HomLeibnizAlgebra:
         raise DimensionError("endomorphism matrix has the wrong shape")
     AlgebraHom(L, L, endo).validate().require(
         lambda v: NotEndomorphism("map does not preserve the bracket", witness=v.witness))
-    cols = [endo.col(j) for j in range(L.dim)]
-    table = tuple(tuple(L.bracket(cols[i], cols[j]) for j in range(L.dim)) for i in range(L.dim))
-    return HomLeibnizAlgebra(L.field, L.dim, table, endo, L.labels)
+    # [endo(e_i), endo(e_j)] is column (i, j) of the bracket after endo (x) endo
+    cols, n = L.bracket_map().compose(endo.kron(endo)).sparse_cols, L.dim
+    return HomLeibnizAlgebra.from_sparse(L.field, n, tuple(cols[i * n:(i + 1) * n] for i in range(n)), endo, L.labels)
 
 
 def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
@@ -440,9 +462,9 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
             raise StructureError("subspace is not closed under bracket and twist")
         return q
 
-    table = tuple(tuple(coords(L.bracket(a, b)) for b in basis) for a in basis)
+    table = tuple(tuple(sparse_vec(coords(L.bracket(a, b))) for b in basis) for a in basis)
     twist = Matrix.from_columns(f, k, [sparse_vec(coords(L.apply_twist(a))) for a in basis])
-    sub = HomLeibnizAlgebra(f, k, table, twist, default_labels(k, label_prefix))
+    sub = HomLeibnizAlgebra.from_sparse(f, k, table, twist, default_labels(k, label_prefix))
     incl = AlgebraHom(sub, L, Matrix.from_columns(f, L.dim, space.sparse_rows))
     return sub, incl
 

@@ -50,7 +50,7 @@ from .actions import HomAction
 from .algebras import HomLeibnizAlgebra
 from .fields import Field
 from .homassoc import HomAssociativeAlgebra
-from .linalg import Matrix, dense_vec, vec_zero
+from .linalg import Matrix
 
 ALGEBRA_KINDS = ("hom-leibniz", "hom-associative", "leibniz")
 
@@ -61,13 +61,12 @@ class AlgebraDocument:
     kind: str
     dim: int
     basis: tuple
-    table: tuple  # table[i][j] = coordinate vector of the (i, j) product
+    table: tuple  # table[i][j] = the (i, j) product as sorted sparse (index, value) pairs
     alpha: Matrix
 
     def build(self):
-        if self.kind == "hom-associative":
-            return HomAssociativeAlgebra(self.field, self.dim, self.table, self.alpha, self.basis)
-        return HomLeibnizAlgebra(self.field, self.dim, self.table, self.alpha, self.basis)
+        cls = HomAssociativeAlgebra if self.kind == "hom-associative" else HomLeibnizAlgebra
+        return cls.from_sparse(self.field, self.dim, self.table, self.alpha, self.basis)
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
         raise SemanticError(f"{where}: a {kind} document uses {table_key!r}")
     if not isinstance(entries, list):
         raise ParseError(f"{where}.{table_key}: must be a list")
-    table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
+    table = [[()] * dim for _ in range(dim)]
     seen = {}
     for pos, entry in enumerate(entries):
         loc = f"{where}.{table_key}[{pos}]"
@@ -154,7 +153,7 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
         if first != pos:
             raise SemanticError(f"{loc}: duplicates the (left, right) pair of "
                                 f"{where}.{table_key}[{first}]")
-        table[i][j] = dense_vec(field, dim, _parse_value(field, basis, entry["value"], f"{loc}.value"))
+        table[i][j] = _parse_value(field, basis, entry["value"], f"{loc}.value")
 
     if "alpha" in node:
         rows = node["alpha"]
@@ -257,14 +256,9 @@ def serialize_algebra(alg, kind: str | None = None) -> dict:
     if kind is None:
         kind = "hom-associative" if is_assoc else "hom-leibniz"
     field = alg.field
-    table = alg.p if is_assoc else alg.c
-    entries = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            v = table[i][j]
-            nz = {alg.labels[k]: field.to_str(v[k]) for k in range(alg.dim) if v[k]}
-            if nz:
-                entries.append({"left": alg.labels[i], "right": alg.labels[j], "value": nz})
+    labels = alg.labels
+    entries = [{"left": labels[i], "right": labels[j], "value": {labels[k]: field.to_str(x) for k, x in v}}
+               for i, row in enumerate(alg.sparse_p if is_assoc else alg.sparse_c) for j, v in enumerate(row) if v]
     return {
         "field": field.describe(),
         "kind": kind,

@@ -1,8 +1,9 @@
 """Hom-associative algebras and their degree-one Hochschild invariants.
 
-An algebra caches its product table and twist columns in sparse form
-(``sparse_p``, ``twist.sparse_cols``); validation runs ``linalg.check_laws``
-on multiplicativity and Hom-associativity, stated as data, over the basis
+An algebra holds its product table and twist columns only in sparse form
+(``sparse_p``, ``twist.sparse_cols``), built by ``from_sparse`` with the dense
+table and its view ``p`` only at the edges; validation runs ``check_laws`` on
+multiplicativity and Hom-associativity, stated as data, over the basis
 tuples where a side can be nonzero, in order.
 
 From an algebra A with product p and twist t, the degree-three Hochschild
@@ -28,9 +29,12 @@ from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
+    _checked,
+    _entry_table,
     IdealHandle,
     certified_quotient,
     commutator,
+    default_labels,
     derived_subspace,
     ideal_closure,
     quotient_algebra,
@@ -42,7 +46,6 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     _expand_kernel,
-    canonical_scalars,
     check_laws,
     connecting_map,
     contract,
@@ -53,52 +56,49 @@ from .linalg import (
     quotient,
     sparse_add,
     sparse_outer,
-    sparse_table,
     tensor_table,
     unit_vec,
-    vec_zero,
 )
 from .report import ExactnessReport, ValidationReport
 from .tensorprod import build_tensor, factor_maps, induced_tensor_map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomAssociativeAlgebra:
     field: Field
     dim: int
-    p: tuple  # p[i][j] = coordinates of the product of basis vectors i, j
+    sparse_p: tuple  # sparse_p[i][j] = e_i e_j as the sorted (index, value) pairs of its nonzero coordinates
     twist: Matrix
     labels: tuple
 
-    def __post_init__(self):
-        if len(self.labels) != self.dim:
-            raise StructureError("label count does not match dimension")
-        if len(self.p) != self.dim or any(len(row) != self.dim for row in self.p):
-            raise StructureError("product table must be dim x dim")
-        if any(len(v) != self.dim for row in self.p for v in row):
-            raise StructureError("product values must be coordinate vectors")
-        if not canonical_scalars(self.field, (v for row in self.p for v in row)):
-            raise StructureError("product coordinates must be canonical scalars of the field")
-        if (self.twist.rows, self.twist.cols) != (self.dim, self.dim):
-            raise StructureError("twist matrix must be dim x dim")
-        if self.twist.field != self.field:
-            raise FieldMismatch("twist matrix over the wrong field")
+    def __init__(self, field: Field, dim: int, p, twist: Matrix, labels):
+        """The algebra with the dense table ``p``, p[i][j] the coordinates
+        of e_i e_j: the dense edge (tests, benchmarks)."""
+        table, labels = _checked(field, dim, p, twist, labels, "product", "product", dense=True)
+        self.__dict__.update(field=field, dim=dim, sparse_p=table, twist=twist, labels=labels)
 
     @staticmethod
     def from_products(field: Field, dim: int, products: dict, twist=None, labels=None) -> "HomAssociativeAlgebra":
-        table = [[vec_zero(field, dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), val in products.items():
-            table[i][j] = dense_vec(field, dim, ((k, field.from_int(c) if isinstance(c, int) else c)
-                                                 for k, c in val.items()))
+        """Build from sparse product data {(i, j): {k: coeff}}."""
         tw = twist if twist is not None else Matrix.identity(field, dim)
-        labels = tuple(labels) if labels else tuple(f"a{i + 1}" for i in range(dim))
-        return HomAssociativeAlgebra(field, dim, tuple(tuple(r) for r in table), tw, labels)
+        return HomAssociativeAlgebra.from_sparse(field, dim, _entry_table(field, dim, products, "product"), tw,
+                                                 labels or default_labels(dim, "a"))
+
+    @staticmethod
+    def from_sparse(field: Field, dim: int, table, twist: Matrix, labels) -> "HomAssociativeAlgebra":
+        """The algebra whose ``sparse_p`` is ``table``, checked and stored as
+        given: the one constructor of the library."""
+        table, labels = _checked(field, dim, table, twist, labels, "product", "product", dense=False)
+        alg = object.__new__(HomAssociativeAlgebra)
+        alg.__dict__.update(field=field, dim=dim, sparse_p=table, twist=twist, labels=labels)
+        return alg
+
+    # the dense table, built once when read: the dense edge
+    p = cached_property(lambda self: tuple(tuple(dense_vec(self.field, self.dim, v) for v in row)
+                                           for row in self.sparse_p))
 
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
-
-    # the product table in the one sparse form, built once (the twist's is twist.sparse_cols)
-    sparse_p = cached_property(lambda self: sparse_table(self.p))
 
     def product(self, x, y) -> tuple:
         return contract(self.field, self.sparse_p, x, y, self.dim)
@@ -107,8 +107,7 @@ class HomAssociativeAlgebra:
         return self.twist.apply(x)
 
     def is_commutative(self) -> bool:
-        return all(self.p[i][j] == self.p[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
+        return all(self.sparse_p[i][j] == self.sparse_p[j][i] for i in range(self.dim) for j in range(i))
 
     def validate(self) -> ValidationReport:
         """The twist and hom-associativity laws on all basis tuples, checked
@@ -140,11 +139,11 @@ def yau_twist_assoc(A: HomAssociativeAlgebra, endo: Matrix) -> HomAssociativeAlg
     if A.twist != Matrix.identity(A.field, A.dim):
         raise StructureError("twisting requires an associative algebra with identity twist")
     # endo preserves the product exactly when it is a multiplicative twist of it
-    for v in HomAssociativeAlgebra(A.field, A.dim, A.p, endo, A.labels).validate().violations:
+    for v in HomAssociativeAlgebra.from_sparse(A.field, A.dim, A.sparse_p, endo, A.labels).validate().violations:
         if v.law == "multiplicativity":
             raise StructureError(f"map is not an algebra endomorphism at {v.witness}")
-    table = tuple(tuple(endo.apply(A.p[i][j]) for j in range(A.dim)) for i in range(A.dim))
-    return HomAssociativeAlgebra(A.field, A.dim, table, endo, A.labels)
+    table = tuple(tuple(tuple(sorted(linear(A.field, endo.sparse_cols, v))) for v in row) for row in A.sparse_p)
+    return HomAssociativeAlgebra.from_sparse(A.field, A.dim, table, endo, A.labels)
 
 
 def to_leibniz(A: HomAssociativeAlgebra) -> HomLeibnizAlgebra:

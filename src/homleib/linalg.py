@@ -30,11 +30,11 @@ Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
 presentations:
 
-* each structure holds its tables in sparse form, each value table[i][j]
-  as its nonzero (k, value) pairs: actions and co-representations store
-  only that form, algebras cache it once from their dense tables
-  (``sparse_table``), and a map, a twist included, holds its columns in
-  that form as ``Matrix.sparse_cols``;
+* each structure holds its tables only in sparse form, each value
+  table[i][j] as its nonzero (k, value) pairs: algebras, actions and
+  co-representations store only that form (``sparse_table`` converts a
+  dense table at the edges), and a map, a twist included, holds its
+  columns in that form as ``Matrix.sparse_cols``;
 * ``contract`` contracts a sparse table at two dense vectors, and
   ``linear`` applies sparse columns to a sparse vector;
 * a law, or a family of relations, is data: signed lists of bilinear and
@@ -80,22 +80,6 @@ from math import prod
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
-
-
-def vec_zero(field: Field, n: int) -> tuple:
-    return (field.zero(),) * n
-
-
-def vec_add(field: Field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field: Field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: Field, c, v):
-    return tuple(field.mul(c, a) for a in v)
 
 
 def vec_is_zero(field: Field, v) -> bool:

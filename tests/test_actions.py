@@ -7,7 +7,7 @@ import pytest
 
 from homleib.errors import InvalidAction, StructureError
 from homleib.fields import Field
-from homleib.linalg import Matrix, Subspace, sparse_table, sparse_vec, vec_zero
+from homleib.linalg import Matrix, Subspace, sparse_table, sparse_vec
 from homleib.algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, quotient_algebra, subalgebra
 from homleib.actions import (
     HomAction,
@@ -71,8 +71,8 @@ class TestValidateAction:
         # (m, e2, e2): the left side is m, the right side cancels to zero
         der = IdealHandle(nonlie2, Subspace.span(QQ, 2, [(QQ.one(), QQ.zero())]))
         quot, proj = quotient_algebra(nonlie2, der)
-        left = tuple(tuple(vec_zero(QQ, 1) for _ in range(1)) for _ in range(2))
-        right = (((QQ.one(),), vec_zero(QQ, 1)),)
+        left = tuple(tuple((QQ.zero(),) for _ in range(1)) for _ in range(2))
+        right = (((QQ.one(),), (QQ.zero(),)),)
         cand = HomAction(nonlie2, quot, sparse_table(left), sparse_table(right))
         rep = cand.validate()
         assert not rep.valid

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from homleib.errors import FieldMismatch, NotAnIdeal, NotEndomorphism, ParentMismatch, StructureError
+from homleib.errors import DimensionError, FieldMismatch, NotAnIdeal, NotEndomorphism, ParentMismatch, StructureError
 from homleib.fields import Field
 from homleib.linalg import Matrix, Subspace
 from homleib.algebras import (
@@ -75,6 +75,25 @@ class TestValidate:
                 assert not HomLeibnizAlgebra(f, 1, (((x,),),), one, ("e1",)).validate().flags["abelian"]
                 assert HomLeibnizAlgebra.from_sparse(f, 1, ((((0, x),),),), one, ("e1",)).c == (((x,),),)
                 HomAssociativeAlgebra(f, 1, (((x,),),), one, ("a1",))
+
+    @pytest.mark.parametrize("entries", [{(-1, 0): {0: 1}}, {(0, -1): {0: 1}}, {(0, 0): {-1: 1}},
+                                         {(2, 0): {0: 1}}, {(0, 2): {0: 1}}, {(0, 0): {2: 1}}])
+    def test_out_of_range_keys_refused(self, entries):
+        # a negative index would wrap to the last basis vector and one past
+        # the end would fail on a bare IndexError: both name no basis vector
+        with pytest.raises(DimensionError, match=r"^bracket indices must lie in range\(2\)$"):
+            HomLeibnizAlgebra.from_brackets(QQ, 2, entries)
+        with pytest.raises(DimensionError, match=r"^product indices must lie in range\(2\)$"):
+            HomAssociativeAlgebra.from_products(QQ, 2, entries)
+
+    def test_entries_build_the_sparse_table(self):
+        # values keep their nonzero coordinates in increasing order; an
+        # int coefficient is read in the field
+        f = Field(5)
+        L = HomLeibnizAlgebra.from_brackets(f, 2, {(1, 0): {1: 7, 0: 0}, (0, 1): {1: 1, 0: -1}})
+        assert L.sparse_c == (((), ((0, 4), (1, 1))), (((1, 2),), ()))
+        A = HomAssociativeAlgebra.from_products(f, 2, {(1, 0): {1: 7, 0: 0}, (0, 1): {1: 1, 0: -1}})
+        assert A.sparse_p == L.sparse_c and A.labels == ("a1", "a2")
 
 
 class TestCommutatorCenter:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +107,24 @@ class TestParsing:
         parsed = parse_algebra_document(serialize_algebra(alg)).build()
         assert parsed.c == alg.c
         assert parsed.field == Field(7)
+
+    def test_wide_empty_document_holds_no_dense_table(self, tmp_path):
+        # a 200-dim document with an empty bracket parses and builds from
+        # its sparse table alone: a dense table of 200 x 200 coordinate
+        # vectors of length 200 would take tens of megabytes
+        n = 200
+        node = {"field": "Q", "kind": "leibniz", "dim": n, "basis": [f"e{i + 1}" for i in range(n)],
+                "bracket": []}
+        tracemalloc.start()
+        try:
+            alg = parse_algebra_document(node).build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+        assert main(["validate", write(tmp_path, "wide.alg", node)]) == 0
+        text = json.dumps(serialize_algebra(alg, "leibniz"))
+        assert json.dumps(serialize_algebra(parse_algebra_document(json.loads(text)).build(), "leibniz")) == text
 
     def test_zero_denominator_rejected(self):
         doc = dict(E1_DOC, bracket=[{"left": "e2", "right": "e2", "value": {"e1": "1/0"}}])

@@ -9,7 +9,7 @@ from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
 from homleib import extensions
 from homleib.generators import sl2 as make_sl2
-from homleib.linalg import Matrix, Subspace, sparse_vec, vec_add, vec_sub
+from homleib.linalg import Matrix, Subspace, sparse_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -28,6 +28,7 @@ from homleib.extensions import (
     universal_central_extension,
 )
 from homleib.homology import ChainComplex, trivial_corep
+from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
 
 QQ = Field()
@@ -197,7 +198,7 @@ def full_alpha_relations(L):
     br = [[incl.map.preimage(L.c[i][j]) for j in idx] for i in idx]
     tw = [incl.map.preimage(L.twist.col(i)) for i in idx]
     for i, j, l in itertools.product(idx, repeat=3):
-        yield vec_add(f, vec_sub(f, dense_outer(f, br[i][l], tw[j], size),
+        yield dense_add(f, dense_sub(f, dense_outer(f, br[i][l], tw[j], size),
                                  dense_outer(f, br[i][j], tw[l], size)),
                       dense_outer(f, tw[i], br[j][l], size))
 

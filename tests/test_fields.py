@@ -215,7 +215,7 @@ def _fields(scopes, name):
 def test_dense_twins_are_gone():
     # a subspace holds only its sparse RREF rows, built by the accumulator's
     # ``subspace()``; a map holds only its sparse columns, built by
-    # ``Matrix.from_columns``; an action or co-representation holds only its
+    # ``Matrix.from_columns``; an algebra, action or co-representation holds only its
     # sparse tables: no alias, cached twin, dense basis builder, dense lift,
     # dense-to-sparse table conversion, dense commutator, second sparse
     # constructor or dense pure tensor is defined
@@ -231,7 +231,8 @@ def test_dense_twins_are_gone():
                     for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
         found += [f"{path.stem}:{name}:{line}" for name, line in defined if name in DENSE_TWINS]
         for stem, name in (("linalg", "Matrix"), ("linalg", "Subspace"), ("actions", "HomAction"),
-                           ("homology", "CoRepresentation")):
+                           ("homology", "CoRepresentation"), ("algebras", "HomLeibnizAlgebra"),
+                           ("homassoc", "HomAssociativeAlgebra")):
             if path.stem == stem:
                 fields[name] = _fields(scopes, name)
     assert found == [], found
@@ -242,7 +243,29 @@ def test_dense_twins_are_gone():
                       "sparse_left": "tuple", "sparse_right": "tuple"},
         "CoRepresentation": {"algebra": "HomLeibnizAlgebra", "space_dim": "int", "twist": "Matrix",
                              "sparse_left": "tuple", "sparse_right": "tuple"},
+        "HomLeibnizAlgebra": {"field": "Field", "dim": "int", "sparse_c": "tuple", "twist": "Matrix",
+                              "labels": "tuple"},
+        "HomAssociativeAlgebra": {"field": "Field", "dim": "int", "sparse_p": "tuple", "twist": "Matrix",
+                                  "labels": "tuple"},
     }, fields
+
+
+FIELD_PRIME_READS = {("fields", "self"), ("linalg", "field")}
+
+
+def test_library_reads_no_dense_algebra_table():
+    # an algebra holds only its sparse table; its dense table ``c`` or ``p``
+    # is a view for tests and benchmarks, so no module reads it, and the only
+    # ``.p`` the library reads is a field's prime
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("c", "p"):
+                receiver = ast.unparse(node.value)
+                if node.attr == "c" or (path.stem, receiver) not in FIELD_PRIME_READS:
+                    found.append(f"{path.stem}:{receiver}.{node.attr}:{node.lineno}")
+    assert found == [], found
 
 
 

@@ -13,7 +13,7 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
-from homleib.linalg import Matrix, sparse_vec, vec_add, vec_is_zero, vec_sub
+from homleib.linalg import Matrix, sparse_vec, vec_is_zero
 from homleib.algebras import derived_subspace
 from homleib.homassoc import (
     HomAssociativeAlgebra,
@@ -29,6 +29,7 @@ from homleib.homassoc import (
     to_leibniz,
     yau_twist_assoc,
 )
+from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
 
 QQ = Field()
@@ -42,7 +43,7 @@ def boundary_shapes(A, table, tens):
     with values table[i][j] and the pure-tensor embedding ``tens``."""
     f = A.field
     tw = [A.twist.col(i) for i in range(A.dim)]
-    return [vec_add(f, vec_sub(f, tens(table[a][b], tw[c]), tens(tw[a], table[b][c])), tens(table[c][a], tw[b]))
+    return [dense_add(f, dense_sub(f, tens(table[a][b], tw[c]), tens(tw[a], table[b][c])), tens(table[c][a], tw[b]))
             for a, b, c in product(range(A.dim), repeat=3)]
 
 
@@ -362,11 +363,12 @@ def _boundary_cases(f):
         if k % 2:  # bump the twist's entry at (0, 1)
             rows = [list(r) for r in A.twist.entries]
             rows[0][1] = f.add(rows[0][1], f.one())
-            bumped.append((f"{name}, twist bumped", replace(A, twist=Matrix.from_rows(f, rows)), A))
+            B = HomAssociativeAlgebra.from_sparse(f, A.dim, A.sparse_p, Matrix.from_rows(f, rows), A.labels)
+            bumped.append((f"{name}, twist bumped", B, A))
         else:  # bump the first coordinate of e1 e2
             p = [list(r) for r in A.p]
             p[1][0] = (f.add(p[1][0][0], f.one()), *p[1][0][1:])
-            bumped.append((f"{name}, product bumped", replace(A, p=tuple(map(tuple, p))), A))
+            bumped.append((f"{name}, product bumped", HomAssociativeAlgebra(f, A.dim, p, A.twist, A.labels), A))
     return [(name, A, A) for name, A in valid] + bumped
 
 

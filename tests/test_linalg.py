@@ -27,11 +27,10 @@ from homleib.linalg import (
     sparse_table,
     sparse_vec,
     unit_vec,
-    vec_add,
-    vec_scale,
-    vec_zero,
 )
 from homleib.tensorprod import build_tensor
+
+from test_checker import dense_add, dense_scale
 
 QQ = Field()
 F5 = Field(5)
@@ -304,10 +303,10 @@ class TestKernelLayer:
         table = [[_random_vec(f, rng, 3) for _ in range(4)] for _ in range(2)]
         for _ in range(20):
             x, y = _random_vec(f, rng, 2), _random_vec(f, rng, 4)
-            expected = vec_zero(f, 3)
+            expected = (f.zero(),) * 3
             for i in range(2):
                 for j in range(4):
-                    expected = vec_add(f, expected, vec_scale(f, f.mul(x[i], y[j]), table[i][j]))
+                    expected = dense_add(f, expected, dense_scale(f, f.mul(x[i], y[j]), table[i][j]))
             assert contract(f, sparse_table(table), x, y, 3) == expected
 
     def test_outer_lands_on_tensor_generators(self, f):
@@ -330,20 +329,20 @@ class TestKernelLayer:
     def test_coordinates_round_trip(self, f):
         rng = random.Random(11)
         rows = [_random_vec(f, rng, 6) for _ in range(3)]
-        rows.append(vec_add(f, rows[0], rows[2]))
+        rows.append(dense_add(f, rows[0], rows[2]))
         space = Subspace.span(f, 6, rows)
         assert space.dim == 3
-        vectors = rows + [vec_zero(f, 6)]
+        vectors = rows + [(f.zero(),) * 6]
         vectors += [space.basis.transpose().apply(_random_vec(f, rng, 3)) for _ in range(20)]
         for v in vectors:
             c = space.coordinates(v)
             assert c is not None
-            combo = vec_zero(f, 6)
+            combo = (f.zero(),) * 6
             for ck, b in zip(c, space.basis.entries):
-                combo = vec_add(f, combo, vec_scale(f, ck, b))
+                combo = dense_add(f, combo, dense_scale(f, ck, b))
             assert combo == v
         free = next(k for k in range(6) if k not in space.pivots())
-        outside = vec_add(f, rows[1], unit_vec(f, 6, free))
+        outside = dense_add(f, rows[1], unit_vec(f, 6, free))
         assert space.coordinates(outside) is None
 
     def test_preimage_outside_the_image_is_none(self, f):
@@ -473,9 +472,9 @@ def _dense_combinations(f, n, rows, coefficient_vectors) -> list:
     """The combinations sum c_i rows_i of dense rows, one per coefficient vector."""
     out = []
     for c in coefficient_vectors:
-        v = vec_zero(f, n)
+        v = (f.zero(),) * n
         for x, row in zip(c, rows):
-            v = vec_add(f, v, vec_scale(f, x, row))
+            v = dense_add(f, v, dense_scale(f, x, row))
         out.append(v)
     return out
 
@@ -561,7 +560,7 @@ class TestResidue:
         x = tuple(data.draw(entry) for _ in range(space.dim))
         inside = space.basis.transpose().apply(x)
         q = QuotientSpace(space)
-        for v in (outside, inside, vec_add(f, inside, outside)):
+        for v in (outside, inside, dense_add(f, inside, outside)):
             coords, w = dense_reduce(space, v)
             assert space.residue(sparse_vec(v)) == dict(sparse_vec(w))
             assert not any(w[p] for p in space.pivots())
@@ -600,7 +599,7 @@ class TestSparseStorage:
     def test_equal_subspaces_compare_and_hash_equal(self, f, data):
         m = data.draw(low_rank_matrices(f))
         n, a = m.cols, Subspace.span(f, m.cols, m.entries)
-        scaled = [vec_scale(f, f.from_int(-2), r) for r in reversed(m.entries)]
+        scaled = [dense_scale(f, f.from_int(-2), r) for r in reversed(m.entries)]
         acc = RrefAccumulator(f, n)
         acc.add_rows(sparse_vec(r) for r in scaled)
         same = [Subspace.span(f, n, scaled), acc.subspace(), Subspace.span_sparse(f, n, a.sparse_rows),

@@ -366,9 +366,9 @@ def _mutant(L, kind):
         "n acted by m": MutualActions(HomAction(L, L, c, bumped), a),
         "n acting on m": MutualActions(a, HomAction(L, L, bumped, c)),
         "m acted by n": MutualActions(a, HomAction(L, L, c, bumped)),
-        "twist": _sides(replace(L, twist=Matrix.from_rows(f, rows)), L),
-        "bracket": _sides(replace(L, c=_bump(f, L.c, 0, 1, 2)), L),
-        "bracket at (h, h)": _sides(replace(L, c=_bump(f, L.c, 2, 2, 2)), L),
+        "twist": _sides(HomLeibnizAlgebra.from_sparse(f, L.dim, c, Matrix.from_rows(f, rows), L.labels), L),
+        "bracket": _sides(HomLeibnizAlgebra(f, L.dim, _bump(f, L.c, 0, 1, 2), L.twist, L.labels), L),
+        "bracket at (h, h)": _sides(HomLeibnizAlgebra(f, L.dim, _bump(f, L.c, 2, 2, 2), L.twist, L.labels), L),
     }[kind]
 
 
