@@ -37,7 +37,6 @@ from .documents import (
     serialize_algebra,
 )
 from .extensions import (
-    classify_extension,
     six_term_check,
     universal_alpha_central_extension,
     universal_central_extension,
@@ -221,7 +220,7 @@ def cmd_uce(args) -> dict:
     return {
         "total_dim": uce.extension.total.dim,
         "kernel_dim": uce.kernel_dim,
-        "classification": classify_extension(uce.extension).value,
+        "classification": uce.kind.value,
         "total_perfect": is_perfect(uce.extension.total),
     }
 
@@ -234,7 +233,7 @@ def cmd_uce_alpha(args) -> dict:
         "kernel_dim": res.extension.kernel.dim,
         "presented_dim": res.presented.dim,
         "isomorphic": True,
-        "classification": classify_extension(res.extension).value,
+        "classification": res.kind.value,
     }
 
 

@@ -105,6 +105,7 @@ class UniversalCentralExtension:
     tensor: TensorProduct
     extension: Extension
     kernel_dim: int
+    kind: ExtensionKind            # classify_extension(extension), checked central
 
 
 def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtension:
@@ -114,9 +115,10 @@ def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtensi
     t = build_tensor(MutualActions.adjoint(L))
     psi = commutator_map(t)
     ext = Extension.from_projection(psi)
-    if classify_extension(ext) is not ExtensionKind.CENTRAL:
+    kind = classify_extension(ext)
+    if kind is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("tensor square projection is not central")
-    return UniversalCentralExtension(t, ext, ext.kernel.dim)
+    return UniversalCentralExtension(t, ext, ext.kernel.dim, kind)
 
 
 def lift_against(uce: UniversalCentralExtension, other: Extension,
@@ -160,6 +162,7 @@ class AlphaUniversalCentralExtension:
     extension: Extension           # onto the original algebra
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space
     iso: AlgebraHom                # tensor square -> presentation, verified bijective
+    kind: ExtensionKind            # classify_extension(extension), checked central
 
 
 def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCentralExtension:
@@ -177,11 +180,12 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
     psi_a = commutator_map(t)
     proj = AlgebraHom(t.algebra, L, incl.map.compose(psi_a.map))
     ext = Extension.from_projection(proj)
-    if classify_extension(ext) is not ExtensionKind.CENTRAL:
+    kind = classify_extension(ext)
+    if kind is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("twist tensor square projection is not central")
 
     presented, iso = _presented_alpha_uce(A, t)
-    return AlphaUniversalCentralExtension(t, ext, presented, iso)
+    return AlphaUniversalCentralExtension(t, ext, presented, iso, kind)
 
 
 def _presented_alpha_uce(A, t):

@@ -116,6 +116,11 @@ class Field:
             raise ZeroDivisionError("division by zero")
         return (a * pow(b, self.p - 2, self.p)) % self.p
 
+    def canon(self, x):
+        """The canonical form of x, a sum of products of this field's
+        scalars taken with Python's own + and *."""
+        return _canon(x) if self.p is None else x % self.p
+
     def inv(self, a):
         return self.div(self.one(), a)
 

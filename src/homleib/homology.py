@@ -12,20 +12,27 @@ row-major over (m, x_1, ..., x_n).  The boundary has three summand
 families: the head right-action term, the alternating left-action terms
 with sign (-1)^i, and the bracket-insertion terms with sign (-1)^(j+1)
 and the twisted coefficient in front.  The signs do not depend on n, so
-seen from x_n the boundary splits exactly: d_n(m x_1 ... x_n) is
-d_(n-1)(m x_1 ... x_(n-1)) tensored with t(x_n), plus (-1)^n (x_n . m)
-t(x_1) ... t(x_(n-1)), plus (-1)^(n+1) t_M(m) tensored with the chains
-that put [x_i, x_n] in place i < n.  ``ChainComplex`` builds each degree
-once, from its cached degree below (degree 1 is the right action), and
-the ``homology`` and ``check-all`` commands compute d^2 from the same
-cached columns that give the ranks: its vanishing is checked, never
-assumed, and the check would fail loudly under a sign slip in any family.
+seen from x = x_n the boundary splits exactly.  Write f for the front
+x_1 ... x_(n-1), T(f) for t(x_1) ... t(x_(n-1)) and B^x(f) for the sum
+over i < n of the chains that put [x_i, x] in place i of T(f); then
+
+    d_n(m f x) = d_(n-1)(m f) t(x) + (-1)^n (x . m) T(f)
+                 + (-1)^(n+1) t_M(m) B^x(f),
+
+three outer products, and both T and B follow one step in the last
+front factor: T(f y) = T(f) t(y) and B^x(f y) = B^x(f) t(y) + T(f) [y, x],
+from T() = 1 and B^x() = 0.  ``ChainComplex`` builds each degree once,
+from its cached degree below (degree 1 is the right action): degree n
+forms the T and B of each front of n - 1 factors once, from the held
+fronts of n - 2, and uses them for every coefficient index m.  The
+``homology`` and ``check-all`` commands compute d^2 from the same cached
+columns that give the ranks: its vanishing is checked, never assumed, and
+the check would fail loudly under a sign slip in any family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iter_product
 
 from .errors import FieldMismatch, StructureError
 from .algebras import HomLeibnizAlgebra
@@ -125,65 +132,45 @@ def chain_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
     return M.space_dim * L.dim ** n
 
 
-def boundary_column(L: HomLeibnizAlgebra, M: CoRepresentation, n: int,
-                    m_idx: int, xs: tuple, lower: tuple) -> dict:
-    """Sparse image of the basis chain m (x) x_1 (x) ... (x) x_n under the
-    degree-n boundary, as {row index: coefficient}.  ``lower`` is the image
-    of m (x) x_1 ... x_(n-1) under the degree n-1 boundary, as (row,
-    coefficient) pairs; degree 1 ignores it."""
-    if n == 1:
-        return dict(M.sparse_right[m_idx][xs[0]])
-    f = L.field
-    zero = f.zero()
-    dl = L.dim
-    tw = L.twist.sparse_cols
-    out: dict[int, object] = {}
+def _outer_sum(field, terms) -> tuple:
+    """The sum of sign (u (x) v) over the terms (u, v, stride, sign), u_i v_j
+    sitting at i * stride + j and sign 1 or -1, as sparse pairs.  Products
+    and sums are Python's own; the field's canonical form is taken once per
+    coordinate."""
+    acc = {}
+    for u, v, stride, sign in terms:
+        for i, a in u:
+            i, a = i * stride, a if sign > 0 else -a
+            for j, b in v:
+                acc[i + j] = acc.get(i + j, 0) + a * b
+    canon = field.canon
+    return tuple([(k, x) for k, s in acc.items() if (x := canon(s))])
 
-    def scatter(sign, head, slots):
-        # head is sparse (a coefficient or chain vector), each slot a sparse
-        # algebra vector; every combination of their nonzero coordinates
-        # adds sign * product at row (head row, slot indices) row-major
-        if not head:
-            return
-        scale = dl ** len(slots)
-        for picks in iter_product(*slots):
-            coeff, offset = sign, 0
-            for idx, x in picks:
-                coeff = f.mul(coeff, x)
-                offset = offset * dl + idx
-            for hm, hv in head:
-                key = hm * scale + offset
-                cur = f.add(out.get(key, zero), f.mul(hv, coeff))
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
 
-    *front, last = xs
-    twisted = [tw[x] for x in front]
-    # the terms that leave x_n alone: d_(n-1) of the front, x_n twisted
-    scatter(f.one(), lower, [tw[last]])
-    # x_n acting on the left, sign (-1)^n
-    left_sign = f.one() if n % 2 == 0 else f.neg(f.one())
-    scatter(left_sign, M.sparse_left[last][m_idx], twisted)
-    # the brackets [x_i, x_n] in place i < n, sign (-1)^(n+1)
-    for i, x in enumerate(front):
-        slots = list(twisted)
-        slots[i] = L.sparse_c[x][last]
-        scatter(f.neg(left_sign), M.twist.sparse_cols[m_idx], slots)
-    return out
+def _longer_fronts(L: HomLeibnizAlgebra, fronts):
+    """Yield (T, (B^x for each x)) of each front one factor longer than
+    those of ``fronts``, front (f, y) at f * dim L + y:
+    T(f, y) = T(f) (x) t(y) and B^x(f, y) = B^x(f) (x) t(y) + T(f) (x) [y, x]."""
+    f, dl, tw, c = L.field, L.dim, L.twist.sparse_cols, L.sparse_c
+    for t, bs in fronts:
+        for y in range(dl):
+            yield (_outer_sum(f, ((t, tw[y], dl, 1),)),
+                   tuple(_outer_sum(f, ((b, tw[y], dl, 1), (t, c[y][x], dl, 1))) if b or c[y][x] else ()
+                         for x, b in enumerate(bs)))
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     """The chain complex of L with coefficients in M.  Each degree's
-    boundary columns are built once, from the cached degree below, the
-    first time the degree is asked for; ranks and the squared-boundary
-    check both read the cached columns."""
+    boundary columns are built once, from the cached degree below and the
+    fronts' T and B, the first time the degree is asked for; ranks and the
+    squared-boundary check both read the cached columns and skip the empty
+    ones."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
     _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _fronts: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def columns(self, n: int) -> tuple:
         """Sparse columns of the degree-n boundary, each a tuple of (row,
@@ -194,14 +181,44 @@ class ChainComplex:
         cols = self._columns.get(n)
         if cols is None:
             L, M = self.algebra, self.coeffs
-            # column c extends column c // dim L of the degree below; degree
-            # 0 has no boundary, one empty column per coefficient
-            lower = self.columns(n - 1) if n > 1 else ((),) * M.space_dim
-            basis = iter_product(range(M.space_dim), iter_product(*[range(L.dim)] * n))
-            cols = tuple(tuple(boundary_column(L, M, n, m_idx, xs, lower[c // L.dim]).items())
-                         for c, (m_idx, xs) in enumerate(basis))
+            if n == 1:  # the right action
+                cols = tuple(v for row in M.sparse_right for v in row)
+            else:
+                # column (m, f, x) is three outer products (see the module
+                # docstring); each front f of n - 1 factors is formed here
+                # once, from the held fronts of n - 2, and serves every m
+                lower, field, dl, dm = self.columns(n - 1), L.field, L.dim, M.space_dim
+                size, sign = dl ** (n - 1), 1 if n % 2 == 0 else -1
+                tw, left, tm = L.twist.sparse_cols, M.sparse_left, M.twist.sparse_cols
+                cols = [()] * (dm * size * dl)
+                for f, (t, bs) in enumerate(_longer_fronts(L, self._front(n - 2))):
+                    for x, b in enumerate(bs):
+                        for m in range(dm):
+                            c = m * size + f
+                            if lower[c] or left[x][m] or b:  # else the column is empty
+                                cols[c * dl + x] = _outer_sum(field, ((lower[c], tw[x], dl, 1),
+                                                                      (left[x][m], t, size, sign),
+                                                                      (tm[m], b, size, -sign)))
+                cols = tuple(cols)
             self._columns[n] = cols  # only a finished tuple is ever stored
         return cols
+
+    def _front(self, k: int) -> tuple:
+        """(T(f), (B^x(f) for each x)) of every front f of k factors, in
+        row-major order, formed from those of k - 1 factors.  Only the
+        fronts asked for last are held, as a finished tuple: degree n asks
+        for those of n - 2 factors and forms those of n - 1 in its own loop
+        without holding them, so the complex holds fronts one factor
+        shorter than the longest it formed, at the cost of forming the
+        shorter ones twice."""
+        if k == 0:  # T() = 1, and each B^x() is the empty sum
+            return ((((0, self.algebra.field.one()),), ((),) * self.algebra.dim),)
+        fronts = self._fronts.get(k)
+        if fronts is None:
+            fronts = tuple(_longer_fronts(self.algebra, self._front(k - 1)))
+            self._fronts.clear()
+            self._fronts[k] = fronts
+        return fronts
 
     def rank(self, n: int) -> int:
         """Rank of the degree-n boundary by sparse elimination of its
@@ -210,7 +227,8 @@ class ChainComplex:
             return 0
         acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
         for col in self.columns(n):
-            acc.add(col)
+            if col:
+                acc.add(col)
         return acc.rank
 
     def squares_to_zero(self, n: int) -> bool:
@@ -218,7 +236,7 @@ class ChainComplex:
         vanishes: the lower columns are the sparse columns ``linear`` applies
         to each upper one."""
         lower = self.columns(n - 1)
-        return not any(linear(self.algebra.field, lower, col) for col in self.columns(n))
+        return not any(linear(self.algebra.field, lower, col) for col in self.columns(n) if col)
 
     def homology_dim(self, n: int) -> int:
         """dim H_n = dim C_n - rank d_n - rank d_(n+1)."""

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
+from homleib import cli
+from homleib.cli import main
+from homleib.documents import serialize_algebra
 from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
 from homleib import extensions
@@ -187,6 +191,28 @@ class TestUniversalAlphaCentral:
     def test_not_alpha_perfect_refused(self, nonlie2):
         with pytest.raises(NotAlphaPerfect):
             universal_alpha_central_extension(nonlie2)
+
+
+@pytest.mark.parametrize("command, build", [("uce", "universal_central_extension"),
+                                            ("uce-alpha", "universal_alpha_central_extension")])
+def test_cli_classifies_each_extension_once(command, build, sl2_twisted, monkeypatch, tmp_path, capsys):
+    # the constructor classifies its extension and returns the kind; the
+    # command reports that kind without classifying again
+    path = tmp_path / "sl2t.alg"
+    path.write_text(json.dumps(serialize_algebra(sl2_twisted)), encoding="utf-8")
+    calls = []
+    real = extensions.classify_extension
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(extensions, "classify_extension", counted)
+    monkeypatch.setattr(cli, "classify_extension", counted, raising=False)
+    assert main([command, str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "central"
+    assert len(calls) == 1
+    assert getattr(extensions, build)(sl2_twisted).kind is ExtensionKind.CENTRAL
 
 
 def full_alpha_relations(L):

@@ -108,6 +108,14 @@ class TestRationalScalars:
         for x in (QQ.zero(), QQ.one(), QQ.from_int(-7)):
             assert type(x) is int
 
+    @given(q_operands(), q_operands(), q_operands())
+    def test_canon_of_a_native_sum_of_products(self, a, b, c):
+        # Python's own a * b + c, canonical once at the end, is the field's
+        assert_canonical(QQ.canon(a * b + c), QQ.add(QQ.mul(a, b), c))
+        gf = Field(1000003)
+        x, y, z = (gf.from_int(int(Fraction(v).numerator)) for v in (a, b, c))
+        assert gf.canon(x * y - z) == gf.sub(gf.mul(x, y), z)
+
 
 def _sites(tree, hit):
     """(enclosing function, line) of every node of a module matching ``hit``."""
@@ -137,12 +145,14 @@ def _is_division(node):
     return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
 
 
-def _calls_boundary_column(node):
+def _builds_boundary_terms(node):
+    # a call of the outer-product sum that forms columns and fronts, or of
+    # the step that forms the fronts
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "boundary_column"
+    return name in ("_outer_sum", "_longer_fronts")
 
 
 def test_true_division_only_in_field_div_and_path_join():
@@ -155,9 +165,12 @@ def test_true_division_only_in_field_div_and_path_join():
 
 def test_boundary_columns_built_only_by_the_chain_complex():
     # every consumer of the boundary reads ChainComplex's cached columns, so
-    # no other code loops over the chain basis building them again
-    found = _library_sites(_calls_boundary_column)
-    assert [site.rsplit(":", 1)[0] for site in found] == ["homology:ChainComplex.columns"], found
+    # no other code loops over the chain basis building them again; the
+    # fronts' T and B are formed only for those columns
+    found = _library_sites(_builds_boundary_terms)
+    assert sorted(site.rsplit(":", 1)[0] for site in found) == \
+        ["homology:ChainComplex._front", "homology:ChainComplex.columns", "homology:ChainComplex.columns",
+         "homology:_longer_fronts", "homology:_longer_fronts"], found
 
 
 def _reads_relation_rows(node):

@@ -273,17 +273,22 @@ def _bumped_adjoints(L):
 class TestChainComplex:
     @pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
     def test_columns_match_the_all_terms_reference(self, f):
-        # degree n is built from the cached degree n-1; every degree must
-        # equal the boundary with all its families built from scratch
+        # degree n is built from the cached degree n-1 and the fronts' T and
+        # B; every degree must equal the boundary with all its families
+        # built from scratch.  The 2-dim algebras run to degree 5, so T and
+        # B are formed from held fronts at least three levels deep
         twisted_sq = yau_twist(generators.square_bracket_algebra(f), Matrix.from_rows(f, [[4, 1], [0, 2]]))
-        assert twisted_sq.validate().valid
-        cases = [(L, M) for L in (generators.sl2(f), twisted_sq)
-                 for M in (adjoint_corep(L), trivial_corep(L, 2, Matrix.from_rows(f, [[1, 2], [0, 3]])))]
+        nonlie2 = HomLeibnizAlgebra.from_brackets(f, 2, {(1, 1): {0: 1}}, Matrix.from_rows(f, [[1, 1], [0, 1]]))
+        assert twisted_sq.validate().valid and nonlie2.validate().valid and not nonlie2.is_skew()
+        coeff_twist = Matrix.from_rows(f, [[1, 2], [0, 3]])
+        cases = [(L, M) for L in (generators.sl2(f), twisted_sq, nonlie2)
+                 for M in (adjoint_corep(L), trivial_corep(L, 2, coeff_twist))]
         rng = random.Random(43)
         cases += [random_corep(f, rng) for _ in range(20)]
         for L, M in cases:
+            assert M.validate().valid
             cx = ChainComplex(L, M)
-            for n in range(1, 5):
+            for n in range(1, 6 if L.dim == 2 else 5):
                 if chain_dim(L, M, n) > 3000:
                     break
                 expected = [reference_boundary_column(L, M, n, m_idx, xs)
@@ -327,33 +332,40 @@ class TestChainComplex:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        builds = Counter()
-        keep = []  # holds each co-representation so its id stays unique
-        build = homleib.homology.boundary_column
+        # (complex, degree) -> number of times the degree's columns were
+        # built, and the number of columns built
+        builds, built = Counter(), Counter()
+        keep = []  # holds each complex so its id stays unique
+        columns = ChainComplex.columns
 
-        def counted(L, M, n, m_idx, xs, *rest):
-            keep.append(M)
-            builds[id(M), n, m_idx, xs] += 1
-            return build(L, M, n, m_idx, xs, *rest)
+        def counted(self, n):
+            fresh = n not in self._columns
+            cols = columns(self, n)
+            if fresh:
+                keep.append(self)
+                builds[id(self), n] += 1
+                built["columns"] += len(cols)
+            return cols
 
-        monkeypatch.setattr(homleib.homology, "boundary_column", counted)
-        return builds
+        monkeypatch.setattr(ChainComplex, "columns", counted)
+        return builds, built
 
     def test_homology_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
         alg = direct_sum(generators.sl2(QQ), HomLeibnizAlgebra.abelian(QQ, 2))
         path = tmp_path / "sl2ab2.alg"
         path.write_text(json.dumps(serialize_algebra(alg)), encoding="utf-8")
-        builds = self._count_builds(monkeypatch)
+        builds, built = self._count_builds(monkeypatch)
         argv = ["homology", str(path), "--coeffs", "trivial", "--max-n", "3", "--json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["boundary_squares_to_zero"] is True
-        assert sum(builds.values()) == 5 + 25 + 125 + 625
+        assert sorted(n for _, n in builds) == [1, 2, 3, 4]
         assert set(builds.values()) == {1}
+        assert built["columns"] == 5 + 25 + 125 + 625
 
     def test_check_all_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "sl2.alg"
         path.write_text(json.dumps(serialize_algebra(generators.sl2(QQ))), encoding="utf-8")
-        builds = self._count_builds(monkeypatch)
+        builds, _ = self._count_builds(monkeypatch)
         assert main(["check-all", str(path), "--seed", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert builds and set(builds.values()) == {1}
