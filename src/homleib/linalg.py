@@ -193,11 +193,10 @@ def _law_sums(field: Field, k: int, groups):
     tuple and law: a key is that position in mixed radix, so it is linear
     in the indices, index position p weighing ``weights[p]``.
 
-    Each term is scattered from its legs: each table's nonzero vectors are
-    listed once per call, and from that list each leg's nonzero
-    coordinates once per weighting, each with its offset, the weighted sum
-    of its indices; the two lists are joined on the positions both legs
-    name, a position neither names runs over its range, and each pair of
+    Each term is scattered from its legs: each leg's nonzero coordinates
+    are listed once per call, each with its offset, the weighted sum of its
+    indices; the two lists are joined on the positions both legs name, a
+    position neither names runs over its range, and each pair of
     coordinates adds its product to the sum at the key o1 + o2.  A linear
     term is a bilinear one whose second leg is the constant 1.  A factor
     that is the field's one is not multiplied, so a basis-vector leg or a
@@ -207,14 +206,11 @@ def _law_sums(field: Field, k: int, groups):
     nq = max([len(laws) for _, laws in groups] + [1])
     span = max([prod(dims[k:]) for dims, _ in groups] + [1])
     const = ((0, one),)  # the second leg of a linear term, naming no position
-    found, placed, columns = {}, {}, {}
+    placed, columns = {}, {}
 
-    def nonzeros(vectors, n):  # (indices..., vector) for each nonzero vector of a leg naming n positions
-        key = (id(vectors), n)
-        if key not in found:
-            found[key] = [(vectors,)] if n == 0 else [(x, v) for x, v in enumerate(vectors) if v] if n == 1 else \
-                [(x, y, v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]
-        return found[key]
+    def nonzeros(vectors, n):  # (indices, vector) for each nonzero vector of a leg naming n positions
+        return [((), vectors)] if n == 0 else [((x,), v) for x, v in enumerate(vectors) if v] if n == 1 else \
+            [((x, y), v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]
 
     def place(vectors, pos, weights):  # (offset, index, value) for each nonzero coordinate of a leg
         ws = [weights[p] for p in pos]
@@ -222,9 +218,10 @@ def _law_sums(field: Field, k: int, groups):
         if key not in placed:
             if len(ws) == 2:
                 w, z = ws
-                placed[key] = [(w * x + z * y, a, c) for x, y, v in nonzeros(vectors, 2) for a, c in v]
+                placed[key] = [(w * x + z * y, a, c) for x, row in enumerate(vectors)
+                               for y, v in enumerate(row) for a, c in v]
             else:
-                placed[key] = [(ws[0] * x, a, c) for x, v in nonzeros(vectors, 1) for a, c in v] if ws else \
+                placed[key] = [(ws[0] * x, a, c) for x, v in enumerate(vectors) for a, c in v] if ws else \
                     [(0, a, c) for a, c in vectors]
         return placed[key]
 
@@ -238,8 +235,8 @@ def _law_sums(field: Field, k: int, groups):
         free = [p for p in range(len(dims)) if p not in named]
         spread = [sum(weights[p] * x for p, x in zip(free, t)) for t in product(*(range(dims[p]) for p in free))]
         out = []
-        for *i, x in nonzeros(u, len(pu)):
-            for *j, y in nonzeros(v, len(pv)):
+        for i, x in nonzeros(u, len(pu)):
+            for j, y in nonzeros(v, len(pv)):
                 at = {}
                 if all(at.setdefault(p, n) == n for p, n in zip(named, i + j)):
                     o = sum(weights[p] * n for p, n in at.items())

@@ -147,12 +147,12 @@ def _is_division(node):
 
 def _builds_boundary_terms(node):
     # a call of the outer-product sum that forms columns and fronts, or of
-    # the step that forms the fronts
+    # the steps that form the fronts
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name in ("_outer_sum", "_longer_fronts")
+    return name in ("_outer_sum", "_fronts", "_longer_fronts")
 
 
 def test_true_division_only_in_field_div_and_path_join():
@@ -169,7 +169,7 @@ def test_boundary_columns_built_only_by_the_chain_complex():
     # fronts' T and B are formed only for those columns
     found = _library_sites(_builds_boundary_terms)
     assert sorted(site.rsplit(":", 1)[0] for site in found) == \
-        ["homology:ChainComplex._front", "homology:ChainComplex.columns", "homology:ChainComplex.columns",
+        ["homology:ChainComplex.columns", "homology:ChainComplex.columns", "homology:_fronts",
          "homology:_longer_fronts", "homology:_longer_fronts"], found
 
 

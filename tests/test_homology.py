@@ -332,18 +332,19 @@ class TestChainComplex:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        # (complex, degree) -> number of times the degree's columns were
-        # built, and the number of columns built
+        # (algebra, coefficients, degree) -> number of times the degree's
+        # columns were built, and the number of columns built; a second
+        # complex over the same coefficients counts as a rebuild
         builds, built = Counter(), Counter()
-        keep = []  # holds each complex so its id stays unique
+        keep = []  # holds each co-representation so its id stays unique
         columns = ChainComplex.columns
 
         def counted(self, n):
             fresh = n not in self._columns
             cols = columns(self, n)
             if fresh:
-                keep.append(self)
-                builds[id(self), n] += 1
+                keep.append(self.coeffs)
+                builds[id(self.algebra), id(self.coeffs), n] += 1
                 built["columns"] += len(cols)
             return cols
 
@@ -358,7 +359,7 @@ class TestChainComplex:
         argv = ["homology", str(path), "--coeffs", "trivial", "--max-n", "3", "--json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["boundary_squares_to_zero"] is True
-        assert sorted(n for _, n in builds) == [1, 2, 3, 4]
+        assert sorted(n for *_, n in builds) == [1, 2, 3, 4]
         assert set(builds.values()) == {1}
         assert built["columns"] == 5 + 25 + 125 + 625
 
