@@ -21,16 +21,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FieldMismatch, InvalidAction, StructureError
-from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle
+from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, bracket_table, subalgebra
 from .linalg import (
     Matrix,
     Subspace,
     check_laws,
     contract,
+    dense_vec,
     induced_map,
     is_sparse_vec,
     linear,
-    sparse_vec,
 )
 from .report import ValidationReport
 
@@ -129,20 +129,14 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
     target, incl_t = target_handle
 
     def coords(v):
-        q = incl_t.map.preimage_sparse(sparse_vec(v))
+        q = incl_t.map.preimage_sparse(v)
         if q is None:
-            raise InvalidAction("bracket escapes the target subspace", witness=(v,))
+            raise InvalidAction("bracket escapes the target subspace",
+                                witness=(dense_vec(parent.field, parent.dim, v),))
         return q
 
-    left = tuple(
-        tuple(coords(parent.bracket(incl_a.map.col(i), incl_t.map.col(j)))
-              for j in range(target.dim))
-        for i in range(actor.dim))
-    right = tuple(
-        tuple(coords(parent.bracket(incl_t.map.col(j), incl_a.map.col(i)))
-              for i in range(actor.dim))
-        for j in range(target.dim))
-    return HomAction(actor, target, left, right)
+    return HomAction(actor, target, bracket_table(parent, incl_a.map, incl_t.map, coords),
+                     bracket_table(parent, incl_t.map, incl_a.map, coords))
 
 
 def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, columns,
@@ -300,8 +294,6 @@ def bracket_mutual(parent: HomLeibnizAlgebra, first, second) -> MutualActions:
 
 def ideal_pair_actions(parent: HomLeibnizAlgebra, first: Subspace, second: Subspace) -> MutualActions:
     """Mutual bracket actions of two ideals of one parent algebra."""
-    from .algebras import subalgebra
-
     IdealHandle(parent, first).require_ideal()
     IdealHandle(parent, second).require_ideal()
     return bracket_mutual(parent, subalgebra(parent, first, "h"), subalgebra(parent, second, "k"))

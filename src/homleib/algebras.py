@@ -52,7 +52,6 @@ from .linalg import (
     sparse_add,
     sparse_outer,
     sparse_table,
-    sparse_vec,
     unit_vec,
 )
 from .report import ValidationReport
@@ -438,9 +437,14 @@ def yau_twist(L: HomLeibnizAlgebra, endo: Matrix) -> HomLeibnizAlgebra:
         raise DimensionError("endomorphism matrix has the wrong shape")
     AlgebraHom(L, L, endo).validate().require(
         lambda v: NotEndomorphism("map does not preserve the bracket", witness=v.witness))
-    # [endo(e_i), endo(e_j)] is column (i, j) of the bracket after endo (x) endo
-    cols, n = L.bracket_map().compose(endo.kron(endo)).sparse_cols, L.dim
-    return HomLeibnizAlgebra.from_sparse(L.field, n, tuple(cols[i * n:(i + 1) * n] for i in range(n)), endo, L.labels)
+    return HomLeibnizAlgebra.from_sparse(L.field, L.dim, bracket_table(L, endo, endo, tuple), endo, L.labels)
+
+
+def bracket_table(L: HomLeibnizAlgebra, left: Matrix, right: Matrix, read) -> tuple:
+    """The table of ``read`` at [left(e_i), right(e_j)], column (i, j) of the
+    bracket after left (x) right, each value as sorted sparse pairs."""
+    cols, n = L.bracket_map().compose(left.kron(right)).sparse_cols, right.cols
+    return tuple(tuple(map(read, cols[i * n:(i + 1) * n])) for i in range(left.cols))
 
 
 def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
@@ -452,21 +456,19 @@ def subalgebra(L: HomLeibnizAlgebra, space: Subspace, label_prefix: str = "s"):
         raise DimensionError("subspace of a different space")
     if space.field != L.field:
         raise FieldMismatch("subspace over the wrong field")
-    f = L.field
-    basis = [dense_vec(f, L.dim, r) for r in space.sparse_rows]
-    k = len(basis)
+    f, k = L.field, space.dim
+    incl = Matrix.from_columns(f, L.dim, space.sparse_rows)
 
     def coords(v):
-        q = space.coordinates(v)
+        q = incl.preimage_sparse(v)
         if q is None:
             raise StructureError("subspace is not closed under bracket and twist")
         return q
 
-    table = tuple(tuple(sparse_vec(coords(L.bracket(a, b))) for b in basis) for a in basis)
-    twist = Matrix.from_columns(f, k, [sparse_vec(coords(L.apply_twist(a))) for a in basis])
+    table = bracket_table(L, incl, incl, coords)
+    twist = Matrix.from_columns(f, k, map(coords, L.twist.compose(incl).sparse_cols))
     sub = HomLeibnizAlgebra.from_sparse(f, k, table, twist, default_labels(k, label_prefix))
-    incl = AlgebraHom(sub, L, Matrix.from_columns(f, L.dim, space.sparse_rows))
-    return sub, incl
+    return sub, AlgebraHom(sub, L, incl)
 
 
 def direct_sum(A: HomLeibnizAlgebra, B: HomLeibnizAlgebra) -> HomLeibnizAlgebra:

@@ -286,8 +286,8 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     # connecting map: lift along the projection row, evaluate, read in the cokernel
     def read(v):
-        q = data.incl.map.preimage(v)
-        return None if q is None else coker_q.project(q)
+        q = data.incl.map.preimage_sparse(v)
+        return None if q is None else coker_q.project_sparse(q)
 
     delta = connecting_map(k3, data.tau.map, psi_ll.map, read, coker_q.dim)
     rep.check("connecting map lifts exist", delta is not None)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency, NotWellDefined, StructureError
+from .errors import AlphaIdentityFails, InternalInconsistency, NotWellDefined, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import (
     AlgebraHom,
@@ -462,7 +462,7 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.check("kernels map onward", all(k_c.contains_sparse(c) for c in im_k_cols))
 
     # connecting map into the homology
-    delta = connecting_map(k_c, big_g.map, col_q.map, H_space.coordinates, H_alg.dim)
+    delta = connecting_map(k_c, big_g.map, col_q.map, incl_h.map.preimage_sparse, H_alg.dim)
     rep.check("connecting lifts exist", delta is not None)
     if delta is None:
         return rep

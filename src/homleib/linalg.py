@@ -35,8 +35,9 @@ presentations:
   co-representations store only that form (``sparse_table`` converts a
   dense table at the edges), and a map, a twist included, holds its
   columns in that form as ``Matrix.sparse_cols``;
-* ``contract`` contracts a sparse table at two dense vectors, and
-  ``linear`` applies sparse columns to a sparse vector;
+* ``linear`` applies sparse columns to a sparse vector, the one
+  contraction kernel; ``contract``, a sparse table at two dense vectors for
+  the dense edge methods, is ``linear`` of the flat table at their tensor;
 * a law, or a family of relations, is data: signed lists of bilinear and
   linear terms in such tables on basis indices.  One engine scatters each
   term from the nonzero coordinates of its two legs into the signed sums
@@ -67,8 +68,8 @@ presentations:
   the first row r whose image w does not, then projects each coset
   generator's column.  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
-* ``connecting_map`` is the snake map of an exactness certificate: lift
-  along a row map, push down a column map, read in the target.
+* ``connecting_map`` is the snake map of an exactness certificate, on
+  sparse vectors: lift along a row map, push down a column map, read.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ from math import prod
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
-
-
-def vec_is_zero(field: Field, v) -> bool:
-    return not any(v)
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
@@ -143,17 +140,10 @@ def sparse_add(field: Field, u, v, c) -> list:
 
 
 def contract(field: Field, table, x, y, dim: int) -> tuple:
-    """The sum of x_i y_j table[i][j] at dense x, y, as a dense length-dim vector."""
-    out = [field.zero()] * dim
-    for i, xi in enumerate(x):
-        if xi:
-            row = table[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    coeff = field.mul(xi, yj)
-                    for k, t in row[j]:
-                        out[k] = field.add(out[k], field.mul(coeff, t))
-    return tuple(out)
+    """The sum of x_i y_j table[i][j] at dense x, y, as a dense length-dim
+    vector: ``linear`` of the flattened table at the pure tensor x (x) y."""
+    cols = [*chain.from_iterable(table)]
+    return dense_vec(field, dim, linear(field, cols, sparse_outer(field, sparse_vec(x), sparse_vec(y), len(y))))
 
 
 def tensor_table(field: Field, rows: int, cols: int, offset: int = 0) -> tuple:
@@ -546,16 +536,14 @@ class RrefAccumulator:
         return len(self.rows)
 
     def _reduce(self, sv: dict) -> dict:
-        f = self.field
-        zero = f.zero()
-        for c in sorted(sv):
-            if c not in self.rows:
-                continue
-            coef = sv.get(c, zero)
-            if not coef:
-                continue
-            for cc, val in self.rows[c].items():
-                nv = f.sub(sv.get(cc, zero), f.mul(coef, val))
+        """sv less its part in the span, in place: reduced rows are zero at
+        each other's pivots, so only sv's own pivots are read (``residue``)."""
+        f, rows = self.field, self.rows
+        zero, sub, mul = f.zero(), f.sub, f.mul
+        for c in [c for c in sv if c in rows]:
+            coef = sv[c]
+            for cc, val in rows[c].items():
+                nv = sub(sv.get(cc, zero), mul(coef, val))
                 if not nv:
                     sv.pop(cc, None)
                 else:
@@ -718,18 +706,18 @@ class Subspace:
 
 def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
                    target_dim: int) -> Matrix | None:
-    """The connecting map on ``kernel``: each basis vector is lifted through
-    ``row.preimage``, sent along ``column`` and read off by ``read`` (a
-    function returning target coordinates or None).  None when some lift or
-    read fails."""
-    cols = []
+    """The connecting map on ``kernel``: each basis row is lifted through
+    ``row.preimage_sparse``, sent along ``column`` and read off by ``read``
+    (a function from sorted sparse pairs to target coordinates as sorted
+    sparse pairs, or None).  None when some lift or read fails."""
+    f, cols = kernel.field, []
     for r in kernel.sparse_rows:
-        x = row.preimage(dense_vec(kernel.field, kernel.ambient_dim, r))
-        q = None if x is None else read(column.apply(x))
+        x = row.preimage_sparse(r)
+        q = None if x is None else read(tuple(sorted(linear(f, column.sparse_cols, x))))
         if q is None:
             return None
-        cols.append(sparse_vec(q))
-    return Matrix.from_columns(kernel.field, target_dim, cols)
+        cols.append(q)
+    return Matrix.from_columns(f, target_dim, cols)
 
 
 def _expand_kernel(mapping: Matrix, space: Subspace) -> Subspace:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
-from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, certified_quotient
+from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, center, certified_quotient
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -52,7 +52,6 @@ from .linalg import (
     sparse_outer,
     sparse_vec,
     tensor_table,
-    vec_is_zero,
 )
 from .report import ExactnessReport, ValidationReport
 
@@ -342,63 +341,44 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
       * acting through a factor-map value equals bracketing with the twisted
         class, on either side and through either factor.
 
-    All checks run over basis tuples with exact arithmetic.
+    The last three families are ``linalg.check_laws`` data, each law named
+    by its check, which holds when no instance of its laws is recorded; all
+    run over basis tuples and generator classes with exact arithmetic.
     """
-    from .algebras import center
-
     rep = ExactnessReport(subject="tensor pairing battery")
-    M, N = t.m_side, t.n_side
-    f = M.field
     T = t.algebra
     into_m, into_n = factor_maps(t)
-    act_m = outer_action(t, "m")
-    act_n = outer_action(t, "n")
-    classes = [dense_vec(f, T.dim, c) for c in t.presentation.projection_map().sparse_cols]  # of the generators
+    gens = t.presentation.projection_map()
+    cls, tw, n = gens.sparse_cols, T.twist.compose(gens).sparse_cols, gens.cols  # the generator classes, twisted
     z = center(T)
     rep.check("first kernel inside the center", z.contains_subspace(into_m.map.kernel()))
     rep.check("second kernel inside the center", z.contains_subspace(into_n.map.kernel()))
 
-    for name, hom, act, F in (("first", into_m, act_m, M), ("second", into_n, act_n, N)):
-        ker = hom.map.kernel()
-        ok = True
-        for g in range(t.ambient_dim):
-            v = hom.map.apply(classes[g])
-            for k in ker.basis.entries:
-                if not vec_is_zero(f, act.act_left(v, k)) or \
-                   not vec_is_zero(f, act.act_right(k, v)):
-                    ok = False
-        rep.check(f"{name} factor values act trivially on the kernel", ok)
-
-        ok_left = ok_right = True
-        for a in range(F.dim):
-            ta = F.apply_twist(F.unit(a))
-            for k in range(T.dim):
-                ek = T.unit(k)
-                if hom.map.apply(act.act_left(F.unit(a), ek)) != \
-                        F.bracket(ta, hom.map.apply(ek)):
-                    ok_left = False
-                if hom.map.apply(act.act_right(ek, F.unit(a))) != \
-                        F.bracket(hom.map.apply(ek), ta):
-                    ok_right = False
-        rep.check(f"{name} factor map intertwines the left outer action", ok_left)
-        rep.check(f"{name} factor map intertwines the right outer action", ok_right)
-
-    ok_left = ok_right = True
-    for g1 in range(t.ambient_dim):
-        cls1 = classes[g1]
-        tw1 = T.apply_twist(cls1)
-        vm = into_m.map.apply(cls1)
-        vn = into_n.map.apply(cls1)
-        for g2 in range(t.ambient_dim):
-            cls2 = classes[g2]
-            br = T.bracket(tw1, cls2)
-            if act_m.act_left(vm, cls2) != br or act_n.act_left(vn, cls2) != br:
-                ok_left = False
-            br2 = T.bracket(cls2, tw1)
-            if act_m.act_right(cls2, vm) != br2 or act_n.act_right(cls2, vn) != br2:
-                ok_right = False
-    rep.check("acting through factor values is the twisted bracket, left", ok_left)
-    rep.check("acting through factor values is the twisted bracket, right", ok_right)
+    checks, through = [], []  # (name, dims, [(plus, minus)] of its laws); each side's action tables and values
+    for name, hom, side, F in (("first", into_m, "m", t.m_side), ("second", into_n, "n", t.n_side)):
+        act, h, ft, c = outer_action(t, side), hom.map.sparse_cols, F.twist.sparse_cols, F.sparse_c
+        left, right, vals = act.sparse_left, act.sparse_right, hom.map.compose(gens).sparse_cols
+        ker = hom.map.kernel().sparse_rows
+        through.append((left, right, vals))
+        checks += [
+            # h(g).k = 0 = k.h(g) for a generator class g and a kernel row k
+            (f"{name} factor values act trivially on the kernel", (n, len(ker)),
+             [([(left, (vals, 0), (ker, 1))], []), ([(right, (ker, 1), (vals, 0))], [])]),
+            # h(a.e_k) = [t(a), h(e_k)] and h(e_k.a) = [h(e_k), t(a)]
+            (f"{name} factor map intertwines the left outer action", (F.dim, T.dim),
+             [([(h, (left, 0, 1))], [(c, (ft, 0), (h, 1))])]),
+            (f"{name} factor map intertwines the right outer action", (F.dim, T.dim),
+             [([(h, (right, 1, 0))], [(c, (h, 1), (ft, 0))])])]
+    # h(g).g' = [t(g), g'] and g'.h(g) = [g', t(g)] through either factor
+    checks += [("acting through factor values is the twisted bracket, left", (n, n),
+                [([(tab, (v, 0), (cls, 1))], [(T.sparse_c, (tw, 0), (cls, 1))]) for tab, _, v in through]),
+               ("acting through factor values is the twisted bracket, right", (n, n),
+                [([(tab, (cls, 1), (v, 0))], [(T.sparse_c, (cls, 1), (tw, 0))]) for _, tab, v in through])]
+    laws = ValidationReport(subject="tensor pairing laws")
+    check_laws(T.field, laws, (), [(dims, [(name, (), *terms) for terms in pairs]) for name, dims, pairs in checks])
+    failed = {v.law for v in laws.violations}
+    for name, _, _ in checks:
+        rep.check(name, name not in failed)
     return rep
 
 

@@ -145,6 +145,19 @@ class TestSemidirect:
         assert sd.algebra.validate().valid
         self.rank_checks(sd)
 
+    def test_bracket_escaping_the_target_rejected(self, sl2):
+        # [e, f] = h leaves span(f); the witness is the dense bracket
+        e_line, f_line = (Subspace.span(QQ, 3, [sl2.unit(i)]) for i in (0, 1))
+        with pytest.raises(InvalidAction, match="^bracket escapes the target subspace$") as info:
+            bracket_action(sl2, subalgebra(sl2, e_line), subalgebra(sl2, f_line))
+        assert info.value.witness == ((0, 0, 1),)
+
+    def test_bracket_action_on_zero_sides(self, sl2):
+        whole = (sl2, AlgebraHom(sl2, sl2, Matrix.identity(QQ, 3)))
+        zero = subalgebra(sl2, Subspace.zero(QQ, 3))
+        assert bracket_action(sl2, whole, zero) == HomAction.trivial(sl2, zero[0])
+        assert bracket_action(sl2, zero, whole) == HomAction.trivial(zero[0], sl2)
+
     def test_invalid_action_rejected(self, nonlie2):
         bad = perturb_left(self_action(nonlie2), 1, 1, (QQ.zero(), QQ.one()))
         with pytest.raises(InvalidAction):

@@ -254,6 +254,15 @@ class TestSubalgebraDirectSum:
         assert s.validate().valid
         assert derived_subspace(s).dim == 4
 
+    def test_subspace_not_closed_rejected(self, sl2):
+        # span(e, f) is twist-stable but [e, f] = h escapes it; span(e2) of
+        # an abelian plane brackets to zero but the twist sends e2 to e1 + e2
+        with pytest.raises(StructureError, match="^subspace is not closed under bracket and twist$"):
+            subalgebra(sl2, span(QQ, 3, [(1, 0, 0), (0, 1, 0)]))
+        plane = HomLeibnizAlgebra.abelian(QQ, 2, Matrix.from_rows(QQ, [[1, 1], [0, 1]]))
+        with pytest.raises(StructureError, match="^subspace is not closed under bracket and twist$"):
+            subalgebra(plane, span(QQ, 2, [(0, 1)]))
+
     def test_subspace_over_another_field_rejected(self, sl2):
         # a GF(5) subspace is not read as one of a Q algebra: brackets taken
         # over Q would be tested against rows reduced mod 5

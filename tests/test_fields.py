@@ -282,7 +282,7 @@ def test_library_reads_no_dense_algebra_table():
 
 
 
-DENSE_GRID_READERS = ("cli:cmd_info", "documents:serialize_algebra", "tensorprod:tensor_identity_battery")
+DENSE_GRID_READERS = ("cli:cmd_info", "documents:serialize_algebra")
 
 
 def _reads_entries(node):
@@ -297,8 +297,7 @@ def _reads_transposed_entries(node):
 def test_dense_grid_read_only_at_the_edges():
     # a map is its sparse columns, so no module transposes a map to read its
     # columns densely; the dense grid of a map or a basis is read only to
-    # print it (``info``, a document) and by the dense battery of tensor
-    # identities
+    # print it (``info``, a document)
     assert _library_sites(_reads_transposed_entries) == []
     found = _library_sites(_reads_entries)
     assert sorted({site.rsplit(":", 1)[0] for site in found}) == sorted(DENSE_GRID_READERS), found
@@ -308,11 +307,15 @@ def _calls_record(node):
 
 
 DENSE_KERNELS = ("vec_sub", "contract", "bracket", "act_left", "act_right", "product", "apply_twist")
+DENSE_EDGES = ("actions:HomAction.act_left", "actions:HomAction.act_right", "algebras:HomLeibnizAlgebra.bracket",
+               "homassoc:HomAssociativeAlgebra.product", "homology:CoRepresentation.act_left",
+               "homology:CoRepresentation.act_right")
 
 
 def _names_dense_kernel(node):
+    # ``contract`` by name, the others as methods (``itertools.product`` is no kernel)
     name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    return isinstance(node, (ast.Name, ast.Attribute)) and name in DENSE_KERNELS
+    return isinstance(node, ast.Attribute) and name in DENSE_KERNELS or name == "contract"
 
 
 def test_violations_recorded_only_by_the_identity_checker():
@@ -322,18 +325,21 @@ def test_violations_recorded_only_by_the_identity_checker():
     assert [site.rsplit(":", 1)[0] for site in found] == ["linalg:check_laws"], found
 
 
-def test_validators_hold_no_dense_loops():
-    # a validator reads the cached sparse tables; a dense difference or a
-    # dense bracket, action, product or twist in its body is a hand-rolled
-    # loop beside the checker (``_report`` is the cached body of a validate,
-    # and ``equivariance_witness`` checks that maps preserve the actions)
-    found = [site for site in _library_sites(_names_dense_kernel)
-             if {"validate", "_report", "check_compatible", "equivariance_witness"}
-             & set(site.split(":")[1].split("."))]
-    assert found == [], found
+def test_dense_kernels_only_at_the_edges():
+    # a dense difference, bracket, action, product or twist is named only by
+    # the dense edge methods themselves, each a ``contract``, the one dense
+    # kernel, which is ``linear`` at a pure tensor: every library reader,
+    # validators and certificates alike, reads the sparse tables
+    found = _library_sites(_names_dense_kernel)
+    assert sorted({site.rsplit(":", 1)[0] for site in found}) == sorted(DENSE_EDGES), found
+    path = Path(__file__).resolve().parents[1] / "src" / "homleib" / "linalg.py"
+    contract = next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "contract")
+    assert not [node for node in ast.walk(contract) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
 
 
-LAW_BODIES = ("validate", "_report", "check_compatible", "_compatibility_laws", "equivariance_witness")
+LAW_BODIES = ("validate", "_report", "check_compatible", "_compatibility_laws", "equivariance_witness",
+              "tensor_identity_battery")
 
 
 def test_laws_are_data():

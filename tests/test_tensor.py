@@ -14,6 +14,7 @@ from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, sparse_ta
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
+    center,
     derived_subspace,
     direct_sum,
     predicates,
@@ -27,6 +28,7 @@ from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_a
 from homleib.generators import heisenberg, random_ideal_pair, random_trivial_pair, sl2 as make_sl2
 from homleib import tensorprod
 from homleib.homassoc import hochschild_module, to_leibniz
+from homleib.report import ExactnessReport
 from homleib.tensorprod import (
     build_tensor,
     commutator_map,
@@ -38,7 +40,7 @@ from homleib.tensorprod import (
     right_exactness_certificate,
     tensor_identity_battery,
 )
-from test_checker import dense_table
+from test_checker import _single_entry_perturbations, _sparse_bumps, dense_table
 from test_linalg import dense_outer
 
 QQ = Field()
@@ -651,6 +653,118 @@ class TestOuterActions:
             assert t.algebra.dim == expected_dim
             rep = tensor_identity_battery(t)
             assert rep.ok, [i.name for i in rep.failures()]
+
+
+def dense_battery(t):
+    """The tensor identity battery as it was written before it became law
+    data, dense loops over basis vectors and generator classes: the
+    reference for ``tensor_identity_battery``."""
+    rep = ExactnessReport(subject="tensor pairing battery")
+    M, N = t.m_side, t.n_side
+    f = M.field
+    T = t.algebra
+    into_m, into_n = factor_maps(t)
+    act_m = tensorprod.outer_action(t, "m")
+    act_n = tensorprod.outer_action(t, "n")
+    classes = [dense_vec(f, T.dim, c) for c in t.presentation.projection_map().sparse_cols]  # of the generators
+    z = center(T)
+    rep.check("first kernel inside the center", z.contains_subspace(into_m.map.kernel()))
+    rep.check("second kernel inside the center", z.contains_subspace(into_n.map.kernel()))
+
+    for name, hom, act, F in (("first", into_m, act_m, M), ("second", into_n, act_n, N)):
+        ker = hom.map.kernel()
+        ok = True
+        for g in range(t.ambient_dim):
+            v = hom.map.apply(classes[g])
+            for k in ker.basis.entries:
+                if any(act.act_left(v, k)) or any(act.act_right(k, v)):
+                    ok = False
+        rep.check(f"{name} factor values act trivially on the kernel", ok)
+
+        ok_left = ok_right = True
+        for a in range(F.dim):
+            ta = F.apply_twist(F.unit(a))
+            for k in range(T.dim):
+                ek = T.unit(k)
+                if hom.map.apply(act.act_left(F.unit(a), ek)) != \
+                        F.bracket(ta, hom.map.apply(ek)):
+                    ok_left = False
+                if hom.map.apply(act.act_right(ek, F.unit(a))) != \
+                        F.bracket(hom.map.apply(ek), ta):
+                    ok_right = False
+        rep.check(f"{name} factor map intertwines the left outer action", ok_left)
+        rep.check(f"{name} factor map intertwines the right outer action", ok_right)
+
+    ok_left = ok_right = True
+    for g1 in range(t.ambient_dim):
+        cls1 = classes[g1]
+        tw1 = T.apply_twist(cls1)
+        vm = into_m.map.apply(cls1)
+        vn = into_n.map.apply(cls1)
+        for g2 in range(t.ambient_dim):
+            cls2 = classes[g2]
+            br = T.bracket(tw1, cls2)
+            if act_m.act_left(vm, cls2) != br or act_n.act_left(vn, cls2) != br:
+                ok_left = False
+            br2 = T.bracket(cls2, tw1)
+            if act_m.act_right(cls2, vm) != br2 or act_n.act_right(cls2, vn) != br2:
+                ok_right = False
+    rep.check("acting through factor values is the twisted bracket, left", ok_left)
+    rep.check("acting through factor values is the twisted bracket, right", ok_right)
+    return rep
+
+
+def _battery_outcome(battery, t):
+    """The battery's (name, ok) items, or the type and message of what it raised."""
+    try:
+        return [(item.name, item.ok) for item in battery(t).items]
+    except MathFailure as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBatteryDifferential:
+    """The law-data battery against the dense reference, item for item."""
+
+    @staticmethod
+    def tensors():
+        out = [build_tensor(MutualActions.adjoint(make(f)))
+               for f in (QQ, Field(5), Field(1000003)) for make in (make_sl2, heisenberg)]
+        rng = random.Random(30)
+        return out + [build_tensor(random_ideal_pair(f, rng)[1]) for f in (QQ, Field(1000003)) for _ in range(3)]
+
+    def test_same_items_on_squares_pairs_and_bumps(self):
+        tensors = self.tensors()
+        # every single-entry bump of the bracket and twist of each presented
+        # algebra up to dimension 3
+        cases = tensors + [replace(t, algebra=bumped) for t in tensors if t.algebra.dim <= 3
+                           for _, bumped in _single_entry_perturbations(t.algebra)]
+        outcomes = []
+        for t in cases:
+            outcomes.append(_battery_outcome(tensor_identity_battery, t))
+            assert outcomes[-1] == _battery_outcome(dense_battery, t)
+        assert all(all(ok for _, ok in out) for out in outcomes[:len(tensors)])
+        kinds = Counter("raised" if isinstance(out, tuple) else all(ok for _, ok in out)
+                        for out in outcomes[len(tensors):])
+        assert kinds["raised"] and kinds[True] and kinds[False], kinds
+
+    def test_same_items_on_bumped_outer_actions(self, nonlie2, sl2_twisted, monkeypatch):
+        # every single-entry bump of an outer-action table, handed to both
+        # batteries, on a square whose factor maps have a kernel and nonzero
+        # values and on one whose twist moves its bracket
+        outer, outcomes = tensorprod.outer_action, []
+        for L in (nonlie2, sl2_twisted):
+            t = build_tensor(MutualActions.adjoint(L))
+            for side in "mn":
+                act = outer(t, side)
+                for which in ("sparse_left", "sparse_right"):
+                    for _, table in _sparse_bumps(t.algebra.field, getattr(act, which), t.algebra.dim):
+                        bumped = replace(act, **{which: table})
+                        monkeypatch.setattr(tensorprod, "outer_action",
+                                            lambda tp, s, b=bumped, side=side: b if s == side else outer(tp, s))
+                        outcomes.append(_battery_outcome(tensor_identity_battery, t))
+                        assert outcomes[-1] == _battery_outcome(dense_battery, t)
+        failed = Counter(name for out in outcomes if isinstance(out, list) for name, ok in out if not ok)
+        assert failed["first factor values act trivially on the kernel"], failed
 
 
 class TestExactness:
