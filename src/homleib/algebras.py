@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import (
     BracketNotWellDefined,
@@ -149,16 +150,16 @@ class HomLeibnizAlgebra:
         return unit_vec(self.field, self.dim, i)
 
     def is_abelian(self) -> bool:
-        return not any(v for row in self.sparse_c for v in row)
+        return not any(map(any, self.sparse_c))
 
     def is_skew(self) -> bool:
-        """Bracket skew-symmetry: [x, x] = 0, hence a Hom-Lie algebra."""
-        f, c = self.field, self.sparse_c
-        for i in range(self.dim):
-            if c[i][i]:
-                return False
-            for j in range(i + 1, self.dim):
-                if (c[i][j] or c[j][i]) and {k: f.neg(x) for k, x in c[i][j]} != dict(c[j][i]):
+        """Bracket skew-symmetry: [x, x] = 0, hence a Hom-Lie algebra.  Only
+        the nonempty values are visited: c[i][j] = -c[j][i] holds at a pair
+        where both are empty, and is symmetric in i and j."""
+        f, c, basis = self.field, self.sparse_c, range(self.dim)
+        for i in compress(basis, map(any, c)):
+            for j in compress(basis, c[i]):
+                if i == j or {k: f.neg(x) for k, x in c[i][j]} != dict(c[j][i]):
                     return False
         return True
 

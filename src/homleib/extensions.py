@@ -238,7 +238,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
         rep.check(f"row: {item.name}", item.ok, item.detail)
 
     psi_ll = commutator_map(data.t_ll)
-    psi_qq = commutator_map(data.t_qq)
+    psi_qq = psi_ll if data.t_qq is data.t_ll else commutator_map(data.t_qq)
     # the column over L*M evaluates into the ideal (second factor)
     into_ideal = factor_maps(data.t_lm, second_only=True)
     k1 = into_ideal.map.kernel()

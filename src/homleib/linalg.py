@@ -693,6 +693,17 @@ class Subspace:
         self._same_space(other, "subspace sum")
         return Subspace.span_sparse(self.field, self.ambient_dim, self.sparse_rows + other.sparse_rows)
 
+    def permuted(self, perm, keep: bool = False) -> "Subspace":
+        """The image under the coordinate permutation e_c -> e_perm[c], or
+        with ``keep`` its sum with this subspace: the permuted basis rows
+        reduced into a canonical RREF, with ``keep`` against this subspace's
+        own rows, which are reduced already."""
+        acc = RrefAccumulator(self.field, self.ambient_dim)
+        if keep:  # already reduced: each row is zero at the other pivots
+            acc.rows = {r[0][0]: dict(r) for r in self.sparse_rows}
+        acc.add_rows(sorted((perm[c], x) for c, x in r) for r in self.sparse_rows)
+        return acc.subspace()
+
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_space(other, "intersection")
         f = self.field

@@ -12,7 +12,10 @@ support rule skips exactly the instances in which each term has an empty
 leg, which are zero; the span is unchanged.  On a tensor square the block
 swap u*v <-> u*v' carries the other six families into the span S of r1, r3,
 r5 and r7 and its swap, so only those four are instantiated and the
-relations are S + swap(S) (the proof is at ``relation_vectors``).
+relations are S + swap(S) (the proof is at ``relation_vectors``).  The
+same swap carries the relations of (M, N) onto those of (N, M), so
+``ideal_sequence_certificate`` generates the span of each distinct
+relation data once and presents every product of its row on it.
 
 The bracket of two generators factors through the two evaluation maps
 
@@ -42,7 +45,7 @@ from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, center, certif
 from .linalg import (
     Matrix,
     QuotientSpace,
-    RrefAccumulator,
+    Subspace,
     check_laws,
     induced_map,
     dense_vec,
@@ -173,7 +176,25 @@ def relation_vectors(ma: MutualActions):
       * r8, r9 and r10 are r7 at (m, n, n', m'), (n, m, m', n'), (n, m, n', m');
       * r7 = u*v - u*v' with u = A[m][n], v = A[m'][n'], so swap(r7) = -r7.
     So the relations are S + swap(S), S the span of r1, r3, r5 and r7: only
-    those are yielded, and ``build_tensor`` adds the swap of S's basis rows.
+    those are yielded, and ``relation_span`` adds the span of swap(S).
+
+    Exchanging the factors.  The same swap carries the ambient space of
+    (M, N) onto that of (N, M): m*n, the generator i*dn + j of the first
+    block here, is the generator dm*dn + i*dn + j of the second block there,
+    and n*m goes the other way.  The pair (N, M) reads the same data with
+    the roles exchanged: its first side is N, its two actions on its second
+    side are n>m and n<m here, and those on its first are m>n and m<n.
+    Reading its families off the list above, at the same basis vectors:
+      * its r1 at (n, m, m') is swap(r2) at (n, m, m'), its r2 at (m, n, n')
+        is swap(r1), and likewise r3 <-> r4 (its r3 at (m, n, n') is
+        swap(r4) there, its r4 at (n, m, m') swap(r3)) and r5 <-> r6 (at
+        (n, n', m) and (m, m', n));
+      * its r7, r8, r9 and r10 at (n, m, n', m') are -swap(r10), -swap(r9),
+        -swap(r8) and -swap(r7) at (m, n, m', n'): e.g. its r7 is
+        (n<m) * (n'>m') in the block n*m less (n>m) * (n'<m') in m*n.
+    Every family maps and none is left over, so the relations of (N, M) are
+    swap applied to those of (M, N) (``ideal_sequence_certificate`` builds
+    L*M's so); a square is the case (N, M) = (M, N).
     """
     M, N = ma.m_side, ma.n_side
     f, dm, dn = M.field, M.dim, N.dim
@@ -196,23 +217,54 @@ def relation_vectors(ma: MutualActions):
         (mnn, [r1, r4]), (nmm, [r2, r3]), (mmn, [r5]), (nnm, [r6]), (mnmn, [r7, r8, r9, r10])])
 
 
-def build_tensor(ma: MutualActions) -> TensorProduct:
-    """Construct the tensor product algebra of compatibly acting algebras."""
+def _require_compatible(ma: MutualActions) -> None:
     ma.check_compatible().require(lambda v: IncompatibleActions(
         f"compatibility {v.law} fails at {v.witness}", witness=v.witness))
+
+
+def _block_swap(ma: MutualActions) -> tuple:
+    """The ambient coordinate permutation u*v <-> u*v' exchanging the two
+    blocks: of a square onto itself, and of (M, N) onto (N, M)."""
+    half = ma.m_side.dim * ma.n_side.dim
+    return tuple(range(half, 2 * half)) + tuple(range(half))
+
+
+def _relation_data(ma: MutualActions) -> tuple:
+    """All that ``relation_vectors`` reads of a pair, one tuple per side:
+    dimension, twist, bracket, and the two actions of that side on the
+    other.  Reversed, it is the data of the exchanged pair (N, M)."""
+    return tuple((A.dim, A.twist.sparse_cols, A.sparse_c, act.sparse_left, act.sparse_right)
+                 for A, act in ((ma.m_side, ma.mn), (ma.n_side, ma.nm)))
+
+
+def relation_span(ma: MutualActions) -> Subspace:
+    """The relation subspace of the ambient space: the span of the rows of
+    ``relation_vectors``, and on a square its sum with its block swap.
+    Incompatible actions are refused before any row is generated."""
+    _require_compatible(ma)
     M, N = ma.m_side, ma.n_side
-    half = M.dim * N.dim
-    acc = RrefAccumulator(M.field, 2 * half)
-    acc.add_rows(relation_vectors(ma))
-    if _is_square(ma):  # the relations are S + swap(S): see relation_vectors
-        acc.add_rows([tuple(sorted((c - half if c >= half else c + half, x) for c, x in acc.rows[p].items()))
-                      for p in sorted(acc.rows)])
-    pres = QuotientSpace(acc.subspace())
+    span = Subspace.span_sparse(M.field, 2 * M.dim * N.dim, relation_vectors(ma))
+    return span.permuted(_block_swap(ma), keep=True) if _is_square(ma) else span
+
+
+def present_tensor(ma: MutualActions, relations: Subspace) -> TensorProduct:
+    """The tensor product of compatibly acting algebras presented on
+    ``relations``, which must be ``relation_span(ma)``: the one generated,
+    or one equal to it by construction (``ideal_sequence_certificate``).
+    Compatibility and the descent of bracket and twist are checked here."""
+    _require_compatible(ma)
+    M, N = ma.m_side, ma.n_side
+    pres = QuotientSpace(relations)
     eval_m, eval_n = _eval_maps(ma)
     all_labels = _generator_labels(M, N)
     labels = [all_labels[c] for c in pres.coset_basis]
     algebra = certified_quotient(pres, eval_m, eval_n, _ambient_twist(M, N), labels)
     return TensorProduct(ma, pres, algebra, eval_m, eval_n)
+
+
+def build_tensor(ma: MutualActions) -> TensorProduct:
+    """Construct the tensor product algebra of compatibly acting algebras."""
+    return present_tensor(ma, relation_span(ma))
 
 
 def factor_maps(t: TensorProduct, second_only: bool = False):
@@ -428,7 +480,11 @@ class IdealSequenceData:
 def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> IdealSequenceData:
     """Exactness of   (M*L) + (L*M)  ->  L*L  ->  (L/M)*(L/M)  ->  0
     for a two-sided twist-stable ideal M, with the left map assembled from
-    the two inclusion-induced maps (the second one twisted)."""
+    the two inclusion-induced maps (the second one twisted).  The relations
+    of each distinct relation data are generated once: L*M's are M*L's
+    under the block swap, equal data share one span, and Q*Q is L*L itself
+    when the quotient has L's own tables.  Every product runs its own
+    compatibility check and certified quotient."""
     from .algebras import quotient_algebra, subalgebra
 
     f = L.field
@@ -437,11 +493,26 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> Idea
     id_l = AlgebraHom(L, L, Matrix.identity(f, L.dim))
 
     ma_ml = bracket_mutual(L, (M_sub, incl), (L, id_l))
-    ma_lm = bracket_mutual(L, (L, id_l), (M_sub, incl))
+    ma_lm = MutualActions(ma_ml.nm, ma_ml.mn)  # the same two actions, exchanged
     ma_ll = MutualActions.adjoint(L)
     ma_qq = MutualActions.adjoint(quot)
-    t_ml, t_lm = build_tensor(ma_ml), build_tensor(ma_lm)
-    t_ll, t_qq = build_tensor(ma_ll), build_tensor(ma_qq)
+    spans = {}  # relation data -> relation span: each distinct span is generated once
+
+    def tensor(ma):
+        data = _relation_data(ma)
+        if data in spans:
+            t = present_tensor(ma, spans[data])
+        elif data[::-1] in spans:  # the exchanged pair: see relation_vectors
+            t = present_tensor(ma, spans[data[::-1]].permuted(_block_swap(ma)))
+        else:
+            t = build_tensor(ma)
+        spans[data] = t.presentation.relations
+        return t
+
+    # L*M takes M*L's span swapped, M*L and L*L share one span on the full
+    # ideal, and Q*Q is L*L itself on the zero ideal
+    t_ml, t_lm, t_ll = tensor(ma_ml), tensor(ma_lm), tensor(ma_ll)
+    t_qq = t_ll if ma_qq == ma_ll else tensor(ma_qq)
 
     sigma1 = induced_tensor_map(incl, id_l, t_ml, t_ll)
     sigma2 = induced_tensor_map(id_l, incl, t_lm, t_ll)

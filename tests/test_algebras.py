@@ -23,6 +23,7 @@ from homleib.algebras import (
 )
 from homleib.generators import random_algebra
 from homleib.homassoc import HomAssociativeAlgebra
+from test_checker import ALGEBRAS, _abelian3, _bump_table, _single_entry_perturbations
 
 QQ = Field()
 
@@ -41,6 +42,32 @@ class TestValidate:
         rep = abelian3.validate()
         assert rep.valid
         assert rep.flags["abelian"] is True
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_flags_match_the_pair_loop(self, f):
+        # is_skew and is_abelian visit only the nonempty bracket values; the
+        # loop over every pair of basis vectors gives the same flags on the
+        # stock algebras, each single-entry bump, and each bump of c[i][j]
+        # paired with its negative at c[j][i], which stays skew
+        def pair_loop(L):
+            c, skew = L.sparse_c, True
+            for i in range(L.dim):
+                skew = skew and not c[i][i]
+                for j in range(i + 1, L.dim):
+                    if (c[i][j] or c[j][i]) and {k: f.neg(x) for k, x in c[i][j]} != dict(c[j][i]):
+                        skew = False
+            return skew, not any(v for row in c for v in row)
+
+        cases = []
+        for L in [make(f) for make in ALGEBRAS] + [_abelian3(f), HomLeibnizAlgebra.abelian(f, 4)]:
+            n, one = L.dim, f.one()
+            cases += [L] + [bumped for _, bumped in _single_entry_perturbations(L)]
+            cases += [HomLeibnizAlgebra(f, n, _bump_table(f, _bump_table(f, L.c, i, j, k, one), j, i, k, f.neg(one)),
+                                        L.twist, L.labels)
+                      for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        flags = [(L.is_skew(), L.is_abelian()) for L in cases]
+        assert flags == [pair_loop(L) for L in cases]
+        assert set(flags) == {(True, True), (True, False), (False, False)}
 
     def test_extra_entry_breaks_multiplicativity(self, field):
         # adding [e1, e2] = e1 breaks t[x, y] = [t x, t y] at the pair (e2, e2):

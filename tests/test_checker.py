@@ -880,15 +880,18 @@ class TestCancellingLaws:
         bracket pairs six-term builds, and on every single-entry bump of the
         four action tables of each adjoint pair."""
         adjoint = [MutualActions.adjoint(make(f)) for make in ALGEBRAS]
-        built = []
-        real = tensorprod.build_tensor
-        monkeypatch.setattr(tensorprod, "build_tensor", lambda ma: built.append(ma) or real(ma))
+        built = []  # every product six-term presents, those on a shared span included
+        real = tensorprod.present_tensor
+        monkeypatch.setattr(tensorprod, "present_tensor", lambda ma, span: built.append(ma) or real(ma, span))
+        ideals = 0
         for L in (sl2(f), sl2_twisted(f), algebras.direct_sum(sl2(f), sl2(f))):
             first = Subspace.span(f, L.dim, [unit_vec(f, L.dim, i) for i in range(3)])
             for space in {Subspace.zero(f, L.dim), first, Subspace.full(f, L.dim)}:
                 assert six_term_check(L, space).ok
+                ideals += 1
         bracket = [ma for ma in built if ma.mn is not ma.nm]
-        assert bracket and all(_compat_against_full_grid(ma) == ([], []) for ma in adjoint + bracket)
+        assert len(bracket) == 2 * ideals  # M*L and L*M of each ideal
+        assert all(_compat_against_full_grid(ma) == ([], []) for ma in adjoint + bracket)
         broken = 0
         for ma in adjoint:
             for cell, bumped in _bumps(f, "compat", ma):

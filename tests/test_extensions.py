@@ -270,6 +270,28 @@ class TestSixTerm:
         rep = six_term_check(both, first)
         assert rep.ok, [i.name for i in rep.failures()]
 
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_ideal_with_a_kernel_over_its_tensor(self, f, twisted):
+        # sl2 acting on two copies v, w of its standard representation: the
+        # ideal V = <v1, v2, w1, w2> is not a summand, and L*V -> V has a
+        # 3-dimensional kernel, which the first map carries onto H2(L); the
+        # twist scales sl2 and V and mixes the two copies
+        br = {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
+        for one, two in ((3, 4), (5, 6)):
+            br.update({(0, two): {one: 1}, (1, one): {two: 1}, (2, one): {one: 1}, (2, two): {two: -1}})
+        br.update({(j, i): {k: -x for k, x in v.items()} for (i, j), v in list(br.items())})
+        L = HomLeibnizAlgebra.from_brackets(f, 7, br, labels=("e", "f", "h", "v1", "v2", "w1", "w2"))
+        if twisted:
+            half = f.div(1, 2)
+            L = yau_twist(L, Matrix.from_rows(f, [
+                [4, 0, 0, 0, 0, 0, 0], [0, f.div(1, 4), 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                [0, 0, 0, 2, 0, 0, 0], [0, 0, 0, 0, half, 0, 0], [0, 0, 0, 2, 0, 2, 0], [0, 0, 0, 0, half, 0, half]]))
+        rep = six_term_check(L, Subspace.span(f, 7, [L.unit(i) for i in range(3, 7)]))
+        assert rep.ok, [i.name for i in rep.failures()]
+        assert rep.dims == {"kernel over ideal tensor": 3, "second homology of the algebra": 3,
+                            "second homology of the quotient": 0, "ideal modulo commutator": 0}
+
     def test_requires_perfect(self, nonlie2):
         with pytest.raises(NotPerfect):
             six_term_check(nonlie2, Subspace.zero(QQ, 2))

@@ -191,7 +191,8 @@ def test_relation_rows_read_only_by_the_descent_certificates():
         ["algebras:certified_quotient", "linalg:induced_map"], found
 
 
-SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "_ambient_map", "outer_action",
+SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "relation_span", "present_tensor",
+                       "permuted", "_ambient_map", "outer_action",
                        "action_on_quotient", "induced_action", "degree_one_trivial_closed_form")
 
 

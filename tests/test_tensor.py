@@ -40,7 +40,7 @@ from homleib.tensorprod import (
     right_exactness_certificate,
     tensor_identity_battery,
 )
-from test_checker import _single_entry_perturbations, _sparse_bumps, dense_table
+from test_checker import ALGEBRAS, _single_entry_perturbations, _sparse_bumps, dense_table, sl2_twisted
 from test_linalg import dense_outer
 
 QQ = Field()
@@ -382,13 +382,15 @@ def _outcome(ma):
         return type(e), str(e), e.witness
 
 
+BUMPS = ("m acting on n", "n acted by m", "n acting on m", "m acted by n", "twist", "bracket", "bracket at (h, h)")
+
+
 class TestSquarePath:
     """A pair one entry away from a square must leave the square path."""
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     @pytest.mark.parametrize("make", [_sl2_diag, heisenberg], ids=["twisted sl2", "heisenberg"])
-    @pytest.mark.parametrize("kind", ["m acting on n", "n acted by m", "n acting on m", "m acted by n",
-                                      "twist", "bracket", "bracket at (h, h)"])
+    @pytest.mark.parametrize("kind", BUMPS)
     def test_one_entry_off_a_square(self, f, make, kind, monkeypatch):
         ma = _mutant(make(f), kind)
         assert tensorprod._is_square(MutualActions.adjoint(make(f)))
@@ -407,20 +409,75 @@ class TestSquarePath:
             assert generated == []  # refused before any row is generated
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
-    def test_full_ideal_pairs_take_the_square_path(self, f, monkeypatch):
+    @pytest.mark.parametrize("ideal", ["zero", "first", "full"])
+    def test_ideal_sequence_generates_each_distinct_span_once(self, f, ideal, monkeypatch):
         # the full ideal is a subalgebra object distinct from L with L's
-        # data, so all four tensor products of its sequence are squares
+        # data, so all four tensor products of its sequence are squares, and
+        # M*L, L*M and L*L share one span; L/L is zero-dimensional.  On the
+        # zero ideal Q*Q is L*L itself and M*L is zero-dimensional.  Off the
+        # square M*L states all ten families and L*M is its span swapped.
         stated = []
         real = tensorprod.law_rows
         monkeypatch.setattr(tensorprod, "law_rows", lambda field, groups: stated.append(
             [law[0] for _, laws in groups for law in laws]) or real(field, groups))
-        L = _sl2_diag(f)
-        data = ideal_sequence_certificate(L, IdealHandle(L, Subspace.full(f, 3)))
+        L = direct_sum(_sl2_diag(f), make_sl2(f)) if ideal == "first" else _sl2_diag(f)
+        space = {"zero": Subspace.zero(f, L.dim), "full": Subspace.full(f, L.dim),
+                 "first": Subspace.span(f, L.dim, [unit_vec(f, L.dim, i) for i in range(3)])}[ideal]
+        data = ideal_sequence_certificate(L, IdealHandle(L, space))
         assert data.report.ok
         assert data.t_ml.m_side is not data.t_ml.n_side and data.t_lm.m_side is not data.t_lm.n_side
-        assert stated == [list(SQUARE_FAMILIES)] * 4
-        for t in (data.t_ml, data.t_lm, data.t_ll):
+        square, ten = list(SQUARE_FAMILIES), ["r1", "r4", "r2", "r3", "r5", "r6", "r7", "r8", "r9", "r10"]
+        assert stated == {"zero": [ten, square], "first": [ten, square, square], "full": [square] * 2}[ideal]
+        assert (data.t_qq is data.t_ll) == (ideal == "zero")
+        for t in (data.t_ml, data.t_lm, data.t_ll, data.t_qq):
             assert t.presentation.relations == _full_span(t.actions)
+
+
+def _exchange_cases(f):
+    """(name, pair): every stock adjoint pair, the M*L pairs six-term forms
+    on the zero, first and full ideals of sl2, twisted sl2 and sl2 + sl2,
+    and each single-entry bump ``TestSquarePath`` makes."""
+    cases = [(make.__name__, MutualActions.adjoint(make(f))) for make in ALGEBRAS]
+    for L in (make_sl2(f), sl2_twisted(f), direct_sum(make_sl2(f), make_sl2(f))):
+        first = Subspace.span(f, L.dim, [unit_vec(f, L.dim, i) for i in range(3)])
+        for ideal, space in (("zero", Subspace.zero(f, L.dim)), ("first", first), ("full", Subspace.full(f, L.dim))):
+            data = ideal_sequence_certificate(L, IdealHandle(L, space))
+            # L*M reads the data of M*L with the two sides exchanged
+            exchanged = MutualActions(data.t_ml.actions.nm, data.t_ml.actions.mn)
+            assert tensorprod._relation_data(data.t_lm.actions) == tensorprod._relation_data(exchanged)
+            cases.append((f"{ideal} ideal of {L.dim}-dim {L.labels}", data.t_ml.actions))
+    for make in (_sl2_diag, heisenberg):
+        cases += [(f"{make.__name__} {kind}", _mutant(make(f), kind)) for kind in BUMPS]
+    return cases
+
+
+class TestExchangeLemma:
+    """The relations of (N, M) are the block swap of those of (M, N)."""
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_swapped_span_is_the_exchanged_pairs(self, f):
+        refused = 0
+        for name, ma in _exchange_cases(f):
+            n = 2 * ma.m_side.dim * ma.n_side.dim
+            try:
+                span = tensorprod.relation_span(ma)
+            except IncompatibleActions:  # the lemma is about the data alone
+                assert not tensorprod._is_square(ma)
+                span, refused = Subspace.span_sparse(f, n, relation_vectors(ma)), refused + 1
+            swapped = span.permuted(tensorprod._block_swap(ma))
+            assert swapped == _full_span(MutualActions(ma.nm, ma.mn)), name
+            assert span.permuted(tensorprod._block_swap(ma), keep=True) == span.add(swapped), name
+        assert refused  # bumps that break compatibility are covered too
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_relation_data_tells_each_bump_apart(self, f):
+        # ideal_sequence_certificate shares a span between equal relation
+        # data, so the data must hold every table relation_vectors reads
+        for make in (_sl2_diag, heisenberg):
+            square = tensorprod._relation_data(MutualActions.adjoint(make(f)))
+            assert square == square[::-1]
+            for kind in BUMPS:
+                assert tensorprod._relation_data(_mutant(make(f), kind)) != square, kind
 
 
 def _square_parts(L):
