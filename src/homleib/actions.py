@@ -279,12 +279,6 @@ def semidirect(action: HomAction) -> SemidirectProduct:
     return SemidirectProduct(prod, include, project, section)
 
 
-def reconstructed_action(sd: SemidirectProduct) -> HomAction:
-    """Action read back from a split extension: x acts on m through the
-    bracket of the section and inclusion images inside the total algebra."""
-    return bracket_action(sd.algebra, (sd.project.target, sd.section), (sd.include.source, sd.include))
-
-
 def bracket_mutual(parent: HomLeibnizAlgebra, first, second) -> MutualActions:
     """Two (algebra, inclusion) handles of one parent acting on each other by
     brackets: ``first`` on ``second``, then ``second`` on ``first``."""

@@ -261,9 +261,6 @@ class IdealHandle:
     # ideal and then passes the handle on does not check it again
     _witness = cached_property(lambda self: self.ideal_witness())
 
-    def is_ideal(self) -> bool:
-        return self._witness is None
-
     def require_ideal(self):
         w = self._witness
         if w is None:

@@ -115,6 +115,28 @@ def _parse_value(field: Field, basis, node, where: str) -> tuple:
     return tuple(sorted((k, x) for k, x in v.items() if x))
 
 
+def _entries(field: Field, node, where: str, key: str, first, second):
+    """Yield (i, j, value) for each entry of the list ``node[key]`` (empty
+    when absent): ``first`` and ``second`` are (entry key, basis) for the
+    entry's two labels, i and j their positions, and the value is parsed
+    over the second basis.  Each pair of labels is listed at most once."""
+    entries = node.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}.{key}: must be a list")
+    (a, a_basis), (b, b_basis) = first, second
+    seen = {}
+    for pos, entry in enumerate(entries):
+        loc = f"{where}.{key}[{pos}]"
+        if not isinstance(entry, dict) or not {a, b, "value"} <= set(entry):
+            raise ParseError(f"{loc}: needs {a}, {b} and value")
+        i = _label_index(a_basis, entry[a], f"{loc}.{a}")
+        j = _label_index(b_basis, entry[b], f"{loc}.{b}")
+        earlier = seen.setdefault((i, j), pos)
+        if earlier != pos:
+            raise SemanticError(f"{loc}: duplicates the ({a}, {b}) pair of {where}.{key}[{earlier}]")
+        yield i, j, _parse_value(field, b_basis, entry["value"], f"{loc}.value")
+
+
 def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
     if not isinstance(node, dict):
         raise ParseError(f"{where}: expected an object")
@@ -136,24 +158,11 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
         raise SemanticError(f"{where}.basis: labels must be unique")
 
     table_key = "product" if kind == "hom-associative" else "bracket"
-    entries = node.get(table_key, [])
     if table_key not in node and ("bracket" in node or "product" in node):
         raise SemanticError(f"{where}: a {kind} document uses {table_key!r}")
-    if not isinstance(entries, list):
-        raise ParseError(f"{where}.{table_key}: must be a list")
     table = [[()] * dim for _ in range(dim)]
-    seen = {}
-    for pos, entry in enumerate(entries):
-        loc = f"{where}.{table_key}[{pos}]"
-        if not isinstance(entry, dict) or not {"left", "right", "value"} <= set(entry):
-            raise ParseError(f"{loc}: needs left, right and value")
-        i = _label_index(basis, entry["left"], f"{loc}.left")
-        j = _label_index(basis, entry["right"], f"{loc}.right")
-        first = seen.setdefault((i, j), pos)
-        if first != pos:
-            raise SemanticError(f"{loc}: duplicates the (left, right) pair of "
-                                f"{where}.{table_key}[{first}]")
-        table[i][j] = _parse_value(field, basis, entry["value"], f"{loc}.value")
+    for i, j, value in _entries(field, node, where, table_key, ("left", basis), ("right", basis)):
+        table[i][j] = value
 
     if "alpha" in node:
         rows = node["alpha"]
@@ -199,26 +208,11 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     field = actor.field
     left = [[()] * target.dim for _ in range(actor.dim)]
     right = [[()] * actor.dim for _ in range(target.dim)]
-    for side, table in (("left", left), ("right", right)):
-        entries = node.get(side, [])
-        if not isinstance(entries, list):
-            raise ParseError(f"{where}.{side}: must be a list")
-        seen = {}
-        for pos, entry in enumerate(entries):
-            loc = f"{where}.{side}[{pos}]"
-            if not isinstance(entry, dict) or not {"actor", "target", "value"} <= set(entry):
-                raise ParseError(f"{loc}: needs actor, target and value")
-            x = _label_index(actor.basis, entry["actor"], f"{loc}.actor")
-            m = _label_index(target.basis, entry["target"], f"{loc}.target")
-            first = seen.setdefault((x, m), pos)
-            if first != pos:
-                raise SemanticError(f"{loc}: duplicates the (actor, target) pair of "
-                                    f"{where}.{side}[{first}]")
-            val = _parse_value(field, target.basis, entry["value"], f"{loc}.value")
-            if side == "left":
-                table[x][m] = val
-            else:
-                table[m][x] = val
+    labels = ("actor", actor.basis), ("target", target.basis)
+    for x, m, value in _entries(field, node, where, "left", *labels):
+        left[x][m] = value
+    for x, m, value in _entries(field, node, where, "right", *labels):
+        right[m][x] = value
     return ActionDocument(actor, target,
                           tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
@@ -249,21 +243,19 @@ def parse_document(path: Path):
     return parse_algebra_document(node, where=str(path))
 
 
-def serialize_algebra(alg, kind: str | None = None) -> dict:
+def serialize_algebra(alg) -> dict:
     """Document form of an in-memory algebra; parsing it back reproduces the
     same tensors over the same field."""
     is_assoc = isinstance(alg, HomAssociativeAlgebra)
-    if kind is None:
-        kind = "hom-associative" if is_assoc else "hom-leibniz"
     field = alg.field
     labels = alg.labels
     entries = [{"left": labels[i], "right": labels[j], "value": {labels[k]: field.to_str(x) for k, x in v}}
                for i, row in enumerate(alg.sparse_p if is_assoc else alg.sparse_c) for j, v in enumerate(row) if v]
     return {
         "field": field.describe(),
-        "kind": kind,
+        "kind": "hom-associative" if is_assoc else "hom-leibniz",
         "dim": alg.dim,
         "basis": list(alg.labels),
-        ("product" if kind == "hom-associative" else "bracket"): entries,
+        ("product" if is_assoc else "bracket"): entries,
         "alpha": [[field.to_str(x) for x in row] for row in alg.twist.entries],
     }

@@ -73,14 +73,12 @@ class Extension:
     kernel: Subspace
 
     @staticmethod
-    def from_projection(proj: AlgebraHom, kernel: Subspace | None = None) -> "Extension":
+    def from_projection(proj: AlgebraHom) -> "Extension":
         if not proj.map.is_surjective():
             raise NotSurjective("projection is not onto the base")
         proj.validate().require(
             lambda v: InternalInconsistency(f"projection fails {v.law} at {v.witness}"))
         ker = proj.map.kernel()
-        if kernel is not None and kernel != ker:
-            raise KernelMismatch("declared kernel differs from the kernel of the projection")
         IdealHandle(proj.source, ker).require_ideal()
         return Extension(proj.source, proj.target, proj, ker)
 

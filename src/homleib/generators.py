@@ -16,7 +16,6 @@ from .algebras import HomLeibnizAlgebra, IdealHandle, direct_sum, yau_twist
 from .fields import Field
 from .homology import adjoint_corep, trivial_corep
 from .linalg import Matrix, Subspace
-from .actions import MutualActions
 
 
 def _scalars(field: Field, rng: random.Random, lo=-3, hi=3):
@@ -47,9 +46,9 @@ def random_invertible(field: Field, dim: int, rng: random.Random) -> Matrix:
     return upper.compose(lower)
 
 
-def square_bracket_algebra(field: Field, scale=1) -> HomLeibnizAlgebra:
+def square_bracket_algebra(field: Field) -> HomLeibnizAlgebra:
     """Two dimensions, the square of the second basis vector spans the first."""
-    return HomLeibnizAlgebra.from_brackets(field, 2, {(1, 1): {0: scale}})
+    return HomLeibnizAlgebra.from_brackets(field, 2, {(1, 1): {0: 1}})
 
 
 def heisenberg(field: Field) -> HomLeibnizAlgebra:
@@ -134,13 +133,6 @@ def random_corep(field: Field, rng: random.Random, max_dim: int = 4) -> tuple:
     M.validate().require(
         lambda v: InternalInconsistency("generator produced an invalid co-representation"))
     return L, M
-
-
-def random_trivial_pair(field: Field, rng: random.Random, max_dim: int = 3) -> MutualActions:
-    """Two algebras with surjective twists acting trivially on each other."""
-    m = random_algebra(field, rng, max_dim=max_dim, need_surjective_twist=True)
-    n = random_algebra(field, rng, max_dim=max_dim, need_surjective_twist=True)
-    return MutualActions.trivial(m, n)
 
 
 def random_ideal_pair(field: Field, rng: random.Random):

@@ -36,8 +36,6 @@ from .algebras import (
     commutator,
     default_labels,
     derived_subspace,
-    ideal_closure,
-    quotient_algebra,
     subalgebra,
 )
 from .fields import Field
@@ -156,22 +154,17 @@ def to_leibniz(A: HomAssociativeAlgebra) -> HomLeibnizAlgebra:
     return HomLeibnizAlgebra.from_sparse(f, A.dim, table, A.twist, A.labels)
 
 
-def boundary_rows(A: HomAssociativeAlgebra, table, square: bool = False):
+def boundary_rows(A: HomAssociativeAlgebra, table):
     """Yield the boundary family
         p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b)
-    over basis triples (a, b, c) as ``linalg.law_rows`` rows, for the sparse
-    bilinear table p: in the block A (x) A, or with ``square`` in both blocks
-    of a tensor square, the second at offset n * n, in turn at each triple.
-    The image of the degree-three Hochschild boundary is the span of the
-    rows with p the product."""
+    over basis triples (a, b, c) as ``linalg.law_rows`` rows in A (x) A, for
+    the sparse bilinear table p.  The image of the degree-three Hochschild
+    boundary is the span of the rows with p the product."""
     f, n, tw = A.field, A.dim, A.twist.sparse_cols
-
-    def law(tens):
-        return ("boundary", (), [(tens, (table, 0, 1), (tw, 2)), (tens, (table, 2, 0), (tw, 1))],
-                [(tens, (tw, 0), (table, 1, 2))])
-
-    mn = law(tensor_table(f, n, n))
-    return law_rows(f, [((n, n, n), [mn, law(tensor_table(f, n, n, n * n))] if square else [mn])])
+    tens = tensor_table(f, n, n)
+    law = ("boundary", (), [(tens, (table, 0, 1), (tw, 2)), (tens, (table, 2, 0), (tw, 1))],
+           [(tens, (tw, 0), (table, 1, 2))])
+    return law_rows(f, [((n, n, n), [law])])
 
 
 @dataclass(frozen=True)
@@ -218,47 +211,6 @@ def cyclic_identity_holds(h: HochschildModule) -> bool:
     image, for all basis triples."""
     A, rel = h.parent, h.presentation.relations
     return all(rel.contains_sparse(r) for r in boundary_rows(A, h.commutator_algebra.sparse_c))
-
-
-def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
-    """The boundary quotient arises from the tensor square of the commutator
-    algebra by dividing out the two-sided twist-stable ideal generated by
-    the boundary-shaped elements  ab * t(c) - t(a) * bc + ca * t(b)
-    instantiated through both generator blocks; this builds both sides and
-    returns the verified isomorphism.
-
-    The description holds on noncommutative instances.  A commutative
-    algebra has an abelian commutator algebra with trivial adjoint actions,
-    its tensor square splits into two unidentified copies, and the quotient
-    stays strictly bigger than the boundary quotient; that mismatch raises
-    here and is expected.
-    """
-    f = A.field
-    n = A.dim
-    h = hochschild_module(A)
-    t = build_tensor(MutualActions.adjoint(h.commutator_algebra))
-    T = t.algebra
-
-    # ideal generated by the boundary family in both generator blocks,
-    # inside the tensor square
-    ideal = ideal_closure(T, (t.presentation.project_sparse(r) for r in boundary_rows(A, A.sparse_p, square=True)))
-
-    quot, _ = quotient_algebra(T, IdealHandle(T, ideal))
-    if quot.dim != h.algebra.dim:
-        raise InternalInconsistency(
-            "tensor-square quotient has a different dimension than the boundary quotient")
-
-    # generator comparison: both tensor blocks evaluate to plain tensor
-    # classes, and both are row-major in (first leg, second leg) like A (x) A
-    on_square = induced_map(Matrix.identity(f, n * n).sparse_cols * 2, t.presentation, h.presentation)
-    iso = AlgebraHom(quot, h.algebra, induced_map(
-        on_square, QuotientSpace(ideal), quotient(f, h.algebra.dim, ()),
-        lambda r, w: InternalInconsistency("comparison does not kill the boundary ideal")))
-    iso.validate().require(
-        lambda v: InternalInconsistency("comparison map is not a homomorphism", witness=v.witness))
-    if not (iso.map.is_injective() and iso.map.is_surjective()):
-        raise InternalInconsistency("comparison map is not bijective")
-    return iso
 
 
 def alpha_identity_witness(A: HomAssociativeAlgebra):

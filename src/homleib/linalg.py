@@ -56,7 +56,8 @@ presentations:
   tells whether a value is in the sparse form and ``canonical_scalars``
   whether dense vectors hold only canonical scalars;
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
-  lookup; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
+  lookup, and ``RrefAccumulator.add`` reduces each new vector by the same
+  code; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
   sparse ``contains_sparse`` and ``project_sparse`` read it.
   ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
   it, and ``preimage`` is its dense form; they and ``coordinates`` return
@@ -443,8 +444,9 @@ class Matrix:
 
     @cached_property
     def _factor(self) -> dict:
-        """The RREF of [M | I], built once, as pivot column -> sparse row,
-        from the rows of M gathered from its columns.
+        """The RREF of [M | I], built once, as the accumulator's rows (pivot
+        column -> the row's other entries), from the rows of M gathered from
+        its columns.
 
         A row whose pivot lies in M is a row of the RREF of M, and its I block
         holds the row operations that produced it; a row whose pivot lies in
@@ -491,7 +493,7 @@ class Matrix:
         f, n, v = self.field, self.cols, dict(pairs)
         x = []
         for p, row in self._factor.items():
-            s = f.zero()
+            s = v.get(p - n, f.zero()) if p >= n else f.zero()  # an equation's own term
             for c, e in row.items():
                 if c >= n and c - n in v:
                     s = f.add(s, f.mul(e, v[c - n]))
@@ -516,52 +518,62 @@ class Matrix:
         return Matrix.from_columns(self.field, self.cols, cols)
 
 
+def _reduce(field: Field, rows: dict, w: dict) -> dict:
+    """w less its part in the span of reduced ``rows`` (pivot -> the row's
+    other entries as {column: value}, the pivot's 1 implicit), in place.  A
+    reduced row is zero at every other pivot, so w's coordinates in the span
+    are w at the pivots and only the pivots in w's support are touched."""
+    zero, sub, mul = field.zero(), field.sub, field.mul
+    for p in [c for c in w if c in rows]:
+        c = w.pop(p)
+        for j, x in rows[p].items():
+            y = sub(w.get(j, zero), mul(c, x))
+            if y:
+                w[j] = y
+            else:
+                del w[j]
+    return w
+
+
 class RrefAccumulator:
     """Incremental reduced row echelon span builder.
 
     Rows are kept fully reduced against each other at all times, stored
-    sparsely as {column: value}.  ``add`` takes a vector as the (column,
-    value) pairs of its nonzero coordinates, reduces it and reports whether
-    it enlarged the span.  The rows are always the reduced row echelon form
-    of the vectors added.
+    as pivot -> {column: value} of the row's other entries, the pivot's 1
+    implicit, as ``Subspace`` stores them.  ``add`` takes a vector as the
+    (column, value) pairs of its nonzero coordinates, reduces it and reports
+    whether it enlarged the span.  The rows are always the reduced row
+    echelon form of the vectors added.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows: dict[int, dict[int, object]] = {}  # pivot col -> sparse row
+        self.rows: dict[int, dict[int, object]] = {}  # pivot col -> the row's other entries
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, sv: dict) -> dict:
-        """sv less its part in the span, in place: reduced rows are zero at
-        each other's pivots, so only sv's own pivots are read (``residue``)."""
-        f, rows = self.field, self.rows
-        zero, sub, mul = f.zero(), f.sub, f.mul
-        for c in [c for c in sv if c in rows]:
-            coef = sv[c]
-            for cc, val in rows[c].items():
-                nv = sub(sv.get(cc, zero), mul(coef, val))
-                if not nv:
-                    sv.pop(cc, None)
-                else:
-                    sv[cc] = nv
-        return sv
+    @classmethod
+    def _holding(cls, space: Subspace) -> "RrefAccumulator":
+        """An accumulator holding the reduced rows of ``space``, copied."""
+        acc = cls(space.field, space.ambient_dim)
+        acc.rows = {p: dict(row) for p, row in space._rows.items()}
+        return acc
 
     def add(self, v) -> bool:
         f = self.field
         zero = f.zero()
-        sv = self._reduce(dict(v))
+        sv = _reduce(f, self.rows, dict(v))
         if not sv:
             return False
         pivot = min(sv)
-        inv = f.inv(sv[pivot])
+        inv = f.inv(sv.pop(pivot))
         sv = {c: f.mul(inv, x) for c, x in sv.items()}
         # back-substitute the new pivot into existing rows
         for row in self.rows.values():
-            coef = row.get(pivot)
+            coef = row.pop(pivot, None)
             if coef is None:
                 continue
             for cc, val in sv.items():
@@ -583,8 +595,9 @@ class RrefAccumulator:
     def subspace(self) -> Subspace:
         """The span of the vectors added, its rows sorted by pivot and each
         by column."""
+        one = self.field.one()
         return Subspace(self.field, self.ambient_dim,
-                        tuple(tuple(sorted(self.rows[p].items())) for p in sorted(self.rows)))
+                        tuple(((p, one), *sorted(self.rows[p].items())) for p in sorted(self.rows)))
 
 
 @dataclass(frozen=True)
@@ -596,14 +609,14 @@ class Subspace:
     field: Field
     ambient_dim: int
     sparse_rows: tuple
-    _rows: dict = dc_field(init=False, compare=False, repr=False)  # pivot -> the row's other pairs
+    _rows: dict = dc_field(init=False, compare=False, repr=False)  # the accumulator's row form
 
     def __post_init__(self):
         # the first pivot is the least column of any row
         rows = self.sparse_rows
         if rows and (rows[0][0][0] < 0 or max(r[-1][0] for r in rows) >= self.ambient_dim):
             raise DimensionError(f"a column index outside ambient dimension {self.ambient_dim}")
-        object.__setattr__(self, "_rows", {r[0][0]: r[1:] for r in rows})
+        object.__setattr__(self, "_rows", {r[0][0]: dict(r[1:]) for r in rows})
 
     # the basis rows as a dense matrix, built once when read
     basis = cached_property(lambda self: Matrix.from_columns(self.field, self.ambient_dim,
@@ -647,18 +660,7 @@ class Subspace:
         part in this subspace, as {column: value}.  A reduced row is zero at
         every other pivot, so v's basis coordinates are v at the pivots and
         only the pivots in v's support are touched."""
-        f, rows = self.field, self._rows
-        zero, sub, mul = f.zero(), f.sub, f.mul
-        w = dict(pairs)
-        for p in [c for c in w if c in rows]:
-            c = w.pop(p)
-            for j, x in rows[p]:
-                y = sub(w.get(j, zero), mul(c, x))
-                if y:
-                    w[j] = y
-                else:
-                    del w[j]
-        return w
+        return _reduce(self.field, self._rows, dict(pairs))
 
     def contains_sparse(self, pairs) -> bool:
         return not self.residue(pairs)
@@ -691,16 +693,16 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         self._same_space(other, "subspace sum")
-        return Subspace.span_sparse(self.field, self.ambient_dim, self.sparse_rows + other.sparse_rows)
+        acc = RrefAccumulator._holding(self)
+        acc.add_rows(other.sparse_rows)
+        return acc.subspace()
 
     def permuted(self, perm, keep: bool = False) -> "Subspace":
         """The image under the coordinate permutation e_c -> e_perm[c], or
         with ``keep`` its sum with this subspace: the permuted basis rows
         reduced into a canonical RREF, with ``keep`` against this subspace's
         own rows, which are reduced already."""
-        acc = RrefAccumulator(self.field, self.ambient_dim)
-        if keep:  # already reduced: each row is zero at the other pivots
-            acc.rows = {r[0][0]: dict(r) for r in self.sparse_rows}
+        acc = RrefAccumulator._holding(self) if keep else RrefAccumulator(self.field, self.ambient_dim)
         acc.add_rows(sorted((perm[c], x) for c, x in r) for r in self.sparse_rows)
         return acc.subspace()
 

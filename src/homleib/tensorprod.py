@@ -86,15 +86,9 @@ class TensorProduct:
         return self.m_side.dim * self.n_side.dim + j * self.m_side.dim + i
 
     def embed_mn(self, u, v) -> tuple:
-        return self._embed(u, v, 0)
-
-    def embed_nm(self, v, u) -> tuple:
-        return self._embed(v, u, self.m_side.dim * self.n_side.dim)
-
-    def _embed(self, u, v, offset: int) -> tuple:
-        """The pure tensor of dense vectors u (x) v in the block at ``offset``, as a dense ambient vector."""
+        """The pure tensor of dense vectors u (x) v in the block m*n, as a dense ambient vector."""
         f = self.m_side.field
-        return dense_vec(f, self.ambient_dim, sparse_outer(f, sparse_vec(u), sparse_vec(v), len(v), offset))
+        return dense_vec(f, self.ambient_dim, sparse_outer(f, sparse_vec(u), sparse_vec(v), len(v)))
 
     def ambient_bracket(self, x, y) -> tuple:
         return self.embed_mn(self.eval_m.apply(x), self.eval_n.apply(y))
@@ -137,10 +131,11 @@ def _eval_maps(ma: MutualActions):
 
 def _is_square(ma: MutualActions) -> bool:
     """Whether the two sides carry equal data: dimension, twist, bracket,
-    and one action table for all four actions."""
-    M, N, mn, nm = ma.m_side, ma.n_side, ma.mn, ma.nm
-    return (M.dim, M.twist.sparse_cols, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) == \
-        (N.dim, N.twist.sparse_cols, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right)
+    and one action table for all four actions.  That is, the relation data
+    equals its own exchange and each side acts by equal left and right
+    tables."""
+    data = _relation_data(ma)
+    return data == data[::-1] and all(left == right for *_, left, right in data)
 
 
 def relation_vectors(ma: MutualActions):

@@ -32,7 +32,6 @@ from homleib.extensions import (
 from homleib.generators import (
     random_corep,
     random_ideal_pair,
-    random_trivial_pair,
     sl2 as make_sl2,
 )
 from homleib.homassoc import (
@@ -47,6 +46,7 @@ from homleib.tensorprod import (
     build_tensor,
     tensor_identity_battery,
 )
+from homleib_testkit import random_trivial_pair
 
 QQ = Field()
 

@@ -12,9 +12,9 @@ from homleib.algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, quotien
 from homleib.actions import (
     HomAction,
     MutualActions,
+    SemidirectProduct,
     bracket_action,
     ideal_pair_actions,
-    reconstructed_action,
     self_action,
     semidirect,
 )
@@ -22,6 +22,12 @@ from homleib.generators import random_algebra, sl2 as make_sl2
 from homleib.homology import CoRepresentation, adjoint_corep, trivial_corep
 
 QQ = Field()
+
+
+def reconstructed_action(sd: SemidirectProduct) -> HomAction:
+    """Action read back from a split extension: x acts on m through the
+    bracket of the section and inclusion images inside the total algebra."""
+    return bracket_action(sd.algebra, (sd.project.target, sd.section), (sd.include.source, sd.include))
 
 
 def perturb_left(action, x, m, vec):

@@ -37,7 +37,6 @@ from homleib.generators import heisenberg, sl2
 from homleib.homassoc import (
     HomAssociativeAlgebra,
     action_on_quotient,
-    boundary_ideal_agreement,
     hochschild_module,
     to_leibniz,
 )
@@ -47,6 +46,7 @@ from homleib.tensorprod import build_tensor, factor_maps, outer_action
 from test_checker import dense_table
 from test_homassoc import boundary_shapes
 from test_linalg import dense_reduce
+from homleib_testkit import boundary_ideal_agreement, embed_nm
 
 QQ = Field()
 GFP = Field(1000003)
@@ -155,9 +155,9 @@ class TestMutations:
         A = upper_triangular(f)
         real = homassoc.boundary_rows
 
-        def with_extra_row(alg, table, square=False):
+        def with_extra_row(alg, table):
             # e11 (x) e12 folds to [e11, e12] = e12, which is not zero
-            yield from real(alg, table, square)
+            yield from real(alg, table)
             yield ((1, f.one()),)
 
         monkeypatch.setattr(homassoc, "boundary_rows", with_extra_row)
@@ -224,7 +224,7 @@ class TestSameMatricesAsTheSectionCompositions:
         h = hochschild_module(A)
         t = build_tensor(MutualActions.adjoint(to_leibniz(A)))
         T = t.algebra
-        shapes = zip(boundary_shapes(A, A.p, t.embed_mn), boundary_shapes(A, A.p, t.embed_nm))
+        shapes = zip(boundary_shapes(A, A.p, t.embed_mn), boundary_shapes(A, A.p, lambda v, u: embed_nm(t, v, u)))
         ideal = ideal_closure(T, (t.presentation.project_sparse(sparse_vec(v)) for pair in shapes for v in pair))
         _, proj = quotient_algebra(T, IdealHandle(T, ideal))
         units = [unit_vec(f, n * n, g) for g in range(n * n)]

@@ -16,6 +16,7 @@ from homleib.errors import ParseError, SemanticError
 from homleib.fields import Field
 from homleib.cli import main
 from homleib.documents import (
+    parse_action_document,
     parse_algebra_document,
     parse_document,
     serialize_algebra,
@@ -123,8 +124,8 @@ class TestParsing:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak
         assert main(["validate", write(tmp_path, "wide.alg", node)]) == 0
-        text = json.dumps(serialize_algebra(alg, "leibniz"))
-        assert json.dumps(serialize_algebra(parse_algebra_document(json.loads(text)).build(), "leibniz")) == text
+        text = json.dumps(serialize_algebra(alg))
+        assert json.dumps(serialize_algebra(parse_algebra_document(json.loads(text)).build())) == text
 
     def test_zero_denominator_rejected(self):
         doc = dict(E1_DOC, bracket=[{"left": "e2", "right": "e2", "value": {"e1": "1/0"}}])
@@ -194,6 +195,39 @@ class TestParsing:
         captured = capsys.readouterr()
         assert f"{side}: must be a list" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("key", ["bracket", "product", "left", "right"])
+    @pytest.mark.parametrize("fault", ["not-a-list", "not-an-object", "key-missing", "unknown-first",
+                                       "unknown-second", "unknown-value", "duplicate"])
+    def test_entry_list_messages(self, key, fault):
+        # every fault of an entry list, with its exact class and message, in
+        # the two algebra tables and the two action sides
+        first, second, where = ("left", "right", "algebra") if key in ("bracket", "product") else \
+            ("actor", "target", "action")
+        good = {first: "e2", second: "e2", "value": {"e1": "1"}}
+        entries, error, message = {
+            "not-a-list": ({"e1": good}, ParseError, f"{where}.{key}: must be a list"),
+            "not-an-object": ([good, ["e2", "e2"]], ParseError, f"{where}.{key}[1]: needs {first}, {second} and value"),
+            "key-missing": ([{first: "e2", "value": {}}], ParseError,
+                            f"{where}.{key}[0]: needs {first}, {second} and value"),
+            "unknown-first": ([dict(good, **{first: "x"})], SemanticError,
+                              f"{where}.{key}[0].{first}: unknown label 'x'"),
+            "unknown-second": ([good, dict(good, **{second: "x"})], SemanticError,
+                               f"{where}.{key}[1].{second}: unknown label 'x'"),
+            "unknown-value": ([dict(good, value={"x": "1"})], SemanticError,
+                              f"{where}.{key}[0].value: unknown label 'x'"),
+            "duplicate": ([{first: "e1", second: "e2", "value": {}}, good, dict(good, value={})], SemanticError,
+                          f"{where}.{key}[2]: duplicates the ({first}, {second}) pair of {where}.{key}[1]"),
+        }[fault]
+        if key == "product":
+            parse = lambda: parse_algebra_document(dict(UT_DOC, basis=["e1", "e2", "e3"], product=entries))
+        elif key == "bracket":
+            parse = lambda: parse_algebra_document(dict(E1_DOC, bracket=entries))
+        else:
+            parse = lambda: parse_action_document({"actor": E1_DOC, "target": E1_DOC, key: entries}, Path("."))
+        with pytest.raises(error) as info:
+            parse()
+        assert type(info.value) is error and str(info.value) == message
 
     def test_duplicate_labels(self):
         with pytest.raises(SemanticError):

@@ -295,11 +295,3 @@ class TestSixTerm:
     def test_requires_perfect(self, nonlie2):
         with pytest.raises(NotPerfect):
             six_term_check(nonlie2, Subspace.zero(QQ, 2))
-
-
-def test_declared_kernel_must_match(sl2):
-    from homleib.errors import KernelMismatch
-
-    cover = central_cover(sl2)
-    with pytest.raises(KernelMismatch):
-        Extension.from_projection(cover.proj, kernel=Subspace.zero(QQ, cover.total.dim))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -189,6 +192,19 @@ def test_relation_rows_read_only_by_the_descent_certificates():
     found = _library_sites(_reads_relation_rows)
     assert [site.rsplit(":", 1)[0] for site in found] == \
         ["algebras:certified_quotient", "linalg:induced_map"], found
+
+
+def _assigns_rows(node):
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and \
+        any(isinstance(t, ast.Attribute) and t.attr == "rows" for t in targets)
+
+
+def test_accumulator_rows_assigned_only_inside_the_accumulator():
+    # a subspace hands its reduced rows to an accumulator through the
+    # accumulator's own constructor methods, never by assigning its rows
+    found = [site.rsplit(":", 1)[0] for site in _library_sites(_assigns_rows)]
+    assert found == ["linalg:RrefAccumulator.__init__", "linalg:RrefAccumulator._holding"], found
 
 
 SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "relation_span", "present_tensor",
@@ -438,3 +454,39 @@ def test_each_tensor_family_stated_once():
             if isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant)
             and node.elts[0].value in TENSOR_FAMILIES]
     assert sorted(laws) == sorted(names) == sorted(TENSOR_FAMILIES)
+
+
+def _resolves(dotted: str, modules: dict, classes: dict) -> bool:
+    # an attribute chain from a homleib module or public class; a dataclass
+    # field with no default is no class attribute, so it is looked up there
+    root, *attrs = dotted.split(".")
+    if root == "homleib" and attrs:
+        root, *attrs = attrs
+    obj = modules.get(root) or classes.get(root)
+    for attr in attrs:
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        elif dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
+            return True  # a field's value is per instance; nothing to follow
+        else:
+            return False
+    return True
+
+
+def test_readme_names_resolve():
+    # every dotted name the README puts in backticks, rooted at a homleib
+    # module or public class, names something that exists
+    import homleib
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    modules = {path.stem: importlib.import_module(f"homleib.{path.stem}")
+               for path in src.glob("*.py") if path.stem != "__init__"}
+    modules["homleib"] = homleib
+    classes = {name: obj for mod in modules.values() for name, obj in vars(mod).items()
+               if isinstance(obj, type) and not name.startswith("_") and obj.__module__.startswith("homleib")}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"```.*?```", "", text, flags=re.S)  # fenced blocks hold example code
+    names = [name for span in re.findall(r"`([^`]+)`", text)
+             for name in re.findall(r"(?<![\w./-])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", span)
+             if name.split(".")[0] in modules or name.split(".")[0] in classes]
+    assert len(names) > 10
+    assert [name for name in names if not _resolves(name, modules, classes)] == []

@@ -19,7 +19,6 @@ from homleib.homassoc import (
     HomAssociativeAlgebra,
     alpha_identity_holds,
     alpha_identity_witness,
-    boundary_ideal_agreement,
     boundary_rows,
     cyclic_identity_holds,
     first_homologies,
@@ -31,6 +30,7 @@ from homleib.homassoc import (
 )
 from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
+from homleib_testkit import boundary_ideal_agreement
 
 QQ = Field()
 GFP = Field(1000003)
@@ -390,11 +390,6 @@ class TestBoundaryRows:
             [sparse_vec(c) for c in hochschild_boundary(A).transpose().entries if any(c)]
         assert [r for r in boundary_rows(A, lb.sparse_c) if r] == \
             [sparse_vec(c) for c in boundary_shapes(A, lb.c, single) if any(c)]
-        # both blocks of a tensor square, the second at offset n * n, in turn
-        pairs = zip(boundary_shapes(A, A.p, lambda u, v: dense_outer(f, u, v, 2 * size)),
-                    boundary_shapes(A, A.p, lambda u, v: dense_outer(f, u, v, 2 * size, size)))
-        assert [r for r in boundary_rows(A, A.sparse_p, square=True) if r] == \
-            [sparse_vec(c) for pair in pairs for c in pair if any(c)]
 
     @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_presentation_is_the_span_of_the_columns(self, f, name, A, valid):

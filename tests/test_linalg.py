@@ -22,6 +22,7 @@ from homleib.linalg import (
     contract,
     dense_vec,
     induced_map,
+    linear,
     quotient,
     sparse_outer,
     sparse_table,
@@ -31,6 +32,7 @@ from homleib.linalg import (
 from homleib.tensorprod import build_tensor
 
 from test_checker import dense_add, dense_scale
+from homleib_testkit import embed_nm
 
 QQ = Field()
 F5 = Field(5)
@@ -325,10 +327,10 @@ class TestKernelLayer:
         for i in range(L.dim):
             for j in range(L.dim):
                 assert t.embed_mn(L.unit(i), L.unit(j)) == unit_vec(f, size, t.idx_mn(i, j))
-                assert t.embed_nm(L.unit(j), L.unit(i)) == unit_vec(f, size, t.idx_nm(j, i))
+                assert embed_nm(t, L.unit(j), L.unit(i)) == unit_vec(f, size, t.idx_nm(j, i))
         rng = random.Random(5)
         u, v = _random_vec(f, rng, L.dim), _random_vec(f, rng, L.dim)
-        mn, nm = t.embed_mn(u, v), t.embed_nm(v, u)
+        mn, nm = t.embed_mn(u, v), embed_nm(t, v, u)
         for i in range(L.dim):
             for j in range(L.dim):
                 assert mn[t.idx_mn(i, j)] == f.mul(u[i], v[j])
@@ -619,3 +621,71 @@ class TestSparseStorage:
         assert len({a, *same}) == 1
         if a.dim < n:
             assert a != Subspace.full(f, n)
+
+
+@st.composite
+def sparse_rows(draw, field, n, max_rows=6):
+    """Random sparse rows in an n-space: few nonzeros each, values over the
+    whole field (large residues over GF(p), fractions over Q)."""
+    value = st.integers(1, field.p - 1) if field.p else \
+        st.builds(field.div, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), value, max_size=min(n, 4)), max_size=max_rows))
+    return [tuple(sorted(r.items())) for r in rows]
+
+
+def _dense_residue(space: Subspace, v) -> dict:
+    """The residue of the sparse vector v by the dense reference ``dense_reduce``."""
+    return dict(sparse_vec(dense_reduce(space, dense_vec(space.field, space.ambient_dim, v))[1]))
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestOneReduction:
+    """The accumulator and the subspace share one row form and one
+    reduction: a sum or a permuted sum started from a subspace's reduced
+    rows, a residue and a solve read off the factor all equal the same
+    computation started afresh or on dense rows."""
+
+    @given(st.data())
+    def test_sum_from_reduced_rows(self, f, data):
+        n = data.draw(st.integers(1, 7))
+        a, b = data.draw(sparse_rows(f, n)), data.draw(sparse_rows(f, n))
+        space = Subspace.span_sparse(f, n, a)
+        total = space.add(Subspace.span_sparse(f, n, b))
+        assert total == Subspace.span_sparse(f, n, a + b)
+        assert total.basis == _dense_basis(f, n, [dense_vec(f, n, r) for r in a + b])
+        # the sum leaves the rows it started from as they were
+        assert all(space.residue(v) == _dense_residue(space, v) for v in b)
+
+    @given(st.data())
+    def test_permuted_sum_from_reduced_rows(self, f, data):
+        n = data.draw(st.integers(1, 7))
+        a = data.draw(sparse_rows(f, n))
+        perm = data.draw(st.permutations(range(n)))
+        moved = [tuple(sorted((perm[c], x) for c, x in r)) for r in a]
+        space = Subspace.span_sparse(f, n, a)
+        assert space.permuted(perm, keep=True) == Subspace.span_sparse(f, n, a + moved)
+        assert space.permuted(perm) == Subspace.span_sparse(f, n, moved)
+        assert all(space.residue(v) == _dense_residue(space, v) for v in moved)
+
+    @given(st.data())
+    def test_residue_is_the_dense_reduction(self, f, data):
+        n = data.draw(st.integers(1, 7))
+        space = Subspace.span_sparse(f, n, data.draw(sparse_rows(f, n)))
+        for v in data.draw(sparse_rows(f, n, max_rows=4)) + list(space.sparse_rows):
+            assert space.residue(v) == _dense_residue(space, v)
+
+    @given(st.data())
+    def test_preimage_where_the_image_has_equations(self, f, data):
+        # the columns are combinations of fewer vectors than there are rows,
+        # so [M | I] has rows with their pivot in the I block
+        rows = data.draw(st.integers(2, 6))
+        gens = data.draw(sparse_rows(f, rows, max_rows=rows - 1))
+        coefficients = data.draw(sparse_rows(f, max(len(gens), 1), max_rows=6))
+        m = Matrix.from_columns(f, rows, [sorted(linear(f, gens, c)) if gens else () for c in coefficients])
+        assert m.rank() < m.rows
+        targets = data.draw(sparse_rows(f, rows, max_rows=3)) + [((k, f.one()),) for k in range(rows)]
+        if m.cols:  # and a vector of the image
+            targets += [tuple(sorted(linear(f, m.sparse_cols, x))) for x in data.draw(sparse_rows(f, m.cols, 1))]
+        for b in targets:
+            dense = _dense_solution(m, dense_vec(f, rows, b))
+            assert m.preimage_sparse(b) == (None if dense is None else sparse_vec(dense))

@@ -25,7 +25,7 @@ from homleib.algebras import (
     yau_twist,
 )
 from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_action
-from homleib.generators import heisenberg, random_ideal_pair, random_trivial_pair, sl2 as make_sl2
+from homleib.generators import heisenberg, random_ideal_pair, sl2 as make_sl2
 from homleib import tensorprod
 from homleib.homassoc import hochschild_module, to_leibniz
 from homleib.report import ExactnessReport
@@ -42,6 +42,7 @@ from homleib.tensorprod import (
 )
 from test_checker import ALGEBRAS, _single_entry_perturbations, _sparse_bumps, dense_table, sl2_twisted
 from test_linalg import dense_outer
+from homleib_testkit import embed_nm, random_trivial_pair
 
 QQ = Field()
 
@@ -470,6 +471,27 @@ class TestExchangeLemma:
         assert refused  # bumps that break compatibility are covered too
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_square_verdict_is_read_off_the_relation_data(self, f):
+        # the square test compares the two sides' data written out in full:
+        # dimension, twist, bracket and one table for all four actions; every
+        # stock pair, every bracket pair of the six-term sequences and every
+        # bump gets the same verdict from the relation data
+        pairs = [ma for _, ma in _exchange_cases(f)]
+        for L in (make_sl2(f), sl2_twisted(f), direct_sum(make_sl2(f), make_sl2(f))):
+            first = Subspace.span(f, L.dim, [unit_vec(f, L.dim, i) for i in range(3)])
+            for space in (Subspace.zero(f, L.dim), first, Subspace.full(f, L.dim)):
+                data = ideal_sequence_certificate(L, IdealHandle(L, space))
+                pairs += [t.actions for t in (data.t_lm, data.t_ll, data.t_qq)]
+        verdicts = []
+        for ma in pairs:
+            M, N, mn, nm = ma.m_side, ma.n_side, ma.mn, ma.nm
+            verdicts.append(
+                (M.dim, M.twist.sparse_cols, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) ==
+                (N.dim, N.twist.sparse_cols, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right))
+        assert [tensorprod._is_square(ma) for ma in pairs] == verdicts
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     def test_relation_data_tells_each_bump_apart(self, f):
         # ideal_sequence_certificate shares a span between equal relation
         # data, so the data must hold every table relation_vectors reads
@@ -678,8 +700,8 @@ class TestOuterActions:
                     # direct evaluation of the defining formula
                     v = t.embed_mn(nonlie2.c[a][i],
                                    nonlie2.apply_twist(nonlie2.unit(j)))
-                    w = t.embed_nm(nonlie2.c[a][j],
-                                   nonlie2.apply_twist(nonlie2.unit(i)))
+                    w = embed_nm(t, nonlie2.c[a][j],
+                                 nonlie2.apply_twist(nonlie2.unit(i)))
                     direct = t.presentation.project(
                         tuple(f.sub(x, y) for x, y in zip(v, w)))
                     assert lhs == direct
