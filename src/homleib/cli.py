@@ -49,7 +49,7 @@ from .homassoc import (
     sequence_check,
     to_leibniz,
 )
-from .homology import ChainComplex, adjoint_corep, chain_dim, coinvariants_dim, trivial_corep
+from .homology import ChainComplex, adjoint_corep, coinvariants_dim, trivial_corep
 from .linalg import Matrix, Subspace
 from .report import render_witness
 from .tensorprod import build_tensor, factor_maps
@@ -197,12 +197,9 @@ def cmd_homology(args) -> dict:
     else:
         corep = adjoint_corep(alg)
     _require(corep.validate(), "coefficients")
-    # dim H_n = dim C_n - rank d_n - rank d_(n+1), each rank computed once;
-    # the d^2 check reads the columns the ranks have built
+    # the complex caches each rank; the d^2 check reads the columns they built
     cx = ChainComplex(alg, corep)
-    ranks = [cx.rank(n) for n in range(args.max_n + 2)]
-    dims = {f"hl{n}": chain_dim(alg, corep, n) - ranks[n] - ranks[n + 1]
-            for n in range(args.max_n + 1)}
+    dims = {f"hl{n}": cx.homology_dim(n) for n in range(args.max_n + 1)}
     complex_ok = all(cx.squares_to_zero(n) for n in range(2, args.max_n + 2))
     out = {
         "coefficients": args.coeffs,

@@ -172,14 +172,14 @@ def _longer_fronts(L: HomLeibnizAlgebra, fronts):
 @dataclass(frozen=True)
 class ChainComplex:
     """The chain complex of L with coefficients in M.  Each degree's
-    boundary columns are built once, from the cached degree below and the
-    fronts' T and B, the first time the degree is asked for; ranks and the
-    squared-boundary check both read the cached columns and skip the empty
-    ones."""
+    boundary columns and rank are built once, the columns from the cached
+    degree below and the fronts' T and B; ranks and the squared-boundary
+    check both read the cached columns and skip the empty ones."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
     _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _ranks: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def columns(self, n: int) -> tuple:
         """Sparse columns of the degree-n boundary, each a tuple of (row,
@@ -214,14 +214,16 @@ class ChainComplex:
 
     def rank(self, n: int) -> int:
         """Rank of the degree-n boundary by sparse elimination of its
-        columns; 0 in degree 0, where there is no boundary."""
+        columns, cached; 0 in degree 0, where there is no boundary."""
         if n == 0:
             return 0
-        acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
-        for col in self.columns(n):
-            if col:
-                acc.add(col)
-        return acc.rank
+        if n not in self._ranks:
+            acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
+            for col in self.columns(n):
+                if col:
+                    acc.add(col)
+            self._ranks[n] = acc.rank
+        return self._ranks[n]
 
     def squares_to_zero(self, n: int) -> bool:
         """Whether the degree-n boundary followed by the degree n-1 one

@@ -38,15 +38,16 @@ presentations:
 * ``linear`` applies sparse columns to a sparse vector, the one
   contraction kernel; ``contract``, a sparse table at two dense vectors for
   the dense edge methods, is ``linear`` of the flat table at their tensor;
-* a law, or a family of relations, is data: signed lists of bilinear and
-  linear terms in such tables on basis indices.  One engine scatters each
-  term from the nonzero coordinates of its two legs into the signed sums
-  of the instances they meet at, so its cost follows the nonzeros and an
-  instance no term reaches is never formed; it multiplies by no factor
-  that is the field's one, and skips a law whose two sides hold the same
-  terms.  ``check_laws``, the one identity checker, records each instance
-  whose sum is nonzero; ``law_rows``, the one relation generator, yields
-  each sum as a sparse row;
+* a law, or a family of relations, is data: signed lists of multilinear
+  terms, bilinear and linear, in such tables on basis indices, each index
+  named once per term.  One engine scatters each term from the nonzero
+  coordinates of its two legs into the signed sums of the instances they
+  meet at, so its cost follows those coordinates and an instance no term
+  reaches is never formed; it multiplies by no factor that is the field's
+  one, and skips a law whose two sides hold the same terms.
+  ``check_laws``, the one identity checker, records each instance whose
+  sum is nonzero; ``law_rows``, the one relation generator, yields each
+  sum as a sparse row;
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
   is the pure tensor of two sparse vectors in such a block, and
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from math import prod
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
@@ -154,15 +155,6 @@ def tensor_table(field: Field, rows: int, cols: int, offset: int = 0) -> tuple:
     return tuple(tuple(((offset + a * cols + b, one),) for b in range(cols)) for a in range(rows))
 
 
-def _term(term) -> tuple:
-    """A term of a law as (table, u, p, r, v, q, s): its first leg is
-    u[idx[p]], or u[idx[p]][idx[r]] where r is not None, and v, q, s its
-    second leg the same way (v None for a linear term)."""
-    table, (u, p, *r), *v = term
-    (v, q, *s), = v or [(None, None)]
-    return table, u, p, *(r or [None]), v, q, *(s or [None])
-
-
 def _cancels(plus, minus) -> bool:
     """Whether ``plus`` and ``minus`` hold equal terms, compared by value,
     the same number of times, so that every instance of the law is zero."""
@@ -178,17 +170,17 @@ def _law_sums(field: Field, k: int, groups):
     """The one law engine, (sums, at).  ``sums`` yields, for each group of
     ``check_laws`` data in turn, the signed sums, plus less minus, of its
     instances where a term can be nonzero, as {key: {column: value}} with
-    coordinates that may be zero; at(key) is the instance's (idx, law), the
-    law with its terms in the form of ``_term``.  Keys sort as
-    ``check_laws`` runs, by outer tuple (the first k indices), group, inner
-    tuple and law: a key is that position in mixed radix, so it is linear
-    in the indices, index position p weighing ``weights[p]``.
+    coordinates that may be zero; at(key) is the instance's (idx, law).
+    Keys sort as ``check_laws`` runs, by outer tuple (the first k indices),
+    group, inner tuple and law: a key is that position in mixed radix, so
+    it is linear in the indices, index position p weighing ``weights[p]``.
 
-    Each term is scattered from its legs: each leg's nonzero coordinates
-    are listed once per call, each with its offset, the weighted sum of its
-    indices; the two lists are joined on the positions both legs name, a
-    position neither names runs over its range, and each pair of
-    coordinates adds its product to the sum at the key o1 + o2.  A linear
+    Every law is multilinear: the two legs of each term name each position
+    of the index tuple once between them, else ``ValueError``, checked in
+    a law that cancels too.  So a term is scattered from its legs: each
+    leg's nonzero coordinates are listed once per call with their offsets,
+    the weighted sums of the leg's indices, and each pair of coordinates,
+    one per leg, adds its product to the sum at the key o1 + o2.  A linear
     term is a bilinear one whose second leg is the constant 1.  A factor
     that is the field's one is not multiplied, so a basis-vector leg or a
     ``tensor_table`` costs no product.  A law whose two sides cancel term
@@ -197,11 +189,7 @@ def _law_sums(field: Field, k: int, groups):
     nq = max([len(laws) for _, laws in groups] + [1])
     span = max([prod(dims[k:]) for dims, _ in groups] + [1])
     const = ((0, one),)  # the second leg of a linear term, naming no position
-    placed, columns = {}, {}
-
-    def nonzeros(vectors, n):  # (indices, vector) for each nonzero vector of a leg naming n positions
-        return [((), vectors)] if n == 0 else [((x,), v) for x, v in enumerate(vectors) if v] if n == 1 else \
-            [((x, y), v) for x, row in enumerate(vectors) for y, v in enumerate(row) if v]
+    placed = {}
 
     def place(vectors, pos, weights):  # (offset, index, value) for each nonzero coordinate of a leg
         ws = [weights[p] for p in pos]
@@ -216,55 +204,38 @@ def _law_sums(field: Field, k: int, groups):
                     [(0, a, c) for a, c in vectors]
         return placed[key]
 
-    def blocks(dims, weights, u, pu, v, pv):
-        """(left, right) pairs of ``place`` lists: the term's pairs of
-        coordinates are those of left x right in each block."""
-        named = pu + pv
-        if len(set(named)) == len(named) == len(dims):  # two legs that cover the tuple apart
-            left = place(u, pu, weights)
-            return [(left, place(v, pv, weights))] if left else []
-        free = [p for p in range(len(dims)) if p not in named]
-        spread = [sum(weights[p] * x for p, x in zip(free, t)) for t in product(*(range(dims[p]) for p in free))]
-        out = []
-        for i, x in nonzeros(u, len(pu)):
-            for j, y in nonzeros(v, len(pv)):
-                at = {}
-                if all(at.setdefault(p, n) == n for p, n in zip(named, i + j)):
-                    o = sum(weights[p] * n for p, n in at.items())
-                    out += [([(o + w, a, c) for a, c in x], [(0, b, d) for b, d in y]) for w in spread]
-        return out
-
     def scatter(g, dims, laws):
         out = {}
         weights = [prod(dims[p + 1:k]) * len(groups) * span * nq if p < k else prod(dims[p + 1:]) * nq
                    for p in range(len(dims))]
-        for q, (_, _, plus, minus, *_) in enumerate(laws):
-            if _cancels(plus, minus):
-                continue
-            base = g * span * nq + q
+        whole = [*range(len(dims))]
+        for q, (name, _, plus, minus, *_) in enumerate(laws):
+            cancels, base = _cancels(plus, minus), g * span * nq + q
             for op, terms in ((field.add, plus), (field.sub, minus)):
                 for table, (u, *pu), *second in terms:
-                    if second:
-                        (v, *pv), = second
-                    else:  # a linear term as a bilinear one, its columns one per row
-                        v, pv = const, []
-                        if id(table) not in columns:
-                            columns[id(table)] = [(col,) for col in table]
-                        table = columns[id(table)]
-                    for left, right in blocks(dims, weights, u, pu, v, pv):
-                        for o1, a, x in left:
-                            o1 += base
-                            line = table[a]
-                            for o2, b, y in right:
-                                cell = line[b]
-                                if cell:
-                                    acc = out.get(o1 + o2)
-                                    if acc is None:
-                                        acc = out[o1 + o2] = {}
-                                    c = y if x is one else x if y is one else mul(x, y)
-                                    for col, z in cell:
-                                        z = z if c is one else c if z is one else mul(c, z)
-                                        acc[col] = op(acc.get(col, zero), z)
+                    (v, *pv), = second or [(const,)]
+                    if sorted(pu + pv) != whole:
+                        raise ValueError(f"law {name!r}: a term's legs name the positions {sorted(pu + pv)}, "
+                                         f"not each of {whole} once")
+                    left = not cancels and place(u, pu, weights)
+                    if not left:
+                        continue
+                    if not second:  # a linear term as a bilinear one, its columns one per row
+                        table = [(col,) for col in table]
+                    right = place(v, pv, weights)
+                    for o1, a, x in left:
+                        o1 += base
+                        line = table[a]
+                        for o2, b, y in right:
+                            cell = line[b]
+                            if cell:
+                                acc = out.get(o1 + o2)
+                                if acc is None:
+                                    acc = out[o1 + o2] = {}
+                                c = y if x is one else x if y is one else mul(x, y)
+                                for col, z in cell:
+                                    z = z if c is one else c if z is one else mul(c, z)
+                                    acc[col] = op(acc.get(col, zero), z)
         return out
 
     def at(key):
@@ -276,8 +247,7 @@ def _law_sums(field: Field, k: int, groups):
         for d in reversed(dims):
             flat, x = divmod(flat, d)
             idx.append(x)
-        name, witness, plus, minus, *detail = laws[q]
-        return tuple(reversed(idx)), (name, witness, [*map(_term, plus)], [*map(_term, minus)], "".join(detail))
+        return tuple(reversed(idx)), laws[q]
 
     return (scatter(g, dims, laws) for g, (dims, laws) in enumerate(groups)), at
 
@@ -292,7 +262,9 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     p[, r]) naming vectors[idx[p]][idx[r]]; the witness is a tuple of
     (labels, p), naming labels[idx[p]], and ``detail`` a format string over
     the witness.  An instance is recorded exactly when its signed sum, plus
-    less minus, is nonzero.
+    less minus, is nonzero.  Every law is multilinear: a term whose legs
+    leave a position of the index tuple free or name one twice raises
+    ``ValueError``, also in a law whose sides cancel term by term.
 
     The records are in loop order: row-major over the index tuples of
     ``outer_dims``, inside that each (dims, laws) group in turn, row-major
@@ -304,9 +276,9 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     supp u x supp v."""
     sums, at = _law_sums(field, len(outer_dims), groups)
     for key in sorted(key for group in sums for key, row in group.items() if any(row.values())):
-        idx, (name, witness, _, _, detail) = at(key)
+        idx, (name, witness, _, _, *detail) = at(key)
         labels = tuple(lb[idx[p]] for lb, p in witness)
-        report.record(name, labels, detail.format(*labels))
+        report.record(name, labels, *(d.format(*labels) for d in detail))
 
 
 def law_rows(field: Field, groups):

@@ -2,13 +2,17 @@
 integer matrix P are isomorphic, so every dimension, flag and certificate
 verdict the command line reports on them must be the same.
 
-P has 1 on the diagonal and (i + 2j) mod 3 - 1 above it (0-based i < j);
-its inverse is integral too.  The conjugate's basis vectors are the columns
-of P: its structure constants are P^-1 [P e_a, P e_b] and its twist is
-P^-1 t P.  Only the basis-dependent parts of an output are left out of the
-comparison: the presented algebra's table and the center's basis.  Over Q,
-homology runs at ``--max-n 1`` only, since the conjugated chain spaces fill
-in and their elimination over Q is slow; over GF(p) it runs at ``--max-n 2``.
+The upper conjugator P has 1 on the diagonal and (i + 2j) mod 3 - 1 above
+it (0-based i < j); the lower one is its transpose.  The inverse of each is
+integral too.  The upper one keeps the standard flag (span e_0 .. e_i goes
+to itself), so a result that happens to follow the order of the basis
+vectors survives it; the lower one moves every such span but the whole
+space.  The conjugate's basis vectors are the columns of P: its structure
+constants are P^-1 [P e_a, P e_b] and its twist is P^-1 t P.  Only the
+basis-dependent parts of an output are left out of the comparison: the
+presented algebra's table and the center's basis.  Over Q, homology runs at
+``--max-n 1`` only, since the conjugated chain spaces fill in and their
+elimination over Q is slow; over GF(p) it runs at ``--max-n 2``.
 """
 
 from __future__ import annotations
@@ -33,10 +37,16 @@ def unitriangular(f, n) -> Matrix:
                                 for i in range(n)])
 
 
-def conjugate(alg):
-    """The same algebra in the basis of the columns of ``unitriangular``."""
+CONJUGATORS = {
+    "upper": unitriangular,
+    "lower": lambda f, n: unitriangular(f, n).transpose(),
+}
+
+
+def conjugate(alg, conjugator):
+    """The same algebra in the basis of the columns of ``conjugator(f, n)``."""
     f, n = alg.field, alg.dim
-    P = unitriangular(f, n)
+    P = conjugator(f, n)
     inverse = P.section()  # P is bijective, so its section is its inverse
     op = alg.bracket if isinstance(alg, HomLeibnizAlgebra) else alg.product
     cols = P.transpose().entries
@@ -88,11 +98,15 @@ def _run(alg, commands, path, capsys):
 
 
 def test_the_conjugating_matrix():
-    P = unitriangular(QQ, 4)
-    assert P.entries == ((1, 1, 0, -1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-    inverse = P.section()
-    assert inverse.compose(P) == Matrix.identity(QQ, 4)
-    assert all(isinstance(x, int) for row in inverse.entries for x in row)
+    upper = ((1, 1, 0, -1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    for side, entries, flags in (("upper", upper, [0, 1, 2]), ("lower", tuple(zip(*upper)), [])):
+        P = CONJUGATORS[side](QQ, 4)
+        assert P.entries == entries
+        inverse = P.section()
+        assert inverse.compose(P) == Matrix.identity(QQ, 4)
+        assert all(isinstance(x, int) for row in inverse.entries for x in row)
+        # the spans of e_0 .. e_i, i < 3, that P carries into themselves
+        assert [i for i in range(3) if not any(P.entries[r][c] for c in range(i + 1) for r in range(i + 1, 4))] == flags
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
@@ -104,8 +118,9 @@ def test_reports_do_not_depend_on_the_basis(name, f, tmp_path, capsys):
     if name in LEIBNIZ:
         commands += LEIBNIZ_COMMANDS + [("homology", "--coeffs", coeffs, "--max-n", HOMOLOGY[f])
                                         for coeffs in ("trivial", "adjoint")]
-    twisted = conjugate(alg)
-    assert twisted != alg
     stock = _run(alg, commands, tmp_path / "stock.alg", capsys)
     assert [code for _, code, _ in stock][:2] == [0, 0]
-    assert _run(twisted, commands, tmp_path / "conjugated.alg", capsys) == stock
+    for side, conjugator in CONJUGATORS.items():
+        twisted = conjugate(alg, conjugator)
+        assert twisted != alg
+        assert _run(twisted, commands, tmp_path / f"{side}.alg", capsys) == stock, side

@@ -617,9 +617,10 @@ class TestSparseSupports:
             assert Counter(name for name, _ in evaluated) == pin
 
     def test_reports_match_the_full_grid(self, evaluated):
-        """On random sparse law data over Q and GF(1000003), ``check_laws``
-        records what every instance of the full grid records, order
-        included, whether the outer indices are none or all but the last."""
+        """On random sparse multilinear law data over Q and GF(1000003),
+        ``check_laws`` records what every instance of the full grid records,
+        order included, whether the outer indices are none or all but the
+        last."""
         rng = random.Random(5)
         violated = 0
         for f in FIELDS:
@@ -681,8 +682,12 @@ def _can_be_nonzero(term, idx):
 
 
 def _random_laws(f, rng):
-    """Random sparse law data for ``check_laws``: outer dims and groups of
-    one to three laws, each group's dims extending the outer ones."""
+    """Random sparse multilinear law data for ``check_laws``: outer dims and
+    groups of one to three laws, each group's dims extending the outer ones.
+    A group has one to four positions, and each term splits them, in a
+    random order, between its legs, at most two to a leg: a linear term's
+    one leg names them all, so it appears only in groups of at most two
+    positions, and a leg of a bilinear term may name none."""
     dims = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 3))))
     k, basis = rng.choice((0, len(dims) - 1)), rng.randint(1, 3)
 
@@ -690,17 +695,17 @@ def _random_laws(f, rng):
         return tuple((a, f.from_int(rng.choice((1, -1, 2)))) for a in range(basis) if rng.random() < 0.35)
 
     def law(n, gdims):
-        def leg():
-            pos = rng.sample(range(n), rng.choice((1, 2)) if n > 1 else 1)
-            vectors = [vec() for _ in range(gdims[pos[0]])]
-            if len(pos) == 2:
-                vectors = [tuple(vec() for _ in range(gdims[pos[1]])) for _ in vectors]
-            return (tuple(vectors), *pos)
+        def leg(pos):
+            def block(rest):
+                return tuple(block(rest[1:]) for _ in range(gdims[rest[0]])) if rest else vec()
+            return (block(pos), *pos)
 
         def term():
-            if rng.random() < 0.3:
-                return tuple(vec() for _ in range(basis)), leg()
-            return tuple(tuple(vec() for _ in range(basis)) for _ in range(basis)), leg(), leg()
+            pos = rng.sample(range(n), n)
+            if n <= 2 and rng.random() < 0.3:
+                return tuple(vec() for _ in range(basis)), leg(pos)
+            cut = rng.randint(max(n - 2, 0), min(n, 2))
+            return tuple(tuple(vec() for _ in range(basis)) for _ in range(basis)), leg(pos[:cut]), leg(pos[cut:])
 
         plus = [term() for _ in range(rng.randint(1, 2))]
         # a law whose sides agree but for order holds wherever it runs
@@ -711,7 +716,7 @@ def _random_laws(f, rng):
 
     groups = []
     for _ in range(rng.randint(1, 2)):
-        gdims = dims[:k] + tuple(rng.randint(1, 3) for _ in range(rng.randint(max(1 - k, 0), 3 - k)))
+        gdims = dims[:k] + tuple(rng.randint(1, 3) for _ in range(rng.randint(max(1 - k, 0), 4 - k)))
         groups.append((gdims, [law(len(gdims), gdims) for _ in range(rng.randint(1, 3))]))
     return dims[:k], groups
 
@@ -770,12 +775,21 @@ def _law_data(module, build):
     return calls
 
 
+def _term(term) -> tuple:
+    """A term of a law as (table, u, p, r, v, q, s): its first leg is
+    u[idx[p]], or u[idx[p]][idx[r]] where r is not None, and v, q, s its
+    second leg the same way (v None for a linear term)."""
+    table, (u, p, *r), *v = term
+    (v, q, *s), = v or [(None, None)]
+    return table, u, p, *(r or [None]), v, q, *(s or [None])
+
+
 def _dense_row(f, law, jdx, size):
     """The signed sum of a law instance from the dense tables, a linear term
     being the bilinear one with the constant second leg 1."""
     total = (f.zero(),) * size
     for combine, terms in ((dense_add, law[2]), (dense_sub, law[3])):
-        for table, u, p, r, v, q, s in terms:
+        for table, u, p, r, v, q, s in map(_term, terms):
             x = u[jdx[p]] if r is None else u[jdx[p]][jdx[r]]
             if v is None:
                 table, y = [[cols] for cols in table], ((0, f.one()),)
@@ -845,6 +859,39 @@ def _compat_against_full_grid(ma):
     want = ValidationReport("laws")
     _full_grid(f, want, outer_dims, groups)
     return got.violations, want.violations
+
+
+class TestTermShapes:
+    """Every law is multilinear, so both engine entry points refuse a term
+    whose legs leave a position of its group free or name one twice, also
+    in a law whose sides cancel term by term, which the engine would
+    otherwise skip."""
+
+    UNITS = (((0, 1),), ((1, 1),))  # e_0 and e_1 of a 2-space
+    TABLE = linalg.tensor_table(QQ, 2, 2)
+    GOOD = (TABLE, (UNITS, 0), (UNITS, 1))
+    BAD = {
+        "bilinear-free": (TABLE, (UNITS, 0), (((0, 1),),)),
+        "bilinear-twice": (TABLE, (UNITS, 0), (UNITS, 0)),
+        "bilinear-all-twice": (TABLE, ((UNITS, UNITS), 0, 1), (UNITS, 1)),
+        "linear-free": (TABLE[0], (UNITS, 1)),
+        "linear-twice": (TABLE[0], ((UNITS, UNITS), 0, 0)),
+    }
+
+    @pytest.mark.parametrize("cancels", [False, True], ids=["plain", "cancelling"])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_both_entry_points_refuse(self, kind, cancels):
+        bad = self.BAD[kind]
+        plus, minus = [bad, self.GOOD], [self.GOOD, bad] if cancels else [self.GOOD]
+        assert linalg._cancels(plus, minus) == cancels
+        # a well-shaped law comes first, in the same group
+        groups = [((2, 2), [("fine", (), [self.GOOD], []), ("shaped", (), plus, minus)])]
+        with pytest.raises(ValueError, match="'shaped'.* not each of \\[0, 1\\] once"):
+            linalg.check_laws(QQ, ValidationReport("laws"), (), groups)
+        with pytest.raises(ValueError, match="'shaped'.* not each of \\[0, 1\\] once"):
+            list(linalg.law_rows(QQ, groups))
+        with pytest.raises(ValueError, match="'shaped'"):
+            linalg.check_laws(QQ, ValidationReport("laws"), (2,), groups)
 
 
 class TestCancellingLaws:

@@ -449,3 +449,14 @@ class TestHomology:
             for n in range(3):
                 assert chain_dim(L, M, n) - ranks[n] - ranks[n + 1] == dense_homology(cx, n).dim
                 assert cx.homology_dim(n) == dense_homology(cx, n).dim
+
+    def test_each_rank_is_eliminated_once(self, sl2, monkeypatch):
+        """``homology_dim`` of consecutive degrees shares the rank between
+        them: each degree's boundary is eliminated once, as its columns are
+        built once."""
+        made = []
+        real = homleib.homology.RrefAccumulator
+        monkeypatch.setattr(homleib.homology, "RrefAccumulator", lambda *a: made.append(a[1]) or real(*a))
+        cx = ChainComplex(sl2, adjoint_corep(sl2))
+        assert [cx.homology_dim(n) for n in range(3)] == [cx.homology_dim(n) for n in range(3)]
+        assert made == [3, 9, 27]  # d_1, d_2 and d_3, from C_0, C_1 and C_2
