@@ -41,8 +41,6 @@ from .actions import (
 from .tensorprod import (
     TensorProduct,
     build_tensor,
-    commutator_map,
-    factor_maps,
     ideal_sequence_certificate,
     induced_tensor_map,
     outer_action,

@@ -139,18 +139,20 @@ def bracket_action(parent: HomLeibnizAlgebra, actor_handle, target_handle) -> Ho
                      bracket_table(parent, incl_t.map, incl_a.map, coords))
 
 
-def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, columns,
+def induced_action(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, pres, left, right,
                    error) -> HomAction:
     """The action of ``actor`` on the algebra ``target`` presented by
-    ``pres``.  ``columns(a)`` gives the left and right actions of the actor
-    basis vector a on the ambient generators, as two lists of sparse ambient
-    columns; each is certified to descend by ``induced_map`` on ``pres``
-    (raising ``error``), and its column k is the value at coset generator k."""
-    left, right = [], []
+    ``pres``.  ``left`` and ``right`` are the sparse ambient columns of the
+    left and right actions, actor-major: the value of the actor basis
+    vector a at the ambient generator g is column a * n + g, n the ambient
+    dimension.  Each actor's left map, then its right one, is certified to
+    descend by ``induced_map`` on ``pres`` (raising ``error``), and its
+    column k is the value at coset generator k."""
+    n, lmaps, rmaps = pres.ambient_dim, [], []
     for a in range(actor.dim):
-        for maps, cols in zip((left, right), columns(a)):
-            maps.append(induced_map(cols, pres, pres, error).sparse_cols)
-    return HomAction(actor, target, tuple(left), tuple(tuple(m[k] for m in right) for k in range(target.dim)))
+        for maps, cols in ((lmaps, left), (rmaps, right)):
+            maps.append(induced_map(cols[a * n:(a + 1) * n], pres, pres, error).sparse_cols)
+    return HomAction(actor, target, tuple(lmaps), tuple(tuple(m[k] for m in rmaps) for k in range(target.dim)))
 
 
 def self_action(L: HomLeibnizAlgebra) -> HomAction:

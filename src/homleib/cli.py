@@ -52,7 +52,7 @@ from .homassoc import (
 from .homology import ChainComplex, adjoint_corep, coinvariants_dim, trivial_corep
 from .linalg import Matrix, Subspace
 from .report import render_witness
-from .tensorprod import build_tensor, factor_maps
+from .tensorprod import build_tensor
 
 
 def _load_algebra(path: str, kinds=("hom-leibniz", "leibniz")) -> AlgebraDocument:
@@ -172,14 +172,13 @@ def cmd_tensor(args) -> dict:
         _require(a2.validate(), "second action")
         ma = MutualActions(a1, a2)
     t = build_tensor(ma)
-    into_m, into_n = factor_maps(t)
     return {
         "ambient_dim": t.ambient_dim,
         "relation_rank": t.presentation.relations.dim,
         "dim": t.algebra.dim,
         "abelian": t.algebra.is_abelian(),
-        "into_first_rank": into_m.map.rank(),
-        "into_second_rank": into_n.map.rank(),
+        "into_first_rank": t.into_m.map.rank(),
+        "into_second_rank": t.into_n.map.rank(),
         "algebra": serialize_algebra(t.algebra),
     }
 

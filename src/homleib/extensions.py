@@ -53,8 +53,6 @@ from .report import ExactnessReport
 from .tensorprod import (
     TensorProduct,
     build_tensor,
-    commutator_map,
-    factor_maps,
     ideal_sequence_certificate,
 )
 
@@ -110,8 +108,7 @@ def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtensi
     if not is_perfect(L):
         raise NotPerfect("the algebra does not equal its own bracket span")
     t = build_tensor(MutualActions.adjoint(L))
-    psi = commutator_map(t)
-    ext = Extension.from_projection(psi)
+    ext = Extension.from_projection(t.into_m)
     if classify_extension(ext) is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("tensor square projection is not central")
     return UniversalCentralExtension(t, ext, ext.kernel.dim)
@@ -172,8 +169,7 @@ def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCen
         raise NotAlphaPerfect("the twist image does not bracket onto the whole algebra")
     A, incl = subalgebra(L, L.twist.image(), "a")
     t = build_tensor(MutualActions.adjoint(A))
-    psi_a = commutator_map(t)
-    proj = AlgebraHom(t.algebra, L, incl.map.compose(psi_a.map))
+    proj = AlgebraHom(t.algebra, L, incl.map.compose(t.into_m.map))
     ext = Extension.from_projection(proj)
     if classify_extension(ext) is not ExtensionKind.CENTRAL:
         raise InternalInconsistency("twist tensor square projection is not central")
@@ -235,11 +231,10 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     for item in data.report.items:
         rep.check(f"row: {item.name}", item.ok, item.detail)
 
-    psi_ll = commutator_map(data.t_ll)
-    psi_qq = psi_ll if data.t_qq is data.t_ll else commutator_map(data.t_qq)
+    # on the zero ideal Q*Q is L*L itself, and its map is read once
+    psi_ll, psi_qq = data.t_ll.into_m, data.t_qq.into_m
     # the column over L*M evaluates into the ideal (second factor)
-    into_ideal = factor_maps(data.t_lm, second_only=True)
-    k1 = into_ideal.map.kernel()
+    k1 = data.t_lm.into_n.map.kernel()
     k2 = psi_ll.map.kernel()
     k3 = psi_qq.map.kernel()
     rep.dims["kernel over ideal tensor"] = k1.dim

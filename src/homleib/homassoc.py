@@ -49,16 +49,16 @@ from .linalg import (
     contract,
     dense_vec,
     induced_map,
+    law_columns,
     law_rows,
     linear,
     quotient,
     sparse_add,
-    sparse_outer,
     tensor_table,
     unit_vec,
 )
 from .report import ExactnessReport, ValidationReport
-from .tensorprod import build_tensor, factor_maps, induced_tensor_map
+from .tensorprod import build_tensor, induced_tensor_map
 
 
 @dataclass(frozen=True, init=False)
@@ -275,22 +275,15 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     """The commutator algebra acting on the quotient algebra:
         a . (x # y) = [a,x] # t(y) - [a,y] # t(x)
         (x # y) . a = [x,a] # t(y) + t(x) # [y,a]
-    certified to descend and to satisfy the action identities."""
+    each ``linalg.law_columns`` data over (a, x, y), certified to descend
+    and to satisfy the action identities."""
     A, lb = h.parent, h.commutator_algebra
     f, n, c, tw = A.field, A.dim, lb.sparse_c, A.twist.sparse_cols
-    one, minus = f.one(), f.neg(f.one())
-
-    def tensor(u, v):  # u (x) v of sparse vectors in A (x) A
-        return sparse_outer(f, u, v, n)
-
-    def columns(a):
-        # both actions of the actor basis vector a on A (x) A, as sparse columns
-        return ([sparse_add(f, tensor(c[a][x], tw[y]), tensor(c[a][y], tw[x]), minus)
-                 for x in range(n) for y in range(n)],
-                [sparse_add(f, tensor(c[x][a], tw[y]), tensor(tw[x], c[y][a]), one)
-                 for x in range(n) for y in range(n)])
-
-    action = induced_action(lb, h.algebra, h.presentation, columns, lambda r, w: InternalInconsistency(
+    tens, axy = tensor_table(f, n, n), (n, n, n)
+    left = law_columns(f, (n,), [(axy, [("a.(x#y)", (), [(tens, (c, 0, 1), (tw, 2))], [(tens, (c, 0, 2), (tw, 1))])])])
+    right = law_columns(f, (n,), [(axy, [("(x#y).a", (), [(tens, (c, 1, 0), (tw, 2)), (tens, (tw, 1), (c, 2, 0))],
+                                          [])])])
+    action = induced_action(lb, h.algebra, h.presentation, left, right, lambda r, w: InternalInconsistency(
         "action does not descend to the quotient"))
     action.validate().require(
         lambda v: InternalInconsistency(f"quotient action identity {v.law} fails at {v.witness}"))
@@ -373,9 +366,7 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.check("tensor row exact in the middle", big_f.map.image() == big_g.map.kernel())
 
     # columns: evaluation of each tensor product onto its second factor
-    col_q = factor_maps(t_aq, second_only=True)
-    col_c = factor_maps(t_ac, second_only=True)
-    col_h = factor_maps(t_ah, second_only=True)
+    col_q, col_c, col_h = t_aq.into_n, t_ac.into_n, t_ah.into_n
     rep.check("column over the homology tensor vanishes", col_h.map.is_zero())
     rep.check("column vanishes on the included homology tensor",
               col_q.map.compose(big_f.map).is_zero())

@@ -47,7 +47,8 @@ presentations:
   one, and skips a law whose two sides hold the same terms.
   ``check_laws``, the one identity checker, records each instance whose
   sum is nonzero; ``law_rows``, the one relation generator, yields each
-  sum as a sparse row;
+  sum as a sparse row; ``law_columns`` returns every instance's sum, in
+  ``check_laws``' order, as the sparse columns of a map (an action's);
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
   is the pure tensor of two sparse vectors in such a block, and
@@ -292,6 +293,22 @@ def law_rows(field: Field, groups):
     for group in _law_sums(field, 0, groups)[0]:
         for key in sorted(group):
             yield tuple(sorted([(k, x) for k, x in group[key].items() if x]))
+
+
+def law_columns(field: Field, outer_dims: tuple, groups) -> list:
+    """The sums of every instance of ``check_laws`` data, in its loop order,
+    as the sorted sparse columns of a map, an instance no term reaches an
+    empty column.  The groups share their inner size (the product of the
+    dims after ``outer_dims``) and number of laws, else ``ValueError``, so
+    the instances are the columns 0, 1, ... with none left out."""
+    k = len(outer_dims)
+    if len({(prod(dims[k:]), len(laws)) for dims, laws in groups}) > 1:
+        raise ValueError("law columns need groups of one inner size and one number of laws")
+    cols = [()] * (prod(outer_dims) * sum(prod(dims[k:]) * len(laws) for dims, laws in groups))
+    for group in _law_sums(field, k, groups)[0]:
+        for key, col in group.items():
+            cols[key] = tuple(sorted([(c, x) for c, x in col.items() if x]))
+    return cols
 
 
 def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:

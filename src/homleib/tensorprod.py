@@ -30,14 +30,15 @@ the evaluations kill every relation (the crossed-module property of the
 tensor product), and two sparse products per relation basis row certify
 the bracket; a row they do not kill falls back to the full check.  A
 failure aborts loudly since it would contradict the construction.  Maps
-between tensor products, the factor maps onto M and N and the outer
-actions are each ``linalg.induced_map`` of an ambient map, given by its
-sparse columns where it is not an evaluation.
+between tensor products, the factor maps ``into_m`` and ``into_n`` and the
+outer actions are each ``linalg.induced_map`` of an ambient map; the outer
+actions' ambient columns are ``linalg.law_columns`` data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -49,9 +50,9 @@ from .linalg import (
     check_laws,
     induced_map,
     dense_vec,
+    law_columns,
     law_rows,
     quotient,
-    sparse_add,
     sparse_outer,
     sparse_vec,
     tensor_table,
@@ -79,12 +80,6 @@ class TensorProduct:
     def ambient_dim(self) -> int:
         return self.presentation.ambient_dim
 
-    def idx_mn(self, i: int, j: int) -> int:
-        return i * self.n_side.dim + j
-
-    def idx_nm(self, j: int, i: int) -> int:
-        return self.m_side.dim * self.n_side.dim + j * self.m_side.dim + i
-
     def embed_mn(self, u, v) -> tuple:
         """The pure tensor of dense vectors u (x) v in the block m*n, as a dense ambient vector."""
         f = self.m_side.field
@@ -95,6 +90,32 @@ class TensorProduct:
 
     def ambient_twist(self) -> Matrix:
         return Matrix.from_columns(self.m_side.field, self.ambient_dim, _ambient_twist(self.m_side, self.n_side))
+
+    @cached_property
+    def into_m(self) -> AlgebraHom:
+        """The factor map onto M, the homomorphism ``eval_m`` induces on the
+        product; on the tensor square of a perfect algebra under adjoint
+        actions it is the universal central extension x*y -> [x, y]."""
+        return _factor_map(self, self.m_side, self.eval_m, "first")
+
+    @cached_property
+    def into_n(self) -> AlgebraHom:
+        """The factor map onto N, induced by ``eval_n``; on a tensor square,
+        where the two evaluations agree, ``into_m`` itself."""
+        if (self.n_side, self.eval_n) == (self.m_side, self.eval_m):
+            return self.into_m
+        return _factor_map(self, self.n_side, self.eval_n, "second")
+
+
+def _factor_map(t: TensorProduct, side: HomLeibnizAlgebra, ev: Matrix, name: str) -> AlgebraHom:
+    """The evaluation ``ev`` onto ``side`` on the product's classes,
+    certified to kill the relations and to be a homomorphism."""
+    hom = AlgebraHom(t.algebra, side, induced_map(
+        ev, t.presentation, quotient(side.field, side.dim, ()),
+        lambda r, w: InternalInconsistency("evaluation map does not kill the relations", witness=(r,))))
+    hom.validate().require(lambda v: InternalInconsistency(
+        f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
+    return hom
 
 
 def _generator_labels(M, N) -> tuple:
@@ -262,36 +283,6 @@ def build_tensor(ma: MutualActions) -> TensorProduct:
     return present_tensor(ma, relation_span(ma))
 
 
-def factor_maps(t: TensorProduct, second_only: bool = False):
-    """The two algebra homomorphisms from the tensor product onto values of
-    the actions inside each factor, induced by the evaluation maps; on a
-    tensor square, where they agree, one homomorphism returned twice.  With
-    ``second_only`` the first is not built, and the second is returned."""
-    def onto(side, ev):
-        return AlgebraHom(t.algebra, side, induced_map(
-            ev, t.presentation, quotient(side.field, side.dim, ()),
-            lambda r, w: InternalInconsistency("evaluation map does not kill the relations",
-                                               witness=(r,))))
-
-    into_m = None if second_only else onto(t.m_side, t.eval_m)
-    square = into_m is not None and (t.n_side, t.eval_n) == (t.m_side, t.eval_m)
-    into_n = into_m if square else onto(t.n_side, t.eval_n)
-    for hom, name in ((into_m, "first"), (into_n, "second")):
-        if hom is not None:
-            hom.validate().require(lambda v: InternalInconsistency(
-                f"evaluation onto the {name} factor is not a homomorphism", witness=v.witness))
-    return into_n if second_only else (into_m, into_n)
-
-
-def commutator_map(t: TensorProduct) -> AlgebraHom:
-    """For the tensor square of one algebra under adjoint actions, the map
-    sending a generator x*y to the bracket [x, y]."""
-    into_m, into_n = factor_maps(t)
-    if into_m.map != into_n.map:
-        raise InternalInconsistency("the two factor maps disagree on a tensor square")
-    return into_m
-
-
 def outer_action(t: TensorProduct, side: str) -> HomAction:
     """The action of one factor on the tensor product algebra.
 
@@ -301,52 +292,32 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
         a . (n*m) = (a.n) * t(m) - [a,m] * t(n)
         (m*n) . a = [m,a] * t(n) + t(m) * (n<a)
         (n*m) . a = (n<a) * t(m) + t(n) * [m,a]
-    and symmetrically on the N side.
+    and symmetrically on the N side.  Each formula is ``linalg.law_columns``
+    data, one law per block, over (a, m, n) in the block m*n and (a, n, m)
+    in n*m, so the columns are actor-major in ambient order.
     """
     M, N = t.m_side, t.n_side
-    f = M.field
+    f, dm, dn = M.field, M.dim, N.dim
     mn, nm = t.actions.mn, t.actions.nm
+    # the actor on m and on n, as [a][m] and [a][n], and m and n acted by it, as [m][a] and [n][a]
     if side == "m":
-        actor = M
-
-        def values(a, i, j):
-            # a on m, a on n (in N), m acted by a, n acted by a (in N)
-            return M.sparse_c[a][i], mn.sparse_left[a][j], M.sparse_c[i][a], mn.sparse_right[j][a]
+        actor, on_m, on_n, m_by, n_by = M, M.sparse_c, mn.sparse_left, M.sparse_c, mn.sparse_right
     elif side == "n":
-        actor = N
-
-        def values(a, i, j):
-            # a on m (in M), a on n, m acted by a (in M), n acted by a
-            return nm.sparse_left[a][i], N.sparse_c[a][j], nm.sparse_right[i][a], N.sparse_c[j][a]
+        actor, on_m, on_n, m_by, n_by = N, nm.sparse_left, N.sparse_c, nm.sparse_right, N.sparse_c
     else:
         raise ValueError("side must be 'm' or 'n'")
-    tm, tn, one, minus = M.twist.sparse_cols, N.twist.sparse_cols, f.one(), f.neg(f.one())
-
-    def in_mn(u, v):  # u*v in the block m*n, of sparse u in M and v in N
-        return sparse_outer(f, u, v, N.dim)
-
-    def in_nm(v, u):  # v*u in the block n*m
-        return sparse_outer(f, v, u, M.dim, M.dim * N.dim)
-
-    def columns(a):
-        # both actions of the actor basis vector a on the ambient generators,
-        # as sparse columns
-        left_cols = [None] * t.ambient_dim
-        right_cols = [None] * t.ambient_dim
-        for i in range(M.dim):
-            for j in range(N.dim):
-                am, an, ma, na = values(a, i, j)
-                g, g2 = t.idx_mn(i, j), t.idx_nm(j, i)
-                x, y = in_mn(am, tn[j]), in_nm(an, tm[i])
-                left_cols[g] = sparse_add(f, x, y, minus)
-                left_cols[g2] = sparse_add(f, y, x, minus)
-                right_cols[g] = sparse_add(f, in_mn(ma, tn[j]), in_mn(tm[i], na), one)
-                right_cols[g2] = sparse_add(f, in_nm(na, tm[i]), in_nm(tn[j], ma), one)
-        return left_cols, right_cols
-
+    tm, tn, da = M.twist.sparse_cols, N.twist.sparse_cols, actor.dim
+    mn_t, nm_t = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
+    amn, anm = (da, dm, dn), (da, dn, dm)
+    left = law_columns(f, (da,), [
+        (amn, [("a.(m*n)", (), [(mn_t, (on_m, 0, 1), (tn, 2))], [(nm_t, (on_n, 0, 2), (tm, 1))])]),
+        (anm, [("a.(n*m)", (), [(nm_t, (on_n, 0, 1), (tm, 2))], [(mn_t, (on_m, 0, 2), (tn, 1))])])])
+    right = law_columns(f, (da,), [
+        (amn, [("(m*n).a", (), [(mn_t, (m_by, 1, 0), (tn, 2)), (mn_t, (tm, 1), (n_by, 2, 0))], [])]),
+        (anm, [("(n*m).a", (), [(nm_t, (n_by, 1, 0), (tm, 2)), (nm_t, (tn, 1), (m_by, 2, 0))], [])])])
     # the formulas are linear in the ambient generator; they must carry the
     # relations into the relations for the quotient action to exist
-    action = induced_action(actor, t.algebra, t.presentation, columns, lambda r, w: InternalInconsistency(
+    action = induced_action(actor, t.algebra, t.presentation, left, right, lambda r, w: InternalInconsistency(
         "outer action does not descend to the quotient", witness=(side, r)))
     action.validate().require(lambda v: InternalInconsistency(
         f"outer action identity {v.law} fails at {v.witness}", witness=v.witness))
@@ -394,7 +365,7 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     """
     rep = ExactnessReport(subject="tensor pairing battery")
     T = t.algebra
-    into_m, into_n = factor_maps(t)
+    into_m, into_n = t.into_m, t.into_n
     gens = t.presentation.projection_map()
     cls, tw, n = gens.sparse_cols, T.twist.compose(gens).sparse_cols, gens.cols  # the generator classes, twisted
     z = center(T)

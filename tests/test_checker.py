@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -894,6 +895,58 @@ class TestTermShapes:
             linalg.check_laws(QQ, ValidationReport("laws"), (2,), groups)
 
 
+class TestLawColumns:
+    """``linalg.law_columns`` returns the sum of every instance, in
+    ``check_laws``' loop order, as the sorted sparse columns of a map, an
+    instance no term reaches as an empty column; it refuses groups whose
+    instances would not fill the columns 0, 1, ... in turn."""
+
+    UNITS, TABLE = TestTermShapes.UNITS, TestTermShapes.TABLE
+    FINE = ("fine", (), [TestTermShapes.GOOD], [])
+
+    def test_pure_tensors_in_loop_order(self):
+        # e_a (x) e_b over (a, b), its first leg e_0 or nothing
+        half = (((0, 1),), ())
+        law = ("half", (), [(self.TABLE, (half, 0), (self.UNITS, 1))], [])
+        assert linalg.law_columns(QQ, (2,), [((2, 2), [law])]) == [((0, 1),), ((1, 1),), (), ()]
+        assert linalg.law_columns(QQ, (), [((2, 2), [self.FINE]), ((2, 2), [law])]) == [
+            ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((0, 1),), ((1, 1),), (), ()]
+
+    def test_columns_are_the_full_grid_sums(self):
+        rng = random.Random(7)
+        columns = empty = 0
+        for f in FIELDS:
+            for _ in range(40):
+                outer_dims, groups = _random_laws(f, rng)
+                k = len(outer_dims)
+                # the groups of the first one's inner size and number of laws
+                shape = [(math.prod(dims[k:]), len(laws)) for dims, laws in groups]
+                groups = [g for g, s in zip(groups, shape) if s == shape[0]]
+                want = []
+                for idx in itertools.product(*map(range, outer_dims)):
+                    for dims, laws in groups:
+                        for rest in itertools.product(*map(range, dims[k:])):
+                            for _, _, plus, minus, *_ in laws:
+                                total = _grid_sum(f, plus, idx + rest)
+                                for c, x in _grid_sum(f, minus, idx + rest).items():
+                                    total[c] = f.sub(total.get(c, f.zero()), x)
+                                want.append(tuple(sorted((c, x) for c, x in total.items() if x)))
+                assert linalg.law_columns(f, outer_dims, groups) == want, (outer_dims, groups)
+                columns, empty = columns + len(want), empty + want.count(())
+        assert 0 < empty < columns
+
+    @pytest.mark.parametrize("unequal", ["inner size", "number of laws"])
+    def test_unequal_groups_refused(self, unequal):
+        linear = ("linear", (), [(self.TABLE[0], (self.UNITS, 0))], [])
+        groups = [((2, 2), [self.FINE]), ((2,), [linear]) if unequal == "inner size" else
+                  ((2, 2), [self.FINE, self.FINE])]
+        with pytest.raises(ValueError, match="one inner size and one number of laws"):
+            linalg.law_columns(QQ, (), groups)
+        # the other two readers take such groups
+        linalg.check_laws(QQ, ValidationReport("laws"), (), groups)
+        assert len(list(linalg.law_rows(QQ, groups))) == {"inner size": 4 + 2, "number of laws": 4 + 8}[unequal]
+
+
 class TestCancellingLaws:
     """A law whose plus and minus hold equal terms, by value, the same
     number of times is zero at every instance, so ``check_laws`` skips it;
@@ -1104,8 +1157,8 @@ class TestReportsComputedOnce:
         monkeypatch.setattr(algebras, "check_laws",
                             lambda f, rep, *a: subjects.append(rep.subject) or real(f, rep, *a))
         uce = universal_central_extension(sl2(QQ))
-        # on a tensor square factor_maps returns one map twice and checks it
-        # once; Extension.from_projection then reads its report instead of
+        # on a tensor square into_n is into_m, one map checked once;
+        # Extension.from_projection then reads its report instead of
         # checking it again
         assert subjects.count("algebra homomorphism") == 1
         psi = uce.extension.proj

@@ -42,7 +42,7 @@ from homleib.homassoc import (
 )
 from homleib.linalg import (Matrix, QuotientSpace, Subspace, induced_map, quotient, sparse_table, sparse_vec,
                             unit_vec)
-from homleib.tensorprod import build_tensor, factor_maps, outer_action
+from homleib.tensorprod import build_tensor, outer_action
 from test_checker import dense_table
 from test_homassoc import boundary_shapes
 from test_linalg import dense_reduce
@@ -99,7 +99,7 @@ class TestMutations:
         bumped = _bump_map(t.eval_m, 0, t.presentation.relations.pivots()[0])
         expected = next(r for r in rows if any(bumped.apply(r)))
         with pytest.raises(InternalInconsistency) as info:
-            factor_maps(replace(t, eval_m=bumped))
+            replace(t, eval_m=bumped).into_m
         assert type(info.value) is InternalInconsistency
         assert str(info.value) == "evaluation map does not kill the relations"
         assert info.value.witness == (expected,)
@@ -185,19 +185,19 @@ class TestSameMatricesAsTheSectionCompositions:
                  MutualActions(HomAction.trivial(L, A), HomAction.trivial(A, L))]
         for ma in cases:
             t = build_tensor(ma)
-            into_m, into_n = factor_maps(t)
+            into_m, into_n = t.into_m, t.into_n
             assert into_m.map == _through_lifts(t.eval_m, t.presentation)
             assert into_n.map == _through_lifts(t.eval_n, t.presentation)
 
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
     def test_second_factor_map_alone(self, f, monkeypatch):
-        # with second_only the map onto the first factor is never built
+        # reading into_n alone never builds the map onto the first factor
         L, A = sl2(f), to_leibniz(upper_triangular(f))
         t = build_tensor(MutualActions(HomAction.trivial(L, A), HomAction.trivial(A, L)))
         targets = []
         monkeypatch.setattr(tensorprod, "AlgebraHom",
                             lambda src, tgt, m: targets.append(tgt) or AlgebraHom(src, tgt, m))
-        into_n = factor_maps(t, second_only=True)
+        into_n = t.into_n
         assert targets == [t.n_side] and into_n.target == A
         assert into_n.map == _through_lifts(t.eval_n, t.presentation)
 

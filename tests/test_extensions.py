@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
-from homleib import extensions
+from homleib import extensions, tensorprod
 from homleib.generators import sl2 as make_sl2
 from homleib.linalg import Matrix, Subspace, sparse_vec
 from homleib.algebras import (
@@ -71,10 +72,10 @@ class TestClassify:
         # when the algebra is not perfect
         from homleib.actions import MutualActions
         from homleib.algebras import derived_subspace, subalgebra
-        from homleib.tensorprod import build_tensor, commutator_map
+        from homleib.tensorprod import build_tensor
 
         t = build_tensor(MutualActions.adjoint(nonlie2))
-        cm = commutator_map(t)
+        cm = t.into_m
         der, incl = subalgebra(nonlie2, derived_subspace(nonlie2), "d")
         cols = []
         for j in range(t.algebra.dim):
@@ -273,15 +274,11 @@ class TestSixTerm:
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
     def test_ideal_with_a_kernel_over_its_tensor(self, f, twisted):
-        # sl2 acting on two copies v, w of its standard representation: the
-        # ideal V = <v1, v2, w1, w2> is not a summand, and L*V -> V has a
-        # 3-dimensional kernel, which the first map carries onto H2(L); the
-        # twist scales sl2 and V and mixes the two copies
-        br = {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
-        for one, two in ((3, 4), (5, 6)):
-            br.update({(0, two): {one: 1}, (1, one): {two: 1}, (2, one): {one: 1}, (2, two): {two: -1}})
-        br.update({(j, i): {k: -x for k, x in v.items()} for (i, j), v in list(br.items())})
-        L = HomLeibnizAlgebra.from_brackets(f, 7, br, labels=("e", "f", "h", "v1", "v2", "w1", "w2"))
+        # the ideal V = <v1, v2, w1, w2> of sl2_on_two_planes is not a
+        # summand, and L*V -> V has a 3-dimensional kernel, which the first
+        # map carries onto H2(L); the twist scales sl2 and V and mixes the
+        # two copies
+        L = sl2_on_two_planes(f)
         if twisted:
             half = f.div(1, 2)
             L = yau_twist(L, Matrix.from_rows(f, [
@@ -292,6 +289,96 @@ class TestSixTerm:
         assert rep.dims == {"kernel over ideal tensor": 3, "second homology of the algebra": 3,
                             "second homology of the quotient": 0, "ideal modulo commutator": 0}
 
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_central_kernel_of_the_universal_extension(self, f):
+        # the 10-dimensional universal central extension K of
+        # sl2_on_two_planes, with its 3-dimensional central kernel as the
+        # ideal: H2(K) = 0, so the connecting map carries H2(K/Z) = H2(L)
+        # onto Z/[K, Z] = Z
+        rep = six_term_check(*uce_with_central_ideal(f))
+        assert rep.ok, [i.name for i in rep.failures()]
+        assert rep.dims == {"kernel over ideal tensor": 0, "second homology of the algebra": 0,
+                            "second homology of the quotient": 3, "ideal modulo commutator": 3}
+
     def test_requires_perfect(self, nonlie2):
         with pytest.raises(NotPerfect):
             six_term_check(nonlie2, Subspace.zero(QQ, 2))
+
+
+def sl2_on_two_planes(f):
+    """sl2 acting on two copies v, w of its standard representation, the
+    semidirect product sl2 x (V2 + V2) with the identity twist."""
+    br = {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
+    for one, two in ((3, 4), (5, 6)):
+        br.update({(0, two): {one: 1}, (1, one): {two: 1}, (2, one): {one: 1}, (2, two): {two: -1}})
+    br.update({(j, i): {k: -x for k, x in v.items()} for (i, j), v in list(br.items())})
+    return HomLeibnizAlgebra.from_brackets(f, 7, br, labels=("e", "f", "h", "v1", "v2", "w1", "w2"))
+
+
+def uce_with_central_ideal(f):
+    """The universal central extension of sl2_on_two_planes and its kernel."""
+    ext = universal_central_extension(sl2_on_two_planes(f)).extension
+    return ext.total, ext.kernel
+
+
+def _failed(rep) -> list:
+    return [i.name for i in rep.failures()]
+
+
+class TestSixTermSeesWrongMaps:
+    """Each joint of the six-term certificate handed one wrong map reads
+    ``ok: false``: valid inputs make every check true, so only a wrong map
+    tells a check from a weakened copy of it."""
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_connecting_map_with_a_zero_column(self, f, monkeypatch):
+        real = extensions.connecting_map
+
+        def zeroed(*args):
+            delta = real(*args)
+            return Matrix.from_columns(delta.field, delta.rows, ((),) + delta.sparse_cols[1:])
+
+        monkeypatch.setattr(extensions, "connecting_map", zeroed)
+        assert _failed(six_term_check(*uce_with_central_ideal(f))) == [
+            "exact at the second homology of the quotient", "connecting map onto the ideal cokernel"]
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_zero_first_map(self, f, monkeypatch):
+        # the first map reads the second block of sigma; H2(L) is 3-dimensional here
+        real = extensions.ideal_sequence_certificate
+
+        def zero_sigma(*args):
+            data = real(*args)
+            return replace(data, sigma=Matrix.zero(f, data.sigma.rows, data.sigma.cols))
+
+        monkeypatch.setattr(extensions, "ideal_sequence_certificate", zero_sigma)
+        L = sl2_on_two_planes(f)
+        rep = six_term_check(L, Subspace.span(f, 7, [L.unit(i) for i in range(3, 7)]))
+        assert _failed(rep) == ["exact at the second homology of the algebra"]
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+    def test_twice_tau(self, f, monkeypatch):
+        real = extensions.ideal_sequence_certificate
+
+        def doubled(*args):
+            data = real(*args)
+            tau = data.tau
+            return replace(data, tau=AlgebraHom(tau.source, tau.target, tau.map.add(tau.map)))
+
+        monkeypatch.setattr(extensions, "ideal_sequence_certificate", doubled)
+        assert _failed(six_term_check(*uce_with_central_ideal(f))) == ["projection commutes over the tensor row"]
+
+    def test_zero_tau(self, sl2, monkeypatch):
+        # on the zero ideal sigma is zero and tau an isomorphism; tau alone
+        # is induced by one map twice, the projection
+        real = tensorprod.induced_tensor_map
+
+        def zero_tau(f_hom, g_hom, t_src, t_dst):
+            hom = real(f_hom, g_hom, t_src, t_dst)
+            return hom if f_hom is not g_hom else \
+                AlgebraHom(hom.source, hom.target, Matrix.zero(QQ, hom.map.rows, hom.map.cols))
+
+        monkeypatch.setattr(tensorprod, "induced_tensor_map", zero_tau)
+        rep = six_term_check(sl2, Subspace.zero(QQ, 3))
+        assert _failed(rep) == ["row: projection map surjective", "row: exact at the tensor square",
+                                "projection commutes over the tensor row"]

@@ -419,22 +419,26 @@ def test_bitmask_law_engine_is_gone():
     assert found == [], found
 
 
-RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce", "boundary_rows")
+RELATION_FAMILIES = ("relation_vectors", "milnor_relations", "_presented_alpha_uce", "boundary_rows",
+                     "outer_action", "action_on_quotient")
 
 
 def test_relation_families_are_law_data():
     # the tensor, Milnor, alpha-presentation and Hochschild boundary
-    # relations are stated as data for linalg.law_rows, which decides by
-    # check_laws' own support rule which instances can be nonzero: no
-    # family loops over basis tuples
+    # relations are stated as data for linalg.law_rows, and the ambient
+    # columns of the outer actions and of the action on the Hochschild
+    # quotient as data for linalg.law_columns; both decide by check_laws'
+    # own support rule which instances can be nonzero: no family loops
+    # over basis tuples
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     seen, found = set(), []
     for path in sorted(src.glob("*.py")):
         for body in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(body, ast.FunctionDef) and body.name in RELATION_FAMILIES:
                 seen.add(body.name)
-                found += [f"{path.stem}:{body.name}:{node.lineno}" for node in ast.walk(body)
-                          if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+                # a comprehension has no line of its own; its iterable has
+                found += [f"{path.stem}:{body.name}:{getattr(node, 'lineno', None) or node.iter.lineno}"
+                          for node in ast.walk(body) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert seen == set(RELATION_FAMILIES)
     assert found == [], found
 

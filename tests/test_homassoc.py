@@ -307,6 +307,20 @@ class TestSequence:
         rep = sequence_check(hochschild_module(gl2))
         assert rep.ok, [i.name for i in rep.failures()]
 
+    @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+    def test_exterior_algebra_has_a_kernel_over_the_commutator_tensor(self, f):
+        # the exterior algebra on x, y: x^2 = y^2 = 0 and yx = -xy, so the
+        # commutator subspace is <xy> and the connecting map starts from a
+        # 6-dimensional kernel
+        exterior = HomAssociativeAlgebra.from_products(
+            f, 4, {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 0): {1: 1},
+                   (2, 0): {2: 1}, (3, 0): {3: 1}, (1, 2): {3: 1}, (2, 1): {3: -1}},
+            labels=("1", "x", "y", "xy"))
+        rep = sequence_check(hochschild_module(exterior))
+        assert rep.ok, [i.name for i in rep.failures()]
+        assert (rep.dims["first homology"], rep.dims["kernel over commutator tensor"],
+                rep.dims["commutator modulo inner"]) == (4, 6, 1)
+
     def test_alpha_identity_violation_raises(self, upper_triangular):
         scaled = yau_twist_assoc(upper_triangular,
                                  Matrix.from_rows(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]))

@@ -303,6 +303,16 @@ def dense_outer(f, u, v, size, offset=0) -> tuple:
     return dense_vec(f, size, sparse_outer(f, sparse_vec(u), sparse_vec(v), len(v), offset))
 
 
+def idx_mn(t, i: int, j: int) -> int:
+    """The ambient generator m_i * n_j of a tensor product, in the block m*n."""
+    return i * t.n_side.dim + j
+
+
+def idx_nm(t, j: int, i: int) -> int:
+    """The ambient generator n_j * m_i, in the block n*m after m*n."""
+    return t.m_side.dim * t.n_side.dim + j * t.m_side.dim + i
+
+
 def _random_vec(field, rng, n):
     return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(n))
 
@@ -326,15 +336,15 @@ class TestKernelLayer:
         size, offset = t.ambient_dim, L.dim * L.dim
         for i in range(L.dim):
             for j in range(L.dim):
-                assert t.embed_mn(L.unit(i), L.unit(j)) == unit_vec(f, size, t.idx_mn(i, j))
-                assert embed_nm(t, L.unit(j), L.unit(i)) == unit_vec(f, size, t.idx_nm(j, i))
+                assert t.embed_mn(L.unit(i), L.unit(j)) == unit_vec(f, size, idx_mn(t, i, j))
+                assert embed_nm(t, L.unit(j), L.unit(i)) == unit_vec(f, size, idx_nm(t, j, i))
         rng = random.Random(5)
         u, v = _random_vec(f, rng, L.dim), _random_vec(f, rng, L.dim)
         mn, nm = t.embed_mn(u, v), embed_nm(t, v, u)
         for i in range(L.dim):
             for j in range(L.dim):
-                assert mn[t.idx_mn(i, j)] == f.mul(u[i], v[j])
-                assert nm[t.idx_nm(j, i)] == f.mul(v[j], u[i])
+                assert mn[idx_mn(t, i, j)] == f.mul(u[i], v[j])
+                assert nm[idx_nm(t, j, i)] == f.mul(v[j], u[i])
         assert not any(mn[offset:]) and not any(nm[:offset])
 
     def test_coordinates_round_trip(self, f):

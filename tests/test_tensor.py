@@ -31,8 +31,6 @@ from homleib.homassoc import hochschild_module, to_leibniz
 from homleib.report import ExactnessReport
 from homleib.tensorprod import (
     build_tensor,
-    commutator_map,
-    factor_maps,
     ideal_sequence_certificate,
     induced_tensor_map,
     outer_action,
@@ -569,13 +567,13 @@ class TestDescentCertificate:
 class TestFactorMaps:
     def test_trivial_actions_give_zero_maps(self, sl2, abelian3):
         t = build_tensor(MutualActions.trivial(sl2, abelian3))
-        into_m, into_n = factor_maps(t)
-        assert into_m.map.is_zero()
-        assert into_n.map.is_zero()
+        assert t.into_m.map.is_zero()
+        assert t.into_n.map.is_zero()
 
     def test_square_factor_maps_agree_with_bracket(self, sl2):
         t = build_tensor(MutualActions.adjoint(sl2))
-        cm = commutator_map(t)
+        cm = t.into_m
+        assert t.into_n is cm
         for i in range(3):
             for j in range(3):
                 g = t.presentation.project(
@@ -584,7 +582,7 @@ class TestFactorMaps:
 
     def test_image_is_derived_subalgebra(self, nonlie2):
         t = build_tensor(MutualActions.adjoint(nonlie2))
-        cm = commutator_map(t)
+        cm = t.into_m
         assert cm.map.image() == derived_subspace(nonlie2)
 
 
@@ -742,7 +740,7 @@ def dense_battery(t):
     M, N = t.m_side, t.n_side
     f = M.field
     T = t.algebra
-    into_m, into_n = factor_maps(t)
+    into_m, into_n = t.into_m, t.into_n
     act_m = tensorprod.outer_action(t, "m")
     act_n = tensorprod.outer_action(t, "n")
     classes = [dense_vec(f, T.dim, c) for c in t.presentation.projection_map().sparse_cols]  # of the generators
