@@ -71,8 +71,8 @@ presentations:
   the first row r whose image w does not, then projects each coset
   generator's column.  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
-* ``connecting_map`` is the snake map of an exactness certificate, on
-  sparse vectors: lift along a row map, push down a column map, read.
+* ``snake`` is the snake lemma of both exactness certificates: it forms the
+  connecting map and decides exactness at each kernel by a dimension count.
 """
 
 from __future__ import annotations
@@ -706,28 +706,38 @@ class Subspace:
                                                           for w in stacked.kernel().sparse_rows])
 
 
-def connecting_map(kernel: Subspace, row: Matrix, column: Matrix, read,
-                   target_dim: int) -> Matrix | None:
-    """The connecting map on ``kernel``: each basis row is lifted through
-    ``row.preimage_sparse``, sent along ``column`` and read off by ``read``
-    (a function from sorted sparse pairs to target coordinates as sorted
-    sparse pairs, or None).  None when some lift or read fails."""
-    f, cols = kernel.field, []
+def snake(images, middle: Subspace, row: Matrix, kernel: Subspace, column: Matrix, read,
+          target_dim: int) -> tuple:
+    """The snake lemma on a map of rows A -> B -> C into A' -> B' -> C' with
+    columns alpha, beta, gamma, from the sparse ``images`` in B of a basis of
+    ker alpha, ``middle`` = ker beta, ``row`` B -> C, ``kernel`` = ker gamma
+    and ``column`` = beta.  Returns whether the images lie in ker beta and
+    whether they span ker beta & ker row; whether ``row`` carries ker beta
+    into ker gamma; the connecting map delta, each basis row of ker gamma
+    lifted through ``row.preimage_sparse``, sent along ``column`` and read
+    off by ``read`` (sorted sparse pairs to sorted target pairs, or None),
+    None when a lift or read fails; and whether row(ker beta) = ker delta,
+    False without delta.  Each exactness is an inclusion and a dimension
+    count, delta reading a vector of ker gamma at its pivots."""
+    f = middle.field
+    lands = all(middle.contains_sparse(c) for c in images)
+    onward = [linear(f, row.sparse_cols, r) for r in middle.sparse_rows]
+    into_kernel = all(kernel.contains_sparse(c) for c in onward)
+    carried = Subspace.span_sparse(f, row.rows, onward)
+    exact_middle = lands and not any(linear(f, row.sparse_cols, c) for c in images) and \
+        Subspace.span_sparse(f, middle.ambient_dim, images).dim == middle.dim - carried.dim
+    cols = []
     for r in kernel.sparse_rows:
         x = row.preimage_sparse(r)
         q = None if x is None else read(tuple(sorted(linear(f, column.sparse_cols, x))))
         if q is None:
-            return None
+            return lands, exact_middle, into_kernel, None, False
         cols.append(q)
-    return Matrix.from_columns(f, target_dim, cols)
-
-
-def _expand_kernel(mapping: Matrix, space: Subspace) -> Subspace:
-    """The kernel of a map defined on coordinates in the basis of ``space``,
-    as a subspace of the ambient space of ``space``."""
-    f = space.field
-    return Subspace.span_sparse(f, space.ambient_dim,
-                                [linear(f, space.sparse_rows, w) for w in mapping.kernel().sparse_rows])
+    delta = Matrix.from_columns(f, target_dim, cols)
+    exact_kernel = into_kernel and carried.dim == kernel.dim - delta.rank() and not any(
+        linear(f, delta.sparse_cols, [(i, w[p]) for i, p in enumerate(kernel.pivots()) if p in w])
+        for w in map(dict, carried.sparse_rows))
+    return lands, exact_middle, into_kernel, delta, exact_kernel
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,9 @@ class ValidationReport:
 class CheckItem:
     name: str
     ok: bool
-    detail: str = ""
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "ok": self.ok}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return {"name": self.name, "ok": self.ok}
 
 
 @dataclass
@@ -91,8 +87,8 @@ class ExactnessReport:
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def check(self, name: str, ok: bool, detail: str = ""):
-        self.items.append(CheckItem(name, bool(ok), detail))
+    def check(self, name: str, ok: bool):
+        self.items.append(CheckItem(name, bool(ok)))
 
     def failures(self) -> list[CheckItem]:
         return [i for i in self.items if not i.ok]

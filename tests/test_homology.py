@@ -244,6 +244,16 @@ class TestBoundary:
             for n in range(2, 5):
                 assert cx.squares_to_zero(n)
 
+    @pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
+    def test_a_bad_last_column_fails_the_square(self, f):
+        # degree 3's last column replaced by a unit vector e_j of C_2 whose
+        # d_2 column is nonzero, so d_2 d_3 is nonzero only there
+        cx = ChainComplex(generators.sl2(f), adjoint_corep(generators.sl2(f)))
+        j = next(j for j, col in enumerate(cx.columns(2)) if col)
+        cx._columns[3] = cx.columns(3)[:-1] + (((j, f.one()),),)
+        assert not cx.squares_to_zero(3)
+        assert cx.squares_to_zero(2)
+
     def test_squares_to_zero_on_random_coreps(self):
         rng = random.Random(29)
         for _ in range(10):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,13 @@ from homleib.linalg import (
     QuotientSpace,
     RrefAccumulator,
     Subspace,
-    _expand_kernel,
-    connecting_map,
     contract,
     dense_vec,
     induced_map,
     linear,
     quotient,
+    snake,
+    sparse_add,
     sparse_outer,
     sparse_table,
     sparse_vec,
@@ -408,6 +409,12 @@ class TestSparseColumns:
         assert m == Matrix.from_rows(QQ, [[2, 0]]) and m.rank() == 1 and not m.is_zero()
 
 
+def connecting(kernel, row, column, read, target_dim):
+    """``snake``'s connecting map on ``kernel``, with no images and the
+    column's own kernel as the middle."""
+    return snake((), column.kernel(), row, kernel, column, read, target_dim)[3]
+
+
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
 class TestConnectingMap:
     """Row 3 -> 2 keeps the first two coordinates, so a lift of v is
@@ -418,26 +425,26 @@ class TestConnectingMap:
 
     def test_lifts_give_the_expected_columns(self, f):
         row, column = self.parts(f)
-        delta = connecting_map(Subspace.full(f, 2), row, column, lambda w: w, 3)
+        delta = connecting(Subspace.full(f, 2), row, column, lambda w: w, 3)
         assert delta == mat(f, [[1, 2], [0, 1], [3, 0]])
         line = Subspace.span(f, 2, [(f.one(), f.one())])
-        delta = connecting_map(line, row, column, lambda w: tuple((k, x) for k, x in w if k < 1), 1)
+        delta = connecting(line, row, column, lambda w: tuple((k, x) for k, x in w if k < 1), 1)
         assert delta == mat(f, [[3]])
 
     def test_row_not_onto_the_kernel_is_none(self, f):
         row, column = self.parts(f, ((1, 0, 0), (0, 0, 0)))
-        assert connecting_map(Subspace.full(f, 2), row, column, lambda w: w, 3) is None
+        assert connecting(Subspace.full(f, 2), row, column, lambda w: w, 3) is None
 
     def test_failed_read_is_none(self, f):
         row, column = self.parts(f)
         # the first column (1, 0, 3) reads off, the second (2, 1, 0) does not
         target = Matrix.from_columns(f, 3, [((0, f.one()), (2, f.from_int(3)))])
-        assert connecting_map(Subspace.full(f, 2), row, column, target.preimage_sparse, 1) is None
-        assert connecting_map(Subspace.full(f, 2), row, column, lambda w: None, 3) is None
+        assert connecting(Subspace.full(f, 2), row, column, target.preimage_sparse, 1) is None
+        assert connecting(Subspace.full(f, 2), row, column, lambda w: None, 3) is None
 
     def test_empty_kernel_gives_an_empty_map(self, f):
         row, column = self.parts(f)
-        delta = connecting_map(Subspace.zero(f, 2), row, column, lambda w: w, 3)
+        delta = connecting(Subspace.zero(f, 2), row, column, lambda w: w, 3)
         assert (delta.rows, delta.cols) == (3, 0)
 
 
@@ -596,9 +603,10 @@ class TestResidue:
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
 class TestSparseStorage:
     """A subspace keeps only the sparse rows of its RREF.  Its dense basis,
-    and every sum, intersection and expanded kernel, equals the computation
-    on dense rows with the reference ``rref``; equal subspaces built in
-    different ways compare and hash equal."""
+    and every sum and intersection, equals the computation on dense rows
+    with the reference ``rref``, and ``snake``'s exactness verdicts equal
+    the subspace equalities they decide; equal subspaces built in different
+    ways compare and hash equal."""
 
     @given(st.data())
     def test_matches_the_dense_computation(self, f, data):
@@ -612,9 +620,69 @@ class TestSparseStorage:
         stacked = Matrix.from_columns(f, n, map(sparse_vec, a.basis.entries + b.basis.entries))
         kernel = [w[:a.dim] for w in _dense_kernel(stacked)]
         assert a.intersect(b).basis == _dense_basis(f, n, _dense_combinations(f, n, a.basis.entries, kernel))
-        mapping = data.draw(low_rank_matrices(f, cols=a.dim)) if a.dim else Matrix.zero(f, 1, 0)
-        expanded = _dense_combinations(f, n, a.basis.entries, _dense_kernel(mapping))
-        assert _expand_kernel(mapping, a).basis == _dense_basis(f, n, expanded)
+
+    def test_snake_verdicts_match_the_subspace_equalities(self, f):
+        """``snake``'s two exactness verdicts, an inclusion and a dimension
+        count each, against the definitions: the images span ker beta &
+        ker row (``intersect``), and row(ker beta) is ker delta (delta's
+        dense kernel expanded in the basis of ker gamma).  The draws mix the
+        snake lemma's own data, which is exact, with near misses: images
+        moved along ker row or ker beta, ker gamma moved off row(ker beta),
+        and a zero read; so each verdict occurs both ways.  Three fixed near
+        misses pass every half of a verdict but one."""
+        seen = set()
+
+        @given(st.data())
+        def check(data):
+            row = data.draw(low_rank_matrices(f))
+            n, m = row.cols, row.rows
+            beta = data.draw(low_rank_matrices(f, cols=n))
+            middle, ker_row = beta.kernel(), row.kernel().sparse_rows
+            exact = Matrix.from_rows(f, row.entries + beta.entries).kernel().sparse_rows  # ker beta & ker row
+            images = data.draw(st.sampled_from([
+                exact, exact[:-1], *([sparse_add(f, r, k, f.one()) for r, k in zip(exact, cycle(moves))]
+                                     for moves in (ker_row, middle.sparse_rows)),
+                [sparse_vec(r) for r in data.draw(low_rank_matrices(f, cols=n)).entries]]))
+            lifted = [sparse_vec(v) for v in data.draw(low_rank_matrices(f, cols=n)).entries]
+            moved = [sparse_add(f, r, v, f.one()) for r, v in zip(middle.sparse_rows, cycle(lifted))]
+            kernel = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, v) for v in data.draw(
+                st.sampled_from([lifted, lifted + list(middle.sparse_rows), moved]))])
+            coker = QuotientSpace(Subspace.span_sparse(  # the snake lemma's cokernel, modulo beta(ker row)
+                f, beta.rows, [linear(f, beta.sparse_cols, r) for r in ker_row]))
+            read, target_dim = data.draw(st.sampled_from([
+                (coker.project_sparse, coker.dim), (lambda w: w, beta.rows), (lambda w: (), 1)]))
+            seen.update(self.snake_verdicts(f, images, row, beta, kernel, read, target_dim))
+
+        check()
+        assert seen == {("middle", True), ("middle", False), ("kernel", True), ("kernel", False)}
+        one = f.one()
+        e = [((i, one),) for i in range(3)]
+        # images in ker row, not in ker beta; in ker beta, not in ker row;
+        # row(ker beta) read into ker delta, not in ker gamma
+        for images, row, beta, kernel, verdicts in (
+                ([e[1]], [[1, 0, 0]], [[0, 1, 0]], [e[0]], {("middle", False), ("kernel", True)}),
+                ([e[0], e[1]], [[1, 0, 0]], [[0, 0, 0]], [e[0]], {("middle", False), ("kernel", True)}),
+                ([], [[1, 0], [0, 1]], [[1, -1]], [e[0]], {("middle", True), ("kernel", False)})):
+            row = mat(f, row)
+            assert self.snake_verdicts(f, images, row, mat(f, beta), Subspace.span_sparse(f, row.rows, kernel),
+                                       lambda w: (), 1) == verdicts
+
+    @staticmethod
+    def snake_verdicts(f, images, row, beta, kernel, read, target_dim) -> set:
+        """Check ``snake`` on ker beta against the definitions and return
+        its two exactness verdicts."""
+        n, m, middle = row.cols, row.rows, beta.kernel()
+        lands, exact_middle, into_kernel, delta, exact_kernel = snake(
+            images, middle, row, kernel, beta, read, target_dim)
+        spanned = Subspace.span_sparse(f, n, images)
+        onward = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, r) for r in middle.sparse_rows])
+        assert lands == middle.contains_subspace(spanned)
+        assert exact_middle == (spanned == middle.intersect(row.kernel()))
+        assert into_kernel == kernel.contains_subspace(onward)
+        assert delta is not None and delta.cols == kernel.dim
+        expanded = _dense_combinations(f, m, kernel.basis.entries, _dense_kernel(delta))
+        assert exact_kernel == (onward.basis == _dense_basis(f, m, expanded))
+        return {("middle", exact_middle), ("kernel", exact_kernel)}
 
     @given(st.data())
     def test_equal_subspaces_compare_and_hash_equal(self, f, data):
