@@ -9,10 +9,11 @@ built into the ambient space itself.  The families are data for
 ``linalg.law_rows``: every term is a pure tensor of two sparse vectors, a
 bilinear term in a ``linalg.tensor_table`` block, so ``check_laws``' own
 support rule skips exactly the instances in which each term has an empty
-leg, which are zero; the span is unchanged.  On a tensor square the block
-swap u*v <-> u*v' carries the other six families into the span S of r1, r3,
-r5 and r7 and its swap, so only those four are instantiated and the
-relations are S + swap(S) (the proof is at ``relation_vectors``).  The
+leg, which are zero; the span is unchanged.  Each family is needed on some
+compatible pair.  On a tensor square under adjoint actions the block swap
+u*v <-> u*v' carries the other seven families into the span S of r1, r3
+and r7 and its swap, so only those three are instantiated and the
+relations are S + swap(S) (both proofs are at ``relation_vectors``).  The
 same swap carries the relations of (M, N) onto those of (N, M), so
 ``ideal_sequence_certificate`` generates the span of each distinct
 relation data once and presents every product of its row on it.
@@ -151,17 +152,17 @@ def _eval_maps(ma: MutualActions):
 
 
 def _is_square(ma: MutualActions) -> bool:
-    """Whether the two sides carry equal data: dimension, twist, bracket,
-    and one action table for all four actions.  That is, the relation data
-    equals its own exchange and each side acts by equal left and right
-    tables."""
+    """Whether the pair is a tensor square under adjoint actions: the two
+    sides carry equal dimension, twist and bracket, and all four actions
+    are that bracket.  That is, the relation data equals its own exchange
+    and each side acts by its bracket from the left and from the right."""
     data = _relation_data(ma)
-    return data == data[::-1] and all(left == right for *_, left, right in data)
+    return data == data[::-1] and all(c == left == right for _, _, c, left, right in data)
 
 
 def relation_vectors(ma: MutualActions):
     """Yield the spanning relation instances over basis tuples, less those
-    that are zero by sparsity (on a tensor square, of r1, r3, r5, r7 only).
+    that are zero by sparsity (on a tensor square, of r1, r3 and r7 only).
 
     The ten families are ``linalg.law_rows`` data: each term is a pure
     tensor of two sparse vectors in one of the two blocks, and an instance
@@ -185,14 +186,34 @@ def relation_vectors(ma: MutualActions):
     the right.  r1 and r4 run over (m, n, n'), r2 and r3 over (n, m, m'), r5
     over (m, m', n), r6 over (n, n', m) and r7-r10 over (m, n, m', n').
 
-    On a square (``_is_square``: both sides carry the same twist, bracket
-    and action table A, so x>y = x<y = A[x][y]) let swap exchange the two
-    blocks, u*v <-> u*v'.  Reading each family off the list above:
+    Off a square each family is needed: on some compatible pair, dropping
+    it shrinks the span (tests/test_tensor.py pins a pair for each).  Two
+    pairs of abelian algebras, each passing the eight action identities on
+    both sides and the eight compatibility identities, show it for r5 and
+    r7, and their exchanges (N, M), below, for r6 and r10:
+      * M = <m>, N = <n1, n2>, identity twists, the one nonzero action value
+        m>n1 = n2: every family but r3 and r5 is zero, r3 spans n2*m, and
+        r5(m, m, n1) = m*n2 lies outside that span;
+      * M = <m1, m2>, N = <n1, n2>, zero twists, the nonzero values
+        m1<n1 = m2 and m1>n1 = n2: each term of r1-r6 has a twist leg and
+        each of r8-r10 a leg n>m or n<m, all zero, while
+        r7(m1, n1, m1, n1) = m2*n2 - n2*m2.
+
+    On a square (``_is_square``: both sides carry the same twist and
+    bracket, and all four actions are that bracket, x>y = x<y = [x, y]) let
+    swap exchange the two blocks, u*v <-> u*v'.  Reading each family off
+    the list above:
       * r2, r4 and r6 are swap(r1), swap(r3) and swap(r5) at the same tuple;
       * r8, r9 and r10 are r7 at (m, n, n', m'), (n, m, m', n'), (n, m, n', m');
-      * r7 = u*v - u*v' with u = A[m][n], v = A[m'][n'], so swap(r7) = -r7.
-    So the relations are S + swap(S), S the span of r1, r3, r5 and r7: only
-    those are yielded, and ``relation_span`` adds the span of swap(S).
+      * r7 = u*v - u*v' with u = [m, n], v = [m', n'], so swap(r7) = -r7;
+      * r5(m, m', n) = r1(m, m', n) + r1(m, n, m'): the terms [m, m']*t(n)
+        and [m, n]*t(m') cancel, leaving t(m)*([m', n] + [n, m']).
+    So the relations are S + swap(S), S the span of r1, r3 and r7: only
+    those are yielded, and ``relation_span`` adds the span of swap(S).  The
+    last step needs the actions to be the bracket: the abelian <n1, n2>
+    with the identity twist, acting on itself by n1>n1 = n1<n1 = n2 on
+    both sides, has r5(n1, n1, n1) = 2 n1*n2 outside the span of the other
+    nine families.
 
     Exchanging the factors.  The same swap carries the ambient space of
     (M, N) onto that of (N, M): m*n, the generator i*dn + j of the first
@@ -229,7 +250,7 @@ def relation_vectors(ma: MutualActions):
     r9 = ("r9", (), [(mn, (n_on_m, 1, 0), (m_on_n, 2, 3))], [(nm, (n_by_m, 1, 0), (m_by_n, 2, 3))])
     r10 = ("r10", (), [(mn, (n_on_m, 1, 0), (n_by_m, 3, 2))], [(nm, (n_by_m, 1, 0), (n_on_m, 3, 2))])
     mnn, nmm, mmn, nnm, mnmn = (dm, dn, dn), (dn, dm, dm), (dm, dm, dn), (dn, dn, dm), (dm, dn, dm, dn)
-    yield from law_rows(f, [(mnn, [r1]), (nmm, [r3]), (mmn, [r5]), (mnmn, [r7])] if _is_square(ma) else [
+    yield from law_rows(f, [(mnn, [r1]), (nmm, [r3]), (mnmn, [r7])] if _is_square(ma) else [
         (mnn, [r1, r4]), (nmm, [r2, r3]), (mmn, [r5]), (nnm, [r6]), (mnmn, [r7, r8, r9, r10])])
 
 

@@ -8,13 +8,30 @@ from __future__ import annotations
 
 import random
 
-from homleib.actions import MutualActions
-from homleib.algebras import AlgebraHom, IdealHandle, ideal_closure, quotient_algebra
+from homleib.actions import HomAction, MutualActions, ideal_pair_actions
+from homleib.algebras import (
+    AlgebraHom,
+    HomLeibnizAlgebra,
+    IdealHandle,
+    direct_sum,
+    ideal_closure,
+    quotient_algebra,
+)
 from homleib.errors import InternalInconsistency
 from homleib.fields import Field
-from homleib.generators import random_algebra
+from homleib.generators import heisenberg, random_algebra, sl2, square_bracket_algebra
 from homleib.homassoc import HomAssociativeAlgebra, boundary_rows, hochschild_module
-from homleib.linalg import Matrix, QuotientSpace, dense_vec, induced_map, quotient, sparse_outer, sparse_vec
+from homleib.linalg import (
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    dense_vec,
+    induced_map,
+    quotient,
+    sparse_outer,
+    sparse_vec,
+    unit_vec,
+)
 from homleib.tensorprod import TensorProduct, build_tensor
 
 
@@ -75,3 +92,85 @@ def boundary_ideal_agreement(A: HomAssociativeAlgebra) -> AlgebraHom:
     if not (iso.map.is_injective() and iso.map.is_surjective()):
         raise InternalInconsistency("comparison map is not bijective")
     return iso
+
+
+def sl2_on_two_planes(f: Field) -> HomLeibnizAlgebra:
+    """sl2 acting on two copies v, w of its standard representation, the
+    semidirect product sl2 x (V2 + V2) with the identity twist."""
+    br = {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
+    for one, two in ((3, 4), (5, 6)):
+        br.update({(0, two): {one: 1}, (1, one): {two: 1}, (2, one): {one: 1}, (2, two): {two: -1}})
+    br.update({(j, i): {k: -x for k, x in v.items()} for (i, j), v in list(br.items())})
+    return HomLeibnizAlgebra.from_brackets(f, 7, br, labels=("e", "f", "h", "v1", "v2", "w1", "w2"))
+
+
+def zero_twist(L: HomLeibnizAlgebra) -> HomLeibnizAlgebra:
+    """L's bracket under the zero twist, a Hom-Leibniz algebra for any
+    bracket: every term of the identity has a twist in it."""
+    return HomLeibnizAlgebra.from_sparse(L.field, L.dim, L.sparse_c, Matrix.zero(L.field, L.dim, L.dim), L.labels)
+
+
+def one_sided(L: HomLeibnizAlgebra, side: str) -> MutualActions:
+    """L acting on itself by its bracket from the left only or from the
+    right only, the same action both ways; compatible exactly when the
+    bracket is two-step nilpotent."""
+    zero = (((),) * L.dim,) * L.dim
+    act = HomAction(L, L, *((L.sparse_c, zero) if side == "left" else (zero, L.sparse_c)))
+    return MutualActions(act, act)
+
+
+def abelian_witnesses(f: Field) -> list:
+    """(name, pair): the compatible pairs of abelian algebras on which a
+    relation family of the tensor product follows from no other, with the
+    exchange of each (the ``relation_vectors`` docstring):
+      * r5: <m> acts on <n1, n2> by m>n1 = n2 alone, identity twists;
+      * r7: <m1, m2> and <n1, n2> act by m1<n1 = m2 and m1>n1 = n2 alone,
+        zero twists;
+      * the square's r5: <n1, n2> acts on itself by n1>n1 = n1<n1 = n2,
+        identity twist, a square whose actions are not its bracket."""
+    def act(dm, dn, twist, left=(), right=()):
+        # abelian dm- and dn-spaces under the identity or the zero twist;
+        # the nonzero values are (actor, target) for the left action and
+        # (target, actor) for the right one, each the target's e[1]
+        M, N = (HomLeibnizAlgebra.abelian(f, d, None if twist == "identity" else Matrix.zero(f, d, d))
+                for d in (dm, dn))
+        value = ((1, f.one()),)
+        tables = (tuple(tuple(value if (i, j) in entries else () for j in range(b)) for i in range(a))
+                  for (a, b), entries in (((dm, dn), left), ((dn, dm), right)))
+        return HomAction(M, N, *tables)
+
+    square = act(2, 2, "identity", [(0, 0)], [(0, 0)])
+    pairs = [("r5: m>n1 = n2", MutualActions(act(1, 2, "identity", [(0, 0)]), act(2, 1, "identity"))),
+             ("r7: m1<n1 = m2, m1>n1 = n2", MutualActions(act(2, 2, "zero", [(0, 0)]),
+                                                          act(2, 2, "zero", right=[(0, 0)]))),
+             ("square: n1.n1 = n2", MutualActions(square, square))]
+    return pairs + [(f"{name}, exchanged", MutualActions(ma.nm, ma.mn)) for name, ma in pairs[:2]]
+
+
+def edge_pairs(f: Field) -> list:
+    """(name, pair): compatible pairs at the edges of the hypotheses.  The
+    algebras have singular twists: the zero twist on sl2, Heisenberg, the
+    square-bracket algebra and sl2 x (V2 + V2), and id + 0 and 0 + id on
+    sl2 + Heisenberg.  Each acts on itself adjointly; Heisenberg and the
+    square-bracket algebra, two-step nilpotent, also act on themselves from
+    one side only, under the zero twist and under their own; the ideal
+    V = <v1, v2, w1, w2> of sl2 x (V2 + V2), and the Heisenberg summand of
+    each sum, basis vectors 3 on in each, act with the whole algebra on each
+    other by the bracket, in both orders.  Last come the
+    ``abelian_witnesses``."""
+    heis, square = heisenberg(f), square_bracket_algebra(f)
+    singular = [("sl2, zero twist", zero_twist(sl2(f))), ("heisenberg, zero twist", zero_twist(heis)),
+                ("square, zero twist", zero_twist(square)),
+                ("sl2 x (V2 + V2), zero twist", zero_twist(sl2_on_two_planes(f))),
+                ("sl2 + heisenberg, id + 0", direct_sum(sl2(f), zero_twist(heis))),
+                ("sl2 + heisenberg, 0 + id", direct_sum(zero_twist(sl2(f)), heis))]
+    pairs = [(f"{name}, adjoint", MutualActions.adjoint(L)) for name, L in singular]
+    for name, L in (("heisenberg", heis), ("square", square)):
+        for twist, A in (("zero twist", zero_twist(L)), ("own twist", L)):
+            pairs += [(f"{name}, {twist}, {side} only", one_sided(A, side)) for side in ("left", "right")]
+    for name, L in singular[3:]:
+        whole = Subspace.full(f, L.dim)
+        part = Subspace.span(f, L.dim, [unit_vec(f, L.dim, i) for i in range(3, L.dim)])
+        pairs += [(f"{name}: ideal on L", ideal_pair_actions(L, part, whole)),
+                  (f"{name}: L on ideal", ideal_pair_actions(L, whole, part))]
+    return pairs + abelian_witnesses(f)

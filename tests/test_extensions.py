@@ -35,6 +35,7 @@ from homleib.extensions import (
 from homleib.homology import ChainComplex, trivial_corep
 from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
+from homleib_testkit import sl2_on_two_planes
 
 QQ = Field()
 
@@ -319,16 +320,6 @@ class TestSixTerm:
     def test_requires_perfect(self, nonlie2):
         with pytest.raises(NotPerfect):
             six_term_check(nonlie2, Subspace.zero(QQ, 2))
-
-
-def sl2_on_two_planes(f):
-    """sl2 acting on two copies v, w of its standard representation, the
-    semidirect product sl2 x (V2 + V2) with the identity twist."""
-    br = {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
-    for one, two in ((3, 4), (5, 6)):
-        br.update({(0, two): {one: 1}, (1, one): {two: 1}, (2, one): {one: 1}, (2, two): {two: -1}})
-    br.update({(j, i): {k: -x for k, x in v.items()} for (i, j), v in list(br.items())})
-    return HomLeibnizAlgebra.from_brackets(f, 7, br, labels=("e", "f", "h", "v1", "v2", "w1", "w2"))
 
 
 def uce_with_central_ideal(f):

@@ -447,7 +447,7 @@ TENSOR_FAMILIES = tuple(f"r{k}" for k in range(1, 11))
 
 
 def test_each_tensor_family_stated_once():
-    # a tensor square states r1, r3, r5 and r7 as the same law tuples as any
+    # a tensor square states r1, r3 and r7 as the same law tuples as any
     # other pair: each family name is one constant in tensorprod, the name
     # of one law, so no path keeps a copy of a family
     path = Path(__file__).resolve().parents[1] / "src" / "homleib" / "tensorprod.py"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -27,6 +28,7 @@ from homleib.algebras import (
 from homleib.actions import HomAction, MutualActions, ideal_pair_actions, self_action
 from homleib.generators import heisenberg, random_ideal_pair, sl2 as make_sl2
 from homleib import tensorprod
+from homleib.cli import main
 from homleib.homassoc import hochschild_module, to_leibniz
 from homleib.report import ExactnessReport
 from homleib.tensorprod import (
@@ -40,7 +42,7 @@ from homleib.tensorprod import (
 )
 from test_checker import ALGEBRAS, _single_entry_perturbations, _sparse_bumps, dense_table, sl2_twisted
 from test_linalg import dense_outer
-from homleib_testkit import embed_nm, random_trivial_pair
+from homleib_testkit import abelian_witnesses, edge_pairs, embed_nm, random_trivial_pair
 
 QQ = Field()
 
@@ -275,7 +277,7 @@ def _relation_cases(f):
     ]
 
 
-SQUARE_FAMILIES = ("r1", "r3", "r5", "r7")
+SQUARE_FAMILIES = ("r1", "r3", "r7")
 
 
 def _full_span(ma):
@@ -287,12 +289,13 @@ def _full_span(ma):
 class TestRelations:
     @pytest.mark.parametrize("p", [None, 1000003])
     @pytest.mark.parametrize("make, generated, nonzero, basis", [
-        (heisenberg, 34, 26, HEIS_RELATIONS),
-        (_sl2_plus_abelian, 144, 114, SL2_AB1_RELATIONS),
+        (heisenberg, 28, 26, HEIS_RELATIONS),
+        (_sl2_plus_abelian, 120, 114, SL2_AB1_RELATIONS),
     ])
     def test_relation_span_pinned(self, p, make, generated, nonzero, basis):
-        # the square path yields r1, r3, r5 and r7 only (76/60 and 360/300
-        # rows for all ten families); the RREF basis is the ten families'
+        # the square path yields r1, r3 and r7 only (76/60 and 360/300 rows
+        # for all ten families; 34/26 and 144/114 with r5, whose rows all
+        # cancel on these brackets); the RREF basis is the ten families'
         f = Field(p)
         ma = MutualActions.adjoint(make(f))
         rows = list(relation_vectors(ma))
@@ -307,7 +310,7 @@ class TestRelations:
     def test_rows_are_the_nonzero_rows_of_the_full_enumeration(self, f):
         # only instances that are zero by sparsity are skipped: the nonzero
         # rows, and so the RREF basis built from them, come in the same order;
-        # on a square the families are r1, r3, r5 and r7, off it all ten
+        # on a square the families are r1, r3 and r7, off it all ten
         cases = _relation_cases(f)
         assert [tensorprod._is_square(ma) for ma in cases] == [True] * 4 + [False] * 3 + [True]
         for ma in cases:
@@ -341,6 +344,75 @@ class TestRelations:
             cols = [c for c, _ in row]
             assert cols == sorted(set(cols))
             assert all(x for _, x in row)
+
+
+# for each family a pair of ``edge_pairs`` on which it follows from no other
+NEEDED_ON = (
+    ("r1", "sl2 + heisenberg, 0 + id: ideal on L"),
+    ("r2", "sl2 + heisenberg, 0 + id: L on ideal"),
+    ("r3", "square, own twist, right only"),
+    ("r4", "square, own twist, right only"),
+    ("r5", "r5: m>n1 = n2"),
+    ("r5", "square: n1.n1 = n2"),
+    ("r6", "r5: m>n1 = n2, exchanged"),
+    ("r7", "r7: m1<n1 = m2, m1>n1 = n2"),
+    ("r8", "heisenberg, zero twist, left only"),
+    ("r9", "heisenberg, zero twist, left only"),
+    ("r10", "r7: m1<n1 = m2, m1>n1 = n2, exchanged"),
+)
+
+
+class TestEdgePairs:
+    """Singular twists, one-sided actions and the pairs on which r5 and r7
+    are needed, against the ten-family dense reference."""
+
+    @pytest.mark.parametrize("f", [QQ, Field(1000003), Field(3), Field(5)],
+                             ids=["Q", "GF(1000003)", "GF(3)", "GF(5)"])
+    def test_relations_are_the_span_of_all_ten_families(self, f):
+        for name, ma in edge_pairs(f):
+            assert build_tensor(ma).presentation.relations == _full_span(ma), name
+
+    def test_every_pair_passes_every_identity(self):
+        for name, ma in edge_pairs(QQ):
+            assert ma.check_compatible().valid and ma.mn.validate().valid and ma.nm.validate().valid, name
+            assert ma.m_side.validate().valid and ma.n_side.validate().valid, name
+
+    def test_each_family_is_needed(self):
+        # dropping any one family from the reference shrinks the span on
+        # its pair; r8 and r9 need a one-sided action at the zero twist
+        pairs = dict(edge_pairs(QQ))
+        for family, name in NEEDED_ON:
+            ma = pairs[name]
+            size = 2 * ma.m_side.dim * ma.n_side.dim
+            rows = [dense_vec(QQ, size, r) for fam, r in full_relation_rows(ma) if fam != family]
+            assert Subspace.span(QQ, size, rows).dim < _full_span(ma).dim, (family, name)
+        assert sorted({family for family, _ in NEEDED_ON}) == sorted(f"r{k}" for k in range(1, 11))
+
+    def test_a_square_needs_its_actions_to_be_the_bracket(self):
+        # equal data on both sides and one action table that is not the
+        # bracket: that pair needs r5, so it takes the ten-family path
+        ma = dict(abelian_witnesses(QQ))["square: n1.n1 = n2"]
+        data = tensorprod._relation_data(ma)
+        assert data == data[::-1] and ma.mn.sparse_left == ma.mn.sparse_right != ma.m_side.sparse_c
+        assert not tensorprod._is_square(ma)
+
+    def test_r5_witness_through_the_command_line(self, tmp_path, capsys):
+        # <m> acting on <n1, n2> by m>n1 = n2: two relations, m*n2 (r5) and
+        # n2*m (r3); without r5 the product would have dimension 3
+        def write(name, doc):
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+            return str(tmp_path / name)
+
+        write("m.alg", {"field": "Q", "kind": "hom-leibniz", "dim": 1, "basis": ["m"], "bracket": [],
+                        "alpha": [["1"]]})
+        write("n.alg", {"field": "Q", "kind": "hom-leibniz", "dim": 2, "basis": ["n1", "n2"], "bracket": [],
+                        "alpha": [["1", "0"], ["0", "1"]]})
+        first = write("mn.act", {"actor": "m.alg", "target": "n.alg", "right": [],
+                                 "left": [{"actor": "m", "target": "n1", "value": {"n2": "1"}}]})
+        second = write("nm.act", {"actor": "n.alg", "target": "m.alg", "left": [], "right": []})
+        assert main(["tensor", first, second, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["ambient_dim"], out["relation_rank"], out["dim"]) == (4, 2, 2)
 
 
 def _bump(f, table, i, j, k):
@@ -471,7 +543,7 @@ class TestExchangeLemma:
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     def test_square_verdict_is_read_off_the_relation_data(self, f):
         # the square test compares the two sides' data written out in full:
-        # dimension, twist, bracket and one table for all four actions; every
+        # dimension, twist, bracket, and the bracket as all four actions; every
         # stock pair, every bracket pair of the six-term sequences and every
         # bump gets the same verdict from the relation data
         pairs = [ma for _, ma in _exchange_cases(f)]
@@ -484,8 +556,10 @@ class TestExchangeLemma:
         for ma in pairs:
             M, N, mn, nm = ma.m_side, ma.n_side, ma.mn, ma.nm
             verdicts.append(
-                (M.dim, M.twist.sparse_cols, M.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left) ==
-                (N.dim, N.twist.sparse_cols, N.sparse_c, mn.sparse_right, nm.sparse_left, nm.sparse_right))
+                (M.dim, M.twist.sparse_cols, M.sparse_c, M.sparse_c, mn.sparse_left, mn.sparse_right,
+                 nm.sparse_left) ==
+                (N.dim, N.twist.sparse_cols, N.sparse_c, mn.sparse_left, mn.sparse_right, nm.sparse_left,
+                 nm.sparse_right))
         assert [tensorprod._is_square(ma) for ma in pairs] == verdicts
         assert True in verdicts and False in verdicts
 
