@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -9,13 +9,15 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
+from homleib import homassoc
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
-from homleib.linalg import Matrix, sparse_vec
-from homleib.algebras import derived_subspace
+from homleib.linalg import Matrix, Subspace, sparse_vec
+from homleib.algebras import AlgebraHom, derived_subspace
 from homleib.homassoc import (
+    HochschildModule,
     HomAssociativeAlgebra,
     alpha_identity_holds,
     alpha_identity_witness,
@@ -309,17 +311,17 @@ class TestSequence:
 
     @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
     def test_exterior_algebra_has_a_kernel_over_the_commutator_tensor(self, f):
-        # the exterior algebra on x, y: x^2 = y^2 = 0 and yx = -xy, so the
-        # commutator subspace is <xy> and the connecting map starts from a
-        # 6-dimensional kernel
-        exterior = HomAssociativeAlgebra.from_products(
-            f, 4, {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 0): {1: 1},
-                   (2, 0): {2: 1}, (3, 0): {3: 1}, (1, 2): {3: 1}, (2, 1): {3: -1}},
-            labels=("1", "x", "y", "xy"))
-        rep = sequence_check(hochschild_module(exterior))
-        assert rep.ok, [i.name for i in rep.failures()]
-        assert (rep.dims["first homology"], rep.dims["kernel over commutator tensor"],
-                rep.dims["commutator modulo inner"]) == (4, 6, 1)
+        # the commutator subspace is <xy> and the connecting map starts from
+        # a 6-dimensional kernel; the whole report is pinned, every check
+        # by name and in order
+        rep = sequence_check(hochschild_module(exterior_algebra(f)))
+        assert rep.to_dict() == {
+            "subject": "hochschild comparison sequence", "ok": True,
+            "checks": [{"name": name, "ok": True} for name in SEQUENCE_CHECKS],
+            "dims": {"quotient algebra": 5, "commutator subspace": 1, "first homology": 4,
+                     "tensor with quotient": 23, "tensor with commutator": 6, "tensor with first homology": 24,
+                     "commutator modulo inner": 1, "kernel over quotient tensor": 21,
+                     "kernel over commutator tensor": 6}}
 
     def test_alpha_identity_violation_raises(self, upper_triangular):
         scaled = yau_twist_assoc(upper_triangular,
@@ -331,6 +333,111 @@ class TestSequence:
         # module: a stand-in holding only the algebra raises the same
         with pytest.raises(AlphaIdentityFails):
             sequence_check(SimpleNamespace(parent=scaled))
+
+
+def exterior_algebra(f):
+    """The exterior algebra on x, y: x^2 = y^2 = 0 and yx = -xy."""
+    return HomAssociativeAlgebra.from_products(
+        f, 4, {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 0): {1: 1},
+               (2, 0): {2: 1}, (3, 0): {3: 1}, (1, 2): {3: 1}, (2, 1): {3: -1}},
+        labels=("1", "x", "y", "xy"))
+
+
+SEQUENCE_CHECKS = (
+    "mutual actions compatible", "homology includes as a homomorphism",
+    "evaluation is a homomorphism onto the commutator subalgebra", "tensored evaluation surjective",
+    "tensor row exact in the middle", "column over the homology tensor vanishes",
+    "column vanishes on the included homology tensor", "middle cokernel matches the Milnor-type homology",
+    "right cokernel matches the commutator quotient", "homology tensor lands in the kernel",
+    "exact at the quotient-tensor kernel", "kernels map onward", "connecting lifts exist",
+    "exact at the commutator-tensor kernel", "exact at the first homology",
+    "commutator map descends to the Milnor quotient", "exact at the Milnor-type homology",
+    "onto the commutator cokernel")
+
+
+def _failed(rep) -> list:
+    return [i.name for i in rep.failures()]
+
+
+class _DropsLastCoordinate(Matrix):
+    """A map whose preimages lose their last coordinate."""
+
+    def preimage_sparse(self, pairs):
+        x = super().preimage_sparse(pairs)
+        return x if x is None else tuple((k, v) for k, v in x if k != self.cols - 1)
+
+
+class _MissesFirstHomologyVector(HochschildModule):
+    """A module whose first homology lacks its first basis vector."""
+
+    def first_homology(self):
+        return Subspace.span_sparse(self.phi.field, self.phi.cols, super().first_homology().sparse_rows[1:])
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestSequenceSeesWrongMaps:
+    """Each joint of the Hochschild comparison sequence handed one wrong map
+    reads ``ok: false``: valid inputs make every check true, so only a wrong
+    map tells a check from a weakened copy of it.  Each wrong map enters
+    through the module or a map the certificate builds, never through the
+    snake lemma's own arguments."""
+
+    def test_homology_inclusion_with_wrong_preimages(self, f, monkeypatch):
+        # the connecting map reads each value through the inclusion of H;
+        # with the last coordinate dropped its image leaves ker(H -> Milnor)
+        real = homassoc.subalgebra
+
+        def wrong(algebra, space, prefix):
+            sub, incl = real(algebra, space, prefix)
+            if prefix == "z":
+                m = object.__new__(_DropsLastCoordinate)
+                m.__dict__.update(field=f, rows=incl.map.rows, cols=incl.map.cols, sparse_cols=incl.map.sparse_cols)
+                incl = AlgebraHom(incl.source, incl.target, m)
+            return sub, incl
+
+        monkeypatch.setattr(homassoc, "subalgebra", wrong)
+        assert _failed(sequence_check(hochschild_module(exterior_algebra(f)))) == [
+            "exact at the commutator-tensor kernel", "exact at the first homology"]
+
+    def test_first_homology_missing_a_vector(self, f):
+        # the inclusion of H misses a vector of ker phi, so the Milnor-type
+        # term sees too small an image, and so does the tensor row
+        h = hochschild_module(exterior_algebra(f))
+        wrong = _MissesFirstHomologyVector(**{k.name: getattr(h, k.name) for k in fields(h)})
+        assert _failed(sequence_check(wrong)) == [
+            "tensor row exact in the middle", "exact at the quotient-tensor kernel",
+            "exact at the Milnor-type homology"]
+
+    def test_zero_commutator_column(self, f, monkeypatch):
+        # A*C -> C read as zero: its image is not [A, C], and the kernel of
+        # the zero column holds a vector the connecting map cannot lift
+        real = homassoc.build_tensor
+
+        def zero_column(ma):
+            t = real(ma)
+            if ma.n_side.labels[:1] == ("c1",):
+                col = t.into_n
+                t.__dict__["into_n"] = AlgebraHom(col.source, col.target, Matrix.zero(f, col.map.rows, col.map.cols))
+            return t
+
+        monkeypatch.setattr(homassoc, "build_tensor", zero_column)
+        upper_triangular = HomAssociativeAlgebra.from_products(
+            f, 3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}, labels=("e11", "e12", "e22"))
+        assert _failed(sequence_check(hochschild_module(upper_triangular))) == [
+            "right cokernel matches the commutator quotient", "connecting lifts exist"]
+
+    def test_zero_homology_tensor_map(self, f, monkeypatch):
+        # A*H -> A*Q read as zero misses the kernel of the tensored evaluation
+        h = hochschild_module(exterior_algebra(f))
+        real = homassoc.induced_tensor_map
+
+        def zero_first(f_hom, g_hom, t_src, t_dst):
+            hom = real(f_hom, g_hom, t_src, t_dst)
+            return hom if g_hom.target is not h.algebra else \
+                AlgebraHom(hom.source, hom.target, Matrix.zero(f, hom.map.rows, hom.map.cols))
+
+        monkeypatch.setattr(homassoc, "induced_tensor_map", zero_first)
+        assert _failed(sequence_check(h)) == ["tensor row exact in the middle", "exact at the quotient-tensor kernel"]
 
 
 def _block_sum(a, b):
