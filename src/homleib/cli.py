@@ -50,7 +50,7 @@ from .homassoc import (
     to_leibniz,
 )
 from .homology import ChainComplex, adjoint_corep, coinvariants_dim, trivial_corep
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, exact
 from .report import render_witness
 from .tensorprod import build_tensor
 
@@ -152,10 +152,8 @@ def cmd_semidirect(args) -> dict:
 
 def _split_exact(sd) -> bool:
     ident = Matrix.identity(sd.algebra.field, sd.project.target.dim)
-    return (sd.include.map.rank() == sd.include.source.dim
-            and sd.project.map.rank() == sd.project.target.dim
-            and sd.project.map.kernel() == sd.include.map.image()
-            and sd.project.map.compose(sd.section.map) == ident)
+    return sd.include.map.is_injective() and sd.project.map.is_surjective() \
+        and exact(sd.include.map, sd.project.map) and sd.project.map.compose(sd.section.map) == ident
 
 
 def cmd_tensor(args) -> dict:

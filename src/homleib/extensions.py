@@ -216,10 +216,11 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     with Q the quotient algebra.  The middle kernels realize the second
     homology of L and Q; the connecting map lifts through the tensor row and
-    evaluates the commutator map.  Every joint is certified by exact ranks,
-    together with the commutation and identification facts the construction
-    depends on.  The ideal is checked first, once: a subspace that is not
-    a twist-stable two-sided ideal raises before a non-perfect algebra does.
+    evaluates the commutator map.  One ``linalg.snake`` over M -> L -> Q
+    decides every joint (past M/[L,M] the cokernels are zero, L and Q being
+    perfect), with the commutation and identification facts it depends on.
+    The ideal is checked first, once: a subspace that is not a twist-stable
+    two-sided ideal raises before a non-perfect algebra does.
     """
     ideal = IdealHandle(L, ideal_space).require_ideal()
     if not is_perfect(L):
@@ -233,9 +234,7 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     # on the zero ideal Q*Q is L*L itself, and its map is read once
     psi_ll, psi_qq = data.t_ll.into_m, data.t_qq.into_m
     # the column over L*M evaluates into the ideal (second factor)
-    k1 = data.t_lm.into_n.map.kernel()
-    k2 = psi_ll.map.kernel()
-    k3 = psi_qq.map.kernel()
+    k1, k2, k3 = (m.map.kernel() for m in (data.t_lm.into_n, psi_ll, psi_qq))
     rep.dims["kernel over ideal tensor"] = k1.dim
     rep.dims["second homology of the algebra"] = k2.dim
     rep.dims["second homology of the quotient"] = k3.dim
@@ -254,17 +253,15 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     rep.dims["ideal modulo commutator"] = coker_q.dim
 
     # the snake along the projection row; the first map, the inclusion then
-    # the twist, is the second block of sigma, and delta reads the cokernel
-    def read(v):
-        q = data.incl.map.preimage_sparse(v)
-        return None if q is None else coker_q.project_sparse(q)
-
+    # the twist, is the second block of sigma, and L and Q are perfect, so
+    # the columns over L*L and Q*Q are onto and their cokernels are zero
     twisted_incl = data.sigma.sparse_cols[data.t_ml.algebra.dim:]
-    lands, exact_l, into_kernel, delta, exact_q = snake(
-        [linear(f, twisted_incl, r) for r in k1.sparse_rows], k2, data.tau.map, k3, psi_ll.map, read, coker_q.dim)
-    rep.check("first map lands in the middle kernel", lands)
-    rep.check("second map lands in the quotient kernel", into_kernel)
-    rep.check("exact at the second homology of the algebra", exact_l)
+    s = snake([linear(f, twisted_incl, r) for r in k1.sparse_rows], k2, data.tau.map, k3, psi_ll.map,
+              data.incl.map, data.proj.map, coker_q, QuotientSpace(Subspace.full(f, L.dim)),
+              QuotientSpace(Subspace.full(f, psi_qq.map.rows)))
+    rep.check("first map lands in the middle kernel", s.lands)
+    rep.check("second map lands in the quotient kernel", s.into_ker_gamma)
+    rep.check("exact at the second homology of the algebra", s.exact_ker_beta)
 
     # the big column's image equals that two-sided commutator: values of the
     # evaluation on the ideal tensor, then twisted values on the swapped one
@@ -273,8 +270,8 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
     im_psi = Subspace.span_sparse(f, L.dim, psi_big_cols)
     rep.check("column image equals the two-sided commutator", im_psi == two_sided)
 
-    rep.check("connecting map lifts exist", delta is not None)
-    if delta is not None:
-        rep.check("exact at the second homology of the quotient", exact_q)
-        rep.check("connecting map onto the ideal cokernel", delta.rank() == coker_q.dim)
+    rep.check("connecting map lifts exist", s.delta is not None)
+    if s.delta is not None:
+        rep.check("exact at the second homology of the quotient", s.exact_ker_gamma)
+        rep.check("connecting map onto the ideal cokernel", s.exact_coker_alpha)
     return rep

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AlphaIdentityFails, InternalInconsistency, NotWellDefined, StructureError
+from .errors import AlphaIdentityFails, InternalInconsistency, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import (
     AlgebraHom,
@@ -47,6 +47,7 @@ from .linalg import (
     check_laws,
     contract,
     dense_vec,
+    exact,
     induced_map,
     law_columns,
     law_rows,
@@ -299,17 +300,18 @@ def action_of_quotient(h: HochschildModule) -> HomAction:
 
 
 def sequence_check(h: HochschildModule) -> ExactnessReport:
-    """Five-joint exactness certificate for the degree-one Hochschild
-    comparison sequence of the algebra A = ``h.parent``
+    """Exactness certificate for the degree-one Hochschild comparison
+    sequence of the algebra A = ``h.parent``
 
         A*H -> Ker(A*Q -> Q) -> Ker(A*C -> C) -> H -> Milnor -> C/[A,C] -> 0
 
     where Q is the boundary quotient algebra, H the kernel of its evaluation
     (the first Hochschild homology, an abelian algebra), C the commutator
-    subalgebra, and Milnor the Milnor-type quotient.  Requires the
-    twist-identity condition, checked before anything is read from ``h``;
-    certifies the two cokernel identifications and every joint by exact
-    ranks.
+    subalgebra, and Milnor the Milnor-type quotient.  It is the snake
+    sequence of the tensored evaluation A*H -> A*Q -> A*C over H -> Q -> C,
+    and one ``linalg.snake`` decides its five joints; the report also
+    certifies the two cokernel identifications.  Requires the twist-identity
+    condition, checked before anything is read from ``h``.
     """
     A = h.parent
     A.require_valid()
@@ -339,28 +341,23 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     # first homology: H = ker phi brackets to zero, as the quotient bracket
     # factors through phi, and the twist keeps H, as phi commutes with the
     # twist on a multiplicative A
-    H_space = h.first_homology()
-    H_alg, incl_h = subalgebra(h.algebra, H_space, "z")
+    H_alg, incl_h = subalgebra(h.algebra, h.first_homology(), "z")
     t_ah = build_tensor(MutualActions.trivial(lb, H_alg))
     rep.dims["tensor with first homology"] = t_ah.algebra.dim
 
     # row maps: include the homology, then evaluate through phi
     rep.check("homology includes as a homomorphism", incl_h.is_homomorphism())
 
-    def in_c(pairs, message):
-        q = incl_c.map.preimage_sparse(pairs)
-        if q is None:
-            raise InternalInconsistency(message)
-        return q
-
-    phi_cols = [in_c(c, "evaluation leaves the commutator subalgebra") for c in h.phi.sparse_cols]
+    phi_cols = [incl_c.map.preimage_sparse(c) for c in h.phi.sparse_cols]
+    if None in phi_cols:
+        raise InternalInconsistency("evaluation leaves the commutator subalgebra")
     phi_hom = AlgebraHom(h.algebra, C_sub, Matrix.from_columns(f, C_sub.dim, phi_cols))
     rep.check("evaluation is a homomorphism onto the commutator subalgebra",
               phi_hom.is_homomorphism())
     big_f = induced_tensor_map(id_a, incl_h, t_ah, t_aq)
     big_g = induced_tensor_map(id_a, phi_hom, t_aq, t_ac)
     rep.check("tensored evaluation surjective", big_g.map.is_surjective())
-    rep.check("tensor row exact in the middle", big_f.map.image() == big_g.map.kernel())
+    rep.check("tensor row exact in the middle", exact(big_f.map, big_g.map))
 
     # columns: evaluation of each tensor product onto its second factor
     col_q, col_c, col_h = t_aq.into_n, t_ac.into_n, t_ah.into_n
@@ -369,64 +366,38 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
               col_q.map.compose(big_f.map).is_zero())
 
     # cokernel identifications; a class of A (x) A lifts to its coset generators
-    def at_cosets(pairs):
-        return tuple((h.presentation.coset_basis[k], x) for k, x in pairs)
-
-    im_col_q_ambient = Subspace.span_sparse(f, n * n, map(at_cosets, t_aq.eval_n.sparse_cols))
+    cosets = h.presentation.coset_basis
+    im_col_q_ambient = Subspace.span_sparse(f, n * n, [[(cosets[k], x) for k, x in c] for c in t_aq.eval_n.sparse_cols])
     milnor = milnor_relations(h)
     extra = im_col_q_ambient.add(h.presentation.relations)
     rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
-    im_col_c = col_c.map.image()
-    two_sided = commutator(IdealHandle(lb, h.commutator_space),
-                           IdealHandle(lb, Subspace.full(f, lb.dim)))
-    two_sided_in_c = Subspace.span_sparse(
-        f, C_sub.dim, [in_c(r, "vector does not lie in the subalgebra") for r in two_sided.sparse_rows])
-    rep.check("right cokernel matches the commutator quotient", im_col_c == two_sided_in_c)
-    coker_c = QuotientSpace(im_col_c)
+    # the bracket actions on C hold [A, C] and [C, A] in C, so this compares
+    # them with the column image in A's coordinates
+    two_sided = commutator(IdealHandle(lb, h.commutator_space), IdealHandle(lb, Subspace.full(f, lb.dim)))
+    rep.check("right cokernel matches the commutator quotient",
+              Subspace.span_sparse(f, n, incl_c.map.compose(col_c.map).sparse_cols) == two_sided)
+    coker_c = QuotientSpace(col_c.map.image())
     rep.dims["commutator modulo inner"] = coker_c.dim
 
-    # snake joints
-    k_q = col_q.map.kernel()
-    k_c = col_c.map.kernel()
+    k_q, k_c = col_q.map.kernel(), col_c.map.kernel()
     rep.dims["kernel over quotient tensor"] = k_q.dim
     rep.dims["kernel over commutator tensor"] = k_c.dim
 
-    # the snake along the tensored evaluation: the homology tensor into the
-    # quotient-tensor kernel, that kernel onward, and the connecting map
-    # into the homology
-    lands, exact_q, into_kernel, delta, exact_c = snake(big_f.map.sparse_cols, k_q, big_g.map, k_c, col_q.map,
-                                                   incl_h.map.preimage_sparse, H_alg.dim)
-    rep.check("homology tensor lands in the kernel", lands)
-    rep.check("exact at the quotient-tensor kernel", exact_q)
-    rep.check("kernels map onward", into_kernel)
-    rep.check("connecting lifts exist", delta is not None)
-    if delta is None:
+    # the snake along the tensored evaluation over H -> Q -> C, whose column
+    # cokernels are H, the Milnor quotient as identified above, and C/[A,C]
+    s = snake(big_f.map.sparse_cols, k_q, big_g.map, k_c, col_q.map, incl_h.map, phi_hom.map,
+              QuotientSpace(Subspace.zero(f, H_alg.dim)), QuotientSpace(col_q.map.image()), coker_c)
+    rep.check("homology tensor lands in the kernel", s.lands)
+    rep.check("exact at the quotient-tensor kernel", s.exact_ker_beta)
+    rep.check("kernels map onward", s.into_ker_gamma)
+    rep.check("connecting lifts exist", s.delta is not None)
+    if s.delta is None:
         return rep
-    rep.check("exact at the commutator-tensor kernel", exact_c)
-
-    # map from the homology into the Milnor quotient
-    milnor_q = QuotientSpace(milnor)
-    to_milnor = Matrix.from_columns(f, milnor_q.dim, [milnor_q.project_sparse(at_cosets(r))
-                                                     for r in H_space.sparse_rows])
-    im_delta = delta.image()
-    ker_to_milnor = to_milnor.kernel()
-    rep.check("exact at the first homology", im_delta == ker_to_milnor)
-
-    # map from the Milnor quotient onto the commutator cokernel, induced by
-    # the commutator fold into the commutator subalgebra; the Milnor
-    # relations must evaluate into the inner commutators for it to descend
-    fold_c = Matrix.from_columns(f, C_sub.dim, [in_c(v, "vector does not lie in the subalgebra")
-                                                for row in lb.sparse_c for v in row])
-    try:
-        to_coker = induced_map(fold_c, milnor_q, coker_c)
-    except NotWellDefined:
-        to_coker = None
-    rep.check("commutator map descends to the Milnor quotient", to_coker is not None)
-    if to_coker is None:
+    rep.check("exact at the commutator-tensor kernel", s.exact_ker_gamma)
+    rep.check("exact at the first homology", s.exact_coker_alpha)
+    rep.check("commutator map descends to the Milnor quotient", s.coker_g is not None)
+    if s.coker_g is None:
         return rep
-    # exactness at the Milnor term
-    im_to_m = to_milnor.image()
-    ker_to_c = to_coker.kernel()
-    rep.check("exact at the Milnor-type homology", im_to_m == ker_to_c)
-    rep.check("onto the commutator cokernel", to_coker.rank() == coker_c.dim)
+    rep.check("exact at the Milnor-type homology", s.exact_coker_beta)
+    rep.check("onto the commutator cokernel", s.onto_coker_gamma)
     return rep

@@ -71,8 +71,10 @@ presentations:
   the first row r whose image w does not, then projects each coset
   generator's column.  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
-* ``snake`` is the snake lemma of both exactness certificates: it forms the
-  connecting map and decides exactness at each kernel by a dimension count.
+* ``exact`` is the one test of im f = ker g, by a composite and two ranks,
+  and ``snake`` is the snake lemma of both exactness certificates: it forms
+  the connecting map and the maps induced on the cokernels, and decides
+  every joint from ker alpha to coker gamma by ``exact``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import chain
 from math import prod
+from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
@@ -706,40 +709,6 @@ class Subspace:
                                                           for w in stacked.kernel().sparse_rows])
 
 
-def snake(images, middle: Subspace, row: Matrix, kernel: Subspace, column: Matrix, read,
-          target_dim: int) -> tuple:
-    """The snake lemma on a map of rows A -> B -> C into A' -> B' -> C' with
-    columns alpha, beta, gamma, from the sparse ``images`` in B of a basis of
-    ker alpha, ``middle`` = ker beta, ``row`` B -> C, ``kernel`` = ker gamma
-    and ``column`` = beta.  Returns whether the images lie in ker beta and
-    whether they span ker beta & ker row; whether ``row`` carries ker beta
-    into ker gamma; the connecting map delta, each basis row of ker gamma
-    lifted through ``row.preimage_sparse``, sent along ``column`` and read
-    off by ``read`` (sorted sparse pairs to sorted target pairs, or None),
-    None when a lift or read fails; and whether row(ker beta) = ker delta,
-    False without delta.  Each exactness is an inclusion and a dimension
-    count, delta reading a vector of ker gamma at its pivots."""
-    f = middle.field
-    lands = all(middle.contains_sparse(c) for c in images)
-    onward = [linear(f, row.sparse_cols, r) for r in middle.sparse_rows]
-    into_kernel = all(kernel.contains_sparse(c) for c in onward)
-    carried = Subspace.span_sparse(f, row.rows, onward)
-    exact_middle = lands and not any(linear(f, row.sparse_cols, c) for c in images) and \
-        Subspace.span_sparse(f, middle.ambient_dim, images).dim == middle.dim - carried.dim
-    cols = []
-    for r in kernel.sparse_rows:
-        x = row.preimage_sparse(r)
-        q = None if x is None else read(tuple(sorted(linear(f, column.sparse_cols, x))))
-        if q is None:
-            return lands, exact_middle, into_kernel, None, False
-        cols.append(q)
-    delta = Matrix.from_columns(f, target_dim, cols)
-    exact_kernel = into_kernel and carried.dim == kernel.dim - delta.rank() and not any(
-        linear(f, delta.sparse_cols, [(i, w[p]) for i, p in enumerate(kernel.pivots()) if p in w])
-        for w in map(dict, carried.sparse_rows))
-    return lands, exact_middle, into_kernel, delta, exact_kernel
-
-
 @dataclass(frozen=True)
 class QuotientSpace:
     """Ambient space modulo a relation subspace, with canonical coordinates.
@@ -809,3 +778,63 @@ def induced_map(f, src: QuotientSpace, dst: QuotientSpace,
         if not dst.relations.contains_sparse(w):
             raise error(dense_vec(field, src.ambient_dim, row), dense_vec(field, dst.ambient_dim, w))
     return Matrix.from_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])
+
+
+def exact(f: Matrix, g: Matrix) -> bool:
+    """Whether im f = ker g for f: A -> B and g: B -> C: g after f is zero and
+    rank f + rank g = dim B, an inclusion and a dimension count, so no kernel
+    basis is formed."""
+    return g.compose(f).is_zero() and f.rank() + g.rank() == f.rows
+
+
+class Snake(NamedTuple):
+    """``snake``'s verdicts and maps, from ker alpha to coker gamma."""
+
+    lands: bool               # the images lie in ker beta
+    exact_ker_beta: bool      # and span ker beta & ker g
+    into_ker_gamma: bool      # g carries ker beta into ker gamma
+    delta: Matrix | None      # ker gamma -> coker alpha, None when a lift fails
+    exact_ker_gamma: bool     # g(ker beta) = ker delta
+    coker_f: Matrix | None    # F, induced by f', None when it does not descend
+    coker_g: Matrix | None    # G, induced by g', likewise
+    exact_coker_alpha: bool   # im delta = ker F
+    exact_coker_beta: bool    # im F = ker G
+    onto_coker_gamma: bool    # G is onto
+
+
+def snake(images, middle: Subspace, row: Matrix, kernel: Subspace, column: Matrix, lower_f: Matrix,
+          lower_g: Matrix, coker_alpha: QuotientSpace, coker_beta: QuotientSpace,
+          coker_gamma: QuotientSpace) -> Snake:
+    """The snake lemma on a map of rows A -> B -> C into A' -> B' -> C' with
+    columns alpha, beta, gamma, from the sparse ``images`` in B of a basis of
+    ker alpha, ``middle`` = ker beta, the ``row`` g, ``kernel`` = ker gamma,
+    the ``column`` beta, the lower row f' and g', and the three cokernels,
+    each its space modulo its column's image.  delta lifts each basis row of ker gamma
+    through g, sends it along beta and reads its preimage through f' in
+    coker alpha.  Every joint is ``exact``, an inclusion and a dimension
+    count; at ker beta and ker gamma, once the images lie in ker beta and g
+    carries ker beta into ker gamma, the maps there are read in those
+    kernels' bases, a vector at the kernel's pivots."""
+    f = middle.field
+
+    def at(space, vectors):  # vectors of ``space`` as the columns of their coordinates
+        return Matrix.from_columns(f, space.dim, [[(i, v[p]) for i, p in enumerate(space.pivots()) if p in v]
+                                                  for v in map(dict, vectors)])
+
+    def descend(m, src, dst):
+        try:
+            return induced_map(m, src, dst)
+        except NotWellDefined:
+            return None
+
+    onward = [sorted(linear(f, row.sparse_cols, r)) for r in middle.sparse_rows]  # g on ker beta
+    lands = all(middle.contains_sparse(c) for c in images)
+    into_kernel = all(kernel.contains_sparse(c) for c in onward)
+    lifts = [row.preimage_sparse(r) for r in kernel.sparse_rows]
+    reads = [None if x is None else lower_f.preimage_sparse(linear(f, column.sparse_cols, x)) for x in lifts]
+    delta = None if None in reads else Matrix.from_columns(f, coker_alpha.dim, map(coker_alpha.project_sparse, reads))
+    big_f, big_g = descend(lower_f, coker_alpha, coker_beta), descend(lower_g, coker_beta, coker_gamma)
+    return Snake(lands, lands and exact(at(middle, images), Matrix.from_columns(f, row.rows, onward)), into_kernel,
+                 delta, into_kernel and delta is not None and exact(at(kernel, onward), delta), big_f, big_g,
+                 None not in (delta, big_f) and exact(delta, big_f), None not in (big_f, big_g) and exact(big_f, big_g),
+                 big_g is not None and big_g.is_surjective())

@@ -51,6 +51,7 @@ from .linalg import (
     check_laws,
     induced_map,
     dense_vec,
+    exact,
     law_columns,
     law_rows,
     quotient,
@@ -436,7 +437,7 @@ def right_exactness_certificate(f_hom: AlgebraHom, g_hom: AlgebraHom,
     rep = ExactnessReport(subject="tensored right exactness")
     rep.check("f injective", f_hom.map.is_injective())
     rep.check("g surjective onto the third algebra", g_hom.map.is_surjective())
-    rep.check("im f = ker g", f_hom.map.image() == g_hom.map.kernel())
+    rep.check("im f = ker g", exact(f_hom.map, g_hom.map))
     t1, t2, t3 = build_tensor(ma1), build_tensor(ma2), build_tensor(ma3)
     rep.dims["first tensor"] = t1.algebra.dim
     rep.dims["middle tensor"] = t2.algebra.dim
@@ -445,7 +446,7 @@ def right_exactness_certificate(f_hom: AlgebraHom, g_hom: AlgebraHom,
     big_f = induced_tensor_map(f_hom, idn, t1, t2)
     big_g = induced_tensor_map(g_hom, idn, t2, t3)
     rep.check("induced g surjective", big_g.map.is_surjective())
-    rep.check("exact at the middle tensor", big_f.map.image() == big_g.map.kernel())
+    rep.check("exact at the middle tensor", exact(big_f.map, big_g.map))
     return rep
 
 
@@ -515,7 +516,7 @@ def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> Idea
     rep.dims["quotient tensor square"] = t_qq.algebra.dim
     rep.check("projection map surjective", tau.map.is_surjective())
     rep.check("composite vanishes", tau.map.compose(sigma).is_zero())
-    rep.check("exact at the tensor square", sigma.image() == tau.map.kernel())
+    rep.check("exact at the tensor square", exact(sigma, tau.map))
     return IdealSequenceData(t_ml, t_lm, t_ll, t_qq, incl, proj, sigma, tau, rep)
 
 

@@ -207,6 +207,23 @@ def test_accumulator_rows_assigned_only_inside_the_accumulator():
     assert found == ["linalg:RrefAccumulator.__init__", "linalg:RrefAccumulator._holding"], found
 
 
+
+def _compares_image_with_kernel(node):
+    # ``<...>.image() == <...>.kernel()``, in either order, or with !=
+    def called(side, name):
+        return isinstance(side, ast.Call) and getattr(side.func, "attr", None) == name
+
+    return isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq)) \
+        and {called(side, "image") + 2 * called(side, "kernel") for side in (node.left, *node.comparators)} == {1, 2}
+
+
+def test_row_exactness_only_by_exact():
+    # im f = ker g is decided by linalg.exact, a composite and a rank
+    # count, which forms no kernel basis: no module compares an image with
+    # a kernel as subspaces
+    found = _library_sites(_compares_image_with_kernel)
+    assert found == [], found
+
 SPARSE_PRESENTATION = ("certified_quotient", "induced_map", "build_tensor", "relation_span", "present_tensor",
                        "permuted", "_ambient_map", "outer_action",
                        "action_on_quotient", "induced_action", "degree_one_trivial_closed_form")

@@ -20,6 +20,7 @@ from homleib.linalg import (
     Subspace,
     contract,
     dense_vec,
+    exact,
     induced_map,
     linear,
     quotient,
@@ -409,10 +410,16 @@ class TestSparseColumns:
         assert m == Matrix.from_rows(QQ, [[2, 0]]) and m.rank() == 1 and not m.is_zero()
 
 
-def connecting(kernel, row, column, read, target_dim):
-    """``snake``'s connecting map on ``kernel``, with no images and the
-    column's own kernel as the middle."""
-    return snake((), column.kernel(), row, kernel, column, read, target_dim)[3]
+def connecting(kernel, row, column, lower=None, coker_alpha=None):
+    """``snake``'s connecting map on ``kernel``, with no images, the
+    column's own kernel as the middle and a zero C'; f' is ``lower``, by
+    default the identity, and coker alpha ``coker_alpha``, by default the
+    zero quotient of f''s domain."""
+    f = column.field
+    lower = lower or Matrix.identity(f, column.rows)
+    coker_alpha = coker_alpha or QuotientSpace(Subspace.zero(f, lower.cols))
+    return snake((), column.kernel(), row, kernel, column, lower, Matrix.zero(f, 0, column.rows), coker_alpha,
+                 QuotientSpace(column.image()), QuotientSpace(Subspace.zero(f, 0))).delta
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
@@ -425,26 +432,27 @@ class TestConnectingMap:
 
     def test_lifts_give_the_expected_columns(self, f):
         row, column = self.parts(f)
-        delta = connecting(Subspace.full(f, 2), row, column, lambda w: w, 3)
+        delta = connecting(Subspace.full(f, 2), row, column)
         assert delta == mat(f, [[1, 2], [0, 1], [3, 0]])
+        # modulo the last two coordinates the class is the first one
         line = Subspace.span(f, 2, [(f.one(), f.one())])
-        delta = connecting(line, row, column, lambda w: tuple((k, x) for k, x in w if k < 1), 1)
+        delta = connecting(line, row, column, coker_alpha=QuotientSpace(Subspace.span(f, 3, [(0, 1, 0), (0, 0, 1)])))
         assert delta == mat(f, [[3]])
 
     def test_row_not_onto_the_kernel_is_none(self, f):
         row, column = self.parts(f, ((1, 0, 0), (0, 0, 0)))
-        assert connecting(Subspace.full(f, 2), row, column, lambda w: w, 3) is None
+        assert connecting(Subspace.full(f, 2), row, column) is None
 
     def test_failed_read_is_none(self, f):
         row, column = self.parts(f)
-        # the first column (1, 0, 3) reads off, the second (2, 1, 0) does not
-        target = Matrix.from_columns(f, 3, [((0, f.one()), (2, f.from_int(3)))])
-        assert connecting(Subspace.full(f, 2), row, column, target.preimage_sparse, 1) is None
-        assert connecting(Subspace.full(f, 2), row, column, lambda w: None, 3) is None
+        # the first column (1, 0, 3) has a preimage through f', the second (2, 1, 0) not
+        lower = Matrix.from_columns(f, 3, [((0, f.one()), (2, f.from_int(3)))])
+        assert connecting(Subspace.full(f, 2), row, column, lower) is None
+        assert connecting(Subspace.full(f, 2), row, column, Matrix.zero(f, 3, 3)) is None
 
     def test_empty_kernel_gives_an_empty_map(self, f):
         row, column = self.parts(f)
-        delta = connecting(Subspace.zero(f, 2), row, column, lambda w: w, 3)
+        delta = connecting(Subspace.zero(f, 2), row, column)
         assert (delta.rows, delta.cols) == (3, 0)
 
 
@@ -600,6 +608,14 @@ class TestResidue:
         assert space.coordinates(inside) == x
 
 
+def _descended(m, src, dst):
+    """The map ``induced_map`` gives, or None when it does not descend."""
+    try:
+        return induced_map(m, src, dst)
+    except NotWellDefined:
+        return None
+
+
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
 class TestSparseStorage:
     """A subspace keeps only the sparse rows of its RREF.  Its dense basis,
@@ -621,15 +637,40 @@ class TestSparseStorage:
         kernel = [w[:a.dim] for w in _dense_kernel(stacked)]
         assert a.intersect(b).basis == _dense_basis(f, n, _dense_combinations(f, n, a.basis.entries, kernel))
 
+    @given(st.data())
+    def test_exact_is_the_subspace_equality(self, f, data):
+        """``exact(f, g)``, g after f zero and the ranks adding up to the
+        middle dimension, against im f = ker g: on random pairs, on a basis
+        of ker g, on that basis less a row (the inclusion holds, the count
+        fails) and on it with one row moved off ker g (the count holds, the
+        inclusion fails)."""
+        g = data.draw(low_rank_matrices(f))
+        n, one = g.cols, f.one()
+        rows = g.kernel().sparse_rows
+        off = [((j, one),) for j in range(n) if g.sparse_cols[j]]  # basis vectors off ker g
+        moved = [sorted(sparse_add(f, rows[0], off[0], one)), *rows[1:]] if rows and off else rows
+        for cols in (rows, rows[:-1], moved, data.draw(low_rank_matrices(f, cols=n)).transpose().sparse_cols):
+            m = Matrix.from_columns(f, n, cols)
+            assert exact(m, g) == (m.image() == g.kernel())
+        assert exact(Matrix.from_columns(f, n, rows), g)
+        if rows:
+            assert not exact(Matrix.from_columns(f, n, rows[:-1]), g)
+        if rows and off:
+            assert not exact(Matrix.from_columns(f, n, moved), g)
+
     def test_snake_verdicts_match_the_subspace_equalities(self, f):
-        """``snake``'s two exactness verdicts, an inclusion and a dimension
-        count each, against the definitions: the images span ker beta &
-        ker row (``intersect``), and row(ker beta) is ker delta (delta's
-        dense kernel expanded in the basis of ker gamma).  The draws mix the
-        snake lemma's own data, which is exact, with near misses: images
-        moved along ker row or ker beta, ker gamma moved off row(ker beta),
-        and a zero read; so each verdict occurs both ways.  Three fixed near
-        misses pass every half of a verdict but one."""
+        """``snake``'s five exactness verdicts, each an inclusion and a
+        dimension count, against the definitions: the images span ker beta &
+        ker row (``intersect``); row(ker beta) is ker delta (delta's dense
+        kernel expanded in the basis of ker gamma); im delta = ker F and
+        im F = ker G for the maps F and G that ``induced_map`` gives on the
+        cokernels; and G is onto.  delta and F and G themselves equal their
+        dense definitions.  The draws mix the snake lemma's own data, which
+        is exact, with near misses: images moved along ker row or ker beta,
+        ker gamma moved off row(ker beta), zero or failing reads, and
+        cokernels and lower maps drawn at random; so the two kernel verdicts
+        occur both ways.  Fixed near misses pass every half of a verdict but
+        one, so each cokernel verdict occurs both ways too."""
         seen = set()
 
         @given(st.data())
@@ -637,52 +678,125 @@ class TestSparseStorage:
             row = data.draw(low_rank_matrices(f))
             n, m = row.cols, row.rows
             beta = data.draw(low_rank_matrices(f, cols=n))
+            r = beta.rows
             middle, ker_row = beta.kernel(), row.kernel().sparse_rows
-            exact = Matrix.from_rows(f, row.entries + beta.entries).kernel().sparse_rows  # ker beta & ker row
+            spanning = Matrix.from_rows(f, row.entries + beta.entries).kernel().sparse_rows  # ker beta & ker row
             images = data.draw(st.sampled_from([
-                exact, exact[:-1], *([sparse_add(f, r, k, f.one()) for r, k in zip(exact, cycle(moves))]
-                                     for moves in (ker_row, middle.sparse_rows)),
-                [sparse_vec(r) for r in data.draw(low_rank_matrices(f, cols=n)).entries]]))
+                spanning, spanning[:-1], *([sparse_add(f, v, k, f.one()) for v, k in zip(spanning, cycle(moves))]
+                                           for moves in (ker_row, middle.sparse_rows)),
+                [sparse_vec(v) for v in data.draw(low_rank_matrices(f, cols=n)).entries]]))
             lifted = [sparse_vec(v) for v in data.draw(low_rank_matrices(f, cols=n)).entries]
-            moved = [sparse_add(f, r, v, f.one()) for r, v in zip(middle.sparse_rows, cycle(lifted))]
+            moved = [sparse_add(f, v, w, f.one()) for v, w in zip(middle.sparse_rows, cycle(lifted))]
+            units = [((j, f.one()),) for j in range(n)]  # onto im row
             kernel = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, v) for v in data.draw(
-                st.sampled_from([lifted, lifted + list(middle.sparse_rows), moved]))])
-            coker = QuotientSpace(Subspace.span_sparse(  # the snake lemma's cokernel, modulo beta(ker row)
-                f, beta.rows, [linear(f, beta.sparse_cols, r) for r in ker_row]))
-            read, target_dim = data.draw(st.sampled_from([
-                (coker.project_sparse, coker.dim), (lambda w: w, beta.rows), (lambda w: (), 1)]))
-            seen.update(self.snake_verdicts(f, images, row, beta, kernel, read, target_dim))
+                st.sampled_from([lifted, lifted + list(middle.sparse_rows), moved, units]))])
+
+            def drawn_map(rows):  # a random map into a rows-space
+                return data.draw(low_rank_matrices(f, cols=rows)).transpose()
+
+            def drawn_space(dim):
+                return Subspace.span(f, dim, data.draw(low_rank_matrices(f, cols=dim)).entries)
+
+            # the snake lemma's coker alpha, f' the identity: B' modulo beta(ker row)
+            own = QuotientSpace(Subspace.span_sparse(f, r, [linear(f, beta.sparse_cols, v) for v in ker_row]))
+            wild = drawn_map(r)
+            lower_f, coker_alpha = data.draw(st.sampled_from([
+                (Matrix.identity(f, r), own), (Matrix.identity(f, r), QuotientSpace(Subspace.zero(f, r))),
+                (Matrix.identity(f, r), QuotientSpace(Subspace.full(f, r))),
+                (wild, QuotientSpace(drawn_space(wild.cols)))]))
+            coker_beta = QuotientSpace(data.draw(st.sampled_from([beta.image(), drawn_space(r)])))
+            lower_g = data.draw(low_rank_matrices(f, cols=r))  # a random map out of B'
+            carried = Subspace.span_sparse(f, lower_g.rows, [linear(f, lower_g.sparse_cols, v)
+                                                              for v in coker_beta.relations.sparse_rows])
+            coker_gamma = QuotientSpace(data.draw(st.sampled_from([
+                carried, lower_g.image(), carried.add(drawn_space(lower_g.rows)), drawn_space(lower_g.rows)])))
+            seen.update(zip(("ker beta", "ker gamma"), self.snake_verdicts(
+                f, images, row, beta, kernel, lower_f, lower_g, (coker_alpha, coker_beta, coker_gamma))))
 
         check()
-        assert seen == {("middle", True), ("middle", False), ("kernel", True), ("kernel", False)}
+        assert {("ker beta", True), ("ker beta", False), ("ker gamma", True), ("ker gamma", False)} <= seen
         one = f.one()
         e = [((i, one),) for i in range(3)]
-        # images in ker row, not in ker beta; in ker beta, not in ker row;
-        # row(ker beta) read into ker delta, not in ker gamma
-        for images, row, beta, kernel, verdicts in (
-                ([e[1]], [[1, 0, 0]], [[0, 1, 0]], [e[0]], {("middle", False), ("kernel", True)}),
-                ([e[0], e[1]], [[1, 0, 0]], [[0, 0, 0]], [e[0]], {("middle", False), ("kernel", True)}),
-                ([], [[1, 0], [0, 1]], [[1, -1]], [e[0]], {("middle", True), ("kernel", False)})):
+
+        def plain(n):
+            return QuotientSpace(Subspace.zero(f, n))
+
+        def modulo(n, *rows):
+            return QuotientSpace(Subspace.span(f, n, rows))
+
+        # kernel half: images in ker row, not in ker beta; in ker beta, not
+        # in ker row; row(ker beta) read into ker delta, not in ker gamma.
+        # The lower row is zero, so no cokernel joint is exact
+        cases = [([e[1]], [[1, 0, 0]], [[0, 1, 0]], [e[0]], (False, True)),
+                 ([e[0], e[1]], [[1, 0, 0]], [[0, 0, 0]], [e[0]], (False, True)),
+                 ([], [[1, 0], [0, 1]], [[1, -1]], [e[0]], (True, False))]
+        zero_lower = (mat(f, [[0]]), mat(f, [[0]]), (plain(1), plain(1), plain(1)))
+        for images, row, beta, kernel, verdicts in cases:
             row = mat(f, row)
             assert self.snake_verdicts(f, images, row, mat(f, beta), Subspace.span_sparse(f, row.rows, kernel),
-                                       lambda w: (), 1) == verdicts
+                                       *zero_lower) == verdicts + (False, False, False)
+        # cokernel half, on B = C = a line, the row the identity and beta
+        # sending it to e0 of the plane B', so delta is the class of e0's
+        # preimage: f' is the identity of the plane or the inclusion of e0,
+        # and C' a line
+        row, beta, kernel = mat(f, [[1]]), mat(f, [[1], [0]]), Subspace.full(f, 1)
+        ident, first = Matrix.identity(f, 2), mat(f, [[1], [0]])
+        e0_on, e1_on, zero = mat(f, [[1, 0]]), mat(f, [[0, 1]]), mat(f, [[0, 0]])
+        for lower_f, lower_g, cokers, verdicts in (
+                # exact throughout: coker beta kills e0 and coker gamma is zero
+                (ident, zero, (plain(2), modulo(2, (1, 0)), modulo(1, (1,))), (True, True, True)),
+                # F reads e0, so F delta is not zero, but the ranks add up
+                (ident, zero, (plain(2), modulo(2, (0, 1)), plain(1)), (False, True, False)),
+                # F is zero, so F delta is, but rank delta + rank F = 1 < 2
+                (ident, zero, (plain(2), modulo(2, (1, 0), (0, 1)), plain(1)), (False, True, False)),
+                # F is e0's inclusion: G reading e1 is exact after it
+                (first, e1_on, (plain(1), plain(2), plain(1)), (False, True, True)),
+                # G reads e0, so G F is not zero, but the ranks add up
+                (first, e0_on, (plain(1), plain(2), plain(1)), (False, False, True)),
+                # G is zero, so G F is, but rank F + rank G = 1 < 2
+                (first, zero, (plain(1), plain(2), plain(1)), (False, False, False)),
+                # F kills delta's class, and rank delta + rank F = 1 + 0
+                (first, zero, (plain(1), modulo(2, (1, 0)), plain(1)), (True, False, False)),
+                # G does not descend: it reads coker beta's relation e1
+                (ident, e1_on, (plain(2), modulo(2, (0, 1)), plain(1)), (False, False, False)),
+                # F does not descend: it reads coker alpha's relation e1
+                (ident, zero, (modulo(2, (0, 1)), plain(2), plain(1)), (False, False, False))):
+            assert self.snake_verdicts(f, [], row, beta, kernel, lower_f, lower_g, cokers) == (True, True) + verdicts
+            seen.update(zip(("coker alpha", "coker beta", "onto"), verdicts))
+        assert seen == {(joint, ok) for joint in ("ker beta", "ker gamma", "coker alpha", "coker beta", "onto")
+                        for ok in (True, False)}
 
     @staticmethod
-    def snake_verdicts(f, images, row, beta, kernel, read, target_dim) -> set:
-        """Check ``snake`` on ker beta against the definitions and return
-        its two exactness verdicts."""
+    def snake_verdicts(f, images, row, beta, kernel, lower_f, lower_g, cokers) -> tuple:
+        """Check ``snake`` against the definitions and return its five
+        exactness verdicts: at ker beta, ker gamma, coker alpha and coker
+        beta, and onto coker gamma."""
         n, m, middle = row.cols, row.rows, beta.kernel()
-        lands, exact_middle, into_kernel, delta, exact_kernel = snake(
-            images, middle, row, kernel, beta, read, target_dim)
+        coker_alpha, coker_beta, coker_gamma = cokers
+        s = snake(images, middle, row, kernel, beta, lower_f, lower_g, *cokers)
         spanned = Subspace.span_sparse(f, n, images)
         onward = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, r) for r in middle.sparse_rows])
-        assert lands == middle.contains_subspace(spanned)
-        assert exact_middle == (spanned == middle.intersect(row.kernel()))
-        assert into_kernel == kernel.contains_subspace(onward)
-        assert delta is not None and delta.cols == kernel.dim
-        expanded = _dense_combinations(f, m, kernel.basis.entries, _dense_kernel(delta))
-        assert exact_kernel == (onward.basis == _dense_basis(f, m, expanded))
-        return {("middle", exact_middle), ("kernel", exact_kernel)}
+        assert s.lands == middle.contains_subspace(spanned)
+        assert s.exact_ker_beta == (spanned == middle.intersect(row.kernel()))
+        assert s.into_ker_gamma == kernel.contains_subspace(onward)
+        # each basis vector of ker gamma lifted through the row, sent along
+        # beta, pulled back through f' and read in coker alpha
+        lifts = [row.preimage(v) for v in kernel.basis.entries]
+        reads = [None if x is None else lower_f.preimage(beta.apply(x)) for x in lifts]
+        if any(x is None for x in reads):
+            assert s.delta is None and not s.exact_ker_gamma
+        else:
+            assert s.delta == Matrix.from_columns(f, coker_alpha.dim, [sparse_vec(coker_alpha.project(x))
+                                                                      for x in reads])
+            expanded = _dense_combinations(f, m, kernel.basis.entries, _dense_kernel(s.delta))
+            assert s.exact_ker_gamma == (onward.basis == _dense_basis(f, m, expanded))
+        big_f, big_g = _descended(lower_f, coker_alpha, coker_beta), _descended(lower_g, coker_beta, coker_gamma)
+        assert (s.coker_f, s.coker_g) == (big_f, big_g)
+        assert s.exact_coker_alpha == (s.delta is not None and big_f is not None and
+                                       s.delta.image() == big_f.kernel())
+        assert s.exact_coker_beta == (big_f is not None and big_g is not None and big_f.image() == big_g.kernel())
+        assert s.onto_coker_gamma == (big_g is not None and big_g.rank() == coker_gamma.dim)
+        return s.exact_ker_beta, s.exact_ker_gamma, s.exact_coker_alpha, s.exact_coker_beta, s.onto_coker_gamma
 
     @given(st.data())
     def test_equal_subspaces_compare_and_hash_equal(self, f, data):
