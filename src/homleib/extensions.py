@@ -33,7 +33,6 @@ from .algebras import (
     commutator,
     default_labels,
     is_perfect,
-    subalgebra,
     twist_image_bracket_span,
 )
 from .actions import MutualActions
@@ -150,7 +149,7 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
 
 @dataclass(frozen=True)
 class AlphaUniversalCentralExtension:
-    tensor: TensorProduct          # tensor square of the twist image subalgebra
+    tensor: TensorProduct          # tensor square of the algebra, the twist image
     extension: Extension           # onto the original algebra
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space
     iso: AlgebraHom                # tensor square -> presentation, verified bijective
@@ -159,34 +158,28 @@ class AlphaUniversalCentralExtension:
 def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCentralExtension:
     """Universal twist-central extension of a twist-perfect algebra.
 
-    Built as the tensor square of the twist image subalgebra; compared
-    against the quotient presentation of the plain tensor space by the
+    Built as the tensor square of the twist image, which is L itself:
+    L = [t(L), t(L)] = t([L, L]) lies in t(L), so L is perfect and this is
+    the universal central extension's own square.  It is compared against
+    the quotient presentation of the plain tensor space by the
     homology-style relation family, with the comparison map certified to be
     a bijective homomorphism.
     """
     if twist_image_bracket_span(L).dim != L.dim:
         raise NotAlphaPerfect("the twist image does not bracket onto the whole algebra")
-    A, incl = subalgebra(L, L.twist.image(), "a")
-    t = build_tensor(MutualActions.adjoint(A))
-    proj = AlgebraHom(t.algebra, L, incl.map.compose(t.into_m.map))
-    ext = Extension.from_projection(proj)
-    if classify_extension(ext) is not ExtensionKind.CENTRAL:
-        raise InternalInconsistency("twist tensor square projection is not central")
-
-    presented, iso = _presented_alpha_uce(A, t)
-    return AlphaUniversalCentralExtension(t, ext, presented, iso)
+    uce = universal_central_extension(L)
+    presented, iso = _presented_alpha_uce(L, uce.tensor)
+    return AlphaUniversalCentralExtension(uce.tensor, uce.extension, presented, iso)
 
 
-def _presented_alpha_uce(A, t):
-    """Quotient of the plain tensor space of the twist image A by the span of
+def _presented_alpha_uce(L, t):
+    """Quotient of the plain tensor space of L by the span of
         -[x1,x2] (x) t(x3) + [x1,x3] (x) t(x2) + t(x1) (x) [x2,x3]
     over basis triples, as ``linalg.law_rows`` data, with bracket
-    u (x) v, u' (x) v' -> [u,v] (x) [u',v'].  A is all of L on L's own
-    basis, since the twist image holds [t(L), t(L)] = L, so A's brackets and
-    twist are L's, in the same coordinates."""
-    f, k = A.field, A.dim
+    u (x) v, u' (x) v' -> [u,v] (x) [u',v']."""
+    f, k = L.field, L.dim
     ambient = k * k
-    br, tw, tens = A.sparse_c, A.twist.sparse_cols, tensor_table(f, k, k)
+    br, tw, tens = L.sparse_c, L.twist.sparse_cols, tensor_table(f, k, k)
     rows = law_rows(f, [((k, k, k), [("alpha relation", (),
                                       [(tens, (br, 0, 2), (tw, 1)), (tens, (tw, 0), (br, 1, 2))],
                                       [(tens, (br, 0, 1), (tw, 2))])])])
@@ -194,8 +187,8 @@ def _presented_alpha_uce(A, t):
     # the bracket factors through folding both legs; folding a relation
     # instance gives the Hom-Leibniz identity, so a valid algebra's fold
     # kills every relation
-    fold = A.bracket_map()
-    presented = certified_quotient(pres, fold, fold, A.twist.kron(A.twist), default_labels(pres.dim, "u"))
+    fold = L.bracket_map()
+    presented = certified_quotient(pres, fold, fold, L.twist.kron(L.twist), default_labels(pres.dim, "u"))
 
     # generator comparison: a*b in either block of the tensor square -> a (x) b;
     # both blocks are row-major in (first leg, second leg), like the plain space
@@ -216,11 +209,15 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
 
     with Q the quotient algebra.  The middle kernels realize the second
     homology of L and Q; the connecting map lifts through the tensor row and
-    evaluates the commutator map.  One ``linalg.snake`` over M -> L -> Q
-    decides every joint (past M/[L,M] the cokernels are zero, L and Q being
-    perfect), with the commutation and identification facts it depends on.
-    The ideal is checked first, once: a subspace that is not a twist-stable
-    two-sided ideal raises before a non-perfect algebra does.
+    evaluates the commutator map.  One ``linalg.snake`` decides every joint,
+    handed the map of rows L*M -> L*L -> Q*Q over M -> L -> Q and nothing
+    else: its first map is the twisted second block of sigma, its columns
+    the evaluations onto the second factor.  Its cokernels are the ones this
+    certifies: L*M acts on M by brackets, so the column over L*M sends l*m
+    to [l, m] and m*l to [m, l] and its cokernel is M/[L,M]; L and Q are
+    perfect, so the columns over L*L and Q*Q are onto and their cokernels
+    are zero.  The ideal is checked first, once: a subspace that is not a
+    twist-stable two-sided ideal raises before a non-perfect algebra does.
     """
     ideal = IdealHandle(L, ideal_space).require_ideal()
     if not is_perfect(L):
@@ -232,39 +229,25 @@ def six_term_check(L: HomLeibnizAlgebra, ideal_space: Subspace) -> ExactnessRepo
         rep.check(f"row: {item.name}", item.ok)
 
     # on the zero ideal Q*Q is L*L itself, and its map is read once
-    psi_ll, psi_qq = data.t_ll.into_m, data.t_qq.into_m
-    # the column over L*M evaluates into the ideal (second factor)
-    k1, k2, k3 = (m.map.kernel() for m in (data.t_lm.into_n, psi_ll, psi_qq))
-    rep.dims["kernel over ideal tensor"] = k1.dim
-    rep.dims["second homology of the algebra"] = k2.dim
-    rep.dims["second homology of the quotient"] = k3.dim
+    psi_ll, psi_qq, alpha = data.t_ll.into_m.map, data.t_qq.into_m.map, data.t_lm.into_n.map
+    rep.dims["kernel over ideal tensor"] = alpha.kernel().dim
+    rep.dims["second homology of the algebra"] = psi_ll.kernel().dim
+    rep.dims["second homology of the quotient"] = psi_qq.kernel().dim
 
     # commutativity of the square the snake construction uses
-    left_sq = data.proj.map.compose(psi_ll.map)
-    right_sq = psi_qq.map.compose(data.tau.map)
-    rep.check("projection commutes over the tensor row", left_sq == right_sq)
+    rep.check("projection commutes over the tensor row",
+              data.proj.map.compose(psi_ll) == psi_qq.compose(data.tau.map))
+    rep.dims["ideal modulo commutator"] = alpha.rows - alpha.image().dim
 
-    # cokernel target: ideal modulo the two-sided commutator with the algebra
-    two_sided = commutator(ideal, IdealHandle(L, Subspace.full(f, L.dim)))
-    in_m = [data.incl.map.preimage_sparse(r) for r in two_sided.sparse_rows]
-    if any(q is None for q in in_m):
-        raise InternalInconsistency("commutator with the algebra leaves the ideal")
-    coker_q = QuotientSpace(Subspace.span_sparse(f, data.incl.source.dim, in_m))
-    rep.dims["ideal modulo commutator"] = coker_q.dim
-
-    # the snake along the projection row; the first map, the inclusion then
-    # the twist, is the second block of sigma, and L and Q are perfect, so
-    # the columns over L*L and Q*Q are onto and their cokernels are zero
-    twisted_incl = data.sigma.sparse_cols[data.t_ml.algebra.dim:]
-    s = snake([linear(f, twisted_incl, r) for r in k1.sparse_rows], k2, data.tau.map, k3, psi_ll.map,
-              data.incl.map, data.proj.map, coker_q, QuotientSpace(Subspace.full(f, L.dim)),
-              QuotientSpace(Subspace.full(f, psi_qq.map.rows)))
+    twisted_incl = Matrix.from_columns(f, data.sigma.rows, data.sigma.sparse_cols[data.t_ml.algebra.dim:])
+    s = snake(twisted_incl, data.tau.map, data.incl.map, data.proj.map, alpha, psi_ll, psi_qq)
     rep.check("first map lands in the middle kernel", s.lands)
     rep.check("second map lands in the quotient kernel", s.into_ker_gamma)
     rep.check("exact at the second homology of the algebra", s.exact_ker_beta)
 
-    # the big column's image equals that two-sided commutator: values of the
+    # the big column's image equals the two-sided commutator: values of the
     # evaluation on the ideal tensor, then twisted values on the swapped one
+    two_sided = commutator(ideal, IdealHandle(L, Subspace.full(f, L.dim)))
     psi_big_cols = data.incl.map.compose(data.t_ml.eval_m).sparse_cols + \
         L.twist.compose(data.t_lm.eval_m).sparse_cols
     im_psi = Subspace.span_sparse(f, L.dim, psi_big_cols)

@@ -308,15 +308,16 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     where Q is the boundary quotient algebra, H the kernel of its evaluation
     (the first Hochschild homology, an abelian algebra), C the commutator
     subalgebra, and Milnor the Milnor-type quotient.  It is the snake
-    sequence of the tensored evaluation A*H -> A*Q -> A*C over H -> Q -> C,
-    and one ``linalg.snake`` decides its five joints; the report also
-    certifies the two cokernel identifications.  Requires the twist-identity
-    condition, checked before anything is read from ``h``.
+    sequence of the tensored evaluation A*H -> A*Q -> A*C over H -> Q -> C:
+    one ``linalg.snake``, handed those two rows and the three evaluations
+    onto the second factor and nothing else, decides its five joints, and
+    the report certifies that the cokernels it divides by are H (the column
+    over A*H vanishes), the Milnor-type quotient and C/[A,C].  Requires the
+    twist-identity condition, checked before anything is read from ``h``.
     """
     A = h.parent
     A.require_valid()
     f = A.field
-    n = A.dim
     wit = alpha_identity_witness(A)
     if wit is not None:
         raise AlphaIdentityFails(
@@ -365,28 +366,23 @@ def sequence_check(h: HochschildModule) -> ExactnessReport:
     rep.check("column vanishes on the included homology tensor",
               col_q.map.compose(big_f.map).is_zero())
 
-    # cokernel identifications; a class of A (x) A lifts to its coset generators
-    cosets = h.presentation.coset_basis
-    im_col_q_ambient = Subspace.span_sparse(f, n * n, [[(cosets[k], x) for k, x in c] for c in t_aq.eval_n.sparse_cols])
+    # cokernel identifications: the Milnor relations and the boundary
+    # relations of Q hold the boundary image, so projecting into Q compares
+    # them; the bracket actions on C hold [A, C] and [C, A] in C, so the
+    # second compares them with the column image in A's coordinates
     milnor = milnor_relations(h)
-    extra = im_col_q_ambient.add(h.presentation.relations)
-    rep.check("middle cokernel matches the Milnor-type homology", extra == milnor)
-    # the bracket actions on C hold [A, C] and [C, A] in C, so this compares
-    # them with the column image in A's coordinates
+    rep.check("middle cokernel matches the Milnor-type homology", col_q.map.image() == Subspace.span_sparse(
+        f, h.algebra.dim, map(h.presentation.project_sparse, milnor.sparse_rows)))
     two_sided = commutator(IdealHandle(lb, h.commutator_space), IdealHandle(lb, Subspace.full(f, lb.dim)))
     rep.check("right cokernel matches the commutator quotient",
-              Subspace.span_sparse(f, n, incl_c.map.compose(col_c.map).sparse_cols) == two_sided)
-    coker_c = QuotientSpace(col_c.map.image())
-    rep.dims["commutator modulo inner"] = coker_c.dim
-
-    k_q, k_c = col_q.map.kernel(), col_c.map.kernel()
-    rep.dims["kernel over quotient tensor"] = k_q.dim
-    rep.dims["kernel over commutator tensor"] = k_c.dim
+              incl_c.map.compose(col_c.map).image() == two_sided)
+    rep.dims["commutator modulo inner"] = col_c.map.rows - col_c.map.image().dim
+    rep.dims["kernel over quotient tensor"] = col_q.map.kernel().dim
+    rep.dims["kernel over commutator tensor"] = col_c.map.kernel().dim
 
     # the snake along the tensored evaluation over H -> Q -> C, whose column
     # cokernels are H, the Milnor quotient as identified above, and C/[A,C]
-    s = snake(big_f.map.sparse_cols, k_q, big_g.map, k_c, col_q.map, incl_h.map, phi_hom.map,
-              QuotientSpace(Subspace.zero(f, H_alg.dim)), QuotientSpace(col_q.map.image()), coker_c)
+    s = snake(big_f.map, big_g.map, incl_h.map, phi_hom.map, col_h.map, col_q.map, col_c.map)
     rep.check("homology tensor lands in the kernel", s.lands)
     rep.check("exact at the quotient-tensor kernel", s.exact_ker_beta)
     rep.check("kernels map onward", s.into_ker_gamma)

@@ -72,9 +72,11 @@ presentations:
   generator's column.  A map into a plain space has the relation-free target
   ``quotient(field, n, ())``;
 * ``exact`` is the one test of im f = ker g, by a composite and two ranks,
-  and ``snake`` is the snake lemma of both exactness certificates: it forms
-  the connecting map and the maps induced on the cokernels, and decides
-  every joint from ker alpha to coker gamma by ``exact``.
+  and ``snake`` is the snake lemma of both exactness certificates: handed
+  only the map of rows, its two rows and three columns, it reads every
+  kernel, image and cokernel off those maps, forms the connecting map and
+  the maps induced on the cokernels, and decides every joint from ker alpha
+  to coker gamma by ``exact``.
 """
 
 from __future__ import annotations
@@ -328,7 +330,8 @@ class Matrix:
     each column in the one sparse form, the (index, value) pairs of its
     nonzero coordinates with the indices increasing, so equal maps compare
     and hash equal; its dense ``entries`` are a view, built when read.  Its
-    rank, kernel, preimages and section read one factorization, built once."""
+    rank, kernel, preimages and section read one factorization, built once,
+    and its image and kernel are each formed once, when first read."""
 
     field: Field
     rows: int
@@ -454,9 +457,15 @@ class Matrix:
         return sum(1 for p in self._factor if p < self.cols)
 
     def image(self) -> Subspace:
-        return Subspace.span_sparse(self.field, self.rows, self.sparse_cols)
+        return self._image
 
     def kernel(self) -> Subspace:
+        return self._kernel
+
+    _image = cached_property(lambda self: Subspace.span_sparse(self.field, self.rows, self.sparse_cols))
+
+    @cached_property
+    def _kernel(self) -> Subspace:
         """Spanned by one solution per free column of M: 1 there, minus that
         column of the RREF at the pivots."""
         f = self.field
@@ -802,24 +811,26 @@ class Snake(NamedTuple):
     onto_coker_gamma: bool    # G is onto
 
 
-def snake(images, middle: Subspace, row: Matrix, kernel: Subspace, column: Matrix, lower_f: Matrix,
-          lower_g: Matrix, coker_alpha: QuotientSpace, coker_beta: QuotientSpace,
-          coker_gamma: QuotientSpace) -> Snake:
-    """The snake lemma on a map of rows A -> B -> C into A' -> B' -> C' with
-    columns alpha, beta, gamma, from the sparse ``images`` in B of a basis of
-    ker alpha, ``middle`` = ker beta, the ``row`` g, ``kernel`` = ker gamma,
-    the ``column`` beta, the lower row f' and g', and the three cokernels,
-    each its space modulo its column's image.  delta lifts each basis row of ker gamma
-    through g, sends it along beta and reads its preimage through f' in
-    coker alpha.  Every joint is ``exact``, an inclusion and a dimension
-    count; at ker beta and ker gamma, once the images lie in ker beta and g
-    carries ker beta into ker gamma, the maps there are read in those
-    kernels' bases, a vector at the kernel's pivots."""
-    f = middle.field
+def snake(f: Matrix, g: Matrix, lower_f: Matrix, lower_g: Matrix, alpha: Matrix, beta: Matrix,
+          gamma: Matrix) -> Snake:
+    """The snake lemma on the map of rows A -> B -> C (f, g) into
+    A' -> B' -> C' (``lower_f``, ``lower_g``) with columns alpha, beta, gamma,
+    every term read off those seven maps: the kernels are the columns'
+    kernels, f carries the basis rows of ker alpha into B, and each cokernel
+    is its column's codomain modulo the column's image.  delta lifts each
+    basis row of ker gamma through g, sends it along beta and reads its
+    preimage through f' in coker alpha.  Every joint is ``exact``, an
+    inclusion and a dimension count; at ker beta and ker gamma, once the
+    images lie in ker beta and g carries ker beta into ker gamma, the maps
+    there are read in those kernels' bases, a vector at the kernel's
+    pivots."""
+    field = beta.field
+    middle, kernel = beta.kernel(), gamma.kernel()
+    coker_alpha, coker_beta, coker_gamma = (QuotientSpace(m.image()) for m in (alpha, beta, gamma))
 
     def at(space, vectors):  # vectors of ``space`` as the columns of their coordinates
-        return Matrix.from_columns(f, space.dim, [[(i, v[p]) for i, p in enumerate(space.pivots()) if p in v]
-                                                  for v in map(dict, vectors)])
+        return Matrix.from_columns(field, space.dim, [[(i, v[p]) for i, p in enumerate(space.pivots()) if p in v]
+                                                      for v in map(dict, vectors)])
 
     def descend(m, src, dst):
         try:
@@ -827,14 +838,16 @@ def snake(images, middle: Subspace, row: Matrix, kernel: Subspace, column: Matri
         except NotWellDefined:
             return None
 
-    onward = [sorted(linear(f, row.sparse_cols, r)) for r in middle.sparse_rows]  # g on ker beta
+    images = [linear(field, f.sparse_cols, r) for r in alpha.kernel().sparse_rows]
+    onward = [sorted(linear(field, g.sparse_cols, r)) for r in middle.sparse_rows]  # g on ker beta
     lands = all(middle.contains_sparse(c) for c in images)
     into_kernel = all(kernel.contains_sparse(c) for c in onward)
-    lifts = [row.preimage_sparse(r) for r in kernel.sparse_rows]
-    reads = [None if x is None else lower_f.preimage_sparse(linear(f, column.sparse_cols, x)) for x in lifts]
-    delta = None if None in reads else Matrix.from_columns(f, coker_alpha.dim, map(coker_alpha.project_sparse, reads))
+    lifts = [g.preimage_sparse(r) for r in kernel.sparse_rows]
+    reads = [None if x is None else lower_f.preimage_sparse(linear(field, beta.sparse_cols, x)) for x in lifts]
+    delta = None if None in reads else Matrix.from_columns(field, coker_alpha.dim,
+                                                           map(coker_alpha.project_sparse, reads))
     big_f, big_g = descend(lower_f, coker_alpha, coker_beta), descend(lower_g, coker_beta, coker_gamma)
-    return Snake(lands, lands and exact(at(middle, images), Matrix.from_columns(f, row.rows, onward)), into_kernel,
+    return Snake(lands, lands and exact(at(middle, images), Matrix.from_columns(field, g.rows, onward)), into_kernel,
                  delta, into_kernel and delta is not None and exact(at(kernel, onward), delta), big_f, big_g,
                  None not in (delta, big_f) and exact(delta, big_f), None not in (big_f, big_g) and exact(big_f, big_g),
                  big_g is not None and big_g.is_surjective())

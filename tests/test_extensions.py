@@ -14,7 +14,7 @@ from homleib.errors import BaseMismatch, NotAlphaPerfect, NotCentral, NotPerfect
 from homleib.fields import Field
 from homleib import extensions, tensorprod
 from homleib.generators import sl2 as make_sl2
-from homleib.linalg import Matrix, QuotientSpace, Subspace, sparse_vec
+from homleib.linalg import Matrix, Subspace, sparse_vec
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -35,7 +35,7 @@ from homleib.extensions import (
 from homleib.homology import ChainComplex, trivial_corep
 from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
-from homleib_testkit import sl2_on_two_planes
+from homleib_testkit import sl2_on_two_planes, zero_twist
 
 QQ = Field()
 
@@ -195,6 +195,32 @@ class TestUniversalAlphaCentral:
             universal_alpha_central_extension(nonlie2)
 
 
+EDGE_ALGEBRAS = {"sl2": make_sl2, "sl2, zero twist": lambda f: zero_twist(make_sl2(f)),
+                 "sl2 x (V2 + V2)": sl2_on_two_planes,
+                 "sl2 x (V2 + V2), zero twist": lambda f: zero_twist(sl2_on_two_planes(f))}
+EDGE_FIELDS = {"Q": QQ, "GF(1000003)": Field(1000003), "GF(3)": Field(3), "GF(5)": Field(5), "GF(7)": Field(7)}
+
+
+@pytest.mark.parametrize("field", list(EDGE_FIELDS))
+@pytest.mark.parametrize("name", list(EDGE_ALGEBRAS))
+def test_universal_kernels_at_the_edges(name, field):
+    # at singular twists and small characteristics the universal central
+    # extension's kernel is still HL_2 of the chain complex, and where L is
+    # twist-perfect the twist-central one has the same kernel; the zero
+    # twist makes L not twist-perfect.  The kernel depends on the
+    # characteristic: sl2 x (V2 + V2) has 7 over GF(3), 3 elsewhere
+    L = EDGE_ALGEBRAS[name](EDGE_FIELDS[field])
+    uce = universal_central_extension(L)
+    assert uce.kernel_dim == ChainComplex(L, trivial_corep(L)).homology_dim(2) == {
+        "sl2": 0, "sl2, zero twist": 6, "sl2 x (V2 + V2)": 7 if field == "GF(3)" else 3,
+        "sl2 x (V2 + V2), zero twist": 42}[name]
+    if name.endswith("zero twist"):
+        with pytest.raises(NotAlphaPerfect):
+            universal_alpha_central_extension(L)
+    else:
+        assert universal_alpha_central_extension(L).extension.kernel.dim == uce.kernel_dim
+
+
 @pytest.mark.parametrize("command", ["uce", "uce-alpha"])
 def test_cli_classifies_each_extension_once(command, sl2_twisted, monkeypatch, tmp_path, capsys):
     # the constructor classifies its extension and refuses any kind but
@@ -341,19 +367,20 @@ class TestSixTermSeesWrongMaps:
     def test_connecting_map_with_a_zero_column(self, f, monkeypatch):
         real = extensions.snake
 
-        class FirstClassZero(QuotientSpace):
-            """coker alpha whose first class read is zero."""
+        class FirstReadZero(Matrix):
+            """f' whose first preimage reads zero."""
 
-            def project_sparse(self, pairs):
+            def preimage_sparse(self, pairs):
                 if "read" not in vars(self):
                     vars(self)["read"] = True
                     return ()
-                return super().project_sparse(pairs)
+                return super().preimage_sparse(pairs)
 
-        def zeroed(*args):
+        def zeroed(upper_f, g, lower_f, *rest):
             # delta reads its first column as zero
-            *row, coker_alpha, coker_beta, coker_gamma = args
-            return real(*row, FirstClassZero(coker_alpha.relations), coker_beta, coker_gamma)
+            wrong = object.__new__(FirstReadZero)
+            vars(wrong).update(vars(lower_f))
+            return real(upper_f, g, wrong, *rest)
 
         monkeypatch.setattr(extensions, "snake", zeroed)
         assert _failed(six_term_check(*uce_with_central_ideal(f))) == [

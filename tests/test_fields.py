@@ -425,6 +425,23 @@ def test_no_dense_hochschild_boundary():
     assert found == [], found
 
 
+CERTIFICATES = ("six_term_check", "sequence_check")
+
+
+def test_certificates_take_their_cokernels_from_snake():
+    # every cokernel the two exactness certificates certify is the one
+    # linalg.snake forms from its column, the codomain modulo the column's
+    # image: neither certificate builds a quotient space of its own
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib"
+    defined = {node.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert set(CERTIFICATES) <= defined
+    found = [site for site in _library_sites(_names(("QuotientSpace",)))
+             if site.split(":")[1].split(".")[0] in CERTIFICATES]
+    assert found == [], found
+
+
 BITMASK_ENGINE = ("_support", "_instances", "_evaluator", "_MASK_BITS")
 
 

@@ -410,16 +410,28 @@ class TestSparseColumns:
         assert m == Matrix.from_rows(QQ, [[2, 0]]) and m.rank() == 1 and not m.is_zero()
 
 
-def connecting(kernel, row, column, lower=None, coker_alpha=None):
-    """``snake``'s connecting map on ``kernel``, with no images, the
-    column's own kernel as the middle and a zero C'; f' is ``lower``, by
-    default the identity, and coker alpha ``coker_alpha``, by default the
-    zero quotient of f''s domain."""
+def rows_of(space) -> Matrix:
+    """The inclusion of a subspace's basis rows: a column whose image, and
+    so whose cokernel's relations, it is."""
+    return Matrix.from_columns(space.field, space.ambient_dim, space.sparse_rows)
+
+
+def with_kernel(space) -> Matrix:
+    """A column whose kernel is ``space``: the projection modulo it."""
+    return QuotientSpace(space).projection_map()
+
+
+def connecting(kernel, row, column, lower=None, modulo=None):
+    """``snake``'s connecting map on ``kernel``, as ker gamma of the
+    projection modulo it onto C', with g' zero and no images: A is
+    ``modulo``'s basis, by default none, alpha their inclusion into f''s
+    domain and f zero, so coker alpha is that domain modulo ``modulo``.  f'
+    is ``lower``, by default the identity."""
     f = column.field
     lower = lower or Matrix.identity(f, column.rows)
-    coker_alpha = coker_alpha or QuotientSpace(Subspace.zero(f, lower.cols))
-    return snake((), column.kernel(), row, kernel, column, lower, Matrix.zero(f, 0, column.rows), coker_alpha,
-                 QuotientSpace(column.image()), QuotientSpace(Subspace.zero(f, 0))).delta
+    alpha, gamma = rows_of(modulo or Subspace.zero(f, lower.cols)), with_kernel(kernel)
+    return snake(Matrix.zero(f, column.cols, alpha.cols), row, lower, Matrix.zero(f, gamma.rows, column.rows), alpha,
+                 column, gamma).delta
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
@@ -436,7 +448,7 @@ class TestConnectingMap:
         assert delta == mat(f, [[1, 2], [0, 1], [3, 0]])
         # modulo the last two coordinates the class is the first one
         line = Subspace.span(f, 2, [(f.one(), f.one())])
-        delta = connecting(line, row, column, coker_alpha=QuotientSpace(Subspace.span(f, 3, [(0, 1, 0), (0, 0, 1)])))
+        delta = connecting(line, row, column, modulo=Subspace.span(f, 3, [(0, 1, 0), (0, 0, 1)]))
         assert delta == mat(f, [[3]])
 
     def test_row_not_onto_the_kernel_is_none(self, f):
@@ -457,10 +469,10 @@ class TestConnectingMap:
 
 
 @st.composite
-def low_rank_matrices(draw, field, max_dim=5, cols=None):
+def low_rank_matrices(draw, field, max_dim=5, cols=None, rows=None):
     """A product of two small random matrices, so ranks below full are common."""
-    rows, inner, drawn = (draw(st.integers(1, max_dim)) for _ in range(3))
-    cols = cols or drawn
+    drawn_rows, inner, drawn = (draw(st.integers(1, max_dim)) for _ in range(3))
+    rows, cols = rows or drawn_rows, cols or drawn
     entry = st.integers(-2, 2).map(field.from_int)
 
     def grid(r, c):
@@ -665,12 +677,17 @@ class TestSparseStorage:
         kernel expanded in the basis of ker gamma); im delta = ker F and
         im F = ker G for the maps F and G that ``induced_map`` gives on the
         cokernels; and G is onto.  delta and F and G themselves equal their
-        dense definitions.  The draws mix the snake lemma's own data, which
-        is exact, with near misses: images moved along ker row or ker beta,
-        ker gamma moved off row(ker beta), zero or failing reads, and
-        cokernels and lower maps drawn at random; so the two kernel verdicts
-        occur both ways.  Fixed near misses pass every half of a verdict but
-        one, so each cokernel verdict occurs both ways too."""
+        dense definitions.  The draws are columns: A is the images' space
+        plus a basis of the wanted coker alpha relations, f carries the
+        first block onto the images and the second anywhere, alpha includes
+        the second, and gamma is the projection modulo the wanted ker gamma
+        followed by a drawn map's graph.  They mix the snake lemma's own
+        data, which is exact, with near misses: images moved along ker row
+        or ker beta, ker gamma moved off row(ker beta), zero or failing
+        reads, and lower maps drawn at random, through gamma, or through
+        gamma and coker beta; so the two kernel verdicts occur both ways.
+        Fixed near misses pass every half of a verdict but one, so each
+        cokernel verdict occurs both ways too."""
         seen = set()
 
         @given(st.data())
@@ -691,90 +708,95 @@ class TestSparseStorage:
             kernel = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, v) for v in data.draw(
                 st.sampled_from([lifted, lifted + list(middle.sparse_rows), moved, units]))])
 
-            def drawn_map(rows):  # a random map into a rows-space
-                return data.draw(low_rank_matrices(f, cols=rows)).transpose()
+            def drawn_map(cols, rows):  # a random map from a cols-space into a rows-space
+                return data.draw(low_rank_matrices(f, cols=cols, rows=rows)) if cols and rows else \
+                    Matrix.zero(f, rows, cols)
 
             def drawn_space(dim):
                 return Subspace.span(f, dim, data.draw(low_rank_matrices(f, cols=dim)).entries)
 
             # the snake lemma's coker alpha, f' the identity: B' modulo beta(ker row)
-            own = QuotientSpace(Subspace.span_sparse(f, r, [linear(f, beta.sparse_cols, v) for v in ker_row]))
-            wild = drawn_map(r)
-            lower_f, coker_alpha = data.draw(st.sampled_from([
-                (Matrix.identity(f, r), own), (Matrix.identity(f, r), QuotientSpace(Subspace.zero(f, r))),
-                (Matrix.identity(f, r), QuotientSpace(Subspace.full(f, r))),
-                (wild, QuotientSpace(drawn_space(wild.cols)))]))
-            coker_beta = QuotientSpace(data.draw(st.sampled_from([beta.image(), drawn_space(r)])))
-            lower_g = data.draw(low_rank_matrices(f, cols=r))  # a random map out of B'
-            carried = Subspace.span_sparse(f, lower_g.rows, [linear(f, lower_g.sparse_cols, v)
-                                                              for v in coker_beta.relations.sparse_rows])
-            coker_gamma = QuotientSpace(data.draw(st.sampled_from([
-                carried, lower_g.image(), carried.add(drawn_space(lower_g.rows)), drawn_space(lower_g.rows)])))
-            seen.update(zip(("ker beta", "ker gamma"), self.snake_verdicts(
-                f, images, row, beta, kernel, lower_f, lower_g, (coker_alpha, coker_beta, coker_gamma))))
+            own = Subspace.span_sparse(f, r, [linear(f, beta.sparse_cols, v) for v in ker_row])
+            wild = drawn_map(data.draw(st.integers(1, 5)), r)
+            lower_f, relations = data.draw(st.sampled_from([
+                (Matrix.identity(f, r), own), (Matrix.identity(f, r), Subspace.zero(f, r)),
+                (Matrix.identity(f, r), Subspace.full(f, r)), (wild, drawn_space(wild.cols))]))
+            upper_f = Matrix.from_columns(f, n, [sorted(v) for v in images] +
+                                          list(drawn_map(relations.dim, n).sparse_cols))
+            alpha = Matrix.from_columns(f, lower_f.cols, [()] * len(images) + list(relations.sparse_rows))
+            # gamma: x -> (P x, D P x), with kernel ker P and the graph of D as image
+            P = with_kernel(kernel)
+            D = drawn_map(P.rows, data.draw(st.integers(1, 3))).compose(P)
+            gamma = Matrix.from_columns(f, P.rows + D.rows, [
+                (*u, *((k + P.rows, x) for k, x in v)) for u, v in zip(P.sparse_cols, D.sparse_cols)])
+            # g' drawn, through gamma (G descends and is zero), or through
+            # gamma plus a map that kills im beta (G descends)
+            modulo_beta = with_kernel(beta.image())
+            lower_g = data.draw(st.sampled_from([
+                drawn_map(r, gamma.rows), gamma.compose(drawn_map(r, m)),
+                gamma.compose(drawn_map(r, m)).add(drawn_map(modulo_beta.rows, gamma.rows).compose(modulo_beta))]))
+            seen.update(zip(("ker beta", "ker gamma"),
+                            self.snake_verdicts(f, upper_f, row, lower_f, lower_g, alpha, beta, gamma)))
 
         check()
         assert {("ker beta", True), ("ker beta", False), ("ker gamma", True), ("ker gamma", False)} <= seen
         one = f.one()
         e = [((i, one),) for i in range(3)]
 
-        def plain(n):
-            return QuotientSpace(Subspace.zero(f, n))
-
-        def modulo(n, *rows):
-            return QuotientSpace(Subspace.span(f, n, rows))
-
-        # kernel half: images in ker row, not in ker beta; in ker beta, not
-        # in ker row; row(ker beta) read into ker delta, not in ker gamma.
-        # The lower row is zero, so no cokernel joint is exact
+        # kernel half, with A' = B' = a line, f' zero and gamma the
+        # projection modulo the wanted ker gamma: images in ker row, not in
+        # ker beta; in ker beta, not in ker row; row(ker beta) read into
+        # ker delta, not in ker gamma
         cases = [([e[1]], [[1, 0, 0]], [[0, 1, 0]], [e[0]], (False, True)),
                  ([e[0], e[1]], [[1, 0, 0]], [[0, 0, 0]], [e[0]], (False, True)),
                  ([], [[1, 0], [0, 1]], [[1, -1]], [e[0]], (True, False))]
-        zero_lower = (mat(f, [[0]]), mat(f, [[0]]), (plain(1), plain(1), plain(1)))
         for images, row, beta, kernel, verdicts in cases:
             row = mat(f, row)
-            assert self.snake_verdicts(f, images, row, mat(f, beta), Subspace.span_sparse(f, row.rows, kernel),
-                                       *zero_lower) == verdicts + (False, False, False)
+            gamma = with_kernel(Subspace.span_sparse(f, row.rows, kernel))
+            assert self.snake_verdicts(f, Matrix.from_columns(f, row.cols, images), row, mat(f, [[0]]),
+                                       Matrix.zero(f, gamma.rows, 1), Matrix.zero(f, 1, len(images)), mat(f, beta),
+                                       gamma)[:2] == verdicts
         # cokernel half, on B = C = a line, the row the identity and beta
-        # sending it to e0 of the plane B', so delta is the class of e0's
-        # preimage: f' is the identity of the plane or the inclusion of e0,
-        # and C' a line
-        row, beta, kernel = mat(f, [[1]]), mat(f, [[1], [0]]), Subspace.full(f, 1)
-        ident, first = Matrix.identity(f, 2), mat(f, [[1], [0]])
-        e0_on, e1_on, zero = mat(f, [[1, 0]]), mat(f, [[0, 1]]), mat(f, [[0, 0]])
-        for lower_f, lower_g, cokers, verdicts in (
-                # exact throughout: coker beta kills e0 and coker gamma is zero
-                (ident, zero, (plain(2), modulo(2, (1, 0)), modulo(1, (1,))), (True, True, True)),
-                # F reads e0, so F delta is not zero, but the ranks add up
-                (ident, zero, (plain(2), modulo(2, (0, 1)), plain(1)), (False, True, False)),
-                # F is zero, so F delta is, but rank delta + rank F = 1 < 2
-                (ident, zero, (plain(2), modulo(2, (1, 0), (0, 1)), plain(1)), (False, True, False)),
-                # F is e0's inclusion: G reading e1 is exact after it
-                (first, e1_on, (plain(1), plain(2), plain(1)), (False, True, True)),
-                # G reads e0, so G F is not zero, but the ranks add up
-                (first, e0_on, (plain(1), plain(2), plain(1)), (False, False, True)),
+        # sending it to e0 of B', a 3-space, so coker beta reads e1 and e2;
+        # gamma is zero into C', so delta is the class of e0's preimage.
+        # A' is a plane, alpha zero from nothing (or e1's inclusion), f'
+        # includes e0 and e1 (or e0 alone) and g' reads one coordinate
+        beta, gamma, plane = mat(f, [[1], [0], [0]]), Matrix.zero(f, 1, 1), Matrix.zero(f, 2, 0)
+        both, first = mat(f, [[1, 0], [0, 1], [0, 0]]), mat(f, [[1, 0], [0, 0], [0, 0]])
+        reads = [mat(f, [[int(i == j) for j in range(3)]]) for i in range(3)]
+        for alpha, lower_f, lower_g, verdicts in (
+                # exact throughout: F reads e1, G kills it and reads e2
+                (plane, both, reads[2], (True, True, True)),
+                # G reads e1 after F, so G F is not zero, but the ranks add up
+                (plane, both, reads[1], (True, False, True)),
                 # G is zero, so G F is, but rank F + rank G = 1 < 2
-                (first, zero, (plain(1), plain(2), plain(1)), (False, False, False)),
-                # F kills delta's class, and rank delta + rank F = 1 + 0
-                (first, zero, (plain(1), modulo(2, (1, 0)), plain(1)), (True, False, False)),
-                # G does not descend: it reads coker beta's relation e1
-                (ident, e1_on, (plain(2), modulo(2, (0, 1)), plain(1)), (False, False, False)),
-                # F does not descend: it reads coker alpha's relation e1
-                (ident, zero, (modulo(2, (0, 1)), plain(2), plain(1)), (False, False, False))):
-            assert self.snake_verdicts(f, [], row, beta, kernel, lower_f, lower_g, cokers) == (True, True) + verdicts
+                (plane, both, Matrix.zero(f, 1, 3), (True, False, False)),
+                # G does not descend: it reads coker beta's relation e0
+                (plane, both, reads[0], (True, False, False)),
+                # F is zero, so F delta is, but rank delta + rank F = 1 < 2,
+                # and im F = 0 misses ker G
+                (plane, first, reads[1], (False, False, True)),
+                # F does not descend: it carries coker alpha's relation e1 off e0
+                (mat(f, [[0], [1]]), both, reads[2], (False, False, True))):
+            assert self.snake_verdicts(f, Matrix.zero(f, 1, alpha.cols), mat(f, [[1]]), lower_f, lower_g, alpha,
+                                       beta, gamma) == (True, True) + verdicts
             seen.update(zip(("coker alpha", "coker beta", "onto"), verdicts))
         assert seen == {(joint, ok) for joint in ("ker beta", "ker gamma", "coker alpha", "coker beta", "onto")
                         for ok in (True, False)}
 
     @staticmethod
-    def snake_verdicts(f, images, row, beta, kernel, lower_f, lower_g, cokers) -> tuple:
+    def snake_verdicts(f, upper_f, row, lower_f, lower_g, alpha, beta, gamma) -> tuple:
         """Check ``snake`` against the definitions and return its five
         exactness verdicts: at ker beta, ker gamma, coker alpha and coker
-        beta, and onto coker gamma."""
+        beta, and onto coker gamma.  The references read ker alpha and
+        ker gamma off the dense ``rref`` and span each cokernel's relations
+        from its column's dense columns."""
         n, m, middle = row.cols, row.rows, beta.kernel()
-        coker_alpha, coker_beta, coker_gamma = cokers
-        s = snake(images, middle, row, kernel, beta, lower_f, lower_g, *cokers)
-        spanned = Subspace.span_sparse(f, n, images)
+        s = snake(upper_f, row, lower_f, lower_g, alpha, beta, gamma)
+        kernel = Subspace.span(f, m, _dense_kernel(gamma))
+        coker_alpha, coker_beta, coker_gamma = (QuotientSpace(Subspace.span(f, c.rows, map(c.col, range(c.cols))))
+                                                for c in (alpha, beta, gamma))
+        spanned = Subspace.span(f, n, [upper_f.apply(v) for v in _dense_kernel(alpha)])
         onward = Subspace.span_sparse(f, m, [linear(f, row.sparse_cols, r) for r in middle.sparse_rows])
         assert s.lands == middle.contains_subspace(spanned)
         assert s.exact_ker_beta == (spanned == middle.intersect(row.kernel()))
