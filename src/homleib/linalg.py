@@ -23,8 +23,9 @@ edges (output, tests).  A quotient's ambient dimension is its relations'.
 RREF that takes each vector as its sparse pairs: it builds every span
 (``Subspace.span`` of dense vectors checks their length and passes them to
 ``Subspace.span_sparse``), hands its rows to a ``Subspace`` with
-``subspace()``, and each ``Matrix`` factors once through it (the RREF of
-[M | I]) for its rank, kernel, preimages and section.
+``subspace()``, and each ``Matrix`` eliminates once through it: the RREF of
+[M^T | I] gives its image and kernel, each in its canonical RREF, its rank,
+its preimages and its section.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -330,8 +331,9 @@ class Matrix:
     each column in the one sparse form, the (index, value) pairs of its
     nonzero coordinates with the indices increasing, so equal maps compare
     and hash equal; its dense ``entries`` are a view, built when read.  Its
-    rank, kernel, preimages and section read one factorization, built once,
-    and its image and kernel are each formed once, when first read."""
+    rank, image, kernel, preimages and section read one factorization, the
+    RREF of its columns beside the identity, built once; its image and
+    kernel are each read off it once, when first asked for."""
 
     field: Field
     rows: int
@@ -439,22 +441,29 @@ class Matrix:
 
     @cached_property
     def _factor(self) -> dict:
-        """The RREF of [M | I], built once, as the accumulator's rows (pivot
-        column -> the row's other entries), from the rows of M gathered from
-        its columns.
+        """The RREF of [M^T | I], built once, as the accumulator's rows (pivot
+        column -> the row's other entries): row j is column j of M, extended
+        by 1 at rows + j.
 
-        A row whose pivot lies in M is a row of the RREF of M, and its I block
-        holds the row operations that produced it; a row whose pivot lies in
-        the I block is an equation of the image."""
-        f = self.field
-        n = self.cols
-        acc = RrefAccumulator(f, n + self.rows)
-        for i, r in enumerate(self.transpose().sparse_cols):
-            acc.add(r + ((n + i, f.one()),))
+        A row whose pivot lies in M^T is a row of the image's canonical RREF,
+        and its I block the combination of columns that gives it; a row whose
+        pivot lies in the I block is zero in M^T, and its I block is a row of
+        the kernel's canonical RREF."""
+        f, m = self.field, self.rows
+        acc = RrefAccumulator(f, m + self.cols)
+        for j, col in enumerate(self.sparse_cols):
+            acc.add(col + ((m + j, f.one()),))
         return acc.rows
 
+    def _block(self, lo: int, hi: int) -> Subspace:
+        """The factor's rows with pivot in columns lo .. hi - 1, each read there."""
+        one, rows = self.field.one(), self._factor
+        return Subspace(self.field, hi - lo, tuple(((p - lo, one), *sorted((c - lo, x) for c, x in rows[p].items()
+                                                                           if c < hi))
+                                                   for p in sorted(rows) if lo <= p < hi))
+
     def rank(self) -> int:
-        return sum(1 for p in self._factor if p < self.cols)
+        return sum(1 for p in self._factor if p < self.rows)
 
     def image(self) -> Subspace:
         return self._image
@@ -462,17 +471,8 @@ class Matrix:
     def kernel(self) -> Subspace:
         return self._kernel
 
-    _image = cached_property(lambda self: Subspace.span_sparse(self.field, self.rows, self.sparse_cols))
-
-    @cached_property
-    def _kernel(self) -> Subspace:
-        """Spanned by one solution per free column of M: 1 there, minus that
-        column of the RREF at the pivots."""
-        f = self.field
-        n = self.cols
-        solved = [(p, row) for p, row in self._factor.items() if p < n]
-        return Subspace.span_sparse(f, n, [((c, f.one()), *[(p, f.neg(row[c])) for p, row in solved if c in row])
-                                           for c in range(n) if c not in self._factor])
+    _image = cached_property(lambda self: self._block(0, self.rows))
+    _kernel = cached_property(lambda self: self._block(self.rows, self.rows + self.cols))
 
     def is_surjective(self) -> bool:
         return self.rank() == self.rows
@@ -481,8 +481,8 @@ class Matrix:
         return self.rank() == self.cols
 
     def preimage(self, v) -> tuple | None:
-        """The exact solution of self.x = v with free variables zero,
-        rechecked, or None off the image."""
+        """The exact solution of self.x = v that is zero at the kernel's
+        pivots, rechecked, or None off the image."""
         if len(v) != self.rows:
             raise DimensionError(f"vector length {len(v)} does not match {self.rows} rows")
         x = self.preimage_sparse(sparse_vec(v))
@@ -490,25 +490,18 @@ class Matrix:
 
     def preimage_sparse(self, pairs) -> tuple | None:
         """``preimage`` of the sparse vector with nonzero coordinates
-        ``pairs``, as the sorted pairs of its nonzero coordinates."""
-        f, n, v = self.field, self.cols, dict(pairs)
-        x = []
-        for p, row in self._factor.items():
-            s = v.get(p - n, f.zero()) if p >= n else f.zero()  # an equation's own term
-            for c, e in row.items():
-                if c >= n and c - n in v:
-                    s = f.add(s, f.mul(e, v[c - n]))
-            if s:
-                if p >= n:
-                    return None
-                x.append((p, s))
-        x.sort()
-        return tuple(x) if dict(linear(f, self.sparse_cols, x)) == v else None
+        ``pairs``, as the sorted pairs of its nonzero coordinates.  A vector
+        of the image is the sum of the image's RREF rows weighted by its
+        coordinates at their pivots, so x sums those rows' I blocks."""
+        f, m, rows, v = self.field, self.rows, self._factor, dict(pairs)
+        at = [(p, a) for p, a in v.items() if p in rows]  # v at the image's pivots
+        x = tuple(sorted(linear(f, {p: [(c - m, e) for c, e in rows[p].items() if c >= m] for p, _ in at}, at)))
+        return x if dict(linear(f, self.sparse_cols, x)) == v else None
 
     def section(self) -> "Matrix":
         """A right inverse on the image: columns are the preimages of e_k.
 
-        Deterministic (free variables zero).  Raises if not surjective.
+        Deterministic (zero at the kernel's pivots).  Raises if not surjective.
         """
         one, cols = self.field.one(), []
         for k in range(self.rows):

@@ -31,7 +31,7 @@ from homleib.algebras import (
     yau_twist,
 )
 from homleib.errors import BracketNotWellDefined, InternalInconsistency, NotWellDefined
-from homleib.extensions import Extension, lift_against, universal_central_extension
+from homleib.extensions import lift_against, universal_central_extension
 from homleib.fields import Field
 from homleib.generators import heisenberg, sl2
 from homleib.homassoc import (
@@ -45,6 +45,7 @@ from homleib.linalg import (Matrix, QuotientSpace, Subspace, induced_map, quotie
 from homleib.tensorprod import build_tensor, outer_action
 from test_checker import dense_table
 from test_homassoc import boundary_shapes
+from test_extensions import central_cover
 from test_linalg import dense_reduce
 from homleib_testkit import boundary_ideal_agreement, embed_nm
 
@@ -168,14 +169,6 @@ class TestMutations:
         assert info.value.witness is None
 
 
-def _central_cover(base):
-    """A one-dimensional abelian summand in front of the base, projected away."""
-    f = base.field
-    total = direct_sum(HomLeibnizAlgebra.abelian(f, 1), base)
-    cols = [tuple(f.zero() for _ in range(base.dim))] + [base.unit(j) for j in range(base.dim)]
-    return Extension.from_projection(AlgebraHom(total, base, Matrix.from_columns(f, base.dim, map(sparse_vec, cols))))
-
-
 class TestSameMatricesAsTheSectionCompositions:
     @pytest.mark.parametrize("f", FIELDS, ids=IDS)
     def test_factor_maps(self, f):
@@ -206,7 +199,7 @@ class TestSameMatricesAsTheSectionCompositions:
         L = sl2(f)
         uce = universal_central_extension(L)
         t = uce.tensor
-        for other in (uce.extension, _central_cover(L)):
+        for other in (uce.extension, central_cover(L)):
             K = other.total
             sec = other.proj.map.section()
             cols = [K.bracket(sec.col(i), sec.col(j))

@@ -207,6 +207,14 @@ def test_accumulator_rows_assigned_only_inside_the_accumulator():
     assert found == ["linalg:RrefAccumulator.__init__", "linalg:RrefAccumulator._holding"], found
 
 
+def test_matrix_eliminates_once():
+    # a Matrix eliminates once, in _factor, the RREF of its columns beside
+    # the identity: its rank, image, kernel and preimages all read that
+    # factor, so no other method of Matrix starts an accumulator or spans
+    found = [site.rsplit(":", 1)[0] for site in _library_sites(_names(("RrefAccumulator", "span_sparse", "span")))
+             if site.split(":")[1].split(".")[0] == "Matrix"]
+    assert found == ["linalg:Matrix._factor"], found
+
 
 def _compares_image_with_kernel(node):
     # ``<...>.image() == <...>.kernel()``, in either order, or with !=

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homleib.actions import MutualActions
-from homleib.algebras import HomLeibnizAlgebra, direct_sum
+from homleib.algebras import HomLeibnizAlgebra, IdealHandle, direct_sum
 from homleib.errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from homleib.fields import Field
 from homleib.generators import sl2
@@ -31,10 +31,10 @@ from homleib.linalg import (
     sparse_vec,
     unit_vec,
 )
-from homleib.tensorprod import build_tensor
+from homleib.tensorprod import build_tensor, ideal_sequence_certificate
 
 from test_checker import dense_add, dense_scale
-from homleib_testkit import embed_nm
+from homleib_testkit import embed_nm, sl2_on_two_planes
 
 QQ = Field()
 F5 = Field(5)
@@ -482,16 +482,20 @@ def low_rank_matrices(draw, field, max_dim=5, cols=None, rows=None):
 
 
 def _dense_solution(m, b):
-    """The solution of m.x = b with free variables zero, read off the dense
-    ``rref`` of [m | b], or None when the system is inconsistent."""
+    """The solution of m.x = b that is zero at the pivots of the kernel's
+    RREF, or None when the system is inconsistent: with m's columns reversed,
+    the solution with free variables zero read off the dense ``rref`` of
+    [m | b], read back in reverse.  A column is a pivot of the kernel
+    exactly when it is a combination of the columns after it, that is a
+    free column of the reversed m."""
     f = m.field
-    res = rref(Matrix(f, m.rows, m.cols + 1, tuple(r + (x,) for r, x in zip(m.entries, b))))
+    res = rref(Matrix(f, m.rows, m.cols + 1, tuple(r[::-1] + (x,) for r, x in zip(m.entries, b))))
     x = [f.zero()] * m.cols
     for r, pc in enumerate(res.pivots):
         if pc == m.cols:
             return None
         x[pc] = res.reduced.entries[r][m.cols]
-    return tuple(x)
+    return tuple(x[::-1])
 
 
 def _dense_kernel(m) -> list:
@@ -529,14 +533,15 @@ def _dense_combinations(f, n, rows, coefficient_vectors) -> list:
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
 class TestEliminationEngine:
-    """Every rank, kernel, preimage and section of a ``Matrix`` equals the
-    one read off the dense reference ``rref``."""
+    """Every rank, image, kernel, preimage and section of a ``Matrix``
+    equals the one read off the dense reference ``rref``."""
 
     @given(st.data())
     def test_matches_the_dense_reference(self, f, data):
         m = data.draw(low_rank_matrices(f))
         res = rref(m)
-        assert m.rank() == res.rank
+        assert m.rank() == res.rank == m.image().dim
+        assert m.image().basis == _dense_basis(f, m.rows, [m.col(j) for j in range(m.cols)])
         assert m.kernel() == Subspace.span(f, m.cols, _dense_kernel(m))
         entry = st.integers(-3, 3).map(f.from_int)
         x = tuple(data.draw(entry) for _ in range(m.cols))
@@ -562,11 +567,12 @@ class TestEliminationEngine:
         m = mat(f, [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 3, 2]])
         v = m.apply((f.one(), f.from_int(2), f.zero(), f.from_int(-1)))
         assert m.apply(m.preimage(v)) == v
-        assert len(inserted) == m.rows
+        assert len(inserted) == m.cols
         m.preimage(unit_vec(f, 3, 1))
-        assert m.rank() == 3
+        assert m.rank() == m.image().dim == 3
+        assert m.kernel().dim == 1
         assert m.compose(m.section()) == Matrix.identity(f, 3)
-        assert len(inserted) == m.rows
+        assert len(inserted) == m.cols
 
     def test_wrong_length_raises(self, f):
         space = Subspace.span(f, 3, [unit_vec(f, 3, 0)])
@@ -575,6 +581,66 @@ class TestEliminationEngine:
             for call in (space.contains, space.coordinates, space.reduce, m.preimage):
                 with pytest.raises(DimensionError):
                     call(v)
+
+
+def _times(f, cols, x) -> dict:
+    """The map with sparse columns ``cols`` at the sparse vector x, as
+    {row: value} without zeros: the witness checker's own product, by
+    field multiplication and addition only, sharing no code with ``linalg``."""
+    out = {}
+    for j, a in x:
+        for k, t in cols[j]:
+            out[k] = f.add(out.get(k, f.zero()), f.mul(a, t))
+    return {k: y for k, y in out.items() if y}
+
+
+def check_rank_witness(m: Matrix) -> None:
+    """m's rank certified by multiplication only, off the rows of its
+    factor: each image row R lies in the image, m.x = R at x =
+    ``preimage_sparse(R)``, and each kernel row maps to zero.  Rows with
+    distinct leading pivots are independent, so rank m is at least the
+    number of image rows and dim ker m at least the number of kernel rows;
+    the two number m.cols together, so both bounds are equalities."""
+    f = m.field
+    image, kernel = m.image().sparse_rows, m.kernel().sparse_rows
+    for r in image:
+        x = m.preimage_sparse(r)
+        assert x is not None and _times(f, m.sparse_cols, x) == dict(r)
+    assert not any(_times(f, m.sparse_cols, r) for r in kernel)
+    for rows in (image, kernel):
+        assert len({min(k for k, x in r if x) for r in rows}) == len(rows)
+    assert len(image) + len(kernel) == m.cols and m.rank() == len(image)
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestRankWitness:
+    """Every rank carries a witness that the multiplication-only checker
+    accepts, and the checker refuses a factor with a wrong row."""
+
+    @given(st.data())
+    def test_drawn_maps(self, f, data):
+        check_rank_witness(data.draw(low_rank_matrices(f, max_dim=6)))
+
+    @pytest.mark.parametrize("algebra, first", [("sl2", 0), ("sl2", 3), ("sl2 x (V2 + V2)", 3)],
+                             ids=["sl2, full ideal", "sl2, zero ideal", "sl2 x (V2 + V2), ideal V"])
+    def test_six_term_maps(self, f, algebra, first):
+        # tau, psi_LL and sigma of the ideal's tensor row
+        L = {"sl2": sl2, "sl2 x (V2 + V2)": sl2_on_two_planes}[algebra](f)
+        data = ideal_sequence_certificate(L, IdealHandle(L, Subspace.span(
+            f, L.dim, [unit_vec(f, L.dim, i) for i in range(first, L.dim)])))
+        for m in (data.tau.map, data.t_ll.into_m.map, data.sigma):
+            check_rank_witness(m)
+
+    @pytest.mark.parametrize("row, space", [("_kernel", lambda f: Subspace.zero(f, 4)),
+                                            ("_kernel", lambda f: Subspace.span(f, 4, [unit_vec(f, 4, 3)])),
+                                            ("_image", lambda f: Subspace.full(f, 3))],
+                             ids=["a kernel row missing", "a kernel row off the kernel", "an image row off the image"])
+    def test_checker_refuses_a_wrong_factor(self, f, row, space):
+        m = mat(f, [[1, 2, 0, 1], [0, 1, 1, 0], [1, 1, -1, 1]])  # rank 2
+        check_rank_witness(m)
+        m.__dict__[row] = space(f)
+        with pytest.raises(AssertionError):
+            check_rank_witness(m)
 
 
 def dense_reduce(space: Subspace, v) -> tuple:
@@ -891,7 +957,7 @@ class TestOneReduction:
     @given(st.data())
     def test_preimage_where_the_image_has_equations(self, f, data):
         # the columns are combinations of fewer vectors than there are rows,
-        # so [M | I] has rows with their pivot in the I block
+        # so the image is a proper subspace and some targets lie off it
         rows = data.draw(st.integers(2, 6))
         gens = data.draw(sparse_rows(f, rows, max_rows=rows - 1))
         coefficients = data.draw(sparse_rows(f, max(len(gens), 1), max_rows=6))
