@@ -8,8 +8,10 @@ rest of the library is field-agnostic.  Over Q the operations accept int and
 arithmetic never pays for ``Fraction``; an int and a ``Fraction`` of the same
 value compare, hash and print alike.  The one true division is
 :meth:`Field.div`, which divides ``Fraction(a)`` so that int / int never
-yields a float.  A scalar is zero exactly when it is falsy, so callers test
-``if x:`` rather than comparing with ``zero()``.
+yields a float.  ``Field.clearing`` is the lcm of some scalars'
+denominators, so a caller can clear them and work on integers without
+naming ``Fraction``.  A scalar is zero exactly when it is falsy, so callers
+test ``if x:`` rather than comparing with ``zero()``.
 Characteristic 2 is rejected because the polarization identity used for
 Lie-ization needs 2 to be invertible, and p must lie below ``PRIME_BOUND``,
 where primality is decided exactly.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import SemanticError, echo
 
@@ -123,6 +126,13 @@ class Field:
 
     def inv(self, a):
         return self.div(self.one(), a)
+
+    def clearing(self, values) -> int:
+        """The least positive integer D with D x integral for every x in
+        ``values``: the lcm of their denominators over Q, 1 over GF(p)."""
+        if self.p is not None:
+            return 1
+        return lcm(*(x.denominator for x in values if type(x) is not int))
 
     def parse(self, text):
         """Parse a scalar written as ``a`` or ``a/b``; ints are accepted too."""

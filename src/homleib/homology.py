@@ -24,7 +24,9 @@ front factor: T(f y) = T(f) t(y) and B^x(f y) = B^x(f) t(y) + T(f) [y, x],
 from T() = 1 and B^x() = 0.  ``ChainComplex`` builds each degree once,
 from its cached degree below (degree 1 is the right action): degree n
 forms the T and B of each front of n - 1 factors once, streamed level by
-level from T() and B(), and uses them for every coefficient index m.  The
+level from T() and B(), and uses them for every coefficient index m.  Over
+Q it first scales its five tables by the lcm of their denominators, so its
+cached columns are integral and the elimination meets no ``Fraction``.  The
 ``homology`` and ``check-all`` commands compute d^2 from the same cached
 columns that give the ranks: its vanishing is checked, never assumed, and
 the check would fail loudly under a sign slip in any family.
@@ -33,6 +35,7 @@ the check would fail loudly under a sign slip in any family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import FieldMismatch, StructureError
 from .algebras import HomLeibnizAlgebra
@@ -147,65 +150,99 @@ def _outer_sum(field, terms) -> tuple:
     return tuple([(k, x) for k, s in acc.items() if (x := canon(s))])
 
 
-def _fronts(L: HomLeibnizAlgebra, k: int):
+def _fronts(field, tw, c, k: int):
     """(T, (B^x for each x)) of every front of k factors, in row-major
-    order, as a chain of k generators: each front is formed by one step
+    order, as a chain of k generators, from the twist's sparse columns
+    ``tw`` and the sparse bracket ``c``: each front is formed by one step
     from one of k - 1 factors, and no level is held whole."""
-    fronts = ((((0, L.field.one()),), ((),) * L.dim),)  # T() = 1, each B^x() = 0
+    fronts = ((((0, field.one()),), ((),) * len(tw)),)  # T() = 1, each B^x() = 0
     for _ in range(k):
-        fronts = _longer_fronts(L, fronts)
+        fronts = _longer_fronts(field, tw, c, fronts)
     return fronts
 
 
-def _longer_fronts(L: HomLeibnizAlgebra, fronts):
+def _longer_fronts(field, tw, c, fronts):
     """Yield (T, (B^x for each x)) of each front one factor longer than
     those of ``fronts``, front (f, y) at f * dim L + y:
     T(f, y) = T(f) (x) t(y) and B^x(f, y) = B^x(f) (x) t(y) + T(f) (x) [y, x]."""
-    f, dl, tw, c = L.field, L.dim, L.twist.sparse_cols, L.sparse_c
+    dl = len(tw)
     for t, bs in fronts:
         for y in range(dl):
-            yield (_outer_sum(f, ((t, tw[y], dl, 1),)),
-                   tuple(_outer_sum(f, ((b, tw[y], dl, 1), (t, c[y][x], dl, 1))) if b or c[y][x] else ()
+            yield (_outer_sum(field, ((t, tw[y], dl, 1),)),
+                   tuple(_outer_sum(field, ((b, tw[y], dl, 1), (t, c[y][x], dl, 1))) if b or c[y][x] else ()
                          for x, b in enumerate(bs)))
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """The chain complex of L with coefficients in M.  Each degree's
-    boundary columns and rank are built once, the columns from the cached
-    degree below and the fronts' T and B; ranks and the squared-boundary
-    check both read the cached columns and skip the empty ones."""
+    """The chain complex of L with coefficients in M.  Over Q its
+    denominators are cleared once: the five tables (t_L, the bracket, the
+    left and right operations, t_M) are each scaled by D, the lcm of their
+    denominators (1 over GF(p) and on integral data).  Each degree-n column
+    is homogeneous of degree n in those tables, so the columns built from
+    them are exactly the integer columns of D^n d_n, and D^(n-1) d_(n-1)
+    after D^n d_n is D^(2n-1) d_(n-1) d_n: ranks and the squared-boundary
+    check read these integral columns, and ``columns`` divides them back.
+    Each degree's integral columns and rank are built once, the columns
+    from the cached degree below and the fronts' T and B; both readers skip
+    the empty columns."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
     _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
     _ranks: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """(D, t_L, bracket, left, right, t_M), each table scaled by D."""
+        L, M = self.algebra, self.coeffs
+        field = L.field
+        cols, grids = (L.twist.sparse_cols, M.twist.sparse_cols), (L.sparse_c, M.sparse_left, M.sparse_right)
+        d = field.clearing([x for table in cols for v in table for _, x in v] +
+                           [x for table in grids for row in table for v in row for _, x in v])
+        if d == 1:
+            return (1, cols[0], *grids, cols[1])
+
+        def scaled(v):
+            return tuple((k, field.mul(d, x)) for k, x in v)
+
+        tw, tm = (tuple(map(scaled, t)) for t in cols)
+        c, left, right = (tuple(tuple(map(scaled, row)) for row in t) for t in grids)
+        return d, tw, c, left, right, tm
+
     def columns(self, n: int) -> tuple:
         """Sparse columns of the degree-n boundary, each a tuple of (row,
         coefficient) pairs; position i holds the image of chain-basis vector i
-        (coefficient index outer, then x_1 ... x_n row-major)."""
+        (coefficient index outer, then x_1 ... x_n row-major).  They are the
+        integral columns divided by D^n, the same tuple when D = 1."""
+        cols, scale = self._integral(n), self._tables[0] ** n
+        if scale == 1:
+            return cols
+        div = self.algebra.field.div
+        return tuple(tuple((k, div(x, scale)) for k, x in col) for col in cols)
+
+    def _integral(self, n: int) -> tuple:
+        """The sparse columns of D^n d_n, built once from the scaled tables."""
         if n < 1:
             raise ValueError("the boundary is defined for degree at least 1")
         cols = self._columns.get(n)
         if cols is None:
-            L, M = self.algebra, self.coeffs
+            _, tw, c, left, right, tm = self._tables
             if n == 1:  # the right action
-                cols = tuple(v for row in M.sparse_right for v in row)
+                cols = tuple(v for row in right for v in row)
             else:
                 # column (m, f, x) is three outer products (see the module
                 # docstring); the T and B of each front f of n - 1 factors
                 # are formed once and serve every m
-                lower, field, dl, dm = self.columns(n - 1), L.field, L.dim, M.space_dim
+                lower, field, dl, dm = self._integral(n - 1), self.algebra.field, len(tw), len(tm)
                 size, sign = dl ** (n - 1), 1 if n % 2 == 0 else -1
-                tw, left, tm = L.twist.sparse_cols, M.sparse_left, M.twist.sparse_cols
                 cols = [()] * (dm * size * dl)
-                for f, (t, bs) in enumerate(_fronts(L, n - 1)):
+                for f, (t, bs) in enumerate(_fronts(field, tw, c, n - 1)):
                     for x, b in enumerate(bs):
                         for m in range(dm):
-                            c = m * size + f
-                            if lower[c] or left[x][m] or b:  # else the column is empty
-                                cols[c * dl + x] = _outer_sum(field, ((lower[c], tw[x], dl, 1),
+                            i = m * size + f
+                            if lower[i] or left[x][m] or b:  # else the column is empty
+                                cols[i * dl + x] = _outer_sum(field, ((lower[i], tw[x], dl, 1),
                                                                       (left[x][m], t, size, sign),
                                                                       (tm[m], b, size, -sign)))
                 cols = tuple(cols)
@@ -214,12 +251,13 @@ class ChainComplex:
 
     def rank(self, n: int) -> int:
         """Rank of the degree-n boundary by sparse elimination of its
-        columns, cached; 0 in degree 0, where there is no boundary."""
+        integral columns, cached; 0 in degree 0, where there is no
+        boundary."""
         if n == 0:
             return 0
         if n not in self._ranks:
             acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
-            for col in self.columns(n):
+            for col in self._integral(n):
                 if col:
                     acc.add(col)
             self._ranks[n] = acc.rank
@@ -229,8 +267,8 @@ class ChainComplex:
         """Whether the degree-n boundary followed by the degree n-1 one
         vanishes: the lower columns are the sparse columns ``linear`` applies
         to each upper one."""
-        lower = self.columns(n - 1)
-        return not any(linear(self.algebra.field, lower, col) for col in self.columns(n) if col)
+        lower = self._integral(n - 1)
+        return not any(linear(self.algebra.field, lower, col) for col in self._integral(n) if col)
 
     def homology_dim(self, n: int) -> int:
         """dim H_n = dim C_n - rank d_n - rank d_(n+1)."""

@@ -25,7 +25,10 @@ RREF that takes each vector as its sparse pairs: it builds every span
 ``Subspace.span_sparse``), hands its rows to a ``Subspace`` with
 ``subspace()``, and each ``Matrix`` eliminates once through it: the RREF of
 [M^T | I] gives its image and kernel, each in its canonical RREF, its rank,
-its preimages and its section.
+its preimages and its section.  Its step is chosen from the field once:
+over GF(p) it keeps each row scaled to a pivot entry of 1, and over Q it
+keeps each row as a primitive integer vector and eliminates by
+cross-multiplication, so no ``Fraction`` arises until its RREF is read.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -60,8 +63,9 @@ presentations:
   whether dense vectors hold only canonical scalars;
 * ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
   lookup, and ``RrefAccumulator.add`` reduces each new vector by the same
-  code; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
-  sparse ``contains_sparse`` and ``project_sparse`` read it.
+  code over GF(p), and over Q by the same pivot lookup fraction-free;
+  ``contains``, ``reduce``, ``coordinates``, ``project`` and the sparse
+  ``contains_sparse`` and ``project_sparse`` read it.
   ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
   it, and ``preimage`` is its dense form; they and ``coordinates`` return
   None off the image or subspace, and each caller raises its own error;
@@ -85,8 +89,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import chain
-from math import prod
-from typing import NamedTuple
+from math import gcd, prod
+from typing import Callable, NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
@@ -512,12 +516,14 @@ class Matrix:
         return Matrix.from_columns(self.field, self.cols, cols)
 
 
-def _reduce(field: Field, rows: dict, w: dict) -> dict:
-    """w less its part in the span of reduced ``rows`` (pivot -> the row's
-    other entries as {column: value}, the pivot's 1 implicit), in place.  A
-    reduced row is zero at every other pivot, so w's coordinates in the span
-    are w at the pivots and only the pivots in w's support are touched."""
-    zero, sub, mul = field.zero(), field.sub, field.mul
+def _reduce(field: Field, rows: dict, pairs) -> dict:
+    """The sparse vector with nonzero coordinates ``pairs`` less its part in
+    the span of reduced ``rows`` (pivot -> the row's other entries as
+    {column: value}, the pivot's 1 implicit), as {column: value}.  A reduced
+    row is zero at every other pivot, so the vector's coordinates in the
+    span are its entries at the pivots and only the pivots in its support
+    are touched."""
+    zero, sub, mul, w = field.zero(), field.sub, field.mul, dict(pairs)
     for p in [c for c in w if c in rows]:
         c = w.pop(p)
         for j, x in rows[p].items():
@@ -529,25 +535,173 @@ def _reduce(field: Field, rows: dict, w: dict) -> dict:
     return w
 
 
+def _cross_reduce(w: dict, a: int, r: dict, d: int) -> int:
+    """The integer vector w, whose entry a at the pivot of the integer row
+    r with pivot entry d > 0 is already taken out, less its part along r,
+    in place and fraction-free: w becomes (d/g) w - (a/g) r, g = gcd(a, d).
+    Returns d/g, the factor w was scaled by."""
+    g = gcd(a, d)
+    s, m = d // g, a // g
+    if s != 1:
+        for c in w:
+            w[c] *= s
+    for c, x in r.items():
+        y = w.get(c, 0) - m * x
+        if y:
+            w[c] = y
+        else:
+            del w[c]
+    return s
+
+
+def _integer_reduce(field: Field, rows: dict, pairs) -> dict:
+    """The rational vector with nonzero coordinates ``pairs``, cleared of
+    its denominators through the field, less its part in the span of
+    reduced integer ``rows`` (pivot -> (pivot entry, the row's other
+    entries)) by ``_cross_reduce``: a nonzero multiple of its residue, as
+    {column: int}."""
+    w = dict(pairs)
+    if {*map(type, w.values())} != {int}:
+        d = field.clearing(w.values())
+        w = {c: field.mul(d, x) for c, x in w.items()}
+    for p in [c for c in w if c in rows]:
+        d, r = rows[p]
+        _cross_reduce(w, w.pop(p), r, d)
+    return w
+
+
+def _unit_row(field: Field, w: dict) -> tuple:
+    """The residue w scaled to a pivot entry of 1, left implicit."""
+    pivot = min(w)
+    lead = w.pop(pivot)
+    if lead != 1:
+        inv = field.inv(lead)
+        w = {c: field.mul(inv, x) for c, x in w.items()}
+    return pivot, w, w
+
+
+def _primitive(lead: int, w: dict) -> tuple:
+    """(lead, w) divided by their content, the lead made positive."""
+    g = gcd(lead, *w.values())
+    if lead < 0:
+        g = -g
+    return (lead, w) if g == 1 else (lead // g, {c: x // g for c, x in w.items()})
+
+
+def _primitive_row(field: Field, w: dict) -> tuple:
+    """The integer residue w made primitive, its positive pivot entry kept
+    beside the row's other entries."""
+    pivot = min(w)
+    row = _primitive(w.pop(pivot), w)
+    return pivot, row, row[1]
+
+
+def _unit_back(field: Field, rows: dict, pivot: int, new: dict) -> None:
+    """Reduce each of ``rows`` holding the new row's pivot by it."""
+    zero, sub, mul = field.zero(), field.sub, field.mul
+    for row in rows.values():
+        coef = row.pop(pivot, None)
+        if coef is None:
+            continue
+        for c, x in new.items():
+            y = sub(row.get(c, zero), mul(coef, x))
+            if y:
+                row[c] = y
+            else:
+                row.pop(c, None)
+
+
+def _integer_back(field: Field, rows: dict, pivot: int, new: tuple) -> None:
+    """Reduce each of the integer ``rows`` holding the new row's pivot by
+    it, fraction-free, and divide it by its content."""
+    e, n = new
+    for p, (lead, row) in rows.items():
+        b = row.pop(pivot, None)
+        if b is not None:
+            rows[p] = _primitive(lead * _cross_reduce(row, b, n, e), row)
+
+
+def _unit_rows(field: Field, rows: dict) -> dict:
+    """Rows with a pivot entry of 1 are stored as their RREF reads them."""
+    return rows
+
+
+def _divided_rows(field: Field, rows: dict) -> dict:
+    """The RREF of integer rows: each divided by its pivot entry, a row
+    whose pivot entry is 1 read as it is."""
+    div = field.div
+    return {p: r if d == 1 else {c: div(x, d) for c, x in r.items()} for p, (d, r) in rows.items()}
+
+
+def _primitive_rows(field: Field, rows: dict) -> dict:
+    """Integer rows of an RREF: each row times the lcm of its denominators,
+    which is primitive, with that lcm as its pivot entry."""
+    out = {}
+    for p, r in rows.items():
+        d = field.clearing(r.values())
+        out[p] = (1, r) if d == 1 else (d, {c: field.mul(d, x) for c, x in r.items()})
+    return out
+
+
+class _Step(NamedTuple):
+    """One field's elimination step, as ``RrefAccumulator`` calls it."""
+
+    reduce: Callable   # (field, rows, pairs) -> the residue
+    new_row: Callable  # (field, residue) -> (pivot, stored row, its columns)
+    back: Callable     # (field, rows, pivot, stored row): back-substitution
+    read: Callable     # (field, rows) -> the RREF
+    load: Callable     # (field, RREF) -> rows
+
+
+_UNIT_STEP = _Step(_reduce, _unit_row, _unit_back, _unit_rows, _unit_rows)
+_INTEGER_STEP = _Step(_integer_reduce, _primitive_row, _integer_back, _divided_rows, _primitive_rows)
+
+
 class RrefAccumulator:
     """Incremental reduced row echelon span builder.
 
-    Rows are kept fully reduced against each other at all times, stored
-    as pivot -> {column: value} of the row's other entries, the pivot's 1
-    implicit, as ``Subspace`` stores them.  ``add`` takes a vector as the
-    (column, value) pairs of its nonzero coordinates, reduces it and reports
-    whether it enlarged the span.  The rows are always the reduced row
-    echelon form of the vectors added.
+    ``add`` takes a vector as the (column, value) pairs of its nonzero
+    coordinates, reduces it against the stored rows and reports whether it
+    enlarged the span.  Each row is stored by its pivot and is zero at
+    every other row's pivot, so the rows are always the reduced row echelon
+    form of the vectors added, up to a positive factor each.  The step is
+    chosen from the field once.  Over GF(p) a row is scaled to a pivot
+    entry of 1 and stored as ``Subspace`` stores it, {column: value} of its
+    other entries with the 1 implicit, and a vector is reduced by
+    ``_reduce``.  Over Q a row is a primitive integer vector, stored as its
+    positive pivot entry and its other entries; a vector is reduced
+    fraction-free by ``_integer_reduce`` and divided by its content, and a
+    row holding a new pivot is reduced the same way (Bareiss, Math. Comp.
+    22, 1968).  A new pivot is back-substituted only when some stored row
+    may hold it: the columns the rows hold are recorded as they grow.
+
+    ``rows`` reads the RREF in canonical scalars, pivot -> {column: value}
+    of the row's other entries, the pivot's 1 implicit: over GF(p) the
+    stored rows themselves, over Q each row divided by its pivot entry
+    through the field, when first read after an ``add``.  Assigning
+    ``rows`` loads an RREF.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows: dict[int, dict[int, object]] = {}  # pivot col -> the row's other entries
+        self._step = _INTEGER_STEP if field.p is None else _UNIT_STEP
+        self.rows = {}
+
+    @property
+    def rows(self) -> dict:
+        if self._view is None:
+            self._view = self._step.read(self.field, self._stored)
+        return self._view
+
+    @rows.setter
+    def rows(self, rows: dict) -> None:
+        self._view, self._stored = rows, self._step.load(self.field, rows)
+        self._held = set().union(*rows.values())  # a superset of the columns the rows hold
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._stored)
 
     @classmethod
     def _holding(cls, space: Subspace) -> "RrefAccumulator":
@@ -557,26 +711,16 @@ class RrefAccumulator:
         return acc
 
     def add(self, v) -> bool:
-        f = self.field
-        zero = f.zero()
-        sv = _reduce(f, self.rows, dict(v))
-        if not sv:
+        step, field, rows = self._step, self.field, self._stored
+        w = step.reduce(field, rows, v)
+        if not w:
             return False
-        pivot = min(sv)
-        inv = f.inv(sv.pop(pivot))
-        sv = {c: f.mul(inv, x) for c, x in sv.items()}
-        # back-substitute the new pivot into existing rows
-        for row in self.rows.values():
-            coef = row.pop(pivot, None)
-            if coef is None:
-                continue
-            for cc, val in sv.items():
-                nv = f.sub(row.get(cc, zero), f.mul(coef, val))
-                if not nv:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-        self.rows[pivot] = sv
+        pivot, row, columns = step.new_row(field, w)
+        if pivot in self._held:
+            step.back(field, rows, pivot, row)
+        self._held.update(columns)
+        rows[pivot] = row
+        self._view = None
         return True
 
     def add_rows(self, rows) -> None:
@@ -589,9 +733,9 @@ class RrefAccumulator:
     def subspace(self) -> Subspace:
         """The span of the vectors added, its rows sorted by pivot and each
         by column."""
-        one = self.field.one()
+        one, rows = self.field.one(), self.rows
         return Subspace(self.field, self.ambient_dim,
-                        tuple(((p, one), *sorted(self.rows[p].items())) for p in sorted(self.rows)))
+                        tuple(((p, one), *sorted(rows[p].items())) for p in sorted(rows)))
 
 
 @dataclass(frozen=True)
@@ -654,7 +798,7 @@ class Subspace:
         part in this subspace, as {column: value}.  A reduced row is zero at
         every other pivot, so v's basis coordinates are v at the pivots and
         only the pivots in v's support are touched."""
-        return _reduce(self.field, self._rows, dict(pairs))
+        return _reduce(self.field, self._rows, pairs)
 
     def contains_sparse(self, pairs) -> bool:
         return not self.residue(pairs)

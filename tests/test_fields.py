@@ -172,8 +172,35 @@ def test_boundary_columns_built_only_by_the_chain_complex():
     # fronts' T and B are formed only for those columns
     found = _library_sites(_builds_boundary_terms)
     assert sorted(site.rsplit(":", 1)[0] for site in found) == \
-        ["homology:ChainComplex.columns", "homology:ChainComplex.columns", "homology:_fronts",
+        ["homology:ChainComplex._integral", "homology:ChainComplex._integral", "homology:_fronts",
          "homology:_longer_fronts", "homology:_longer_fronts"], found
+
+
+FRACTION_NAMES = ("Fraction", "fractions", "numerator", "denominator")
+
+
+def _names_fractions(node):
+    # a name, an attribute or an import of the rationals' own type
+    if isinstance(node, ast.Name):
+        return node.id in FRACTION_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FRACTION_NAMES
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in FRACTION_NAMES for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module in FRACTION_NAMES or any(alias.name in FRACTION_NAMES for alias in node.names)
+    return False
+
+
+def test_fractions_only_in_fields():
+    # a rational is handled only through its Field: the elimination over Q
+    # clears denominators with Field.clearing and divides with Field.div,
+    # so no other module names Fraction or reads a denominator (docstrings,
+    # being strings, are left aside)
+    probe = ast.parse("import fractions\nfrom fractions import Fraction\nx.denominator\ny = numerator\n'Fraction'")
+    assert len(_sites(probe, _names_fractions)) == 4
+    found = [site for site in _library_sites(_names_fractions) if not site.startswith("fields:")]
+    assert found == [], found
 
 
 def _reads_relation_rows(node):

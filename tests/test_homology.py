@@ -27,7 +27,9 @@ from homleib.homology import (
     degree_one_trivial_closed_form,
     trivial_corep,
 )
+from test_basis_change import CONJUGATORS, conjugate
 from test_checker import dense_table
+from test_linalg import check_rank_witness
 
 QQ = Field()
 GF = Field(1000003)
@@ -347,18 +349,18 @@ class TestChainComplex:
         # complex over the same coefficients counts as a rebuild
         builds, built = Counter(), Counter()
         keep = []  # holds each co-representation so its id stays unique
-        columns = ChainComplex.columns
+        integral = ChainComplex._integral
 
         def counted(self, n):
             fresh = n not in self._columns
-            cols = columns(self, n)
+            cols = integral(self, n)
             if fresh:
                 keep.append(self.coeffs)
                 builds[id(self.algebra), id(self.coeffs), n] += 1
                 built["columns"] += len(cols)
             return cols
 
-        monkeypatch.setattr(ChainComplex, "columns", counted)
+        monkeypatch.setattr(ChainComplex, "_integral", counted)
         return builds, built
 
     def test_homology_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
@@ -470,3 +472,63 @@ class TestHomology:
         cx = ChainComplex(sl2, adjoint_corep(sl2))
         assert [cx.homology_dim(n) for n in range(3)] == [cx.homology_dim(n) for n in range(3)]
         assert made == [3, 9, 27]  # d_1, d_2 and d_3, from C_0, C_1 and C_2
+
+
+def _witness_algebras(f):
+    """Stock algebras and the unitriangular conjugates of the 2- and
+    3-dimensional ones: the upper conjugate of sl2 + Heisenberg fills its
+    chain spaces, up to 1296 columns, and takes about 15 s for each choice
+    of coefficients over Q."""
+    sl2 = generators.sl2(f)
+    stock = {"sl2": sl2, "sl2-twisted": yau_twist(sl2, Matrix.from_rows(f, [[4, 0, 0], [0, f.div(1, 4), 0],
+                                                                              [0, 0, 1]])),
+             "heisenberg": generators.heisenberg(f), "square": generators.square_bracket_algebra(f),
+             "sl2+heisenberg": direct_sum(sl2, generators.heisenberg(f))}
+    conjugates = {f"{name} {side}": conjugate(stock[name], conjugator)
+                  for name in ("sl2", "sl2-twisted", "heisenberg", "square")
+                  for side, conjugator in CONJUGATORS.items()}
+    return {**stock, **conjugates}
+
+
+WITNESS_ALGEBRAS = sorted(_witness_algebras(QQ))
+
+
+@pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
+@pytest.mark.parametrize("coeffs", ["trivial", "adjoint"])
+@pytest.mark.parametrize("name", WITNESS_ALGEBRAS)
+def test_boundary_ranks_carry_witnesses(name, coeffs, f):
+    # each rank the chain complex reads off its integral columns is the
+    # rank of the boundary map, certified by multiplication only; degrees
+    # 1-4, the largest left out where the map has more than 1300 columns
+    L = _witness_algebras(f)[name]
+    M = trivial_corep(L) if coeffs == "trivial" else adjoint_corep(L)
+    assert L.validate().valid and M.validate().valid
+    cx = ChainComplex(L, M)
+    for n in range(1, 5):
+        if chain_dim(L, M, n) > 1300:
+            break
+        m = Matrix.from_columns(f, chain_dim(L, M, n - 1), [sorted(col) for col in cx.columns(n)])
+        check_rank_witness(m)
+        assert cx.rank(n) == m.rank()
+
+
+@pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
+def test_integral_columns_of_a_fractional_twist(sl2_twisted, f):
+    # the twist diag(4, 1/4, 1) scales every table by D = 4 over Q: the
+    # cached columns of D^n d_n hold only ints, and columns(n) divides them
+    # back to the boundary of the all-terms reference
+    L = sl2_twisted if f is QQ else yau_twist(generators.sl2(f), Matrix.from_rows(f, [[4, 0, 0], [0, f.div(1, 4), 0],
+                                                                                      [0, 0, 1]]))
+    M = adjoint_corep(L)
+    cx = ChainComplex(L, M)
+    d = 4 if f is QQ else 1
+    assert cx._tables[0] == d
+    for n in range(1, 5):
+        integral, cols = cx._integral(n), cx.columns(n)
+        assert all(type(x) is int for col in integral for _, x in col)
+        assert [dict(col) for col in cols] == [reference_boundary_column(L, M, n, m_idx, xs)
+                                               for m_idx in range(M.space_dim)
+                                               for xs in iter_product(*[range(L.dim)] * n)]
+        assert integral == tuple(tuple((k, f.mul(d ** n, x)) for k, x in col) for col in cols)
+        assert (cols is integral) == (d == 1)
+    assert all(cx.squares_to_zero(n) for n in range(2, 5))

@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 from itertools import cycle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,12 +13,14 @@ from homleib.actions import MutualActions
 from homleib.algebras import HomLeibnizAlgebra, IdealHandle, direct_sum
 from homleib.errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from homleib.fields import Field
+from homleib import linalg
 from homleib.generators import sl2
 from homleib.linalg import (
     Matrix,
     QuotientSpace,
     RrefAccumulator,
     Subspace,
+    canonical_scalars,
     contract,
     dense_vec,
     exact,
@@ -969,3 +972,112 @@ class TestOneReduction:
         for b in targets:
             dense = _dense_solution(m, dense_vec(f, rows, b))
             assert m.preimage_sparse(b) == (None if dense is None else sparse_vec(dense))
+
+
+def rational_rows(n, max_rows=6):
+    """Sparse rows of an n-space over Q as a caller may hand them over: ints,
+    integral ``Fraction``s and proper fractions, of either sign, with some
+    rows repeated and some repeated up to a negative scalar."""
+    small = st.integers(-6, 6).filter(bool)
+    value = st.one_of(small, small.map(Fraction), st.builds(Fraction, small, st.integers(2, 6)))
+    row = st.dictionaries(st.integers(0, n - 1), value, min_size=1, max_size=min(n, 4)).map(
+        lambda r: tuple(sorted(r.items())))
+
+    @st.composite
+    def rows(draw):
+        out = draw(st.lists(row, max_size=max_rows))
+        for r in draw(st.lists(st.sampled_from(out), max_size=3)) if out else []:
+            out.append(r if draw(st.booleans()) else tuple((c, -2 * x) for c, x in r))
+        return out
+
+    return rows()
+
+
+def assert_primitive_rows(acc: RrefAccumulator) -> None:
+    """Every stored Q row is a primitive integer vector with a positive
+    pivot entry, zero at every other row's pivot."""
+    for p, (lead, row) in acc._stored.items():
+        assert type(lead) is int and lead > 0 and p not in row
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(lead, *row.values()) == 1
+        assert not set(row) & set(acc._stored)
+
+
+class TestIntegerStep:
+    """Over Q the accumulator keeps primitive integer rows and eliminates by
+    cross-multiplication; what it hands out is the canonical RREF."""
+
+    @given(st.data())
+    def test_subspace_is_the_dense_rref(self, data):
+        n = data.draw(st.integers(1, 7))
+        rows = data.draw(rational_rows(n))
+        acc = RrefAccumulator(QQ, n)
+        for k, r in enumerate(rows):
+            before = _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows[:k]]).rows
+            assert acc.add(r) == (_dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows[:k + 1]]).rows > before)
+            assert_primitive_rows(acc)
+        assert acc.subspace().basis == _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows])
+        assert acc.rank == acc.subspace().dim
+        assert canonical_scalars(QQ, acc.subspace().basis.entries)
+
+    @given(st.data())
+    def test_holding_a_fractional_subspace(self, data):
+        n = data.draw(st.integers(1, 7))
+        a, b = data.draw(rational_rows(n)), data.draw(rational_rows(n))
+        space = Subspace.span_sparse(QQ, n, a)
+        acc = RrefAccumulator._holding(space)
+        assert_primitive_rows(acc)
+        assert acc.subspace() == space
+        for r in b:
+            acc.add(r)
+            assert_primitive_rows(acc)
+        dense = [dense_vec(QQ, n, v) for v in a + b]
+        assert acc.subspace().basis == _dense_basis(QQ, n, dense)
+        perm = data.draw(st.permutations(range(n)))
+        moved = [dense_vec(QQ, n, [(perm[c], x) for c, x in r]) for r in a]
+        assert space.permuted(perm, keep=True).basis == _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in a] + moved)
+
+    def test_rows_are_read_in_canonical_scalars(self):
+        acc = RrefAccumulator(QQ, 3)
+        acc.add(((0, Fraction(2, 1)), (1, 3)))
+        acc.add(((0, -4), (2, Fraction(1, 2))))
+        # (2, 3, 0) and 2 (-4, 0, 1/2) + 4 (2, 3, 0) = (0, 12, 1), which
+        # (2, 3, 0) meets at column 1: 4 (2, 3, 0) - 3 (0, 12, 1) = (8, 0, -1)
+        assert acc._stored == {0: (8, {2: -1}), 1: (12, {2: 1})}
+        assert acc.rows == {0: {2: Fraction(-1, 8)}, 1: {2: Fraction(1, 12)}}
+        assert acc.rows is acc.rows  # cached until the next add
+        acc.add(((1, 1),))
+        assert acc.rows == {0: {}, 1: {}, 2: {}} and acc._stored == {p: (1, {}) for p in range(3)}
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+class TestBackSubstitution:
+    """A new pivot is back-substituted only when a stored row may hold it."""
+
+    @staticmethod
+    def _visits(monkeypatch):
+        visits = []
+        for name in ("_UNIT_STEP", "_INTEGER_STEP"):
+            step = getattr(linalg, name)
+
+            def back(field, rows, pivot, new, back=step.back):
+                visits.append(pivot)
+                back(field, rows, pivot, new)
+
+            monkeypatch.setattr(linalg, name, step._replace(back=back))
+        return visits
+
+    def test_factoring_a_zero_map_visits_no_row(self, f, monkeypatch):
+        visits = self._visits(monkeypatch)
+        m = Matrix.zero(f, 3, 400)
+        assert m.rank() == 0 and m.kernel() == Subspace.full(f, 400)
+        assert visits == []
+
+    def test_a_held_pivot_is_back_substituted(self, f, monkeypatch):
+        # column 0 is (1, 1): its factor row holds column 1, the pivot the
+        # second column (0, 1) brings
+        visits = self._visits(monkeypatch)
+        m = mat(f, [[1, 0], [1, 1]])
+        assert m.image() == Subspace.full(f, 2) and m.kernel().dim == 0
+        assert visits == [1]
+        assert m.section() == mat(f, [[1, 0], [-1, 1]])
