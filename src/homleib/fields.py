@@ -95,6 +95,11 @@ class Field:
             return type(x) is int and 0 <= x < self.p
         return type(x) is int or type(x) is Fraction and x.denominator != 1
 
+    def is_scalar(self, x) -> bool:
+        """Whether x is a scalar of this field: canonical, or over Q also an
+        integral ``Fraction``, which equals its int."""
+        return type(x) in (int, Fraction) if self.p is None else self.is_canonical(x)
+
     def from_int(self, n: int):
         return int(n) if self.p is None else n % self.p
 

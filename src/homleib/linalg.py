@@ -25,10 +25,11 @@ RREF that takes each vector as its sparse pairs: it builds every span
 ``Subspace.span_sparse``), hands its rows to a ``Subspace`` with
 ``subspace()``, and each ``Matrix`` eliminates once through it: the RREF of
 [M^T | I] gives its image and kernel, each in its canonical RREF, its rank,
-its preimages and its section.  Its step is chosen from the field once:
-over GF(p) it keeps each row scaled to a pivot entry of 1, and over Q it
-keeps each row as a primitive integer vector and eliminates by
-cross-multiplication, so no ``Fraction`` arises until its RREF is read.
+its preimages and its section.  It runs one step in both fields: each row
+is stored as its pivot entry and its other entries, integers, and a vector
+is reduced by one cross-multiplication per pivot (``_axpy``), mod p over
+GF(p), where every pivot entry is 1.  So over Q no ``Fraction`` arises
+until its RREF is read.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -61,11 +62,11 @@ presentations:
   between the dense and the sparse form of a vector, ``is_sparse_vec``
   tells whether a value is in the sparse form and ``canonical_scalars``
   whether dense vectors hold only canonical scalars;
-* ``Subspace.residue`` is the one reduction, of a sparse vector by pivot
-  lookup, and ``RrefAccumulator.add`` reduces each new vector by the same
-  code over GF(p), and over Q by the same pivot lookup fraction-free;
-  ``contains``, ``reduce``, ``coordinates``, ``project`` and the sparse
-  ``contains_sparse`` and ``project_sparse`` read it.
+* ``Subspace.residue`` is the one reduction of a vector by a subspace, by
+  pivot lookup in canonical scalars, and ``RrefAccumulator.add`` reduces
+  by the same pivot lookup up to a factor; ``contains``, ``reduce``,
+  ``coordinates``, ``project`` and the sparse ``contains_sparse`` and
+  ``project_sparse`` read the residue.
   ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
   it, and ``preimage`` is its dense form; they and ``coordinates`` return
   None off the image or subspace, and each caller raises its own error;
@@ -90,7 +91,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
@@ -346,12 +347,13 @@ class Matrix:
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """The map with the dense grid ``entries``, a tuple of rows: the
-        dense edge (documents, tests).  Over Q an integral ``Fraction`` is
-        kept as given."""
+        dense edge (documents, tests).  Every coordinate, zero or not, is a
+        scalar of the field (``Field.is_scalar``), else ``StructureError``:
+        over Q an integral ``Fraction`` is kept as given."""
         entries = tuple(map(tuple, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionError("entry grid does not match declared shape")
-        if field.p is not None and not canonical_scalars(field, entries):
+        if not all(map(field.is_scalar, chain.from_iterable(entries))):
             raise StructureError("map coordinates must be canonical scalars of the field")
         columns = tuple(map(sparse_vec, zip(*entries))) if rows else ((),) * cols
         self.__dict__.update(field=field, rows=rows, cols=cols, sparse_cols=columns, entries=entries)
@@ -516,30 +518,12 @@ class Matrix:
         return Matrix.from_columns(self.field, self.cols, cols)
 
 
-def _reduce(field: Field, rows: dict, pairs) -> dict:
-    """The sparse vector with nonzero coordinates ``pairs`` less its part in
-    the span of reduced ``rows`` (pivot -> the row's other entries as
-    {column: value}, the pivot's 1 implicit), as {column: value}.  A reduced
-    row is zero at every other pivot, so the vector's coordinates in the
-    span are its entries at the pivots and only the pivots in its support
-    are touched."""
-    zero, sub, mul, w = field.zero(), field.sub, field.mul, dict(pairs)
-    for p in [c for c in w if c in rows]:
-        c = w.pop(p)
-        for j, x in rows[p].items():
-            y = sub(w.get(j, zero), mul(c, x))
-            if y:
-                w[j] = y
-            else:
-                del w[j]
-    return w
-
-
-def _cross_reduce(w: dict, a: int, r: dict, d: int) -> int:
-    """The integer vector w, whose entry a at the pivot of the integer row
-    r with pivot entry d > 0 is already taken out, less its part along r,
-    in place and fraction-free: w becomes (d/g) w - (a/g) r, g = gcd(a, d).
-    Returns d/g, the factor w was scaled by."""
+def _axpy(w: dict, a: int, r: dict, d: int, p: int | None) -> int:
+    """The integer vector w, whose entry a at the pivot of the stored row r
+    with pivot entry d > 0 is already taken out, less its part along r, in
+    place and fraction-free: w becomes (d/g) w - (a/g) r, g = gcd(a, d),
+    each entry reduced mod p when p is set.  Over GF(p) d is 1, so this is
+    w - a r.  Returns d/g, the factor w was scaled by."""
     g = gcd(a, d)
     s, m = d // g, a // g
     if s != 1:
@@ -547,6 +531,8 @@ def _cross_reduce(w: dict, a: int, r: dict, d: int) -> int:
             w[c] *= s
     for c, x in r.items():
         y = w.get(c, 0) - m * x
+        if p is not None:
+            y %= p
         if y:
             w[c] = y
         else:
@@ -554,107 +540,28 @@ def _cross_reduce(w: dict, a: int, r: dict, d: int) -> int:
     return s
 
 
-def _integer_reduce(field: Field, rows: dict, pairs) -> dict:
-    """The rational vector with nonzero coordinates ``pairs``, cleared of
-    its denominators through the field, less its part in the span of
-    reduced integer ``rows`` (pivot -> (pivot entry, the row's other
-    entries)) by ``_cross_reduce``: a nonzero multiple of its residue, as
-    {column: int}."""
-    w = dict(pairs)
-    if {*map(type, w.values())} != {int}:
-        d = field.clearing(w.values())
-        w = {c: field.mul(d, x) for c, x in w.items()}
-    for p in [c for c in w if c in rows]:
-        d, r = rows[p]
-        _cross_reduce(w, w.pop(p), r, d)
-    return w
-
-
-def _unit_row(field: Field, w: dict) -> tuple:
-    """The residue w scaled to a pivot entry of 1, left implicit."""
-    pivot = min(w)
-    lead = w.pop(pivot)
-    if lead != 1:
-        inv = field.inv(lead)
-        w = {c: field.mul(inv, x) for c, x in w.items()}
-    return pivot, w, w
-
-
-def _primitive(lead: int, w: dict) -> tuple:
-    """(lead, w) divided by their content, the lead made positive."""
+def _normal(p: int | None, lead: int, w: dict) -> tuple:
+    """The row with pivot entry ``lead`` and other entries w as it is
+    stored, (pivot entry, entries): over GF(p) scaled to a pivot entry of
+    1, over Q divided by its content with the pivot entry made positive."""
+    if p is not None:
+        if lead == 1:
+            return 1, w
+        inv = pow(lead, -1, p)
+        return 1, {c: x * inv % p for c, x in w.items()}
     g = gcd(lead, *w.values())
     if lead < 0:
         g = -g
     return (lead, w) if g == 1 else (lead // g, {c: x // g for c, x in w.items()})
 
 
-def _primitive_row(field: Field, w: dict) -> tuple:
-    """The integer residue w made primitive, its positive pivot entry kept
-    beside the row's other entries."""
-    pivot = min(w)
-    row = _primitive(w.pop(pivot), w)
-    return pivot, row, row[1]
-
-
-def _unit_back(field: Field, rows: dict, pivot: int, new: dict) -> None:
-    """Reduce each of ``rows`` holding the new row's pivot by it."""
-    zero, sub, mul = field.zero(), field.sub, field.mul
-    for row in rows.values():
-        coef = row.pop(pivot, None)
-        if coef is None:
-            continue
-        for c, x in new.items():
-            y = sub(row.get(c, zero), mul(coef, x))
-            if y:
-                row[c] = y
-            else:
-                row.pop(c, None)
-
-
-def _integer_back(field: Field, rows: dict, pivot: int, new: tuple) -> None:
-    """Reduce each of the integer ``rows`` holding the new row's pivot by
-    it, fraction-free, and divide it by its content."""
-    e, n = new
-    for p, (lead, row) in rows.items():
+def _back(rows: dict, pivot: int, e: int, n: dict, p: int | None) -> None:
+    """Reduce each stored row holding the new row's pivot by that row, (e,
+    n), through ``_axpy``, and normalise it again."""
+    for q, (lead, row) in rows.items():
         b = row.pop(pivot, None)
         if b is not None:
-            rows[p] = _primitive(lead * _cross_reduce(row, b, n, e), row)
-
-
-def _unit_rows(field: Field, rows: dict) -> dict:
-    """Rows with a pivot entry of 1 are stored as their RREF reads them."""
-    return rows
-
-
-def _divided_rows(field: Field, rows: dict) -> dict:
-    """The RREF of integer rows: each divided by its pivot entry, a row
-    whose pivot entry is 1 read as it is."""
-    div = field.div
-    return {p: r if d == 1 else {c: div(x, d) for c, x in r.items()} for p, (d, r) in rows.items()}
-
-
-def _primitive_rows(field: Field, rows: dict) -> dict:
-    """Integer rows of an RREF: each row times the lcm of its denominators,
-    which is primitive, with that lcm as its pivot entry."""
-    out = {}
-    for p, r in rows.items():
-        d = field.clearing(r.values())
-        out[p] = (1, r) if d == 1 else (d, {c: field.mul(d, x) for c, x in r.items()})
-    return out
-
-
-class _Step(NamedTuple):
-    """One field's elimination step, as ``RrefAccumulator`` calls it."""
-
-    reduce: Callable   # (field, rows, pairs) -> the residue
-    new_row: Callable  # (field, residue) -> (pivot, stored row, its columns)
-    back: Callable     # (field, rows, pivot, stored row): back-substitution
-    read: Callable     # (field, rows) -> the RREF
-    load: Callable     # (field, RREF) -> rows
-
-
-_UNIT_STEP = _Step(_reduce, _unit_row, _unit_back, _unit_rows, _unit_rows)
-_INTEGER_STEP = _Step(_integer_reduce, _primitive_row, _integer_back, _divided_rows, _primitive_rows)
+            rows[q] = _normal(p, lead * _axpy(row, b, n, e, p), row)
 
 
 class RrefAccumulator:
@@ -662,41 +569,45 @@ class RrefAccumulator:
 
     ``add`` takes a vector as the (column, value) pairs of its nonzero
     coordinates, reduces it against the stored rows and reports whether it
-    enlarged the span.  Each row is stored by its pivot and is zero at
-    every other row's pivot, so the rows are always the reduced row echelon
-    form of the vectors added, up to a positive factor each.  The step is
-    chosen from the field once.  Over GF(p) a row is scaled to a pivot
-    entry of 1 and stored as ``Subspace`` stores it, {column: value} of its
-    other entries with the 1 implicit, and a vector is reduced by
-    ``_reduce``.  Over Q a row is a primitive integer vector, stored as its
-    positive pivot entry and its other entries; a vector is reduced
-    fraction-free by ``_integer_reduce`` and divided by its content, and a
-    row holding a new pivot is reduced the same way (Bareiss, Math. Comp.
-    22, 1968).  A new pivot is back-substituted only when some stored row
-    may hold it: the columns the rows hold are recorded as they grow.
+    enlarged the span.  Every row is stored by its pivot as (pivot entry,
+    {column: value} of its other entries), integers in both fields, and is
+    zero at every other row's pivot, so the rows are always the reduced row
+    echelon form of the vectors added, up to a positive factor each.  A
+    vector is cleared of its denominators through the field and reduced by
+    one ``_axpy`` per pivot in its support, fraction-free (Bareiss, Math.
+    Comp. 22, 1968); a new row is normalised by ``_normal``, over GF(p) to
+    a pivot entry of 1 and over Q to a primitive integer vector with a
+    positive pivot entry, and a stored row holding the new pivot is reduced
+    the same way by ``_back``.  A new pivot is back-substituted only when
+    some stored row may hold it: the columns the rows hold are recorded as
+    they grow.
 
     ``rows`` reads the RREF in canonical scalars, pivot -> {column: value}
-    of the row's other entries, the pivot's 1 implicit: over GF(p) the
-    stored rows themselves, over Q each row divided by its pivot entry
-    through the field, when first read after an ``add``.  Assigning
-    ``rows`` loads an RREF.
+    of the row's other entries, the pivot's 1 implicit: each stored row
+    divided by its pivot entry through the field, a row whose pivot entry
+    is 1 (every row over GF(p)) read as it is, when first read after an
+    ``add``.  Assigning ``rows`` loads an RREF, each row times the lcm of
+    its denominators (``Field.clearing``), which is primitive.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._step = _INTEGER_STEP if field.p is None else _UNIT_STEP
         self.rows = {}
 
     @property
     def rows(self) -> dict:
         if self._view is None:
-            self._view = self._step.read(self.field, self._stored)
+            div = self.field.div
+            self._view = {q: r if d == 1 else {c: div(x, d) for c, x in r.items()}
+                          for q, (d, r) in self._stored.items()}
         return self._view
 
     @rows.setter
     def rows(self, rows: dict) -> None:
-        self._view, self._stored = rows, self._step.load(self.field, rows)
+        clearing, mul = self.field.clearing, self.field.mul
+        self._view, self._stored = rows, {q: (d, r if d == 1 else {c: mul(d, x) for c, x in r.items()})
+                                          for q, r in rows.items() for d in [clearing(r.values())]}
         self._held = set().union(*rows.values())  # a superset of the columns the rows hold
 
     @property
@@ -711,15 +622,21 @@ class RrefAccumulator:
         return acc
 
     def add(self, v) -> bool:
-        step, field, rows = self._step, self.field, self._stored
-        w = step.reduce(field, rows, v)
+        field, rows, p, w = self.field, self._stored, self.field.p, dict(v)
+        if {*map(type, w.values())} != {int}:
+            d = field.clearing(w.values())
+            w = {c: field.mul(d, x) for c, x in w.items()}
+        for q in [c for c in w if c in rows]:
+            d, r = rows[q]
+            _axpy(w, w.pop(q), r, d, p)
         if not w:
             return False
-        pivot, row, columns = step.new_row(field, w)
+        pivot = min(w)
+        lead, row = _normal(p, w.pop(pivot), w)
         if pivot in self._held:
-            step.back(field, rows, pivot, row)
-        self._held.update(columns)
-        rows[pivot] = row
+            _back(rows, pivot, lead, row, p)
+        self._held.update(row)
+        rows[pivot] = lead, row
         self._view = None
         return True
 
@@ -797,8 +714,20 @@ class Subspace:
         """The sparse vector v with nonzero coordinates ``pairs`` less its
         part in this subspace, as {column: value}.  A reduced row is zero at
         every other pivot, so v's basis coordinates are v at the pivots and
-        only the pivots in v's support are touched."""
-        return _reduce(self.field, self._rows, pairs)
+        only the pivots in v's support are touched.  It works in canonical
+        scalars, not up to a factor as the accumulator does, so the residue
+        is v's own."""
+        field, rows, w = self.field, self._rows, dict(pairs)
+        zero, sub, mul = field.zero(), field.sub, field.mul
+        for p in [c for c in w if c in rows]:
+            c = w.pop(p)
+            for j, x in rows[p].items():
+                y = sub(w.get(j, zero), mul(c, x))
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+        return w
 
     def contains_sparse(self, pairs) -> bool:
         return not self.residue(pairs)

@@ -332,21 +332,35 @@ def test_dense_twins_are_gone():
     }, fields
 
 
-FIELD_PRIME_READS = {("fields", "self"), ("linalg", "field")}
+# where the library reads a field's prime, as (module:enclosing function or
+# class, receiver): the field's own methods, and the places the elimination
+# engine branches on the field, so that no second per-field step comes back
+# unseen
+FIELD_PRIME_READS = {("fields:Field", "self"), ("linalg:Matrix.from_columns", "field"),
+                     ("linalg:RrefAccumulator.add", "self.field")}
 
 
 def test_library_reads_no_dense_algebra_table():
     # an algebra holds only its sparse table; its dense table ``c`` or ``p``
     # is a view for tests and benchmarks, so no module reads it, and the only
-    # ``.p`` the library reads is a field's prime
+    # ``.p`` the library reads is a field's prime, where FIELD_PRIME_READS says
     src = Path(__file__).resolve().parents[1] / "src" / "homleib"
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        reads = []  # (receiver, attribute) of each hit, in the order _sites meets them
+
+        def hit(node):
             if isinstance(node, ast.Attribute) and node.attr in ("c", "p"):
-                receiver = ast.unparse(node.value)
-                if node.attr == "c" or (path.stem, receiver) not in FIELD_PRIME_READS:
-                    found.append(f"{path.stem}:{receiver}.{node.attr}:{node.lineno}")
+                reads.append((ast.unparse(node.value), node.attr))
+                return True
+            return False
+
+        sites = _sites(ast.parse(path.read_text(encoding="utf-8")), hit)
+        for (scope, line), (receiver, attr) in zip(sites, reads):
+            where = f"{path.stem}:{scope}"
+            if attr == "c" or not any(receiver == r and (where == w or where.startswith(w + "."))
+                                      for w, r in FIELD_PRIME_READS):
+                found.append(f"{where}:{receiver}.{attr}:{line}")
     assert found == [], found
 
 

@@ -40,6 +40,7 @@ from test_checker import dense_add, dense_scale
 from homleib_testkit import embed_nm, sl2_on_two_planes
 
 QQ = Field()
+F3 = Field(3)
 F5 = Field(5)
 GFP = Field(1000003)
 
@@ -404,7 +405,12 @@ class TestSparseColumns:
                       lambda: Matrix.from_rows(F5, [[Fraction(1, 2)]]),
                       lambda: Matrix.from_columns(F5, 1, [((0, 5),)]),
                       lambda: Matrix.from_columns(F5, 1, [((0, -1),)]),
-                      lambda: Matrix.from_columns(QQ, 1, [((0, 0),)])):
+                      lambda: Matrix.from_columns(QQ, 1, [((0, 0),)]),
+                      # over Q a float, a string or a bool is no scalar, zero or not
+                      lambda: Matrix(QQ, 2, 2, [[0.5, 0], [0, 1]]),
+                      lambda: Matrix(QQ, 1, 1, [["1"]]),
+                      lambda: Matrix(QQ, 1, 2, [[Fraction(2, 1), True]]),
+                      lambda: Matrix(QQ, 1, 2, [[1, 0.0]])):
             with pytest.raises(StructureError, match="canonical scalars"):
                 build()
         assert Matrix.from_rows(F5, [[5, 7]]) == Matrix(F5, 1, 2, ((0, 2),))
@@ -993,49 +999,74 @@ def rational_rows(n, max_rows=6):
     return rows()
 
 
-def assert_primitive_rows(acc: RrefAccumulator) -> None:
-    """Every stored Q row is a primitive integer vector with a positive
-    pivot entry, zero at every other row's pivot."""
+def assert_stored_rows(acc: RrefAccumulator) -> None:
+    """Every stored row is (pivot entry, entries), zero at every other
+    row's pivot: over Q a primitive integer vector with a positive pivot
+    entry, over GF(p) a pivot entry of 1 and nonzero canonical entries."""
+    f = acc.field
     for p, (lead, row) in acc._stored.items():
         assert type(lead) is int and lead > 0 and p not in row
-        assert all(type(x) is int and x for x in row.values())
-        assert gcd(lead, *row.values()) == 1
         assert not set(row) & set(acc._stored)
+        if f.p is None:
+            assert all(type(x) is int and x for x in row.values())
+            assert gcd(lead, *row.values()) == 1
+        else:
+            assert lead == 1 and all(x and f.is_canonical(x) for x in row.values())
+
+
+def drawn_rows(f, n):
+    """Sparse rows of an n-space: ``rational_rows`` over Q, ``sparse_rows``
+    over GF(p)."""
+    return rational_rows(n) if f.p is None else sparse_rows(f, n)
+
+
+# the small primes wrap round and need the normalising inverse
+EVERY_STEP_FIELD = pytest.mark.parametrize("f", [QQ, GFP, F5, F3], ids=["Q", "GF(1000003)", "GF(5)", "GF(3)"])
 
 
 class TestIntegerStep:
-    """Over Q the accumulator keeps primitive integer rows and eliminates by
-    cross-multiplication; what it hands out is the canonical RREF."""
+    """Both fields store each row as (pivot entry, entries) and eliminate by
+    one cross-multiplication: over Q the rows are primitive integer vectors
+    and over GF(p) their pivot entry is 1.  What the accumulator hands out
+    is the canonical RREF."""
 
+    @EVERY_STEP_FIELD
     @given(st.data())
-    def test_subspace_is_the_dense_rref(self, data):
+    def test_subspace_is_the_dense_rref(self, f, data):
         n = data.draw(st.integers(1, 7))
-        rows = data.draw(rational_rows(n))
-        acc = RrefAccumulator(QQ, n)
+        rows = data.draw(drawn_rows(f, n))
+        acc = RrefAccumulator(f, n)
         for k, r in enumerate(rows):
-            before = _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows[:k]]).rows
-            assert acc.add(r) == (_dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows[:k + 1]]).rows > before)
-            assert_primitive_rows(acc)
-        assert acc.subspace().basis == _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in rows])
+            before = _dense_basis(f, n, [dense_vec(f, n, v) for v in rows[:k]]).rows
+            assert acc.add(r) == (_dense_basis(f, n, [dense_vec(f, n, v) for v in rows[:k + 1]]).rows > before)
+            assert_stored_rows(acc)
+        assert acc.subspace().basis == _dense_basis(f, n, [dense_vec(f, n, v) for v in rows])
         assert acc.rank == acc.subspace().dim
-        assert canonical_scalars(QQ, acc.subspace().basis.entries)
+        assert canonical_scalars(f, acc.subspace().basis.entries)
 
+    @EVERY_STEP_FIELD
     @given(st.data())
-    def test_holding_a_fractional_subspace(self, data):
+    def test_holding_a_subspace_then_adding(self, f, data):
         n = data.draw(st.integers(1, 7))
-        a, b = data.draw(rational_rows(n)), data.draw(rational_rows(n))
-        space = Subspace.span_sparse(QQ, n, a)
+        a, b = data.draw(drawn_rows(f, n)), data.draw(drawn_rows(f, n))
+        space = Subspace.span_sparse(f, n, a)
         acc = RrefAccumulator._holding(space)
-        assert_primitive_rows(acc)
+        assert_stored_rows(acc)
         assert acc.subspace() == space
         for r in b:
             acc.add(r)
-            assert_primitive_rows(acc)
-        dense = [dense_vec(QQ, n, v) for v in a + b]
-        assert acc.subspace().basis == _dense_basis(QQ, n, dense)
+            assert_stored_rows(acc)
+        assert acc.subspace().basis == _dense_basis(f, n, [dense_vec(f, n, v) for v in a + b])
+
+    @EVERY_STEP_FIELD
+    @given(st.data())
+    def test_permuted_sum_is_the_dense_rref(self, f, data):
+        n = data.draw(st.integers(1, 7))
+        a = data.draw(drawn_rows(f, n))
+        space = Subspace.span_sparse(f, n, a)
         perm = data.draw(st.permutations(range(n)))
-        moved = [dense_vec(QQ, n, [(perm[c], x) for c, x in r]) for r in a]
-        assert space.permuted(perm, keep=True).basis == _dense_basis(QQ, n, [dense_vec(QQ, n, v) for v in a] + moved)
+        moved = [dense_vec(f, n, [(perm[c], x) for c, x in r]) for r in a]
+        assert space.permuted(perm, keep=True).basis == _dense_basis(f, n, [dense_vec(f, n, v) for v in a] + moved)
 
     def test_rows_are_read_in_canonical_scalars(self):
         acc = RrefAccumulator(QQ, 3)
@@ -1056,15 +1087,13 @@ class TestBackSubstitution:
 
     @staticmethod
     def _visits(monkeypatch):
-        visits = []
-        for name in ("_UNIT_STEP", "_INTEGER_STEP"):
-            step = getattr(linalg, name)
+        visits, back = [], linalg._back
 
-            def back(field, rows, pivot, new, back=step.back):
-                visits.append(pivot)
-                back(field, rows, pivot, new)
+        def counted(rows, pivot, e, n, p):
+            visits.append(pivot)
+            back(rows, pivot, e, n, p)
 
-            monkeypatch.setattr(linalg, name, step._replace(back=back))
+        monkeypatch.setattr(linalg, "_back", counted)
         return visits
 
     def test_factoring_a_zero_map_visits_no_row(self, f, monkeypatch):
