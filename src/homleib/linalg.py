@@ -26,10 +26,10 @@ RREF that takes each vector as its sparse pairs: it builds every span
 ``subspace()``, and each ``Matrix`` eliminates once through it: the RREF of
 [M^T | I] gives its image and kernel, each in its canonical RREF, its rank,
 its preimages and its section.  It runs one step in both fields: each row
-is stored as its pivot entry and its other entries, integers, and a vector
-is reduced by one cross-multiplication per pivot (``_axpy``), mod p over
-GF(p), where every pivot entry is 1.  So over Q no ``Fraction`` arises
-until its RREF is read.
+is stored as its pivot entry and its other entries, integers, and
+``_reduce`` reduces a vector by one cross-multiplication per pivot
+(``_axpy``), mod p over GF(p), where every pivot entry is 1.  So over Q no
+``Fraction`` arises until its RREF is read.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -62,11 +62,11 @@ presentations:
   between the dense and the sparse form of a vector, ``is_sparse_vec``
   tells whether a value is in the sparse form and ``canonical_scalars``
   whether dense vectors hold only canonical scalars;
-* ``Subspace.residue`` is the one reduction of a vector by a subspace, by
-  pivot lookup in canonical scalars, and ``RrefAccumulator.add`` reduces
-  by the same pivot lookup up to a factor; ``contains``, ``reduce``,
-  ``coordinates``, ``project`` and the sparse ``contains_sparse`` and
-  ``project_sparse`` read the residue.
+* ``_reduce`` is the one reduction: ``RrefAccumulator.add`` runs it on its
+  rows and ``Subspace.residue`` on the subspace's rows, in the same form,
+  then divides its scale out, so the residue is v's own in canonical
+  scalars; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
+  sparse ``contains_sparse`` and ``project_sparse`` read the residue.
   ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
   it, and ``preimage`` is its dense form; they and ``coordinates`` return
   None off the image or subspace, and each caller raises its own error;
@@ -368,16 +368,15 @@ class Matrix:
     def from_columns(field: Field, rows: int, columns) -> "Matrix":
         """The map into a ``rows``-space whose column j has the (index,
         value) pairs columns[j]: the indices increasing within range(rows)
-        (else ``DimensionError``), the values nonzero and, over GF(p),
-        canonical (else ``StructureError``)."""
+        (else ``DimensionError``), the values nonzero scalars of the field
+        by ``Field.is_scalar`` (else ``StructureError``)."""
         columns = tuple(map(tuple, columns))
-        p = field.p
         for col in columns:
             last = -1
             for k, x in col:
                 if not last < k < rows:
                     raise DimensionError(f"column indices must increase within range({rows})")
-                if not x or p is not None and not field.is_canonical(x):
+                if not field.is_scalar(x) or not x:
                     raise StructureError("map coordinates must be canonical scalars of the field")
                 last = k
         m = object.__new__(Matrix)
@@ -524,7 +523,7 @@ def _axpy(w: dict, a: int, r: dict, d: int, p: int | None) -> int:
     place and fraction-free: w becomes (d/g) w - (a/g) r, g = gcd(a, d),
     each entry reduced mod p when p is set.  Over GF(p) d is 1, so this is
     w - a r.  Returns d/g, the factor w was scaled by."""
-    g = gcd(a, d)
+    g = 1 if d == 1 else gcd(a, d)
     s, m = d // g, a // g
     if s != 1:
         for c in w:
@@ -537,6 +536,22 @@ def _axpy(w: dict, a: int, r: dict, d: int, p: int | None) -> int:
             w[c] = y
         else:
             del w[c]
+    return s
+
+
+def _reduce(field: Field, rows: dict, w: dict) -> int:
+    """Reduce w, {column: value}, in place by the stored rows, pivot ->
+    (pivot entry, entries): its denominators cleared by ``Field.clearing``,
+    one ``_axpy`` per stored pivot in its support.  Returns the scale s, so
+    w ends as s (v less its part along the rows), v as it was handed in."""
+    p, s = field.p, 1
+    if p is None and not {int}.issuperset(map(type, w.values())):
+        s = field.clearing(w.values())
+        for c, x in w.items():
+            w[c] = field.mul(s, x)
+    for q in [c for c in w if c in rows]:
+        d, r = rows[q]
+        s *= _axpy(w, w.pop(q), r, d, p)
     return s
 
 
@@ -573,9 +588,8 @@ class RrefAccumulator:
     {column: value} of its other entries), integers in both fields, and is
     zero at every other row's pivot, so the rows are always the reduced row
     echelon form of the vectors added, up to a positive factor each.  A
-    vector is cleared of its denominators through the field and reduced by
-    one ``_axpy`` per pivot in its support, fraction-free (Bareiss, Math.
-    Comp. 22, 1968); a new row is normalised by ``_normal``, over GF(p) to
+    vector is reduced by ``_reduce``, fraction-free (Bareiss, Math. Comp.
+    22, 1968); a new row is normalised by ``_normal``, over GF(p) to
     a pivot entry of 1 and over Q to a primitive integer vector with a
     positive pivot entry, and a stored row holding the new pivot is reduced
     the same way by ``_back``.  A new pivot is back-substituted only when
@@ -586,14 +600,13 @@ class RrefAccumulator:
     of the row's other entries, the pivot's 1 implicit: each stored row
     divided by its pivot entry through the field, a row whose pivot entry
     is 1 (every row over GF(p)) read as it is, when first read after an
-    ``add``.  Assigning ``rows`` loads an RREF, each row times the lcm of
-    its denominators (``Field.clearing``), which is primitive.
+    ``add``.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = {}
+        self._stored, self._view, self._held = {}, None, set()
 
     @property
     def rows(self) -> dict:
@@ -603,32 +616,21 @@ class RrefAccumulator:
                           for q, (d, r) in self._stored.items()}
         return self._view
 
-    @rows.setter
-    def rows(self, rows: dict) -> None:
-        clearing, mul = self.field.clearing, self.field.mul
-        self._view, self._stored = rows, {q: (d, r if d == 1 else {c: mul(d, x) for c, x in r.items()})
-                                          for q, r in rows.items() for d in [clearing(r.values())]}
-        self._held = set().union(*rows.values())  # a superset of the columns the rows hold
-
     @property
     def rank(self) -> int:
         return len(self._stored)
 
     @classmethod
     def _holding(cls, space: Subspace) -> "RrefAccumulator":
-        """An accumulator holding the reduced rows of ``space``, copied."""
+        """An accumulator holding the stored rows of ``space``, copied as they are."""
         acc = cls(space.field, space.ambient_dim)
-        acc.rows = {p: dict(row) for p, row in space._rows.items()}
+        acc._stored = {q: (d, dict(r)) for q, (d, r) in space._stored.items()}
+        acc._held = {c for _, r in acc._stored.values() for c in r}  # a superset of the columns the rows hold
         return acc
 
     def add(self, v) -> bool:
-        field, rows, p, w = self.field, self._stored, self.field.p, dict(v)
-        if {*map(type, w.values())} != {int}:
-            d = field.clearing(w.values())
-            w = {c: field.mul(d, x) for c, x in w.items()}
-        for q in [c for c in w if c in rows]:
-            d, r = rows[q]
-            _axpy(w, w.pop(q), r, d, p)
+        rows, p, w = self._stored, self.field.p, dict(v)
+        _reduce(self.field, rows, w)
         if not w:
             return False
         pivot = min(w)
@@ -664,14 +666,18 @@ class Subspace:
     field: Field
     ambient_dim: int
     sparse_rows: tuple
-    _rows: dict = dc_field(init=False, compare=False, repr=False)  # the accumulator's row form
 
     def __post_init__(self):
         # the first pivot is the least column of any row
         rows = self.sparse_rows
         if rows and (rows[0][0][0] < 0 or max(r[-1][0] for r in rows) >= self.ambient_dim):
             raise DimensionError(f"a column index outside ambient dimension {self.ambient_dim}")
-        object.__setattr__(self, "_rows", {r[0][0]: dict(r[1:]) for r in rows})
+
+    # the rows as the accumulator stores them, built once when first reduced against: each row times the
+    # lcm of its denominators, the one primitive integer row with a positive pivot entry (over GF(p), itself)
+    _stored = cached_property(lambda self: {
+        r[0][0]: (d, row if d == 1 else {c: self.field.mul(d, x) for c, x in row.items()})
+        for r in self.sparse_rows for row in [dict(r[1:])] for d in [self.field.clearing(row.values())]})
 
     # the basis rows as a dense matrix, built once when read
     basis = cached_property(lambda self: Matrix.from_columns(self.field, self.ambient_dim,
@@ -708,26 +714,18 @@ class Subspace:
         return len(self.sparse_rows)
 
     def pivots(self) -> tuple:
-        return tuple(self._rows)
+        return tuple(r[0][0] for r in self.sparse_rows)
 
     def residue(self, pairs) -> dict:
         """The sparse vector v with nonzero coordinates ``pairs`` less its
         part in this subspace, as {column: value}.  A reduced row is zero at
-        every other pivot, so v's basis coordinates are v at the pivots and
-        only the pivots in v's support are touched.  It works in canonical
-        scalars, not up to a factor as the accumulator does, so the residue
-        is v's own."""
-        field, rows, w = self.field, self._rows, dict(pairs)
-        zero, sub, mul = field.zero(), field.sub, field.mul
-        for p in [c for c in w if c in rows]:
-            c = w.pop(p)
-            for j, x in rows[p].items():
-                y = sub(w.get(j, zero), mul(c, x))
-                if y:
-                    w[j] = y
-                else:
-                    del w[j]
-        return w
+        every other pivot, so only the pivots in v's support are touched:
+        ``_reduce`` runs on the stored rows, up to a scale, which is divided
+        out once through the field, so the residue is v's own in canonical
+        scalars.  A vector of the subspace leaves nothing to divide."""
+        w = dict(pairs)
+        s = _reduce(self.field, self._stored, w)
+        return w if s == 1 else {c: self.field.div(x, s) for c, x in w.items()}
 
     def contains_sparse(self, pairs) -> bool:
         return not self.residue(pairs)
@@ -746,7 +744,7 @@ class Subspace:
 
     def coordinates(self, v) -> tuple | None:
         """Coordinates of v in the basis rows, or None when v lies outside."""
-        return None if self.residue(self._sparse(v)) else tuple(v[p] for p in self._rows)
+        return None if self.residue(self._sparse(v)) else tuple(v[p] for p in self.pivots())
 
     def _same_space(self, other: "Subspace", what: str) -> None:
         if self.field != other.field:

@@ -221,17 +221,55 @@ def test_relation_rows_read_only_by_the_descent_certificates():
         ["algebras:certified_quotient", "linalg:induced_map"], found
 
 
+ROW_STORES = ("rows", "_stored")
+
+
 def _assigns_rows(node):
+    # ``x.rows`` or ``x._stored`` as an assignment target, alone or in a
+    # tuple, or set by name through ``setattr`` or an instance ``__dict__``
+    if isinstance(node, ast.Call):
+        args = node.args[1:2] if getattr(node.func, "id", getattr(node.func, "attr", None)) in \
+            ("setattr", "__setattr__") else []
+        return any(isinstance(a, ast.Constant) and a.value in ROW_STORES for a in args)
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "attr", None) == "__dict__" and \
+            isinstance(node.slice, ast.Constant) and node.slice.value in ROW_STORES
+    if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return False
     targets = getattr(node, "targets", [getattr(node, "target", None)])
-    return isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and \
-        any(isinstance(t, ast.Attribute) and t.attr == "rows" for t in targets)
+    flat = [t for target in targets for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    return any(isinstance(t, ast.Attribute) and t.attr in ROW_STORES for t in flat)
 
 
 def test_accumulator_rows_assigned_only_inside_the_accumulator():
-    # a subspace hands its reduced rows to an accumulator through the
-    # accumulator's own constructor methods, never by assigning its rows
+    # the accumulator's stored rows are assigned only by its own methods: a
+    # subspace hands its stored rows over through ``_holding``, and no
+    # ``rows`` setter loads an RREF from outside
+    probe = ast.parse("a._stored = {}\na.x, a.rows = 1, {}\nsetattr(a, '_stored', {})\n"
+                      "a.__dict__['_stored'] = {}\nobject.__setattr__(a, 'rows', {})\na.rows[0] = {}")
+    assert len(_sites(probe, _assigns_rows)) == 5
     found = [site.rsplit(":", 1)[0] for site in _library_sites(_assigns_rows)]
     assert found == ["linalg:RrefAccumulator.__init__", "linalg:RrefAccumulator._holding"], found
+
+
+def _uses(name):
+    # ``name`` read as a name or an attribute: a call and an alias alike
+    return lambda node: isinstance(node, ast.Name) and node.id == name or \
+        isinstance(node, ast.Attribute) and node.attr == name
+
+
+def test_one_reduction_for_the_accumulator_and_the_subspace():
+    # ``_reduce`` is the one reduction of a vector by stored rows: the
+    # accumulator's ``add`` and the subspace's ``residue`` run it, it is the
+    # one user of ``_axpy`` besides the back-substitution, and a subspace
+    # subtracts no scalars of its own
+    def users(name):
+        return sorted(site.rsplit(":", 1)[0] for site in _library_sites(_uses(name)))
+
+    assert users("_axpy") == ["linalg:_back", "linalg:_reduce"]
+    assert users("_reduce") == ["linalg:RrefAccumulator.add", "linalg:Subspace.residue"]
+    found = [site for site in _library_sites(_uses("sub")) if site.split(":")[1].split(".")[0] == "Subspace"]
+    assert found == [], found
 
 
 def test_matrix_eliminates_once():
@@ -320,7 +358,7 @@ def test_dense_twins_are_gone():
     assert found == [], found
     assert fields == {
         "Matrix": {"field": "Field", "rows": "int", "cols": "int", "sparse_cols": "tuple"},
-        "Subspace": {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple", "_rows": "dict"},
+        "Subspace": {"field": "Field", "ambient_dim": "int", "sparse_rows": "tuple"},
         "HomAction": {"actor": "HomLeibnizAlgebra", "target": "HomLeibnizAlgebra",
                       "sparse_left": "tuple", "sparse_right": "tuple"},
         "CoRepresentation": {"algebra": "HomLeibnizAlgebra", "space_dim": "int", "twist": "Matrix",
@@ -336,7 +374,7 @@ def test_dense_twins_are_gone():
 # class, receiver): the field's own methods, and the places the elimination
 # engine branches on the field, so that no second per-field step comes back
 # unseen
-FIELD_PRIME_READS = {("fields:Field", "self"), ("linalg:Matrix.from_columns", "field"),
+FIELD_PRIME_READS = {("fields:Field", "self"), ("linalg:_reduce", "field"),
                      ("linalg:RrefAccumulator.add", "self.field")}
 
 

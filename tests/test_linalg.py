@@ -410,13 +410,20 @@ class TestSparseColumns:
                       lambda: Matrix(QQ, 2, 2, [[0.5, 0], [0, 1]]),
                       lambda: Matrix(QQ, 1, 1, [["1"]]),
                       lambda: Matrix(QQ, 1, 2, [[Fraction(2, 1), True]]),
-                      lambda: Matrix(QQ, 1, 2, [[1, 0.0]])):
+                      lambda: Matrix(QQ, 1, 2, [[1, 0.0]]),
+                      # the sparse edge applies the same rule, Field.is_scalar
+                      lambda: Matrix.from_columns(QQ, 2, [((0, 0.5),), ((1, True),)]),
+                      lambda: Matrix.from_columns(QQ, 1, [((0, "1"),)]),
+                      lambda: Matrix.from_columns(F5, 1, [((0, True),)])):
             with pytest.raises(StructureError, match="canonical scalars"):
                 build()
         assert Matrix.from_rows(F5, [[5, 7]]) == Matrix(F5, 1, 2, ((0, 2),))
         # over Q an integral Fraction is kept as given and equals its int
         m = Matrix(QQ, 1, 2, ((Fraction(2), 0),))
         assert m == Matrix.from_rows(QQ, [[2, 0]]) and m.rank() == 1 and not m.is_zero()
+        m = Matrix.from_columns(QQ, 2, [((0, Fraction(2)), (1, Fraction(1, 2)))])
+        assert type(m.sparse_cols[0][0][1]) is Fraction
+        assert m == Matrix.from_columns(QQ, 2, [((0, 2), (1, Fraction(1, 2)))]) and m.rank() == 1
 
 
 def rows_of(space) -> Matrix:
@@ -927,12 +934,29 @@ def _dense_residue(space: Subspace, v) -> dict:
     return dict(sparse_vec(dense_reduce(space, dense_vec(space.field, space.ambient_dim, v))[1]))
 
 
-@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+# the small primes wrap round and need the normalising inverse
+EVERY_STEP_FIELD = pytest.mark.parametrize("f", [QQ, GFP, F5, F3], ids=["Q", "GF(1000003)", "GF(5)", "GF(3)"])
+
+
+@EVERY_STEP_FIELD
 class TestOneReduction:
     """The accumulator and the subspace share one row form and one
     reduction: a sum or a permuted sum started from a subspace's reduced
     rows, a residue and a solve read off the factor all equal the same
     computation started afresh or on dense rows."""
+
+    @given(st.data())
+    def test_canonical_rows_are_stored_as_the_accumulator_stores_them(self, f, data):
+        # a subspace stated by its canonical rows and the same subspace
+        # built by span_sparse hold the rows the accumulator keeps
+        n = data.draw(st.integers(1, 7))
+        rows = data.draw(sparse_rows(f, n))
+        acc = RrefAccumulator(f, n)
+        acc.add_rows(rows)
+        built = Subspace.span_sparse(f, n, rows)
+        direct = Subspace(f, n, built.sparse_rows)
+        assert direct == built and direct._stored == built._stored == acc._stored
+        assert RrefAccumulator._holding(direct)._stored == acc._stored
 
     @given(st.data())
     def test_sum_from_reduced_rows(self, f, data):
@@ -1018,10 +1042,6 @@ def drawn_rows(f, n):
     """Sparse rows of an n-space: ``rational_rows`` over Q, ``sparse_rows``
     over GF(p)."""
     return rational_rows(n) if f.p is None else sparse_rows(f, n)
-
-
-# the small primes wrap round and need the normalising inverse
-EVERY_STEP_FIELD = pytest.mark.parametrize("f", [QQ, GFP, F5, F3], ids=["Q", "GF(1000003)", "GF(5)", "GF(3)"])
 
 
 class TestIntegerStep:
