@@ -29,7 +29,7 @@ its preimages and its section.  It runs one step in both fields: each row
 is stored as its pivot entry and its other entries, integers, and
 ``_reduce`` reduces a vector by one cross-multiplication per pivot
 (``_axpy``), mod p over GF(p), where every pivot entry is 1.  So over Q no
-``Fraction`` arises until its RREF is read.
+``Fraction`` arises until a subspace is handed out or a residue returned.
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
@@ -63,13 +63,14 @@ presentations:
   tells whether a value is in the sparse form and ``canonical_scalars``
   whether dense vectors hold only canonical scalars;
 * ``_reduce`` is the one reduction: ``RrefAccumulator.add`` runs it on its
-  rows and ``Subspace.residue`` on the subspace's rows, in the same form,
-  then divides its scale out, so the residue is v's own in canonical
-  scalars; ``contains``, ``reduce``, ``coordinates``, ``project`` and the
-  sparse ``contains_sparse`` and ``project_sparse`` read the residue.
-  ``Matrix.preimage_sparse`` reads a solution off the factor and rechecks
-  it, and ``preimage`` is its dense form; they and ``coordinates`` return
-  None off the image or subspace, and each caller raises its own error;
+  rows, and ``_residue`` on a subspace's rows or a map's factor, in the
+  same form, then divides its scale out, so the residue is v's own in
+  canonical scalars; ``contains``, ``reduce``, ``coordinates``, ``project``
+  and the sparse ``contains_sparse`` and ``project_sparse`` read
+  ``Subspace.residue``.  ``Matrix.preimage_sparse`` is the residue of
+  (v | 0) on the factor, read off its I block and rechecked, and
+  ``preimage`` is its dense form; they and ``coordinates`` return None off
+  the image or subspace, and each caller raises its own error;
 * ``induced_map`` is the one descent certificate, and every map out of a
   presentation is one: it checks that the ambient map, a ``Matrix`` or
   its sparse columns, carries each sparse relation row into the target's
@@ -337,8 +338,9 @@ class Matrix:
     nonzero coordinates with the indices increasing, so equal maps compare
     and hash equal; its dense ``entries`` are a view, built when read.  Its
     rank, image, kernel, preimages and section read one factorization, the
-    RREF of its columns beside the identity, built once; its image and
-    kernel are each read off it once, when first asked for."""
+    RREF of its columns beside the identity, kept as the accumulator stores
+    it, built once; a preimage is a residue on it, and its image and kernel
+    are each divided out of it once, when first asked for."""
 
     field: Field
     rows: int
@@ -446,26 +448,26 @@ class Matrix:
 
     @cached_property
     def _factor(self) -> dict:
-        """The RREF of [M^T | I], built once, as the accumulator's rows (pivot
-        column -> the row's other entries): row j is column j of M, extended
-        by 1 at rows + j.
+        """The RREF of [M^T | I], built once, as the accumulator's stored
+        rows, pivot column -> (pivot entry, the row's other entries): row j
+        is column j of M, extended by 1 at rows + j.
 
-        A row whose pivot lies in M^T is a row of the image's canonical RREF,
-        and its I block the combination of columns that gives it; a row whose
-        pivot lies in the I block is zero in M^T, and its I block is a row of
-        the kernel's canonical RREF."""
+        A row whose pivot lies in M^T is, divided by its pivot entry, a row
+        of the image's canonical RREF, and its I block the combination of
+        columns that gives it; a row whose pivot lies in the I block is zero
+        in M^T, and its I block a row of the kernel's canonical RREF."""
         f, m = self.field, self.rows
         acc = RrefAccumulator(f, m + self.cols)
         for j, col in enumerate(self.sparse_cols):
             acc.add(col + ((m + j, f.one()),))
-        return acc.rows
+        return acc._stored
 
     def _block(self, lo: int, hi: int) -> Subspace:
-        """The factor's rows with pivot in columns lo .. hi - 1, each read there."""
-        one, rows = self.field.one(), self._factor
-        return Subspace(self.field, hi - lo, tuple(((p - lo, one), *sorted((c - lo, x) for c, x in rows[p].items()
-                                                                           if c < hi))
-                                                   for p in sorted(rows) if lo <= p < hi))
+        """The factor's rows with pivot in lo .. hi - 1, read there in canonical scalars."""
+        f, one = self.field, self.field.one()
+        return Subspace(f, hi - lo, tuple(
+            ((q - lo, one), *sorted((c - lo, x if d == 1 else f.div(x, d)) for c, x in r.items() if c < hi))
+            for q, (d, r) in sorted(self._factor.items()) if lo <= q < hi))
 
     def rank(self) -> int:
         return sum(1 for p in self._factor if p < self.rows)
@@ -495,12 +497,12 @@ class Matrix:
 
     def preimage_sparse(self, pairs) -> tuple | None:
         """``preimage`` of the sparse vector with nonzero coordinates
-        ``pairs``, as the sorted pairs of its nonzero coordinates.  A vector
-        of the image is the sum of the image's RREF rows weighted by its
-        coordinates at their pivots, so x sums those rows' I blocks."""
-        f, m, rows, v = self.field, self.rows, self._factor, dict(pairs)
-        at = [(p, a) for p, a in v.items() if p in rows]  # v at the image's pivots
-        x = tuple(sorted(linear(f, {p: [(c - m, e) for c, e in rows[p].items() if c >= m] for p, _ in at}, at)))
+        ``pairs``, as the sorted pairs of its nonzero coordinates: the
+        residue of (v | 0) on the factor's rows is (v - M x | -x), x the
+        image rows' I blocks weighted by v at their pivots, so x is zero at
+        the kernel's pivots."""
+        f, m, v = self.field, self.rows, dict(pairs)
+        x = tuple(sorted((c - m, f.neg(y)) for c, y in _residue(f, self._factor, v).items() if c >= m))
         return x if dict(linear(f, self.sparse_cols, x)) == v else None
 
     def section(self) -> "Matrix":
@@ -555,6 +557,15 @@ def _reduce(field: Field, rows: dict, w: dict) -> int:
     return s
 
 
+def _residue(field: Field, rows: dict, pairs) -> dict:
+    """The sparse vector with nonzero coordinates ``pairs`` less its part
+    along the stored rows, as {column: value} in canonical scalars:
+    ``_reduce``, then one division by its scale, none when it is 1."""
+    w = dict(pairs)
+    s = _reduce(field, rows, w)
+    return w if s == 1 else {c: field.div(x, s) for c, x in w.items()}
+
+
 def _normal(p: int | None, lead: int, w: dict) -> tuple:
     """The row with pivot entry ``lead`` and other entries w as it is
     stored, (pivot entry, entries): over GF(p) scaled to a pivot entry of
@@ -595,26 +606,12 @@ class RrefAccumulator:
     the same way by ``_back``.  A new pivot is back-substituted only when
     some stored row may hold it: the columns the rows hold are recorded as
     they grow.
-
-    ``rows`` reads the RREF in canonical scalars, pivot -> {column: value}
-    of the row's other entries, the pivot's 1 implicit: each stored row
-    divided by its pivot entry through the field, a row whose pivot entry
-    is 1 (every row over GF(p)) read as it is, when first read after an
-    ``add``.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._stored, self._view, self._held = {}, None, set()
-
-    @property
-    def rows(self) -> dict:
-        if self._view is None:
-            div = self.field.div
-            self._view = {q: r if d == 1 else {c: div(x, d) for c, x in r.items()}
-                          for q, (d, r) in self._stored.items()}
-        return self._view
+        self._stored, self._held = {}, set()
 
     @property
     def rank(self) -> int:
@@ -639,7 +636,6 @@ class RrefAccumulator:
             _back(rows, pivot, lead, row, p)
         self._held.update(row)
         rows[pivot] = lead, row
-        self._view = None
         return True
 
     def add_rows(self, rows) -> None:
@@ -651,10 +647,11 @@ class RrefAccumulator:
 
     def subspace(self) -> Subspace:
         """The span of the vectors added, its rows sorted by pivot and each
-        by column."""
-        one, rows = self.field.one(), self.rows
-        return Subspace(self.field, self.ambient_dim,
-                        tuple(((p, one), *sorted(rows[p].items())) for p in sorted(rows)))
+        by column, each stored row divided by its pivot entry."""
+        f, one = self.field, self.field.one()
+        return Subspace(f, self.ambient_dim, tuple(
+            ((q, one), *sorted(r.items() if d == 1 else ((c, f.div(x, d)) for c, x in r.items())))
+            for q, (d, r) in sorted(self._stored.items())))
 
 
 @dataclass(frozen=True)
@@ -668,8 +665,10 @@ class Subspace:
     sparse_rows: tuple
 
     def __post_init__(self):
-        # the first pivot is the least column of any row
         rows = self.sparse_rows
+        if not all(rows):
+            raise StructureError("a subspace row must have a nonzero coordinate")
+        # the first pivot is the least column of any row
         if rows and (rows[0][0][0] < 0 or max(r[-1][0] for r in rows) >= self.ambient_dim):
             raise DimensionError(f"a column index outside ambient dimension {self.ambient_dim}")
 
@@ -718,14 +717,10 @@ class Subspace:
 
     def residue(self, pairs) -> dict:
         """The sparse vector v with nonzero coordinates ``pairs`` less its
-        part in this subspace, as {column: value}.  A reduced row is zero at
-        every other pivot, so only the pivots in v's support are touched:
-        ``_reduce`` runs on the stored rows, up to a scale, which is divided
-        out once through the field, so the residue is v's own in canonical
-        scalars.  A vector of the subspace leaves nothing to divide."""
-        w = dict(pairs)
-        s = _reduce(self.field, self._stored, w)
-        return w if s == 1 else {c: self.field.div(x, s) for c, x in w.items()}
+        part in this subspace, as {column: value}: ``_residue`` on the stored
+        rows.  A reduced row is zero at every other pivot, so only the
+        pivots in v's support are touched."""
+        return _residue(self.field, self._stored, pairs)
 
     def contains_sparse(self, pairs) -> bool:
         return not self.residue(pairs)
@@ -848,7 +843,7 @@ def induced_map(f, src: QuotientSpace, dst: QuotientSpace,
     field = dst.field
     for row in src.relations.sparse_rows:
         w = linear(field, cols, row)
-        if not dst.relations.contains_sparse(w):
+        if w and not dst.relations.contains_sparse(w):
             raise error(dense_vec(field, src.ambient_dim, row), dense_vec(field, dst.ambient_dim, w))
     return Matrix.from_columns(field, dst.dim, [dst.project_sparse(cols[c]) for c in src.coset_basis])
 

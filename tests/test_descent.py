@@ -360,3 +360,18 @@ class TestDescentAgainstTheDensePath:
         for T in (_square_algebra(_twisted_sl2(f)), _square_algebra(L), hochschild_module(gl2(f)).algebra, quot):
             assert T.sparse_c == sparse_table(T.c)
             assert not T.is_abelian()
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_zero_images_skip_the_membership_test(f, monkeypatch):
+    # zero lies in every subspace, so a relation row whose image is zero is
+    # never reduced: e_0 goes to zero, e_1 to the target's relation e_0 and
+    # the coset generator e_2 to the class of e_1
+    one = f.one()
+    m = Matrix.from_columns(f, 2, [(), ((0, one),), ((1, one),)])
+    src, dst = quotient(f, 3, [unit_vec(f, 3, 0), unit_vec(f, 3, 1)]), quotient(f, 2, [unit_vec(f, 2, 0)])
+    reduced, residue = [], Subspace.residue
+    monkeypatch.setattr(Subspace, "residue", lambda space, pairs: reduced.append(tuple(pairs)) or residue(space, pairs))
+    for cols in (m, m.sparse_cols):
+        assert induced_map(cols, src, dst) == Matrix.identity(f, 1)
+    assert reduced == [((0, one),), ((1, one),)] * 2

@@ -258,18 +258,55 @@ def _uses(name):
         isinstance(node, ast.Attribute) and node.attr == name
 
 
+def _users(name):
+    return sorted(site.rsplit(":", 1)[0] for site in _library_sites(_uses(name)))
+
+
 def test_one_reduction_for_the_accumulator_and_the_subspace():
     # ``_reduce`` is the one reduction of a vector by stored rows: the
-    # accumulator's ``add`` and the subspace's ``residue`` run it, it is the
-    # one user of ``_axpy`` besides the back-substitution, and a subspace
-    # subtracts no scalars of its own
-    def users(name):
-        return sorted(site.rsplit(":", 1)[0] for site in _library_sites(_uses(name)))
-
-    assert users("_axpy") == ["linalg:_back", "linalg:_reduce"]
-    assert users("_reduce") == ["linalg:RrefAccumulator.add", "linalg:Subspace.residue"]
+    # accumulator's ``add`` runs it, and so does ``_residue``, the one
+    # residue, which a subspace's ``residue`` and a map's preimage read off
+    # the stored rows of the subspace and of the factor; it is the one user
+    # of ``_axpy`` besides the back-substitution, and a subspace subtracts
+    # no scalars of its own
+    assert _users("_axpy") == ["linalg:_back", "linalg:_reduce"]
+    assert _users("_reduce") == ["linalg:RrefAccumulator.add", "linalg:_residue"]
+    assert _users("_residue") == ["linalg:Matrix.preimage_sparse", "linalg:Subspace.residue"]
     found = [site for site in _library_sites(_uses("sub")) if site.split(":")[1].split(".")[0] == "Subspace"]
     assert found == [], found
+
+
+def test_linalg_divides_only_to_hand_out_canonical_scalars():
+    # the engine is fraction-free: stored rows are put into canonical
+    # scalars, through ``Field.div``, only when a subspace is handed out, by
+    # the accumulator's ``subspace()`` and the factor's ``_block``, and a
+    # residue only when it is returned, by ``_residue``; so no canonical
+    # copy of the rows comes back unseen
+    assert [site for site in _users("div") if site.startswith("linalg:")] == \
+        ["linalg:Matrix._block", "linalg:RrefAccumulator.subspace", "linalg:_residue"]
+
+
+def _class_names(cls):
+    # the methods and class attributes a class defines, and the attributes
+    # its methods assign on any object
+    names = {node.name for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    names |= {t.id for node in cls.body for t in getattr(node, "targets", [getattr(node, "target", None)])
+              if isinstance(t, ast.Name)}
+    return names | {node.attr for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+
+
+def test_accumulator_keeps_no_canonical_view():
+    # the accumulator holds only its stored rows, (pivot entry, entries):
+    # their canonical form is built by ``subspace()``, so no ``rows`` view
+    # and no ``_view`` cache of it is defined
+    probe = ast.parse("class A:\n    rows = property(lambda self: self._view)\n\n"
+                      "    def add(self):\n        self._view = None\n")
+    assert {"rows", "_view"} <= _class_names(probe.body[0])
+    src = Path(__file__).resolve().parents[1] / "src" / "homleib" / "linalg.py"
+    cls = next(node for node in ast.walk(ast.parse(src.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and node.name == "RrefAccumulator")
+    assert not _class_names(cls) & {"rows", "_view"}, _class_names(cls)
 
 
 def test_matrix_eliminates_once():

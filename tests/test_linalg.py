@@ -36,6 +36,7 @@ from homleib.linalg import (
 )
 from homleib.tensorprod import build_tensor, ideal_sequence_certificate
 
+from test_basis_change import CONJUGATORS, LEIBNIZ, conjugate
 from test_checker import dense_add, dense_scale
 from homleib_testkit import embed_nm, sl2_on_two_planes
 
@@ -300,6 +301,12 @@ class TestSubspace:
         with pytest.raises(DimensionError):
             Subspace(QQ, 2, (((0, QQ.one()), (2, QQ.one())),))
         assert Subspace.span_sparse(QQ, 3, [((2, QQ.one()),)]).basis.entries == ((0, 0, 1),)
+
+    def test_an_empty_row_rejected(self):
+        # a row has a pivot, its first coordinate
+        for rows in (((),), (((0, QQ.one()),), ())):
+            with pytest.raises(StructureError):
+                Subspace(QQ, 3, rows)
 
 
 def dense_outer(f, u, v, size, offset=0) -> tuple:
@@ -642,6 +649,24 @@ class TestRankWitness:
     def test_six_term_maps(self, f, algebra, first):
         # tau, psi_LL and sigma of the ideal's tensor row
         L = {"sl2": sl2, "sl2 x (V2 + V2)": sl2_on_two_planes}[algebra](f)
+        data = ideal_sequence_certificate(L, IdealHandle(L, Subspace.span(
+            f, L.dim, [unit_vec(f, L.dim, i) for i in range(first, L.dim)])))
+        for m in (data.tau.map, data.t_ll.into_m.map, data.sigma):
+            check_rank_witness(m)
+
+    @pytest.mark.parametrize("side", sorted(CONJUGATORS))
+    @pytest.mark.parametrize("name", sorted(LEIBNIZ))
+    def test_conjugate_tensor_squares(self, f, name, side):
+        # the unitriangular conjugates' constants are fractions over Q, and
+        # so are the rows of into_m's factor
+        L = conjugate(LEIBNIZ[name](f), CONJUGATORS[side])
+        check_rank_witness(build_tensor(MutualActions.adjoint(L)).into_m.map)
+
+    @pytest.mark.parametrize("side", sorted(CONJUGATORS))
+    @pytest.mark.parametrize("first", [0, 3], ids=["full ideal", "zero ideal"])
+    def test_conjugate_six_term_maps(self, f, first, side):
+        # tau, psi_LL and sigma on a conjugate of twisted sl2
+        L = conjugate(LEIBNIZ["sl2-twisted"](f), CONJUGATORS[side])
         data = ideal_sequence_certificate(L, IdealHandle(L, Subspace.span(
             f, L.dim, [unit_vec(f, L.dim, i) for i in range(first, L.dim)])))
         for m in (data.tau.map, data.t_ll.into_m.map, data.sigma):
@@ -1095,10 +1120,10 @@ class TestIntegerStep:
         # (2, 3, 0) and 2 (-4, 0, 1/2) + 4 (2, 3, 0) = (0, 12, 1), which
         # (2, 3, 0) meets at column 1: 4 (2, 3, 0) - 3 (0, 12, 1) = (8, 0, -1)
         assert acc._stored == {0: (8, {2: -1}), 1: (12, {2: 1})}
-        assert acc.rows == {0: {2: Fraction(-1, 8)}, 1: {2: Fraction(1, 12)}}
-        assert acc.rows is acc.rows  # cached until the next add
+        assert acc.subspace().sparse_rows == (((0, 1), (2, Fraction(-1, 8))), ((1, 1), (2, Fraction(1, 12))))
         acc.add(((1, 1),))
-        assert acc.rows == {0: {}, 1: {}, 2: {}} and acc._stored == {p: (1, {}) for p in range(3)}
+        assert acc.subspace().sparse_rows == (((0, 1),), ((1, 1),), ((2, 1),))
+        assert acc._stored == {p: (1, {}) for p in range(3)}
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
