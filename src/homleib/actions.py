@@ -37,6 +37,8 @@ from .report import ValidationReport
 
 @dataclass(frozen=True)
 class HomAction:
+    """An action of one algebra on another as its two sparse tables, left and right."""
+
     actor: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
     sparse_left: tuple  # sparse_left[x][m] as sparse target coordinates
@@ -239,6 +241,8 @@ def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names, pa, pb):
 
 @dataclass(frozen=True)
 class SemidirectProduct:
+    """The semi-direct product of an action with its inclusion, projection and section."""
+
     algebra: HomLeibnizAlgebra
     include: AlgebraHom   # target summand into the product
     project: AlgebraHom   # product onto the actor summand

@@ -99,6 +99,8 @@ def _entry_table(field: Field, dim: int, entries: dict, value: str) -> list:
 
 @dataclass(frozen=True, init=False)
 class HomLeibnizAlgebra:
+    """A Hom-Leibniz algebra: its field, dimension, sparse bracket table, twist and basis labels."""
+
     field: Field
     dim: int
     sparse_c: tuple  # sparse_c[i][j] = [e_i, e_j] as the sorted (index, value) pairs of its nonzero coordinates
@@ -184,6 +186,8 @@ class HomLeibnizAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraHom:
+    """A linear map between two algebras over one field, as its matrix."""
+
     source: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
     map: Matrix
@@ -228,6 +232,8 @@ class AlgebraHom:
 
 @dataclass(frozen=True)
 class IdealHandle:
+    """A subspace of an algebra over its field, a candidate ideal that ``ideal_witness`` tests."""
+
     parent: HomLeibnizAlgebra
     space: Subspace
 
@@ -354,6 +360,8 @@ def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
 
 @dataclass(frozen=True)
 class Predicates:
+    """The perfect, twist-perfect, twist-surjective and abelian flags of an algebra."""
+
     perfect: bool
     alpha_perfect: bool
     alpha_surjective: bool

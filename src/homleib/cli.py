@@ -488,9 +488,48 @@ def main(argv=None) -> int:
 
 def _emit(report: dict, as_json: bool):
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(dumps(report))
     else:
         print(_render_human(report))
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set the stdlib encodes in pure Python; this writer
+    nests dicts with str keys, lists, tuples, str, int, bool and None
+    itself and escapes strings with the C ``encode_basestring_ascii``.  Any
+    other value, a dict with a key that is not a str included, is handed to
+    ``json.dumps`` at its depth, so it is written, or raises, as there."""
+    return _dumps(value, "\n")
+
+
+def _dumps(value, pad: str) -> str:  # pad: a newline and the indent of value's line
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = map(_escape, value) if {str}.issuperset(map(type, value)) else [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict) and {str}.issuperset(map(type, value)):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([_escape(k) + ": " + _dumps(x, inner)
+                                                 for k, x in sorted(value.items())]) + pad + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 if __name__ == "__main__":

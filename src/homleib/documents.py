@@ -57,6 +57,8 @@ ALGEBRA_KINDS = ("hom-leibniz", "hom-associative", "leibniz")
 
 @dataclass(frozen=True)
 class AlgebraDocument:
+    """A parsed algebra document: field, kind, dimension, basis labels, sparse table and twist."""
+
     field: Field
     kind: str
     dim: int
@@ -71,6 +73,8 @@ class AlgebraDocument:
 
 @dataclass(frozen=True)
 class ActionDocument:
+    """A parsed action document: the two algebra documents and the sparse action tables."""
+
     actor: AlgebraDocument
     target: AlgebraDocument
     sparse_left: tuple  # the sparse tables of ``HomAction``
@@ -222,6 +226,8 @@ def load_json(path: Path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # a file that is not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {echo(str(path))}: {exc}") from None
     return parse_json(text, path)
 
 

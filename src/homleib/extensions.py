@@ -63,6 +63,8 @@ class ExtensionKind(Enum):
 
 @dataclass(frozen=True)
 class Extension:
+    """An extension of ``base`` by ``kernel``: the total algebra and its projection."""
+
     total: HomLeibnizAlgebra
     base: HomLeibnizAlgebra
     proj: AlgebraHom
@@ -96,6 +98,8 @@ def classify_extension(e: Extension) -> ExtensionKind:
 
 @dataclass(frozen=True)
 class UniversalCentralExtension:
+    """The universal central extension as a tensor square, with the dimension of its kernel."""
+
     tensor: TensorProduct
     extension: Extension
     kernel_dim: int
@@ -149,6 +153,8 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
 
 @dataclass(frozen=True)
 class AlphaUniversalCentralExtension:
+    """The universal twist-central extension: tensor square, extension, presentation and the isomorphism."""
+
     tensor: TensorProduct          # tensor square of the algebra, the twist image
     extension: Extension           # onto the original algebra
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import SemanticError, echo
@@ -35,8 +36,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < PRIME_BOUND."""
+    """Deterministic primality for 0 <= n < PRIME_BOUND, decided once per
+    modulus while it is among the last 64 asked about: every GF(p) document
+    builds its ``Field``, so a process that reads many runs one test."""
     if n < 2:
         return False
     for q in _WITNESSES:
@@ -98,7 +102,8 @@ class Field:
     def is_scalar(self, x) -> bool:
         """Whether x is a scalar of this field: canonical, or over Q also an
         integral ``Fraction``, which equals its int."""
-        return type(x) in (int, Fraction) if self.p is None else self.is_canonical(x)
+        p = self.p
+        return type(x) in (int, Fraction) if p is None else type(x) is int and 0 <= x < p
 
     def from_int(self, n: int):
         return int(n) if self.p is None else n % self.p

@@ -64,6 +64,8 @@ from .tensorprod import build_tensor, induced_tensor_map
 
 @dataclass(frozen=True, init=False)
 class HomAssociativeAlgebra:
+    """A Hom-associative algebra: its field, dimension, sparse product table, twist and basis labels."""
+
     field: Field
     dim: int
     sparse_p: tuple  # sparse_p[i][j] = e_i e_j as the sorted (index, value) pairs of its nonzero coordinates
@@ -170,6 +172,8 @@ def boundary_rows(A: HomAssociativeAlgebra, table):
 
 @dataclass(frozen=True)
 class HochschildModule:
+    """The boundary quotient of A (x) A with its bracket, the map phi to A and [A, A]."""
+
     parent: HomAssociativeAlgebra
     commutator_algebra: HomLeibnizAlgebra   # A with the commutator bracket
     presentation: QuotientSpace             # A (x) A modulo the boundary image
@@ -244,6 +248,8 @@ def milnor_relations(h: HochschildModule) -> Subspace:
 
 @dataclass(frozen=True)
 class FirstHomologies:
+    """The dimensions of the first Hochschild homologies and the twist-identity flag."""
+
     hh1_alpha_dim: int
     hh1_milnor_dim: int
     alpha_identity_holds: bool

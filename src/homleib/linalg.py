@@ -201,19 +201,18 @@ def _law_sums(field: Field, k: int, groups):
     one, zero, mul = field.one(), field.zero(), field.mul
     nq = max([len(laws) for _, laws in groups] + [1])
     span = max([prod(dims[k:]) for dims, _ in groups] + [1])
-    const = ((0, one),)  # the second leg of a linear term, naming no position
-    placed = {}
+    unit = ((0, 0, one),)  # the placed second leg of a linear term, the constant 1 naming no position
+    placed, wrapped = {}, {}
 
     def place(vectors, pos, weights):  # (offset, index, value) for each nonzero coordinate of a leg
-        ws = [weights[p] for p in pos]
-        key = (id(vectors), *ws)
+        key = (id(vectors), *map(weights.__getitem__, pos))
         if key not in placed:
-            if len(ws) == 2:
-                w, z = ws
+            if len(pos) == 2:
+                _, w, z = key
                 placed[key] = [(w * x + z * y, a, c) for x, row in enumerate(vectors)
                                for y, v in enumerate(row) for a, c in v]
             else:
-                placed[key] = [(ws[0] * x, a, c) for x, v in enumerate(vectors) for a, c in v] if ws else \
+                placed[key] = [(key[1] * x, a, c) for x, v in enumerate(vectors) for a, c in v] if pos else \
                     [(0, a, c) for a, c in vectors]
         return placed[key]
 
@@ -222,20 +221,25 @@ def _law_sums(field: Field, k: int, groups):
         weights = [prod(dims[p + 1:k]) * len(groups) * span * nq if p < k else prod(dims[p + 1:]) * nq
                    for p in range(len(dims))]
         whole = [*range(len(dims))]
-        for q, (name, _, plus, minus, *_) in enumerate(laws):
+        for q, law in enumerate(laws):
+            name, plus, minus = law[0], law[2], law[3]
             cancels, base = _cancels(plus, minus), g * span * nq + q
             for op, terms in ((field.add, plus), (field.sub, minus)):
-                for table, (u, *pu), *second in terms:
-                    (v, *pv), = second or [(const,)]
-                    if sorted(pu + pv) != whole:
-                        raise ValueError(f"law {name!r}: a term's legs name the positions {sorted(pu + pv)}, "
+                for term in terms:
+                    table, u, v = term if len(term) == 3 else (*term, None)
+                    pu, pv = u[1:], v[1:] if v else ()
+                    pos = sorted(pu + pv)
+                    if pos != whole:
+                        raise ValueError(f"law {name!r}: a term's legs name the positions {pos}, "
                                          f"not each of {whole} once")
-                    left = not cancels and place(u, pu, weights)
+                    left = not cancels and place(u[0], pu, weights)
                     if not left:
                         continue
-                    if not second:  # a linear term as a bilinear one, its columns one per row
-                        table = [(col,) for col in table]
-                    right = place(v, pv, weights)
+                    if v is None:  # a linear term as a bilinear one, its columns one per row, wrapped once a call
+                        right = unit
+                        table = wrapped.get(id(table)) or wrapped.setdefault(id(table), [(col,) for col in table])
+                    else:
+                        right = place(v[0], pv, weights)
                     for o1, a, x in left:
                         o1 += base
                         line = table[a]
@@ -562,6 +566,8 @@ def _residue(field: Field, rows: dict, pairs) -> dict:
     along the stored rows, as {column: value} in canonical scalars:
     ``_reduce``, then one division by its scale, none when it is 1."""
     w = dict(pairs)
+    if not w:
+        return w
     s = _reduce(field, rows, w)
     return w if s == 1 else {c: field.div(x, s) for c, x in w.items()}
 

@@ -23,6 +23,8 @@ def render_witness(w) -> str:
 
 @dataclass
 class Violation:
+    """One failed instance of a law: the law's name, the witness labels and an optional detail."""
+
     law: str
     witness: tuple
     detail: str = ""
@@ -36,6 +38,8 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    """The violations found in one subject, with its flags and the status of each axiom."""
+
     subject: str
     violations: list[Violation] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
@@ -70,6 +74,8 @@ class ValidationReport:
 
 @dataclass
 class CheckItem:
+    """One named check of an exactness certificate and whether it holds."""
+
     name: str
     ok: bool
 
@@ -79,6 +85,8 @@ class CheckItem:
 
 @dataclass
 class ExactnessReport:
+    """The checks of an exactness certificate, in order, with the dimensions it read."""
+
     subject: str
     items: list[CheckItem] = field(default_factory=list)
     dims: dict = field(default_factory=dict)

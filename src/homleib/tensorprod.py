@@ -64,6 +64,8 @@ from .report import ExactnessReport, ValidationReport
 
 @dataclass(frozen=True)
 class TensorProduct:
+    """A non-abelian tensor product: its actions, presentation, algebra and evaluations into M and N."""
+
     actions: MutualActions
     presentation: QuotientSpace
     algebra: HomLeibnizAlgebra

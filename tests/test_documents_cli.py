@@ -10,11 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homleib.algebras import IdealHandle
 from homleib.errors import ParseError, SemanticError
 from homleib.fields import Field
-from homleib.cli import main
+from homleib.cli import dumps, main
 from homleib.documents import (
     parse_action_document,
     parse_algebra_document,
@@ -318,6 +319,22 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_document_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(json.dumps(dict(E1_DOC, basis=["é1", "e2"])).encode("utf-8").replace(b"\\u00e9", b"\xe9"))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read '") and "'utf-8' codec can't decode byte 0xe9" in err
+
+    @pytest.mark.parametrize("key", ["actor", "target"])
+    def test_nul_in_a_referenced_path_exits_two(self, key, docs, capsys):
+        action = dict({"actor": "e1.alg", "target": "e1.alg"}, **{key: "e1\0.alg"})
+        path = write(docs["dir"], "nul.act", action)
+        assert main(["validate", path]) == 2
+        # the path is echoed: quoted, cut to a bounded length and the NUL never written raw
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read '") and err.endswith(": embedded null byte\n") and "\0" not in err
+
     @pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "number"])
     def test_huge_scalar_exits_two_with_a_short_message(self, entry, tmp_path, capsys):
         # a 5001-digit alpha entry is refused, and the message repeats a
@@ -556,3 +573,45 @@ class TestCli:
         out0 = subprocess.run(cmd, capture_output=True, env=env0, check=True).stdout
         out1 = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out0 == out1
+
+
+# strings with every character JSON escapes, other control characters,
+# non-ASCII characters, astral ones included, and lone surrogates
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ufeff'),
+    st.characters(),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"])))
+JSON_INTS = st.one_of(st.integers(), st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    """``--json`` reports are written by ``cli.dumps``, which must give the
+    bytes of ``json.dumps(x, sort_keys=True, indent=2)`` on every value."""
+
+    @settings(derandomize=True, max_examples=100)
+    @given(JSON_VALUES)
+    def test_matches_the_stdlib(self, value):
+        assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"x": [1.5, -0.0, float("inf"), float("nan")]},  # floats are handed to json.dumps
+        [{"a": {2: "b", 1: [True, None]}}],  # and so is a dict with a key that is not a str
+        {"k": [{None: 1}, {False: 2}, {1.5: 3, -2: 4}]},
+    ])
+    def test_values_handed_to_the_stdlib(self, value):
+        assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"a": [{1, 2}]},  # not serializable
+        {"a": {1: 0, "b": 0}},  # keys that do not sort
+        {"a": {(1, 2): 0}},  # a key of no JSON type
+    ])
+    def test_raises_as_the_stdlib(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(want.value))):
+            dumps(value)

@@ -1028,6 +1028,17 @@ class TestOneReduction:
             dense = _dense_solution(m, dense_vec(f, rows, b))
             assert m.preimage_sparse(b) == (None if dense is None else sparse_vec(dense))
 
+    def test_empty_vector_is_not_reduced(self, f, monkeypatch):
+        # zero lies in every subspace and is the image of zero, so its
+        # residue and its preimage are read without a reduction
+        space, m = Subspace.full(f, 3), Matrix.identity(f, 3)
+        assert m.rank() == 3  # the factor is eliminated before the count starts
+        calls = []
+        monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(args))
+        assert space.residue(()) == {} and space.contains_sparse(())
+        assert m.preimage_sparse(()) == ()
+        assert calls == []
+
 
 def rational_rows(n, max_rows=6):
     """Sparse rows of an n-space over Q as a caller may hand them over: ints,
