@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import MathFailure, ParseError, UsageError
@@ -388,87 +389,150 @@ def _scalar(value) -> str:
     return str(value)
 
 
+class Command(NamedTuple):
+    """One subcommand: its function, its help text and its arguments, each
+    as the name and the keyword arguments of ``add_argument``."""
+
+    func: Callable
+    help: str
+    positionals: tuple = (("file", {}),)
+    options: tuple = ()
+
+
+# The one statement of the command line: ``build_parser`` builds argparse's
+# parser from it and ``read_plain`` reads plain command lines against it.
+JSON_OPTION = ("--json", {"action": "store_true", "help": "machine-readable output"})
+COMMANDS = {
+    "validate": Command(cmd_validate, "check the axioms of a document", options=(
+        ("--field-check", {"action": "store_true", "help": "also report the parsed ground field"}),)),
+    "info": Command(cmd_info, "center, derived subalgebra and predicates"),
+    "lieize": Command(cmd_lieize, "quotient by the squares ideal"),
+    "twist": Command(cmd_twist, "twist a Leibniz algebra along an endomorphism", options=(
+        ("--endo", {"required": True, "help": "document whose alpha matrix is the endomorphism"}),)),
+    "semidirect": Command(cmd_semidirect, "semi-direct product along an action"),
+    "tensor": Command(cmd_tensor, "non-abelian tensor product", positionals=(
+        ("first", {"nargs": "?", "help": "action of the first algebra on the second"}),
+        ("second", {"nargs": "?", "help": "action of the second algebra on the first"}),
+    ), options=(("--square", {"help": "tensor square of one algebra under adjoint actions"}),)),
+    "homology": Command(cmd_homology, "homology dimensions", options=(
+        ("--coeffs", {"choices": ("trivial", "adjoint"), "default": "trivial"}),
+        ("--max-n", {"type": int, "default": 2}),
+    )),
+    "uce": Command(cmd_uce, "universal central extension of a perfect algebra"),
+    "uce-alpha": Command(cmd_uce_alpha, "universal twist-central extension of a twist-perfect algebra"),
+    "six-term": Command(cmd_six_term, "exactness certificate for an ideal", options=(
+        ("--ideal", {"required": True, "help": "'zero', 'full' or a JSON list of coordinate vectors"}),)),
+    "hochschild": Command(cmd_hochschild, "boundary quotient of an associative-type algebra"),
+    "hh1": Command(cmd_hh1, "first Hochschild homologies and the twist-identity flag"),
+    "sequence-check": Command(cmd_sequence_check,
+                              "five-joint exactness certificate for the comparison sequence"),
+    "check-all": Command(cmd_check_all, "property battery for a document", options=(
+        ("--seed", {"type": int, "default": 0}),
+        ("--max-n", {"type": int, "default": 3}),
+        ("--random-instances", {"type": int, "default": 3}),
+    )),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: ``main`` runs
-    many times in one process, and building the fourteen subparsers costs
-    about as much as a small job.  argparse reads the terminal width when it
-    formats, so the shared parser prints the same bytes as a new one."""
+    """The parser of every subcommand, built from ``COMMANDS`` once per
+    process: ``main`` runs many times in one process, and building the
+    fourteen subparsers costs about as much as a small job.  argparse reads
+    the terminal width when it formats, so the shared parser prints the same
+    bytes as a new one."""
     parser = argparse.ArgumentParser(
         prog="homleib",
         description="Exact computer algebra for Hom-Leibniz and Hom-associative algebras")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("validate", cmd_validate, "check the axioms of a document")
-    p.add_argument("file")
-    p.add_argument("--field-check", action="store_true",
-                   help="also report the parsed ground field")
-
-    p = add("info", cmd_info, "center, derived subalgebra and predicates")
-    p.add_argument("file")
-
-    p = add("lieize", cmd_lieize, "quotient by the squares ideal")
-    p.add_argument("file")
-
-    p = add("twist", cmd_twist, "twist a Leibniz algebra along an endomorphism")
-    p.add_argument("file")
-    p.add_argument("--endo", required=True,
-                   help="document whose alpha matrix is the endomorphism")
-
-    p = add("semidirect", cmd_semidirect, "semi-direct product along an action")
-    p.add_argument("file")
-
-    p = add("tensor", cmd_tensor, "non-abelian tensor product")
-    p.add_argument("--square", help="tensor square of one algebra under adjoint actions")
-    p.add_argument("first", nargs="?", help="action of the first algebra on the second")
-    p.add_argument("second", nargs="?", help="action of the second algebra on the first")
-
-    p = add("homology", cmd_homology, "homology dimensions")
-    p.add_argument("file")
-    p.add_argument("--coeffs", choices=("trivial", "adjoint"), default="trivial")
-    p.add_argument("--max-n", type=int, default=2)
-
-    p = add("uce", cmd_uce, "universal central extension of a perfect algebra")
-    p.add_argument("file")
-
-    p = add("uce-alpha", cmd_uce_alpha,
-            "universal twist-central extension of a twist-perfect algebra")
-    p.add_argument("file")
-
-    p = add("six-term", cmd_six_term, "exactness certificate for an ideal")
-    p.add_argument("file")
-    p.add_argument("--ideal", required=True,
-                   help="'zero', 'full' or a JSON list of coordinate vectors")
-
-    p = add("hochschild", cmd_hochschild, "boundary quotient of an associative-type algebra")
-    p.add_argument("file")
-
-    p = add("hh1", cmd_hh1, "first Hochschild homologies and the twist-identity flag")
-    p.add_argument("file")
-
-    p = add("sequence-check", cmd_sequence_check,
-            "five-joint exactness certificate for the comparison sequence")
-    p.add_argument("file")
-
-    p = add("check-all", cmd_check_all, "property battery for a document")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--random-instances", type=int, default=3)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, kwargs in command.positionals:
+            p.add_argument(dest, **kwargs)
+        for option, kwargs in (JSON_OPTION, *command.options):
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _plain_grammar(name: str, command: Command) -> tuple:
+    """What ``read_plain`` needs of a command: each option string's dest,
+    type (None for a flag) and choices; the namespace's defaults; the dests
+    of the required options; the positionals' dests and how many of them
+    are required."""
+    options, defaults, required = {}, {"command": name, "func": command.func}, set()
+    for dest, kwargs in command.positionals:
+        defaults[dest] = kwargs.get("default")
+    for option, kwargs in (JSON_OPTION, *command.options):
+        dest = option[2:].replace("-", "_")
+        flag = kwargs.get("action") == "store_true"
+        options[option] = dest, None if flag else kwargs.get("type", str), kwargs.get("choices")
+        defaults[dest] = kwargs.get("default", False if flag else None)
+        if kwargs.get("required"):
+            required.add(dest)
+    dests = tuple(dest for dest, _ in command.positionals)
+    least = sum(kwargs.get("nargs") != "?" for _, kwargs in command.positionals)
+    return options, defaults, frozenset(required), dests, least
+
+
+_PLAIN = {name: _plain_grammar(name, command) for name, command in COMMANDS.items()}
+
+
+def read_plain(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives a plain
+    command line, or None when ``argv`` is not one.  A plain command line is
+    a subcommand's exact name, then its exact option strings and its
+    positionals in any order, where no value or positional starts with "-",
+    every value converts by its option's type into its choices, every
+    required option is given and the positionals are one run of as many as
+    the subcommand takes.  argparse consumes every positional it can at the
+    first run of them, so a positional after a later option is its error.
+    Help, ``--version``, abbreviations, ``--opt=value``, ``--`` and every
+    usage error are left to argparse."""
+    grammar = _PLAIN.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, defaults, required, dests, least = grammar
+    values, given, positionals = dict(defaults), set(), []
+    closed = False  # a run of positionals has ended
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        closed = bool(positionals)
+        dest, convert, choices = options[token]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = convert(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not required <= given or not least <= len(positionals) <= len(dests):
+        return None
+    values.update(zip(dests, positionals))
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
     except ReportedFailure as exc:

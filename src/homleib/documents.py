@@ -186,12 +186,14 @@ def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
                            tuple(tuple(r) for r in table), alpha)
 
 
-def _resolve(node, base_dir: Path, where: str):
+def _resolve(node, key: str, base_dir: Path, where: str):
+    """The document at ``node[key]``, inline or read from its path, and its location."""
+    node, where = node[key], f"{where}.{key}"
     if isinstance(node, str):
         path = Path(node)
         if not path.is_absolute():
             path = base_dir / path
-        return load_json(path), f"{where}({path})"
+        return load_json(path, key), f"{where}({path})"
     return node, where
 
 
@@ -201,8 +203,8 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
     for key in ("actor", "target"):
         if key not in node:
             raise ParseError(f"{where}: missing field {key!r}")
-    actor_node, actor_where = _resolve(node["actor"], base_dir, f"{where}.actor")
-    target_node, target_where = _resolve(node["target"], base_dir, f"{where}.target")
+    actor_node, actor_where = _resolve(node, "actor", base_dir, where)
+    target_node, target_where = _resolve(node, "target", base_dir, where)
     actor = parse_algebra_document(actor_node, actor_where)
     target = parse_algebra_document(target_node, target_where)
     if actor.kind == "hom-associative" or target.kind == "hom-associative":
@@ -221,13 +223,20 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
                           tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
 
-def load_json(path: Path):
+def load_json(path: Path, key: str | None = None):
+    """The JSON value of a document file, read as bytes and decoded once,
+    with universal newlines as text mode reads them.  An error echoes the
+    path and names ``key``, the action's ``actor`` or ``target``, when the
+    file is one of them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # a file that is not UTF-8, or a NUL in the path
-        raise ParseError(f"cannot read {echo(str(path))}: {exc}") from None
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
+    except (OSError, ValueError) as exc:  # unreadable, a NUL in the path, or not UTF-8
+        named = echo(str(path)) if key is None else f"{echo(str(path))} ({key})"
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ParseError(f"cannot read {named}: {reason}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_json(text, path)
 
 
@@ -257,11 +266,15 @@ def serialize_algebra(alg) -> dict:
     labels = alg.labels
     entries = [{"left": labels[i], "right": labels[j], "value": {labels[k]: field.to_str(x) for k, x in v}}
                for i, row in enumerate(alg.sparse_p if is_assoc else alg.sparse_c) for j, v in enumerate(row) if v]
+    alpha = [["0"] * alg.dim for _ in range(alg.dim)]  # the twist's dense rows, set from its columns
+    for j, col in enumerate(alg.twist.sparse_cols):
+        for i, x in col:
+            alpha[i][j] = field.to_str(x)
     return {
         "field": field.describe(),
         "kind": "hom-associative" if is_assoc else "hom-leibniz",
         "dim": alg.dim,
         "basis": list(alg.labels),
         ("product" if is_assoc else "bracket"): entries,
-        "alpha": [[field.to_str(x) for x in row] for row in alg.twist.entries],
+        "alpha": alpha,
     }

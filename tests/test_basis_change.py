@@ -122,3 +122,12 @@ def test_reports_do_not_depend_on_the_basis(name, f, tmp_path, capsys):
         twisted = conjugate(alg, conjugator)
         assert twisted != alg
         assert _run(twisted, commands, tmp_path / f"{side}.alg", capsys) == stock, side
+
+
+@pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])
+@pytest.mark.parametrize("name", sorted(LEIBNIZ) + sorted(ASSOCIATIVE))
+def test_alpha_of_the_conjugates_is_written_as_its_dense_entries_read(name, f):
+    alg = (LEIBNIZ.get(name) or ASSOCIATIVE[name])(f)
+    for twisted in (alg, *(conjugate(alg, conjugator) for conjugator in CONJUGATORS.values())):
+        want = [[f.to_str(x) for x in row] for row in twisted.twist.entries]
+        assert serialize_algebra(twisted)["alpha"] == want

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homleib.algebras import IdealHandle
-from homleib.errors import ParseError, SemanticError
+from homleib.algebras import HomLeibnizAlgebra, IdealHandle
+from homleib.errors import ParseError, SemanticError, echo
 from homleib.fields import Field
 from homleib.cli import dumps, main
 from homleib.documents import (
@@ -22,7 +22,7 @@ from homleib.documents import (
     parse_document,
     serialize_algebra,
 )
-from homleib.linalg import Subspace, sparse_table
+from homleib.linalg import Matrix, Subspace, sparse_table
 from homleib.report import render_witness
 
 QQ = Field()
@@ -127,6 +127,19 @@ class TestParsing:
         assert main(["validate", write(tmp_path, "wide.alg", node)]) == 0
         text = json.dumps(serialize_algebra(alg))
         assert json.dumps(serialize_algebra(parse_algebra_document(json.loads(text)).build())) == text
+
+    @settings(derandomize=True, max_examples=80)
+    @given(st.data())
+    def test_alpha_is_written_as_its_dense_entries_read(self, data):
+        # serialize_algebra writes alpha from the twist's sparse columns
+        f = data.draw(st.sampled_from([QQ, Field(7), Field(1000003)]))
+        n = data.draw(st.integers(1, 4))
+        scalar = st.integers(0, f.p - 1) if f.p else st.one_of(
+            st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6), st.integers(-9, 9).map(Fraction))
+        grid = data.draw(st.lists(st.lists(st.one_of(st.just(0), scalar), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        alg = HomLeibnizAlgebra.abelian(f, n, Matrix(f, n, n, grid))
+        assert serialize_algebra(alg)["alpha"] == [[f.to_str(x) for x in row] for row in alg.twist.entries]
 
     def test_zero_denominator_rejected(self):
         doc = dict(E1_DOC, bracket=[{"left": "e2", "right": "e2", "value": {"e1": "1/0"}}])
@@ -334,6 +347,49 @@ class TestCli:
         # the path is echoed: quoted, cut to a bounded length and the NUL never written raw
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read '") and err.endswith(": embedded null byte\n") and "\0" not in err
+
+    @pytest.mark.parametrize("key", ["actor", "target"])
+    def test_unreadable_long_path_gives_a_short_message_naming_the_key(self, key, docs, capsys):
+        action = dict({"actor": "e1.alg", "target": "e1.alg"}, **{key: "a" * 100000})
+        path = write(docs["dir"], "long.act", action)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read '") and err.endswith(f"... ({key}): File name too long\n")
+        assert len(err) < 200
+
+    # each document's bytes are read and decoded once, with universal
+    # newlines; the outputs are those of reading it in text mode
+    NEWLINE_DOC = json.dumps(E1_DOC, indent=1)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_documents_read_as_lf(self, newline, tmp_path, capsys):
+        lf, other = tmp_path / "lf.alg", tmp_path / "other.alg"
+        lf.write_bytes(self.NEWLINE_DOC.encode())
+        other.write_bytes(self.NEWLINE_DOC.replace("\n", newline).encode())
+        assert main(["validate", str(other), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert main(["validate", str(lf), "--json"]) == 0
+        assert out == capsys.readouterr().out and '"document": "hom-leibniz"' in out
+
+    def test_json_error_positions_count_translated_newlines(self, tmp_path, capsys):
+        path = tmp_path / "broken.alg"
+        path.write_bytes(b'{\r\n "field": "Q",\r "kind":\r\n\r\n}')
+        assert main(["validate", str(path), "--json"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON (Expecting value: line 5 column 1 (char 27))\n"
+
+    def test_bom_document_exits_two_at_char_zero(self, tmp_path, capsys):
+        path = tmp_path / "bom.alg"
+        path.write_bytes(b"\xef\xbb\xbf" + self.NEWLINE_DOC.encode())
+        assert main(["validate", str(path), "--json"]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: invalid JSON (Unexpected UTF-8 BOM "
+                                           "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
+
+    def test_not_utf8_error_gives_the_raw_byte_position(self, tmp_path, capsys):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(self.NEWLINE_DOC.replace("\n", "\r\n").replace('"e1"', '"\xe91"').encode("latin-1"))
+        assert main(["validate", str(path), "--json"]) == 2
+        assert capsys.readouterr().err == (f"error: cannot read {echo(str(path))}: 'utf-8' codec can't "
+                                           "decode byte 0xe9 in position 72: invalid continuation byte\n")
 
     @pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "number"])
     def test_huge_scalar_exits_two_with_a_short_message(self, entry, tmp_path, capsys):

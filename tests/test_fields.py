@@ -440,7 +440,7 @@ def test_library_reads_no_dense_algebra_table():
 
 
 
-DENSE_GRID_READERS = ("cli:cmd_info", "documents:serialize_algebra")
+DENSE_GRID_READERS = ("cli:cmd_info",)
 
 
 def _reads_entries(node):
@@ -454,8 +454,8 @@ def _reads_transposed_entries(node):
 
 def test_dense_grid_read_only_at_the_edges():
     # a map is its sparse columns, so no module transposes a map to read its
-    # columns densely; the dense grid of a map or a basis is read only to
-    # print it (``info``, a document)
+    # columns densely; the dense grid of a basis is read only to print it
+    # (``info``): a document's alpha is written from the twist's columns
     assert _library_sites(_reads_transposed_entries) == []
     found = _library_sites(_reads_entries)
     assert sorted({site.rsplit(":", 1)[0] for site in found}) == sorted(DENSE_GRID_READERS), found
