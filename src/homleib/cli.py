@@ -15,7 +15,6 @@ import functools
 import json
 import random
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -57,7 +56,7 @@ from .tensorprod import build_tensor
 
 
 def _load_algebra(path: str, kinds=("hom-leibniz", "leibniz")) -> AlgebraDocument:
-    doc = parse_document(Path(path))
+    doc = parse_document(path)
     if not isinstance(doc, AlgebraDocument):
         raise UsageError(f"{path}: expected an algebra document")
     if doc.kind not in kinds:
@@ -66,7 +65,7 @@ def _load_algebra(path: str, kinds=("hom-leibniz", "leibniz")) -> AlgebraDocumen
 
 
 def _load_action(path: str) -> ActionDocument:
-    doc = parse_document(Path(path))
+    doc = parse_document(path)
     if not isinstance(doc, ActionDocument):
         raise UsageError(f"{path}: expected an action document")
     return doc
@@ -84,7 +83,7 @@ def _valid_algebra(path: str, kinds=("hom-leibniz", "leibniz")):
 
 
 def cmd_validate(args) -> dict:
-    doc = parse_document(Path(args.file))
+    doc = parse_document(args.file)
     rep = doc.build().validate()
     kind = "action" if isinstance(doc, ActionDocument) else doc.kind
     out = {"document": kind, "report": rep.to_dict()}
@@ -158,13 +157,13 @@ def _split_exact(sd) -> bool:
 
 
 def cmd_tensor(args) -> dict:
-    if args.square:
-        if args.first or args.second:
+    if args.square is not None:
+        if args.first is not None or args.second is not None:
             raise UsageError("tensor takes --square FILE or two action documents, not both")
         alg = _valid_algebra(args.square)
         ma = MutualActions.adjoint(alg)
     else:
-        if not (args.first and args.second):
+        if args.first is None or args.second is None:
             raise UsageError("tensor needs --square FILE or two action documents")
         a1, a2 = _load_action(args.first).build(), _load_action(args.second).build()
         _require(a1.validate(), "first action")
@@ -195,7 +194,7 @@ def cmd_homology(args) -> dict:
     else:
         corep = adjoint_corep(alg)
     _require(corep.validate(), "coefficients")
-    # the complex caches each rank; the d^2 check reads the columns they built
+    # the complex caches each rank and the d^2 verdict its elimination found
     cx = ChainComplex(alg, corep)
     dims = {f"hl{n}": cx.homology_dim(n) for n in range(args.max_n + 1)}
     complex_ok = all(cx.squares_to_zero(n) for n in range(2, args.max_n + 2))
@@ -291,7 +290,7 @@ def cmd_sequence_check(args) -> dict:
 def cmd_check_all(args) -> dict:
     _nonnegative(args.max_n, "--max-n")
     _nonnegative(args.random_instances, "--random-instances")
-    doc = parse_document(Path(args.file))
+    doc = parse_document(args.file)
     if not isinstance(doc, AlgebraDocument):
         raise UsageError("check-all expects an algebra document")
     rng = random.Random(args.seed)

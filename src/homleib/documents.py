@@ -190,9 +190,7 @@ def _resolve(node, key: str, base_dir: Path, where: str):
     """The document at ``node[key]``, inline or read from its path, and its location."""
     node, where = node[key], f"{where}.{key}"
     if isinstance(node, str):
-        path = Path(node)
-        if not path.is_absolute():
-            path = base_dir / path
+        path = base_dir / node if node else node  # an absolute path replaces base_dir; '' is read as given
         return load_json(path, key), f"{where}({path})"
     return node, where
 
@@ -250,11 +248,13 @@ def parse_json(text: str, where):
         raise ParseError(f"{where}: invalid JSON ({exc})") from None
 
 
-def parse_document(path: Path):
-    """Load and parse a document file; actions are detected by their keys."""
+def parse_document(path: str | Path):
+    """Load and parse a document file; actions are detected by their keys.
+    An empty path is read as given, not as ``Path('')``, which is '.'."""
+    path = Path(path) if path else path
     node = load_json(path)
     if isinstance(node, dict) and "actor" in node and "target" in node:
-        return parse_action_document(node, Path(path).parent, where=str(path))
+        return parse_action_document(node, path.parent, where=str(path))
     return parse_algebra_document(node, where=str(path))
 
 

@@ -27,8 +27,10 @@ forms the T and B of each front of n - 1 factors once, streamed level by
 level from T() and B(), and uses them for every coefficient index m.  Over
 Q it first scales its five tables by the lcm of their denominators, so its
 cached columns are integral and the elimination meets no ``Fraction``.  The
-``homology`` and ``check-all`` commands compute d^2 from the same cached
-columns that give the ranks: its vanishing is checked, never assumed, and
+``homology`` and ``check-all`` commands compute d^2 in the elimination that
+gives the rank: d_(n-1) is applied to each row of the image basis of d_n
+the elimination holds, and it vanishes on every column of d_n exactly when
+it vanishes on those rows.  Its vanishing is checked, never assumed, and
 the check would fail loudly under a sign slip in any family.
 """
 
@@ -164,13 +166,28 @@ def _fronts(field, tw, c, k: int):
 def _longer_fronts(field, tw, c, fronts):
     """Yield (T, (B^x for each x)) of each front one factor longer than
     those of ``fronts``, front (f, y) at f * dim L + y:
-    T(f, y) = T(f) (x) t(y) and B^x(f, y) = B^x(f) (x) t(y) + T(f) (x) [y, x]."""
-    dl = len(tw)
+    T(f, y) = T(f) (x) t(y) and B^x(f, y) = B^x(f) (x) t(y) + T(f) (x) [y, x].
+    Each front is formed in one pass over plain dicts and lists, with the
+    coordinates in the order ``_outer_sum`` gives them.  One outer product
+    puts its terms at distinct coordinates, each the product of two nonzero
+    scalars, so only a B^x with [y, x] nonzero sums and drops zeros."""
+    dl, canon = len(tw), field.canon
     for t, bs in fronts:
-        for y in range(dl):
-            yield (_outer_sum(field, ((t, tw[y], dl, 1),)),
-                   tuple(_outer_sum(field, ((b, tw[y], dl, 1), (t, c[y][x], dl, 1))) if b or c[y][x] else ()
-                         for x, b in enumerate(bs)))
+        for ty, cy in zip(tw, c):
+            longer = []
+            for b, cyx in zip(bs, cy):
+                if cyx:
+                    acc = {i * dl + j: a * v for i, a in b for j, v in ty}
+                    for i, a in t:
+                        i *= dl
+                        for j, v in cyx:
+                            acc[i + j] = acc.get(i + j, 0) + a * v
+                    longer.append(tuple([(k, x) for k, s in acc.items() if (x := canon(s))]))
+                elif b:
+                    longer.append(tuple([(i * dl + j, canon(a * v)) for i, a in b for j, v in ty]))
+                else:
+                    longer.append(())
+            yield tuple([(i * dl + j, canon(a * v)) for i, a in t for j, v in ty]), tuple(longer)
 
 
 @dataclass(frozen=True)
@@ -184,13 +201,16 @@ class ChainComplex:
     after D^n d_n is D^(2n-1) d_(n-1) d_n: ranks and the squared-boundary
     check read these integral columns, and ``columns`` divides them back.
     Each degree's integral columns and rank are built once, the columns
-    from the cached degree below and the fronts' T and B; both readers skip
-    the empty columns."""
+    from the cached degree below and the fronts' T and B.  The rank's
+    elimination skips the empty columns, and from degree 2 the d^2 check
+    applies the lower columns to the image basis it holds, so one
+    elimination per degree gives both."""
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
     _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
     _ranks: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _squares: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _tables(self) -> tuple:
@@ -252,23 +272,33 @@ class ChainComplex:
     def rank(self, n: int) -> int:
         """Rank of the degree-n boundary by sparse elimination of its
         integral columns, cached; 0 in degree 0, where there is no
-        boundary."""
+        boundary.  From degree 2 the same elimination decides d^2 = 0: the
+        held rows are positive multiples of the RREF basis of the image of
+        d_n, so d_(n-1) vanishes on every column exactly when it vanishes
+        on every row.  The lower integral columns are the sparse columns
+        ``linear`` applies to each row; the verdict is cached, the rows are
+        not."""
         if n == 0:
             return 0
         if n not in self._ranks:
-            acc = RrefAccumulator(self.algebra.field, chain_dim(self.algebra, self.coeffs, n - 1))
+            field = self.algebra.field
+            acc = RrefAccumulator(field, chain_dim(self.algebra, self.coeffs, n - 1))
             for col in self._integral(n):
                 if col:
                     acc.add(col)
+            if n >= 2:
+                lower = self._integral(n - 1)
+                self._squares[n] = not any(linear(field, lower, row) for row in acc.stored_rows())
             self._ranks[n] = acc.rank
         return self._ranks[n]
 
     def squares_to_zero(self, n: int) -> bool:
         """Whether the degree-n boundary followed by the degree n-1 one
-        vanishes: the lower columns are the sparse columns ``linear`` applies
-        to each upper one."""
-        lower = self._integral(n - 1)
-        return not any(linear(self.algebra.field, lower, col) for col in self._integral(n) if col)
+        vanishes, as ``rank(n)`` found it on the image basis."""
+        if n < 2:
+            raise ValueError("d^2 is defined for degree at least 2")
+        self.rank(n)
+        return self._squares[n]
 
     def homology_dim(self, n: int) -> int:
         """dim H_n = dim C_n - rank d_n - rank d_(n+1)."""

@@ -651,6 +651,12 @@ class RrefAccumulator:
             if row:
                 self.add(row)
 
+    def stored_rows(self):
+        """The stored rows as sparse vectors, each its (column, value) pairs
+        with the pivot first: the RREF of the vectors added up to a positive
+        factor per row, as stored, with no division."""
+        return (((q, d), *r.items()) for q, (d, r) in self._stored.items())
+
     def subspace(self) -> Subspace:
         """The span of the vectors added, its rows sorted by pivot and each
         by column, each stored row divided by its pivot entry."""

@@ -482,6 +482,28 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: tensor takes --square FILE or two action documents, not both\n"
 
+    @pytest.mark.parametrize("argv", [("validate", ""), ("homology", "", "--coeffs", "trivial"),
+                                      ("tensor", "--square", ""), ("tensor", "", "")],
+                             ids=["validate", "homology", "tensor-square", "tensor-actions"])
+    def test_an_empty_document_path_names_no_file(self, argv, capsys):
+        # '' is a path that cannot be read: neither the directory '.' that
+        # Path('') names nor a missing argument
+        assert main([*argv, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: cannot read '': No such file or directory\n"
+
+    def test_tensor_without_documents_exits_two(self, capsys):
+        assert main(["tensor", "--json"]) == 2
+        assert capsys.readouterr().err == "error: tensor needs --square FILE or two action documents\n"
+
+    @pytest.mark.parametrize("key", ["actor", "target"])
+    def test_an_empty_referenced_path_names_no_file(self, key, docs, capsys):
+        # an empty actor or target path is not joined to the action's own directory
+        action = dict({"actor": "e1.alg", "target": "e1.alg"}, **{key: ""})
+        path = write(docs["dir"], "empty.act", action)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: cannot read '' ({key}): No such file or directory\n"
+
     def test_twist(self, docs, tmp_path, capsys):
         base = dict(SL2_DOC, kind="leibniz")
         base.pop("alpha")

@@ -15,7 +15,7 @@ from homleib import generators
 from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
-from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec, sparse_table, sparse_vec
+from homleib.linalg import Matrix, RrefAccumulator, Subspace, dense_vec, linear, sparse_table, sparse_vec
 from homleib.algebras import HomLeibnizAlgebra, derived_subspace, direct_sum, yau_twist
 from homleib.generators import random_corep
 from homleib.homology import (
@@ -282,6 +282,77 @@ def _bumped_adjoints(L):
                                            bumped if side == "right" else adj.sparse_right)
 
 
+def _bumped_corep(M, rng):
+    """M with one unit added to one coordinate of one left or right value."""
+    f, side = M.field, rng.choice(("left", "right"))
+    table = [list(row) for row in getattr(M, f"sparse_{side}")]
+    i = rng.randrange(len(table))
+    j, k = rng.randrange(len(table[i])), rng.randrange(M.space_dim)
+    v = dict(table[i][j])
+    v[k] = f.add(v.get(k, f.zero()), f.one())
+    table[i][j] = tuple(sorted((c, x) for c, x in v.items() if x))
+    table = tuple(map(tuple, table))
+    return CoRepresentation(M.algebra, M.space_dim, M.twist, table if side == "left" else M.sparse_left,
+                            table if side == "right" else M.sparse_right)
+
+
+def _squares_on_every_column(cx, n):
+    """The reference d^2 check: d_(n-1) applied to every nonempty integral
+    column of d_n, none of them left out."""
+    f, lower = cx.algebra.field, cx._integral(n - 1)
+    return not any(linear(f, lower, col) for col in cx._integral(n) if col)
+
+
+@pytest.mark.parametrize("f", [QQ, GF, Field(3), Field(5)], ids=["Q", "GF(1000003)", "GF(3)", "GF(5)"])
+def test_square_on_the_image_basis_matches_every_column(f):
+    # the d^2 verdict read off the rank's image rows equals d_(n-1) applied
+    # to every column, on valid co-representations and on ones with a bumped
+    # entry, in degrees 2-4; both verdicts occur
+    rng = random.Random(67)
+    verdicts = Counter()
+    for _ in range(12):
+        L, M = random_corep(f, rng, max_dim=3)
+        for corep in (M, _bumped_corep(M, rng)):
+            cx = ChainComplex(L, corep)
+            for n in range(2, 5):
+                verdict = cx.squares_to_zero(n)
+                assert verdict == _squares_on_every_column(cx, n)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _outer_sum_fronts(field, tw, c, fronts):
+    """The front step as one ``_outer_sum`` per T and per nonempty B^x: the
+    reference for ``_longer_fronts``."""
+    outer_sum, dl = homleib.homology._outer_sum, len(tw)
+    for t, bs in fronts:
+        for y in range(dl):
+            yield (outer_sum(field, ((t, tw[y], dl, 1),)),
+                   tuple(outer_sum(field, ((b, tw[y], dl, 1), (t, c[y][x], dl, 1))) if b or c[y][x] else ()
+                         for x, b in enumerate(bs)))
+
+
+@pytest.mark.parametrize("f", [QQ, GF, Field(3)], ids=["Q", "GF(1000003)", "GF(3)"])
+def test_one_pass_front_step_matches_the_outer_sums(f):
+    # random sparse twists and brackets with small values, so that the two
+    # products of a B^x often cancel: three steps from T() = 1, B^x() = 0
+    # give the same tuples as the chain of outer sums
+    rng = random.Random(71)
+    values = [f.from_int(v) for v in (-2, -1, 1, 2) if f.from_int(v)]
+
+    def vec(dl):
+        return tuple((k, rng.choice(values)) for k in sorted(rng.sample(range(dl), rng.randint(0, dl))))
+
+    for _ in range(40):
+        dl = rng.randint(1, 4)
+        tw, c = tuple(vec(dl) for _ in range(dl)), tuple(tuple(vec(dl) for _ in range(dl)) for _ in range(dl))
+        ours = theirs = ((((0, f.one()),), ((),) * dl),)
+        for _ in range(3):
+            ours = tuple(homleib.homology._longer_fronts(f, tw, c, ours))
+            theirs = tuple(_outer_sum_fronts(f, tw, c, theirs))
+            assert ours == theirs
+
+
 class TestChainComplex:
     @pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
     def test_columns_match_the_all_terms_reference(self, f):
@@ -374,6 +445,34 @@ class TestChainComplex:
         assert sorted(n for *_, n in builds) == [1, 2, 3, 4]
         assert set(builds.values()) == {1}
         assert built["columns"] == 5 + 25 + 125 + 625
+
+    def test_homology_eliminates_once_per_degree_and_squares_on_image_rows(self, monkeypatch, tmp_path, capsys):
+        # homology --max-n 3 runs one elimination in each degree 1-4, and
+        # the d^2 check applies d_(n-1) once per image row it held
+        alg = direct_sum(generators.sl2(QQ), HomLeibnizAlgebra.abelian(QQ, 2))
+        path = tmp_path / "sl2ab2.alg"
+        path.write_text(json.dumps(serialize_algebra(alg)), encoding="utf-8")
+        accs, applied = [], Counter()
+
+        class Counted(RrefAccumulator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                accs.append(self)
+
+        def counted_linear(field, cols, u):
+            applied["rows"] += 1
+            return linear(field, cols, u)
+
+        monkeypatch.setattr(homleib.homology, "RrefAccumulator", Counted)
+        monkeypatch.setattr(homleib.homology, "linear", counted_linear)
+        argv = ["homology", str(path), "--coeffs", "trivial", "--max-n", "3", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["boundary_squares_to_zero"] is True
+        assert [acc.ambient_dim for acc in accs] == [1, 5, 25, 125]
+        assert applied["rows"] == sum(acc.rank for acc in accs[1:])
+        monkeypatch.undo()
+        cx = ChainComplex(alg, trivial_corep(alg))
+        assert applied["rows"] < sum(1 for n in range(2, 5) for col in cx._integral(n) if col)
 
     def test_check_all_builds_each_column_once(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "sl2.alg"
