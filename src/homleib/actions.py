@@ -17,8 +17,8 @@ sweep's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, bracket_table, subalgebra
@@ -33,27 +33,33 @@ from .linalg import (
     linear,
 )
 from .report import ValidationReport
+from .values import Frozen, Value, init_field
 
 
-@dataclass(frozen=True)
-class HomAction:
+class HomAction(Value):
     """An action of one algebra on another as its two sparse tables, left and right."""
 
     actor: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
     sparse_left: tuple  # sparse_left[x][m] as sparse target coordinates
     sparse_right: tuple  # sparse_right[m][x] as sparse target coordinates
+    __slots__ = ("actor", "target", "sparse_left", "sparse_right", "__dict__")
+    _key = attrgetter("actor", "target", "sparse_left", "sparse_right")
 
-    def __post_init__(self):
-        dl, dm, left, right = self.actor.dim, self.target.dim, self.sparse_left, self.sparse_right
+    def __init__(self, actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, sparse_left: tuple, sparse_right: tuple):
+        dl, dm, left, right = actor.dim, target.dim, sparse_left, sparse_right
         if len(left) != dl or any(len(r) != dm for r in left):
             raise StructureError("left action tensor must be actor x target")
         if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right action tensor must be target x actor")
-        if not all(is_sparse_vec(self.target.field, v, dm) for table in (left, right) for row in table for v in row):
+        if not all(is_sparse_vec(target.field, v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("action values must be target coordinate vectors")
-        if self.target.field != self.actor.field:
+        if target.field != actor.field:
             raise FieldMismatch("target algebra over the wrong field")
+        init_field(self, "actor", actor)
+        init_field(self, "target", target)
+        init_field(self, "sparse_left", left)
+        init_field(self, "sparse_right", right)
 
     @staticmethod
     def trivial(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra) -> "HomAction":
@@ -162,8 +168,7 @@ def self_action(L: HomLeibnizAlgebra) -> HomAction:
     return HomAction(L, L, L.sparse_c, L.sparse_c)
 
 
-@dataclass(frozen=True)
-class MutualActions:
+class MutualActions(Value):
     """A pair of actions of two algebras on each other.
 
     ``mn`` is the action of the first algebra M on the second algebra N,
@@ -172,10 +177,14 @@ class MutualActions:
 
     mn: HomAction
     nm: HomAction
+    __slots__ = ("mn", "nm", "__dict__")
+    _key = attrgetter("mn", "nm")
 
-    def __post_init__(self):
-        if self.mn.actor != self.nm.target or self.mn.target != self.nm.actor:
+    def __init__(self, mn: HomAction, nm: HomAction):
+        if mn.actor != nm.target or mn.target != nm.actor:
             raise StructureError("the two actions do not connect the same pair of algebras")
+        init_field(self, "mn", mn)
+        init_field(self, "nm", nm)
 
     @property
     def m_side(self) -> HomLeibnizAlgebra:
@@ -239,14 +248,20 @@ def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names, pa, pb):
          [(a_by_b, (e, pa), (b_by_a, pb, 2))], [(c, (e, pa), (b_on_a, pb, 2))])]
 
 
-@dataclass(frozen=True)
-class SemidirectProduct:
+class SemidirectProduct(Frozen):
     """The semi-direct product of an action with its inclusion, projection and section."""
 
     algebra: HomLeibnizAlgebra
     include: AlgebraHom   # target summand into the product
     project: AlgebraHom   # product onto the actor summand
     section: AlgebraHom   # actor summand back into the product
+    __slots__ = ("algebra", "include", "project", "section")
+
+    def __init__(self, algebra: HomLeibnizAlgebra, include: AlgebraHom, project: AlgebraHom, section: AlgebraHom):
+        init_field(self, "algebra", algebra)
+        init_field(self, "include", include)
+        init_field(self, "project", project)
+        init_field(self, "section", section)
 
 
 def semidirect(action: HomAction) -> SemidirectProduct:

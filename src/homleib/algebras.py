@@ -21,9 +21,9 @@ per object.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import attrgetter
 
 from .errors import (
     BracketNotWellDefined,
@@ -56,6 +56,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import ValidationReport
+from .values import Frozen, Value, init_field
 
 
 def default_labels(dim: int, prefix: str = "e") -> tuple:
@@ -97,8 +98,7 @@ def _entry_table(field: Field, dim: int, entries: dict, value: str) -> list:
     return table
 
 
-@dataclass(frozen=True, init=False)
-class HomLeibnizAlgebra:
+class HomLeibnizAlgebra(Value):
     """A Hom-Leibniz algebra: its field, dimension, sparse bracket table, twist and basis labels."""
 
     field: Field
@@ -106,12 +106,18 @@ class HomLeibnizAlgebra:
     sparse_c: tuple  # sparse_c[i][j] = [e_i, e_j] as the sorted (index, value) pairs of its nonzero coordinates
     twist: Matrix
     labels: tuple
+    __slots__ = ("field", "dim", "sparse_c", "twist", "labels", "__dict__")
+    _key = attrgetter("field", "dim", "sparse_c", "twist", "labels")
 
     def __init__(self, field: Field, dim: int, c, twist: Matrix, labels):
         """The algebra with the dense table ``c``, c[i][j] the coordinates
         of [e_i, e_j]: the dense edge (tests, benchmarks)."""
         table, labels = _checked(field, dim, c, twist, labels, "structure", "bracket", dense=True)
-        self.__dict__.update(field=field, dim=dim, sparse_c=table, twist=twist, labels=labels)
+        init_field(self, "field", field)
+        init_field(self, "dim", dim)
+        init_field(self, "sparse_c", table)
+        init_field(self, "twist", twist)
+        init_field(self, "labels", labels)
 
     @staticmethod
     def from_brackets(field: Field, dim: int, brackets: dict, twist=None, labels=None) -> "HomLeibnizAlgebra":
@@ -130,7 +136,11 @@ class HomLeibnizAlgebra:
         given: the one constructor of the library."""
         table, labels = _checked(field, dim, table, twist, labels, "structure", "bracket", dense=False)
         alg = object.__new__(HomLeibnizAlgebra)
-        alg.__dict__.update(field=field, dim=dim, sparse_c=table, twist=twist, labels=labels)
+        init_field(alg, "field", field)
+        init_field(alg, "dim", dim)
+        init_field(alg, "sparse_c", table)
+        init_field(alg, "twist", twist)
+        init_field(alg, "labels", labels)
         return alg
 
     # the dense table, built once when read: the dense edge
@@ -184,21 +194,24 @@ class HomLeibnizAlgebra:
         return self
 
 
-@dataclass(frozen=True)
-class AlgebraHom:
+class AlgebraHom(Frozen):
     """A linear map between two algebras over one field, as its matrix."""
 
     source: HomLeibnizAlgebra
     target: HomLeibnizAlgebra
     map: Matrix
+    __slots__ = ("source", "target", "map", "__dict__")
 
-    def __post_init__(self):
-        if (self.map.rows, self.map.cols) != (self.target.dim, self.source.dim):
+    def __init__(self, source: HomLeibnizAlgebra, target: HomLeibnizAlgebra, map: Matrix):
+        if (map.rows, map.cols) != (target.dim, source.dim):
             raise DimensionError("homomorphism matrix does not match the algebras")
-        if self.target.field != self.source.field:
+        if target.field != source.field:
             raise FieldMismatch("target algebra over the wrong field")
-        if self.map.field != self.source.field:
+        if map.field != source.field:
             raise FieldMismatch("homomorphism matrix over the wrong field")
+        init_field(self, "source", source)
+        init_field(self, "target", target)
+        init_field(self, "map", map)
 
     def apply(self, v) -> tuple:
         return self.map.apply(v)
@@ -230,18 +243,20 @@ class AlgebraHom:
         return AlgebraHom(inner.source, self.target, self.map.compose(inner.map))
 
 
-@dataclass(frozen=True)
-class IdealHandle:
+class IdealHandle(Frozen):
     """A subspace of an algebra over its field, a candidate ideal that ``ideal_witness`` tests."""
 
     parent: HomLeibnizAlgebra
     space: Subspace
+    __slots__ = ("parent", "space", "__dict__")
 
-    def __post_init__(self):
-        if self.space.ambient_dim != self.parent.dim:
+    def __init__(self, parent: HomLeibnizAlgebra, space: Subspace):
+        if space.ambient_dim != parent.dim:
             raise DimensionError("subspace does not live in the parent algebra")
-        if self.space.field != self.parent.field:
+        if space.field != parent.field:
             raise FieldMismatch("subspace over the wrong field")
+        init_field(self, "parent", parent)
+        init_field(self, "space", space)
 
     @property
     def dim(self) -> int:
@@ -358,14 +373,20 @@ def certified_quotient(pres: QuotientSpace, left: Matrix, right: Matrix,
     return algebra
 
 
-@dataclass(frozen=True)
-class Predicates:
+class Predicates(Frozen):
     """The perfect, twist-perfect, twist-surjective and abelian flags of an algebra."""
 
     perfect: bool
     alpha_perfect: bool
     alpha_surjective: bool
     abelian: bool
+    __slots__ = ("perfect", "alpha_perfect", "alpha_surjective", "abelian")
+
+    def __init__(self, perfect: bool, alpha_perfect: bool, alpha_surjective: bool, abelian: bool):
+        init_field(self, "perfect", perfect)
+        init_field(self, "alpha_perfect", alpha_perfect)
+        init_field(self, "alpha_surjective", alpha_surjective)
+        init_field(self, "abelian", abelian)
 
     def to_dict(self) -> dict:
         return {

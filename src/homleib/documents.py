@@ -42,7 +42,6 @@ string to an int (4300 by default); a longer one is refused with exit 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, SemanticError, echo
@@ -51,12 +50,12 @@ from .algebras import HomLeibnizAlgebra
 from .fields import Field
 from .homassoc import HomAssociativeAlgebra
 from .linalg import Matrix
+from .values import Frozen, init_field
 
 ALGEBRA_KINDS = ("hom-leibniz", "hom-associative", "leibniz")
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(Frozen):
     """A parsed algebra document: field, kind, dimension, basis labels, sparse table and twist."""
 
     field: Field
@@ -65,20 +64,35 @@ class AlgebraDocument:
     basis: tuple
     table: tuple  # table[i][j] = the (i, j) product as sorted sparse (index, value) pairs
     alpha: Matrix
+    __slots__ = ("field", "kind", "dim", "basis", "table", "alpha")
+
+    def __init__(self, field: Field, kind: str, dim: int, basis: tuple, table: tuple, alpha: Matrix):
+        init_field(self, "field", field)
+        init_field(self, "kind", kind)
+        init_field(self, "dim", dim)
+        init_field(self, "basis", basis)
+        init_field(self, "table", table)
+        init_field(self, "alpha", alpha)
 
     def build(self):
         cls = HomAssociativeAlgebra if self.kind == "hom-associative" else HomLeibnizAlgebra
         return cls.from_sparse(self.field, self.dim, self.table, self.alpha, self.basis)
 
 
-@dataclass(frozen=True)
-class ActionDocument:
+class ActionDocument(Frozen):
     """A parsed action document: the two algebra documents and the sparse action tables."""
 
     actor: AlgebraDocument
     target: AlgebraDocument
     sparse_left: tuple  # the sparse tables of ``HomAction``
     sparse_right: tuple
+    __slots__ = ("actor", "target", "sparse_left", "sparse_right")
+
+    def __init__(self, actor: AlgebraDocument, target: AlgebraDocument, sparse_left: tuple, sparse_right: tuple):
+        init_field(self, "actor", actor)
+        init_field(self, "target", target)
+        init_field(self, "sparse_left", sparse_left)
+        init_field(self, "sparse_right", sparse_right)
 
     def build(self) -> HomAction:
         return HomAction(self.actor.build(), self.target.build(), self.sparse_left, self.sparse_right)

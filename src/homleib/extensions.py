@@ -13,7 +13,6 @@ on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -53,6 +52,7 @@ from .tensorprod import (
     build_tensor,
     ideal_sequence_certificate,
 )
+from .values import Frozen, init_field
 
 
 class ExtensionKind(Enum):
@@ -61,14 +61,20 @@ class ExtensionKind(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Frozen):
     """An extension of ``base`` by ``kernel``: the total algebra and its projection."""
 
     total: HomLeibnizAlgebra
     base: HomLeibnizAlgebra
     proj: AlgebraHom
     kernel: Subspace
+    __slots__ = ("total", "base", "proj", "kernel")
+
+    def __init__(self, total: HomLeibnizAlgebra, base: HomLeibnizAlgebra, proj: AlgebraHom, kernel: Subspace):
+        init_field(self, "total", total)
+        init_field(self, "base", base)
+        init_field(self, "proj", proj)
+        init_field(self, "kernel", kernel)
 
     @staticmethod
     def from_projection(proj: AlgebraHom) -> "Extension":
@@ -96,13 +102,18 @@ def classify_extension(e: Extension) -> ExtensionKind:
     return ExtensionKind.NEITHER
 
 
-@dataclass(frozen=True)
-class UniversalCentralExtension:
+class UniversalCentralExtension(Frozen):
     """The universal central extension as a tensor square, with the dimension of its kernel."""
 
     tensor: TensorProduct
     extension: Extension
     kernel_dim: int
+    __slots__ = ("tensor", "extension", "kernel_dim")
+
+    def __init__(self, tensor: TensorProduct, extension: Extension, kernel_dim: int):
+        init_field(self, "tensor", tensor)
+        init_field(self, "extension", extension)
+        init_field(self, "kernel_dim", kernel_dim)
 
 
 def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtension:
@@ -151,14 +162,20 @@ def lift_against(uce: UniversalCentralExtension, other: Extension,
     return lift
 
 
-@dataclass(frozen=True)
-class AlphaUniversalCentralExtension:
+class AlphaUniversalCentralExtension(Frozen):
     """The universal twist-central extension: tensor square, extension, presentation and the isomorphism."""
 
     tensor: TensorProduct          # tensor square of the algebra, the twist image
     extension: Extension           # onto the original algebra
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space
     iso: AlgebraHom                # tensor square -> presentation, verified bijective
+    __slots__ = ("tensor", "extension", "presented", "iso")
+
+    def __init__(self, tensor: TensorProduct, extension: Extension, presented: HomLeibnizAlgebra, iso: AlgebraHom):
+        init_field(self, "tensor", tensor)
+        init_field(self, "extension", extension)
+        init_field(self, "presented", presented)
+        init_field(self, "iso", iso)
 
 
 def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCentralExtension:

@@ -19,12 +19,13 @@ where primality is decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 
 from .errors import SemanticError, echo
+from .values import Value, init_field
 
 
 # Miller-Rabin over the first thirteen prime bases is exact for every n
@@ -70,20 +71,25 @@ def _canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class Field:
-    """The ground field: rationals when ``p`` is None, otherwise GF(p)."""
+class Field(Value):
+    """The ground field: rationals when ``p`` is None, otherwise GF(p) for
+    an ``int`` p (a bool or a float is refused)."""
 
-    p: int | None = None
+    p: int | None
+    __slots__ = ("p",)
+    _key = attrgetter("p")
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p >= PRIME_BOUND:
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if type(p) is not int:
+                raise ValueError(f"prime modulus must be an int, got {echo(p)}")
+            if p >= PRIME_BOUND:
                 raise ValueError(f"prime modulus must be below {PRIME_BOUND}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if self.p < 3:
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if p < 3:
                 raise ValueError("characteristic 2 is not supported")
+        init_field(self, "p", p)
 
     def zero(self):
         return 0

@@ -21,8 +21,8 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import AlphaIdentityFails, InternalInconsistency, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -59,11 +59,11 @@ from .linalg import (
     unit_vec,
 )
 from .report import ExactnessReport, ValidationReport
+from .values import Frozen, Value, init_field
 from .tensorprod import build_tensor, induced_tensor_map
 
 
-@dataclass(frozen=True, init=False)
-class HomAssociativeAlgebra:
+class HomAssociativeAlgebra(Value):
     """A Hom-associative algebra: its field, dimension, sparse product table, twist and basis labels."""
 
     field: Field
@@ -71,12 +71,18 @@ class HomAssociativeAlgebra:
     sparse_p: tuple  # sparse_p[i][j] = e_i e_j as the sorted (index, value) pairs of its nonzero coordinates
     twist: Matrix
     labels: tuple
+    __slots__ = ("field", "dim", "sparse_p", "twist", "labels", "__dict__")
+    _key = attrgetter("field", "dim", "sparse_p", "twist", "labels")
 
     def __init__(self, field: Field, dim: int, p, twist: Matrix, labels):
         """The algebra with the dense table ``p``, p[i][j] the coordinates
         of e_i e_j: the dense edge (tests, benchmarks)."""
         table, labels = _checked(field, dim, p, twist, labels, "product", "product", dense=True)
-        self.__dict__.update(field=field, dim=dim, sparse_p=table, twist=twist, labels=labels)
+        init_field(self, "field", field)
+        init_field(self, "dim", dim)
+        init_field(self, "sparse_p", table)
+        init_field(self, "twist", twist)
+        init_field(self, "labels", labels)
 
     @staticmethod
     def from_products(field: Field, dim: int, products: dict, twist=None, labels=None) -> "HomAssociativeAlgebra":
@@ -91,7 +97,11 @@ class HomAssociativeAlgebra:
         given: the one constructor of the library."""
         table, labels = _checked(field, dim, table, twist, labels, "product", "product", dense=False)
         alg = object.__new__(HomAssociativeAlgebra)
-        alg.__dict__.update(field=field, dim=dim, sparse_p=table, twist=twist, labels=labels)
+        init_field(alg, "field", field)
+        init_field(alg, "dim", dim)
+        init_field(alg, "sparse_p", table)
+        init_field(alg, "twist", twist)
+        init_field(alg, "labels", labels)
         return alg
 
     # the dense table, built once when read: the dense edge
@@ -170,8 +180,7 @@ def boundary_rows(A: HomAssociativeAlgebra, table):
     return law_rows(f, [((n, n, n), [law])])
 
 
-@dataclass(frozen=True)
-class HochschildModule:
+class HochschildModule(Frozen):
     """The boundary quotient of A (x) A with its bracket, the map phi to A and [A, A]."""
 
     parent: HomAssociativeAlgebra
@@ -180,6 +189,16 @@ class HochschildModule:
     algebra: HomLeibnizAlgebra              # the quotient with its bracket and twist
     phi: Matrix                             # quotient -> A, class of a (x) b to ab - ba
     commutator_space: Subspace              # [A, A] inside A
+    __slots__ = ("parent", "commutator_algebra", "presentation", "algebra", "phi", "commutator_space")
+
+    def __init__(self, parent: HomAssociativeAlgebra, commutator_algebra: HomLeibnizAlgebra,
+                 presentation: QuotientSpace, algebra: HomLeibnizAlgebra, phi: Matrix, commutator_space: Subspace):
+        init_field(self, "parent", parent)
+        init_field(self, "commutator_algebra", commutator_algebra)
+        init_field(self, "presentation", presentation)
+        init_field(self, "algebra", algebra)
+        init_field(self, "phi", phi)
+        init_field(self, "commutator_space", commutator_space)
 
     @property
     def first_homology_dim(self) -> int:
@@ -246,8 +265,7 @@ def milnor_relations(h: HochschildModule) -> Subspace:
     return h.presentation.relations.add(Subspace.span_sparse(f, n * n, rows))
 
 
-@dataclass(frozen=True)
-class FirstHomologies:
+class FirstHomologies(Frozen):
     """The dimensions of the first Hochschild homologies and the twist-identity flag."""
 
     hh1_alpha_dim: int
@@ -255,6 +273,15 @@ class FirstHomologies:
     alpha_identity_holds: bool
     quotient_dim: int
     commutator_dim: int
+    __slots__ = ("hh1_alpha_dim", "hh1_milnor_dim", "alpha_identity_holds", "quotient_dim", "commutator_dim")
+
+    def __init__(self, hh1_alpha_dim: int, hh1_milnor_dim: int, alpha_identity_holds: bool, quotient_dim: int,
+                 commutator_dim: int):
+        init_field(self, "hh1_alpha_dim", hh1_alpha_dim)
+        init_field(self, "hh1_milnor_dim", hh1_milnor_dim)
+        init_field(self, "alpha_identity_holds", alpha_identity_holds)
+        init_field(self, "quotient_dim", quotient_dim)
+        init_field(self, "commutator_dim", commutator_dim)
 
     def to_dict(self) -> dict:
         return {

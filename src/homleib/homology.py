@@ -36,7 +36,6 @@ the check would fail loudly under a sign slip in any family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import FieldMismatch, StructureError
@@ -52,10 +51,10 @@ from .linalg import (
     sparse_outer,
 )
 from .report import ValidationReport
+from .values import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class CoRepresentation:
+class CoRepresentation(Frozen):
     """Coefficients for homology: a space with a twist and two operations of
     the algebra on it satisfying the five co-representation identities."""
 
@@ -64,19 +63,26 @@ class CoRepresentation:
     twist: Matrix
     sparse_left: tuple   # sparse_left[x][m] as sparse coefficient coordinates
     sparse_right: tuple  # sparse_right[m][x] as sparse coefficient coordinates
+    __slots__ = ("algebra", "space_dim", "twist", "sparse_left", "sparse_right")
 
-    def __post_init__(self):
-        dl, dm, left, right = self.algebra.dim, self.space_dim, self.sparse_left, self.sparse_right
-        if (self.twist.rows, self.twist.cols) != (dm, dm):
+    def __init__(self, algebra: HomLeibnizAlgebra, space_dim: int, twist: Matrix, sparse_left: tuple,
+                 sparse_right: tuple):
+        dl, dm, left, right = algebra.dim, space_dim, sparse_left, sparse_right
+        if (twist.rows, twist.cols) != (dm, dm):
             raise StructureError("coefficient twist must be square of the space dimension")
         if len(left) != dl or any(len(r) != dm for r in left):
             raise StructureError("left operation tensor must be algebra x space")
         if len(right) != dm or any(len(r) != dl for r in right):
             raise StructureError("right operation tensor must be space x algebra")
-        if not all(is_sparse_vec(self.algebra.field, v, dm) for table in (left, right) for row in table for v in row):
+        if not all(is_sparse_vec(algebra.field, v, dm) for table in (left, right) for row in table for v in row):
             raise StructureError("operation values must be coefficient vectors")
-        if self.twist.field != self.algebra.field:
+        if twist.field != algebra.field:
             raise FieldMismatch("coefficient twist over the wrong field")
+        init_field(self, "algebra", algebra)
+        init_field(self, "space_dim", space_dim)
+        init_field(self, "twist", twist)
+        init_field(self, "sparse_left", left)
+        init_field(self, "sparse_right", right)
 
     @property
     def field(self):
@@ -190,8 +196,7 @@ def _longer_fronts(field, tw, c, fronts):
             yield tuple([(i * dl + j, canon(a * v)) for i, a in t for j, v in ty]), tuple(longer)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Frozen):
     """The chain complex of L with coefficients in M.  Over Q its
     denominators are cleared once: the five tables (t_L, the bracket, the
     left and right operations, t_M) are each scaled by D, the lcm of their
@@ -208,9 +213,17 @@ class ChainComplex:
 
     algebra: HomLeibnizAlgebra
     coeffs: CoRepresentation
-    _columns: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
-    _ranks: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
-    _squares: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    _columns: dict
+    _ranks: dict
+    _squares: dict
+    __slots__ = ("algebra", "coeffs", "_columns", "_ranks", "_squares", "__dict__")
+
+    def __init__(self, algebra: HomLeibnizAlgebra, coeffs: CoRepresentation):
+        init_field(self, "algebra", algebra)
+        init_field(self, "coeffs", coeffs)
+        init_field(self, "_columns", {})
+        init_field(self, "_ranks", {})
+        init_field(self, "_squares", {})
 
     @cached_property
     def _tables(self) -> tuple:

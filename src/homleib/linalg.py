@@ -88,14 +88,15 @@ presentations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
+from .values import Frozen, Value, init_field
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
@@ -334,8 +335,7 @@ def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:
     return [(offset + i * stride + j, mul(x, y)) for i, x in u for j, y in v]
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Matrix(Value):
     """A matrix and the linear map it gives: column j is the image of basis
     vector j, so a map from an n-space to an m-space is m x n.  It holds
     each column in the one sparse form, the (index, value) pairs of its
@@ -350,6 +350,8 @@ class Matrix:
     rows: int
     cols: int
     sparse_cols: tuple
+    __slots__ = ("field", "rows", "cols", "sparse_cols", "__dict__")
+    _key = attrgetter("field", "rows", "cols", "sparse_cols")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """The map with the dense grid ``entries``, a tuple of rows: the
@@ -362,7 +364,11 @@ class Matrix:
         if not all(map(field.is_scalar, chain.from_iterable(entries))):
             raise StructureError("map coordinates must be canonical scalars of the field")
         columns = tuple(map(sparse_vec, zip(*entries))) if rows else ((),) * cols
-        self.__dict__.update(field=field, rows=rows, cols=cols, sparse_cols=columns, entries=entries)
+        init_field(self, "field", field)
+        init_field(self, "rows", rows)
+        init_field(self, "cols", cols)
+        init_field(self, "sparse_cols", columns)
+        self.__dict__["entries"] = entries
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -386,7 +392,10 @@ class Matrix:
                     raise StructureError("map coordinates must be canonical scalars of the field")
                 last = k
         m = object.__new__(Matrix)
-        m.__dict__.update(field=field, rows=rows, cols=len(columns), sparse_cols=columns)
+        init_field(m, "field", field)
+        init_field(m, "rows", rows)
+        init_field(m, "cols", len(columns))
+        init_field(m, "sparse_cols", columns)
         return m
 
     @staticmethod
@@ -666,8 +675,7 @@ class RrefAccumulator:
             for q, (d, r) in sorted(self._stored.items())))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of a coordinate space, held as the sparse rows of its
     canonical RREF: each row the sorted (column, value) pairs of its nonzero
     coordinates, its pivot first, the pivots increasing."""
@@ -675,14 +683,18 @@ class Subspace:
     field: Field
     ambient_dim: int
     sparse_rows: tuple
+    __slots__ = ("field", "ambient_dim", "sparse_rows", "__dict__")
+    _key = attrgetter("field", "ambient_dim", "sparse_rows")
 
-    def __post_init__(self):
-        rows = self.sparse_rows
-        if not all(rows):
+    def __init__(self, field: Field, ambient_dim: int, sparse_rows: tuple):
+        if not all(sparse_rows):
             raise StructureError("a subspace row must have a nonzero coordinate")
         # the first pivot is the least column of any row
-        if rows and (rows[0][0][0] < 0 or max(r[-1][0] for r in rows) >= self.ambient_dim):
-            raise DimensionError(f"a column index outside ambient dimension {self.ambient_dim}")
+        if sparse_rows and (sparse_rows[0][0][0] < 0 or max(r[-1][0] for r in sparse_rows) >= ambient_dim):
+            raise DimensionError(f"a column index outside ambient dimension {ambient_dim}")
+        init_field(self, "field", field)
+        init_field(self, "ambient_dim", ambient_dim)
+        init_field(self, "sparse_rows", sparse_rows)
 
     # the rows as the accumulator stores them, built once when first reduced against: each row times the
     # lcm of its denominators, the one primitive integer row with a positive pivot entry (over GF(p), itself)
@@ -789,8 +801,7 @@ class Subspace:
                                                           for w in stacked.kernel().sparse_rows])
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Frozen):
     """Ambient space modulo a relation subspace, with canonical coordinates.
 
     Quotient coordinates are the non-pivot columns of the relation RREF in
@@ -798,18 +809,20 @@ class QuotientSpace:
     """
 
     relations: Subspace
-    coset_basis: tuple = dc_field(init=False)
-    _at: dict = dc_field(init=False, compare=False, repr=False)  # coset column -> quotient coordinate
+    coset_basis: tuple
+    _at: dict  # coset column -> quotient coordinate
+    __slots__ = ("relations", "coset_basis", "_at")
+
+    def __init__(self, relations: Subspace):
+        pivots = set(relations.pivots())
+        coset_basis = tuple(c for c in range(relations.ambient_dim) if c not in pivots)
+        init_field(self, "relations", relations)
+        init_field(self, "coset_basis", coset_basis)
+        init_field(self, "_at", {c: k for k, c in enumerate(coset_basis)})
 
     @property
     def ambient_dim(self) -> int:
         return self.relations.ambient_dim
-
-    def __post_init__(self):
-        pivots = set(self.relations.pivots())
-        object.__setattr__(self, "coset_basis",
-                           tuple(c for c in range(self.ambient_dim) if c not in pivots))
-        object.__setattr__(self, "_at", {c: k for k, c in enumerate(self.coset_basis)})
 
     @property
     def field(self) -> Field:

@@ -6,8 +6,6 @@ to JSON-safe dictionaries (ints, strings, bools, lists, dicts only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def render_witness(w) -> str:
     """A witness as text: a tuple renders as a tuple of its rendered items, a
@@ -21,13 +19,21 @@ def render_witness(w) -> str:
     return str(w)
 
 
-@dataclass
 class Violation:
     """One failed instance of a law: the law's name, the witness labels and an optional detail."""
 
     law: str
     witness: tuple
-    detail: str = ""
+    detail: str
+    __slots__ = ("law", "witness", "detail")
+
+    def __init__(self, law: str, witness: tuple, detail: str = ""):
+        self.law, self.witness, self.detail = law, witness, detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.law, self.witness, self.detail) == (other.law, other.witness, other.detail)
 
     def to_dict(self) -> dict:
         out = {"law": self.law, "witness": [str(w) for w in self.witness]}
@@ -36,14 +42,21 @@ class Violation:
         return out
 
 
-@dataclass
 class ValidationReport:
     """The violations found in one subject, with its flags and the status of each axiom."""
 
     subject: str
-    violations: list[Violation] = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
-    axiom_status: dict = field(default_factory=dict)
+    violations: list[Violation]
+    flags: dict
+    axiom_status: dict
+    __slots__ = ("subject", "violations", "flags", "axiom_status")
+
+    def __init__(self, subject: str, violations: list[Violation] | None = None, flags: dict | None = None,
+                 axiom_status: dict | None = None):
+        self.subject = subject
+        self.violations = [] if violations is None else violations
+        self.flags = {} if flags is None else flags
+        self.axiom_status = {} if axiom_status is None else axiom_status
 
     @property
     def valid(self) -> bool:
@@ -72,24 +85,32 @@ class ValidationReport:
         return out
 
 
-@dataclass
 class CheckItem:
     """One named check of an exactness certificate and whether it holds."""
 
     name: str
     ok: bool
+    __slots__ = ("name", "ok")
+
+    def __init__(self, name: str, ok: bool):
+        self.name, self.ok = name, ok
 
     def to_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok}
 
 
-@dataclass
 class ExactnessReport:
     """The checks of an exactness certificate, in order, with the dimensions it read."""
 
     subject: str
-    items: list[CheckItem] = field(default_factory=list)
-    dims: dict = field(default_factory=dict)
+    items: list[CheckItem]
+    dims: dict
+    __slots__ = ("subject", "items", "dims")
+
+    def __init__(self, subject: str, items: list[CheckItem] | None = None, dims: dict | None = None):
+        self.subject = subject
+        self.items = [] if items is None else items
+        self.dims = {} if dims is None else dims
 
     @property
     def ok(self) -> bool:

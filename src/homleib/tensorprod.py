@@ -38,7 +38,6 @@ actions' ambient columns are ``linalg.law_columns`` data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
@@ -60,10 +59,10 @@ from .linalg import (
     tensor_table,
 )
 from .report import ExactnessReport, ValidationReport
+from .values import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class TensorProduct:
+class TensorProduct(Frozen):
     """A non-abelian tensor product: its actions, presentation, algebra and evaluations into M and N."""
 
     actions: MutualActions
@@ -71,6 +70,15 @@ class TensorProduct:
     algebra: HomLeibnizAlgebra
     eval_m: Matrix  # ambient -> M
     eval_n: Matrix  # ambient -> N
+    __slots__ = ("actions", "presentation", "algebra", "eval_m", "eval_n", "__dict__")
+
+    def __init__(self, actions: MutualActions, presentation: QuotientSpace, algebra: HomLeibnizAlgebra,
+                 eval_m: Matrix, eval_n: Matrix):
+        init_field(self, "actions", actions)
+        init_field(self, "presentation", presentation)
+        init_field(self, "algebra", algebra)
+        init_field(self, "eval_m", eval_m)
+        init_field(self, "eval_n", eval_n)
 
     @property
     def m_side(self) -> HomLeibnizAlgebra:
@@ -452,8 +460,7 @@ def right_exactness_certificate(f_hom: AlgebraHom, g_hom: AlgebraHom,
     return rep
 
 
-@dataclass(frozen=True)
-class IdealSequenceData:
+class IdealSequenceData(Frozen):
     """The tensor row attached to an ideal: everything needed downstream."""
 
     t_ml: TensorProduct     # ideal with the whole algebra
@@ -465,6 +472,19 @@ class IdealSequenceData:
     sigma: Matrix           # (ideal*L) + (L*ideal) -> L*L
     tau: AlgebraHom         # L*L -> quotient square
     report: ExactnessReport
+    __slots__ = ("t_ml", "t_lm", "t_ll", "t_qq", "incl", "proj", "sigma", "tau", "report")
+
+    def __init__(self, t_ml: TensorProduct, t_lm: TensorProduct, t_ll: TensorProduct, t_qq: TensorProduct,
+                 incl: AlgebraHom, proj: AlgebraHom, sigma: Matrix, tau: AlgebraHom, report: ExactnessReport):
+        init_field(self, "t_ml", t_ml)
+        init_field(self, "t_lm", t_lm)
+        init_field(self, "t_ll", t_ll)
+        init_field(self, "t_qq", t_qq)
+        init_field(self, "incl", incl)
+        init_field(self, "proj", proj)
+        init_field(self, "sigma", sigma)
+        init_field(self, "tau", tau)
+        init_field(self, "report", report)
 
 
 def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> IdealSequenceData:

@@ -8,19 +8,29 @@ from __future__ import annotations
 
 import random
 
-from homleib.actions import HomAction, MutualActions, ideal_pair_actions
+from homleib.actions import HomAction, MutualActions, SemidirectProduct, ideal_pair_actions
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     IdealHandle,
+    Predicates,
     direct_sum,
     ideal_closure,
     quotient_algebra,
 )
+from homleib.documents import ActionDocument, AlgebraDocument
 from homleib.errors import InternalInconsistency
+from homleib.extensions import AlphaUniversalCentralExtension, Extension, UniversalCentralExtension
 from homleib.fields import Field
 from homleib.generators import heisenberg, random_algebra, sl2, square_bracket_algebra
-from homleib.homassoc import HomAssociativeAlgebra, boundary_rows, hochschild_module
+from homleib.homassoc import (
+    FirstHomologies,
+    HochschildModule,
+    HomAssociativeAlgebra,
+    boundary_rows,
+    hochschild_module,
+)
+from homleib.homology import ChainComplex, CoRepresentation
 from homleib.linalg import (
     Matrix,
     QuotientSpace,
@@ -32,7 +42,56 @@ from homleib.linalg import (
     sparse_vec,
     unit_vec,
 )
-from homleib.tensorprod import TensorProduct, build_tensor
+from homleib.report import CheckItem, ExactnessReport, ValidationReport, Violation
+from homleib.tensorprod import IdealSequenceData, TensorProduct, build_tensor
+
+# The fields of each value class of the library, in constructor order,
+# those derived from the others last: what ``replace`` copies, and what
+# tests/test_values.py checks is refused assignment and deletion where the
+# class is immutable.
+FIELDS = {
+    Field: ("p",),
+    Matrix: ("field", "rows", "cols", "sparse_cols"),
+    Subspace: ("field", "ambient_dim", "sparse_rows"),
+    QuotientSpace: ("relations", "coset_basis", "_at"),
+    Violation: ("law", "witness", "detail"),
+    ValidationReport: ("subject", "violations", "flags", "axiom_status"),
+    CheckItem: ("name", "ok"),
+    ExactnessReport: ("subject", "items", "dims"),
+    HomLeibnizAlgebra: ("field", "dim", "sparse_c", "twist", "labels"),
+    AlgebraHom: ("source", "target", "map"),
+    IdealHandle: ("parent", "space"),
+    Predicates: ("perfect", "alpha_perfect", "alpha_surjective", "abelian"),
+    HomAction: ("actor", "target", "sparse_left", "sparse_right"),
+    MutualActions: ("mn", "nm"),
+    SemidirectProduct: ("algebra", "include", "project", "section"),
+    TensorProduct: ("actions", "presentation", "algebra", "eval_m", "eval_n"),
+    IdealSequenceData: ("t_ml", "t_lm", "t_ll", "t_qq", "incl", "proj", "sigma", "tau", "report"),
+    CoRepresentation: ("algebra", "space_dim", "twist", "sparse_left", "sparse_right"),
+    ChainComplex: ("algebra", "coeffs", "_columns", "_ranks", "_squares"),
+    Extension: ("total", "base", "proj", "kernel"),
+    UniversalCentralExtension: ("tensor", "extension", "kernel_dim"),
+    AlphaUniversalCentralExtension: ("tensor", "extension", "presented", "iso"),
+    HomAssociativeAlgebra: ("field", "dim", "sparse_p", "twist", "labels"),
+    HochschildModule: ("parent", "commutator_algebra", "presentation", "algebra", "phi", "commutator_space"),
+    FirstHomologies: ("hh1_alpha_dim", "hh1_milnor_dim", "alpha_identity_holds", "quotient_dim", "commutator_dim"),
+    AlgebraDocument: ("field", "kind", "dim", "basis", "table", "alpha"),
+    ActionDocument: ("actor", "target", "sparse_left", "sparse_right"),
+}
+
+
+def fields(obj) -> tuple:
+    """The fields of ``obj``'s class, or of the value class it derives from."""
+    return next(FIELDS[cls] for cls in type(obj).__mro__ if cls in FIELDS)
+
+
+def replace(obj, **changes):
+    """A new instance of ``obj``'s class built by its constructor from
+    ``obj``'s fields, those named in ``changes`` taking the values given
+    there.  It serves every class whose constructor takes exactly its
+    fields: not ``Matrix`` and the two algebras, built from a dense table,
+    nor ``QuotientSpace`` and ``ChainComplex``, which derive some fields."""
+    return type(obj)(**{name: getattr(obj, name) for name in fields(obj)} | changes)
 
 
 def embed_nm(t: TensorProduct, v, u) -> tuple:

@@ -14,7 +14,6 @@ coset section they replace.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
@@ -47,7 +46,7 @@ from test_checker import dense_table
 from test_homassoc import boundary_shapes
 from test_extensions import central_cover
 from test_linalg import dense_reduce
-from homleib_testkit import boundary_ideal_agreement, embed_nm
+from homleib_testkit import boundary_ideal_agreement, embed_nm, replace
 
 QQ = Field()
 GFP = Field(1000003)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,7 @@ from homleib.extensions import (
 from homleib.homology import ChainComplex, trivial_corep
 from test_checker import dense_add, dense_sub
 from test_linalg import dense_outer
-from homleib_testkit import sl2_on_two_planes, zero_twist
+from homleib_testkit import replace, sl2_on_two_planes, zero_twist
 
 QQ = Field()
 
@@ -386,8 +385,7 @@ class TestSixTermSeesWrongMaps:
 
         def zeroed(upper_f, g, lower_f, *rest):
             # delta reads its first column as zero
-            wrong = object.__new__(FirstReadZero)
-            vars(wrong).update(vars(lower_f))
+            wrong = FirstReadZero(lower_f.field, lower_f.rows, lower_f.cols, lower_f.entries)
             return real(upper_f, g, wrong, *rest)
 
         monkeypatch.setattr(extensions, "snake", zeroed)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import json
 import re
@@ -62,6 +61,13 @@ class TestPrimality:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert "below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [3.0, 5.0, 1000003.0, Fraction(5), True, False], ids=repr)
+    def test_a_modulus_that_is_not_an_int_is_refused(self, p):
+        # a float or a Fraction passed the primality test and then computed
+        # in its own type: Field(3.0).mul(2, 2) gave 1.0
+        with pytest.raises(ValueError, match="must be an int"):
+            Field(p)
 
 
 def q_operands():
@@ -619,19 +625,16 @@ def test_each_tensor_family_stated_once():
 
 
 def _resolves(dotted: str, modules: dict, classes: dict) -> bool:
-    # an attribute chain from a homleib module or public class; a dataclass
-    # field with no default is no class attribute, so it is looked up there
+    # an attribute chain from a homleib module or public class; a field is
+    # a slot, so its class holds it as an attribute
     root, *attrs = dotted.split(".")
     if root == "homleib" and attrs:
         root, *attrs = attrs
     obj = modules.get(root) or classes.get(root)
     for attr in attrs:
-        if hasattr(obj, attr):
-            obj = getattr(obj, attr)
-        elif dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
-            return True  # a field's value is per instance; nothing to follow
-        else:
+        if not hasattr(obj, attr):
             return False
+        obj = getattr(obj, attr)
     return True
 
 

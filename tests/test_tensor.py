@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,7 +41,7 @@ from homleib.tensorprod import (
 )
 from test_checker import ALGEBRAS, _single_entry_perturbations, _sparse_bumps, dense_table, sl2_twisted
 from test_linalg import dense_outer
-from homleib_testkit import abelian_witnesses, edge_pairs, embed_nm, random_trivial_pair
+from homleib_testkit import abelian_witnesses, edge_pairs, embed_nm, random_trivial_pair, replace
 
 QQ = Field()
 
