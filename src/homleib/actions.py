@@ -18,7 +18,6 @@ sweep's.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 
 from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, bracket_table, subalgebra
@@ -33,7 +32,7 @@ from .linalg import (
     linear,
 )
 from .report import ValidationReport
-from .values import Frozen, Value, init_field
+from .values import Frozen, Value
 
 
 class HomAction(Value):
@@ -44,7 +43,6 @@ class HomAction(Value):
     sparse_left: tuple  # sparse_left[x][m] as sparse target coordinates
     sparse_right: tuple  # sparse_right[m][x] as sparse target coordinates
     __slots__ = ("actor", "target", "sparse_left", "sparse_right", "__dict__")
-    _key = attrgetter("actor", "target", "sparse_left", "sparse_right")
 
     def __init__(self, actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra, sparse_left: tuple, sparse_right: tuple):
         dl, dm, left, right = actor.dim, target.dim, sparse_left, sparse_right
@@ -56,10 +54,7 @@ class HomAction(Value):
             raise StructureError("action values must be target coordinate vectors")
         if target.field != actor.field:
             raise FieldMismatch("target algebra over the wrong field")
-        init_field(self, "actor", actor)
-        init_field(self, "target", target)
-        init_field(self, "sparse_left", left)
-        init_field(self, "sparse_right", right)
+        Frozen.__init__(self, actor, target, left, right)
 
     @staticmethod
     def trivial(actor: HomLeibnizAlgebra, target: HomLeibnizAlgebra) -> "HomAction":
@@ -178,13 +173,11 @@ class MutualActions(Value):
     mn: HomAction
     nm: HomAction
     __slots__ = ("mn", "nm", "__dict__")
-    _key = attrgetter("mn", "nm")
 
     def __init__(self, mn: HomAction, nm: HomAction):
         if mn.actor != nm.target or mn.target != nm.actor:
             raise StructureError("the two actions do not connect the same pair of algebras")
-        init_field(self, "mn", mn)
-        init_field(self, "nm", nm)
+        Frozen.__init__(self, mn, nm)
 
     @property
     def m_side(self) -> HomLeibnizAlgebra:
@@ -256,12 +249,6 @@ class SemidirectProduct(Frozen):
     project: AlgebraHom   # product onto the actor summand
     section: AlgebraHom   # actor summand back into the product
     __slots__ = ("algebra", "include", "project", "section")
-
-    def __init__(self, algebra: HomLeibnizAlgebra, include: AlgebraHom, project: AlgebraHom, section: AlgebraHom):
-        init_field(self, "algebra", algebra)
-        init_field(self, "include", include)
-        init_field(self, "project", project)
-        init_field(self, "section", section)
 
 
 def semidirect(action: HomAction) -> SemidirectProduct:

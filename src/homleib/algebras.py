@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
 
 from .errors import (
     BracketNotWellDefined,
@@ -56,7 +55,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import ValidationReport
-from .values import Frozen, Value, init_field
+from .values import Frozen, Value
 
 
 def default_labels(dim: int, prefix: str = "e") -> tuple:
@@ -107,17 +106,12 @@ class HomLeibnizAlgebra(Value):
     twist: Matrix
     labels: tuple
     __slots__ = ("field", "dim", "sparse_c", "twist", "labels", "__dict__")
-    _key = attrgetter("field", "dim", "sparse_c", "twist", "labels")
 
     def __init__(self, field: Field, dim: int, c, twist: Matrix, labels):
         """The algebra with the dense table ``c``, c[i][j] the coordinates
         of [e_i, e_j]: the dense edge (tests, benchmarks)."""
         table, labels = _checked(field, dim, c, twist, labels, "structure", "bracket", dense=True)
-        init_field(self, "field", field)
-        init_field(self, "dim", dim)
-        init_field(self, "sparse_c", table)
-        init_field(self, "twist", twist)
-        init_field(self, "labels", labels)
+        Frozen.__init__(self, field, dim, table, twist, labels)
 
     @staticmethod
     def from_brackets(field: Field, dim: int, brackets: dict, twist=None, labels=None) -> "HomLeibnizAlgebra":
@@ -136,11 +130,7 @@ class HomLeibnizAlgebra(Value):
         given: the one constructor of the library."""
         table, labels = _checked(field, dim, table, twist, labels, "structure", "bracket", dense=False)
         alg = object.__new__(HomLeibnizAlgebra)
-        init_field(alg, "field", field)
-        init_field(alg, "dim", dim)
-        init_field(alg, "sparse_c", table)
-        init_field(alg, "twist", twist)
-        init_field(alg, "labels", labels)
+        Frozen.__init__(alg, field, dim, table, twist, labels)
         return alg
 
     # the dense table, built once when read: the dense edge
@@ -189,10 +179,6 @@ class HomLeibnizAlgebra(Value):
         rep.flags["abelian"] = self.is_abelian()
         return rep
 
-    def require_valid(self):
-        self.validate().require(lambda v: StructureError(f"invalid algebra: {v.law} fails at {v.witness}"))
-        return self
-
 
 class AlgebraHom(Frozen):
     """A linear map between two algebras over one field, as its matrix."""
@@ -209,9 +195,7 @@ class AlgebraHom(Frozen):
             raise FieldMismatch("target algebra over the wrong field")
         if map.field != source.field:
             raise FieldMismatch("homomorphism matrix over the wrong field")
-        init_field(self, "source", source)
-        init_field(self, "target", target)
-        init_field(self, "map", map)
+        Frozen.__init__(self, source, target, map)
 
     def apply(self, v) -> tuple:
         return self.map.apply(v)
@@ -255,8 +239,7 @@ class IdealHandle(Frozen):
             raise DimensionError("subspace does not live in the parent algebra")
         if space.field != parent.field:
             raise FieldMismatch("subspace over the wrong field")
-        init_field(self, "parent", parent)
-        init_field(self, "space", space)
+        Frozen.__init__(self, parent, space)
 
     @property
     def dim(self) -> int:
@@ -382,19 +365,8 @@ class Predicates(Frozen):
     abelian: bool
     __slots__ = ("perfect", "alpha_perfect", "alpha_surjective", "abelian")
 
-    def __init__(self, perfect: bool, alpha_perfect: bool, alpha_surjective: bool, abelian: bool):
-        init_field(self, "perfect", perfect)
-        init_field(self, "alpha_perfect", alpha_perfect)
-        init_field(self, "alpha_surjective", alpha_surjective)
-        init_field(self, "abelian", abelian)
-
     def to_dict(self) -> dict:
-        return {
-            "perfect": self.perfect,
-            "alpha_perfect": self.alpha_perfect,
-            "alpha_surjective": self.alpha_surjective,
-            "abelian": self.abelian,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def twist_image_bracket_span(L: HomLeibnizAlgebra) -> Subspace:

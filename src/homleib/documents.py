@@ -50,7 +50,7 @@ from .algebras import HomLeibnizAlgebra
 from .fields import Field
 from .homassoc import HomAssociativeAlgebra
 from .linalg import Matrix
-from .values import Frozen, init_field
+from .values import Frozen
 
 ALGEBRA_KINDS = ("hom-leibniz", "hom-associative", "leibniz")
 
@@ -66,14 +66,6 @@ class AlgebraDocument(Frozen):
     alpha: Matrix
     __slots__ = ("field", "kind", "dim", "basis", "table", "alpha")
 
-    def __init__(self, field: Field, kind: str, dim: int, basis: tuple, table: tuple, alpha: Matrix):
-        init_field(self, "field", field)
-        init_field(self, "kind", kind)
-        init_field(self, "dim", dim)
-        init_field(self, "basis", basis)
-        init_field(self, "table", table)
-        init_field(self, "alpha", alpha)
-
     def build(self):
         cls = HomAssociativeAlgebra if self.kind == "hom-associative" else HomLeibnizAlgebra
         return cls.from_sparse(self.field, self.dim, self.table, self.alpha, self.basis)
@@ -87,12 +79,6 @@ class ActionDocument(Frozen):
     sparse_left: tuple  # the sparse tables of ``HomAction``
     sparse_right: tuple
     __slots__ = ("actor", "target", "sparse_left", "sparse_right")
-
-    def __init__(self, actor: AlgebraDocument, target: AlgebraDocument, sparse_left: tuple, sparse_right: tuple):
-        init_field(self, "actor", actor)
-        init_field(self, "target", target)
-        init_field(self, "sparse_left", sparse_left)
-        init_field(self, "sparse_right", sparse_right)
 
     def build(self) -> HomAction:
         return HomAction(self.actor.build(), self.target.build(), self.sparse_left, self.sparse_right)

@@ -52,7 +52,7 @@ from .tensorprod import (
     build_tensor,
     ideal_sequence_certificate,
 )
-from .values import Frozen, init_field
+from .values import Frozen
 
 
 class ExtensionKind(Enum):
@@ -69,12 +69,6 @@ class Extension(Frozen):
     proj: AlgebraHom
     kernel: Subspace
     __slots__ = ("total", "base", "proj", "kernel")
-
-    def __init__(self, total: HomLeibnizAlgebra, base: HomLeibnizAlgebra, proj: AlgebraHom, kernel: Subspace):
-        init_field(self, "total", total)
-        init_field(self, "base", base)
-        init_field(self, "proj", proj)
-        init_field(self, "kernel", kernel)
 
     @staticmethod
     def from_projection(proj: AlgebraHom) -> "Extension":
@@ -109,11 +103,6 @@ class UniversalCentralExtension(Frozen):
     extension: Extension
     kernel_dim: int
     __slots__ = ("tensor", "extension", "kernel_dim")
-
-    def __init__(self, tensor: TensorProduct, extension: Extension, kernel_dim: int):
-        init_field(self, "tensor", tensor)
-        init_field(self, "extension", extension)
-        init_field(self, "kernel_dim", kernel_dim)
 
 
 def universal_central_extension(L: HomLeibnizAlgebra) -> UniversalCentralExtension:
@@ -170,12 +159,6 @@ class AlphaUniversalCentralExtension(Frozen):
     presented: HomLeibnizAlgebra   # quotient presentation on the plain tensor space
     iso: AlgebraHom                # tensor square -> presentation, verified bijective
     __slots__ = ("tensor", "extension", "presented", "iso")
-
-    def __init__(self, tensor: TensorProduct, extension: Extension, presented: HomLeibnizAlgebra, iso: AlgebraHom):
-        init_field(self, "tensor", tensor)
-        init_field(self, "extension", extension)
-        init_field(self, "presented", presented)
-        init_field(self, "iso", iso)
 
 
 def universal_alpha_central_extension(L: HomLeibnizAlgebra) -> AlphaUniversalCentralExtension:

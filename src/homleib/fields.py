@@ -22,10 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter
 
 from .errors import SemanticError, echo
-from .values import Value, init_field
+from .values import Frozen, Value
 
 
 # Miller-Rabin over the first thirteen prime bases is exact for every n
@@ -77,7 +76,6 @@ class Field(Value):
 
     p: int | None
     __slots__ = ("p",)
-    _key = attrgetter("p")
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -89,7 +87,7 @@ class Field(Value):
                 raise ValueError(f"{p} is not prime")
             if p < 3:
                 raise ValueError("characteristic 2 is not supported")
-        init_field(self, "p", p)
+        Frozen.__init__(self, p)
 
     def zero(self):
         return 0

@@ -22,7 +22,6 @@ arithmetic.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 
 from .errors import AlphaIdentityFails, InternalInconsistency, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -59,7 +58,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import ExactnessReport, ValidationReport
-from .values import Frozen, Value, init_field
+from .values import Frozen, Value
 from .tensorprod import build_tensor, induced_tensor_map
 
 
@@ -72,17 +71,12 @@ class HomAssociativeAlgebra(Value):
     twist: Matrix
     labels: tuple
     __slots__ = ("field", "dim", "sparse_p", "twist", "labels", "__dict__")
-    _key = attrgetter("field", "dim", "sparse_p", "twist", "labels")
 
     def __init__(self, field: Field, dim: int, p, twist: Matrix, labels):
         """The algebra with the dense table ``p``, p[i][j] the coordinates
         of e_i e_j: the dense edge (tests, benchmarks)."""
         table, labels = _checked(field, dim, p, twist, labels, "product", "product", dense=True)
-        init_field(self, "field", field)
-        init_field(self, "dim", dim)
-        init_field(self, "sparse_p", table)
-        init_field(self, "twist", twist)
-        init_field(self, "labels", labels)
+        Frozen.__init__(self, field, dim, table, twist, labels)
 
     @staticmethod
     def from_products(field: Field, dim: int, products: dict, twist=None, labels=None) -> "HomAssociativeAlgebra":
@@ -97,11 +91,7 @@ class HomAssociativeAlgebra(Value):
         given: the one constructor of the library."""
         table, labels = _checked(field, dim, table, twist, labels, "product", "product", dense=False)
         alg = object.__new__(HomAssociativeAlgebra)
-        init_field(alg, "field", field)
-        init_field(alg, "dim", dim)
-        init_field(alg, "sparse_p", table)
-        init_field(alg, "twist", twist)
-        init_field(alg, "labels", labels)
+        Frozen.__init__(alg, field, dim, table, twist, labels)
         return alg
 
     # the dense table, built once when read: the dense edge
@@ -191,15 +181,6 @@ class HochschildModule(Frozen):
     commutator_space: Subspace              # [A, A] inside A
     __slots__ = ("parent", "commutator_algebra", "presentation", "algebra", "phi", "commutator_space")
 
-    def __init__(self, parent: HomAssociativeAlgebra, commutator_algebra: HomLeibnizAlgebra,
-                 presentation: QuotientSpace, algebra: HomLeibnizAlgebra, phi: Matrix, commutator_space: Subspace):
-        init_field(self, "parent", parent)
-        init_field(self, "commutator_algebra", commutator_algebra)
-        init_field(self, "presentation", presentation)
-        init_field(self, "algebra", algebra)
-        init_field(self, "phi", phi)
-        init_field(self, "commutator_space", commutator_space)
-
     @property
     def first_homology_dim(self) -> int:
         return self.algebra.dim - self.commutator_space.dim
@@ -274,14 +255,6 @@ class FirstHomologies(Frozen):
     quotient_dim: int
     commutator_dim: int
     __slots__ = ("hh1_alpha_dim", "hh1_milnor_dim", "alpha_identity_holds", "quotient_dim", "commutator_dim")
-
-    def __init__(self, hh1_alpha_dim: int, hh1_milnor_dim: int, alpha_identity_holds: bool, quotient_dim: int,
-                 commutator_dim: int):
-        init_field(self, "hh1_alpha_dim", hh1_alpha_dim)
-        init_field(self, "hh1_milnor_dim", hh1_milnor_dim)
-        init_field(self, "alpha_identity_holds", alpha_identity_holds)
-        init_field(self, "quotient_dim", quotient_dim)
-        init_field(self, "commutator_dim", commutator_dim)
 
     def to_dict(self) -> dict:
         return {

@@ -51,7 +51,7 @@ from .linalg import (
     sparse_outer,
 )
 from .report import ValidationReport
-from .values import Frozen, init_field
+from .values import Frozen
 
 
 class CoRepresentation(Frozen):
@@ -78,11 +78,7 @@ class CoRepresentation(Frozen):
             raise StructureError("operation values must be coefficient vectors")
         if twist.field != algebra.field:
             raise FieldMismatch("coefficient twist over the wrong field")
-        init_field(self, "algebra", algebra)
-        init_field(self, "space_dim", space_dim)
-        init_field(self, "twist", twist)
-        init_field(self, "sparse_left", left)
-        init_field(self, "sparse_right", right)
+        Frozen.__init__(self, algebra, space_dim, twist, left, right)
 
     @property
     def field(self):
@@ -219,11 +215,7 @@ class ChainComplex(Frozen):
     __slots__ = ("algebra", "coeffs", "_columns", "_ranks", "_squares", "__dict__")
 
     def __init__(self, algebra: HomLeibnizAlgebra, coeffs: CoRepresentation):
-        init_field(self, "algebra", algebra)
-        init_field(self, "coeffs", coeffs)
-        init_field(self, "_columns", {})
-        init_field(self, "_ranks", {})
-        init_field(self, "_squares", {})
+        Frozen.__init__(self, algebra, coeffs, {}, {}, {})
 
     @cached_property
     def _tables(self) -> tuple:

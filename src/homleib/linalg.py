@@ -91,12 +91,11 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
-from .values import Frozen, Value, init_field
+from .values import Frozen, Value
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
@@ -351,7 +350,6 @@ class Matrix(Value):
     cols: int
     sparse_cols: tuple
     __slots__ = ("field", "rows", "cols", "sparse_cols", "__dict__")
-    _key = attrgetter("field", "rows", "cols", "sparse_cols")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         """The map with the dense grid ``entries``, a tuple of rows: the
@@ -364,10 +362,7 @@ class Matrix(Value):
         if not all(map(field.is_scalar, chain.from_iterable(entries))):
             raise StructureError("map coordinates must be canonical scalars of the field")
         columns = tuple(map(sparse_vec, zip(*entries))) if rows else ((),) * cols
-        init_field(self, "field", field)
-        init_field(self, "rows", rows)
-        init_field(self, "cols", cols)
-        init_field(self, "sparse_cols", columns)
+        Frozen.__init__(self, field, rows, cols, columns)
         self.__dict__["entries"] = entries
 
     @staticmethod
@@ -392,10 +387,7 @@ class Matrix(Value):
                     raise StructureError("map coordinates must be canonical scalars of the field")
                 last = k
         m = object.__new__(Matrix)
-        init_field(m, "field", field)
-        init_field(m, "rows", rows)
-        init_field(m, "cols", len(columns))
-        init_field(m, "sparse_cols", columns)
+        Frozen.__init__(m, field, rows, len(columns), columns)
         return m
 
     @staticmethod
@@ -684,7 +676,6 @@ class Subspace(Value):
     ambient_dim: int
     sparse_rows: tuple
     __slots__ = ("field", "ambient_dim", "sparse_rows", "__dict__")
-    _key = attrgetter("field", "ambient_dim", "sparse_rows")
 
     def __init__(self, field: Field, ambient_dim: int, sparse_rows: tuple):
         if not all(sparse_rows):
@@ -692,9 +683,7 @@ class Subspace(Value):
         # the first pivot is the least column of any row
         if sparse_rows and (sparse_rows[0][0][0] < 0 or max(r[-1][0] for r in sparse_rows) >= ambient_dim):
             raise DimensionError(f"a column index outside ambient dimension {ambient_dim}")
-        init_field(self, "field", field)
-        init_field(self, "ambient_dim", ambient_dim)
-        init_field(self, "sparse_rows", sparse_rows)
+        Frozen.__init__(self, field, ambient_dim, sparse_rows)
 
     # the rows as the accumulator stores them, built once when first reduced against: each row times the
     # lcm of its denominators, the one primitive integer row with a positive pivot entry (over GF(p), itself)
@@ -816,9 +805,7 @@ class QuotientSpace(Frozen):
     def __init__(self, relations: Subspace):
         pivots = set(relations.pivots())
         coset_basis = tuple(c for c in range(relations.ambient_dim) if c not in pivots)
-        init_field(self, "relations", relations)
-        init_field(self, "coset_basis", coset_basis)
-        init_field(self, "_at", {c: k for k, c in enumerate(coset_basis)})
+        Frozen.__init__(self, relations, coset_basis, {c: k for k, c in enumerate(coset_basis)})
 
     @property
     def ambient_dim(self) -> int:

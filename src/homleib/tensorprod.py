@@ -59,7 +59,7 @@ from .linalg import (
     tensor_table,
 )
 from .report import ExactnessReport, ValidationReport
-from .values import Frozen, init_field
+from .values import Frozen
 
 
 class TensorProduct(Frozen):
@@ -71,14 +71,6 @@ class TensorProduct(Frozen):
     eval_m: Matrix  # ambient -> M
     eval_n: Matrix  # ambient -> N
     __slots__ = ("actions", "presentation", "algebra", "eval_m", "eval_n", "__dict__")
-
-    def __init__(self, actions: MutualActions, presentation: QuotientSpace, algebra: HomLeibnizAlgebra,
-                 eval_m: Matrix, eval_n: Matrix):
-        init_field(self, "actions", actions)
-        init_field(self, "presentation", presentation)
-        init_field(self, "algebra", algebra)
-        init_field(self, "eval_m", eval_m)
-        init_field(self, "eval_n", eval_n)
 
     @property
     def m_side(self) -> HomLeibnizAlgebra:
@@ -473,18 +465,6 @@ class IdealSequenceData(Frozen):
     tau: AlgebraHom         # L*L -> quotient square
     report: ExactnessReport
     __slots__ = ("t_ml", "t_lm", "t_ll", "t_qq", "incl", "proj", "sigma", "tau", "report")
-
-    def __init__(self, t_ml: TensorProduct, t_lm: TensorProduct, t_ll: TensorProduct, t_qq: TensorProduct,
-                 incl: AlgebraHom, proj: AlgebraHom, sigma: Matrix, tau: AlgebraHom, report: ExactnessReport):
-        init_field(self, "t_ml", t_ml)
-        init_field(self, "t_lm", t_lm)
-        init_field(self, "t_ll", t_ll)
-        init_field(self, "t_qq", t_qq)
-        init_field(self, "incl", incl)
-        init_field(self, "proj", proj)
-        init_field(self, "sigma", sigma)
-        init_field(self, "tau", tau)
-        init_field(self, "report", report)
 
 
 def ideal_sequence_certificate(L: HomLeibnizAlgebra, ideal: IdealHandle) -> IdealSequenceData:

@@ -1,20 +1,58 @@
-"""Immutable value classes, written out by hand.
+"""Immutable value classes, each field stated once.
 
 A ``Frozen`` class names its fields in ``__slots__`` (with ``__dict__``
-last where a ``cached_property`` needs one) and sets each once, in
-``__init__`` or a custom constructor, through ``init_field``; assigning or
-deleting an attribute afterwards raises ``AttributeError``.  A ``Value``
-also compares and hashes: two instances of one class are equal when the
-fields its ``_key`` reads are, and equal values hash alike.
+last where a ``cached_property`` needs one); ``__init_subclass__`` reads
+them from there into ``_fields``, and a subclass that declares no
+``__slots__`` keeps its parent's.  ``Frozen.__init__`` sets the fields
+once, in that order, from positional or keyword values, refusing a missing,
+extra or unknown one with ``TypeError`` as a written-out ``__init__``
+would; a class that checks or derives its fields makes that one call after
+its checks.  Assigning or deleting an attribute afterwards raises
+``AttributeError``.  A ``Value`` also compares and hashes: two instances of
+one class are equal when their fields are, and equal values hash alike.
+No code is generated: the constructor is the same function for every class.
 """
 
 from __future__ import annotations
 
-init_field = object.__setattr__  # one call per field: the cheapest way past a refusing __setattr__
+from operator import attrgetter
+
+_init_field = object.__setattr__  # the cheapest way past a refusing __setattr__
+
+
+def _call_error(cls, given: int, named: dict) -> TypeError:
+    """The error Python raises for a written-out ``__init__`` taking
+    ``cls._fields``, called with ``given`` positional values and ``named``."""
+    fields, where = cls._fields, f"{cls.__name__}.__init__()"
+    for name in named:
+        if name not in fields:
+            return TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if fields.index(name) < given:
+            return TypeError(f"{where} got multiple values for argument {name!r}")
+    if given > len(fields):
+        return TypeError(f"{where} takes {len(fields) + 1} positional arguments but {given + 1} were given")
+    missing = [repr(name) for name in fields[given:] if name not in named]
+    listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
+    plural = "s" if len(missing) > 1 else ""
+    return TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")
 
 
 class Frozen:
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values, **named):
+        fields, given = self._fields, len(values)
+        if named:
+            values += tuple(named[name] for name in fields[given:] if name in named)
+        if len(values) != len(fields) or len(values) - given != len(named):
+            raise _call_error(type(self), given, named)
+        for name, value in zip(fields, values):
+            _init_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -25,7 +63,10 @@ class Frozen:
 
 class Value(Frozen):
     __slots__ = ()
-    _key = None  # an operator.attrgetter of the compared fields, set by each class
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

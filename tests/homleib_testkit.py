@@ -8,29 +8,19 @@ from __future__ import annotations
 
 import random
 
-from homleib.actions import HomAction, MutualActions, SemidirectProduct, ideal_pair_actions
+from homleib.actions import HomAction, MutualActions, ideal_pair_actions
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
     IdealHandle,
-    Predicates,
     direct_sum,
     ideal_closure,
     quotient_algebra,
 )
-from homleib.documents import ActionDocument, AlgebraDocument
 from homleib.errors import InternalInconsistency
-from homleib.extensions import AlphaUniversalCentralExtension, Extension, UniversalCentralExtension
 from homleib.fields import Field
 from homleib.generators import heisenberg, random_algebra, sl2, square_bracket_algebra
-from homleib.homassoc import (
-    FirstHomologies,
-    HochschildModule,
-    HomAssociativeAlgebra,
-    boundary_rows,
-    hochschild_module,
-)
-from homleib.homology import ChainComplex, CoRepresentation
+from homleib.homassoc import HomAssociativeAlgebra, boundary_rows, hochschild_module
 from homleib.linalg import (
     Matrix,
     QuotientSpace,
@@ -42,47 +32,15 @@ from homleib.linalg import (
     sparse_vec,
     unit_vec,
 )
-from homleib.report import CheckItem, ExactnessReport, ValidationReport, Violation
-from homleib.tensorprod import IdealSequenceData, TensorProduct, build_tensor
-
-# The fields of each value class of the library, in constructor order,
-# those derived from the others last: what ``replace`` copies, and what
-# tests/test_values.py checks is refused assignment and deletion where the
-# class is immutable.
-FIELDS = {
-    Field: ("p",),
-    Matrix: ("field", "rows", "cols", "sparse_cols"),
-    Subspace: ("field", "ambient_dim", "sparse_rows"),
-    QuotientSpace: ("relations", "coset_basis", "_at"),
-    Violation: ("law", "witness", "detail"),
-    ValidationReport: ("subject", "violations", "flags", "axiom_status"),
-    CheckItem: ("name", "ok"),
-    ExactnessReport: ("subject", "items", "dims"),
-    HomLeibnizAlgebra: ("field", "dim", "sparse_c", "twist", "labels"),
-    AlgebraHom: ("source", "target", "map"),
-    IdealHandle: ("parent", "space"),
-    Predicates: ("perfect", "alpha_perfect", "alpha_surjective", "abelian"),
-    HomAction: ("actor", "target", "sparse_left", "sparse_right"),
-    MutualActions: ("mn", "nm"),
-    SemidirectProduct: ("algebra", "include", "project", "section"),
-    TensorProduct: ("actions", "presentation", "algebra", "eval_m", "eval_n"),
-    IdealSequenceData: ("t_ml", "t_lm", "t_ll", "t_qq", "incl", "proj", "sigma", "tau", "report"),
-    CoRepresentation: ("algebra", "space_dim", "twist", "sparse_left", "sparse_right"),
-    ChainComplex: ("algebra", "coeffs", "_columns", "_ranks", "_squares"),
-    Extension: ("total", "base", "proj", "kernel"),
-    UniversalCentralExtension: ("tensor", "extension", "kernel_dim"),
-    AlphaUniversalCentralExtension: ("tensor", "extension", "presented", "iso"),
-    HomAssociativeAlgebra: ("field", "dim", "sparse_p", "twist", "labels"),
-    HochschildModule: ("parent", "commutator_algebra", "presentation", "algebra", "phi", "commutator_space"),
-    FirstHomologies: ("hh1_alpha_dim", "hh1_milnor_dim", "alpha_identity_holds", "quotient_dim", "commutator_dim"),
-    AlgebraDocument: ("field", "kind", "dim", "basis", "table", "alpha"),
-    ActionDocument: ("actor", "target", "sparse_left", "sparse_right"),
-}
+from homleib.tensorprod import TensorProduct, build_tensor
 
 
 def fields(obj) -> tuple:
-    """The fields of ``obj``'s class, or of the value class it derives from."""
-    return next(FIELDS[cls] for cls in type(obj).__mro__ if cls in FIELDS)
+    """The fields of ``obj``'s class, or of the value class it derives from:
+    the ``__slots__`` of the nearest class that declares them, but
+    ``__dict__``, in order."""
+    slots = next(vars(cls)["__slots__"] for cls in type(obj).__mro__ if "__slots__" in vars(cls))
+    return tuple(name for name in slots if name != "__dict__")
 
 
 def replace(obj, **changes):

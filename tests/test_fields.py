@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from homleib import values
 from homleib.cli import main
 from homleib.errors import SemanticError
 from homleib.documents import parse_field
@@ -228,14 +229,17 @@ def test_relation_rows_read_only_by_the_descent_certificates():
 
 
 ROW_STORES = ("rows", "_stored")
+# the names under which ``values`` keeps ``object.__setattr__``, the field setter
+SETTERS = tuple(name for name, value in vars(values).items() if value is object.__setattr__)
 
 
 def _assigns_rows(node):
     # ``x.rows`` or ``x._stored`` as an assignment target, alone or in a
-    # tuple, or set by name through ``setattr`` or an instance ``__dict__``
+    # tuple, or set by name through ``setattr``, any ``__setattr__``, the
+    # field setter or an instance ``__dict__``
     if isinstance(node, ast.Call):
         args = node.args[1:2] if getattr(node.func, "id", getattr(node.func, "attr", None)) in \
-            ("setattr", "__setattr__") else []
+            ("setattr", "__setattr__", *SETTERS) else []
         return any(isinstance(a, ast.Constant) and a.value in ROW_STORES for a in args)
     if isinstance(node, ast.Subscript):
         return getattr(node.value, "attr", None) == "__dict__" and \
@@ -251,11 +255,47 @@ def test_accumulator_rows_assigned_only_inside_the_accumulator():
     # the accumulator's stored rows are assigned only by its own methods: a
     # subspace hands its stored rows over through ``_holding``, and no
     # ``rows`` setter loads an RREF from outside
+    assert SETTERS
     probe = ast.parse("a._stored = {}\na.x, a.rows = 1, {}\nsetattr(a, '_stored', {})\n"
-                      "a.__dict__['_stored'] = {}\nobject.__setattr__(a, 'rows', {})\na.rows[0] = {}")
-    assert len(_sites(probe, _assigns_rows)) == 5
+                      "a.__dict__['_stored'] = {}\nobject.__setattr__(a, 'rows', {})\na.rows[0] = {}\n"
+                      f"values.{SETTERS[0]}(a, '_stored', {{}})")
+    assert len(_sites(probe, _assigns_rows)) == 6
     found = [site.rsplit(":", 1)[0] for site in _library_sites(_assigns_rows)]
     assert found == ["linalg:RrefAccumulator.__init__", "linalg:RrefAccumulator._holding"], found
+
+
+def _stores_fields_by_hand(node):
+    # the field setter or any ``__setattr__`` named, imported or called; a
+    # class body assigning ``_key`` or ``_fields``; or an ``__init__`` whose
+    # body, past its docstring, only hands its parameters in order to
+    # ``Frozen.__init__``, which stores them without it
+    if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+        return name in ("__setattr__", *SETTERS)
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(t, ast.Name) and t.id in ("_key", "_fields")
+                   for stmt in node.body for t in getattr(stmt, "targets", [getattr(stmt, "target", None)]))
+    if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+        return False
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Expr) else None
+    return isinstance(call, ast.Call) and ast.unparse(call.func) == "Frozen.__init__" and not call.keywords \
+        and [ast.unparse(a) for a in call.args] == [a.arg for a in node.args.args]
+
+
+def test_fields_are_stored_only_by_the_generic_constructor():
+    # each value class states its fields once, in ``__slots__``: only
+    # ``values`` names the setter, derives the compared fields and stores
+    # fields by name, so no module stores a field past the checks of
+    # ``Frozen.__init__`` and no class restates its fields
+    probe = ast.parse(f"from .values import {SETTERS[0]}\nobject.__setattr__(a, 'x', 1)\n"
+                      "class A(Value):\n    _key = attrgetter('x')\n\n"
+                      "    def __init__(self, x, y):\n        'Doc.'\n        Frozen.__init__(self, x, y)\n\n"
+                      "    def __setattr__(self, name, value):\n        pass\n"
+                      "class B(Frozen):\n    def __init__(self, x, y):\n        Frozen.__init__(self, x, y + 1)\n")
+    assert len(_sites(probe, _stores_fields_by_hand)) == 4
+    found = [site for site in _library_sites(_stores_fields_by_hand) if not site.startswith("values:")]
+    assert found == [], found
 
 
 def _uses(name):

@@ -1,13 +1,18 @@
 """The library's value classes are plain classes: a command line call
-imports neither ``dataclasses`` nor ``inspect``; where a class compares,
-equal values compare and hash equal and a value that differs in any one
-field does not; an immutable class refuses to assign or delete a field;
-the report classes stay mutable; a cached property is computed once."""
+imports neither ``dataclasses`` nor ``inspect``; each class's annotations
+name its slot fields, in order; the generic constructor sets them from
+positional or keyword values alike and refuses a missing, extra or unknown
+one as a written-out ``__init__`` would; where a class compares, equal
+values compare and hash equal and a value that differs in any one field
+does not; an immutable class refuses to assign or delete a field; the
+report classes stay mutable; a cached property is computed once."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from functools import cached_property
@@ -15,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import homleib
 from homleib import cli
 from homleib.actions import HomAction, MutualActions, SemidirectProduct, self_action, semidirect
 from homleib.algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, Predicates, predicates
@@ -45,8 +51,9 @@ from homleib.homology import ChainComplex, CoRepresentation, adjoint_corep
 from homleib.linalg import Matrix, QuotientSpace, Subspace
 from homleib.report import CheckItem, ExactnessReport, ValidationReport, Violation
 from homleib.tensorprod import IdealSequenceData, TensorProduct, build_tensor, ideal_sequence_certificate
+from homleib.values import Frozen, Value
 
-from homleib_testkit import FIELDS
+from homleib_testkit import fields, replace
 
 QQ = Field()
 GFP = Field(1000003)
@@ -120,6 +127,10 @@ OTHERS = {
     Violation: lambda: Violation("other law", ("h",)),
 }
 MUTABLE = (Violation, ValidationReport, CheckItem, ExactnessReport)
+IMMUTABLE = [cls for cls in EXAMPLES if cls not in MUTABLE]
+# the classes ``replace`` serves: each constructor takes exactly the fields
+REPLACEABLE = [cls for cls in EXAMPLES
+               if cls not in (Matrix, HomLeibnizAlgebra, HomAssociativeAlgebra, QuotientSpace, ChainComplex)]
 CACHED = [(cls, name) for cls in EXAMPLES for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
 
 
@@ -127,9 +138,90 @@ def _ids(cls):
     return cls.__name__
 
 
+def _library_classes() -> set:
+    """Every ``Frozen`` class of the library, each module imported, and the
+    four report classes."""
+    for module in pkgutil.iter_modules(homleib.__path__):
+        importlib.import_module(f"homleib.{module.name}")
+    found, todo = set(MUTABLE), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("homleib.") and cls is not Value:
+                found.add(cls)
+    return found
+
+
 def test_every_value_class_has_an_example():
-    assert set(EXAMPLES) == set(FIELDS) and len(FIELDS) == 27
+    assert set(EXAMPLES) == _library_classes()
     assert all(type(build()) is cls for cls, build in EXAMPLES.items())
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=_ids)
+def test_annotations_name_the_slot_fields(cls):
+    # the annotations state each class's fields a second time, apart from
+    # the ``__slots__`` the constructor and the comparison read
+    assert tuple(vars(cls)["__annotations__"]) == fields(EXAMPLES[cls]())
+
+
+def _built(cls, *values, **named):
+    # a new instance of ``cls`` with its fields set by the generic constructor
+    obj = object.__new__(cls)
+    Frozen.__init__(obj, *values, **named)
+    return obj
+
+
+def _written_out(cls):
+    # the ``__init__`` that ``cls`` would write out to take its fields, its
+    # body empty: Python's own refusals of a bad call, to compare with
+    scope = {}
+    exec(f"def __init__(self, {', '.join(cls._fields)}): pass", scope)
+    scope["__init__"].__qualname__ = f"{cls.__name__}.__init__"
+    return scope["__init__"]
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=_ids)
+def test_positional_and_keyword_builds_agree(cls):
+    a = EXAMPLES[cls]()
+    names = fields(a)
+    values = [getattr(a, name) for name in names]
+    assert cls._fields == names
+    for b in (_built(cls, *values), _built(cls, **dict(zip(names, values))),
+              _built(cls, *values[:1], **dict(reversed(list(zip(names[1:], values[1:])))))):
+        assert all(getattr(b, name) is value for name, value in zip(names, values))
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=_ids)
+def test_a_bad_call_is_refused_as_a_written_out_init_refuses_it(cls):
+    names, init = cls._fields, _written_out(cls)
+    values = list(range(len(names)))
+    calls = [(values[:-1], {}), ([], {}), ([], dict(zip(names[2:], values[2:]))), (values + [0], {}),
+             (values, {"unknown": 0}), (values, {names[-1]: 0}), (values[:-1], {"unknown": 0, names[0]: 0})]
+    for args, named in calls:
+        with pytest.raises(TypeError) as expected:
+            init(None, *args, **named)
+        with pytest.raises(TypeError) as refused:
+            _built(cls, *args, **named)
+        assert str(refused.value) == str(expected.value)
+        assert str(refused.value).startswith(f"{cls.__name__}.__init__() ")
+
+
+@pytest.mark.parametrize("cls", REPLACEABLE, ids=_ids)
+def test_replace_round_trips(cls):
+    a = EXAMPLES[cls]()
+    b = replace(a)
+    assert type(b) is cls and b is not a
+    assert all(getattr(b, name) is getattr(a, name) for name in fields(a))
+
+
+def test_the_library_generates_no_code():
+    # a class's methods are written in its module, none compiled at import:
+    # generated code is what made dataclasses cost every call its set-up
+    src = Path(homleib.__file__).parent
+    found = [f"{path.stem}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "eval", "compile")]
+    assert found == [], found
 
 
 def test_a_command_line_call_imports_neither_dataclasses_nor_inspect():
@@ -156,10 +248,10 @@ def test_equal_values_compare_and_hash_equal(cls):
 @pytest.mark.parametrize("cls", list(OTHERS), ids=_ids)
 def test_a_value_that_differs_in_one_field_compares_unequal(cls):
     a, other = EXAMPLES[cls](), OTHERS[cls]()
-    for name in FIELDS[cls]:
+    for name in fields(a):
         assert getattr(a, name) != getattr(other, name), name
         b = object.__new__(cls)
-        for field in FIELDS[cls]:
+        for field in fields(a):
             object.__setattr__(b, field, getattr(other if field == name else a, field))
         assert a != b and not a == b, name
 
@@ -170,10 +262,10 @@ def test_other_classes_compare_by_identity(cls):
     assert a == a and a != b
 
 
-@pytest.mark.parametrize("cls", [cls for cls in EXAMPLES if cls not in MUTABLE], ids=_ids)
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=_ids)
 def test_immutable_classes_refuse_assignment_and_deletion(cls):
     a = EXAMPLES[cls]()
-    for name in FIELDS[cls]:
+    for name in fields(a):
         value = getattr(a, name)
         with pytest.raises(AttributeError):
             setattr(a, name, value)
@@ -187,7 +279,7 @@ def test_immutable_classes_refuse_assignment_and_deletion(cls):
 @pytest.mark.parametrize("cls", MUTABLE, ids=_ids)
 def test_report_classes_stay_mutable(cls):
     a, b = EXAMPLES[cls](), EXAMPLES[cls]()
-    for name in FIELDS[cls]:
+    for name in fields(a):
         setattr(a, name, getattr(b, name))
         assert getattr(a, name) is getattr(b, name)
 
@@ -195,7 +287,7 @@ def test_report_classes_stay_mutable(cls):
 @pytest.mark.parametrize("cls", [ValidationReport, ExactnessReport], ids=_ids)
 def test_each_report_starts_with_its_own_empty_containers(cls):
     a, b = cls("subject"), cls("subject")
-    for name in FIELDS[cls][1:]:
+    for name in fields(a)[1:]:
         assert getattr(a, name) in ([], {}) and getattr(a, name) is not getattr(b, name), name
 
 
