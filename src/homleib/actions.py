@@ -71,6 +71,10 @@ class HomAction(Value):
     def is_trivial(self) -> bool:
         return not any(v for t in (self.sparse_left, self.sparse_right) for row in t for v in row)
 
+    # the two tables cleared of denominators, each built once when a law reads it
+    cleared_left = cached_property(lambda self: self.target.cleared_table(self.sparse_left))
+    cleared_right = cached_property(lambda self: self.target.cleared_table(self.sparse_right))
+
     def validate(self) -> ValidationReport:
         """The eight action identities on all basis tuples, checked once per
         action; the report is shared, so callers only read it."""
@@ -81,8 +85,8 @@ class HomAction(Value):
         L, M, f = self.actor, self.target, self.target.field
         rep = ValidationReport(subject="hom-leibniz action",
                                axiom_status={k: True for k in "abcdefgh"})
-        tl, tm, lc, mc = L.twist.sparse_cols, M.twist.sparse_cols, L.sparse_c, M.sparse_c
-        left, right = self.sparse_left, self.sparse_right
+        tl, tm, lc, mc = L.twist.cleared_cols, M.twist.cleared_cols, L.cleared_c, M.cleared_c
+        left, right = self.cleared_left, self.cleared_right
         lbl, lbm = L.labels, M.labels
         dl, dm = L.dim, M.dim
         # indices (x, m), then (x, m, y) and (x, m, m')
@@ -221,9 +225,9 @@ def _compatibility_laws(A, B, on_a: HomAction, on_b: HomAction, names, pa, pb):
     and ``on_b`` of A on B, over index tuples with a at position pa, b in B
     at pb and a' last (a, a' in A); x>y is x acting on y from the left, x<y
     is x acted by y from the right."""
-    la, lb, c = A.labels, B.labels, A.sparse_c
-    b_on_a, a_by_b = on_a.sparse_left, on_a.sparse_right   # in A
-    a_on_b, b_by_a = on_b.sparse_left, on_b.sparse_right   # in B
+    la, lb, c = A.labels, B.labels, A.cleared_c
+    b_on_a, a_by_b = on_a.cleared_left, on_a.cleared_right   # in A
+    a_on_b, b_by_a = on_b.cleared_left, on_b.cleared_right   # in B
     # acting on a' or bracketing with it is the bilinear map at e[a']
     e = tuple(((a, A.field.one()),) for a in range(A.dim))
     return [

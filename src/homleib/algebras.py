@@ -43,6 +43,7 @@ from .linalg import (
     Subspace,
     canonical_scalars,
     check_laws,
+    cleared,
     contract,
     dense_vec,
     induced_map,
@@ -137,6 +138,15 @@ class HomLeibnizAlgebra(Value):
     c = cached_property(lambda self: tuple(tuple(dense_vec(self.field, self.dim, v) for v in row)
                                            for row in self.sparse_c))
 
+    # the bracket table cleared of denominators, built once when a law reads it
+    cleared_c = cached_property(lambda self: cleared(self.field, self.sparse_c, table=True))
+
+    def cleared_table(self, table):
+        """A table of values in this algebra cleared (``linalg.cleared``):
+        ``cleared_c`` itself when it is the bracket table, so an adjoint
+        action or co-representation clears its table once."""
+        return self.cleared_c if table is self.sparse_c else cleared(self.field, table, table=True)
+
     def bracket(self, x, y) -> tuple:
         return contract(self.field, self.sparse_c, x, y, self.dim)
 
@@ -167,7 +177,7 @@ class HomLeibnizAlgebra(Value):
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-leibniz algebra")
-        f, c, tw, lb, n = self.field, self.sparse_c, self.twist.sparse_cols, self.labels, self.dim
+        f, c, tw, lb, n = self.field, self.cleared_c, self.twist.cleared_cols, self.labels, self.dim
         check_laws(f, rep, (), [
             # t[x, y] = [t(x), t(y)]
             ((n, n), [("multiplicativity", ((lb, 0), (lb, 1)), [(tw, (c, 0, 1))], [(c, (tw, 0), (tw, 1))],
@@ -210,14 +220,14 @@ class AlgebraHom(Frozen):
     def _report(self) -> ValidationReport:
         rep = ValidationReport(subject="algebra homomorphism")
         src, tgt = self.source, self.target
-        f, lb, sc = src.field, src.labels, src.sparse_c
-        cols = self.map.sparse_cols
+        f, lb, sc = src.field, src.labels, src.cleared_c
+        cols = self.map.cleared_cols
         n = src.dim
         check_laws(f, rep, (), [
             ((n, n), [("bracket preservation", ((lb, 0), (lb, 1)),
-                       [(cols, (sc, 0, 1))], [(tgt.sparse_c, (cols, 0), (cols, 1))])]),
+                       [(cols, (sc, 0, 1))], [(tgt.cleared_c, (cols, 0), (cols, 1))])]),
             ((n,), [("twist compatibility", ((lb, 0),),
-                     [(cols, (src.twist.sparse_cols, 0))], [(tgt.twist.sparse_cols, (cols, 0))])])])
+                     [(cols, (src.twist.cleared_cols, 0))], [(tgt.twist.cleared_cols, (cols, 0))])])])
         return rep
 
     def is_homomorphism(self) -> bool:
@@ -281,7 +291,7 @@ def commutator(h: IdealHandle, k: IdealHandle) -> Subspace:
     if h.parent != k.parent:
         raise ParentMismatch("commutator of ideals of different algebras")
     L = h.parent
-    hs, ks, c = h.space.sparse_rows, k.space.sparse_rows, L.sparse_c
+    hs, ks, c = h.space.sparse_rows, k.space.sparse_rows, L.cleared_c
     laws = [("[h, k]", (), [(c, (hs, 0), (ks, 1))], [])]
     if h.space != k.space:
         laws.append(("[k, h]", (), [(c, (ks, 1), (hs, 0))], []))

@@ -185,7 +185,7 @@ def _presented_alpha_uce(L, t):
     u (x) v, u' (x) v' -> [u,v] (x) [u',v']."""
     f, k = L.field, L.dim
     ambient = k * k
-    br, tw, tens = L.sparse_c, L.twist.sparse_cols, tensor_table(f, k, k)
+    br, tw, tens = L.cleared_c, L.twist.cleared_cols, tensor_table(f, k, k)
     rows = law_rows(f, [((k, k, k), [("alpha relation", (),
                                       [(tens, (br, 0, 2), (tw, 1)), (tens, (tw, 0), (br, 1, 2))],
                                       [(tens, (br, 0, 1), (tw, 2))])])])

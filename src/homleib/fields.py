@@ -112,14 +112,22 @@ class Field(Value):
     def from_int(self, n: int):
         return int(n) if self.p is None else n % self.p
 
+    # over Q an int result is canonical as it is, so only a ``Fraction`` one
+    # pays for ``_canon``
     def add(self, a, b):
-        return _canon(a + b) if self.p is None else (a + b) % self.p
+        if self.p is None:
+            return x if type(x := a + b) is int else _canon(x)
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        return _canon(a - b) if self.p is None else (a - b) % self.p
+        if self.p is None:
+            return x if type(x := a - b) is int else _canon(x)
+        return (a - b) % self.p
 
     def mul(self, a, b):
-        return _canon(a * b) if self.p is None else (a * b) % self.p
+        if self.p is None:
+            return x if type(x := a * b) is int else _canon(x)
+        return (a * b) % self.p
 
     def neg(self, a):
         return _canon(-a) if self.p is None else (-a) % self.p
@@ -149,13 +157,21 @@ class Field(Value):
         return lcm(*(x.denominator for x in values if type(x) is not int))
 
     def parse(self, text):
-        """Parse a scalar written as ``a`` or ``a/b``; ints are accepted too."""
+        """Parse a scalar written as ``a`` or ``a/b``, each an optional sign
+        and ASCII decimal digits, with whitespace around; ints are accepted
+        too."""
         if isinstance(text, int) and not isinstance(text, bool):
             return self.from_int(text)
         if not isinstance(text, str):
             raise SemanticError(f"scalar must be a string or int, got {echo(text)}")
-        parts = text.strip().split("/")
+        stripped = text.strip()
+        parts = stripped.split("/")
         try:
+            # on ASCII text with no underscore int() reads only a sign and
+            # digits (and whitespace around them); it would read underscores
+            # and other scripts' digits too, so those are refused here
+            if "_" in stripped or not stripped.isascii():
+                raise ValueError
             if len(parts) == 1:
                 return self.from_int(int(parts[0]))
             if len(parts) == 2:

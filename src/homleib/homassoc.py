@@ -44,6 +44,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     check_laws,
+    cleared,
     contract,
     dense_vec,
     exact,
@@ -98,6 +99,9 @@ class HomAssociativeAlgebra(Value):
     p = cached_property(lambda self: tuple(tuple(dense_vec(self.field, self.dim, v) for v in row)
                                            for row in self.sparse_p))
 
+    # the product table cleared of denominators, built once when a law reads it
+    cleared_p = cached_property(lambda self: cleared(self.field, self.sparse_p, table=True))
+
     def unit(self, i) -> tuple:
         return unit_vec(self.field, self.dim, i)
 
@@ -118,7 +122,7 @@ class HomAssociativeAlgebra(Value):
     @cached_property
     def _report(self) -> ValidationReport:
         rep = ValidationReport(subject="hom-associative algebra")
-        f, p, tw, lb, n = self.field, self.sparse_p, self.twist.sparse_cols, self.labels, self.dim
+        f, p, tw, lb, n = self.field, self.cleared_p, self.twist.cleared_cols, self.labels, self.dim
         check_laws(f, rep, (n, n), [
             # t(xy) = t(x) t(y)
             ((n, n), [("multiplicativity", ((lb, 0), (lb, 1)), [(tw, (p, 0, 1))], [(p, (tw, 0), (tw, 1))])]),
@@ -161,9 +165,10 @@ def boundary_rows(A: HomAssociativeAlgebra, table):
     """Yield the boundary family
         p(a,b) (x) t(c) - t(a) (x) p(b,c) + p(c,a) (x) t(b)
     over basis triples (a, b, c) as ``linalg.law_rows`` rows in A (x) A, for
-    the sparse bilinear table p.  The image of the degree-three Hochschild
-    boundary is the span of the rows with p the product."""
-    f, n, tw = A.field, A.dim, A.twist.sparse_cols
+    the bilinear table p, sparse or ``Cleared``.  The image of the
+    degree-three Hochschild boundary is the span of the rows with p the
+    product."""
+    f, n, tw = A.field, A.dim, A.twist.cleared_cols
     tens = tensor_table(f, n, n)
     law = ("boundary", (), [(tens, (table, 0, 1), (tw, 2)), (tens, (table, 2, 0), (tw, 1))],
            [(tens, (tw, 0), (table, 1, 2))])
@@ -197,7 +202,7 @@ def hochschild_module(A: HomAssociativeAlgebra) -> HochschildModule:
     f = A.field
     n = A.dim
     lb = to_leibniz(A)
-    pres = QuotientSpace(Subspace.span_sparse(f, n * n, boundary_rows(A, A.sparse_p)))
+    pres = QuotientSpace(Subspace.span_sparse(f, n * n, boundary_rows(A, A.cleared_p)))
     fold = lb.bracket_map()
     # phi is the fold on classes, so the fold must kill the boundary image;
     # the bracket factors through it on both legs
@@ -215,7 +220,7 @@ def cyclic_identity_holds(h: HochschildModule) -> bool:
     """[a,b] (x) t(c) - t(a) (x) [b,c] + [c,a] (x) t(b) lies in the boundary
     image, for all basis triples."""
     A, rel = h.parent, h.presentation.relations
-    return all(rel.contains_sparse(r) for r in boundary_rows(A, h.commutator_algebra.sparse_c))
+    return all(rel.contains_sparse(r) for r in boundary_rows(A, h.commutator_algebra.cleared_c))
 
 
 def alpha_identity_witness(A: HomAssociativeAlgebra):
@@ -239,7 +244,7 @@ def milnor_relations(h: HochschildModule) -> Subspace:
     """Boundary image plus t(a) (x) [b,c] and [a,b] (x) t(c) over basis
     triples (a, b, c), as ``linalg.law_rows`` data."""
     A, lb = h.parent, h.commutator_algebra
-    f, n, tw, c = A.field, A.dim, A.twist.sparse_cols, lb.sparse_c
+    f, n, tw, c = A.field, A.dim, A.twist.cleared_cols, lb.cleared_c
     tens = tensor_table(f, n, n)
     rows = law_rows(f, [((n, n, n), [("t(a) (x) [b,c]", (), [(tens, (tw, 0), (c, 1, 2))], []),
                                      ("[a,b] (x) t(c)", (), [(tens, (c, 0, 1), (tw, 2))], [])])])
@@ -285,7 +290,7 @@ def action_on_quotient(h: HochschildModule) -> HomAction:
     each ``linalg.law_columns`` data over (a, x, y), certified to descend
     and to satisfy the action identities."""
     A, lb = h.parent, h.commutator_algebra
-    f, n, c, tw = A.field, A.dim, lb.sparse_c, A.twist.sparse_cols
+    f, n, c, tw = A.field, A.dim, lb.cleared_c, A.twist.cleared_cols
     tens, axy = tensor_table(f, n, n), (n, n, n)
     left = law_columns(f, (n,), [(axy, [("a.(x#y)", (), [(tens, (c, 0, 1), (tw, 2))], [(tens, (c, 0, 2), (tw, 1))])])])
     right = law_columns(f, (n,), [(axy, [("(x#y).a", (), [(tens, (c, 1, 0), (tw, 2)), (tens, (tw, 1), (c, 2, 0))],

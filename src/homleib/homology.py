@@ -25,18 +25,22 @@ from T() = 1 and B^x() = 0.  ``ChainComplex`` builds each degree once,
 from its cached degree below (degree 1 is the right action): degree n
 forms the T and B of each front of n - 1 factors once, streamed level by
 level from T() and B(), and uses them for every coefficient index m.  Over
-Q it first scales its five tables by the lcm of their denominators, so its
-cached columns are integral and the elimination meets no ``Fraction``.  The
-``homology`` and ``check-all`` commands compute d^2 in the elimination that
-gives the rank: d_(n-1) is applied to each row of the image basis of d_n
-the elimination holds, and it vanishes on every column of d_n exactly when
-it vanishes on those rows.  Its vanishing is checked, never assumed, and
+Q it reads its five tables as the structures clear them (the twists'
+``cleared_cols``, the algebra's ``cleared_c`` and the co-representation's
+``cleared_left`` and ``cleared_right``), each D times its own, and weighs
+the three families of each degree so that its cached columns are one
+integer multiple of d_n: they are integral and the elimination meets no
+``Fraction``.  The ``homology`` and ``check-all`` commands compute d^2 in
+the elimination that gives the rank: d_(n-1) is applied to each row of the
+image basis of d_n the elimination holds, and it vanishes on every column
+of d_n exactly when it vanishes on those rows.  Its vanishing is checked, never assumed, and
 the check would fail loudly under a sign slip in any family.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .errors import FieldMismatch, StructureError
 from .algebras import HomLeibnizAlgebra
@@ -49,6 +53,7 @@ from .linalg import (
     is_sparse_vec,
     linear,
     sparse_outer,
+    unwrapped,
 )
 from .report import ValidationReport
 from .values import Frozen
@@ -63,7 +68,7 @@ class CoRepresentation(Frozen):
     twist: Matrix
     sparse_left: tuple   # sparse_left[x][m] as sparse coefficient coordinates
     sparse_right: tuple  # sparse_right[m][x] as sparse coefficient coordinates
-    __slots__ = ("algebra", "space_dim", "twist", "sparse_left", "sparse_right")
+    __slots__ = ("algebra", "space_dim", "twist", "sparse_left", "sparse_right", "__dict__")
 
     def __init__(self, algebra: HomLeibnizAlgebra, space_dim: int, twist: Matrix, sparse_left: tuple,
                  sparse_right: tuple):
@@ -93,12 +98,16 @@ class CoRepresentation(Frozen):
     def apply_twist(self, m) -> tuple:
         return self.twist.apply(m)
 
+    # the two operations cleared of denominators, each built once when first read
+    cleared_left = cached_property(lambda self: self.algebra.cleared_table(self.sparse_left))
+    cleared_right = cached_property(lambda self: self.algebra.cleared_table(self.sparse_right))
+
     def validate(self) -> ValidationReport:
         L, f = self.algebra, self.field
         rep = ValidationReport(subject="hom-co-representation",
                                axiom_status={k: True for k in "abcde"})
-        tl, tm, lc = L.twist.sparse_cols, self.twist.sparse_cols, L.sparse_c
-        left, right = self.sparse_left, self.sparse_right
+        tl, tm, lc = L.twist.cleared_cols, self.twist.cleared_cols, L.cleared_c
+        left, right = self.cleared_left, self.cleared_right
         lbl, lbm = L.labels, tuple(f"m{i+1}" for i in range(self.space_dim))
         dl, dm = L.dim, self.space_dim
         # indices (x, m), then (x, m, y)
@@ -140,14 +149,14 @@ def chain_dim(L: HomLeibnizAlgebra, M: CoRepresentation, n: int) -> int:
 
 
 def _outer_sum(field, terms) -> tuple:
-    """The sum of sign (u (x) v) over the terms (u, v, stride, sign), u_i v_j
-    sitting at i * stride + j and sign 1 or -1, as sparse pairs.  Products
-    and sums are Python's own; the field's canonical form is taken once per
-    coordinate."""
+    """The sum of w (u (x) v) over the terms (u, v, stride, w), u_i v_j
+    sitting at i * stride + j and w a nonzero integer weight, as sparse
+    pairs.  Products and sums are Python's own; the field's canonical form
+    is taken once per coordinate."""
     acc = {}
-    for u, v, stride, sign in terms:
+    for u, v, stride, w in terms:
         for i, a in u:
-            i, a = i * stride, a if sign > 0 else -a
+            i, a = i * stride, a if w == 1 else a * w
             for j, b in v:
                 acc[i + j] = acc.get(i + j, 0) + a * b
     canon = field.canon
@@ -193,18 +202,20 @@ def _longer_fronts(field, tw, c, fronts):
 
 
 class ChainComplex(Frozen):
-    """The chain complex of L with coefficients in M.  Over Q its
-    denominators are cleared once: the five tables (t_L, the bracket, the
-    left and right operations, t_M) are each scaled by D, the lcm of their
-    denominators (1 over GF(p) and on integral data).  Each degree-n column
-    is homogeneous of degree n in those tables, so the columns built from
-    them are exactly the integer columns of D^n d_n, and D^(n-1) d_(n-1)
-    after D^n d_n is D^(2n-1) d_(n-1) d_n: ranks and the squared-boundary
-    check read these integral columns, and ``columns`` divides them back.
-    Each degree's integral columns and rank are built once, the columns
-    from the cached degree below and the fronts' T and B.  The rank's
-    elimination skips the empty columns, and from degree 2 the d^2 check
-    applies the lower columns to the image basis it holds, so one
+    """The chain complex of L with coefficients in M.  Over Q it reads the
+    five tables (t_L, the bracket, the left and right operations, t_M) as
+    the structures clear them, each D times its own (D = 1 over GF(p) and
+    on integral data), so its columns are built on integers.  The fronts'
+    T of n - 1 factors is a^(n-1) T and B is a^(n-2) b B, a and b the D's of
+    t_L and the bracket, so each family of a degree-n column carries one
+    scale; the three are weighed to their lcm, and the columns of degree n
+    are exactly the integer columns of S_n d_n (``_weights``).  Ranks and the
+    squared-boundary check read these integral columns, a positive
+    multiple of the boundary not changing either, and ``columns`` divides
+    them back.  Each degree's integral columns and rank are built once, the
+    columns from the cached degree below and the fronts' T and B.  The
+    rank's elimination skips the empty columns, and from degree 2 the d^2
+    check applies the lower columns to the image basis it holds, so one
     elimination per degree gives both."""
 
     algebra: HomLeibnizAlgebra
@@ -219,40 +230,43 @@ class ChainComplex(Frozen):
 
     @cached_property
     def _tables(self) -> tuple:
-        """(D, t_L, bracket, left, right, t_M), each table scaled by D."""
+        """(t_L, bracket, left, right, t_M), each as (values, D), cleared by its structure."""
         L, M = self.algebra, self.coeffs
-        field = L.field
-        cols, grids = (L.twist.sparse_cols, M.twist.sparse_cols), (L.sparse_c, M.sparse_left, M.sparse_right)
-        d = field.clearing([x for table in cols for v in table for _, x in v] +
-                           [x for table in grids for row in table for v in row for _, x in v])
-        if d == 1:
-            return (1, cols[0], *grids, cols[1])
+        return tuple(map(unwrapped, (L.twist.cleared_cols, L.cleared_c, M.cleared_left, M.cleared_right,
+                                     M.twist.cleared_cols)))
 
-        def scaled(v):
-            return tuple((k, field.mul(d, x)) for k, x in v)
-
-        tw, tm = (tuple(map(scaled, t)) for t in cols)
-        c, left, right = (tuple(tuple(map(scaled, row)) for row in t) for t in grids)
-        return d, tw, c, left, right, tm
+    def _weights(self, n: int) -> tuple:
+        """(S_n, (w_lower, w_left, w_twist)): the scale of the degree-n
+        columns, the right action's D in degree 1, and from degree 2 the
+        lcm of its three families' scales S_(n-1) a, l a^(n-1) and
+        m b a^(n-2), with each family's weight S_n over its scale, the sign
+        included."""
+        (_, a), (_, b), (_, l), (_, r), (_, m) = self._tables
+        if n == 1:
+            return r, ()
+        below, sign = self._weights(n - 1)[0], 1 if n % 2 == 0 else -1
+        scales = below * a, l * a ** (n - 1), m * b * a ** (n - 2)
+        s = lcm(*scales)
+        return s, (s // scales[0], sign * s // scales[1], -sign * s // scales[2])
 
     def columns(self, n: int) -> tuple:
         """Sparse columns of the degree-n boundary, each a tuple of (row,
         coefficient) pairs; position i holds the image of chain-basis vector i
         (coefficient index outer, then x_1 ... x_n row-major).  They are the
-        integral columns divided by D^n, the same tuple when D = 1."""
-        cols, scale = self._integral(n), self._tables[0] ** n
+        integral columns divided by S_n, the same tuple when S_n = 1."""
+        cols, scale = self._integral(n), self._weights(n)[0]
         if scale == 1:
             return cols
         div = self.algebra.field.div
         return tuple(tuple((k, div(x, scale)) for k, x in col) for col in cols)
 
     def _integral(self, n: int) -> tuple:
-        """The sparse columns of D^n d_n, built once from the scaled tables."""
+        """The sparse columns of S_n d_n, built once from the cleared tables."""
         if n < 1:
             raise ValueError("the boundary is defined for degree at least 1")
         cols = self._columns.get(n)
         if cols is None:
-            _, tw, c, left, right, tm = self._tables
+            (tw, _), (c, _), (left, _), (right, _), (tm, _) = self._tables
             if n == 1:  # the right action
                 cols = tuple(v for row in right for v in row)
             else:
@@ -260,16 +274,16 @@ class ChainComplex(Frozen):
                 # docstring); the T and B of each front f of n - 1 factors
                 # are formed once and serve every m
                 lower, field, dl, dm = self._integral(n - 1), self.algebra.field, len(tw), len(tm)
-                size, sign = dl ** (n - 1), 1 if n % 2 == 0 else -1
+                size, (w_lower, w_left, w_twist) = dl ** (n - 1), self._weights(n)[1]
                 cols = [()] * (dm * size * dl)
                 for f, (t, bs) in enumerate(_fronts(field, tw, c, n - 1)):
                     for x, b in enumerate(bs):
                         for m in range(dm):
                             i = m * size + f
                             if lower[i] or left[x][m] or b:  # else the column is empty
-                                cols[i * dl + x] = _outer_sum(field, ((lower[i], tw[x], dl, 1),
-                                                                      (left[x][m], t, size, sign),
-                                                                      (tm[m], b, size, -sign)))
+                                cols[i * dl + x] = _outer_sum(field, ((lower[i], tw[x], dl, w_lower),
+                                                                      (left[x][m], t, size, w_left),
+                                                                      (tm[m], b, size, w_twist)))
                 cols = tuple(cols)
             self._columns[n] = cols  # only a finished tuple is ever stored
         return cols

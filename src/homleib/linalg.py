@@ -43,17 +43,28 @@ presentations:
 * ``linear`` applies sparse columns to a sparse vector, the one
   contraction kernel; ``contract``, a sparse table at two dense vectors for
   the dense edge methods, is ``linear`` of the flat table at their tensor;
+* over Q each structure clears its denominators once: ``cleared`` gives a
+  table or a map's columns as a ``Cleared`` pair, the integers D times
+  the structure's own and D, the lcm of their denominators, and the
+  structures keep it as a cached property (``Matrix.cleared_cols`` and the
+  algebras', actions' and co-representations' ``cleared_*``); over GF(p)
+  and on integral data D is 1 and the values are the structure's own;
 * a law, or a family of relations, is data: signed lists of multilinear
   terms, bilinear and linear, in such tables on basis indices, each index
-  named once per term.  One engine scatters each term from the nonzero
+  named once per term, each table and leg a ``Cleared`` pair or plain
+  values (D = 1).  One engine scatters each term from the nonzero
   coordinates of its two legs into the signed sums of the instances they
   meet at, so its cost follows those coordinates and an instance no term
-  reaches is never formed; it multiplies by no factor that is the field's
-  one, and skips a law whose two sides hold the same terms.
-  ``check_laws``, the one identity checker, records each instance whose
-  sum is nonzero; ``law_rows``, the one relation generator, yields each
-  sum as a sparse row; ``law_columns`` returns every instance's sum, in
-  ``check_laws``' order, as the sparse columns of a map (an action's);
+  reaches is never formed; it multiplies by no factor that is 1, nor over
+  Q -1, and skips a law whose two sides hold the same terms.  A term's
+  scale is the product of its table's and its legs' D, a law's K the lcm
+  of its terms' scales, and each term is weighed by K over its scale, so
+  every instance's sum is K times its true sum.  ``check_laws``, the one
+  identity checker, records each instance whose sum is nonzero;
+  ``law_rows``, the one relation generator, yields each sum as a sparse
+  row, K times the instance's; ``law_columns`` returns every instance's
+  sum, divided by K, in ``check_laws``' order, as the sparse columns of a
+  map (an action's);
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
   is the pure tensor of two sparse vectors in such a block, and
@@ -90,7 +101,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
@@ -168,6 +179,50 @@ def tensor_table(field: Field, rows: int, cols: int, offset: int = 0) -> tuple:
     return tuple(tuple(((offset + a * cols + b, one),) for b in range(cols)) for a in range(rows))
 
 
+class Cleared(NamedTuple):
+    """A table or a map's columns over Q cleared of denominators: ``values``
+    is D times the structure's own, integral, and ``scale`` is D > 1."""
+
+    values: tuple
+    scale: int
+
+
+def cleared(field: Field, values, table: bool = False):
+    """Sparse columns, or with ``table`` a sparse table, cleared of their
+    denominators: a ``Cleared`` pair of the values times D, the lcm of their
+    denominators (``Field.clearing``), and D.  Over GF(p), and on integral
+    data, D is 1 and ``values`` itself is returned, not copied."""
+    vectors = chain.from_iterable(values) if table else values
+    d = field.clearing(x for v in vectors for _, x in v)
+    if d == 1:
+        return values
+
+    def scaled(v):
+        return tuple([(k, field.mul(d, x)) for k, x in v])
+
+    return Cleared(tuple(tuple(map(scaled, row)) for row in values) if table else tuple(map(scaled, values)), d)
+
+
+def unwrapped(values) -> tuple:
+    """A table or vectors as (values, D): a ``Cleared`` pair's, or plain
+    values with D = 1."""
+    return values if type(values) is Cleared else (values, 1)
+
+
+def _scale(term) -> int:
+    """A term's scale: the product of the D's of its table and its legs."""
+    s = term[0].scale if type(term[0]) is Cleared else 1
+    for leg in term[1:]:
+        if type(leg[0]) is Cleared:
+            s *= leg[0].scale
+    return s
+
+
+def _law_scale(law) -> int:
+    """A law's K: the lcm of its terms' scales, 1 for a law with none."""
+    return lcm(*map(_scale, chain(law[2], law[3])))
+
+
 def _cancels(plus, minus) -> bool:
     """Whether ``plus`` and ``minus`` hold equal terms, compared by value,
     the same number of times, so that every instance of the law is zero."""
@@ -182,11 +237,12 @@ def _cancels(plus, minus) -> bool:
 def _law_sums(field: Field, k: int, groups):
     """The one law engine, (sums, at).  ``sums`` yields, for each group of
     ``check_laws`` data in turn, the signed sums, plus less minus, of its
-    instances where a term can be nonzero, as {key: {column: value}} with
-    coordinates that may be zero; at(key) is the instance's (idx, law).
-    Keys sort as ``check_laws`` runs, by outer tuple (the first k indices),
-    group, inner tuple and law: a key is that position in mixed radix, so
-    it is linear in the indices, index position p weighing ``weights[p]``.
+    instances where a term can be nonzero, each K times the true sum (K the
+    law's ``_law_scale``), as {key: {column: value}} with coordinates that
+    may be zero; at(key) is the instance's (idx, law).  Keys sort as
+    ``check_laws`` runs, by outer tuple (the first k indices), group, inner
+    tuple and law: a key is that position in mixed radix, so it is linear
+    in the indices, index position p weighing ``weights[p]``.
 
     Every law is multilinear: the two legs of each term name each position
     of the index tuple once between them, else ``ValueError``, checked in
@@ -194,11 +250,22 @@ def _law_sums(field: Field, k: int, groups):
     leg's nonzero coordinates are listed once per call with their offsets,
     the weighted sums of the leg's indices, and each pair of coordinates,
     one per leg, adds its product to the sum at the key o1 + o2.  A linear
-    term is a bilinear one whose second leg is the constant 1.  A factor
-    that is the field's one is not multiplied, so a basis-vector leg or a
-    ``tensor_table`` costs no product.  A law whose two sides cancel term
-    by term (``_cancels``) is zero everywhere and is skipped."""
+    term is a bilinear one whose second leg is the constant 1.  A
+    ``Cleared`` table or leg is read as its integers, D times the
+    structure's own, so a term's product is s times the true one, s the
+    term's ``_scale``; a term with s < K has its left leg's coordinates
+    multiplied by K / s once.  Cleared pairs arise over Q only (``cleared``
+    hands a GF(p) table back as it is), so K is found over Q only, and a
+    law whose K is 1 (all its parts plain) is scattered as it is given,
+    with nothing extra run.  A factor that is the field's one is not
+    multiplied, nor over Q one that is -1, which exchanges add and sub
+    instead, so a basis-vector leg or a ``tensor_table`` costs no product
+    in any basis and a change of basis by signs costs none either.  A law
+    whose two sides cancel term by term (``_cancels``) is zero everywhere
+    and is skipped."""
     one, zero, mul = field.one(), field.zero(), field.mul
+    minus_one = -1 if field.is_canonical(-1) else None  # over Q; over GF(p) no factor is skipped as -1
+    adding, subtracting = (field.add, field.sub), (field.sub, field.add)  # a term's op, and its op at a factor -1
     nq = max([len(laws) for _, laws in groups] + [1])
     span = max([prod(dims[k:]) for dims, _ in groups] + [1])
     unit = ((0, 0, one),)  # the placed second leg of a linear term, the constant 1 naming no position
@@ -223,8 +290,12 @@ def _law_sums(field: Field, k: int, groups):
         whole = [*range(len(dims))]
         for q, law in enumerate(laws):
             name, plus, minus = law[0], law[2], law[3]
-            cancels, base = _cancels(plus, minus), g * span * nq + q
-            for op, terms in ((field.add, plus), (field.sub, minus)):
+            cancels, base, big = _cancels(plus, minus), g * span * nq + q, 1
+            for term in chain(plus, minus) if minus_one and not cancels else ():  # K, over Q only
+                if type(term[0]) is Cleared or type(term[1][0]) is Cleared or \
+                        len(term) == 3 and type(term[2][0]) is Cleared:
+                    big = lcm(big, _scale(term))
+            for ops, terms in ((adding, plus), (subtracting, minus)):
                 for term in terms:
                     table, u, v = term if len(term) == 3 else (*term, None)
                     pu, pv = u[1:], v[1:] if v else ()
@@ -232,27 +303,46 @@ def _law_sums(field: Field, k: int, groups):
                     if pos != whole:
                         raise ValueError(f"law {name!r}: a term's legs name the positions {pos}, "
                                          f"not each of {whole} once")
-                    left = not cancels and place(u[0], pu, weights)
+                    if cancels:
+                        continue
+                    u, v, factor = u[0], v and v[0], 1
+                    if big != 1:  # a part is cleared: read the integers, and weigh the term by K / s
+                        factor = big // _scale(term)
+                        table, u, v = [x.values if type(x) is Cleared else x for x in (table, u, v)]
+                    left = place(u, pu, weights)
                     if not left:
                         continue
                     if v is None:  # a linear term as a bilinear one, its columns one per row, wrapped once a call
                         right = unit
                         table = wrapped.get(id(table)) or wrapped.setdefault(id(table), [(col,) for col in table])
                     else:
-                        right = place(v[0], pv, weights)
+                        right = place(v, pv, weights)
+                    if factor != 1:
+                        left = [(o1, a, mul(factor, x)) for o1, a, x in left]
                     for o1, a, x in left:
                         o1 += base
                         line = table[a]
+                        if x is minus_one:
+                            x, same, swapped = one, ops[1], ops[0]
+                        else:
+                            same, swapped = ops
                         for o2, b, y in right:
                             cell = line[b]
                             if cell:
                                 acc = out.get(o1 + o2)
                                 if acc is None:
                                     acc = out[o1 + o2] = {}
+                                if y is minus_one:
+                                    y, op, other = one, swapped, same
+                                else:
+                                    op, other = same, swapped
                                 c = y if x is one else x if y is one else mul(x, y)
                                 for col, z in cell:
-                                    z = z if c is one else c if z is one else mul(c, z)
-                                    acc[col] = op(acc.get(col, zero), z)
+                                    if z is minus_one:
+                                        acc[col] = other(acc.get(col, zero), c)
+                                    else:
+                                        z = z if c is one else c if z is one else mul(c, z)
+                                        acc[col] = op(acc.get(col, zero), z)
         return out
 
     def at(key):
@@ -276,10 +366,12 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     tuple idx.  ``plus`` and ``minus`` are lists of terms, (cols, u) for the
     linear map with sparse columns cols at u and (table, u, v) for the
     bilinear map with ``sparse_table`` table at u and v, each leg (vectors,
-    p[, r]) naming vectors[idx[p]][idx[r]]; the witness is a tuple of
-    (labels, p), naming labels[idx[p]], and ``detail`` a format string over
-    the witness.  An instance is recorded exactly when its signed sum, plus
-    less minus, is nonzero.  Every law is multilinear: a term whose legs
+    p[, r]) naming vectors[idx[p]][idx[r]]; a table or a leg's vectors may
+    be a ``Cleared`` pair, read as the structure's own values.  The witness
+    is a tuple of (labels, p), naming labels[idx[p]], and ``detail`` a
+    format string over the witness.  An instance is recorded exactly when
+    its signed sum, plus less minus, is nonzero, which the engine's K times
+    that sum is too.  Every law is multilinear: a term whose legs
     leave a position of the index tuple free or name one twice raises
     ``ValueError``, also in a law whose sides cancel term by term.
 
@@ -301,8 +393,10 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
 def law_rows(field: Field, groups):
     """Yield the rows of a family of relations stated as ``check_laws``
     data, with no outer loop: each group runs in full, in turn.  A row is
-    the signed sum of an instance where a term can be nonzero, as the sorted
-    (column, value) pairs of its nonzero coordinates; an instance whose
+    K times the signed sum of an instance where a term can be nonzero, K
+    the law's (``_law_scale``, integral rows on ``Cleared`` tables), as the
+    sorted (column, value) pairs of its nonzero coordinates, so the rows
+    span what the instances span; an instance whose
     terms cancel yields an empty row, and a law that cancels term by term
     none.  A relation's terms are pure tensors (``tensor_table``), so an
     instance is skipped exactly when each of its terms has an empty leg."""
@@ -314,16 +408,20 @@ def law_rows(field: Field, groups):
 def law_columns(field: Field, outer_dims: tuple, groups) -> list:
     """The sums of every instance of ``check_laws`` data, in its loop order,
     as the sorted sparse columns of a map, an instance no term reaches an
-    empty column.  The groups share their inner size (the product of the
-    dims after ``outer_dims``) and number of laws, else ``ValueError``, so
-    the instances are the columns 0, 1, ... with none left out."""
+    empty column: the engine's sums, each divided by its law's K once
+    through the field.  The groups share their inner size (the product of
+    the dims after ``outer_dims``) and number of laws, else ``ValueError``,
+    so the instances are the columns 0, 1, ... with none left out."""
     k = len(outer_dims)
     if len({(prod(dims[k:]), len(laws)) for dims, laws in groups}) > 1:
         raise ValueError("law columns need groups of one inner size and one number of laws")
     cols = [()] * (prod(outer_dims) * sum(prod(dims[k:]) * len(laws) for dims, laws in groups))
-    for group in _law_sums(field, k, groups)[0]:
+    scales = [[_law_scale(law) for law in laws] for _, laws in groups]
+    nq = max([len(laws) for _, laws in groups] + [1])  # a key's law is key % nq
+    for group, ks in zip(_law_sums(field, k, groups)[0], scales):
         for key, col in group.items():
-            cols[key] = tuple(sorted([(c, x) for c, x in col.items() if x]))
+            d = ks[key % nq]
+            cols[key] = tuple(sorted([(c, x if d == 1 else field.div(x, d)) for c, x in col.items() if x]))
     return cols
 
 
@@ -401,6 +499,9 @@ class Matrix(Value):
     # the dense grid of rows, built once when read: the dense edge
     entries = cached_property(lambda self: tuple(dense_vec(self.field, self.cols, r)
                                                  for r in self.transpose().sparse_cols))
+
+    # the columns cleared of denominators, built once when a law reads them
+    cleared_cols = cached_property(lambda self: cleared(self.field, self.sparse_cols))
 
     def col(self, j) -> tuple:
         return dense_vec(self.field, self.rows, self.sparse_cols[j])

@@ -238,9 +238,9 @@ def relation_vectors(ma: MutualActions):
     """
     M, N = ma.m_side, ma.n_side
     f, dm, dn = M.field, M.dim, N.dim
-    tm, tn, cm, cn = M.twist.sparse_cols, N.twist.sparse_cols, M.sparse_c, N.sparse_c
-    m_on_n, n_by_m = ma.mn.sparse_left, ma.mn.sparse_right   # in N
-    n_on_m, m_by_n = ma.nm.sparse_left, ma.nm.sparse_right   # in M
+    tm, tn, cm, cn = M.twist.cleared_cols, N.twist.cleared_cols, M.cleared_c, N.cleared_c
+    m_on_n, n_by_m = ma.mn.cleared_left, ma.mn.cleared_right   # in N
+    n_on_m, m_by_n = ma.nm.cleared_left, ma.nm.cleared_right   # in M
     mn, nm = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
     r1 = ("r1", (), [(mn, (tm, 0), (cn, 1, 2)), (mn, (m_by_n, 0, 2), (tn, 1))], [(mn, (m_by_n, 0, 1), (tn, 2))])
     r2 = ("r2", (), [(nm, (tn, 0), (cm, 1, 2)), (nm, (n_by_m, 0, 2), (tm, 1))], [(nm, (n_by_m, 0, 1), (tm, 2))])
@@ -325,12 +325,12 @@ def outer_action(t: TensorProduct, side: str) -> HomAction:
     mn, nm = t.actions.mn, t.actions.nm
     # the actor on m and on n, as [a][m] and [a][n], and m and n acted by it, as [m][a] and [n][a]
     if side == "m":
-        actor, on_m, on_n, m_by, n_by = M, M.sparse_c, mn.sparse_left, M.sparse_c, mn.sparse_right
+        actor, on_m, on_n, m_by, n_by = M, M.cleared_c, mn.cleared_left, M.cleared_c, mn.cleared_right
     elif side == "n":
-        actor, on_m, on_n, m_by, n_by = N, nm.sparse_left, N.sparse_c, nm.sparse_right, N.sparse_c
+        actor, on_m, on_n, m_by, n_by = N, nm.cleared_left, N.cleared_c, nm.cleared_right, N.cleared_c
     else:
         raise ValueError("side must be 'm' or 'n'")
-    tm, tn, da = M.twist.sparse_cols, N.twist.sparse_cols, actor.dim
+    tm, tn, da = M.twist.cleared_cols, N.twist.cleared_cols, actor.dim
     mn_t, nm_t = tensor_table(f, dm, dn), tensor_table(f, dn, dm, dm * dn)  # the blocks m*n and n*m
     amn, anm = (da, dm, dn), (da, dn, dm)
     left = law_columns(f, (da,), [
@@ -355,21 +355,21 @@ def equivariance_witness(f_hom: AlgebraHom, g_hom: AlgebraHom,
     source action value under f or g against the target action at the
     images, and the first violation, law name first, is the witness."""
     M, N = src.m_side, src.n_side
-    fc, gc, lm, ln = f_hom.map.sparse_cols, g_hom.map.sparse_cols, M.labels, N.labels
+    fc, gc, lm, ln = f_hom.map.cleared_cols, g_hom.map.cleared_cols, M.labels, N.labels
     rep = ValidationReport(subject="action equivariance")
     check_laws(M.field, rep, (), [((M.dim, N.dim), [
         # f(n>m) = g(n)>f(m)
-        ("n acting on m", ((ln, 1), (lm, 0)), [(fc, (src.nm.sparse_left, 1, 0))],
-         [(dst.nm.sparse_left, (gc, 1), (fc, 0))]),
+        ("n acting on m", ((ln, 1), (lm, 0)), [(fc, (src.nm.cleared_left, 1, 0))],
+         [(dst.nm.cleared_left, (gc, 1), (fc, 0))]),
         # f(m<n) = f(m)<g(n)
-        ("m acted by n", ((lm, 0), (ln, 1)), [(fc, (src.nm.sparse_right, 0, 1))],
-         [(dst.nm.sparse_right, (fc, 0), (gc, 1))]),
+        ("m acted by n", ((lm, 0), (ln, 1)), [(fc, (src.nm.cleared_right, 0, 1))],
+         [(dst.nm.cleared_right, (fc, 0), (gc, 1))]),
         # g(m>n) = f(m)>g(n)
-        ("m acting on n", ((lm, 0), (ln, 1)), [(gc, (src.mn.sparse_left, 0, 1))],
-         [(dst.mn.sparse_left, (fc, 0), (gc, 1))]),
+        ("m acting on n", ((lm, 0), (ln, 1)), [(gc, (src.mn.cleared_left, 0, 1))],
+         [(dst.mn.cleared_left, (fc, 0), (gc, 1))]),
         # g(n<m) = g(n)<f(m)
-        ("n acted by m", ((ln, 1), (lm, 0)), [(gc, (src.mn.sparse_right, 1, 0))],
-         [(dst.mn.sparse_right, (gc, 1), (fc, 0))])])])
+        ("n acted by m", ((ln, 1), (lm, 0)), [(gc, (src.mn.cleared_right, 1, 0))],
+         [(dst.mn.cleared_right, (gc, 1), (fc, 0))])])])
     return next(((v.law, *v.witness) for v in rep.violations), None)
 
 
@@ -391,15 +391,15 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
     T = t.algebra
     into_m, into_n = t.into_m, t.into_n
     gens = t.presentation.projection_map()
-    cls, tw, n = gens.sparse_cols, T.twist.compose(gens).sparse_cols, gens.cols  # the generator classes, twisted
+    cls, tw, n = gens.cleared_cols, T.twist.compose(gens).cleared_cols, gens.cols  # the generator classes, twisted
     z = center(T)
     rep.check("first kernel inside the center", z.contains_subspace(into_m.map.kernel()))
     rep.check("second kernel inside the center", z.contains_subspace(into_n.map.kernel()))
 
     checks, through = [], []  # (name, dims, [(plus, minus)] of its laws); each side's action tables and values
     for name, hom, side, F in (("first", into_m, "m", t.m_side), ("second", into_n, "n", t.n_side)):
-        act, h, ft, c = outer_action(t, side), hom.map.sparse_cols, F.twist.sparse_cols, F.sparse_c
-        left, right, vals = act.sparse_left, act.sparse_right, hom.map.compose(gens).sparse_cols
+        act, h, ft, c = outer_action(t, side), hom.map.cleared_cols, F.twist.cleared_cols, F.cleared_c
+        left, right, vals = act.cleared_left, act.cleared_right, hom.map.compose(gens).cleared_cols
         ker = hom.map.kernel().sparse_rows
         through.append((left, right, vals))
         checks += [
@@ -413,9 +413,9 @@ def tensor_identity_battery(t: TensorProduct) -> ExactnessReport:
              [([(h, (right, 1, 0))], [(c, (h, 1), (ft, 0))])])]
     # h(g).g' = [t(g), g'] and g'.h(g) = [g', t(g)] through either factor
     checks += [("acting through factor values is the twisted bracket, left", (n, n),
-                [([(tab, (v, 0), (cls, 1))], [(T.sparse_c, (tw, 0), (cls, 1))]) for tab, _, v in through]),
+                [([(tab, (v, 0), (cls, 1))], [(T.cleared_c, (tw, 0), (cls, 1))]) for tab, _, v in through]),
                ("acting through factor values is the twisted bracket, right", (n, n),
-                [([(tab, (cls, 1), (v, 0))], [(T.sparse_c, (cls, 1), (tw, 0))]) for _, tab, v in through])]
+                [([(tab, (cls, 1), (v, 0))], [(T.cleared_c, (cls, 1), (tw, 0))]) for _, tab, v in through])]
     laws = ValidationReport(subject="tensor pairing laws")
     check_laws(T.field, laws, (), [(dims, [(name, (), *terms) for terms in pairs]) for name, dims, pairs in checks])
     failed = {v.law for v in laws.violations}

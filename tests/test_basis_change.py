@@ -1,14 +1,18 @@
-"""Basis-change oracle: an algebra and its conjugate by a fixed unitriangular
-integer matrix P are isomorphic, so every dimension, flag and certificate
-verdict the command line reports on them must be the same.
+"""Basis-change oracle: an algebra and its conjugate by a fixed invertible
+matrix P are isomorphic, so every dimension, flag and certificate verdict
+the command line reports on them must be the same.
 
 The upper conjugator P has 1 on the diagonal and (i + 2j) mod 3 - 1 above
 it (0-based i < j); the lower one is its transpose.  The inverse of each is
 integral too.  The upper one keeps the standard flag (span e_0 .. e_i goes
 to itself), so a result that happens to follow the order of the basis
 vectors survives it; the lower one moves every such span but the whole
-space.  The conjugate's basis vectors are the columns of P: its structure
-constants are P^-1 [P e_a, P e_b] and its twist is P^-1 t P.  Only the
+space.  The diagonal one, diag(1, 1/2, 4/3, 2/5, 7/3) cut to the
+dimension, scales each basis vector by its own rational, so over Q each
+conjugate has a table or a twist with denominators, and the structures
+built from it (tensor factors, ideals, quotients) clear theirs with
+different D's.  The conjugate's basis vectors are the columns of P: its
+structure constants are P^-1 [P e_a, P e_b] and its twist is P^-1 t P.  Only the
 basis-dependent parts of an output are left out of the comparison: the
 presented algebra's table and the center's basis.  Homology runs at
 ``--max-n 2`` over both fields.
@@ -26,7 +30,7 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.fields import Field
 from homleib.homassoc import HomAssociativeAlgebra, yau_twist_assoc
-from homleib.linalg import Matrix
+from homleib.linalg import Matrix, unwrapped
 
 QQ, GFP = Field(), Field(1000003)
 
@@ -36,9 +40,15 @@ def unitriangular(f, n) -> Matrix:
                                 for i in range(n)])
 
 
+def diagonal(f, n) -> Matrix:
+    scale = [f.div(f.from_int(a), f.from_int(b)) for a, b in ((1, 1), (1, 2), (4, 3), (2, 5), (7, 3))]
+    return Matrix.from_rows(f, [[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 CONJUGATORS = {
     "upper": unitriangular,
     "lower": lambda f, n: unitriangular(f, n).transpose(),
+    "diagonal": diagonal,
 }
 
 
@@ -105,6 +115,19 @@ def test_the_conjugating_matrix():
         assert all(isinstance(x, int) for row in inverse.entries for x in row)
         # the spans of e_0 .. e_i, i < 3, that P carries into themselves
         assert [i for i in range(3) if not any(P.entries[r][c] for c in range(i + 1) for r in range(i + 1, 4))] == flags
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ) + sorted(ASSOCIATIVE))
+def test_the_diagonal_conjugates_clear_denominators(name):
+    # over Q the diagonal conjugate's table or twist clears with some D > 1;
+    # over GF(p) both are their own
+    for f in (QQ, GFP):
+        twisted = conjugate((LEIBNIZ.get(name) or ASSOCIATIVE[name])(f), diagonal)
+        table, own = (twisted.cleared_c, twisted.sparse_c) if name in LEIBNIZ else \
+            (twisted.cleared_p, twisted.sparse_p)
+        tw = twisted.twist
+        assert unwrapped(table)[1] * unwrapped(tw.cleared_cols)[1] > 1 if f is QQ else \
+            table is own and tw.cleared_cols is tw.sparse_cols
 
 
 @pytest.mark.parametrize("f", [QQ, GFP], ids=["Q", "GF(1000003)"])

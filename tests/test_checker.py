@@ -722,12 +722,35 @@ def _random_laws(f, rng):
     return dims[:k], groups
 
 
+def _own(f, values):
+    """A table or a leg's vectors of law data as the structure's own values:
+    the integers of a ``Cleared`` pair each divided by its D, plain values
+    as they are."""
+    if type(values) is not linalg.Cleared:
+        return values
+    ints, d = values
+
+    def down(x):  # a (k, value) pair, or nested tuples of them
+        return (x[0], f.div(x[1], d)) if x and type(x[0]) is int else tuple(map(down, x))
+
+    return down(ints)
+
+
+def _law_scale(law):
+    """K of a law: the lcm over its terms of the product of the D's of the
+    term's ``Cleared`` table and legs."""
+    return math.lcm(*(math.prod(x.scale for x in (table, *(leg[0] for leg in legs)) if type(x) is linalg.Cleared)
+                      for table, *legs in law[2] + law[3]))
+
+
 def _grid_sum(f, terms, idx):
-    """The signed sum of terms at idx, evaluated term by term."""
+    """The signed sum of terms at idx, evaluated term by term on the
+    structures' own values."""
     out = {}
     for table, *legs in terms:
-        vecs = []
+        table, vecs = _own(f, table), []
         for vectors, *pos in legs:
+            vectors = _own(f, vectors)
             for p in pos:
                 vectors = vectors[idx[p]]
             vecs.append(vectors)
@@ -787,10 +810,12 @@ def _term(term) -> tuple:
 
 def _dense_row(f, law, jdx, size):
     """The signed sum of a law instance from the dense tables, a linear term
-    being the bilinear one with the constant second leg 1."""
+    being the bilinear one with the constant second leg 1, on the
+    structures' own values."""
     total = (f.zero(),) * size
     for combine, terms in ((dense_add, law[2]), (dense_sub, law[3])):
         for table, u, p, r, v, q, s in map(_term, terms):
+            table, u, v = _own(f, table), _own(f, u), _own(f, v)
             x = u[jdx[p]] if r is None else u[jdx[p]][jdx[r]]
             if v is None:
                 table, y = [[cols] for cols in table], ((0, f.one()),)
@@ -818,7 +843,7 @@ def perturbed_sl2_laws(draw):
 class TestLawRows:
     """``linalg.law_rows`` runs ``check_laws``' own support and term data: on
     the same law data, an instance is recorded exactly when its row is
-    nonzero, and each row is the dense signed sum."""
+    nonzero, and each row is K times the dense signed sum, K the law's."""
 
     @given(perturbed_sl2_laws())
     def test_check_laws_records_exactly_the_nonzero_rows(self, validate):
@@ -829,7 +854,7 @@ class TestLawRows:
         assert len(rows) == len(instances)
         expected = []
         for (jdx, law), row in zip(instances, rows):
-            assert dense_vec(f, 3, row) == _dense_row(f, law, jdx, 3)
+            assert dense_vec(f, 3, row) == tuple(f.mul(_law_scale(law), x) for x in _dense_row(f, law, jdx, 3))
             if row:
                 expected.append((law[0], tuple(lb[jdx[p]] for lb, p in law[1])))
         rep = ValidationReport(subject="rows")
@@ -945,6 +970,82 @@ class TestLawColumns:
         # the other two readers take such groups
         linalg.check_laws(QQ, ValidationReport("laws"), (), groups)
         assert len(list(linalg.law_rows(QQ, groups))) == {"inner size": 4 + 2, "number of laws": 4 + 8}[unequal]
+
+
+class TestClearedTables:
+    """The engine on cleared tables: each table or map of random laws has
+    its own denominators (1, 2, 3, 6 or 7) and is handed to the engine as
+    ``linalg.cleared`` gives it, so over Q every term carries its own scale
+    s and terms of degree 2 meet terms of degree 3 in one law.  Every reader
+    must agree with the dense sums on the true values: ``check_laws``' records,
+    the span of ``law_rows`` and the exact columns of ``law_columns``."""
+
+    DENOMINATORS = (1, 2, 3, 6, 7)
+
+    @staticmethod
+    def structures(f, rng, n):
+        """A bilinear table t, two maps a and b, and c = a after t, each
+        value over its own denominator, drawn from DENOMINATORS."""
+        def value(d):
+            return f.div(f.from_int(rng.choice((-3, -2, -1, 1, 2, 3, 5))), f.from_int(d))
+
+        def vec(d):
+            return tuple((k, value(d)) for k in range(n) if rng.random() < 0.5)
+
+        dt, da, db = rng.sample(TestClearedTables.DENOMINATORS, 3)
+        t = tuple(tuple(vec(dt) for _ in range(n)) for _ in range(n))
+        a, b = tuple(vec(da) for _ in range(n)), tuple(vec(db) for _ in range(n))
+        c = tuple(tuple(tuple(sorted(linalg.linear(f, a, v))) for v in row) for row in t)
+        return t, a, b, c
+
+    @staticmethod
+    def groups(n, t, a, b, c):
+        """Laws on the four structures, as given: one of degree 2 against
+        degree 3, one that holds (a(t(x, y)) against c(x, y) at the basis),
+        one of degree 3 on three indices and one of linear terms."""
+        units = tuple(((i, 1),) for i in range(n))
+        return [((n, n), [("mixed", (), [(a, (t, 0, 1))], [(t, (b, 0), (b, 1))]),
+                          ("holds", (), [(a, (t, 0, 1))], [(c, (units, 0), (units, 1))])]),
+                ((n, n, n), [("leibniz", (), [(t, (b, 0), (t, 1, 2)), (t, (t, 0, 2), (a, 1))],
+                              [(c, (t, 0, 1), (b, 2))])]),
+                ((n,), [("linear", (), [(a, (b, 0))], [(b, (a, 0))])])]
+
+    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_readers_match_the_dense_sums(self, f, seed):
+        rng, n = random.Random(seed), 3
+        t, a, b, c = self.structures(f, rng, n)
+        cleared = linalg.cleared(f, t, table=True), linalg.cleared(f, a), linalg.cleared(f, b), \
+            linalg.cleared(f, c, table=True)
+        engine, plain = self.groups(n, *cleared), self.groups(n, t, a, b, c)
+        # over Q the tables carry several scales; over GF(p) each is its own
+        scales = [linalg.unwrapped(x)[1] for x in cleared]
+        assert len(set(scales)) > 1 if f is QQ else all(x is y for x, y in zip(cleared, (t, a, b, c)))
+        # check_laws: the records of the full grid on the true values
+        got, want = ValidationReport("engine"), ValidationReport("dense")
+        linalg.check_laws(f, got, (), engine)
+        _full_grid(f, want, (), plain)
+        assert [(v.law, v.witness) for v in got.violations] == [(v.law, v.witness) for v in want.violations]
+        assert "holds" not in {v.law for v in got.violations} and got.violations
+        # law_rows: the span of the true instance sums
+        dense = [tuple(sorted(_instance(f, law, jdx).items())) for dims, laws in plain
+                 for jdx in itertools.product(*map(range, dims)) for law in laws]
+        assert Subspace.span_sparse(f, n, linalg.law_rows(f, engine)) == Subspace.span_sparse(f, n, dense)
+        # law_columns: each column exactly the true sum
+        for dims, laws in plain:
+            cleared_laws = next(ls for ds, ls in engine if ds == dims)
+            assert linalg.law_columns(f, (), [(dims, cleared_laws)]) == [
+                tuple(sorted(_instance(f, law, jdx).items())) for jdx in itertools.product(*map(range, dims))
+                for law in laws]
+
+
+def _instance(f, law, jdx):
+    """The signed sum, plus less minus, of a law at the index tuple jdx, as
+    its nonzero coordinates, on the values as given."""
+    total = _grid_sum(f, law[2], jdx)
+    for c, x in _grid_sum(f, law[3], jdx).items():
+        total[c] = f.sub(total.get(c, f.zero()), x)
+    return {c: x for c, x in total.items() if x}
 
 
 class TestCancellingLaws:
@@ -1217,7 +1318,7 @@ class TestCertificatePartsBuiltOnce:
         real = cli.hochschild_module
         monkeypatch.setattr(cli, "hochschild_module", lambda A: modules.append(real(A)) or modules[-1])
         products = self.counting(monkeypatch, (homassoc,), "boundary_rows",
-                                 lambda A, table, *a: table is A.sparse_p)
+                                 lambda A, table, *a: table is A.cleared_p)
         path = tmp_path / "ut.alg"
         path.write_text(json.dumps(serialize_algebra(upper_triangular)), encoding="utf-8")
         assert cli.main(["hochschild", str(path), "--json"]) == 0

@@ -402,6 +402,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < len(str(path)) + 200
 
+    @pytest.mark.parametrize("scalar", ["1_0", "\u0663", "\uff13", "1/1_0", "\u0663/2", "1/\uff13", "1__0", "_1"],
+                             ids=["underscore", "arabic-indic", "fullwidth", "underscore-denominator",
+                                  "arabic-indic-numerator", "fullwidth-denominator", "double-underscore",
+                                  "leading-underscore"])
+    def test_scalar_is_ascii_digits(self, scalar, tmp_path, capsys):
+        # a scalar is "a" or "a/b" in ASCII digits: what else int() reads
+        # (underscores, another script's digits) is refused before a check runs
+        path = write(tmp_path, "odd.alg", dict(E1_DOC, dim=1, basis=["e1"], bracket=[], alpha=[[scalar]]))
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}.alpha: cannot parse scalar {echo(scalar)}\n"
+
+    @pytest.mark.parametrize("scalar, value", [("-3", -3), ("+3", 3), (" 3 ", 3), ("\t-3/6\n", Fraction(-1, 2)),
+                                               (" 4 / 6 ", Fraction(2, 3)), ("007", 7)])
+    def test_scalar_signs_and_whitespace_read_as_before(self, scalar, value):
+        value, gf = Fraction(value), Field(1000003)
+        assert QQ.parse(scalar) == value
+        assert gf.parse(scalar) == gf.div(gf.from_int(value.numerator), gf.from_int(value.denominator))
+
     @pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "number"])
     def test_scalar_digit_limit(self, entry, tmp_path):
         # an integer of a scalar may have sys.get_int_max_str_digits() digits

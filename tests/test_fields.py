@@ -322,14 +322,70 @@ def test_one_reduction_for_the_accumulator_and_the_subspace():
     assert found == [], found
 
 
+def test_denominators_are_cleared_once_per_structure():
+    # ``Field.clearing`` is read only by ``linalg.cleared``, the helper every
+    # structure's cached ``cleared_*`` table is built through, and by the
+    # elimination engine, ``_reduce`` and a subspace's stored rows; the
+    # helper is called only by those properties (and an algebra's
+    # ``cleared_table``, which its adjoint action and co-representation
+    # share), so the chain complex and the law engine scale no table of
+    # their own
+    assert _users("clearing") == ["linalg:Subspace", "linalg:_reduce", "linalg:cleared"]
+    assert _users("cleared") == ["algebras:HomLeibnizAlgebra", "algebras:HomLeibnizAlgebra.cleared_table",
+                                 "homassoc:HomAssociativeAlgebra", "linalg:Matrix"]
+
+
+@pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
+def test_a_cleared_table_is_its_own_at_d_one(f):
+    # over GF(p), and on integral data over Q, every cleared table is the
+    # structure's own object, with no copy; a fractional one over Q is a
+    # ``Cleared`` pair of ints, D times its own
+    from homleib import generators
+    from homleib.actions import self_action
+    from homleib.algebras import HomLeibnizAlgebra, yau_twist
+    from homleib.homassoc import HomAssociativeAlgebra
+    from homleib.homology import adjoint_corep
+    from homleib.linalg import Cleared, Matrix
+
+    def tables(L):  # (cleared, own) of each structure's tables
+        A = HomAssociativeAlgebra.from_sparse(f, L.dim, L.sparse_c, L.twist, L.labels)
+        act, rep = self_action(L), adjoint_corep(L)
+        return [(L.cleared_c, L.sparse_c), (L.twist.cleared_cols, L.twist.sparse_cols), (A.cleared_p, A.sparse_p),
+                (act.cleared_left, act.sparse_left), (act.cleared_right, act.sparse_right),
+                (rep.cleared_left, rep.sparse_left), (rep.cleared_right, rep.sparse_right)]
+
+    def times(d, x):  # nested tuples of (k, value) pairs, each value times d
+        return (x[0], f.mul(d, x[1])) if x and type(x[0]) is int else tuple(times(d, y) for y in x)
+
+    def twisted(t, c):  # sl2 with its bracket times c, twisted along its automorphism diag(t, 1/t, 1)
+        L = yau_twist(generators.sl2(f), Matrix.from_rows(f, [[t, 0, 0], [0, f.div(f.one(), t), 0], [0, 0, 1]]))
+        return HomLeibnizAlgebra.from_sparse(f, 3, times(c, L.sparse_c), L.twist, L.labels)
+
+    assert all(mine is own for mine, own in tables(twisted(f.from_int(-1), f.from_int(3))))
+    fractional = tables(twisted(f.from_int(2), f.div(f.one(), f.from_int(6))))
+    if f.p is not None:
+        assert all(mine is own for mine, own in fractional)
+    else:
+        assert all(type(mine) is Cleared for mine, _ in fractional)
+        assert all(mine.scale > 1 and mine.values == times(mine.scale, own) and
+                   all(type(x[1]) is int for x in _pairs(mine.values)) for mine, own in fractional)
+
+
+def _pairs(x):
+    # the (k, value) pairs of nested tuples of them
+    return [x] if x and type(x[0]) is int else [p for y in x for p in _pairs(y)]
+
+
 def test_linalg_divides_only_to_hand_out_canonical_scalars():
     # the engine is fraction-free: stored rows are put into canonical
     # scalars, through ``Field.div``, only when a subspace is handed out, by
     # the accumulator's ``subspace()`` and the factor's ``_block``, and a
     # residue only when it is returned, by ``_residue``; so no canonical
-    # copy of the rows comes back unseen
+    # copy of the rows comes back unseen.  The law engine's sums are K times
+    # the instances' over cleared tables, and ``law_columns``, which hands
+    # out a map's columns, divides K out
     assert [site for site in _users("div") if site.startswith("linalg:")] == \
-        ["linalg:Matrix._block", "linalg:RrefAccumulator.subspace", "linalg:_residue"]
+        ["linalg:Matrix._block", "linalg:RrefAccumulator.subspace", "linalg:_residue", "linalg:law_columns"]
 
 
 def _class_names(cls):

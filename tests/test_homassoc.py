@@ -13,7 +13,7 @@ from homleib.cli import main
 from homleib.documents import serialize_algebra
 from homleib.errors import AlphaIdentityFails, FieldMismatch, InternalInconsistency
 from homleib.fields import Field
-from homleib.linalg import Matrix, Subspace, sparse_vec
+from homleib.linalg import Matrix, Subspace, sparse_vec, unwrapped
 from homleib.algebras import AlgebraHom, derived_subspace
 from homleib.homassoc import (
     HochschildModule,
@@ -502,13 +502,21 @@ class TestBoundaryRows:
 
     @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_rows_are_the_nonzero_columns_in_order(self, f, name, A, valid):
+        # on the cleared tables every term is D(p) D(t) times its own, so
+        # each row is that K times the boundary's column (K = 1 over GF(p)
+        # and on integral tables)
         size = A.dim * A.dim
         single = lambda u, v: dense_outer(f, u, v, size)
         lb = to_leibniz(A)
-        assert [r for r in boundary_rows(A, A.sparse_p) if r] == \
-            [sparse_vec(c) for c in hochschild_boundary(A).transpose().entries if any(c)]
-        assert [r for r in boundary_rows(A, lb.sparse_c) if r] == \
-            [sparse_vec(c) for c in boundary_shapes(A, lb.c, single) if any(c)]
+        d = unwrapped(A.twist.cleared_cols)[1]
+
+        def times(k, columns):
+            return [tuple((c, f.mul(k, x)) for c, x in sparse_vec(col)) for col in columns if any(col)]
+
+        assert [r for r in boundary_rows(A, A.cleared_p) if r] == \
+            times(unwrapped(A.cleared_p)[1] * d, hochschild_boundary(A).transpose().entries)
+        assert [r for r in boundary_rows(A, lb.cleared_c) if r] == \
+            times(unwrapped(lb.cleared_c)[1] * d, boundary_shapes(A, lb.c, single))
 
     @pytest.mark.parametrize("f, name, A, valid", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_presentation_is_the_span_of_the_columns(self, f, name, A, valid):

@@ -613,21 +613,26 @@ def test_boundary_ranks_carry_witnesses(name, coeffs, f):
 
 @pytest.mark.parametrize("f", [QQ, GF], ids=["Q", "GF(1000003)"])
 def test_integral_columns_of_a_fractional_twist(sl2_twisted, f):
-    # the twist diag(4, 1/4, 1) scales every table by D = 4 over Q: the
-    # cached columns of D^n d_n hold only ints, and columns(n) divides them
-    # back to the boundary of the all-terms reference
+    # over Q the twist diag(4, 1/4, 1) clears with D = 4 and the twisted
+    # bracket, whose values [h, f] = -f/2 and so on have denominator 2, with
+    # D = 2, as do both operations of the adjoint co-representation; so
+    # S_1 = 2 and S_n = lcm(4 S_(n-1), 2 * 4^(n-1), 4 * 2 * 4^(n-2)) =
+    # 2 * 4^(n-1).  The cached columns of S_n d_n hold only ints, and
+    # columns(n) divides them back to the boundary of the all-terms reference
     L = sl2_twisted if f is QQ else yau_twist(generators.sl2(f), Matrix.from_rows(f, [[4, 0, 0], [0, f.div(1, 4), 0],
                                                                                       [0, 0, 1]]))
     M = adjoint_corep(L)
     cx = ChainComplex(L, M)
-    d = 4 if f is QQ else 1
-    assert cx._tables[0] == d
+    assert [d for _, d in cx._tables] == ([4, 2, 2, 2, 4] if f is QQ else [1] * 5)
+    assert (cx._tables[1][0] is L.sparse_c) == (f is GF)  # over GF(p) the table itself
     for n in range(1, 5):
+        d = 2 * 4 ** (n - 1) if f is QQ else 1
         integral, cols = cx._integral(n), cx.columns(n)
+        assert cx._weights(n)[0] == d
         assert all(type(x) is int for col in integral for _, x in col)
         assert [dict(col) for col in cols] == [reference_boundary_column(L, M, n, m_idx, xs)
                                                for m_idx in range(M.space_dim)
                                                for xs in iter_product(*[range(L.dim)] * n)]
-        assert integral == tuple(tuple((k, f.mul(d ** n, x)) for k, x in col) for col in cols)
+        assert integral == tuple(tuple((k, f.mul(d, x)) for k, x in col) for col in cols)
         assert (cols is integral) == (d == 1)
     assert all(cx.squares_to_zero(n) for n in range(2, 5))

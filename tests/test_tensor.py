@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ import sympy
 
 from homleib.errors import BracketNotWellDefined, IncompatibleActions, MathFailure, NotEquivariant
 from homleib.fields import Field
-from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, sparse_table, sparse_vec, unit_vec
+from homleib.linalg import Matrix, QuotientSpace, Subspace, dense_vec, sparse_table, sparse_vec, unit_vec, unwrapped
 from homleib.algebras import (
     AlgebraHom,
     HomLeibnizAlgebra,
@@ -279,6 +280,21 @@ def _relation_cases(f):
 SQUARE_FAMILIES = ("r1", "r3", "r7")
 
 
+def family_scales(ma):
+    """K of each family as ``relation_vectors`` states it: the lcm over its
+    terms of the product of the D's of the two cleared tables each term
+    reads (its ``tensor_table`` block is integral), so each of its rows is
+    K times the instance's."""
+    M, N = ma.m_side, ma.n_side
+    tm, tn, cm, cn = (unwrapped(x)[1] for x in (M.twist.cleared_cols, N.twist.cleared_cols, M.cleared_c, N.cleared_c))
+    mon, nbm, nom, mbn = (unwrapped(x)[1] for x in (ma.mn.cleared_left, ma.mn.cleared_right,
+                                            ma.nm.cleared_left, ma.nm.cleared_right))
+    return {"r1": math.lcm(tm * cn, mbn * tn), "r2": math.lcm(tn * cm, nbm * tm),
+            "r3": math.lcm(cm * tn, tm * nbm, mon * tm), "r4": math.lcm(cn * tm, tn * mbn, nom * tn),
+            "r5": math.lcm(tm * mon, tm * nbm), "r6": math.lcm(tn * nom, tn * mbn), "r7": mbn * mon,
+            "r8": math.lcm(mbn * nbm, mon * nom), "r9": nom * mon, "r10": nom * nbm}
+
+
 def _full_span(ma):
     """The span of the dense rows of all ten families."""
     f, size = ma.m_side.field, 2 * ma.m_side.dim * ma.n_side.dim
@@ -308,15 +324,19 @@ class TestRelations:
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
     def test_rows_are_the_nonzero_rows_of_the_full_enumeration(self, f):
         # only instances that are zero by sparsity are skipped: the nonzero
-        # rows, and so the RREF basis built from them, come in the same order;
-        # on a square the families are r1, r3 and r7, off it all ten
+        # rows, and so the RREF basis built from them, come in the same order,
+        # each its family's K times the instance (K = 1 over GF(p) and on
+        # integral tables); on a square the families are r1, r3 and r7, off
+        # it all ten
         cases = _relation_cases(f)
         assert [tensorprod._is_square(ma) for ma in cases] == [True] * 4 + [False] * 3 + [True]
+        assert f.p is not None or {k for ma in cases for k in family_scales(ma).values()} > {1}
         for ma in cases:
-            rows = list(relation_vectors(ma))
+            rows, scales = list(relation_vectors(ma)), family_scales(ma)
             full = list(full_relation_rows(ma))
-            kept = [r for family, r in full if family in SQUARE_FAMILIES or not tensorprod._is_square(ma)]
-            assert [r for r in rows if r] == [r for r in kept if r]
+            kept = [(family, r) for family, r in full if family in SQUARE_FAMILIES or not tensorprod._is_square(ma)]
+            assert [r for r in rows if r] == [tuple((c, f.mul(scales[family], x)) for c, x in r)
+                                              for family, r in kept if r]
             assert len(rows) < len(kept)
 
     @pytest.mark.parametrize("f", [QQ, Field(1000003)], ids=["Q", "GF(1000003)"])
