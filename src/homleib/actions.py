@@ -17,8 +17,6 @@ sweep's.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import FieldMismatch, InvalidAction, StructureError
 from .algebras import AlgebraHom, HomLeibnizAlgebra, IdealHandle, bracket_table, subalgebra
 from .linalg import (
@@ -32,7 +30,7 @@ from .linalg import (
     linear,
 )
 from .report import ValidationReport
-from .values import Frozen, Value
+from .values import Frozen, Value, cached_property
 
 
 class HomAction(Value):

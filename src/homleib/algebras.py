@@ -21,7 +21,6 @@ per object.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 
 from .errors import (
@@ -56,7 +55,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import ValidationReport
-from .values import Frozen, Value
+from .values import Frozen, Value, cached_property
 
 
 def default_labels(dim: int, prefix: str = "e") -> tuple:
@@ -88,13 +87,15 @@ def _checked(field: Field, dim: int, table, twist: Matrix, labels, name: str, va
 
 def _entry_table(field: Field, dim: int, entries: dict, value: str) -> list:
     """The sparse table with the values {(i, j): {k: coeff}}, int coefficients
-    read in the field; an index outside range(dim) raises ``DimensionError``."""
+    read in the field; an index outside range(dim) raises ``DimensionError``.
+    A zero scalar is left out, and a coefficient that is no scalar, a bool
+    included, is kept for ``_checked`` to refuse."""
     table = [[()] * dim for _ in range(dim)]
     for (i, j), val in entries.items():
         if not (0 <= i < dim and 0 <= j < dim and all(0 <= k < dim for k in val)):
             raise DimensionError(f"{value} indices must lie in range({dim})")
         table[i][j] = tuple(sorted((k, x) for k, c in val.items()
-                                   if (x := field.from_int(c) if isinstance(c, int) else c)))
+                                   if (x := field.from_int(c) if type(c) is int else c) or not field.is_scalar(x)))
     return table
 
 

@@ -85,41 +85,51 @@ class ActionDocument(Frozen):
 
 
 def parse_field(node, where: str) -> Field:
+    """The field of the document at ``where``, whose ``field`` key ``node`` is."""
     if node == "Q":
         return Field()
     if isinstance(node, dict) and set(node) == {"Fp"}:
         p = node["Fp"]
         if not isinstance(p, int) or isinstance(p, bool):
-            raise SemanticError(f"{where}: prime must be an integer")
+            raise SemanticError(f"{where}.field: prime must be an integer")
         try:
             return Field(p)
         except ValueError as exc:
-            raise SemanticError(f"{where}: {exc}") from None
-    raise SemanticError(f'{where}: field must be "Q" or {{"Fp": p}}')
+            raise SemanticError(f"{where}.field: {exc}") from None
+    raise SemanticError(f'{where}.field: field must be "Q" or {{"Fp": p}}')
 
 
-def _label_index(basis, label, where: str) -> int:
+def _at(where, key: str, pos: int, part: str = "") -> str:
+    """The location of entry ``pos`` of the list ``key`` of the document at
+    ``where``, or of its key ``part``: formed only for a message."""
+    return f"{where}.{key}[{pos}].{part}" if part else f"{where}.{key}[{pos}]"
+
+
+def _label_index(basis, label, at: tuple) -> int:
+    """The position of ``label`` in ``basis``; an unknown label is refused
+    at the location ``_at(*at)``."""
     try:
         return basis.index(label)
     except ValueError:
-        raise SemanticError(f"{where}: unknown label {echo(label)}") from None
+        raise SemanticError(f"{_at(*at)}: unknown label {echo(label)}") from None
 
 
-def _parse_value(field: Field, basis, node, where: str) -> tuple:
-    """A value as the sorted (index, scalar) pairs of its nonzero coordinates."""
+def _parse_value(field: Field, basis, node, at: tuple) -> tuple:
+    """The value at the location ``_at(*at)`` as the sorted (index, scalar)
+    pairs of its nonzero coordinates."""
     if not isinstance(node, dict):
-        raise ParseError(f"{where}: value must be an object mapping labels to scalars")
+        raise ParseError(f"{_at(*at)}: value must be an object mapping labels to scalars")
     v = {}
     for label, scalar in node.items():
-        k = _label_index(basis, label, where)
+        k = _label_index(basis, label, at)
         try:
             v[k] = field.parse(scalar)
         except SemanticError as exc:
-            raise SemanticError(f"{where}: {exc}") from None
+            raise SemanticError(f"{_at(*at)}: {exc}") from None
     return tuple(sorted((k, x) for k, x in v.items() if x))
 
 
-def _entries(field: Field, node, where: str, key: str, first, second):
+def _entries(field: Field, node, where, key: str, first, second):
     """Yield (i, j, value) for each entry of the list ``node[key]`` (empty
     when absent): ``first`` and ``second`` are (entry key, basis) for the
     entry's two labels, i and j their positions, and the value is parsed
@@ -130,24 +140,26 @@ def _entries(field: Field, node, where: str, key: str, first, second):
     (a, a_basis), (b, b_basis) = first, second
     seen = {}
     for pos, entry in enumerate(entries):
-        loc = f"{where}.{key}[{pos}]"
         if not isinstance(entry, dict) or not {a, b, "value"} <= set(entry):
-            raise ParseError(f"{loc}: needs {a}, {b} and value")
-        i = _label_index(a_basis, entry[a], f"{loc}.{a}")
-        j = _label_index(b_basis, entry[b], f"{loc}.{b}")
+            raise ParseError(f"{_at(where, key, pos)}: needs {a}, {b} and value")
+        i = _label_index(a_basis, entry[a], (where, key, pos, a))
+        j = _label_index(b_basis, entry[b], (where, key, pos, b))
         earlier = seen.setdefault((i, j), pos)
         if earlier != pos:
-            raise SemanticError(f"{loc}: duplicates the ({a}, {b}) pair of {where}.{key}[{earlier}]")
-        yield i, j, _parse_value(field, b_basis, entry["value"], f"{loc}.value")
+            raise SemanticError(f"{_at(where, key, pos)}: duplicates the ({a}, {b}) pair of "
+                                f"{_at(where, key, earlier)}")
+        yield i, j, _parse_value(field, b_basis, entry["value"], (where, key, pos, "value"))
 
 
-def parse_algebra_document(node, where: str = "algebra") -> AlgebraDocument:
+def parse_algebra_document(node, where="algebra") -> AlgebraDocument:
+    """The algebra document ``node``; ``where``, a string or a ``_Named``
+    file, names it in a message and is formatted only for one."""
     if not isinstance(node, dict):
         raise ParseError(f"{where}: expected an object")
     for key in ("field", "kind", "dim", "basis"):
         if key not in node:
             raise ParseError(f"{where}: missing field {key!r}")
-    field = parse_field(node["field"], f"{where}.field")
+    field = parse_field(node["field"], where)
     kind = node["kind"]
     if kind not in ALGEBRA_KINDS:
         raise SemanticError(f"{where}.kind: must be one of {', '.join(ALGEBRA_KINDS)}")
@@ -221,7 +233,22 @@ def parse_action_document(node, base_dir: Path, where: str = "action") -> Action
                           tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
 
-def load_json(path: Path, key: str | None = None):
+class _Named:
+    """A document file as messages name it, ``str(Path(path))``, an empty
+    path as given (``Path('')`` is '.'): the ``Path`` is built only when a
+    message formats it, so a document read and parsed without error builds
+    none."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path):
+        self.path = path
+
+    def __str__(self):
+        return str(Path(self.path)) if self.path else self.path
+
+
+def load_json(path: str | Path, key: str | None = None):
     """The JSON value of a document file, read as bytes and decoded once,
     with universal newlines as text mode reads them.  An error echoes the
     path and names ``key``, the action's ``actor`` or ``target``, when the
@@ -230,12 +257,13 @@ def load_json(path: Path, key: str | None = None):
         with open(path, "rb") as file:
             text = file.read().decode("utf-8")
     except (OSError, ValueError) as exc:  # unreadable, a NUL in the path, or not UTF-8
-        named = echo(str(path)) if key is None else f"{echo(str(path))} ({key})"
+        named = echo(str(_Named(path)))
+        named = named if key is None else f"{named} ({key})"
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ParseError(f"cannot read {named}: {reason}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_json(text, path)
+    return parse_json(text, _Named(path))
 
 
 def parse_json(text: str, where):
@@ -250,12 +278,15 @@ def parse_json(text: str, where):
 
 def parse_document(path: str | Path):
     """Load and parse a document file; actions are detected by their keys.
-    An empty path is read as given, not as ``Path('')``, which is '.'."""
-    path = Path(path) if path else path
-    node = load_json(path)
+    The file read is the one ``Path(path)`` names, and a message names it
+    as ``_Named`` does; the ``Path`` is built only for a path ending in "/"
+    or "/.", whose end it drops, and for an action document, which resolves
+    its parts against the file's directory."""
+    node = load_json(Path(path) if isinstance(path, str) and path.endswith(("/", "/.")) else path)
     if isinstance(node, dict) and "actor" in node and "target" in node:
+        path = Path(path)
         return parse_action_document(node, path.parent, where=str(path))
-    return parse_algebra_document(node, where=str(path))
+    return parse_algebra_document(node, where=_Named(path))
 
 
 def serialize_algebra(alg) -> dict:

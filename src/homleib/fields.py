@@ -164,14 +164,19 @@ class Field(Value):
             return self.from_int(text)
         if not isinstance(text, str):
             raise SemanticError(f"scalar must be a string or int, got {echo(text)}")
-        stripped = text.strip()
-        parts = stripped.split("/")
         try:
+            # an optional sign and ASCII digits, the usual scalar, is read at once: int() refuses it
+            # only past Python's limit on the digits of an int, which the except below reports
+            if text.isascii() and (text.isdigit() or text[1:].isdigit() and text[0] in "+-"):
+                n = int(text)
+                return n if self.p is None else n % self.p
             # on ASCII text with no underscore int() reads only a sign and
             # digits (and whitespace around them); it would read underscores
             # and other scripts' digits too, so those are refused here
+            stripped = text.strip()
             if "_" in stripped or not stripped.isascii():
                 raise ValueError
+            parts = stripped.split("/")
             if len(parts) == 1:
                 return self.from_int(int(parts[0]))
             if len(parts) == 2:

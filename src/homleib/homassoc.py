@@ -21,8 +21,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import AlphaIdentityFails, InternalInconsistency, StructureError
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
 from .algebras import (
@@ -59,7 +57,7 @@ from .linalg import (
     unit_vec,
 )
 from .report import ExactnessReport, ValidationReport
-from .values import Frozen, Value
+from .values import Frozen, Value, cached_property
 from .tensorprod import build_tensor, induced_tensor_map
 
 

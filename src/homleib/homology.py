@@ -39,7 +39,6 @@ the check would fail loudly under a sign slip in any family.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm
 
 from .errors import FieldMismatch, StructureError
@@ -56,7 +55,7 @@ from .linalg import (
     unwrapped,
 )
 from .report import ValidationReport
-from .values import Frozen
+from .values import Frozen, cached_property
 
 
 class CoRepresentation(Frozen):

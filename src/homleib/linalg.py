@@ -99,14 +99,13 @@ presentations:
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import DimensionError, FieldMismatch, NotWellDefined, StructureError
 from .fields import Field
-from .values import Frozen, Value
+from .values import Frozen, Value, cached_property
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
@@ -177,6 +176,9 @@ def tensor_table(field: Field, rows: int, cols: int, offset: int = 0) -> tuple:
     (table, u, v) is u (x) v, with e_a (x) e_b at offset + a * cols + b."""
     one = field.one()
     return tuple(tuple(((offset + a * cols + b, one),) for b in range(cols)) for a in range(rows))
+
+
+_UNIT = ((0, 0, 1),)  # the placed second leg of a linear term: the constant 1, the one of both fields, at no position
 
 
 class Cleared(NamedTuple):
@@ -266,28 +268,33 @@ def _law_sums(field: Field, k: int, groups):
     one, zero, mul = field.one(), field.zero(), field.mul
     minus_one = -1 if field.is_canonical(-1) else None  # over Q; over GF(p) no factor is skipped as -1
     adding, subtracting = (field.add, field.sub), (field.sub, field.add)  # a term's op, and its op at a factor -1
-    nq = max([len(laws) for _, laws in groups] + [1])
-    span = max([prod(dims[k:]) for dims, _ in groups] + [1])
-    unit = ((0, 0, one),)  # the placed second leg of a linear term, the constant 1 naming no position
+    nq = span = 1
+    for dims, laws in groups:
+        nq, span = max(nq, len(laws)), max(span, prod(dims[k:]))
     placed, wrapped = {}, {}
 
     def place(vectors, pos, weights):  # (offset, index, value) for each nonzero coordinate of a leg
-        key = (id(vectors), *map(weights.__getitem__, pos))
-        if key not in placed:
-            if len(pos) == 2:
+        n = len(pos)
+        key = (id(vectors), weights[pos[0]]) if n == 1 else \
+            (id(vectors), weights[pos[0]], weights[pos[1]]) if n else id(vectors)
+        got = placed.get(key)
+        if got is None:
+            if n == 2:
                 _, w, z = key
-                placed[key] = [(w * x + z * y, a, c) for x, row in enumerate(vectors)
-                               for y, v in enumerate(row) for a, c in v]
+                got = [(w * x + z * y, a, c) for x, row in enumerate(vectors) for y, v in enumerate(row) for a, c in v]
+            elif n:
+                w = key[1]
+                got = [(w * x, a, c) for x, v in enumerate(vectors) for a, c in v]
             else:
-                placed[key] = [(key[1] * x, a, c) for x, v in enumerate(vectors) for a, c in v] if pos else \
-                    [(0, a, c) for a, c in vectors]
-        return placed[key]
+                got = [(0, a, c) for a, c in vectors]
+            placed[key] = got
+        return got
 
     def scatter(g, dims, laws):
         out = {}
         weights = [prod(dims[p + 1:k]) * len(groups) * span * nq if p < k else prod(dims[p + 1:]) * nq
                    for p in range(len(dims))]
-        whole = [*range(len(dims))]
+        whole, legal = [*range(len(dims))], set()  # the positions, and the leg positions found to name each once
         for q, law in enumerate(laws):
             name, plus, minus = law[0], law[2], law[3]
             cancels, base, big = _cancels(plus, minus), g * span * nq + q, 1
@@ -299,10 +306,11 @@ def _law_sums(field: Field, k: int, groups):
                 for term in terms:
                     table, u, v = term if len(term) == 3 else (*term, None)
                     pu, pv = u[1:], v[1:] if v else ()
-                    pos = sorted(pu + pv)
-                    if pos != whole:
-                        raise ValueError(f"law {name!r}: a term's legs name the positions {pos}, "
-                                         f"not each of {whole} once")
+                    if (pos := pu + pv) not in legal:
+                        if sorted(pos) != whole:
+                            raise ValueError(f"law {name!r}: a term's legs name the positions {sorted(pos)}, "
+                                             f"not each of {whole} once")
+                        legal.add(pos)
                     if cancels:
                         continue
                     u, v, factor = u[0], v and v[0], 1
@@ -313,7 +321,7 @@ def _law_sums(field: Field, k: int, groups):
                     if not left:
                         continue
                     if v is None:  # a linear term as a bilinear one, its columns one per row, wrapped once a call
-                        right = unit
+                        right = _UNIT
                         table = wrapped.get(id(table)) or wrapped.setdefault(id(table), [(col,) for col in table])
                     else:
                         right = place(v, pv, weights)
@@ -465,7 +473,9 @@ class Matrix(Value):
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
-        rows = tuple(tuple(field.from_int(x) if isinstance(x, int) else x for x in r) for r in rows)
+        """The map with the dense rows ``rows``, each int read in the field;
+        any other value, a bool included, is checked as ``Matrix`` checks it."""
+        rows = tuple(tuple(field.from_int(x) if type(x) is int else x for x in r) for r in rows)
         ncols = len(rows[0]) if rows else 0
         return Matrix(field, len(rows), ncols, rows)
 
@@ -651,13 +661,20 @@ def _reduce(field: Field, rows: dict, w: dict) -> int:
     """Reduce w, {column: value}, in place by the stored rows, pivot ->
     (pivot entry, entries): its denominators cleared by ``Field.clearing``,
     one ``_axpy`` per stored pivot in its support.  Returns the scale s, so
-    w ends as s (v less its part along the rows), v as it was handed in."""
+    w ends as s (v less its part along the rows), v as it was handed in.
+
+    The pivots are found once, as the key views' intersection, and taken
+    in its order, which need not be w's.  Any order gives the same result:
+    each stored row is zero at every other pivot, so a step takes out its
+    own pivot, adds none and only scales w's entries at the others, and s
+    comes out as the lcm over the pivots of d / gcd(a, d), d the row's
+    pivot entry and a w's cleared entry there (1 over GF(p))."""
     p, s = field.p, 1
     if p is None and not {int}.issuperset(map(type, w.values())):
         s = field.clearing(w.values())
         for c, x in w.items():
             w[c] = field.mul(s, x)
-    for q in [c for c in w if c in rows]:
+    for q in w.keys() & rows.keys():
         d, r = rows[q]
         s *= _axpy(w, w.pop(q), r, d, p)
     return s

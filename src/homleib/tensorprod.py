@@ -38,7 +38,6 @@ actions' ambient columns are ``linalg.law_columns`` data.
 
 from __future__ import annotations
 
-from functools import cached_property
 
 from .errors import IncompatibleActions, InternalInconsistency, NotEquivariant
 from .actions import HomAction, MutualActions, bracket_mutual, induced_action
@@ -59,7 +58,7 @@ from .linalg import (
     tensor_table,
 )
 from .report import ExactnessReport, ValidationReport
-from .values import Frozen
+from .values import Frozen, cached_property
 
 
 class TensorProduct(Frozen):

@@ -2,22 +2,31 @@
 
 A ``Frozen`` class names its fields in ``__slots__`` (with ``__dict__``
 last where a ``cached_property`` needs one); ``__init_subclass__`` reads
-them from there into ``_fields``, and a subclass that declares no
+them from there into ``_fields``, with the ``__set__`` of each field's slot
+descriptor, bound once, into ``_setters``, and a subclass that declares no
 ``__slots__`` keeps its parent's.  ``Frozen.__init__`` sets the fields
-once, in that order, from positional or keyword values, refusing a missing,
-extra or unknown one with ``TypeError`` as a written-out ``__init__``
-would; a class that checks or derives its fields makes that one call after
-its checks.  Assigning or deleting an attribute afterwards raises
-``AttributeError``.  A ``Value`` also compares and hashes: two instances of
-one class are equal when their fields are, and equal values hash alike.
-No code is generated: the constructor is the same function for every class.
+once, in that order, through those setters, which pass by the refusing
+``__setattr__``: a call with exactly one positional value per field stores
+them as they come, and any other call is first checked, taking keyword
+values and refusing a missing, extra or unknown one with ``TypeError`` as a
+written-out ``__init__`` would.  A class that checks or derives its fields
+makes that one call after its checks.  Assigning or deleting an attribute
+afterwards raises ``AttributeError``.  A ``Value`` also compares and
+hashes: two instances of one class are equal when their fields are, and
+equal values hash alike.  No code is generated: the constructor is the
+same function for every class.
+
+``cached_property`` is the library's one cached attribute: computed on its
+first read and kept in the instance's ``__dict__``, which every later read
+finds first.  It is ``functools.cached_property`` without the lock that
+Python 3.11 takes on each first read (3.12 dropped it): the library runs
+on one thread, and a race would only compute the value twice.
 """
 
 from __future__ import annotations
 
+import functools
 from operator import attrgetter
-
-_init_field = object.__setattr__  # the cheapest way past a refusing __setattr__
 
 
 def _call_error(cls, given: int, named: dict) -> TypeError:
@@ -37,22 +46,34 @@ def _call_error(cls, given: int, named: dict) -> TypeError:
     return TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")
 
 
+class cached_property(functools.cached_property):
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Frozen:
     __slots__ = ()
-    _fields = ()
+    _fields = _setters = ()
 
     def __init_subclass__(cls):
         if "__slots__" in cls.__dict__:
             cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values, **named):
-        fields, given = self._fields, len(values)
-        if named:
+        setters = self._setters
+        if named or len(values) != len(setters):  # not the exact positional call: checked as Python checks it
+            fields, given = self._fields, len(values)
             values += tuple(named[name] for name in fields[given:] if name in named)
-        if len(values) != len(fields) or len(values) - given != len(named):
-            raise _call_error(type(self), given, named)
-        for name, value in zip(fields, values):
-            _init_field(self, name, value)
+            if len(values) != len(fields) or len(values) - given != len(named):
+                raise _call_error(type(self), given, named)
+        i = 0  # an index, not zip: measured cheaper at a few fields
+        for store in setters:
+            store(self, values[i])
+            i += 1
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

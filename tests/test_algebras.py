@@ -122,6 +122,16 @@ class TestValidate:
         A = HomAssociativeAlgebra.from_products(f, 2, {(1, 0): {1: 7, 0: 0}, (0, 1): {1: 1, 0: -1}})
         assert A.sparse_p == L.sparse_c and A.labels == ("a1", "a2")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_entries_refuse_a_bool(self, flag):
+        # a bool is an int to Python but no scalar: read through
+        # Field.from_int it was 1 or 0, so {(0, 0): {1: True}} made [e1, e1] = e2
+        for f in (QQ, Field(5)):
+            with pytest.raises(StructureError, match="^bracket coordinates must be canonical scalars"):
+                HomLeibnizAlgebra.from_brackets(f, 2, {(0, 0): {1: flag}})
+            with pytest.raises(StructureError, match="^product coordinates must be canonical scalars"):
+                HomAssociativeAlgebra.from_products(f, 2, {(0, 0): {1: flag}})
+
 
 class TestCommutatorCenter:
     def test_derived_of_nonlie2(self, nonlie2):

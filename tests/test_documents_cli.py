@@ -318,6 +318,19 @@ class TestCli:
         assert code == 1
         assert "multiplicativity" in out
 
+    @pytest.mark.parametrize("form", ["{0}", "{0}/", "{0}/.", "{0}//./", "{1}/./{2}", "{1}//{2}", "{1}/sub/../{2}"])
+    def test_a_path_reads_and_names_the_file_its_path_names(self, form, tmp_path, capsys):
+        # the file read is the one Path(path) names, a trailing "/" or "/."
+        # dropped, and a message names it as str(Path(path))
+        (tmp_path / "sub").mkdir()
+        good, bad = write(tmp_path, "ok.alg", E1_DOC), write(tmp_path, "bad.alg", dict(E1_DOC, kind="lie"))
+        for path, code in ((good, 0), (bad, 2)):
+            given = form.format(path, tmp_path, Path(path).name)
+            assert main(["validate", given]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else f"error: {Path(given)}.kind: must be one of "
+                           "hom-leibniz, hom-associative, leibniz\n")
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.alg"
         path.write_text("{not json", encoding="utf-8")

@@ -9,11 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homleib import values
 from homleib.cli import main
-from homleib.errors import SemanticError
+from homleib.errors import SemanticError, echo
 from homleib.documents import parse_field
 from homleib.fields import PRIME_BOUND, Field, _is_prime
 
@@ -85,6 +85,33 @@ def assert_canonical(x, expected):
     assert isinstance(x, int) == (Fraction(expected).denominator == 1)
 
 
+def _general_parse(f: Field, text: str):
+    # ``Field.parse`` of a string, every text taking its general path: the
+    # reference its reading of a plain integer keeps to
+    stripped = text.strip()
+    parts = stripped.split("/")
+    try:
+        if "_" in stripped or not stripped.isascii() or len(parts) > 2:
+            raise ValueError
+        if len(parts) == 1:
+            return f.from_int(int(parts[0]))
+        num, den = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SemanticError(f"cannot parse scalar {echo(text)}") from None
+    if den == 0 or (f.p is not None and den % f.p == 0):
+        raise SemanticError(f"zero denominator in scalar {echo(text)}")
+    return f.div(f.from_int(num), f.from_int(den))
+
+
+def _outcome(parse, text):
+    # a parse's value with its type, or its refusal's type and message
+    try:
+        x = parse(text)
+    except SemanticError as exc:
+        return type(exc), str(exc)
+    return type(x), x
+
+
 class TestRationalScalars:
     @given(q_operands(), q_operands())
     def test_ops_match_fraction_reference(self, a, b):
@@ -117,6 +144,22 @@ class TestRationalScalars:
         assert_canonical(QQ.add(True, True), 2)
         for x in (QQ.zero(), QQ.one(), QQ.from_int(-7)):
             assert type(x) is int
+
+    @settings(max_examples=400)
+    @given(st.text(alphabet="0123456789-+ /_\u0663\uff13", max_size=9), st.sampled_from([QQ, Field(5)]))
+    def test_parse_reads_every_scalar_as_the_general_path(self, text, f):
+        # the unsigned and signed ASCII integers that ``parse`` reads at once
+        # read as the general path reads them, and every other text still
+        # takes it: the same value, or the same refusal
+        assert _outcome(f.parse, text) == _outcome(lambda t: _general_parse(f, t), text)
+
+    @pytest.mark.parametrize("text", ["1" * 5001, "-" + "1" * 5001, "+" + "1" * 5001, " " + "1" * 5001])
+    def test_a_scalar_past_the_digit_limit_is_refused(self, text):
+        # int() refuses more digits than Python's limit with ValueError,
+        # which the read of a plain integer turns into the usual refusal too
+        for f in (QQ, Field(5)):
+            with pytest.raises(SemanticError, match="^cannot parse scalar "):
+                f.parse(text)
 
     @given(q_operands(), q_operands(), q_operands())
     def test_canon_of_a_native_sum_of_products(self, a, b, c):
@@ -229,8 +272,9 @@ def test_relation_rows_read_only_by_the_descent_certificates():
 
 
 ROW_STORES = ("rows", "_stored")
-# the names under which ``values`` keeps ``object.__setattr__``, the field setter
-SETTERS = tuple(name for name, value in vars(values).items() if value is object.__setattr__)
+# the names through which ``values`` stores a field: the ``__set__`` of each
+# slot descriptor, bound once per class into ``_setters``
+SETTERS = ("_setters", "__set__")
 
 
 def _assigns_rows(node):
@@ -255,7 +299,7 @@ def test_accumulator_rows_assigned_only_inside_the_accumulator():
     # the accumulator's stored rows are assigned only by its own methods: a
     # subspace hands its stored rows over through ``_holding``, and no
     # ``rows`` setter loads an RREF from outside
-    assert SETTERS
+    assert "_setters" in vars(values.Frozen) and {store.__name__ for store in Field._setters} == {"__set__"}
     probe = ast.parse("a._stored = {}\na.x, a.rows = 1, {}\nsetattr(a, '_stored', {})\n"
                       "a.__dict__['_stored'] = {}\nobject.__setattr__(a, 'rows', {})\na.rows[0] = {}\n"
                       f"values.{SETTERS[0]}(a, '_stored', {{}})")
@@ -296,6 +340,28 @@ def test_fields_are_stored_only_by_the_generic_constructor():
     assert len(_sites(probe, _stores_fields_by_hand)) == 4
     found = [site for site in _library_sites(_stores_fields_by_hand) if not site.startswith("values:")]
     assert found == [], found
+
+
+def _takes_cached_property(node):
+    # ``cached_property`` imported from anywhere but ``values``, or read as
+    # an attribute of any module but ``values``
+    if isinstance(node, ast.ImportFrom):
+        return (node.module, node.level) != ("values", 1) and \
+            any(alias.name == "cached_property" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "cached_property" and \
+        getattr(node.value, "id", None) != "values"
+
+
+def test_cached_property_taken_only_from_values():
+    # Python 3.11's ``functools.cached_property`` takes a lock on every first
+    # read; the library's one cached attribute is ``values.cached_property``,
+    # which takes none, so every other module takes it from ``values``
+    probe = ast.parse("from functools import cached_property\nimport functools as ft\n"
+                      "x = ft.cached_property(f)\nfrom .values import Frozen, cached_property\n"
+                      "from . import values\ny = values.cached_property(f)\n")
+    assert len(_sites(probe, _takes_cached_property)) == 2
+    found = [site.rsplit(":", 1)[0] for site in _library_sites(_takes_cached_property)]
+    assert found == ["values:cached_property"], found
 
 
 def _uses(name):

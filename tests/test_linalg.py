@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from itertools import cycle
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -421,7 +422,10 @@ class TestSparseColumns:
                       # the sparse edge applies the same rule, Field.is_scalar
                       lambda: Matrix.from_columns(QQ, 2, [((0, 0.5),), ((1, True),)]),
                       lambda: Matrix.from_columns(QQ, 1, [((0, "1"),)]),
-                      lambda: Matrix.from_columns(F5, 1, [((0, True),)])):
+                      lambda: Matrix.from_columns(F5, 1, [((0, True),)]),
+                      # and so does the dense rows edge, which reads only an int in the field
+                      lambda: Matrix.from_rows(QQ, [[True]]),
+                      lambda: Matrix.from_rows(F5, [[1, False]])):
             with pytest.raises(StructureError, match="canonical scalars"):
                 build()
         assert Matrix.from_rows(F5, [[5, 7]]) == Matrix(F5, 1, 2, ((0, 2),))
@@ -725,6 +729,63 @@ class TestResidue:
             assert q.project(v) == tuple(w[c] for c in q.coset_basis)
             assert q.project_sparse(sparse_vec(v)) == sparse_vec(q.project(v))
         assert space.coordinates(inside) == x
+
+
+def _reduce_in_insertion_order(field, rows, w):
+    """``linalg._reduce`` with the pivots of w's support taken in the order
+    w holds them, as it ran before it took them from the key views'
+    intersection: the reference for the pivot order."""
+    p, s = field.p, 1
+    if p is None and not {int}.issuperset(map(type, w.values())):
+        s = field.clearing(w.values())
+        for c, x in w.items():
+            w[c] = field.mul(s, x)
+    for q in [c for c in w if c in rows]:
+        d, r = rows[q]
+        s *= linalg._axpy(w, w.pop(q), r, d, p)
+    return s
+
+
+@pytest.mark.parametrize("f", [QQ, F3, GFP], ids=["Q", "GF(3)", "GF(1000003)"])
+class TestPivotOrder:
+    """``_reduce`` takes the stored pivots in a vector's support in the
+    order of the key views' intersection, which for columns past the size
+    of a small set's table is not the order the vector holds them.  Every
+    stored row is zero at the other pivots, so a step only scales the
+    vector's entries at them: the accumulator's stored rows and rank, each
+    reduction's scale and every residue equal the insertion-order loop's."""
+
+    @given(st.data())
+    def test_matches_the_insertion_order(self, f, data):
+        n = data.draw(st.integers(1, 24))
+        entry = st.integers(1, f.p - 1) if f.p else st.builds(f.div, st.integers(-4, 4), st.integers(1, 3))
+        vector = st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n).map(sparse_vec)
+        rows = data.draw(st.lists(vector, max_size=10))
+        probes = data.draw(st.lists(vector, min_size=1, max_size=4))
+
+        def run():
+            acc, scales = RrefAccumulator(f, n), []
+            added = [acc.add(row) for row in rows]
+            for v in probes:
+                w = dict(v)
+                scales.append((linalg._reduce(f, acc._stored, w), w))
+            space = acc.subspace()
+            return added, acc.rank, acc._stored, scales, [space.residue(v) for v in probes]
+
+        got = run()
+        with patch.object(linalg, "_reduce", _reduce_in_insertion_order):
+            assert run() == got
+
+    def test_an_order_that_differs(self, f):
+        # pivots 3 and 9 in a set of eight slots: 9 comes first
+        acc, one = RrefAccumulator(f, 12), f.one()
+        acc.add(((3, f.from_int(2)), (10, one)))
+        acc.add(((9, f.from_int(5)), (10, one), (11, one)))
+        v = ((3, one), (9, one), (11, one))
+        assert list(dict(v).keys() & acc._stored.keys()) == [9, 3]
+        w, ref = dict(v), dict(v)
+        assert linalg._reduce(f, acc._stored, w) == _reduce_in_insertion_order(f, acc._stored, ref)
+        assert w == ref and w
 
 
 def _descended(m, src, dst):

@@ -291,6 +291,53 @@ def test_each_report_starts_with_its_own_empty_containers(cls):
         assert getattr(a, name) in ([], {}) and getattr(a, name) is not getattr(b, name), name
 
 
+def _is_cached_property(node) -> bool:
+    # ``cached_property`` named alone or as an attribute, as a decorator or called
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "cached_property"
+
+
+def _cached_in_source() -> set:
+    """(class, attribute) of every cached attribute written in the library's
+    class bodies, read from the source: a method decorated with
+    ``cached_property`` or a name assigned a ``cached_property(...)`` call."""
+    found = set()
+    for path in sorted(Path(homleib.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, ast.FunctionDef) and any(map(_is_cached_property, stmt.decorator_list)):
+                    found.add((cls.name, stmt.name))
+                elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call) and \
+                        _is_cached_property(stmt.value.func):
+                    found.update((cls.name, t.id) for t in stmt.targets)
+    return found
+
+
+def test_every_cached_attribute_is_tested():
+    # CACHED finds the cached attributes by type: one of another type would
+    # drop out of the test below unseen, so the source counts them again
+    assert {(cls.__name__, name) for cls, name in CACHED} == _cached_in_source()
+    assert CACHED
+
+
+class _Refusing:
+    # a lock that fails the test when it is taken
+    def __enter__(self):
+        raise AssertionError("a first read took the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_a_first_read_takes_no_lock(monkeypatch):
+    # Python 3.11's ``functools.cached_property`` takes its lock on every
+    # first read; the library's cached attributes compute and store at once
+    for cls, name in CACHED:
+        monkeypatch.setattr(vars(cls)[name], "lock", _Refusing(), raising=False)
+    for cls, name in CACHED:
+        a = EXAMPLES[cls]()
+        assert getattr(a, name) is vars(a)[name]
+
+
 @pytest.mark.parametrize("cls, name", CACHED, ids=[f"{cls.__name__}.{name}" for cls, name in CACHED])
 def test_cached_properties_cache(cls, name):
     a = EXAMPLES[cls]()
