@@ -172,7 +172,7 @@ class HomLeibnizAlgebra(Value):
         f, c, basis = self.field, self.sparse_c, range(self.dim)
         for i in compress(basis, map(any, c)):
             for j in compress(basis, c[i]):
-                if i == j or {k: f.neg(x) for k, x in c[i][j]} != dict(c[j][i]):
+                if i == j or dict(f.nonzero([(k, -x) for k, x in c[i][j]])) != dict(c[j][i]):
                     return False
         return True
 

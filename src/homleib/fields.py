@@ -2,16 +2,20 @@
 
 Over Q a scalar is a plain ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not; over GF(p) it is an int in
-``range(p)``.  Every operation goes through the owning :class:`Field` so the
-rest of the library is field-agnostic.  Over Q the operations accept int and
-``Fraction`` operands in any mix and return the canonical form, so integral
-arithmetic never pays for ``Fraction``; an int and a ``Fraction`` of the same
-value compare, hash and print alike.  The one true division is
-:meth:`Field.div`, which divides ``Fraction(a)`` so that int / int never
-yields a float.  ``Field.clearing`` is the lcm of some scalars'
-denominators, so a caller can clear them and work on integers without
-naming ``Fraction``.  A scalar is zero exactly when it is falsy, so callers
-test ``if x:`` rather than comparing with ``zero()``.
+``range(p)``.  Every scalar operation goes through the owning
+:class:`Field` so the rest of the library is field-agnostic, except in the
+vector kernels (``linalg``'s law engine, ``linear``, ``sparse_outer`` and
+``cleared``, and ``homology``'s boundary): they compute on Python's own
+``+`` and ``*`` and take the canonical form once per output vector
+(:meth:`Field.nonzero`) or coordinate (:meth:`Field.canon`).  Over Q the
+operations accept int and ``Fraction`` operands in any mix and return the
+canonical form, so integral arithmetic never pays for ``Fraction``; an int
+and a ``Fraction`` of the same value compare, hash and print alike.  The
+one true division is :meth:`Field.div`, which divides ``Fraction(a)`` so
+that int / int never yields a float.  ``Field.clearing`` is the lcm of some
+scalars' denominators, so a caller can clear them and work on integers
+without naming ``Fraction``.  A scalar is zero exactly when it is falsy, so
+callers test ``if x:`` rather than comparing with ``zero()``.
 Characteristic 2 is rejected because the polarization identity used for
 Lie-ization needs 2 to be invertible, and p must lie below ``PRIME_BOUND``,
 where primality is decided exactly.
@@ -145,6 +149,15 @@ class Field(Value):
         """The canonical form of x, a sum of products of this field's
         scalars taken with Python's own + and *."""
         return _canon(x) if self.p is None else x % self.p
+
+    def nonzero(self, sums) -> list:
+        """The nonzero (k, x) pairs of ``sums``, each x a sum of products
+        taken with Python's own + and *, in order and with x canonical: over
+        GF(p) x mod p, a multiple of p being zero, over Q an int if integral."""
+        p = self.p
+        if p is None:
+            return [(k, x if type(x) is int else _canon(x)) for k, x in sums if x]
+        return [(k, r) for k, x in sums if (r := x % p)]
 
     def inv(self, a):
         return self.div(self.one(), a)

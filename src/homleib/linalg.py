@@ -33,7 +33,10 @@ is stored as its pivot entry and its other entries, integers, and
 
 Every structure in the library is a bilinear map on coordinate spaces, and
 one small vector-kernel layer serves them all, with the maps between
-presentations:
+presentations.  Its kernels compute on Python's own ``+`` and ``*`` and
+take the field's canonical form once per output vector (``Field.nonzero``),
+before any zero test: over GF(p) an unreduced sum can be a nonzero
+multiple of p, and such a sum is zero.
 
 * each structure holds its tables only in sparse form, each value
   table[i][j] as its nonzero (k, value) pairs: algebras, actions and
@@ -55,16 +58,15 @@ presentations:
   values (D = 1).  One engine scatters each term from the nonzero
   coordinates of its two legs into the signed sums of the instances they
   meet at, so its cost follows those coordinates and an instance no term
-  reaches is never formed; it multiplies by no factor that is 1, nor over
-  Q -1, and skips a law whose two sides hold the same terms.  A term's
-  scale is the product of its table's and its legs' D, a law's K the lcm
-  of its terms' scales, and each term is weighed by K over its scale, so
-  every instance's sum is K times its true sum.  ``check_laws``, the one
-  identity checker, records each instance whose sum is nonzero;
-  ``law_rows``, the one relation generator, yields each sum as a sparse
-  row, K times the instance's; ``law_columns`` returns every instance's
-  sum, divided by K, in ``check_laws``' order, as the sparse columns of a
-  map (an action's);
+  reaches is never formed, and skips a law whose two sides hold the same
+  terms.  A term's scale is the product of its table's and its legs' D, a
+  law's K the lcm of its terms' scales, and each term is weighed by its
+  sign times K over its scale, one integer, so every instance's sum is K
+  times its true sum.  ``check_laws``, the one identity checker, records
+  each instance whose sum is nonzero; ``law_rows``, the one relation
+  generator, yields each sum as a sparse row, K times the instance's;
+  ``law_columns`` returns every instance's sum, divided by K, in
+  ``check_laws``' order, as the sparse columns of a map (an action's);
 * ``tensor_table`` states a row-major block of pure tensors as a sparse
   table, so a relation term u (x) v is a bilinear term; ``sparse_outer``
   is the pure tensor of two sparse vectors in such a block, and
@@ -151,12 +153,11 @@ def canonical_scalars(field: Field, vectors) -> bool:
 
 def linear(field: Field, cols, u) -> list:
     """The linear map with sparse columns ``cols`` at the sparse vector u."""
-    zero = field.zero()
     out = {}
     for i, a in u:
         for k, t in cols[i]:
-            out[k] = field.add(out.get(k, zero), field.mul(a, t))
-    return [(k, x) for k, x in out.items() if x]
+            out[k] = out.get(k, 0) + a * t
+    return field.nonzero(out.items())
 
 
 def sparse_add(field: Field, u, v, c) -> list:
@@ -200,7 +201,7 @@ def cleared(field: Field, values, table: bool = False):
         return values
 
     def scaled(v):
-        return tuple([(k, field.mul(d, x)) for k, x in v])
+        return tuple(field.nonzero([(k, d * x) for k, x in v]))
 
     return Cleared(tuple(tuple(map(scaled, row)) for row in values) if table else tuple(map(scaled, values)), d)
 
@@ -240,11 +241,12 @@ def _law_sums(field: Field, k: int, groups):
     """The one law engine, (sums, at).  ``sums`` yields, for each group of
     ``check_laws`` data in turn, the signed sums, plus less minus, of its
     instances where a term can be nonzero, each K times the true sum (K the
-    law's ``_law_scale``), as {key: {column: value}} with coordinates that
-    may be zero; at(key) is the instance's (idx, law).  Keys sort as
-    ``check_laws`` runs, by outer tuple (the first k indices), group, inner
-    tuple and law: a key is that position in mixed radix, so it is linear
-    in the indices, index position p weighing ``weights[p]``.
+    law's ``_law_scale``), as {key: {column: value}} with coordinates not
+    in canonical form, which may be zero; at(key) is the instance's (idx,
+    law).  Keys sort as ``check_laws`` runs, by outer tuple (the first k
+    indices), group, inner tuple and law: a key is that position in mixed
+    radix, so it is linear in the indices, index position p weighing
+    ``weights[p]``.
 
     Every law is multilinear: the two legs of each term name each position
     of the index tuple once between them, else ``ValueError``, checked in
@@ -255,19 +257,15 @@ def _law_sums(field: Field, k: int, groups):
     term is a bilinear one whose second leg is the constant 1.  A
     ``Cleared`` table or leg is read as its integers, D times the
     structure's own, so a term's product is s times the true one, s the
-    term's ``_scale``; a term with s < K has its left leg's coordinates
-    multiplied by K / s once.  Cleared pairs arise over Q only (``cleared``
-    hands a GF(p) table back as it is), so K is found over Q only, and a
-    law whose K is 1 (all its parts plain) is scattered as it is given,
-    with nothing extra run.  A factor that is the field's one is not
-    multiplied, nor over Q one that is -1, which exchanges add and sub
-    instead, so a basis-vector leg or a ``tensor_table`` costs no product
-    in any basis and a change of basis by signs costs none either.  A law
-    whose two sides cancel term by term (``_cancels``) is zero everywhere
-    and is skipped."""
-    one, zero, mul = field.one(), field.zero(), field.mul
-    minus_one = -1 if field.is_canonical(-1) else None  # over Q; over GF(p) no factor is skipped as -1
-    adding, subtracting = (field.add, field.sub), (field.sub, field.add)  # a term's op, and its op at a factor -1
+    term's ``_scale``.  Each pair of leg coordinates x, y is weighed once
+    by the term's factor, its sign (+1 plus, -1 minus) times K / s, and
+    each table coordinate z of the cell adds factor * x * y * z to its sum
+    with Python's own + and *; the sums are left unreduced, for the
+    readers to take ``Field.nonzero`` of.  Cleared pairs arise over Q only
+    (``cleared`` hands a GF(p) table back as it is), so over GF(p) K is 1,
+    every factor is +-1 and a sum of k products is below k p^3 in absolute
+    value.  A law whose two sides cancel term by term (``_cancels``) is
+    zero everywhere and is skipped."""
     nq = span = 1
     for dims, laws in groups:
         nq, span = max(nq, len(laws)), max(span, prod(dims[k:]))
@@ -298,11 +296,11 @@ def _law_sums(field: Field, k: int, groups):
         for q, law in enumerate(laws):
             name, plus, minus = law[0], law[2], law[3]
             cancels, base, big = _cancels(plus, minus), g * span * nq + q, 1
-            for term in chain(plus, minus) if minus_one and not cancels else ():  # K, over Q only
+            for term in chain(plus, minus) if not cancels else ():  # the law's K
                 if type(term[0]) is Cleared or type(term[1][0]) is Cleared or \
                         len(term) == 3 and type(term[2][0]) is Cleared:
                     big = lcm(big, _scale(term))
-            for ops, terms in ((adding, plus), (subtracting, minus)):
+            for sign, terms in ((1, plus), (-1, minus)):
                 for term in terms:
                     table, u, v = term if len(term) == 3 else (*term, None)
                     pu, pv = u[1:], v[1:] if v else ()
@@ -313,9 +311,9 @@ def _law_sums(field: Field, k: int, groups):
                         legal.add(pos)
                     if cancels:
                         continue
-                    u, v, factor = u[0], v and v[0], 1
+                    u, v, factor = u[0], v and v[0], sign
                     if big != 1:  # a part is cleared: read the integers, and weigh the term by K / s
-                        factor = big // _scale(term)
+                        factor *= big // _scale(term)
                         table, u, v = [x.values if type(x) is Cleared else x for x in (table, u, v)]
                     left = place(u, pu, weights)
                     if not left:
@@ -325,32 +323,18 @@ def _law_sums(field: Field, k: int, groups):
                         table = wrapped.get(id(table)) or wrapped.setdefault(id(table), [(col,) for col in table])
                     else:
                         right = place(v, pv, weights)
-                    if factor != 1:
-                        left = [(o1, a, mul(factor, x)) for o1, a, x in left]
                     for o1, a, x in left:
                         o1 += base
                         line = table[a]
-                        if x is minus_one:
-                            x, same, swapped = one, ops[1], ops[0]
-                        else:
-                            same, swapped = ops
                         for o2, b, y in right:
                             cell = line[b]
                             if cell:
                                 acc = out.get(o1 + o2)
                                 if acc is None:
                                     acc = out[o1 + o2] = {}
-                                if y is minus_one:
-                                    y, op, other = one, swapped, same
-                                else:
-                                    op, other = same, swapped
-                                c = y if x is one else x if y is one else mul(x, y)
+                                c = factor * x * y
                                 for col, z in cell:
-                                    if z is minus_one:
-                                        acc[col] = other(acc.get(col, zero), c)
-                                    else:
-                                        z = z if c is one else c if z is one else mul(c, z)
-                                        acc[col] = op(acc.get(col, zero), z)
+                                    acc[col] = acc.get(col, 0) + c * z
         return out
 
     def at(key):
@@ -392,7 +376,7 @@ def check_laws(field: Field, report, outer_dims: tuple, groups) -> None:
     supp u, and a bilinear one only if table[a][b] is for some (a, b) in
     supp u x supp v."""
     sums, at = _law_sums(field, len(outer_dims), groups)
-    for key in sorted(key for group in sums for key, row in group.items() if any(row.values())):
+    for key in sorted(key for group in sums for key, row in group.items() if field.nonzero(row.items())):
         idx, (name, witness, _, _, *detail) = at(key)
         labels = tuple(lb[idx[p]] for lb, p in witness)
         report.record(name, labels, *(d.format(*labels) for d in detail))
@@ -410,7 +394,7 @@ def law_rows(field: Field, groups):
     instance is skipped exactly when each of its terms has an empty leg."""
     for group in _law_sums(field, 0, groups)[0]:
         for key in sorted(group):
-            yield tuple(sorted([(k, x) for k, x in group[key].items() if x]))
+            yield tuple(sorted(field.nonzero(group[key].items())))
 
 
 def law_columns(field: Field, outer_dims: tuple, groups) -> list:
@@ -429,15 +413,14 @@ def law_columns(field: Field, outer_dims: tuple, groups) -> list:
     for group, ks in zip(_law_sums(field, k, groups)[0], scales):
         for key, col in group.items():
             d = ks[key % nq]
-            cols[key] = tuple(sorted([(c, x if d == 1 else field.div(x, d)) for c, x in col.items() if x]))
+            cols[key] = tuple(sorted([(c, x if d == 1 else field.div(x, d)) for c, x in field.nonzero(col.items())]))
     return cols
 
 
 def sparse_outer(field: Field, u, v, stride: int, offset: int = 0) -> list:
     """The pure tensor u (x) v of sparse vectors as sparse pairs: u_i v_j
     sits at offset + i * stride + j, stride being the second leg's length."""
-    mul = field.mul
-    return [(offset + i * stride + j, mul(x, y)) for i, x in u for j, y in v]
+    return field.nonzero([(offset + i * stride + j, x * y) for i, x in u for j, y in v])
 
 
 class Matrix(Value):

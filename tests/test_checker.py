@@ -19,6 +19,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -56,6 +57,10 @@ from homleib.tensorprod import build_tensor, relation_vectors
 QQ = Field()
 GFP = Field(1000003)
 FIELDS = (QQ, GFP)
+# small primes too, where the engine's unreduced sums and products wrap
+GF3, GF5 = Field(3), Field(5)
+WRAP_FIELDS = FIELDS + (GF3, GF5)
+WRAP_IDS = ["Q", "GF(1000003)", "GF(3)", "GF(5)"]
 
 
 # -- dense reference ----------------------------------------------------------
@@ -364,10 +369,10 @@ def _mutual(draw, f):
 
 @st.composite
 def cases(draw):
-    """(kind, object) for an object over Q or GF(1000003) with one entry moved
-    by a nonzero amount."""
-    f = draw(st.sampled_from(FIELDS))
-    delta = f.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
+    """(kind, object) for an object over Q, GF(1000003), GF(3) or GF(5) with
+    one entry moved by a nonzero amount."""
+    f = draw(st.sampled_from(WRAP_FIELDS))
+    delta = f.from_int(draw(st.sampled_from([d for d in (-2, -1, 1, 3) if f.from_int(d)])))
     if draw(st.booleans()):
         delta = f.div(delta, f.from_int(2))
     kind = draw(st.sampled_from(["algebra", "hom", "action", "compat", "assoc", "corep"]))
@@ -435,7 +440,7 @@ class TestAgainstDenseLoops:
         # a broken law is reported with its witnesses, never silently passed
         assert sparse.valid == dense.valid
 
-    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("f", WRAP_FIELDS, ids=WRAP_IDS)
     def test_every_single_entry_perturbation(self, f):
         """Sweep: each structure constant and twist entry of sl2 twisted moved
         by one; the reports agree, and most moves break some law."""
@@ -449,7 +454,7 @@ class TestAgainstDenseLoops:
             broken += not P.validate().valid
         assert broken > len(perturbed) // 2
 
-    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("f", WRAP_FIELDS, ids=WRAP_IDS)
     def test_every_single_entry_perturbation_of_sparse_brackets(self, f):
         """Sweep on brackets of sparse support, where the Hom-Leibniz identity
         is checked only on the triples off which it is zero by sparsity: each
@@ -464,7 +469,7 @@ class TestAgainstDenseLoops:
                 identity_broken += any(v.law == "hom-leibniz identity" for v in sparse.violations)
         assert identity_broken > 0
 
-    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("f", WRAP_FIELDS, ids=WRAP_IDS)
     def test_every_single_entry_perturbation_of_products_and_maps(self, f):
         """Sweep: each product constant and twist entry of the dual numbers
         and of the twisted upper triangular matrices, and each entry of the
@@ -488,7 +493,7 @@ class TestAgainstDenseLoops:
             assert sparse.to_dict() == dense.to_dict()
         assert sum(not sparse.valid for sparse, _ in broken) > len(broken) // 2
 
-    @pytest.mark.parametrize("f", FIELDS, ids=["Q", "GF(1000003)"])
+    @pytest.mark.parametrize("f", WRAP_FIELDS, ids=WRAP_IDS)
     def test_valid_instances_pass(self, f):
         for make in ALGEBRAS:
             L = make(f)
@@ -830,9 +835,9 @@ def _dense_row(f, law, jdx, size):
 @st.composite
 def perturbed_sl2_laws(draw):
     """The action or compatibility validator of sl2's adjoint action, plain
-    or twisted, over Q or GF(1000003), with one entry moved."""
-    f = draw(st.sampled_from(FIELDS))
-    delta = f.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
+    or twisted, over Q, GF(1000003), GF(3) or GF(5), with one entry moved."""
+    f = draw(st.sampled_from(WRAP_FIELDS))
+    delta = f.from_int(draw(st.sampled_from([d for d in (-2, -1, 1, 3) if f.from_int(d)])))
     a = self_action(draw(st.sampled_from([sl2, sl2_twisted]))(f))
     if draw(st.booleans()):
         return _perturbed_action(draw, f, a, delta).validate
@@ -940,7 +945,7 @@ class TestLawColumns:
     def test_columns_are_the_full_grid_sums(self):
         rng = random.Random(7)
         columns = empty = 0
-        for f in FIELDS:
+        for f in WRAP_FIELDS:
             for _ in range(40):
                 outer_dims, groups = _random_laws(f, rng)
                 k = len(outer_dims)
@@ -970,6 +975,68 @@ class TestLawColumns:
         # the other two readers take such groups
         linalg.check_laws(QQ, ValidationReport("laws"), (), groups)
         assert len(list(linalg.law_rows(QQ, groups))) == {"inner size": 4 + 2, "number of laws": 4 + 8}[unequal]
+
+
+class TestUnreducedSums:
+    """The engine and the vector kernels compute on Python's own + and *
+    and take the field's canonical form once per vector, before any zero
+    test: over a small prime an unreduced sum can be a nonzero multiple of
+    p, which is zero, and over Q an integral sum of plain ``Fraction``
+    values is an int."""
+
+    UNITS = TestTermShapes.UNITS
+    TWOS = (((0, 2),), ((1, 2),))  # 2 e_0 and 2 e_1
+
+    def laws(self, f):
+        """Two laws on the 2 x 2 tensors, each plus less minus 3 e_a (x) e_b
+        unreduced: three equal terms, and 2 e_a (x) 2 e_b less e_a (x) e_b."""
+        table = linalg.tensor_table(f, 2, 2)
+        unit = (table, (self.UNITS, 0), (self.UNITS, 1))
+        return [((2, 2), [("tripled", (), [unit, unit, unit], []),
+                          ("wrapped", (), [(table, (self.TWOS, 0), (self.TWOS, 1))], [unit])])]
+
+    def test_a_multiple_of_p_is_zero(self):
+        groups = self.laws(GF3)
+        sums, _ = linalg._law_sums(GF3, 0, groups)
+        assert [set(row.values()) for group in sums for row in group.values()] == [{3}] * 8
+        rep = ValidationReport("laws")
+        linalg.check_laws(GF3, rep, (), groups)
+        assert rep.violations == []
+        assert list(linalg.law_rows(GF3, groups)) == [()] * 8
+        assert linalg.law_columns(GF3, (), groups) == [()] * 8
+        assert linalg.linear(GF3, (((0, 1),), ((0, 2),)), ((0, 1), (1, 1))) == []
+
+    def test_the_same_laws_fail_where_3_is_not_zero(self):
+        for f in (QQ, GF5):
+            groups = self.laws(f)
+            rep = ValidationReport("laws")
+            linalg.check_laws(f, rep, (), groups)
+            assert [v.law for v in rep.violations] == ["tripled", "wrapped"] * 4
+            want = [((k, 3),) for k in range(4) for _ in range(2)]
+            assert list(linalg.law_rows(f, groups)) == want
+            assert linalg.law_columns(f, (), groups) == want
+
+    def test_products_are_reduced(self):
+        # 2 * 3 is 1 in GF(5): every kernel hands its output canonical
+        assert linalg.sparse_outer(GF5, ((0, 2), (1, 4)), ((0, 3),), 1) == [(0, 1), (1, 2)]
+        assert linalg.linear(GF5, (((0, 3), (1, 4)),), ((0, 2),)) == [(0, 1), (1, 3)]
+        assert Matrix.from_rows(GF5, [[2, 0], [0, 3]]).kron(Matrix.from_rows(GF5, [[3]])).sparse_cols == \
+            (((0, 1),), ((1, 4),))
+
+    def test_an_integral_sum_of_fractions_is_an_int(self):
+        # plain (not cleared) fractions: two halves, and a leg of halves
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        halves = (((0, half),), ((0, 3 * half),))
+        cols = (((0, 1), (1, 4 * third)),)
+        law = ("doubled", (), [(cols, (halves, 0)), (cols, (halves, 0))], [])
+        outputs = [linalg.linear(QQ, (((0, half),), ((0, half), (1, third))), ((0, 1), (1, 1))),
+                   *linalg.law_rows(QQ, [((2,), [law])]), *linalg.law_columns(QQ, (), [((2,), [law])])]
+        assert outputs == [[(0, 1), (1, third)], ((0, 1), (1, 4 * third)), ((0, 3), (1, 4)),
+                           ((0, 1), (1, 4 * third)), ((0, 3), (1, 4))]
+        assert all(QQ.is_canonical(x) for out in outputs for _, x in out)
+        rep = ValidationReport("laws")
+        linalg.check_laws(QQ, rep, (), [((2,), [law])])
+        assert len(rep.violations) == 2
 
 
 class TestClearedTables:

@@ -169,6 +169,24 @@ class TestRationalScalars:
         x, y, z = (gf.from_int(int(Fraction(v).numerator)) for v in (a, b, c))
         assert gf.canon(x * y - z) == gf.sub(gf.mul(x, y), z)
 
+    @given(st.lists(st.tuples(q_operands(), q_operands(), q_operands()), max_size=6),
+           st.sampled_from([QQ, Field(3), Field(5)]))
+    def test_nonzero_of_native_sums_of_products(self, terms, f):
+        # each sum of products x * y - z on Python's own + and *, canonical
+        # once per vector, is the field's, and only the nonzero ones are kept:
+        # over a small prime many sums wrap to a multiple of p
+        if f.p is not None:
+            terms = [tuple(f.from_int(int(Fraction(v).numerator)) for v in t) for t in terms]
+        sums = [(k, x * y - z) for k, (x, y, z) in enumerate(terms)]
+        want = [(k, v) for k, (x, y, z) in enumerate(terms) if (v := f.sub(f.mul(x, y), z))]
+        got = f.nonzero(sums)
+        assert got == want and all(f.is_canonical(v) for _, v in got)
+
+    def test_nonzero_wraps_and_canonicalizes(self):
+        assert Field(3).nonzero([(0, 3), (1, 4), (2, -1), (3, 0), (4, -6)]) == [(1, 1), (2, 2)]
+        got = QQ.nonzero(iter([(0, Fraction(2, 2)), (1, Fraction(-1, 2)), (2, Fraction(0)), (3, 5)]))
+        assert got == [(0, 1), (1, Fraction(-1, 2)), (3, 5)] and type(got[0][1]) is int
+
 
 def _sites(tree, hit):
     """(enclosing function, line) of every node of a module matching ``hit``."""
@@ -581,6 +599,39 @@ def test_dense_twins_are_gone():
 # unseen
 FIELD_PRIME_READS = {("fields:Field", "self"), ("linalg:_reduce", "field"),
                      ("linalg:RrefAccumulator.add", "self.field")}
+
+
+# the vector kernels and the law engine's readers compute on Python's own +
+# and *; of their field they read only its canonical pass, the lcm of
+# denominators and, in law_columns, the division of each sum by its law's K,
+# and they pass the field on only to one another
+KERNELS = ("_law_sums", "check_laws", "law_rows", "law_columns", "linear", "sparse_outer", "cleared")
+KERNEL_FIELD_READS = {"nonzero", "clearing"}
+
+
+def test_vector_kernels_make_no_field_arithmetic_call():
+    path = Path(__file__).resolve().parents[1] / "src" / "homleib" / "linalg.py"
+    kernels = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef) and node.name in KERNELS}
+    assert sorted(kernels) == sorted(KERNELS)
+    found = []
+    for name, fn in kernels.items():
+        assert fn.args.args[0].arg == "field"
+        allowed = KERNEL_FIELD_READS | ({"div"} if name == "law_columns" else set())
+        for node in ast.walk(fn):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute) and child.attr == "p":
+                    found.append(f"{name}:{ast.unparse(child)}:{child.lineno}")
+                if not (isinstance(child, ast.Name) and child.id in ("field", "Field")) or \
+                        isinstance(node, ast.arg):  # the parameter's annotation
+                    continue
+                if isinstance(node, ast.Attribute):
+                    if child.id == "Field" or node.attr not in allowed:
+                        found.append(f"{name}:{ast.unparse(node)}:{node.lineno}")
+                elif not (isinstance(node, ast.Call) and child in node.args and
+                          isinstance(node.func, ast.Name) and node.func.id in KERNELS):
+                    found.append(f"{name}:{ast.unparse(node)}:{node.lineno}")
+    assert found == [], found
 
 
 def test_library_reads_no_dense_algebra_table():
